@@ -12,9 +12,10 @@ Three sections:
   :class:`~repro.serve.FeatureServer`: every surviving row serves, every
   quarantined row carries a reason, and the strict server refuses the
   same batch with a typed error.
-* ``overhead`` — ``apply_with_report`` (per-feature isolation, report
-  construction, breaker consultation) vs raw ``plan.apply`` on the
-  fault-free demo workload, gated at **≤5%** overhead at serving scale.
+* ``overhead`` — degrade-mode ``apply_with_report`` with breakers vs a
+  strict ``plan.apply`` on the fault-free demo workload (both run the
+  one replay loop; this prices the breaker consultation and degrade
+  bookkeeping), gated at **≤5%** overhead at serving scale.
 
 ``python benchmarks/bench_resilience.py`` writes ``BENCH_resilience.json``
 at the repo root; ``--smoke`` runs smaller row counts with the same

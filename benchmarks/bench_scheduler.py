@@ -1,6 +1,6 @@
 """Stage-graph scheduler benchmark: overlap makespan and budget planning.
 
-Two claims, each asserted:
+Three claims, each asserted:
 
 * **Stage overlap** — running the same SMARTFEAT search under
   ``stage_plan="overlap"`` accepts identical features, produces an
@@ -15,10 +15,17 @@ Two claims, each asserted:
   raising: the scheduler shrinks sampling stages' draw budgets, skips
   stages it cannot afford, and records every decision in
   ``execution["schedule"]``.
+* **Physical stage overlap** — the same search through stateless
+  transport clients with real per-call latency on a
+  :class:`~repro.fm.executor.ThreadPoolFMExecutor`: under
+  ``stage_plan="overlap"`` the scheduler detects the stateless clients
+  and fans the independent post-unary stages out on threads, and their
+  measured windows genuinely intersect (the serial plan never does).
 
 ``python benchmarks/bench_scheduler.py`` runs standalone and writes
 ``BENCH_scheduler.json`` at the repo root; ``--smoke`` runs the
-equivalence assertion on one dataset (the CI gate).
+equivalence assertion and the physical-overlap check on one dataset
+(the CI gate).
 """
 
 import json
@@ -27,7 +34,7 @@ from pathlib import Path
 
 from repro.core import SmartFeat
 from repro.datasets import load_dataset
-from repro.eval import render_table, stage_overlap_report
+from repro.eval import physical_overlap_report, render_table, stage_overlap_report
 from repro.fm import Budget, SimulatedFM
 
 CONCURRENCY = 8
@@ -154,6 +161,46 @@ def render_budget_table(payload: dict) -> str:
     return render_table(["max calls", "spent", "features", "degraded stages"], rows)
 
 
+def run_physical_benchmark(dataset: str = "heart", n_rows: int = 250) -> dict:
+    """Measured physical stage fan-out against stateless transport clients."""
+    return physical_overlap_report(
+        load_dataset(dataset, n_rows=n_rows), concurrency=CONCURRENCY
+    )
+
+
+def render_physical_table(payload: dict) -> str:
+    rows = [
+        [
+            payload["dataset"],
+            f"{payload['wall_serial_s']:.2f}",
+            f"{payload['wall_overlap_s']:.2f}",
+            f"{payload['measured_speedup']:.2f}x",
+            "yes" if payload["physical_overlap"] else "NO",
+            "; ".join("+".join(pair) for pair in payload["stages_overlapped"]) or "-",
+        ]
+    ]
+    return render_table(
+        [
+            "dataset",
+            "serial plan (s)",
+            "overlap plan (s)",
+            "speedup",
+            "physical",
+            "measured overlaps",
+        ],
+        rows,
+    )
+
+
+def assert_physical(payload: dict) -> None:
+    assert payload["physical_overlap"], payload
+    assert not payload["serial_plan_physical"], payload
+    assert payload["stages_overlapped"], (
+        "no post-unary stages physically overlapped: "
+        f"{payload['schedule']['nodes']}"
+    )
+
+
 def assert_overlap(payload: dict, min_speedup: float = 1.5) -> None:
     assert payload["all_equivalent"], (
         "serial and overlapped stage plans diverged: "
@@ -178,9 +225,13 @@ def run_smoke() -> int:
     assert report["speedup"] > 1.0, report
     budget_payload = run_budget_benchmark(ladder=(25,), n_rows=200)
     assert_budget(budget_payload)
+    physical = run_physical_benchmark(n_rows=150)
+    assert_physical(physical)
     print("scheduler smoke ok: serial == overlap, "
           f"speedup {report['speedup']:.2f}x, "
-          f"budget degradation {budget_payload['runs'][0]['degraded']}")
+          f"budget degradation {budget_payload['runs'][0]['degraded']}, "
+          f"physical stage overlap {physical['stages_overlapped']} "
+          f"({physical['measured_speedup']:.2f}x measured)")
     return 0
 
 
@@ -202,6 +253,15 @@ def test_budget_planned_degradation(results_dir):
     assert_budget(payload)
 
 
+def test_physical_stage_overlap(results_dir):
+    """Stateless clients: the overlap plan physically fans stages out."""
+    from benchmarks.conftest import write_result
+
+    payload = run_physical_benchmark()
+    write_result(results_dir, "scheduler_physical.txt", render_physical_table(payload))
+    assert_physical(payload)
+
+
 def main() -> int:
     if "--smoke" in sys.argv:
         return run_smoke()
@@ -210,14 +270,25 @@ def main() -> int:
     budget_payload = run_budget_benchmark()
     print()
     print(render_budget_table(budget_payload))
+    physical = run_physical_benchmark()
+    print()
+    print(render_physical_table(physical))
     out = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
     out.write_text(
-        json.dumps({"overlap": payload, "budget_planning": budget_payload}, indent=2)
+        json.dumps(
+            {
+                "overlap": payload,
+                "budget_planning": budget_payload,
+                "physical_overlap": physical,
+            },
+            indent=2,
+        )
         + "\n"
     )
     print(f"wrote {out}")
     assert_overlap(payload)
     assert_budget(budget_payload)
+    assert_physical(physical)
     return 0
 
 

@@ -16,18 +16,10 @@ space — and its serve time is the stream wall-clock minus the measured
 chunk-generation time, so the throughput ratio compares plan work
 against plan work.
 
-A third subprocess phase runs the same stream through the **pipelined**
-executor (``pipeline_workers`` overlapping decode → transform → fold);
-its output is compared to the sequential sharded phase through a
-boundary-invariant stream checksum (the pipeline re-chunks the budget
-across in-flight shards, so yield boundaries differ while the
-concatenated bytes must not).
-
 ``python benchmarks/bench_sharded.py`` runs the full 10⁷-row comparison
 and writes ``BENCH_sharded.json`` at the repo root; ``--smoke`` runs the
-identity gates (demo workload across chunkings, pipelined vs sequential
-across worker counts plus one real dataset, all nine eval datasets
-sharded vs in-memory) plus a small three-phase run, same assertions on
+identity gates (demo workload across chunkings, all nine eval datasets
+sharded vs in-memory) plus a small two-phase run, same assertions on
 identity, and writes the same artifact (the CI gate).
 """
 
@@ -44,12 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from conftest import peak_rss_mb
-from repro.core.shard_pipeline import PipelineStats
 from repro.dataframe.io import concat_shards, iter_frame_shards
 from repro.eval.serving import (
     ALL_DATASETS,
     build_demo_result,
-    fit_and_export,
     make_serving_frame,
     sharded_identity_report,
 )
@@ -66,10 +56,6 @@ SMOKE_BUDGET_MB = 48.0
 SMOKE_N_GROUPS = 64
 SMOKE_FIT_ROWS = 4_000
 THROUGHPUT_FLOOR = 0.8
-#: Pipelined wall-clock speedup floor over sequential sharded — only
-#: asserted when the machine has cores to overlap on (see ``run``).
-PIPELINE_SPEEDUP_FLOOR = 1.5
-PIPELINE_WORKERS = 4
 #: Chunk seeds offset so serve chunks never replicate the fit frame.
 CHUNK_SEED_BASE = 1000
 
@@ -110,43 +96,6 @@ def _frame_checksum(frame) -> list:
             ).hexdigest()
             out.append([name, digest])
     return out
-
-
-class StreamChecksum:
-    """Boundary-invariant running digest of a featured-frame stream.
-
-    The pipelined path divides the memory budget across in-flight shards,
-    so its yield boundaries differ from the sequential path's — per-chunk
-    checksums cannot compare the two.  This digest depends only on the
-    *concatenated* stream: per column, a running md5 over the raw value
-    bytes (numeric columns, exact to the bit) or the rendered values
-    (object columns).  Equal digests ⇒ the concatenated outputs are
-    byte-identical, whatever the chunking.
-    """
-
-    def __init__(self) -> None:
-        self._columns: dict[str, "hashlib._Hash"] = {}
-        self.n_rows = 0
-
-    def update(self, frame) -> None:
-        for name in frame.columns:
-            digest = self._columns.get(name)
-            if digest is None:
-                digest = self._columns[name] = hashlib.md5()
-            values = frame[name].values
-            if values.dtype.kind in "fiub":
-                digest.update(np.ascontiguousarray(values).tobytes())
-            else:
-                for value in values.tolist():
-                    digest.update(str(value).encode())
-                    digest.update(b"\x1f")
-        self.n_rows += len(frame)
-
-    def finalize(self) -> dict:
-        return {
-            "n_rows": self.n_rows,
-            "columns": {name: d.hexdigest() for name, d in sorted(self._columns.items())},
-        }
 
 
 def fit_plan(fit_rows: int, n_groups: int) -> FeaturePlan:
@@ -210,12 +159,10 @@ def phase_sharded(
             yield frame
 
     checksums = []
-    stream = StreamChecksum()
     n_rows = 0
     start = time.perf_counter()
     for out in plan.apply_stream(shards(), memory_budget_mb=budget_mb):
         checksums.append(_frame_checksum(out))
-        stream.update(out)
         n_rows += len(out)
     wall_s = time.perf_counter() - start
     serve_s = max(wall_s - gen_s, 1e-9)
@@ -229,54 +176,12 @@ def phase_sharded(
         "memory_budget_mb": budget_mb,
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "checksums": checksums,
-        "stream_checksum": stream.finalize(),
-    }
-
-
-def phase_pipelined(
-    plan: FeaturePlan, specs: list, n_groups: int, budget_mb: float,
-    workers: int, prefetch: int | None,
-) -> dict:
-    """Sharded serving with the overlapped executor: chunk generation,
-    plan replay, and checksum folding overlap across worker threads while
-    the re-sequencing buffer keeps the output stream in order.  The wall
-    clock is the honest metric here — generation is *meant* to hide
-    behind transform, so nothing is subtracted."""
-
-    def shards():
-        for seed, rows in specs:
-            yield make_serving_frame(rows, seed=seed, n_groups=n_groups)
-
-    stats = PipelineStats()
-    stream = StreamChecksum()
-    n_rows = 0
-    start = time.perf_counter()
-    for out in plan.apply_stream(
-        shards(),
-        memory_budget_mb=budget_mb,
-        pipeline_workers=workers,
-        pipeline_prefetch=prefetch,
-        pipeline_stats=stats,
-    ):
-        stream.update(out)
-        n_rows += len(out)
-    wall_s = time.perf_counter() - start
-    return {
-        "phase": "pipelined",
-        "n_rows": n_rows,
-        "wall_s": round(wall_s, 3),
-        "rows_per_s": round(n_rows / max(wall_s, 1e-9)),
-        "memory_budget_mb": budget_mb,
-        "pipeline_workers": workers,
-        "peak_rss_mb": round(peak_rss_mb(), 1),
-        "pipeline_stats": stats.to_dict(),
-        "stream_checksum": stream.finalize(),
     }
 
 
 def _run_phase(
     phase: str, plan_path: str, n_rows: int, chunk_rows: int,
-    n_groups: int, budget_mb: float, workers: int | None = None,
+    n_groups: int, budget_mb: float,
 ) -> dict:
     """Re-exec this script for one phase; parse its PHASE_RESULT line."""
     argv = [
@@ -288,8 +193,6 @@ def _run_phase(
         "--n-groups", str(n_groups),
         "--budget-mb", str(budget_mb),
     ]
-    if workers is not None:
-        argv += ["--pipeline-workers", str(workers)]
     proc = subprocess.run(
         argv,
         capture_output=True,
@@ -323,26 +226,14 @@ def two_phase_comparison(
     try:
         inmem = _run_phase("inmem", plan_path, n_rows, chunk_rows, n_groups, budget_mb)
         sharded = _run_phase("sharded", plan_path, n_rows, chunk_rows, n_groups, budget_mb)
-        pipelined = _run_phase(
-            "pipelined", plan_path, n_rows, chunk_rows, n_groups, budget_mb,
-            workers=PIPELINE_WORKERS,
-        )
     finally:
         Path(plan_path).unlink(missing_ok=True)
     assert inmem["checksums"] == sharded["checksums"], (
         "sharded output diverged from in-memory apply (per-chunk checksums differ)"
     )
-    # The pipelined path re-chunks the budget across in-flight shards, so
-    # its yield boundaries differ — compare the boundary-invariant stream
-    # digest instead: equal ⇒ the concatenated outputs are byte-identical.
-    assert sharded["stream_checksum"] == pipelined["stream_checksum"], (
-        "pipelined output diverged from sequential sharded (stream checksums differ)"
-    )
     ratio = inmem["apply_s"] / sharded["serve_s"]
-    speedup = sharded["wall_s"] / max(pipelined["wall_s"], 1e-9)
-    for result in (inmem, sharded, pipelined):
+    for result in (inmem, sharded):
         result.pop("checksums", None)
-        result.pop("stream_checksum", None)
     print(
         f"  inmem:     apply {inmem['apply_s']:.2f}s "
         f"({inmem['rows_per_s']:,} rows/s), peak RSS {inmem['peak_rss_mb']} MB"
@@ -351,16 +242,7 @@ def two_phase_comparison(
         f"  sharded:   serve {sharded['serve_s']:.2f}s "
         f"({sharded['rows_per_s']:,} rows/s), peak RSS {sharded['peak_rss_mb']} MB"
     )
-    print(
-        f"  pipelined: wall {pipelined['wall_s']:.2f}s "
-        f"({pipelined['rows_per_s']:,} rows/s, {PIPELINE_WORKERS} workers), "
-        f"peak RSS {pipelined['peak_rss_mb']} MB"
-    )
     print(f"  throughput ratio (sharded/inmem): {ratio:.2f}x — outputs identical")
-    print(
-        f"  pipeline speedup (sharded wall / pipelined wall): {speedup:.2f}x "
-        f"on {os.cpu_count()} core(s)"
-    )
     return {
         "n_rows": n_rows,
         "memory_budget_mb": budget_mb,
@@ -368,11 +250,9 @@ def two_phase_comparison(
         "n_chunks": len(specs),
         "identical": True,
         "throughput_ratio": round(ratio, 3),
-        "pipeline_speedup": round(speedup, 3),
         "cpu_count": os.cpu_count(),
         "inmem": inmem,
         "sharded": sharded,
-        "pipelined": pipelined,
     }
 
 
@@ -399,60 +279,6 @@ def demo_identity_section(n_rows: int = 2000) -> dict:
         f"1MB-budget re-chunk ({len(pieces)} pieces) all bit-identical"
     )
     return {"n_rows": n_rows, "budget_pieces": len(pieces), "identical": True}
-
-
-def pipelined_identity_section(
-    n_rows: int = 2000, dataset: str = ALL_DATASETS[0]
-) -> dict:
-    """Pipelined execution is byte-identical to sequential sharded.
-
-    Two gates: the every-operator demo workload (across worker counts,
-    with and without a squeezing memory budget) and one real eval
-    dataset, each comparing ``frames_identical`` on the concatenated
-    streams — stronger than checksums, this is bit-for-bit.
-    """
-    result, frame = build_demo_result(n_rows, seed=0)
-    plan = FeaturePlan.from_json(compile_plan(result, frame, "Target").to_json())
-    sequential = concat_shards(list(plan.apply_stream(iter_frame_shards(frame, 113))))
-    for workers in (1, 2, 4):
-        for budget in (None, 1.0):
-            stats = PipelineStats()
-            piped = concat_shards(
-                list(
-                    plan.apply_stream(
-                        iter_frame_shards(frame, 113),
-                        memory_budget_mb=budget,
-                        pipeline_workers=workers,
-                        pipeline_stats=stats,
-                    )
-                )
-            )
-            identical, detail = frames_identical(piped, sequential)
-            assert identical, (
-                f"pipelined (workers={workers}, budget={budget}) diverged "
-                f"from sequential: {detail}"
-            )
-            assert stats.to_dict()["shards_out"] > 0
-    bundle, fitted = fit_and_export(dataset, n_rows=400, seed=0)
-    ds_plan = FeaturePlan.from_json(fitted.plan.to_json())
-    ds_frame = bundle["frame"]
-    ds_sequential = concat_shards(
-        list(ds_plan.apply_stream(iter_frame_shards(ds_frame, 37)))
-    )
-    ds_piped = concat_shards(
-        list(
-            ds_plan.apply_stream(
-                iter_frame_shards(ds_frame, 37), pipeline_workers=3
-            )
-        )
-    )
-    identical, detail = frames_identical(ds_piped, ds_sequential)
-    assert identical, f"pipelined diverged on {dataset}: {detail}"
-    print(
-        f"pipelined identity: demo @ {n_rows} rows x workers 1/2/4 x "
-        f"budget none/1MB + dataset {dataset} — all bit-identical to sequential"
-    )
-    return {"n_rows": n_rows, "dataset": dataset, "identical": True}
 
 
 def dataset_identity_section(fit_rows: int, chunk_rows: int = 37) -> list[dict]:
@@ -483,7 +309,6 @@ def run(mode: str) -> dict:
         "mode": mode,
         "cpu_count": os.cpu_count(),
         "demo_identity": demo_identity_section(),
-        "pipelined_identity": pipelined_identity_section(),
         "dataset_identity": dataset_identity_section(fit_rows=240),
         "comparison": two_phase_comparison(n_rows, budget, groups, fit),
     }
@@ -496,10 +321,6 @@ def run(mode: str) -> dict:
             f"sharded peak RSS {comparison['sharded']['peak_rss_mb']} MB "
             f"exceeds the {budget} MB budget"
         )
-        assert comparison["pipelined"]["peak_rss_mb"] <= budget, (
-            f"pipelined peak RSS {comparison['pipelined']['peak_rss_mb']} MB "
-            f"exceeds the {budget} MB budget"
-        )
         assert comparison["inmem"]["peak_rss_mb"] > budget, (
             f"in-memory peak RSS {comparison['inmem']['peak_rss_mb']} MB "
             f"fits the budget — the workload is too small to demonstrate "
@@ -509,21 +330,6 @@ def run(mode: str) -> dict:
             f"sharded throughput {comparison['throughput_ratio']:.2f}x is "
             f"below the {THROUGHPUT_FLOOR}x floor"
         )
-        # The overlap speedup needs cores to overlap on: on a single-core
-        # machine the GIL-shared workers can only serialize, so the floor
-        # is asserted where the hardware can express it and the honest
-        # measured number is recorded either way.
-        if (os.cpu_count() or 1) >= 2:
-            assert comparison["pipeline_speedup"] >= PIPELINE_SPEEDUP_FLOOR, (
-                f"pipelined speedup {comparison['pipeline_speedup']:.2f}x is "
-                f"below the {PIPELINE_SPEEDUP_FLOOR}x floor"
-            )
-        else:
-            print(
-                f"note: single-core machine — pipeline speedup "
-                f"{comparison['pipeline_speedup']:.2f}x recorded, "
-                f"{PIPELINE_SPEEDUP_FLOOR}x floor not asserted"
-            )
     return report
 
 
@@ -534,27 +340,19 @@ def main() -> int:
         help="small rows, identity assertions + a small two-phase run (CI gate)",
     )
     parser.add_argument(
-        "--phase", choices=("inmem", "sharded", "pipelined"), help=argparse.SUPPRESS
+        "--phase", choices=("inmem", "sharded"), help=argparse.SUPPRESS
     )
     parser.add_argument("--plan-path", help=argparse.SUPPRESS)
     parser.add_argument("--rows", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--chunk-rows", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--n-groups", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--budget-mb", type=float, help=argparse.SUPPRESS)
-    parser.add_argument("--pipeline-workers", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--pipeline-prefetch", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.phase:
         plan = FeaturePlan.load(args.plan_path)
         specs = _chunk_specs(args.rows, args.chunk_rows)
         if args.phase == "inmem":
             result = phase_inmem(plan, specs, args.n_groups)
-        elif args.phase == "pipelined":
-            result = phase_pipelined(
-                plan, specs, args.n_groups, args.budget_mb,
-                args.pipeline_workers or PIPELINE_WORKERS,
-                args.pipeline_prefetch,
-            )
         else:
             result = phase_sharded(plan, specs, args.n_groups, args.budget_mb)
         print("PHASE_RESULT " + json.dumps(result))
@@ -578,7 +376,3 @@ def test_sharded_identity_smoke():
     """Sharded replay is bit-identical to in-memory on the demo workload."""
     demo_identity_section(n_rows=600)
 
-
-def test_pipelined_identity_smoke():
-    """Pipelined execution is bit-identical to sequential sharded."""
-    pipelined_identity_section(n_rows=600)

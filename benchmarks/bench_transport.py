@@ -5,7 +5,7 @@ simulated HTTP transport with **real sleeps** and asserted:
 
 * **Hedged tail latency** — a latency-spike schedule (a slice of calls
   pay an extra ~10× latency, the classic cold-shard tail) run with and
-  without hedging on the async backend.  Asserted: hedging cuts the
+  without hedging on the thread-pool backend.  Asserted: hedging cuts the
   spiked schedule's p99 per-call latency AND its measured batch
   makespan, while the ledger still records exactly one result per
   logical request.
@@ -36,7 +36,6 @@ from repro.core import SmartFeat
 from repro.dataframe import DataFrame
 from repro.fm import (
     AIMDController,
-    AsyncFMExecutor,
     FMRequest,
     HedgePolicy,
     RetryPolicy,
@@ -64,7 +63,7 @@ def _percentile(values, q: float) -> float:
 def _run_spiked_batch(hedge: HedgePolicy | None, n_requests: int, seed: int = 7):
     client = TransportFMClient(SimulatedHTTPTransport(seed=seed, **SPIKE))
     requests = [FMRequest(f"spiky request {i}") for i in range(n_requests)]
-    with AsyncFMExecutor(8, hedge=hedge) as executor:
+    with ThreadPoolFMExecutor(8, hedge=hedge) as executor:
         started = time.perf_counter()
         results = executor.run(client, requests)
         wall = time.perf_counter() - started

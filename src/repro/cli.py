@@ -67,20 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--concurrency",
         type=int,
-        default=None,
+        default=1,
         help="max in-flight FM calls (default 1 = serial; >1 uses the thread-pool executor)",
-    )
-    run.add_argument(
-        "--executor",
-        choices=("serial", "thread", "async"),
-        default=None,
-        help=(
-            "FM execution backend (default: serial, or thread when "
-            "--concurrency > 1).  'async' runs batches on an executor-owned "
-            "asyncio event loop — the backend a real HTTP client plugs "
-            "into.  --concurrency bounds thread/async in-flight calls "
-            "(explicit values are honoured exactly; unset defaults to 8)"
-        ),
     )
     run.add_argument(
         "--wave-size",
@@ -189,27 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
             "stream the CSV through the plan N rows at a time instead of "
             "loading it whole (out-of-core: bounded memory, incremental "
             "--out writes, output bit-identical to the unchunked path)"
-        ),
-    )
-    apply_.add_argument(
-        "--pipeline-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "overlap CSV decode, per-shard transform, and ordered --out "
-            "writes with N transform threads (needs --chunk-rows; output "
-            "stays byte-identical to the sequential stream)"
-        ),
-    )
-    apply_.add_argument(
-        "--pipeline-prefetch",
-        type=int,
-        default=None,
-        metavar="M",
-        help=(
-            "bound on decoded-ahead shards beyond the workers "
-            "(default: one per worker; total in-flight = N + M)"
         ),
     )
     apply_.add_argument(
@@ -338,7 +305,7 @@ def _make_clients(args) -> tuple:
 
 def _cmd_run(args) -> int:
     frame, target, descriptions, title, target_description = _load_source(args)
-    if args.concurrency is not None and args.concurrency < 1:
+    if args.concurrency < 1:
         raise SystemExit("--concurrency must be >= 1")
     if args.plan_budget and _budget_from_args(args) is None:
         raise SystemExit(
@@ -351,21 +318,15 @@ def _cmd_run(args) -> int:
         raise SystemExit("--resume requires --checkpoint")
     if args.hedge is not None and not (0.0 < args.hedge < 1.0):
         raise SystemExit("--hedge must be a quantile in (0, 1)")
-    backend = args.executor or ("thread" if (args.concurrency or 1) > 1 else "serial")
-    if backend == "serial" and (args.concurrency or 1) > 1:
-        raise SystemExit("--executor serial conflicts with --concurrency > 1")
-    # An explicit --concurrency is honoured exactly (even 1: a real
-    # rate-limit bound); only an unset one falls back to the backend's
-    # default of 8 for thread/async.
     executor = resolve_executor(
-        backend,
+        "thread" if args.concurrency > 1 else "serial",
         args.concurrency,
         adaptive=True if args.adaptive_concurrency else None,
         hedge=HedgePolicy(quantile=args.hedge) if args.hedge is not None else None,
     )
     cache = FMCache(path=args.fm_cache) if args.fm_cache else None
-    # --wave-size defaults to the backend's concurrency so the pool (or
-    # loop) has sampling work to fan out; pass --wave-size explicitly to
+    # --wave-size defaults to the backend's concurrency so the pool has
+    # sampling work to fan out; pass --wave-size explicitly to
     # fix the search semantics independently of the backend.
     wave_size = args.wave_size if args.wave_size is not None else executor.concurrency
     fm, function_fm = _make_clients(args)
@@ -396,7 +357,7 @@ def _cmd_run(args) -> int:
         raise SystemExit(f"aborted: {exc}")
     finally:
         close = getattr(executor, "close", None)
-        if close is not None:  # thread pool / event loop backends hold threads
+        if close is not None:  # the thread-pool backend holds threads
             close()
     print(f"Generated {len(result.new_features)} features:")
     for feature in result.new_features.values():
@@ -527,15 +488,6 @@ def _cmd_plan_apply(args) -> int:
                 watchdog_timeout=args.watchdog_timeout,
             )
             plan = server.plan_for()
-        if args.pipeline_workers is not None and args.chunk_rows is None:
-            raise SystemExit("--pipeline-workers needs --chunk-rows")
-        if args.pipeline_workers is not None and args.pipeline_workers < 1:
-            raise SystemExit("--pipeline-workers must be >= 1")
-        if args.pipeline_prefetch is not None:
-            if args.pipeline_workers is None:
-                raise SystemExit("--pipeline-prefetch needs --pipeline-workers")
-            if args.pipeline_prefetch < 1:
-                raise SystemExit("--pipeline-prefetch must be >= 1")
         if args.chunk_rows is not None:
             if args.chunk_rows < 1:
                 raise SystemExit("--chunk-rows must be >= 1")
@@ -578,12 +530,6 @@ def _plan_apply_streaming(args, server, plan) -> int:
     dtypes, so each shard is bit-identical to the matching row slice of
     ``read_csv`` and the streamed output matches the unchunked path
     column-for-column; ``--out`` appends shard-by-shard (header once).
-
-    ``--pipeline-workers N`` overlaps the three stages (decode,
-    transform, ordered write) through the shard pipeline; the
-    re-sequencing buffer keeps ``--out`` bytes identical to the
-    sequential stream, and per-stage wall-clock/queue-depth stats print
-    at the end.
     """
     from repro.dataframe.io import read_csv_shards, scan_csv_kinds, to_csv
 
@@ -591,9 +537,7 @@ def _plan_apply_streaming(args, server, plan) -> int:
     n_shards = 0
     columns: list[str] = []
     stream = server.transform_stream(
-        read_csv_shards(args.csv, args.chunk_rows, schema=schema),
-        pipeline_workers=args.pipeline_workers,
-        pipeline_prefetch=args.pipeline_prefetch,
+        read_csv_shards(args.csv, args.chunk_rows, schema=schema)
     )
     for featured in stream:
         columns = featured.columns
@@ -606,19 +550,6 @@ def _plan_apply_streaming(args, server, plan) -> int:
         f"in {n_shards} chunks of <= {args.chunk_rows}: "
         f"{len(columns)} columns out"
     )
-    if args.pipeline_workers is not None:
-        pipe = server.stats().get("pipeline", {})
-        stage = pipe.get("stage_s", {})
-        depth = pipe.get("queue_depth", {})
-        print(
-            f"Pipeline: {pipe.get('workers', 0)} workers, "
-            f"prefetch {pipe.get('prefetch', 0)} — wall {pipe.get('wall_s', 0.0):.2f}s "
-            f"(decode {stage.get('produce', 0.0):.2f}s, "
-            f"transform {stage.get('transform', 0.0):.2f}s, "
-            f"emit wait {stage.get('emit_wait', 0.0):.2f}s); "
-            f"queue depth max {depth.get('max', 0)} / "
-            f"mean {depth.get('mean', 0.0):.1f}"
-        )
     if args.failure_policy == "degrade":
         health = server.health()
         print(

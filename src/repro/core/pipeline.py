@@ -88,7 +88,6 @@ from repro.fm.base import Budget, FMClient
 from repro.fm.cache import FMCache
 from repro.fm.errors import FMBudgetExceededError, FMError, FMParseError
 from repro.fm.executor import (
-    AsyncFMExecutor,
     FMExecutor,
     FMRequest,
     RetryPolicy,
@@ -111,9 +110,9 @@ def resolve_executor(
 ) -> FMExecutor:
     """Build an FM executor from a backend name.
 
-    ``"serial"`` ignores *concurrency*; ``"thread"`` and ``"async"``
-    default to ``8`` in-flight calls.  This is the string form behind
-    ``SmartFeat(executor="async")`` and the CLI's ``--executor``.
+    ``"serial"`` ignores *concurrency*; ``"thread"`` defaults to ``8``
+    in-flight calls.  This is the string form behind
+    ``SmartFeat(executor="thread")``.
     *retry*, *adaptive* (an :class:`~repro.fm.adaptive.AIMDController`
     or ``True``), and *hedge* (a :class:`~repro.fm.hedging.HedgePolicy`)
     pass through to the executor's traffic policies.
@@ -128,12 +127,8 @@ def resolve_executor(
         return ThreadPoolFMExecutor(
             concurrency, retry=retry, adaptive=adaptive, hedge=hedge
         )
-    if name == "async":
-        return AsyncFMExecutor(
-            concurrency, retry=retry, adaptive=adaptive, hedge=hedge
-        )
     raise ValueError(
-        f"unknown executor backend {name!r}: expected 'serial', 'thread', or 'async'"
+        f"unknown executor backend {name!r}: expected 'serial' or 'thread'"
     )
 
 _ALL_FAMILIES = (
@@ -286,16 +281,16 @@ class SmartFeat:
         default).
     executor:
         FM execution backend: an :class:`~repro.fm.executor.FMExecutor`
-        instance or one of the names ``"serial"`` / ``"thread"`` /
-        ``"async"`` (resolved by :func:`resolve_executor` at the default
-        concurrency of 8).  Defaults to a per-instance
+        instance or one of the names ``"serial"`` / ``"thread"``
+        (resolved by :func:`resolve_executor` at the default concurrency
+        of 8).  Defaults to a per-instance
         :class:`~repro.fm.executor.SerialExecutor`.  On seeded clients,
         swapping backends changes only wall-clock behaviour, never which
         features are accepted; with stateless clients (e.g.
         :class:`~repro.fm.transport.TransportFMClient`) a concurrent
         backend additionally lets ``stage_plan="overlap"`` fan
         independent stages out physically.  A string-selected backend is
-        *owned* by the instance — its worker threads / event loop are
+        *owned* by the instance — its worker threads are
         released by :meth:`close` (or ``with SmartFeat(...) as tool:``);
         a passed-in instance stays the caller's to close.
     cache:
@@ -440,9 +435,8 @@ class SmartFeat:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release the executor **if this instance created it** (the
-        string forms ``executor="thread"`` / ``"async"`` own a worker
-        pool or event-loop thread that otherwise lives until process
-        exit).  Caller-supplied executor instances are left running —
+        string form ``executor="thread"`` owns a worker pool that
+        otherwise lives until process exit).  Caller-supplied executor instances are left running —
         they may be shared.  Idempotent; the tool stays usable (the
         backends restart themselves on the next batch)."""
         if self._owns_executor:
@@ -571,8 +565,6 @@ class SmartFeat:
         fit_sample_rows: int = 100_000,
         sample_seed: int = 0,
         refresh_group_tables: bool = True,
-        pipeline_workers: int | None = None,
-        pipeline_prefetch: int | None = None,
     ) -> SmartFeatResult:
         """Out-of-core fit: search over a bounded sample of a shard stream.
 
@@ -604,13 +596,6 @@ class SmartFeat:
         The exported plan records what happened under
         ``plan.metadata["fit_stream"]``: sampled vs total row counts, the
         seed, and whether tables were refreshed.
-
-        ``pipeline_workers`` opts the second (refresh) pass into the
-        overlapped shard executor: decode and per-shard feature replay
-        run on worker threads while the aggregation fold stays in
-        stream order, so the refreshed tables are bit-identical to the
-        sequential pass (see
-        :meth:`~repro.serve.FeaturePlan.refresh_group_tables`).
         """
         from repro.dataframe.io import reservoir_sample
 
@@ -642,11 +627,7 @@ class SmartFeat:
                         "lambda: read_csv_shards(path, rows)) or set "
                         "refresh_group_tables=False"
                     )
-                refreshed = result.plan.refresh_group_tables(
-                    factory(),
-                    pipeline_workers=pipeline_workers,
-                    pipeline_prefetch=pipeline_prefetch,
-                )
+                refreshed = result.plan.refresh_group_tables(factory())
             result.plan.metadata["fit_stream"] = {
                 "sample_rows": len(sample),
                 "requested_sample_rows": fit_sample_rows,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.core import SmartFeat
 from repro.datasets.schema import DatasetBundle
 from repro.fm import (
-    AsyncFMExecutor,
     SerialExecutor,
     SimulatedFM,
     SimulatedHTTPTransport,
@@ -344,7 +343,7 @@ def _transport_run(
         ),
         model="gpt-3.5-turbo",
     )
-    with AsyncFMExecutor(concurrency) as executor:
+    with ThreadPoolFMExecutor(concurrency) as executor:
         tool = SmartFeat(
             fm=fm,
             function_fm=function_fm,
@@ -382,10 +381,10 @@ def physical_overlap_report(
     """Measured (not modelled) stage overlap against a stateless client.
 
     Runs the same search twice through transport-backed clients with
-    real per-call latency on the async executor: once with the serial
-    stage chain, once with ``stage_plan="overlap"`` — where the
+    real per-call latency on the thread-pool executor: once with the
+    serial stage chain, once with ``stage_plan="overlap"`` — where the
     scheduler detects the stateless clients and physically fans the
-    independent stages out through the shared event loop.  The report's
+    independent stages out through the shared executor.  The report's
     ``stages_overlapped`` counts post-unary stages whose *measured*
     windows intersect; on a serial plan that count is zero by
     construction.  Feature identity is **not** asserted here: against a

@@ -16,12 +16,10 @@ no network, so the substrate supplies:
     plausible natural-text responses, including executable Python.
 :class:`ScriptedFM` / :class:`RecordingFM` / :class:`ReplayFM`
     Test doubles: canned responses, call recording, and replay.
-:class:`SerialExecutor` / :class:`ThreadPoolFMExecutor` / :class:`AsyncFMExecutor`
+:class:`SerialExecutor` / :class:`ThreadPoolFMExecutor`
     The execution layer: batches of independent calls run under one
     concurrency contract (bounded fan-out, per-call retry, summed vs
-    critical-path latency accounting) with deterministic results.  The
-    async backend owns its own event loop and is the seam every real
-    HTTP deployment plugs into.
+    critical-path latency accounting) with deterministic results.
 :class:`TransportFMClient` / :class:`SimulatedHTTPTransport`
     The production client shape: an :class:`FMClient` over a pluggable
     request/response transport with real latency and HTTP-style failure
@@ -41,7 +39,7 @@ handling) is exercised identically whether the text comes from GPT-4 or
 from the simulator.
 """
 
-from repro.fm.adaptive import AIMDController, AsyncConcurrencyGate, ConcurrencyGate
+from repro.fm.adaptive import AIMDController, ConcurrencyGate
 from repro.fm.base import Budget, CallLedger, FMClient, FMResponse
 from repro.fm.cache import FMCache
 from repro.fm.cost import CostModel, critical_path_seconds, estimate_tokens
@@ -57,7 +55,6 @@ from repro.fm.errors import (
 )
 from repro.fm.executor import (
     DEFAULT_RETRY_AFTER_CAP_S,
-    AsyncFMExecutor,
     ExecutionStats,
     FMExecutor,
     FMRequest,
@@ -92,8 +89,6 @@ from repro.fm.transport import (
 __all__ = [
     "AIMDController",
     "AnthropicMessagesTransport",
-    "AsyncConcurrencyGate",
-    "AsyncFMExecutor",
     "Budget",
     "CallLedger",
     "ColumnRole",

@@ -17,30 +17,24 @@ collapse quickly on congestion signals.
     ``decrease``.  Deterministic: the limit is a pure function of the
     observed event sequence, never of wall-clock time.
 :class:`ConcurrencyGate`
-    A condition-variable admission gate for the thread-backed executors:
+    A condition-variable admission gate for the thread-pool executor:
     ``acquire`` blocks while the in-flight count is at or above the
     controller's current (integer) limit, so a collapsed limit throttles
     new dispatches immediately while already-running calls drain.
-:class:`AsyncConcurrencyGate`
-    The same gate for the async executor's event loop, replacing its
-    fixed :class:`asyncio.Semaphore`.  ``async with gate:`` is a drop-in
-    for ``async with semaphore:``.
 
-One controller may be shared by several executors (sync eval next to an
-async pipeline): every method takes the controller's lock, and the gates
-re-read the limit on every wakeup, so a decrease propagates to all
-parties at their next admission decision.
+One controller may be shared by several executors: every method takes
+the controller's lock, and the gates re-read the limit on every wakeup,
+so a decrease propagates to all parties at their next admission
+decision.
 """
 
 from __future__ import annotations
 
-import asyncio
-import collections
 import threading
 
 from repro.fm.errors import FMRateLimitError, FMServerError
 
-__all__ = ["AIMDController", "AsyncConcurrencyGate", "ConcurrencyGate", "is_backpressure"]
+__all__ = ["AIMDController", "ConcurrencyGate", "is_backpressure"]
 
 
 def is_backpressure(error: Exception) -> bool:
@@ -199,63 +193,3 @@ class ConcurrencyGate:
         with self._cond:
             return self._active
 
-
-class AsyncConcurrencyGate:
-    """Event-loop admission gate driven by an :class:`AIMDController`.
-
-    A drop-in for the async executor's semaphore (``async with gate:``).
-    Waiters are plain loop futures woken in FIFO order whenever a slot
-    frees or the limit rises; the limit-raise notification arrives from
-    arbitrary threads, so it is marshalled onto the owning loop with
-    ``call_soon_threadsafe``.  Single-loop by construction — the async
-    executor creates one gate per owned loop.
-    """
-
-    def __init__(self, controller: AIMDController) -> None:
-        self.controller = controller
-        self._active = 0
-        self._waiters: collections.deque[asyncio.Future] = collections.deque()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        controller.subscribe(self._on_limit_raised)
-
-    def _wake_admissible(self) -> None:
-        while self._waiters and self._active < self.controller.limit:
-            waiter = self._waiters.popleft()
-            if not waiter.done():
-                self._active += 1
-                waiter.set_result(None)
-
-    def _on_limit_raised(self) -> None:
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._wake_admissible)
-
-    async def acquire(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        if self._active < self.controller.limit and not self._waiters:
-            self._active += 1
-            return
-        waiter: asyncio.Future = loop.create_future()
-        self._waiters.append(waiter)
-        try:
-            await waiter
-        except asyncio.CancelledError:
-            if waiter.done() and not waiter.cancelled():
-                # Admitted and cancelled in the same tick: give the slot back.
-                self._active -= 1
-                self._wake_admissible()
-            else:
-                self._waiters.remove(waiter)
-            raise
-
-    def release(self) -> None:
-        self._active -= 1
-        self._wake_admissible()
-
-    async def __aenter__(self) -> "AsyncConcurrencyGate":
-        await self.acquire()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        self.release()

@@ -19,7 +19,6 @@ the batch already in flight.
 from __future__ import annotations
 
 import abc
-import asyncio
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -99,17 +98,6 @@ class Budget:
             violation = self._violation_locked(strict=False)
         if violation is not None:
             raise FMBudgetExceededError(*violation)
-
-    async def acheck(self) -> None:
-        """:meth:`check` for coroutine dispatch paths.
-
-        The async executor re-checks on the event-loop side right before
-        creating a batch's request tasks, so a budget that a concurrent
-        (physically overlapped) stage exhausted between submission and
-        dispatch stops the batch before any call is issued.  The lock
-        hold is nanoseconds, so taking it on the loop thread is safe.
-        """
-        self.check()
 
     def exhausted(self) -> bool:
         """True when no headroom remains on some axis."""
@@ -252,11 +240,6 @@ class CallLedger:
         if self.budget is not None:
             self.budget.check()
 
-    async def acheck_budget(self) -> None:
-        """Coroutine form of :meth:`check_budget` (see :meth:`Budget.acheck`)."""
-        if self.budget is not None:
-            await self.budget.acheck()
-
     def record_cache_hit(self) -> None:
         with self._lock:
             self.cache_hits += 1
@@ -391,22 +374,6 @@ class FMClient(abc.ABC):
         """Generate text for a call whose state was already reserved."""
         del state
         return self._complete_text(prompt, temperature)
-
-    async def _acomplete_with_state(
-        self, prompt: str, temperature: float, state: object | None
-    ) -> str:
-        """Coroutine form of :meth:`_complete_with_state`.
-
-        The default offloads the synchronous implementation to the
-        running loop's default thread pool, so any client works under the
-        async executor (concurrent, just thread-backed).  Clients with a
-        native non-blocking path — a transport-backed HTTP client —
-        override this to await on the loop itself, which is where real
-        request-level fan-out comes from.
-        """
-        return await asyncio.get_running_loop().run_in_executor(
-            None, self._complete_with_state, prompt, temperature, state
-        )
 
     def _on_cache_hit(self, prompt: str, temperature: float) -> None:
         """Hook invoked when a cache hit replaces a call.  Stateful

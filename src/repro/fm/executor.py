@@ -17,16 +17,8 @@ against one :class:`~repro.fm.base.FMClient` and returns per-request
     any thread runs, and by recording ledger entries in submission order
     after all threads finish.  A batch therefore produces byte-identical
     responses and ledger totals under either backend.
-:class:`AsyncFMExecutor`
-    ``asyncio`` fan-out on an event loop the executor owns (a dedicated
-    daemon thread), bounded by a semaphore.  The same submission-order
-    reservation contract applies, so seeded clients stay bit-identical;
-    clients with a native coroutine path
-    (:meth:`~repro.fm.base.FMClient._acomplete_with_state`, e.g. a
-    transport-backed HTTP client) overlap their waits on the loop itself,
-    while plain synchronous clients are offloaded to worker threads.
 
-All backends apply a per-call :class:`RetryPolicy` and accumulate
+Both backends apply a per-call :class:`RetryPolicy` and accumulate
 :class:`ExecutionStats`, which separates **summed latency** (what the
 calls cost — the accounting view) from **critical-path latency** (how
 long the batch takes on the wall clock under bounded concurrency).
@@ -35,16 +27,15 @@ long the batch takes on the wall clock under bounded concurrency).
 from __future__ import annotations
 
 import abc
-import asyncio
 import concurrent.futures
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fm.adaptive import AIMDController, AsyncConcurrencyGate, ConcurrencyGate
+from repro.fm.adaptive import AIMDController, ConcurrencyGate
 from repro.fm.cost import critical_path_seconds
 from repro.fm.errors import FMBudgetExceededError, FMError
 from repro.fm.hedging import HedgePolicy, LatencyTracker
@@ -53,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fm.base import FMClient, FMResponse
 
 __all__ = [
-    "AsyncFMExecutor",
     "BatchRecord",
     "DEFAULT_RETRY_AFTER_CAP_S",
     "ExecutionStats",
@@ -483,10 +473,10 @@ class FMExecutor(abc.ABC):
         """Phase 1 of the batch-backend contract, on the calling thread
         in submission order: serve cache hits, run the one-shot budget
         pre-flight before the first uncached request, and reserve every
-        remaining request's per-call client state up front.  This single
-        implementation is what keeps the thread-pool and async backends
-        bit-identical on seeded clients.  (SerialExecutor reserves
-        lazily, one request at a time, and does not use it.)
+        remaining request's per-call client state up front.  This is
+        what keeps the thread-pool backend bit-identical to the serial
+        one on seeded clients.  (SerialExecutor reserves lazily, one
+        request at a time, and does not use it.)
         """
         budget_checked = False
         results: list[FMResult | None] = [None] * len(requests)
@@ -676,335 +666,3 @@ class ThreadPoolFMExecutor(FMExecutor):
         assert len(final) == len(requests)
         return self._finish_batch(client, final, started_at=started)
 
-
-class AsyncFMExecutor(FMExecutor):
-    """``asyncio`` fan-out on an event loop the executor owns.
-
-    The loop runs on one dedicated daemon thread, created lazily on the
-    first batch and torn down by :meth:`close` (idempotent; the executor
-    is reusable afterwards — the next batch starts a fresh loop).
-    Because the loop is private, ``run()`` works from any thread,
-    including threads that already have a running event loop of their
-    own, and several threads may run batches concurrently — in-flight
-    requests across all of them share one semaphore bounded by
-    ``concurrency``.  This is what lets the stage scheduler physically
-    fan independent stages out through a single shared backend.
-
-    The determinism contract is the thread-pool executor's: cache
-    lookups, the budget pre-flight check, and per-call state reservation
-    happen on the *calling* thread in submission order before anything is
-    dispatched, and ledger recording happens on the calling thread in
-    submission order after the batch completes.  Seeded clients are
-    therefore bit-identical across serial, threaded, and async backends.
-
-    Clients that implement the coroutine path
-    (:meth:`~repro.fm.base.FMClient._acomplete_with_state`, e.g.
-    :class:`~repro.fm.transport.TransportFMClient`) overlap their waits
-    on the loop itself; plain synchronous clients fall back to the base
-    implementation, which offloads the blocking call to the loop's
-    default thread pool — still concurrent, just thread-backed.  Note
-    the fallback's cancellation caveat: a cancelled coroutine abandons
-    its worker thread, it cannot interrupt the blocking call itself.
-    """
-
-    def __init__(
-        self,
-        concurrency: int = 8,
-        retry: RetryPolicy | None = None,
-        adaptive: AIMDController | bool | None = None,
-        hedge: HedgePolicy | None = None,
-    ) -> None:
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        # Set before super().__init__ so adaptive=True sizes its ceiling
-        # to the real fan-out bound.
-        self.concurrency = concurrency
-        super().__init__(retry=retry, adaptive=adaptive, hedge=hedge)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._limiter: asyncio.Semaphore | AsyncConcurrencyGate | None = None
-        self._lifecycle = threading.Lock()
-        # Batch futures whose run() is still blocked on them; close()
-        # cancels any that the loop drain could not resolve (a submission
-        # racing the shutdown may never get its task created).
-        self._pending: set[concurrent.futures.Future] = set()
-
-    # ------------------------------------------------------------------
-    # Event-loop lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_loop(
-        self,
-    ) -> tuple[asyncio.AbstractEventLoop, "asyncio.Semaphore | AsyncConcurrencyGate"]:
-        with self._lifecycle:
-            return self._ensure_loop_locked()
-
-    def _ensure_loop_locked(
-        self,
-    ) -> tuple[asyncio.AbstractEventLoop, "asyncio.Semaphore | AsyncConcurrencyGate"]:
-        if self._loop is None:
-            loop = asyncio.new_event_loop()
-            ready = threading.Event()
-            thread = threading.Thread(
-                target=self._loop_main,
-                args=(loop, ready),
-                name="fm-async-executor",
-                daemon=True,
-            )
-            thread.start()
-            ready.wait()
-            self._loop = loop
-            self._thread = thread
-            # Binds to the loop on first await (3.10+ semantics); a
-            # fresh loop after close() gets a fresh limiter.  With an
-            # adaptive controller the fixed semaphore becomes an
-            # AIMD-driven admission gate (same async-with surface).
-            if self.adaptive is not None:
-                self._limiter = AsyncConcurrencyGate(self.adaptive)
-            else:
-                self._limiter = asyncio.Semaphore(self.concurrency)
-        assert self._limiter is not None
-        return self._loop, self._limiter
-
-    def _submit(self, client: "FMClient", pending) -> concurrent.futures.Future:
-        """Create (if needed) the loop and submit one batch, atomically
-        with respect to :meth:`close` — either the batch lands on a loop
-        close() has not stopped yet (the drain, or failing that close()'s
-        future sweep, resolves it), or on a fresh loop created after the
-        close.  Either way the returned future always resolves."""
-        with self._lifecycle:
-            loop, limiter = self._ensure_loop_locked()
-            future = asyncio.run_coroutine_threadsafe(
-                self._run_batch(client, pending, limiter), loop
-            )
-            self._pending.add(future)
-            return future
-
-    def _loop_main(self, loop: asyncio.AbstractEventLoop, ready: threading.Event) -> None:
-        asyncio.set_event_loop(loop)
-        # Sync clients fall back to run_in_executor(None, ...); size the
-        # loop's default pool to the executor's own bound, or a small
-        # machine's cpu+4 default would silently cap effective fan-out
-        # below the semaphore.  The drain's shutdown_default_executor()
-        # tears it down.
-        loop.set_default_executor(
-            ThreadPoolExecutor(
-                max_workers=self.concurrency, thread_name_prefix="fm-async-worker"
-            )
-        )
-        loop.call_soon(ready.set)
-        try:
-            loop.run_forever()
-        finally:
-            # Drain: whatever close() interrupted gets cancelled and
-            # awaited, so no in-flight request outlives the executor.
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.run_until_complete(loop.shutdown_default_executor())
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    def close(self) -> None:
-        """Stop the loop, cancel in-flight requests, join the thread.
-
-        Idempotent; a later :meth:`run` starts a fresh loop.  Batches
-        blocked in :meth:`run` on other threads raise
-        :class:`~repro.fm.errors.FMError` once their tasks are cancelled.
-        """
-        with self._lifecycle:
-            loop, thread = self._loop, self._thread
-            self._loop = self._thread = self._limiter = None
-            stale = list(self._pending)
-            self._pending.clear()
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(loop.stop)
-        if thread is not None:
-            thread.join()
-        # A submission that raced the stop may have landed in the
-        # callback queue after the drain snapshotted its tasks — its
-        # batch future would never resolve and the waiting run() would
-        # block forever.  Cancelling here wakes every such waiter (a
-        # no-op for futures the drain already resolved).
-        for future in stale:
-            future.cancel()
-        self._close_hedge_pool()
-
-    def __enter__(self) -> "AsyncFMExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def run(self, client: "FMClient", requests: list[FMRequest]) -> list[FMResult]:
-        # Phase 1 (calling thread, submission order): _prepare_batch —
-        # the same cache/budget/reservation contract as the thread pool.
-        started = time.perf_counter()
-        results, pending = self._prepare_batch(client, requests)
-        # Phase 2: fan the uncached calls out on the owned loop and block
-        # until the whole batch resolves.
-        if pending:
-            future = self._submit(client, pending)
-            try:
-                outcomes = future.result()
-            except (asyncio.CancelledError, concurrent.futures.CancelledError):
-                raise FMError(
-                    "async executor closed while a batch was in flight"
-                ) from None
-            finally:
-                with self._lifecycle:
-                    self._pending.discard(future)
-            for (index, _, _), outcome in zip(pending, outcomes):
-                results[index] = outcome
-        # Phase 3 (calling thread, submission order): ledger + stats.
-        final = [result for result in results if result is not None]
-        assert len(final) == len(requests)
-        return self._finish_batch(client, final, started_at=started)
-
-    async def _run_batch(
-        self,
-        client: "FMClient",
-        pending: list[tuple[int, FMRequest, object]],
-        limiter: "asyncio.Semaphore | AsyncConcurrencyGate",
-    ) -> list[FMResult]:
-        # Async-aware budget re-check on the loop side: with physically
-        # overlapped stages another batch may have exhausted the shared
-        # budget between this batch's submission and its dispatch.  On a
-        # single-dispatch (sequential) run the phase-1 check already
-        # passed and budget state cannot have changed, so this repeat is
-        # a no-op — backend equivalence on seeded clients is preserved.
-        await client.ledger.acheck_budget()
-        tasks = [
-            asyncio.create_task(
-                self._attempt_async(client, request, state, limiter),
-                name=f"fm-call-{index}",
-            )
-            for index, request, state in pending
-        ]
-        return await asyncio.gather(*tasks)
-
-    async def _attempt_async(
-        self,
-        client: "FMClient",
-        request: FMRequest,
-        state: object,
-        limiter: "asyncio.Semaphore | AsyncConcurrencyGate",
-    ) -> FMResult:
-        """One logical request: admission, then a (possibly hedged) attempt.
-
-        The limiter bounds *logical* calls; as in the sync path, a hedge
-        shadow rides its primary's slot (bounded over-commit of one
-        duplicate per armed hedge).
-        """
-        async with limiter:
-            if self._hedging_active(client):
-                return await self._attempt_async_hedged(client, request, state)
-            return await self._attempt_async_plain(client, request, state)
-
-    async def _attempt_async_plain(
-        self, client: "FMClient", request: FMRequest, state: object
-    ) -> FMResult:
-        """One request through the retry loop, without blocking the loop.
-
-        Mirrors :meth:`FMExecutor._attempt`: the reserved *state* feeds
-        the first attempt; retries honour the server's ``Retry-After``
-        hint (else the computed backoff) via ``asyncio.sleep``, then
-        reserve fresh state.  Retry sleeps are charged to the ledger's
-        wait accounting before they are slept, exactly as in the sync
-        loop; a wait that trips the budget becomes the request's error.
-        Cancellation propagates — the surrounding batch translates it
-        into a clean executor-closed error.
-        """
-        attempt = 1
-        while True:
-            try:
-                text = await client._acomplete_with_state(
-                    request.prompt, request.temperature, state
-                )
-                response = client.build_response(request.prompt, text)
-                self._observe_outcome(None)
-                return FMResult(request=request, response=response, attempts=attempt)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - surfaced via FMResult
-                self._observe_outcome(exc)
-                if not self.should_retry_error(exc, attempt):
-                    return FMResult(request=request, error=exc, attempts=attempt)
-                delay = self.retry.delay_for(exc, attempt)
-                attempt += 1
-                if delay > 0:
-                    try:
-                        client.ledger.record_wait(delay)
-                    except FMBudgetExceededError as budget_exc:
-                        return FMResult(
-                            request=request, error=budget_exc, attempts=attempt - 1
-                        )
-                    await asyncio.sleep(delay)
-                state = client._reserve_state(request.prompt, request.temperature)
-
-    async def _attempt_async_hedged(
-        self, client: "FMClient", request: FMRequest, state: object
-    ) -> FMResult:
-        """The hedged race on the loop: primary task, quantile-armed
-        shadow task, first completion wins, loser *cancelled* (the async
-        path can actually interrupt its loser, unlike the sync pool).
-        The loser's outcome — if it completed before cancellation — is
-        tallied only in the ledger's hedge counters, never its main
-        totals, preserving one-result-per-logical-request."""
-        assert self.hedge is not None
-        loop = asyncio.get_running_loop()
-
-        async def timed() -> tuple[FMResult, float]:
-            started = loop.time()
-            outcome = await self._attempt_async_plain(client, request, state)
-            return outcome, loop.time() - started
-
-        delay = self.hedge.delay_s(self.hedge_tracker)
-        if delay is None:
-            # Cold start with no fallback delay: run plain, feed the tracker.
-            started = loop.time()
-            result = await self._attempt_async_plain(client, request, state)
-            if result.ok:
-                self.hedge_tracker.observe(loop.time() - started)
-            return result
-        primary = asyncio.ensure_future(timed())
-        done, _ = await asyncio.wait({primary}, timeout=delay)
-        if primary in done:
-            result, elapsed = primary.result()
-            if result.ok:
-                self.hedge_tracker.observe(elapsed)
-            return result
-        # The primary outlived the armed quantile: issue the duplicate
-        # and take whichever lands first.
-        shadow = asyncio.ensure_future(timed())
-        with self._account_lock:
-            self.stats.hedges_issued += 1
-        client.ledger.record_hedge_issued()
-        done, _ = await asyncio.wait(
-            {primary, shadow}, return_when=asyncio.FIRST_COMPLETED
-        )
-        winner = primary if primary in done else shadow
-        loser = shadow if winner is primary else primary
-        if winner is shadow:
-            with self._account_lock:
-                self.stats.hedges_won += 1
-        if not loser.done():
-            loser.cancel()
-            # gather(return_exceptions=True) swallows the loser's
-            # CancelledError without masking cancellation of *this* task.
-            await asyncio.gather(loser, return_exceptions=True)
-        wasted = 0.0
-        if loser.done() and not loser.cancelled() and loser.exception() is None:
-            outcome, _ = loser.result()
-            if outcome.ok:
-                wasted = outcome.response.cost_usd
-        client.ledger.record_hedge_abandoned(wasted)
-        result, elapsed = winner.result()
-        if result.ok:
-            self.hedge_tracker.observe(elapsed)
-        return result

@@ -22,12 +22,12 @@ when completing a call consumes no per-call client state.  Seeded
 deterministic clients (simulator counter, scripted cursor) therefore
 never see a hedge — enabling hedging cannot perturb their
 submission-order reservation contract, which is what keeps the
-serial == thread == async identity suites green with hedging on.
+serial == thread identity suites green with hedging on.
 
 Exactly one :class:`~repro.fm.executor.FMResult` per logical request
-reaches the ledger: the loser is abandoned (sync) or cancelled (async)
-and its response — if it ever materialises — is tallied only in the
-ledger's dedicated hedge counters, never in ``n_calls``/``cost_usd``.
+reaches the ledger: the loser is abandoned and its response — if it
+ever materialises — is tallied only in the ledger's dedicated hedge
+counters, never in ``n_calls``/``cost_usd``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class LatencyTracker:
     Keeps the most recent ``window`` observations (a deque, O(1) insert)
     so the estimate tracks the provider's *current* behaviour instead of
     averaging over a whole run.  Thread-safe: executors observe from
-    worker threads and the async loop alike.
+    worker threads.
     """
 
     def __init__(self, window: int = 256) -> None:

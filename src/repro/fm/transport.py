@@ -8,17 +8,14 @@ errors, timeouts, connection resets) and the latency that makes
 request-level concurrency worth building.
 
 :class:`Transport`
-    The protocol: ``send(TransportRequest) -> TransportResponse``, plus a
-    coroutine ``asend`` (default: ``send`` offloaded to a worker thread)
-    so the async executor can overlap waits on its event loop.
+    The protocol: ``send(TransportRequest) -> TransportResponse``.
 :class:`SimulatedHTTPTransport`
     A stand-in HTTP server: per-request latency drawn from a seeded
     distribution, failure injection on every axis, and *real* sleeps
-    (``time.sleep`` / ``asyncio.sleep``) so measured makespans mean what
-    they claim.  Outcomes are a deterministic function of
-    ``(seed, prompt, attempt)`` — independent of thread or task
-    interleaving — so failure-injection tests are reproducible under any
-    executor.
+    so measured makespans mean what they claim.  Outcomes are a
+    deterministic function of ``(seed, prompt, attempt)`` — independent
+    of thread interleaving — so failure-injection tests are reproducible
+    under any executor.
 :class:`ScriptedTransport`
     Exact outcome scripting for adversarial tests: a list of responses
     and exceptions consumed in send order.
@@ -27,7 +24,7 @@ request-level concurrency worth building.
     per-call state (``is_stateless()`` is True) — entropy, retries, and
     rate limiting all live server-side — which is exactly what lets the
     stage scheduler physically fan independent stages out through one
-    shared async executor.
+    shared thread-pool executor.
 
 Status mapping (client side): 2xx returns the body text; 429 raises
 :class:`~repro.fm.errors.FMRateLimitError` carrying the server's
@@ -43,7 +40,6 @@ including honouring ``Retry-After`` over the computed backoff schedule.
 from __future__ import annotations
 
 import abc
-import asyncio
 import contextvars
 import hashlib
 import random
@@ -123,16 +119,6 @@ class Transport(abc.ABC):
     def send(self, request: TransportRequest) -> TransportResponse:
         """Execute one request, blocking until the response (or failure)."""
 
-    async def asend(self, request: TransportRequest) -> TransportResponse:
-        """Coroutine form of :meth:`send`.
-
-        The default offloads the blocking :meth:`send` to the running
-        loop's default thread pool; transports with a native async path
-        override this to await on the loop itself.
-        """
-        return await asyncio.get_running_loop().run_in_executor(
-            None, self.send, request
-        )
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +190,8 @@ class SimulatedHTTPTransport(Transport):
         load shape AIMD adapts to — a fixed high client concurrency
         slams into 429 storms, an adaptive one settles near capacity.
     sleep:
-        When True (default), actually sleep the drawn latency —
-        ``time.sleep`` in :meth:`send`, ``asyncio.sleep`` in
-        :meth:`asend` — so measured wall clocks reflect real overlap.
+        When True (default), actually sleep the drawn latency so
+        measured wall clocks reflect real overlap.
         Set False for fast logical tests.
     """
 
@@ -351,16 +336,6 @@ class SimulatedHTTPTransport(Transport):
             self._release()
         return self._settle(request, latency, outcome)
 
-    async def asend(self, request: TransportRequest) -> TransportResponse:
-        if not self._try_admit():
-            return self._overload_response()
-        try:
-            latency, outcome = self._plan(request)
-            if self.sleep and latency > 0:
-                await asyncio.sleep(latency)
-        finally:
-            self._release()
-        return self._settle(request, latency, outcome)
 
 
 # ----------------------------------------------------------------------
@@ -406,19 +381,13 @@ class ScriptedTransport(Transport):
             raise outcome
         return outcome
 
-    async def asend(self, request: TransportRequest) -> TransportResponse:
-        # No wire to wait on; yield once so cancellation points exist.
-        await asyncio.sleep(0)
-        return self.send(request)
 
 
 # ----------------------------------------------------------------------
 # The client: FMClient protocol over a transport.
 # ----------------------------------------------------------------------
 #: Latency the transport reported for the call this context is building a
-#: response for.  A ContextVar is the one mechanism that is correct on
-#: both dispatch paths: each worker thread has its own context, and each
-#: asyncio task gets a copy of the context at creation — so concurrent
+#: response for.  Each worker thread has its own context, so concurrent
 #: calls can never see each other's measurement, and the client itself
 #: stays stateless.
 _MEASURED_LATENCY: contextvars.ContextVar[float | None] = contextvars.ContextVar(
@@ -434,12 +403,6 @@ class TransportFMClient(FMClient):
     transport, so the client itself is stateless —
     :meth:`~repro.fm.base.FMClient.is_stateless` is True and the stage
     scheduler may physically overlap independent stages through it.
-
-    Under a synchronous executor, calls go through :meth:`Transport.send`
-    (blocking); under :class:`~repro.fm.executor.AsyncFMExecutor`, the
-    overridden coroutine path awaits :meth:`Transport.asend` on the
-    executor's loop — thousands of in-flight requests without a thread
-    apiece.
     """
 
     def __init__(
@@ -491,31 +454,12 @@ class TransportFMClient(FMClient):
             )
         raise FMError(f"transport request failed (HTTP {response.status})")
 
-    @staticmethod
-    def _raise_for_wire_failure(exc: Exception) -> str:
-        """One mapping for wire-level failures, shared by both paths so
-        sync and async executors always classify them identically."""
-        if isinstance(exc, TransportTimeout):
-            raise FMTimeoutError(str(exc)) from exc
-        if isinstance(exc, TransportConnectionReset):
-            raise FMConnectionError(str(exc)) from exc
-        raise exc
-
     def _complete_text(self, prompt: str, temperature: float) -> str:
         request = TransportRequest(self.model, prompt, temperature)
         try:
             response = self.transport.send(request)
-        except (TransportTimeout, TransportConnectionReset) as exc:
-            return self._raise_for_wire_failure(exc)
-        return self._raise_for_response(response)
-
-    async def _acomplete_with_state(
-        self, prompt: str, temperature: float, state: object | None
-    ) -> str:
-        del state  # stateless: nothing was reserved
-        request = TransportRequest(self.model, prompt, temperature)
-        try:
-            response = await self.transport.asend(request)
-        except (TransportTimeout, TransportConnectionReset) as exc:
-            return self._raise_for_wire_failure(exc)
+        except TransportTimeout as exc:
+            raise FMTimeoutError(str(exc)) from exc
+        except TransportConnectionReset as exc:
+            raise FMConnectionError(str(exc)) from exc
         return self._raise_for_response(response)

@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.dataframe.expr import ExprError, evaluate_feature, validate_expr
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
@@ -51,30 +53,6 @@ class PlanSchemaError(PlanError):
 
 class PlanNotFoundError(PlanError):
     """The registry has no plan under the requested name/version."""
-
-
-def _pipeline_inflight(
-    pipeline_workers: int | None, pipeline_prefetch: int | None
-) -> int:
-    """How many shards the pipelined executor holds in flight at once.
-
-    Sequential execution (``pipeline_workers=None``) holds exactly one;
-    the pipeline admits ``workers + prefetch`` (prefetch defaults to one
-    per worker), which memory budgets divide by so the RSS contract is
-    unchanged by overlap.
-    """
-    if pipeline_workers is None:
-        return 1
-    if pipeline_workers < 1:
-        raise PlanError(
-            f"pipeline_workers must be >= 1, got {pipeline_workers}"
-        )
-    prefetch = pipeline_prefetch if pipeline_prefetch is not None else pipeline_workers
-    if prefetch < 1:
-        raise PlanError(
-            f"pipeline_prefetch must be >= 1, got {pipeline_prefetch}"
-        )
-    return pipeline_workers + prefetch
 
 
 def column_kind(series: Series) -> str:
@@ -243,31 +221,11 @@ class FeaturePlan:
         column-for-column.  The input frame itself is never mutated.
 
         ``failure_policy="strict"`` (the default) fails the whole batch
-        on the first misbehaving feature — the historical contract, and
-        with no resilience extras it runs the original zero-overhead
-        loop.  ``"degrade"`` isolates failures per feature (NaN-filled
-        columns); pass *breakers* (a
-        :class:`~repro.serve.resilience.BreakerBoard`), *watchdog* (a
-        :class:`~repro.serve.resilience.SandboxWatchdog`), or the chaos
-        *evaluator* seam to layer in the rest — see
-        :meth:`apply_with_report` for the reporting variant.
+        on the first misbehaving feature.  ``"degrade"`` isolates
+        failures per feature (NaN-filled columns).  See
+        :meth:`apply_with_report` for *breakers*, *watchdog* and the
+        chaos *evaluator* seam, and for the per-feature report.
         """
-        if failure_policy == "strict" and breakers is None and watchdog is None and evaluator is None:
-            self.validate_frame(frame)
-            present = [c for c in self.input_columns if c in frame]
-            working = frame.column_view(present)
-            for spec in self.features:
-                if spec.status == "omitted":
-                    continue
-                if spec.status == "compiled":
-                    out = evaluate_feature(spec.expr, working)
-                else:
-                    out = self._run_fallback(spec, working)
-                self._install(spec, out, working)
-            to_drop = [c for c in self.drop_columns if c in working]
-            if to_drop:
-                working.drop(columns=to_drop, inplace=True)
-            return working
         out, _report = self.apply_with_report(
             frame,
             failure_policy=failure_policy,
@@ -286,24 +244,119 @@ class FeaturePlan:
         watchdog=None,
         evaluator=None,
     ):
-        """Resilient replay: ``(featured frame, ApplyReport)``.
+        """Replay with per-feature fault isolation: ``(frame, ApplyReport)``.
 
-        The per-feature fault-isolation engine lives in
-        :mod:`repro.serve.resilience` (imported lazily here to keep the
-        strict hot path free of it); healthy features evaluate through
-        the identical calls :meth:`apply` makes, so their outputs are
-        bit-identical to a fault-free strict run.
+        The one replay loop every serve path runs.  A failing feature
+        costs exactly its own output columns: under ``degrade`` they are
+        NaN-filled and the failure is recorded in the returned
+        :class:`~repro.serve.resilience.ApplyReport`; under ``strict``
+        the original exception propagates (after the breaker, if any,
+        counts it).  Healthy features evaluate identically under either
+        policy, so their outputs are bit-identical to a fault-free run.
+
+        *breakers* (a :class:`~repro.serve.resilience.BreakerBoard`)
+        skips features whose breaker is open; *watchdog* (a
+        :class:`~repro.serve.resilience.SandboxWatchdog`) guards sandbox
+        fallbacks.  *evaluator* is the chaos seam: when given, every
+        feature evaluation routes through ``evaluator(spec, frame,
+        default)`` where ``default()`` performs the normal evaluation —
+        fault injectors wrap it, production never sets it.
         """
-        from repro.serve.resilience import apply_with_report as _apply
+        from repro.serve.resilience import FAILURE_POLICIES, ApplyReport, FeatureReport
 
-        return _apply(
-            self,
-            frame,
-            failure_policy=failure_policy,
-            breakers=breakers,
-            watchdog=watchdog,
-            evaluator=evaluator,
+        if failure_policy not in FAILURE_POLICIES:
+            raise PlanError(
+                f"unknown failure_policy {failure_policy!r}; "
+                f"expected one of {FAILURE_POLICIES}"
+            )
+        degrade = failure_policy == "degrade"
+        problems = self.schema_problems(frame)
+        if problems and not degrade:
+            self.validate_frame(frame)  # raises with the canonical message
+        unavailable = {name: text for name, _kind, text in problems}
+        working = frame.column_view(
+            [c for c in self.input_columns if c in frame and c not in unavailable]
         )
+        n_rows = len(frame)
+        report = ApplyReport(policy=failure_policy)
+
+        for spec in self.features:
+            if spec.status == "omitted":
+                report.reports.append(
+                    FeatureReport(spec.name, "omitted", reason=spec.reason)
+                )
+                continue
+            # Under strict, a missing input raises from evaluation itself.
+            missing = degrade and [c for c in spec.input_columns if c not in working]
+            if missing:
+                reasons = "; ".join(
+                    unavailable.get(c, f"column {c!r} unavailable") for c in missing
+                )
+                _nan_fill(spec, working, n_rows)
+                report.reports.append(
+                    FeatureReport(
+                        spec.name, "failed", error="PlanSchemaError",
+                        reason=f"input unavailable: {reasons}",
+                    )
+                )
+                continue
+            breaker = breakers.get(spec.name) if breakers is not None else None
+            if breaker is not None and not breaker.allow():
+                if not degrade:
+                    raise PlanError(f"circuit breaker open for feature {spec.name!r}")
+                _nan_fill(spec, working, n_rows)
+                report.reports.append(
+                    FeatureReport(
+                        spec.name, "skipped", error="CircuitOpen",
+                        reason="circuit breaker open",
+                    )
+                )
+                continue
+            try:
+                out = self._evaluate(spec, working, watchdog, evaluator)
+                self._install(spec, out, working)
+            except Exception as exc:  # noqa: BLE001 - isolation is the point
+                if breaker is not None:
+                    breaker.record_failure()
+                if not degrade:
+                    raise
+                _nan_fill(spec, working, n_rows)
+                report.reports.append(
+                    FeatureReport(
+                        spec.name, "failed", error=type(exc).__name__, reason=str(exc)
+                    )
+                )
+                continue
+            if breaker is not None:
+                breaker.record_success()
+            report.reports.append(FeatureReport(spec.name, "ok"))
+
+        to_drop = [c for c in self.drop_columns if c in working]
+        if to_drop:
+            working.drop(columns=to_drop, inplace=True)
+        return working, report
+
+    def _evaluate(self, spec: FeatureSpec, working: DataFrame, watchdog, evaluator):
+        """One feature's output, chaos-wrapped and watchdog-guarded as asked.
+
+        The watchdog engages for sandbox fallbacks (untrusted FM source)
+        and for any evaluation routed through a chaos *evaluator*;
+        compiled expressions on the production path stay unguarded, they
+        are pure data-plane numpy with nothing to time out.
+        """
+
+        def default_on(frame: DataFrame):
+            if spec.status == "compiled":
+                return evaluate_feature(spec.expr, frame)
+            return self._run_fallback(spec, frame)
+
+        def chaos_on(frame: DataFrame):
+            return evaluator(spec, frame, lambda: default_on(frame))
+
+        run = default_on if evaluator is None else chaos_on
+        if watchdog is not None and (spec.status == "fallback" or evaluator is not None):
+            return watchdog.run_guarded(spec, working, run)
+        return run(working)
 
     # ------------------------------------------------------------------
     # Out-of-core streaming
@@ -317,9 +370,6 @@ class FeaturePlan:
         breakers=None,
         watchdog=None,
         evaluator=None,
-        pipeline_workers: int | None = None,
-        pipeline_prefetch: int | None = None,
-        pipeline_stats=None,
     ):
         """Replay the plan shard-by-shard: a generator of featured frames.
 
@@ -338,73 +388,35 @@ class FeaturePlan:
         size the producer chose.  The bound is enforced empirically by
         ``benchmarks/bench_sharded.py`` against process peak RSS.
 
-        ``pipeline_workers`` opts into the overlapped executor
-        (:func:`~repro.core.shard_pipeline.pipeline_map`): shard
-        production (decode/re-chunk), per-shard replay, and the ordered
-        hand-off to the consumer run as concurrent stages with
-        *pipeline_workers* transform threads and a bounded prefetch of
-        ``pipeline_prefetch`` shards (default: one per worker).  A
-        re-sequencing buffer keeps yield order — and therefore output
-        bytes — identical to the sequential path, and the memory budget
-        is split across the ``workers + prefetch`` in-flight shards so
-        the RSS contract holds unchanged.  ``None`` (the default) is the
-        original strictly sequential loop, byte-for-byte.  Pass a
-        :class:`~repro.core.shard_pipeline.PipelineStats` as
-        *pipeline_stats* to collect per-stage wall-clock/queue-depth
-        numbers.
-
         Fault isolation composes per shard: under
         ``failure_policy="degrade"`` a failing feature NaN-fills only the
         shard it failed on, and a shared *breakers* board / *watchdog*
-        accumulates across shards exactly as it does across batches
-        (both are thread-safe, so this holds under pipeline workers too;
-        exact breaker trip *timelines* across shards follow worker
-        timing when pipelined).  Sandbox-fallback features (statuses
-        other than ``compiled``) recompute their batch statistics per
-        shard — equivalent to serving the same rows as smaller batches,
-        and flagged in the plan's ``counts()``; fully compiled plans
-        (every eval dataset) have no such features.
+        accumulates across shards exactly as it does across batches.
+        Sandbox-fallback features (statuses other than ``compiled``)
+        recompute their batch statistics per shard — equivalent to
+        serving the same rows as smaller batches, and flagged in the
+        plan's ``counts()``; fully compiled plans (every eval dataset)
+        have no such features.
         """
         from repro.dataframe.io import Shard, iter_frame_shards
 
-        inflight = _pipeline_inflight(pipeline_workers, pipeline_prefetch)
-        shard_budget_mb = (
-            memory_budget_mb / inflight if memory_budget_mb is not None else None
-        )
-
-        def produce():
-            for piece in shards:
-                frame = piece.frame if isinstance(piece, Shard) else piece
-                if len(frame) == 0:
-                    continue
-                if shard_budget_mb is None:
-                    yield frame
-                else:
-                    max_rows = self.budget_rows(frame, shard_budget_mb)
-                    yield from (s.frame for s in iter_frame_shards(frame, max_rows))
-
-        def replay(sub):
-            return self.apply(
-                sub,
-                failure_policy=failure_policy,
-                breakers=breakers,
-                watchdog=watchdog,
-                evaluator=evaluator,
-            )
-
-        if pipeline_workers is None:
-            for sub in produce():
-                yield replay(sub)
-            return
-        from repro.core.shard_pipeline import pipeline_map
-
-        yield from pipeline_map(
-            produce(),
-            replay,
-            workers=pipeline_workers,
-            prefetch=pipeline_prefetch,
-            stats=pipeline_stats,
-        )
+        for piece in shards:
+            frame = piece.frame if isinstance(piece, Shard) else piece
+            if len(frame) == 0:
+                continue
+            if memory_budget_mb is None:
+                subs = [frame]
+            else:
+                max_rows = self.budget_rows(frame, memory_budget_mb)
+                subs = (s.frame for s in iter_frame_shards(frame, max_rows))
+            for sub in subs:
+                yield self.apply(
+                    sub,
+                    failure_policy=failure_policy,
+                    breakers=breakers,
+                    watchdog=watchdog,
+                    evaluator=evaluator,
+                )
 
     #: Estimated per-row bytes for an object-dtype cell (pointer plus a
     #: typical small payload) and the multiplier covering transient
@@ -442,14 +454,7 @@ class FeaturePlan:
         budget_bytes = memory_budget_mb * 1_000_000
         return max(int(budget_bytes / (max(row_bytes, 1) * self._WORKING_FACTOR)), 1)
 
-    def refresh_group_tables(
-        self,
-        shards,
-        *,
-        pipeline_workers: int | None = None,
-        pipeline_prefetch: int | None = None,
-        pipeline_stats=None,
-    ) -> int:
+    def refresh_group_tables(self, shards) -> int:
         """Second fit pass: re-aggregate every frozen ``group_lookup``
         table over a full shard stream.
 
@@ -473,14 +478,6 @@ class FeaturePlan:
 
         Mutates this plan in place: do it at fit/publish time, before the
         plan is saved or served (loaded plans are treated as immutable).
-
-        ``pipeline_workers`` opts into the overlapped executor for the
-        expensive part — replaying compiled features to materialize
-        derived keys/aggregands runs on worker threads — while the
-        aggregation fold itself stays a strict left fold in stream order
-        on the caller's thread (the sequential-fold sum is defined by
-        stream order, so the refreshed tables are bit-identical to the
-        sequential pass).
         """
         from repro.dataframe.expr import refreeze_group_table
         from repro.dataframe.groupby import StreamingGroupAgg
@@ -503,14 +500,10 @@ class FeaturePlan:
             if agg_col is not None:
                 needed.add(agg_col)
 
-        def produce():
-            for piece in shards:
-                frame = piece.frame if isinstance(piece, Shard) else piece
-                if len(frame) == 0:
-                    continue
-                yield frame
-
-        def materialize(frame: DataFrame) -> DataFrame:
+        for piece in shards:
+            frame = piece.frame if isinstance(piece, Shard) else piece
+            if len(frame) == 0:
+                continue
             working = frame.column_view(frame.columns)
             for spec in self.features:
                 if needed <= set(working.columns):
@@ -526,21 +519,6 @@ class FeaturePlan:
                     "no compiled feature produces (sandbox-fallback outputs "
                     "cannot stream)"
                 )
-            return working
-
-        if pipeline_workers is None:
-            materialized = (materialize(frame) for frame in produce())
-        else:
-            from repro.core.shard_pipeline import pipeline_map
-
-            materialized = pipeline_map(
-                produce(),
-                materialize,
-                workers=pipeline_workers,
-                prefetch=pipeline_prefetch,
-                stats=pipeline_stats,
-            )
-        for working in materialized:
             for agg in aggs:
                 agg.update(working)
         for node, agg in zip(nodes, aggs):
@@ -689,6 +667,11 @@ class FeaturePlan:
         for spec in self.features:
             out[spec.status] = out.get(spec.status, 0) + 1
         return out
+
+
+def _nan_fill(spec: FeatureSpec, working: DataFrame, n_rows: int) -> None:
+    for name in spec.output_columns:
+        working[name] = Series._from_array(np.full(n_rows, np.nan), name)
 
 
 def _migrate_v1(data: dict) -> dict:

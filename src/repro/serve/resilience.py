@@ -1,18 +1,17 @@
-"""Serve-path resilience: fault isolation, breakers, quarantine, watchdog.
+"""Serve-path resilience: breakers, watchdog, reports, quarantine.
 
-``FeaturePlan.apply`` is all-or-nothing by design — ``strict`` mode, the
-default, fails the whole batch the moment one feature misbehaves, which
-is the right contract for offline replay and tests.  Production traffic
-needs the opposite: a misbehaving feature (a sandbox fallback that
-raises, a drifted column, a hostile row value) should cost exactly its
-own column, with the blast radius recorded, never the batch.  This
-module is that degraded-mode machinery:
+``FeaturePlan.apply`` under the default ``strict`` policy fails the
+whole batch the moment one feature misbehaves, which is the right
+contract for offline replay and tests.  Production traffic needs the
+opposite: a misbehaving feature (a sandbox fallback that raises, a
+drifted column, a hostile row value) should cost exactly its own column,
+with the blast radius recorded, never the batch.  The replay loop itself
+lives in :meth:`FeaturePlan.apply_with_report
+<repro.serve.plan.FeaturePlan.apply_with_report>`; this module holds the
+pieces it and the server compose:
 
-* :func:`apply_with_report` — the per-feature isolation loop behind
-  ``failure_policy="degrade"``: a failing feature yields a NaN-filled
-  column plus a structured :class:`FeatureReport`; healthy features
-  evaluate through the exact same code path as strict mode, so their
-  outputs stay bit-identical to a fault-free run.
+* :class:`FeatureReport` / :class:`ApplyReport` — per-feature outcomes
+  of one replay (``ok``, ``failed``, ``skipped``, ``omitted``).
 * :class:`CircuitBreaker` / :class:`BreakerBoard` — per-feature
   closed → open → half-open breakers with thread-safe, *call-count*
   based state (no wall clock, so trips and recoveries are exactly
@@ -42,7 +41,7 @@ import numpy as np
 
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
-from repro.serve.plan import PlanError, PlanSchemaError, column_kind
+from repro.serve.plan import PlanError, column_kind
 
 __all__ = [
     "FAILURE_POLICIES",
@@ -57,7 +56,6 @@ __all__ = [
     "ValidationLimits",
     "WatchdogTimeout",
     "WatchdogViolation",
-    "apply_with_report",
     "plan_known_categories",
     "validate_rows",
 ]
@@ -365,143 +363,6 @@ def _iter_outputs(spec, out):
         for name, series in out.items():
             if isinstance(series, Series):
                 yield name, series
-
-
-# ----------------------------------------------------------------------
-# Resilient apply
-# ----------------------------------------------------------------------
-def _nan_fill(spec, working: DataFrame, n_rows: int) -> None:
-    for name in spec.output_columns:
-        working[name] = Series._from_array(np.full(n_rows, np.nan), name)
-
-
-def apply_with_report(
-    plan,
-    frame: DataFrame,
-    *,
-    failure_policy: str = "degrade",
-    breakers: BreakerBoard | None = None,
-    watchdog: SandboxWatchdog | None = None,
-    evaluator: Callable | None = None,
-) -> tuple[DataFrame, ApplyReport]:
-    """Replay *plan* with per-feature fault isolation.
-
-    The engine behind ``FeaturePlan.apply_with_report``.  Healthy
-    features run through the identical evaluation calls the strict path
-    makes (same ``evaluate_feature`` / fallback, same install), so their
-    outputs are bit-identical to a fault-free strict run.  A failing
-    feature costs exactly its own output columns: under ``degrade`` they
-    are NaN-filled and the failure is recorded in the returned
-    :class:`ApplyReport`; under ``strict`` the original exception
-    propagates (after the breaker, if any, counts it).
-
-    ``evaluator`` is the chaos seam: when given, every feature
-    evaluation routes through ``evaluator(spec, frame, default)`` where
-    ``default()`` performs the normal evaluation — fault injectors wrap
-    it, production never sets it.
-    """
-    if failure_policy not in FAILURE_POLICIES:
-        raise PlanError(
-            f"unknown failure_policy {failure_policy!r}; "
-            f"expected one of {FAILURE_POLICIES}"
-        )
-    degrade = failure_policy == "degrade"
-    problems = plan.schema_problems(frame)
-    unavailable: dict[str, str] = {}
-    if problems:
-        if not degrade:
-            plan.validate_frame(frame)  # raises with the canonical message
-        unavailable = {name: problem for name, _kind, problem in problems}
-    present = [
-        c for c in plan.input_columns if c in frame and c not in unavailable
-    ]
-    working = frame.column_view(present)
-    n_rows = len(frame)
-    report = ApplyReport(policy=failure_policy)
-
-    for spec in plan.features:
-        if spec.status == "omitted":
-            report.reports.append(
-                FeatureReport(spec.name, "omitted", reason=spec.reason)
-            )
-            continue
-        missing = [c for c in spec.input_columns if c not in working]
-        if missing:
-            reasons = "; ".join(
-                unavailable.get(c, f"column {c!r} unavailable") for c in missing
-            )
-            _nan_fill(spec, working, n_rows)
-            report.reports.append(
-                FeatureReport(
-                    spec.name, "failed", error="PlanSchemaError",
-                    reason=f"input unavailable: {reasons}",
-                )
-            )
-            continue
-        breaker = breakers.get(spec.name) if breakers is not None else None
-        if breaker is not None and not breaker.allow():
-            if not degrade:
-                raise PlanError(
-                    f"circuit breaker open for feature {spec.name!r}"
-                )
-            _nan_fill(spec, working, n_rows)
-            report.reports.append(
-                FeatureReport(
-                    spec.name, "skipped", error="CircuitOpen",
-                    reason="circuit breaker open",
-                )
-            )
-            continue
-        try:
-            out = _evaluate_spec(plan, spec, working, watchdog, evaluator)
-            plan._install(spec, out, working)
-        except Exception as exc:  # noqa: BLE001 - isolation is the point
-            if breaker is not None:
-                breaker.record_failure()
-            if not degrade:
-                raise
-            _nan_fill(spec, working, n_rows)
-            report.reports.append(
-                FeatureReport(
-                    spec.name, "failed", error=type(exc).__name__, reason=str(exc)
-                )
-            )
-            continue
-        if breaker is not None:
-            breaker.record_success()
-        report.reports.append(FeatureReport(spec.name, "ok"))
-
-    to_drop = [c for c in plan.drop_columns if c in working]
-    if to_drop:
-        working.drop(columns=to_drop, inplace=True)
-    return working, report
-
-
-def _evaluate_spec(plan, spec, working, watchdog, evaluator):
-    """One feature's evaluation, optionally chaos-wrapped and guarded.
-
-    The watchdog engages for sandbox fallbacks (untrusted FM source) and
-    for any evaluation routed through a chaos ``evaluator`` — compiled
-    expressions on the production path stay unguarded, they are pure
-    data-plane numpy with nothing to time out.
-    """
-    from repro.dataframe.expr import evaluate_feature
-
-    def default_on(frame):
-        if spec.status == "compiled":
-            return evaluate_feature(spec.expr, frame)
-        return plan._run_fallback(spec, frame)
-
-    guard_needed = spec.status == "fallback" or evaluator is not None
-    if watchdog is not None and guard_needed:
-        if evaluator is None:
-            return watchdog.run_guarded(spec, working, default_on)
-        return watchdog.run_guarded(
-            spec, working, lambda g: evaluator(spec, g, lambda: default_on(g))
-        )
-    if evaluator is not None:
-        return evaluator(spec, working, lambda: default_on(working))
-    return default_on(working)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from repro.core.shard_pipeline import PipelineStats
 from repro.dataframe.frame import DataFrame
 from repro.serve.plan import FeaturePlan, PlanError
 from repro.serve.registry import PlanRegistry
@@ -136,7 +135,6 @@ class FeatureServer:
         )
         self.limits = limits or ValidationLimits()
         self.stats_board = ServerStats()
-        self._pipeline_stats: PipelineStats | None = None
 
     # ------------------------------------------------------------------
     # Plan resolution
@@ -212,9 +210,6 @@ class FeatureServer:
         shards: Iterable,
         name: str | None = None,
         version: int | None = None,
-        *,
-        pipeline_workers: int | None = None,
-        pipeline_prefetch: int | None = None,
     ) -> Iterator[DataFrame]:
         """Stream featured frames shard-by-shard (out-of-core serving).
 
@@ -225,44 +220,14 @@ class FeatureServer:
         feature NaN-fills only the shards it fails on) while breakers,
         the watchdog, and the stats board accumulate across the whole
         stream.  Never holds more than one shard plus its featured
-        output when sequential (the default).
-
-        ``pipeline_workers`` opts into the overlapped shard executor
-        (:func:`~repro.core.shard_pipeline.pipeline_map`): shard
-        production, per-shard transform, and the ordered hand-off run
-        concurrently with at most ``workers + prefetch`` shards in
-        flight, and a re-sequencing buffer keeps the yielded order —
-        and therefore bytes — identical to the sequential stream.
-        Per-stage wall-clock/queue-depth numbers accumulate on the
-        server and surface under ``stats()["pipeline"]``.
+        output.
         """
         from repro.dataframe.io import Shard
 
-        def produce():
-            for piece in shards:
-                yield piece.frame if isinstance(piece, Shard) else piece
-
-        def serve_one(rows):
+        for piece in shards:
+            rows = piece.frame if isinstance(piece, Shard) else piece
             out, _report = self.transform_with_report(rows, name, version)
-            return out
-
-        if pipeline_workers is None:
-            for rows in produce():
-                yield serve_one(rows)
-            return
-        from repro.core.shard_pipeline import pipeline_map
-
-        with self._lock:
-            if self._pipeline_stats is None:
-                self._pipeline_stats = PipelineStats()
-            stats = self._pipeline_stats
-        yield from pipeline_map(
-            produce(),
-            serve_one,
-            workers=pipeline_workers,
-            prefetch=pipeline_prefetch,
-            stats=stats,
-        )
+            yield out
 
     def transform_with_report(
         self,
@@ -272,35 +237,26 @@ class FeatureServer:
     ) -> tuple[DataFrame, ServeReport]:
         """Like :meth:`transform`, also returning the :class:`ServeReport`."""
         plan = self.plan_for(name, version)
-        degrade = self.failure_policy == "degrade"
         quarantine: QuarantineReport | None = None
         if isinstance(rows, DataFrame):
             frame = rows
         else:
             frame, quarantine = validate_rows(
-                plan, rows, self.limits, strict=not degrade
+                plan, rows, self.limits, strict=self.failure_policy == "strict"
             )
-        rows_in = quarantine.total_rows if quarantine else len(frame)
-        if not degrade and self.breakers is None and self.watchdog is None:
-            # Strict with no extras: the historical zero-overhead path.
-            out = plan.apply(frame)
-            report = ServeReport(ApplyReport(policy="strict"), quarantine)
-            self.stats_board.record(rows_in=rows_in, rows_served=len(out))
-            return out, report
         out, apply_report = plan.apply_with_report(
             frame,
             failure_policy=self.failure_policy,
             breakers=self.breakers,
             watchdog=self.watchdog,
         )
-        report = ServeReport(apply_report, quarantine)
         self.stats_board.record(
-            rows_in=rows_in,
+            rows_in=quarantine.total_rows if quarantine else len(frame),
             rows_served=len(out),
             quarantine=quarantine,
             apply_report=apply_report,
         )
-        return out, report
+        return out, ServeReport(apply_report, quarantine)
 
     # ------------------------------------------------------------------
     # Health / stats surface
@@ -311,9 +267,6 @@ class FeatureServer:
         out = self.stats_board.snapshot()
         out["failure_policy"] = self.failure_policy
         out["breakers"] = self.breakers.snapshot() if self.breakers else {}
-        with self._lock:
-            stats = self._pipeline_stats
-        out["pipeline"] = stats.to_dict() if stats is not None else {}
         return out
 
     def health(self) -> dict:

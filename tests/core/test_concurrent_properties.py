@@ -9,14 +9,20 @@ example runs a full (small) pipeline.
 """
 
 import json
+import threading
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SmartFeat
-from repro.core.types import OperatorFamily
+from repro.core.agenda import DataAgenda
+from repro.core.function_generator import FunctionGenerator
+from repro.core.timing import StageTimer
+from repro.core.types import FeatureCandidate, OperatorFamily
 from repro.dataframe import DataFrame
+from repro.eval.efficiency import _frames_identical
 from repro.fm import (
+    FMRateLimitError,
     FMRequest,
     ScriptedFM,
     SerialExecutor,
@@ -184,3 +190,147 @@ def test_scripted_schedules_identical_across_backends(
     with ThreadPoolFMExecutor(concurrency) as pool:
         threaded = run(pool)
     assert serial == threaded
+
+
+# ----------------------------------------------------------------------
+# Injected 429s with retries off: a 429 is a deterministic stage error
+# that consumes exactly its reserved slot on both backends.  (With
+# retries on, serial reserves lazily, so a retry shifts later calls —
+# the documented batch-reservation divergence.)
+# ----------------------------------------------------------------------
+class RateLimitedSimulatedFM(SimulatedFM):
+    """SimulatedFM that 429s once per *fail_every*-th reserved call.
+
+    Failures key on the reserved counter value, so both backends (which
+    issue the same call sequence) hit identical failures at identical
+    positions.
+    """
+
+    def __init__(self, fail_every: int, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.fail_every = fail_every
+        self._failed: set[int] = set()
+        self._failed_lock = threading.Lock()
+
+    def _complete_with_state(self, prompt, temperature, state):
+        if isinstance(state, int) and state % self.fail_every == 0:
+            with self._failed_lock:
+                fresh = state not in self._failed
+                self._failed.add(state)
+            if fresh:
+                raise FMRateLimitError(f"simulated 429 at call {state}")
+        return super()._complete_with_state(prompt, temperature, state)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=3),
+    wave_size=st.integers(min_value=1, max_value=4),
+    concurrency=st.integers(min_value=2, max_value=6),
+    fail_every=st.integers(min_value=3, max_value=9),
+)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_injected_429s_without_retries_identical_across_backends(
+    seed, wave_size, concurrency, fail_every
+):
+    def run(executor):
+        fm = RateLimitedSimulatedFM(fail_every, seed=seed, model="gpt-4")
+        function_fm = RateLimitedSimulatedFM(
+            fail_every, seed=seed + 1, model="gpt-3.5-turbo"
+        )
+        tool = SmartFeat(
+            fm=fm,
+            function_fm=function_fm,
+            downstream_model="decision_tree",
+            executor=executor,
+            wave_size=wave_size,
+            operator_families=(
+                OperatorFamily.UNARY,
+                OperatorFamily.BINARY,
+                OperatorFamily.HIGH_ORDER,
+            ),
+        )
+        result = tool.fit_transform(
+            small_frame(), target="Target", descriptions=dict(DESCRIPTIONS)
+        )
+        fingerprint = (
+            list(result.new_features),  # accepted-feature ORDER, not just set
+            result.dropped,
+            result.errors,
+            sorted(result.rejections),
+            [(c.ledger.n_calls, c.ledger.cache_hits) for c in (fm, function_fm)],
+        )
+        return result.frame, fingerprint
+
+    serial_frame, serial_fp = run(SerialExecutor())
+    with ThreadPoolFMExecutor(concurrency) as pool:
+        threaded_frame, threaded_fp = run(pool)
+    assert serial_fp == threaded_fp
+    assert _frames_identical(serial_frame, threaded_frame)
+
+
+# ----------------------------------------------------------------------
+# Timers are explicit: concurrent stages can never share one.
+# ----------------------------------------------------------------------
+def _candidate(name: str) -> FeatureCandidate:
+    return FeatureCandidate(
+        name=name,
+        columns=["Age", "Income"],
+        description=f"binary[-]: {name}",
+        family=OperatorFamily.BINARY,
+    )
+
+
+def test_generator_timer_fallback_removed():
+    generator = FunctionGenerator(ScriptedFM(lambda prompt: GOOD_CODE))
+    assert not hasattr(generator, "timer")
+    assert not hasattr(generator, "_timer_slot")
+
+
+def test_no_timer_means_no_accounting_anywhere():
+    """With no explicit timer there is nothing to fall back to: the
+    realization still works and no shared state accumulates a window."""
+    generator = FunctionGenerator(ScriptedFM(lambda prompt: GOOD_CODE))
+    frame = small_frame()
+    agenda = DataAgenda.from_dataframe(frame, target="Target")
+    realized = generator.realize(_candidate("gap"), agenda, frame)
+    assert "gap" in realized.values
+
+
+def test_concurrent_stages_never_share_a_timer():
+    """Two threads realizing through ONE shared generator, each with its
+    own explicit StageTimer: every sandboxed transform accounts against
+    exactly the timer its stage passed — none leak across threads."""
+    generator = FunctionGenerator(ScriptedFM(lambda prompt: GOOD_CODE))
+    frame = small_frame()
+    agenda = DataAgenda.from_dataframe(frame, target="Target")
+    counts = {"a": 3, "b": 5}
+    timers = {name: StageTimer() for name in counts}
+    barrier = threading.Barrier(len(counts))
+    failures: list[BaseException] = []
+
+    def stage(name: str) -> None:
+        try:
+            barrier.wait(timeout=10)
+            candidates = [_candidate(f"{name}_{i}") for i in range(counts[name])]
+            outcomes = generator.realize_batch(
+                candidates, agenda, frame, timer=timers[name]
+            )
+            assert all(not isinstance(o, Exception) for o in outcomes)
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=stage, args=(name,), name=f"stage-{name}")
+        for name in counts
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not failures, failures
+    for name, expected in counts.items():
+        snapshot = timers[name].snapshot()
+        assert snapshot["transform_exec"]["calls"] == expected, (
+            f"stage {name} expected {expected} transform executions on its own "
+            f"timer, saw {snapshot}"
+        )

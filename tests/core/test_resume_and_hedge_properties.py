@@ -1,7 +1,7 @@
 """Property suites for the production transport features.
 
-1. **Hedged backend identity** — with hedging *enabled*, serial, thread,
-   and async pipelines over seeded clients stay bit-identical (frames,
+1. **Hedged backend identity** — with hedging *enabled*, serial and
+   thread pipelines over seeded clients stay bit-identical (frames,
    accepted-feature order, full ledger snapshots including the hedge
    counters, which must all read zero: seeded clients are stateful, so
    the hedge gate must never arm for them).
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core import SmartFeat
 from repro.dataframe import DataFrame
 from repro.fm import (
-    AsyncFMExecutor,
     HedgePolicy,
     SerialExecutor,
     SimulatedFM,
@@ -99,9 +98,7 @@ def test_hedged_pipeline_identical_across_backends(seed, wave_size, concurrency)
     serial = run_pipeline(SerialExecutor(hedge=EAGER_HEDGE), seed, wave_size)
     with ThreadPoolFMExecutor(concurrency, hedge=EAGER_HEDGE) as pool:
         threaded = run_pipeline(pool, seed, wave_size)
-    with AsyncFMExecutor(concurrency, hedge=EAGER_HEDGE) as loop:
-        asynced = run_pipeline(loop, seed, wave_size)
-    assert serial == threaded == asynced
+    assert serial == threaded
     # Seeded clients are stateful: the hedge gate must never have armed.
     ledger = serial[5]
     assert ledger["hedges_issued"] == 0

@@ -2,8 +2,8 @@
 
 The controller must be a pure function of the observed event sequence
 (never wall-clock), collapse multiplicatively on 429/5xx, recover
-additively on success, and drive both the thread gate and the async
-gate's admission decisions.  The executor integration tests prove the
+additively on success, and drive the thread gate's admission
+decisions.  The executor integration tests prove the
 feedback loop end to end: a rate-limit storm through a transport client
 shrinks the limit; clean traffic restores it.
 """
@@ -15,7 +15,6 @@ import pytest
 
 from repro.fm import (
     AIMDController,
-    AsyncFMExecutor,
     ConcurrencyGate,
     FMRequest,
     RetryPolicy,
@@ -233,12 +232,11 @@ RETRY = RetryPolicy(max_attempts=6, backoff_s=0.0)
     "make_executor",
     [
         # Serial concurrency is 1, so it shares an explicitly sized
-        # controller; thread/async build one from their own concurrency.
+        # controller; thread builds one from its own concurrency.
         lambda: SerialExecutor(retry=RETRY, adaptive=AIMDController(ceiling=8)),
         lambda: ThreadPoolFMExecutor(4, retry=RETRY, adaptive=True),
-        lambda: AsyncFMExecutor(4, retry=RETRY, adaptive=True),
     ],
-    ids=["serial", "thread", "async"],
+    ids=["serial", "thread"],
 )
 def test_storm_shrinks_limit_clean_traffic_recovers(make_executor):
     executor = make_executor()

@@ -9,11 +9,11 @@ must never be hedged at all.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.fm import (
-    AsyncFMExecutor,
     FMRequest,
     HedgePolicy,
     LatencyTracker,
@@ -120,27 +120,13 @@ class SlowFirstTransport(Transport):
         self._lock = threading.Lock()
         self.n_sends = 0
 
-    def _latency_for(self, request: TransportRequest) -> float:
+    def send(self, request: TransportRequest) -> TransportResponse:
         with self._lock:
             self.n_sends += 1
             first = request.prompt not in self._seen
             self._seen.add(request.prompt)
-        return self.stall_s if first else self.fast_s
-
-    def send(self, request: TransportRequest) -> TransportResponse:
-        import time
-
-        latency = self._latency_for(request)
+        latency = self.stall_s if first else self.fast_s
         time.sleep(latency)
-        return TransportResponse(
-            status=200, text=f"echo:{request.prompt}", latency_s=latency
-        )
-
-    async def asend(self, request: TransportRequest) -> TransportResponse:
-        import asyncio
-
-        latency = self._latency_for(request)
-        await asyncio.sleep(latency)
         return TransportResponse(
             status=200, text=f"echo:{request.prompt}", latency_s=latency
         )
@@ -154,9 +140,8 @@ HEDGE_NOW = HedgePolicy(initial_delay_s=0.02, min_observations=10_000)
     [
         lambda: SerialExecutor(hedge=HEDGE_NOW),
         lambda: ThreadPoolFMExecutor(4, hedge=HEDGE_NOW),
-        lambda: AsyncFMExecutor(4, hedge=HEDGE_NOW),
     ],
-    ids=["serial", "thread", "async"],
+    ids=["serial", "thread"],
 )
 def test_shadow_wins_the_tail_race(make_executor):
     executor = make_executor()
@@ -207,22 +192,6 @@ def _tokens_for(prompt: str) -> tuple[int, int]:
     from repro.fm.cost import estimate_tokens
 
     return estimate_tokens(prompt), estimate_tokens(f"echo:{prompt}")
-
-
-def test_async_loser_is_cancelled_not_charged():
-    executor = AsyncFMExecutor(4, hedge=HEDGE_NOW)
-    try:
-        client = TransportFMClient(SlowFirstTransport(stall_s=0.5))
-        results = executor.run(client, [FMRequest("p0"), FMRequest("p1")])
-        assert all(r.ok for r in results)
-        snapshot = client.ledger.snapshot()
-        assert snapshot["n_calls"] == 2
-        assert snapshot["hedges_issued"] == 2
-        assert snapshot["hedges_abandoned"] == 2
-        # Cancelled losers never produced a response: nothing wasted.
-        assert snapshot["hedge_wasted_cost_usd"] == 0.0
-    finally:
-        executor.close()
 
 
 def test_fast_primary_never_hedges():

@@ -5,7 +5,7 @@ Two production bugs this file pins down:
 1. A hostile (or buggy) server answering ``Retry-After: 3600`` must not
    park a worker for an hour — the hint is clamped to ``max_backoff_s``
    when set, and to :data:`DEFAULT_RETRY_AFTER_CAP_S` otherwise, in the
-   sync *and* async retry loops alike.
+   serial and thread-pool retry loops alike.
 2. Backoff sleeps are dead time a wall-clock budget must meter: every
    retry sleep is charged to the ledger's ``wait_s`` (and so to
    ``Budget.max_latency_s``) *before* it is slept, and a wait that trips
@@ -19,7 +19,6 @@ import pytest
 
 from repro.fm import (
     DEFAULT_RETRY_AFTER_CAP_S,
-    AsyncFMExecutor,
     Budget,
     FMBudgetExceededError,
     FMRequest,
@@ -119,53 +118,6 @@ def test_thread_loop_clamps_hostile_retry_after():
     assert slept == [0.05]
 
 
-def test_async_loop_clamps_hostile_retry_after():
-    client = _client([_hostile_429(), "recovered"])
-    requested: list[float] = []
-    real_async_sleep = None
-
-    import asyncio
-
-    real_async_sleep = asyncio.sleep
-
-    async def recording_sleep(delay, *args, **kwargs):
-        requested.append(delay)
-        return await real_async_sleep(0)
-
-    with AsyncFMExecutor(
-        2, retry=RetryPolicy(max_attempts=3, max_backoff_s=0.05)
-    ) as executor:
-        with mock.patch(
-            "repro.fm.executor.asyncio.sleep", side_effect=recording_sleep
-        ):
-            results = executor.run(client, [FMRequest("p")])
-    assert results[0].unwrap().text == "recovered"
-    assert 0.05 in requested
-    assert all(delay <= DEFAULT_RETRY_AFTER_CAP_S for delay in requested)
-
-
-def test_async_loop_applies_default_cap_without_max_backoff():
-    client = _client([_hostile_429(), "recovered"])
-    requested: list[float] = []
-
-    import asyncio
-
-    real_async_sleep = asyncio.sleep
-
-    async def recording_sleep(delay, *args, **kwargs):
-        requested.append(delay)
-        return await real_async_sleep(0)
-
-    with AsyncFMExecutor(2, retry=RetryPolicy(max_attempts=3)) as executor:
-        with mock.patch(
-            "repro.fm.executor.asyncio.sleep", side_effect=recording_sleep
-        ):
-            results = executor.run(client, [FMRequest("p")])
-    assert results[0].ok
-    assert DEFAULT_RETRY_AFTER_CAP_S in requested
-    assert 3600.0 not in requested
-
-
 # ----------------------------------------------------------------------
 # Wait charging: backoff dead time is budget spend.
 # ----------------------------------------------------------------------
@@ -198,10 +150,10 @@ def test_wait_that_trips_budget_returns_budget_error_without_sleeping():
     assert len(client.transport.requests) == 1
 
 
-def test_async_wait_that_trips_budget_returns_budget_error():
+def test_thread_wait_that_trips_budget_returns_budget_error():
     budget = Budget(max_latency_s=1.0)
     client = _client([_hostile_429(30.0), "never reached"], budget=budget)
-    with AsyncFMExecutor(
+    with ThreadPoolFMExecutor(
         2, retry=RetryPolicy(max_attempts=3, max_backoff_s=60.0)
     ) as executor:
         started = time.monotonic()

@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.fm import (
-    AsyncFMExecutor,
     Budget,
     FMBudgetExceededError,
     FMConnectionError,
@@ -39,7 +38,6 @@ from repro.fm import (
 BACKENDS = [
     ("serial", lambda retry: SerialExecutor(retry=retry)),
     ("thread", lambda retry: ThreadPoolFMExecutor(4, retry=retry)),
-    ("async", lambda retry: AsyncFMExecutor(4, retry=retry)),
 ]
 
 
@@ -121,12 +119,12 @@ class TestStatusMapping:
         response = client.complete("p")
         assert response.latency_s > 0  # cost-model estimate, not zero
 
-    def test_measured_latency_isolated_across_async_tasks(self):
+    def test_measured_latency_isolated_across_worker_threads(self):
         transport = SimulatedHTTPTransport(
             base_latency_s=0.001, jitter_s=0.05, seed=9, sleep=False
         )
         client = TransportFMClient(transport)
-        with AsyncFMExecutor(8) as executor:
+        with ThreadPoolFMExecutor(8) as executor:
             results = executor.run(client, [FMRequest(f"p{i}") for i in range(16)])
         # Each response must carry its own request's drawn latency, so
         # the per-response values differ (jitter) and sum to the ledger.
@@ -180,7 +178,7 @@ class TestRateLimitStorms:
                 return TransportResponse(status=200, text=f"body:{request.prompt}")
 
         client = TransportFMClient(OncePerPrompt429([]))
-        with AsyncFMExecutor(4, retry=RetryPolicy(max_attempts=2)) as executor:
+        with ThreadPoolFMExecutor(4, retry=RetryPolicy(max_attempts=2)) as executor:
             results = executor.run(
                 client, [FMRequest(f"p{i}") for i in range(8)]
             )
@@ -222,10 +220,10 @@ class TestRetryAfterVsBackoff:
         assert results[0].ok
         assert slept == pytest.approx([0.05, 0.07])
 
-    def test_async_executor_honours_the_hint_in_real_time(self):
+    def test_thread_executor_honours_the_hint_in_real_time(self):
         transport = ScriptedTransport([_rate_limited(0.02), "ok"])
         client = TransportFMClient(transport)
-        with AsyncFMExecutor(
+        with ThreadPoolFMExecutor(
             2, retry=RetryPolicy(max_attempts=2, backoff_s=30.0)
         ) as executor:
             started = time.perf_counter()
@@ -325,7 +323,7 @@ class TestBudgetTripsMidFlight:
         client = TransportFMClient(
             ScriptedTransport([_rate_limited(0.0)] * 3 + ["ok"]), budget=budget
         )
-        with AsyncFMExecutor(2, retry=RetryPolicy(max_attempts=4)) as executor:
+        with ThreadPoolFMExecutor(2, retry=RetryPolicy(max_attempts=4)) as executor:
             results = executor.run(client, [FMRequest("p")])
         assert results[0].ok
         assert budget.spent_calls == 1  # three 429s cost no budget
@@ -340,7 +338,7 @@ class TestBudgetTripsMidFlight:
             ScriptedTransport([_rate_limited(0.0), "r0", "r1"]), budget=budget
         )
         with pytest.raises(FMBudgetExceededError):
-            with AsyncFMExecutor(2, retry=RetryPolicy(max_attempts=3)) as executor:
+            with ThreadPoolFMExecutor(2, retry=RetryPolicy(max_attempts=3)) as executor:
                 executor.run(client, [FMRequest("p0"), FMRequest("p1")])
         assert client.ledger.n_calls == 2
         self._consistent(client, budget)

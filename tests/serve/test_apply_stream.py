@@ -46,6 +46,20 @@ class TestApplyStreamIdentity:
         identical, detail = frames_identical(merged, base)
         assert identical, f"chunk={chunk}: {detail}"
 
+    def test_every_entry_point_yields_the_same_frame(self, demo):
+        """``apply``, strict ``apply_with_report`` and a sharded
+        ``apply_stream`` all run the one replay loop: same bits."""
+        plan, frame, _ = demo
+        whole = plan.apply(frame)
+        reported, report = plan.apply_with_report(frame, failure_policy="strict")
+        streamed = concat_shards(
+            list(plan.apply_stream(iter_frame_shards(frame, 113)))
+        )
+        assert report.ok
+        for other in (reported, streamed):
+            identical, detail = frames_identical(other, whole)
+            assert identical, detail
+
     def test_accepts_plain_frames_and_shards(self, demo):
         plan, frame, base = demo
         pieces = [s.frame for s in iter_frame_shards(frame, 200)]
@@ -149,6 +163,7 @@ class TestServerStreaming:
         assert [len(o) for o in outs] == [200, 200, 200]
         identical, detail = frames_identical(concat_shards(outs), base)
         assert identical, detail
+        assert server.stats()["rows_in"] == len(frame)
 
     def test_list_of_dicts_still_goes_through_batch_path(self, demo):
         plan, frame, _ = demo
@@ -238,12 +253,17 @@ class TestPerShardFaultIsolation:
 
 class TestRefreshGroupTables:
     def test_chunk_invariant(self, demo):
+        """The streaming fold is a left fold in stream order, so any
+        chunking refreshes the plan to the same JSON and the same bits."""
         plan, frame, _ = demo
         refreshed = []
+        payloads = set()
         for chunk in (1, 211, 10**6):
             p = FeaturePlan.from_json(plan.to_json())
             assert p.refresh_group_tables(iter_frame_shards(frame, chunk)) == 2
             refreshed.append(p.apply(frame))
+            payloads.add(json.dumps(json.loads(p.to_json()), sort_keys=True))
+        assert len(payloads) == 1
         for other in refreshed[1:]:
             identical, detail = frames_identical(other, refreshed[0])
             assert identical, detail

@@ -1,26 +1,25 @@
-"""Pipelined shard execution through the serve layer.
+"""Shard streams fanned out over caller-side worker threads.
 
-The contract: opting into ``pipeline_workers`` changes *when* shards are
-decoded and transformed — overlapped across threads, bounded by the
-prefetch window — but never *what* comes out: every pipelined path
-(``apply_stream``, ``FeatureServer.transform_stream``,
-``refresh_group_tables``, ``fit_transform_stream``'s second pass) is
-bit-identical to its sequential twin, and the fault-isolation machinery
-(degrade NaN-fills, breakers, strict mid-stream errors) composes with
-worker threads unchanged.
+The serve layer runs one shard at a time, but nothing stops a caller
+from transforming shards concurrently on its own thread pool (a request
+server does exactly that).  The contract: worker threads change *when*
+a shard is transformed, never *what* comes out — outputs collected in
+shard order are bit-identical to the sequential stream, the
+fault-isolation machinery (degrade NaN-fills, shared breakers, strict
+errors after the healthy prefix) composes with the threads unchanged,
+and independent group-table refreshes running side by side agree with
+the sequential refresh for any chunking.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core import SmartFeat
 from repro.core.sandbox import TransformError
-from repro.core.shard_pipeline import PipelineStats
 from repro.dataframe.io import concat_shards, iter_frame_shards
 from repro.eval.serving import build_demo_result
-from repro.fm import SimulatedFM
 from repro.serve import (
     BreakerBoard,
     FeaturePlan,
@@ -37,124 +36,37 @@ def demo():
     return plan, frame, plan.apply(frame)
 
 
-class TestApplyStreamPipelined:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_bit_identical_to_sequential(self, demo, workers):
-        plan, frame, base = demo
-        merged = concat_shards(
-            list(
-                plan.apply_stream(
-                    iter_frame_shards(frame, 113), pipeline_workers=workers
-                )
-            )
-        )
-        identical, detail = frames_identical(merged, base)
-        assert identical, f"workers={workers}: {detail}"
-
-    def test_budget_rechunk_identical_under_workers(self, demo):
-        """The budget divides across in-flight shards, so the pipelined
-        path re-chunks differently — the concatenated stream must not
-        care."""
-        plan, frame, base = demo
-        sequential = concat_shards(
-            list(plan.apply_stream(iter_frame_shards(frame, 600), memory_budget_mb=1))
-        )
-        piped = list(
-            plan.apply_stream(
-                iter_frame_shards(frame, 600),
-                memory_budget_mb=1,
-                pipeline_workers=3,
-            )
-        )
-        assert len(piped) > 1, "1 MB across 6 in-flight shards must re-chunk"
-        merged = concat_shards(piped)
-        for other in (sequential, base):
-            identical, detail = frames_identical(merged, other)
-            assert identical, detail
-
-    def test_explicit_prefetch(self, demo):
-        plan, frame, base = demo
-        merged = concat_shards(
-            list(
-                plan.apply_stream(
-                    iter_frame_shards(frame, 97),
-                    pipeline_workers=2,
-                    pipeline_prefetch=5,
-                )
-            )
-        )
-        identical, detail = frames_identical(merged, base)
-        assert identical, detail
-
-    def test_stats_record_the_stream(self, demo):
-        plan, frame, _ = demo
-        stats = PipelineStats()
-        list(
-            plan.apply_stream(
-                iter_frame_shards(frame, 100),
-                pipeline_workers=2,
-                pipeline_stats=stats,
-            )
-        )
-        payload = stats.to_dict()
-        assert payload["runs"] == 1
-        assert payload["shards_in"] == payload["shards_out"] == 6
-        assert payload["wall_s"] > 0
-        assert payload["stage_s"]["transform"] > 0
-
-    def test_invalid_workers_raise(self, demo):
-        from repro.serve import PlanError
-
-        plan, frame, _ = demo
-        with pytest.raises(PlanError, match="workers"):
-            list(
-                plan.apply_stream(
-                    iter_frame_shards(frame, 100), pipeline_workers=0
-                )
-            )
+def _shard_frames(frame, rows):
+    return [shard.frame for shard in iter_frame_shards(frame, rows)]
 
 
 class TestTransformStreamPipelined:
     def test_bit_identical_and_stats_surfaced(self, demo):
+        """One server shared by three worker threads serves the same bits
+        as its sequential stream, and its counters see every row."""
         plan, frame, base = demo
         sequential = FeatureServer(plan)
-        piped = FeatureServer(plan)
+        threaded = FeatureServer(plan)
         seq_out = concat_shards(
             list(sequential.transform_stream(iter_frame_shards(frame, 150)))
         )
-        pipe_out = concat_shards(
-            list(
-                piped.transform_stream(
-                    iter_frame_shards(frame, 150), pipeline_workers=3
-                )
-            )
-        )
-        identical, detail = frames_identical(pipe_out, seq_out)
-        assert identical, detail
-        identical, detail = frames_identical(pipe_out, base)
-        assert identical, detail
-        assert sequential.stats()["pipeline"] == {}
-        pipe_stats = piped.stats()["pipeline"]
-        assert pipe_stats["shards_out"] == 4
-        assert pipe_stats["workers"] == 3
-        assert piped.stats()["rows_in"] == len(frame)
-
-    def test_stats_accumulate_across_streams(self, demo):
-        plan, frame, _ = demo
-        server = FeatureServer(plan)
-        for _ in range(2):
-            list(
-                server.transform_stream(
-                    iter_frame_shards(frame, 200), pipeline_workers=2
-                )
-            )
-        payload = server.stats()["pipeline"]
-        assert payload["runs"] == 2
-        assert payload["shards_out"] == 6
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            outs = list(pool.map(threaded.transform, _shard_frames(frame, 150)))
+        assert [len(o) for o in outs] == [150, 150, 150, 150]
+        merged = concat_shards(outs)
+        for other in (seq_out, base):
+            identical, detail = frames_identical(merged, other)
+            assert identical, detail
+        seq_stats, thread_stats = sequential.stats(), threaded.stats()
+        assert "pipeline" not in seq_stats
+        assert "pipeline" not in thread_stats
+        for stats in (seq_stats, thread_stats):
+            assert stats["batches"] == 4
+            assert stats["rows_in"] == stats["rows_served"] == len(frame)
 
 
 class TestFaultIsolationComposition:
-    """PR 8's resilience machinery under PR 10's worker threads."""
+    """Per-feature fault isolation under caller-side worker threads."""
 
     @staticmethod
     def _fail_on_small_shard(feature):
@@ -170,18 +82,17 @@ class TestFaultIsolationComposition:
 
     def test_degrade_nan_fills_only_the_failing_shard(self, demo):
         plan, frame, base = demo
-        outs = list(
-            plan.apply_stream(
-                iter_frame_shards(frame, 250),  # 250 + 250 + 100
-                failure_policy="degrade",
-                evaluator=self._fail_on_small_shard("Income_z"),
-                pipeline_workers=3,
-            )
-        )
+        evaluator = self._fail_on_small_shard("Income_z")
+
+        def transform(shard):
+            return plan.apply(shard, failure_policy="degrade", evaluator=evaluator)
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            outs = list(pool.map(transform, _shard_frames(frame, 250)))
         assert [len(o) for o in outs] == [250, 250, 100]
-        expect = list(iter_frame_shards(base, 250))
+        expect = _shard_frames(base, 250)
         for idx in (0, 1):
-            identical, detail = frames_identical(outs[idx], expect[idx].frame)
+            identical, detail = frames_identical(outs[idx], expect[idx])
             assert identical, f"healthy shard {idx} diverged: {detail}"
         assert np.isnan(outs[2]["Income_z"].values).all()
         for name in base.columns:
@@ -189,24 +100,29 @@ class TestFaultIsolationComposition:
                 continue
             assert np.array_equal(
                 outs[2][name].values,
-                expect[2].frame[name].values,
+                expect[2][name].values,
                 equal_nan=outs[2][name].dtype.kind == "f",
             ), name
 
     def test_strict_raises_after_healthy_prefix(self, demo):
+        """Results drained in shard order surface every healthy shard
+        before the failing one re-raises on the caller's thread."""
         plan, frame, _ = demo
-        stream = plan.apply_stream(
-            iter_frame_shards(frame, 250),
-            evaluator=self._fail_on_small_shard("Income_z"),
-            pipeline_workers=3,
-        )
+        evaluator = self._fail_on_small_shard("Income_z")
+
+        def transform(shard):
+            return plan.apply(shard, evaluator=evaluator)
+
         got = []
-        with pytest.raises(TransformError, match="injected"):
-            for out in stream:
-                got.append(len(out))
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            with pytest.raises(TransformError, match="injected"):
+                for out in pool.map(transform, _shard_frames(frame, 250)):
+                    got.append(len(out))
         assert got == [250, 250]
 
     def test_breakers_trip_across_worker_threads(self, demo):
+        """One breaker board shared by four threads counts every failure
+        and opens, whichever thread trips it."""
         plan, frame, _ = demo
 
         def always_fail(spec, frame_, default):
@@ -215,15 +131,17 @@ class TestFaultIsolationComposition:
             return default()
 
         breakers = BreakerBoard(failure_threshold=2, cooldown_calls=100)
-        outs = list(
-            plan.apply_stream(
-                iter_frame_shards(frame, 100),
+
+        def transform(shard):
+            return plan.apply(
+                shard,
                 failure_policy="degrade",
                 breakers=breakers,
                 evaluator=always_fail,
-                pipeline_workers=4,
             )
-        )
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outs = list(pool.map(transform, _shard_frames(frame, 100)))
         assert len(outs) == 6
         assert breakers.snapshot()["Income_z"]["state"] == "open"
         for out in outs:
@@ -231,65 +149,20 @@ class TestFaultIsolationComposition:
 
 
 class TestRefreshGroupTablesPipelined:
-    def test_refreshed_tables_bit_identical(self, demo):
-        """Feature materialization fans out to workers but the streaming
-        fold stays a strict left-fold in stream order, so the refreshed
-        plan JSON is identical byte-for-byte (sorted keys)."""
-        plan, frame, _ = demo
-        sequential = FeaturePlan.from_json(plan.to_json())
-        piped = FeaturePlan.from_json(plan.to_json())
-        assert sequential.refresh_group_tables(iter_frame_shards(frame, 97)) == 2
-        assert (
-            piped.refresh_group_tables(
-                iter_frame_shards(frame, 97), pipeline_workers=3
-            )
-            == 2
-        )
-        assert json.dumps(json.loads(sequential.to_json()), sort_keys=True) == (
-            json.dumps(json.loads(piped.to_json()), sort_keys=True)
-        )
-        out_a, out_b = sequential.apply(frame), piped.apply(frame)
-        identical, detail = frames_identical(out_b, out_a)
-        assert identical, detail
-
     def test_chunking_and_workers_invariant(self, demo):
+        """Independent plan copies refreshed side by side on worker
+        threads share no fold state: each lands on the sequential JSON."""
         plan, frame, _ = demo
         baseline = FeaturePlan.from_json(plan.to_json())
-        baseline.refresh_group_tables(iter_frame_shards(frame, 211))
+        assert baseline.refresh_group_tables(iter_frame_shards(frame, 211)) == 2
         want = json.dumps(json.loads(baseline.to_json()), sort_keys=True)
-        for chunk, workers in ((1, 2), (211, 4), (10**6, 1)):
+
+        def refresh(chunk):
             p = FeaturePlan.from_json(plan.to_json())
-            p.refresh_group_tables(
-                iter_frame_shards(frame, chunk), pipeline_workers=workers
-            )
-            got = json.dumps(json.loads(p.to_json()), sort_keys=True)
-            assert got == want, f"chunk={chunk} workers={workers}"
+            p.refresh_group_tables(iter_frame_shards(frame, chunk))
+            return json.dumps(json.loads(p.to_json()), sort_keys=True)
 
-
-class TestFitTransformStreamPipelined:
-    def test_second_pass_refresh_identical(self):
-        def make_tool():
-            return SmartFeat(
-                fm=SimulatedFM(seed=0, model="gpt-4"),
-                function_fm=SimulatedFM(seed=1, model="gpt-3.5-turbo"),
-                compile_plan=True,
-            )
-
-        _, frame = build_demo_result(600, seed=0)
-
-        def run(**kwargs):
-            return make_tool().fit_transform_stream(
-                lambda: iter_frame_shards(frame, 157),
-                "Target",
-                fit_sample_rows=400,
-                sample_seed=7,
-                **kwargs,
-            )
-
-        sequential = run()
-        piped = run(pipeline_workers=3, pipeline_prefetch=2)
-        identical, detail = frames_identical(piped.frame, sequential.frame)
-        assert identical, detail
-        assert json.dumps(
-            json.loads(piped.plan.to_json()), sort_keys=True
-        ) == json.dumps(json.loads(sequential.plan.to_json()), sort_keys=True)
+        for chunk, workers in ((1, 2), (211, 4), (10**6, 1)):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                got = list(pool.map(refresh, [chunk] * workers))
+            assert got == [want] * workers, f"chunk={chunk} workers={workers}"

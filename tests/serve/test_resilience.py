@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.sandbox import TransformError
-from repro.dataframe import DataFrame
+from repro.dataframe import DataFrame, Series
+from repro.dataframe.expr import ExprError
 from repro.eval.serving import build_demo_result
 from repro.serve import (
     BreakerBoard,
     CircuitBreaker,
+    FeaturePlan,
     FeatureServer,
+    FeatureSpec,
     PlanError,
     PlanRegistry,
     SandboxWatchdog,
@@ -351,3 +354,52 @@ class TestHealthSurface:
         server.transform(frame)
         assert server.stats()["batches"] == 1
         assert server.health()["status"] == "ok"
+
+    def test_strict_server_counts_per_feature_outcomes(self, plan_result_frame):
+        plan, _result, frame = plan_result_frame
+        server = FeatureServer(plan=plan)
+        server.transform(frame)
+        features = server.stats()["features"]
+        for spec in plan.features:
+            if spec.status != "omitted":
+                assert features[spec.name] == {"ok": 1, "failed": 0, "skipped": 0}
+
+
+def _target_reading_plan() -> FeaturePlan:
+    """One compiled feature over the target ``y``, which the serve-time
+    schema does not require and the serve frame below lacks."""
+    return FeaturePlan(
+        input_columns=["x", "y"],
+        input_schema=[("x", "numeric")],
+        target="y",
+        features=[
+            FeatureSpec(
+                name="y_twice",
+                family="unary",
+                description="",
+                input_columns=["y"],
+                output_columns=["y_twice"],
+                status="compiled",
+                expr={
+                    "op": "mul",
+                    "left": {"op": "col", "name": "y"},
+                    "right": {"op": "const", "value": 2},
+                },
+            )
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "extras",
+    [{}, {"breakers": BreakerBoard()}, {"watchdog": SandboxWatchdog()}],
+    ids=["no-extras", "breakers", "watchdog"],
+)
+@pytest.mark.parametrize("entry", ["apply", "apply_with_report"])
+def test_strict_raises_on_missing_input_whatever_the_extras(entry, extras):
+    """Strict never NaN-fills: a feature whose input is absent at serve
+    time fails the batch with or without breakers or a watchdog."""
+    plan = _target_reading_plan()
+    frame = DataFrame({"x": Series([1.0, 2.0, 3.0], "x")})
+    with pytest.raises(ExprError, match="'y'"):
+        getattr(plan, entry)(frame, failure_policy="strict", **extras)

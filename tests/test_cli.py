@@ -51,6 +51,23 @@ class TestParser:
         with pytest.raises(SystemExit, match="quantile"):
             main(["run", "tennis", "--rows", "200", "--hedge", "1.5"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "tennis", "--executor", "thread"],
+            ["plan", "apply", "--plan", "p.json", "--csv", "r.csv", "--pipeline-workers", "2"],
+        ],
+        ids=["executor", "pipeline-workers"],
+    )
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_concurrency_must_be_positive(self):
+        with pytest.raises(SystemExit, match="--concurrency must be >= 1"):
+            main(["run", "tennis", "--rows", "200", "--concurrency", "0"])
+
 
 class TestClientSelection:
     """The FM pair is config-selected: simulator by default, live HTTP
@@ -129,6 +146,32 @@ class TestRunCommand:
             == 0
         )
         assert "Generated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags,backend,concurrency",
+        [
+            ([], "serial", 1),
+            (["--concurrency", "1"], "serial", 1),
+            (["--concurrency", "3"], "thread", 3),
+        ],
+        ids=["default", "one", "three"],
+    )
+    def test_concurrency_picks_the_backend(
+        self, monkeypatch, capsys, flags, backend, concurrency
+    ):
+        import repro.cli as cli
+
+        chosen = []
+        real = cli.resolve_executor
+
+        def recording(name, *args, **kwargs):
+            chosen.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "resolve_executor", recording)
+        assert main(["run", "tennis", "--rows", "200", *flags]) == 0
+        assert chosen == [backend]
+        assert f"FM execution: concurrency {concurrency}," in capsys.readouterr().out
 
     def test_run_on_csv_source(self, tmp_path, capsys):
         source = tmp_path / "data.csv"
@@ -341,95 +384,3 @@ class TestPlanCommands:
                 ]
             )
 
-
-class TestPipelineFlags:
-    """``plan apply --pipeline-workers``: overlapped execution with the
-    same output bytes."""
-
-    _write_csv = staticmethod(TestPlanCommands._write_csv)
-
-    def _export(self, tmp_path, n_rows=100):
-        source = tmp_path / "data.csv"
-        self._write_csv(source, n_rows=n_rows)
-        plan_path = tmp_path / "plan.json"
-        main(["plan", "export", str(source), "--target", "label", "--out", str(plan_path)])
-        return source, plan_path
-
-    def test_parser_accepts_pipeline_flags(self):
-        args = build_parser().parse_args(
-            [
-                "plan", "apply", "--plan", "p.json", "--csv", "r.csv",
-                "--chunk-rows", "64", "--pipeline-workers", "3",
-                "--pipeline-prefetch", "2",
-            ]
-        )
-        assert args.pipeline_workers == 3
-        assert args.pipeline_prefetch == 2
-
-    def test_pipelined_output_byte_identical(self, tmp_path, capsys):
-        source, plan_path = self._export(tmp_path)
-        capsys.readouterr()
-        sequential = tmp_path / "sequential.csv"
-        main(
-            [
-                "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                "--out", str(sequential), "--chunk-rows", "7",
-            ]
-        )
-        capsys.readouterr()
-        piped = tmp_path / "piped.csv"
-        assert (
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--out", str(piped), "--chunk-rows", "7",
-                    "--pipeline-workers", "3", "--pipeline-prefetch", "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Pipeline: 3 workers, prefetch 2" in out
-        assert "queue depth" in out
-        assert piped.read_bytes() == sequential.read_bytes()
-
-    def test_workers_require_chunk_rows(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-workers needs --chunk-rows"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--pipeline-workers", "2",
-                ]
-            )
-
-    def test_workers_must_be_positive(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-workers must be >= 1"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--chunk-rows", "8", "--pipeline-workers", "0",
-                ]
-            )
-
-    def test_prefetch_requires_workers(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-prefetch needs --pipeline-workers"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--chunk-rows", "8", "--pipeline-prefetch", "2",
-                ]
-            )
-
-    def test_prefetch_must_be_positive(self, tmp_path):
-        source, plan_path = self._export(tmp_path)
-        with pytest.raises(SystemExit, match="--pipeline-prefetch must be >= 1"):
-            main(
-                [
-                    "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
-                    "--chunk-rows", "8", "--pipeline-workers", "2",
-                    "--pipeline-prefetch", "0",
-                ]
-            )
