@@ -14,30 +14,41 @@ Four operations are timed on synthetic tables
   simulated client (vectorized path only; the loop path lives on in
   ``repro.dataframe.reference`` for the per-op comparisons).
 
+``column_profile`` — the one scan behind the feature screens and the
+agenda's column kinds — is checked against its loop oracle on every
+column of the smoke tables, the fit's generated features included.
+
 Each compared op runs both the retained loop reference and the vectorized
 path, asserts the outputs match (exact dtypes and missingness; float
 accumulations within a few ulp — summation order differs), and records
 the speedup.  ``python benchmarks/bench_dataplane.py`` runs standalone
 and writes ``BENCH_dataplane.json`` at the repo root;  ``--smoke`` runs a
 small row count and only the equivalence assertions (the CI regression
-gate).
+gate).  The full run stamps ``cpu_count``, the Python and numpy versions
+and the git commit into the file.
 """
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.agenda import MAX_LISTED_VALUES
 from repro.core.sandbox import run_transform
 from repro.datasets.synth import make_synthetic_bundle, make_synthetic_frame
 from repro.dataframe import DataFrame
+from repro.dataframe.kernels import column_profile
 from repro.dataframe.reference import (
     FLOAT_RTOL,
     REFERENCE_TRANSFORM_SOURCES,
     assert_frame_equivalent,
     assert_series_equivalent,
+    reference_column_profile,
     reference_feature_matrix,
     reference_groupby_agg,
     reference_groupby_transform,
@@ -132,13 +143,14 @@ def bench_feature_matrix(frame: DataFrame) -> dict:
 # ----------------------------------------------------------------------
 # Op: end-to-end fit_transform with a zero-latency simulated client
 # ----------------------------------------------------------------------
-def bench_fit_transform(n_rows: int, seed: int = 0) -> dict:
+def _fit(n_rows: int, seed: int):
+    """``(result, wall_s)`` of one zero-latency fit of the synthetic table."""
     from repro.core import SmartFeat
     from repro.fm import SimulatedFM
 
     bundle = make_synthetic_bundle(n_rows, seed=seed)
     pipeline = SmartFeat(SimulatedFM(seed=seed))
-    result, wall_s = _timed(
+    return _timed(
         lambda: pipeline.fit_transform(
             bundle["frame"],
             bundle["target"],
@@ -146,11 +158,45 @@ def bench_fit_transform(n_rows: int, seed: int = 0) -> dict:
             title=bundle["title"],
         )
     )
+
+
+def bench_fit_transform(n_rows: int, seed: int = 0) -> dict:
+    result, wall_s = _fit(n_rows, seed)
     return {
         "wall_s": round(wall_s, 3),
         "rows_per_s": round(n_rows / wall_s),
         "n_new_features": len(result.new_features),
         "dataplane": result.fm_usage["execution"]["dataplane"],
+    }
+
+
+def check_column_profiles(frame: DataFrame, label: str) -> None:
+    """``column_profile`` == its loop oracle on every column (reprs, so
+    ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` must agree too)."""
+    for name in frame.columns:
+        values = frame[name].values
+        new = column_profile(values, MAX_LISTED_VALUES)
+        ref = reference_column_profile(values, MAX_LISTED_VALUES)
+        assert repr(new) == repr(ref), f"column_profile[{label}.{name}]: {new} != {ref}"
+
+
+def environment() -> dict:
+    """Where the numbers were measured; ``-dirty`` marks uncommitted edits."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": sha,
     }
 
 
@@ -162,10 +208,15 @@ COMPARED_OPS = {
 }
 
 
-def run(row_counts=ROW_COUNTS, fit_transform_rows=(10_000, 100_000), seed: int = 0) -> dict:
+def run(row_counts=ROW_COUNTS, fit_transform_rows=ROW_COUNTS, seed: int = 0) -> dict:
     from conftest import peak_rss_mb
 
-    payload: dict = {"row_counts": list(row_counts), "ops": {}, "fit_transform": {}}
+    payload: dict = {
+        "environment": environment(),
+        "row_counts": list(row_counts),
+        "ops": {},
+        "fit_transform": {},
+    }
     for n_rows in row_counts:
         frame = make_synthetic_frame(n_rows, seed=seed)
         for op, bench in COMPARED_OPS.items():
@@ -199,9 +250,15 @@ def smoke() -> int:
         for op, bench in COMPARED_OPS.items():
             bench(frame)  # raises on any vectorized/reference divergence
             print(f"smoke {op} @ {n_rows} rows: vectorized == reference")
-        cell = bench_fit_transform(n_rows, seed=0)
-        assert cell["n_new_features"] > 0, "pipeline produced no features"
-        print(f"smoke fit_transform @ {n_rows} rows: {cell['n_new_features']} features")
+        result, _ = _fit(n_rows, seed=0)
+        assert result.new_features, "pipeline produced no features"
+        print(f"smoke fit_transform @ {n_rows} rows: {len(result.new_features)} features")
+        check_column_profiles(frame, "synthetic")
+        check_column_profiles(result.frame, "fit")
+        print(
+            f"smoke column_profile @ {n_rows} rows: "
+            f"{len(frame.columns) + len(result.frame.columns)} columns == reference"
+        )
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dataframe import DataFrame
+from repro.dataframe.kernels import column_profile
 
 __all__ = ["AgendaEntry", "DataAgenda"]
 
@@ -37,14 +38,10 @@ class AgendaEntry:
 def _column_kind(frame: DataFrame, name: str) -> tuple[str, list[str]]:
     """Classify a column and collect its listable category values."""
     series = frame[name]
+    profile = column_profile(series.values, MAX_LISTED_VALUES)
     if series.dtype == object:
-        uniques = series.unique()
-        values = [str(v) for v in uniques[:MAX_LISTED_VALUES]] if len(uniques) <= MAX_LISTED_VALUES else []
-        return "categorical", values
-    uniques = set(series.dropna().tolist())
-    if uniques <= {0, 1, 0.0, 1.0, True, False}:
-        return "binary", []
-    return "numeric", []
+        return "categorical", [str(v) for v in profile.uniques or ()]
+    return ("binary" if profile.binary else "numeric"), []
 
 
 @dataclass

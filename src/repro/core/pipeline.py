@@ -928,13 +928,13 @@ class SmartFeat:
         )
         classified: list[tuple[str, object, str, list[str]]] = []
         for column, series in report.accepted.items():
+            profile = report.profiles[column]
             kind = "numeric" if series.dtype.kind in "ifb" else "categorical"
-            uniques = series.unique()
-            if set(uniques) <= {0, 1, 0.0, 1.0, True, False}:
+            if profile.binary:
                 kind = "binary"
             values: list[str] = []
-            if kind == "categorical" and len(uniques) <= 15:
-                values = [str(v) for v in uniques]
+            if kind == "categorical" and profile.uniques is not None:
+                values = [str(v) for v in profile.uniques]
             classified.append((column, series, kind, values))
         with ctx.lock:
             for column, reason in report.rejected.items():

@@ -382,8 +382,7 @@ class StageScheduler:
     (whose in-flight bound spans them), so the overlap the sequential
     dispatch only *models* becomes measured wall-clock.  Stage-tagged
     batch records keep per-node spend exact when several stages charge
-    one ledger at once.  ``physical="off"`` forces sequential dispatch
-    regardless.
+    one ledger at once.  ``plan="serial"`` keeps dispatch sequential.
     """
 
     def __init__(
@@ -393,14 +392,11 @@ class StageScheduler:
         plan: str = "serial",
         budget: "Budget | None" = None,
         plan_budget: bool = False,
-        physical: str = "auto",
         completed: Iterable[str] = (),
         on_node_complete: Callable[[StageNode], None] | None = None,
     ) -> None:
         if plan not in ("serial", "overlap"):
             raise ValueError(f"invalid stage plan: {plan!r}")
-        if physical not in ("auto", "off"):
-            raise ValueError(f"invalid physical mode: {physical!r}")
         self.executor = executor
         # Deduplicate while preserving order (fm may be function_fm too).
         seen: "dict[int, FMClient]" = {}
@@ -410,7 +406,6 @@ class StageScheduler:
         self.plan = plan
         self.budget = budget
         self.plan_budget = plan_budget and budget is not None
-        self.physical = physical
         #: Node names a checkpointed earlier run already completed: they
         #: are marked ``"restored"`` and never dispatched (their outputs
         #: arrived with the restored context, their spend with the
@@ -428,9 +423,7 @@ class StageScheduler:
 
     def _physical_overlap(self) -> bool:
         """Whether this run may fan independent stages out for real."""
-        if self.physical == "off" or self.plan != "overlap":
-            return False
-        if self.executor.concurrency <= 1:
+        if self.plan != "overlap" or self.executor.concurrency <= 1:
             return False
         return all(
             getattr(client, "is_stateless", lambda: False)()

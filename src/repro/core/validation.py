@@ -8,9 +8,11 @@ output and returns the surviving columns with per-column verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.core.agenda import MAX_LISTED_VALUES
 from repro.dataframe import DataFrame, Series
+from repro.dataframe.kernels import ColumnProfile, column_profile
 
 __all__ = ["ValidationConfig", "ValidationReport", "validate_output"]
 
@@ -36,24 +38,29 @@ class ValidationReport:
 
     accepted: dict[str, Series]
     rejected: dict[str, str]  # column -> reason
+    #: Each accepted column's profile, for the installer's classification.
+    profiles: dict[str, ColumnProfile] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return bool(self.accepted)
 
 
-def _check_column(series: Series, n_rows: int, config: ValidationConfig) -> str | None:
-    """Return a rejection reason for one column, or None if it passes."""
+def _check_column(
+    series: Series, n_rows: int, config: ValidationConfig
+) -> tuple[str | None, ColumnProfile | None]:
+    """Return ``(rejection reason or None, the column's profile)``."""
     if len(series) != n_rows:
-        return f"length {len(series)} does not match dataframe length {n_rows}"
+        return f"length {len(series)} does not match dataframe length {n_rows}", None
     if n_rows == 0:
-        return "empty dataframe"
-    null_fraction = 1.0 - series.count() / n_rows
+        return "empty dataframe", None
+    profile = column_profile(series.values, MAX_LISTED_VALUES)
+    null_fraction = 1.0 - profile.non_null / n_rows
     if null_fraction > config.max_null_fraction:
-        return f"highly null ({null_fraction:.0%} missing)"
-    if config.reject_constant and series.nunique(dropna=False) <= 1:
-        return "single-valued"
-    return None
+        return f"highly null ({null_fraction:.0%} missing)", profile
+    if config.reject_constant and profile.single_valued:
+        return "single-valued", profile
+    return None, profile
 
 
 def validate_output(
@@ -70,27 +77,23 @@ def validate_output(
     expansion keeps its good columns.
     """
     config = config or ValidationConfig()
-    accepted: dict[str, Series] = {}
-    rejected: dict[str, str] = {}
+    report = ValidationReport({}, {})
     if isinstance(result, Series):
-        reason = _check_column(result, n_rows, config)
-        if reason is None:
-            accepted[result.name or name_hint] = result
-        else:
-            rejected[result.name or name_hint] = reason
-        return ValidationReport(accepted, rejected)
-    if len(result.columns) > config.max_dummy_columns:
+        columns = [(result.name or name_hint, result)]
+    elif len(result.columns) > config.max_dummy_columns:
         for column in result.columns:
-            rejected[column] = (
+            report.rejected[column] = (
                 f"expansion of {len(result.columns)} columns exceeds the "
                 f"high-cardinality limit ({config.max_dummy_columns})"
             )
-        return ValidationReport(accepted, rejected)
-    for column in result.columns:
-        series = result[column]
-        reason = _check_column(series, n_rows, config)
+        return report
+    else:
+        columns = [(column, result[column]) for column in result.columns]
+    for column, series in columns:
+        reason, profile = _check_column(series, n_rows, config)
         if reason is None:
-            accepted[column] = series
+            report.accepted[column] = series
+            report.profiles[column] = profile
         else:
-            rejected[column] = reason
-    return ValidationReport(accepted, rejected)
+            report.rejected[column] = reason
+    return report

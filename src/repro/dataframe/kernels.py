@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "ColumnProfile",
     "coerce_listlike",
+    "column_profile",
     "factorize_values",
     "is_missing_scalar",
     "iso_date_parts",
@@ -234,6 +236,169 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
             u.item() if isinstance(u, np.generic) else u for u in uniq[order]
         ]
     return _factorize_loop(values)
+
+
+# ----------------------------------------------------------------------
+# Column profile: the feature screens' and the agenda's one scan
+# ----------------------------------------------------------------------
+class ColumnProfile(NamedTuple):
+    """What the feature screens and the agenda read off a column.
+
+    * ``non_null`` — present values, as ``Series.count()``.
+    * ``single_valued`` — exactly ``len(set(series.tolist())) <= 1``.  A
+      set keeps every NaN float object apart, so each NaN counts as its
+      own value: ``[5.0, nan, nan]`` is *not* single-valued, while
+      ``[5.0, 5.0]`` and ``[0.0, -0.0]`` are.
+    * ``uniques`` — the distinct present values in first-seen order, as
+      ``Series.unique()``, or ``None`` once there are more than the cap.
+    * ``binary`` — exactly ``set(series.unique()) <= {0, 1}``: every
+      present value equals 0 or 1 (``0 == 0.0 == False``); vacuously true
+      when nothing is present.
+    """
+
+    non_null: int
+    single_valued: bool
+    uniques: list | None
+    binary: bool
+
+
+#: Leading rows the distinct-value probes read first; a column with more
+#: distinct values than the cap nearly always shows it there, so it never
+#: pays for a full sort or a full keying.
+_PROBE_ROWS = 1024
+
+_BINARY = frozenset((0, 1))
+
+
+def column_profile(values: np.ndarray, cap: int) -> ColumnProfile:
+    """Profile one column's backing array (see :class:`ColumnProfile`).
+
+    Numeric and boolean arrays take vectorized reductions: min/max for
+    the single-valued test (``-0.0 == 0.0``; NaNs counted apart), a
+    ``(v == 0) | (v == 1)`` test, and a capped first-seen distinct probe.
+    Other arrays keep exact Python set semantics in one pass that exits
+    once the single-valued and binary verdicts are settled and more than
+    *cap* distinct values were seen, so high-cardinality text is never
+    fully factorised; columns of plain ``str``/``int``/``bool``/``None``
+    cells run that pass as C-level dict keying.  Cells must be hashable,
+    as the set semantics require (an unhashable cell raises
+    ``TypeError``).
+    """
+    kind = values.dtype.kind
+    if kind == "f":
+        missing = np.isnan(values)
+        n_nan = int(missing.sum())
+        present = values[~missing] if n_nan else values
+        return ColumnProfile(
+            non_null=len(present),
+            single_valued=_distinct_upto_two(present) + n_nan <= 1,
+            uniques=_numeric_uniques(present, cap),
+            binary=_all_binary(present),
+        )
+    if kind in "iub":
+        return ColumnProfile(
+            non_null=len(values),
+            single_valued=_distinct_upto_two(values) <= 1,
+            uniques=_numeric_uniques(values, cap),
+            binary=kind == "b" or _all_binary(values),
+        )
+    return _object_profile(values, cap)
+
+
+def _distinct_upto_two(present: np.ndarray) -> int:
+    """Distinct values of a NaN-free numeric array, capped at 2."""
+    if not len(present):
+        return 0
+    return 1 if present.min() == present.max() else 2
+
+
+def _all_binary(present: np.ndarray) -> bool:
+    return bool(((present == 0) | (present == 1)).all())
+
+
+def _numeric_uniques(present: np.ndarray, cap: int) -> list | None:
+    """First-seen distinct values of a NaN-free numeric array as Python
+    scalars, or ``None`` when there are more than *cap*.
+
+    The leading rows are probed first; when every later value is among
+    the probe's, the probe's first occurrences are the column's.
+    """
+    head = present[:_PROBE_ROWS]
+    distinct, first = np.unique(head, return_index=True)
+    if len(distinct) > cap:
+        return None
+    if len(head) < len(present) and not np.isin(present[len(head):], distinct).all():
+        distinct, first = np.unique(present, return_index=True)
+        if len(distinct) > cap:
+            return None
+    return present[np.sort(first)].tolist()
+
+
+#: Cell types whose equality with ``None`` is identity and that are never
+#: NaN or numpy scalars: a C-level ``dict.fromkeys`` has the set
+#: semantics for columns of these.
+_PLAIN_CELLS = frozenset((str, int, bool, type(None)))
+
+
+def _object_profile(values: np.ndarray, cap: int) -> ColumnProfile:
+    """The exact set-semantics scan for object (and other) arrays.
+
+    ``ndarray.tolist`` unboxes numpy scalars of typed arrays but keeps
+    object cells as stored, so numpy scalars in object cells are unboxed
+    here, like ``Series.tolist`` does: an unboxed NaN is a fresh float,
+    hence distinct from every other NaN, while one NaN object repeated
+    is one set member.
+    """
+    items = values.tolist()
+    if values.dtype != object:  # typed cells: nothing is missing
+        non_null = len(items)
+    elif set(map(type, items)) <= _PLAIN_CELLS:
+        return _plain_profile(items, cap)
+    else:
+        non_null = len(items) - sum(map(is_missing_scalar, items))
+    seen: set = set()  # set(series.tolist()), kept to two members
+    present: dict = {}  # Series.unique(), kept to cap + 1 members
+    binary = True
+    for v in items:
+        if isinstance(v, np.generic):
+            v = v.item()
+        if len(seen) < 2:
+            seen.add(v)
+        if v in present or is_missing_scalar(v):
+            continue
+        present[v] = None
+        if binary and v not in _BINARY:
+            binary = False
+        if len(present) > cap and len(seen) > 1 and not binary:
+            break
+    return ColumnProfile(
+        non_null=non_null,
+        single_valued=len(seen) <= 1,
+        uniques=list(present) if len(present) <= cap else None,
+        binary=binary,
+    )
+
+
+def _plain_profile(items: list, cap: int) -> ColumnProfile:
+    """:func:`_object_profile` for cells of :data:`_PLAIN_CELLS` types.
+
+    The leading rows settle every verdict once they hold more than
+    ``max(cap, 2)`` distinct present values: the column is then neither
+    single-valued nor binary (0 and 1 are the only binary keys) and has
+    no listable uniques.  Otherwise the whole column is keyed.
+    """
+    distinct = dict.fromkeys(items[:_PROBE_ROWS])
+    if len(distinct) - (None in distinct) <= max(cap, 2):
+        distinct = dict.fromkeys(items)
+    n_seen = len(distinct)
+    distinct.pop(None, None)
+    present = list(distinct)
+    return ColumnProfile(
+        non_null=len(items) - items.count(None),
+        single_valued=n_seen <= 1,
+        uniques=present if len(present) <= cap else None,
+        binary=all(v in _BINARY for v in present),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
+from repro.dataframe.kernels import ColumnProfile
 from repro.dataframe.series import Series, _is_missing_scalar
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "reference_apply",
     "reference_astype",
     "reference_coerce_values",
+    "reference_column_profile",
     "reference_cut",
     "reference_factorize",
     "reference_feature_matrix",
@@ -173,6 +175,24 @@ def reference_nunique(series: Series, dropna: bool = True) -> int:
     if dropna:
         values = [v for v in values if not _is_missing_scalar(v)]
     return len(set(values))
+
+
+#: The binary-column test the screens and the agenda applied to a
+#: column's distinct values.
+_BINARY_VALUES = {0, 1, 0.0, 1.0, True, False}
+
+
+def reference_column_profile(values: np.ndarray, cap: int) -> ColumnProfile:
+    """``column_profile`` from the expressions it replaced: ``count()``, the
+    ``len(set(tolist()))`` single-valued screen and the ``unique()`` scans."""
+    series = Series._from_array(values)
+    uniques = reference_unique(series)
+    return ColumnProfile(
+        non_null=series.count(),
+        single_valued=reference_nunique(series, dropna=False) <= 1,
+        uniques=uniques if len(uniques) <= cap else None,
+        binary=set(uniques) <= _BINARY_VALUES,
+    )
 
 
 def reference_mode(series: Series) -> Any:

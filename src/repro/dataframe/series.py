@@ -513,7 +513,16 @@ class Series:
         if dropna:
             _, counts = self._counts_first_seen()
             return len(counts)
-        # NaN markers are identity-distinct in a set, so keep the exact loop.
+        # The semantics are len(set(self.tolist())).  Every NaN .item() is
+        # a fresh float, and a set keeps unequal objects apart, so each NaN
+        # of a float column counts once more; int and bool columns have no
+        # missing values.  Object cells keep the exact loop (one NaN object
+        # repeated is one member, None is one, 1 == 1.0 == True).
+        kind = self._values.dtype.kind
+        if kind == "f":
+            return self.nunique() + int(np.isnan(self._values).sum())
+        if kind in "iub":
+            return self.nunique()
         return len(set(self.tolist()))
 
     def unique(self) -> list:

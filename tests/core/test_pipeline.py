@@ -169,3 +169,62 @@ class TestErrorHandling:
         result = tool.fit_transform(insurance_frame, target="Safe")
         assert result.errors["binary"] == 2
         assert fm.ledger.n_calls == 2  # stopped at the threshold, not the budget
+
+
+class TestColumnProfileFitIdentity:
+    """A fit classifies columns through ``column_profile``; swapping in the
+    loop oracle built from the expressions it replaced must change nothing."""
+
+    @staticmethod
+    def _fit(monkeypatch, profile):
+        from repro.core import agenda as agenda_module
+        from repro.core import validation
+        from repro.core.agenda import DataAgenda
+        from repro.datasets.synth import make_synthetic_bundle
+
+        with monkeypatch.context() as patch:
+            patch.setattr(validation, "column_profile", profile)
+            patch.setattr(agenda_module, "column_profile", profile)
+            texts: list[str] = []  # every agenda rendering a prompt embedded
+            describe = DataAgenda.describe
+
+            def recording_describe(self):
+                texts.append(describe(self))
+                return texts[-1]
+
+            patch.setattr(DataAgenda, "describe", recording_describe)
+            bundle = make_synthetic_bundle(2000, seed=3)
+            fm = SimulatedFM(seed=0, model="gpt-4")
+            function_fm = SimulatedFM(seed=1, model="gpt-3.5-turbo")
+            result = SmartFeat(fm, function_fm=function_fm).fit_transform(
+                bundle["frame"],
+                bundle["target"],
+                descriptions=bundle["descriptions"],
+                title=bundle["title"],
+            )
+        frame = [
+            (name, str(result.frame[name].dtype), repr(result.frame[name].values.tolist()))
+            for name in result.frame.columns
+        ]
+        ledgers = [
+            (c.ledger.n_calls, c.ledger.prompt_tokens, c.ledger.completion_tokens)
+            for c in (fm, function_fm)
+        ]
+        return {
+            "features": {n: f.output_columns for n, f in result.new_features.items()},
+            "rejections": result.rejections,
+            "dropped": result.dropped,
+            "agenda": texts,
+            "ledgers": ledgers,
+            "frame": frame,
+        }
+
+    def test_fit_matches_the_oracle_classification(self, monkeypatch):
+        from repro.dataframe.kernels import column_profile
+        from repro.dataframe.reference import reference_column_profile
+
+        fast = self._fit(monkeypatch, column_profile)
+        oracle = self._fit(monkeypatch, reference_column_profile)
+        assert fast == oracle
+        assert fast["features"] and fast["agenda"]
+        assert "single-valued" in fast["rejections"].values()

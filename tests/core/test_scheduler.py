@@ -460,9 +460,8 @@ class TestPhysicalOverlap:
             assert self._scheduler(pool, stateless, plan="overlap")._physical_overlap()
             assert not self._scheduler(pool, stateless, plan="serial")._physical_overlap()
             assert not self._scheduler(pool, seeded, plan="overlap")._physical_overlap()
-            assert not self._scheduler(
-                pool, stateless, plan="overlap", physical="off"
-            )._physical_overlap()
+            mixed = stateless + seeded
+            assert not self._scheduler(pool, mixed, plan="overlap")._physical_overlap()
         assert not self._scheduler(
             FMExecutor(), stateless, plan="overlap"
         )._physical_overlap()

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import DataFrame, Series, cut, factorize, get_dummies
+from repro.dataframe.kernels import column_profile
 from repro.dataframe.reference import (
     REFERENCE_TRANSFORM_SOURCES,
     assert_frame_equivalent,
@@ -26,6 +27,7 @@ from repro.dataframe.reference import (
     reference_apply,
     reference_astype,
     reference_coerce_values,
+    reference_column_profile,
     reference_cut,
     reference_factorize,
     reference_get_dummies,
@@ -34,6 +36,7 @@ from repro.dataframe.reference import (
     reference_isin,
     reference_map,
     reference_mode,
+    reference_nunique,
     reference_unique,
     reference_value_counts,
     reference_where,
@@ -224,6 +227,148 @@ def test_unique_counts_factorize_match_reference(values):
     codes_ref, uniques_ref = reference_factorize(s)
     assert codes_new.tolist() == codes_ref.tolist()
     assert uniques_new == uniques_ref
+    assert s.nunique(dropna=False) == reference_nunique(s, dropna=False)
+
+
+# ----------------------------------------------------------------------
+# Column profile: the screens' and the agenda's one scan
+# ----------------------------------------------------------------------
+PROFILE_CAP = 15
+
+#: One NaN object shared by every cell that draws it (a set counts it once).
+SHARED_NAN = float("nan")
+
+profile_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5.0, math.inf, -math.inf]), finite_floats
+)
+object_cells = st.one_of(
+    st.none(),
+    st.just(SHARED_NAN),
+    st.builds(float, st.just("nan")),  # a fresh NaN object per cell
+    st.builds(np.float64, st.just("nan")),
+    st.sampled_from(["nan", "NaN", "", "a", "b"]),
+    st.sampled_from([0, 1, 0.0, 1.0, -0.0, True, False]),
+    st.sampled_from([np.int64(1), np.float64(0.0), np.bool_(True)]),
+    st.integers(-2, 20),
+)
+
+
+def _scalar_key(value):
+    """Type plus repr: tells 1 from 1.0 from True, and 0.0 from -0.0."""
+    return type(value), repr(value)
+
+
+def assert_profile_matches_reference(values: np.ndarray, cap: int = PROFILE_CAP) -> None:
+    """Each field of ``column_profile`` against the expressions it replaced."""
+    profile = column_profile(values, cap)
+    series = Series._from_array(values)
+    uniques = reference_unique(series)
+    assert profile.non_null == series.count()
+    assert profile.single_valued == (reference_nunique(series, dropna=False) <= 1)
+    if len(uniques) > cap:
+        assert profile.uniques is None
+    else:
+        assert [_scalar_key(u) for u in profile.uniques] == [_scalar_key(u) for u in uniques]
+    assert profile.binary == (set(uniques) <= {0, 1, 0.0, 1.0, True, False})
+    assert profile == reference_column_profile(values, cap)
+
+
+@st.composite
+def float_columns(draw):
+    """Floats with 0, 1 or several NaNs at random positions, ±0.0 and ±inf."""
+    body = draw(st.lists(profile_floats, max_size=40))
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3]))):
+        body.insert(draw(st.integers(0, len(body))), math.nan)
+    return np.array(body, dtype=np.float64)
+
+
+@st.composite
+def cardinality_columns(draw):
+    """Exactly 14-17 distinct present values around the cap of 15, as
+    int, float or string columns, optionally with missing cells."""
+    k = draw(st.sampled_from([14, 15, 16, 17]))
+    pool = draw(
+        st.sampled_from(
+            [list(range(k)), [i / 2 for i in range(k)], [f"v{i}" for i in range(k)]]
+        )
+    )
+    cells = draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=20))))
+    for _ in range(draw(st.integers(0, 2))):
+        cells.insert(draw(st.integers(0, len(cells))), None)
+    return Series(cells).values
+
+
+@given(float_columns())
+@settings(max_examples=300)
+def test_column_profile_floats_match_reference(values):
+    assert_profile_matches_reference(values)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 20), max_size=60).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans(), max_size=20).map(lambda v: np.array(v, dtype=bool)),
+    )
+)
+@settings(max_examples=200)
+def test_column_profile_ints_and_bools_match_reference(values):
+    assert_profile_matches_reference(values)
+
+
+@given(st.lists(object_cells, max_size=40), st.sampled_from([0, 1, 2, PROFILE_CAP]))
+@settings(max_examples=300)
+def test_column_profile_objects_match_reference(cells, cap):
+    values = np.empty(len(cells), dtype=object)
+    values[:] = cells
+    assert_profile_matches_reference(values, cap)
+
+
+@given(cardinality_columns(), st.sampled_from([0, 1, 2, 14, 15, 16]))
+@settings(max_examples=200)
+def test_column_profile_around_the_cap_matches_reference(values, cap):
+    assert_profile_matches_reference(values, cap)
+
+
+def test_column_profile_long_columns_match_reference():
+    """Past the probe rows: a late new value, a tail of probe values only,
+    and high-cardinality text that exits early."""
+    rng = np.random.default_rng(0)
+    low = rng.integers(0, 10, 5000)
+    late = low.copy()
+    late[4000] = 99
+    crowded = late.copy()
+    crowded[4001:4010] = np.arange(200, 209)
+    columns = [low, late, crowded, low.astype(np.float64), late / 2.0]
+    strings = np.array([f"c{v}" for v in low], dtype=object)
+    late_strings = strings.copy()
+    late_strings[4500] = "late"
+    text = np.array([f"t{i}" for i in range(5000)], dtype=object)
+    text[7] = None
+    columns += [strings, late_strings, text]
+    for values in columns:
+        assert_profile_matches_reference(values)
+    # Two binary keys in the probe rows must not settle a cap-1 profile.
+    late_text = np.array([0, 1] * 1000 + ["a"], dtype=object)
+    assert_profile_matches_reference(late_text, cap=1)
+
+
+def test_nan_counts_apart_so_one_value_plus_two_nans_is_not_single_valued():
+    values = np.array([5.0, math.nan, math.nan])
+    assert not column_profile(values, PROFILE_CAP).single_valued
+    assert Series._from_array(values).nunique(dropna=False) == 3
+
+
+def test_repeated_value_is_single_valued():
+    values = np.array([5.0, 5.0])
+    assert column_profile(values, PROFILE_CAP).single_valued
+    assert Series._from_array(values).nunique(dropna=False) == 1
+
+
+def test_signed_zeros_are_single_valued():
+    values = np.array([0.0, -0.0])
+    profile = column_profile(values, PROFILE_CAP)
+    assert profile.single_valued and profile.binary
+    assert [_scalar_key(u) for u in profile.uniques] == [_scalar_key(0.0)]
 
 
 @given(st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=40), st.booleans())
