@@ -166,7 +166,10 @@ def bench_fit_transform(n_rows: int, seed: int = 0) -> dict:
         "wall_s": round(wall_s, 3),
         "rows_per_s": round(n_rows / wall_s),
         "n_new_features": len(result.new_features),
-        "dataplane": result.fm_usage["execution"]["dataplane"],
+        "dataplane_s": {
+            node["name"]: node["dataplane_s"]
+            for node in result.fm_usage["execution"]["schedule"]["nodes"]
+        },
     }
 
 

@@ -19,16 +19,17 @@ Three sections:
 
 ``python benchmarks/bench_resilience.py`` writes ``BENCH_resilience.json``
 at the repo root; ``--smoke`` runs smaller row counts with the same
-assertions (the CI gate).
+assertions (the CI gate) and writes ``results/BENCH_resilience.smoke.json``
+instead.
 """
 
 import argparse
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
+from conftest import bench_json_path
 from repro.eval.chaos import CHAOS_MODES, ChaosSchedule, FaultInjector, hostile_rows
 from repro.eval.serving import build_demo_result
 from repro.serve import (
@@ -255,7 +256,7 @@ def main() -> int:
     args = parser.parse_args()
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
+    out = bench_json_path("resilience", args.smoke)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

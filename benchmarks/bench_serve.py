@@ -19,15 +19,15 @@ Three sections:
 
 ``python benchmarks/bench_serve.py`` writes ``BENCH_serve.json`` at the
 repo root; ``--smoke`` runs smaller row counts with the same assertions
-(the CI gate).
+(the CI gate) and writes ``results/BENCH_serve.smoke.json`` instead.
 """
 
 import argparse
 import json
 import threading
 import time
-from pathlib import Path
 
+from conftest import bench_json_path
 from repro.dataframe.expr import evaluate_feature
 from repro.eval.serving import (
     ALL_DATASETS,
@@ -203,7 +203,7 @@ def main() -> int:
     args = parser.parse_args()
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+    out = bench_json_path("serve", args.smoke)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

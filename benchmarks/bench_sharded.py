@@ -20,7 +20,7 @@ against plan work.
 and writes ``BENCH_sharded.json`` at the repo root; ``--smoke`` runs the
 identity gates (demo workload across chunkings, all nine eval datasets
 sharded vs in-memory) plus a small two-phase run, same assertions on
-identity, and writes the same artifact (the CI gate).
+identity, and writes ``results/BENCH_sharded.smoke.json`` (the CI gate).
 """
 
 import argparse
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import peak_rss_mb
+from conftest import bench_json_path, peak_rss_mb
 from repro.dataframe.io import concat_shards, iter_frame_shards
 from repro.eval.serving import (
     ALL_DATASETS,
@@ -44,8 +44,6 @@ from repro.eval.serving import (
     sharded_identity_report,
 )
 from repro.serve import FeaturePlan, compile_plan, frames_identical
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FULL_ROWS = 10_000_000
 FULL_BUDGET_MB = 2048.0
@@ -359,7 +357,7 @@ def main() -> int:
         return 0
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = REPO_ROOT / "BENCH_sharded.json"
+    out = bench_json_path("sharded", args.smoke)
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

@@ -43,6 +43,7 @@ from repro.fm import (
     SimulatedHTTPTransport,
     TransportFMClient,
 )
+from repro.serve import frames_identical
 
 # ----------------------------------------------------------------------
 # Hedging: tail-latency spikes
@@ -223,19 +224,6 @@ def _install_kill_switch(tool: SmartFeat, kill_after: int) -> None:
         client._complete_with_state = killer
 
 
-def _frames_identical(a, b) -> bool:
-    if a.columns != b.columns:
-        return False
-    for column in a.columns:
-        left, right = a[column].to_numpy(), b[column].to_numpy()
-        if left.dtype.kind == "O":
-            if not all(x == y for x, y in zip(left.tolist(), right.tolist())):
-                return False
-        elif left.tobytes() != right.tobytes():
-            return False
-    return True
-
-
 def run_resume_benchmark(n_repeats: int = 6, tmp_dir: Path | None = None) -> dict:
     import tempfile
 
@@ -271,7 +259,7 @@ def run_resume_benchmark(n_repeats: int = 6, tmp_dir: Path | None = None) -> dic
         "resumed_total_cost_usd": round(total_cost, 6),
         "respent_calls": total_calls - base_calls,
         "respent_cost_usd": round(total_cost - base_cost, 6),
-        "bit_identical": _frames_identical(result.frame, base_result.frame),
+        "bit_identical": frames_identical(result.frame, base_result.frame)[0],
     }
 
 

@@ -48,6 +48,18 @@ def paper_sweep():
     return run_sweep(BENCH_SWEEP_CONFIG)
 
 
+def bench_json_path(name: str, smoke: bool) -> Path:
+    """Where a benchmark script writes its JSON: ``BENCH_<name>.json`` at
+    the repo root for a full run, ``results/BENCH_<name>.smoke.json``
+    (gitignored) for ``--smoke``, so a smoke run never overwrites the
+    full-mode numbers."""
+    root = Path(__file__).resolve().parent.parent
+    if not smoke:
+        return root / f"BENCH_{name}.json"
+    (root / "results").mkdir(exist_ok=True)
+    return root / "results" / f"BENCH_{name}.smoke.json"
+
+
 def write_result(results_dir: Path, name: str, text: str) -> None:
     """Persist a regenerated table and echo it to the terminal."""
     path = results_dir / name

@@ -277,10 +277,19 @@ def _load_source(args) -> tuple:
 
     if not args.target:
         raise SystemExit("--target is required for CSV sources")
-    frame = read_csv(args.source)
+    frame = _read_or_exit(read_csv, args.source)
     if args.target not in frame.columns:
         raise SystemExit(f"target column {args.target!r} not in {args.source}")
     return frame, args.target, None, "", ""
+
+
+def _read_or_exit(reader, path):
+    """``reader(path)``, with an unreadable CSV (e.g. a duplicated header
+    name or undecodable bytes) reported as a message, not a traceback."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise SystemExit(f"cannot read CSV: {exc}")
 
 
 def _make_clients(args) -> tuple:
@@ -489,7 +498,7 @@ def _cmd_plan_apply(args) -> int:
             if args.chunk_rows < 1:
                 raise SystemExit("--chunk-rows must be >= 1")
             return _plan_apply_streaming(args, server, plan)
-        rows = read_csv(args.csv)
+        rows = _read_or_exit(read_csv, args.csv)
         featured, report = server.transform_with_report(rows)
     except PlanError as exc:
         raise SystemExit(f"plan apply failed: {exc}")
@@ -530,7 +539,7 @@ def _plan_apply_streaming(args, server, plan) -> int:
     """
     from repro.dataframe.io import read_csv_shards, scan_csv_kinds, to_csv
 
-    schema = scan_csv_kinds(args.csv)
+    schema = _read_or_exit(scan_csv_kinds, args.csv)
     n_shards = 0
     columns: list[str] = []
     stream = server.transform_stream(

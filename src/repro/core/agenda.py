@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dataframe import DataFrame
-from repro.dataframe.kernels import column_profile
+from repro.dataframe import DataFrame, Series
+from repro.dataframe.kernels import ColumnProfile, column_profile
 
 __all__ = ["AgendaEntry", "DataAgenda"]
 
@@ -35,13 +35,19 @@ class AgendaEntry:
         return f"- {self.name} ({self.kind}{values}): {self.description}"
 
 
-def _column_kind(frame: DataFrame, name: str) -> tuple[str, list[str]]:
-    """Classify a column and collect its listable category values."""
-    series = frame[name]
-    profile = column_profile(series.values, MAX_LISTED_VALUES)
-    if series.dtype == object:
-        return "categorical", [str(v) for v in profile.uniques or ()]
-    return ("binary" if profile.binary else "numeric"), []
+def column_kind(series: Series, profile: ColumnProfile) -> tuple[str, list[str]]:
+    """A column's agenda kind and listable category values.
+
+    The one classifier for original and generated columns alike:
+    numeric storage is ``"binary"`` or ``"numeric"`` by its profile;
+    anything else (object cells, even ``True``/``False``/missing) is
+    ``"categorical"``, listing its first-seen values unless the column
+    exceeds :data:`MAX_LISTED_VALUES`.  *profile* is
+    ``column_profile(series.values, MAX_LISTED_VALUES)``.
+    """
+    if series.dtype.kind in "iufb":
+        return ("binary" if profile.binary else "numeric"), []
+    return "categorical", [str(v) for v in profile.uniques or ()]
 
 
 @dataclass
@@ -84,7 +90,10 @@ class DataAgenda:
         for name in frame.columns:
             if name == target:
                 continue
-            kind, values = _column_kind(frame, name)
+            series = frame[name]
+            kind, values = column_kind(
+                series, column_profile(series.values, MAX_LISTED_VALUES)
+            )
             agenda.entries[name] = AgendaEntry(
                 name=name,
                 kind=kind,

@@ -72,21 +72,6 @@ class FunctionGenerator:
         self.repair_retries = repair_retries
         self.executor = executor or FMExecutor()
 
-    def _run_transform(self, source: str, frame: DataFrame, timer=None):
-        """Execute one sandboxed transform, accounting it under
-        ``"transform_exec"`` when a timer is given.
-
-        The timer always arrives explicitly (the pipeline threads the
-        run's :class:`~repro.core.timing.StageTimer` through
-        ``realize``/``realize_batch``); the generator never parks one on
-        shared state, so physically concurrent stages sharing a
-        generator can never cross their timers.
-        """
-        if timer is None:
-            return run_transform(source, frame)
-        with timer.time("transform_exec"):
-            return run_transform(source, frame)
-
     # ------------------------------------------------------------------
     def realize(
         self,
@@ -94,7 +79,6 @@ class FunctionGenerator:
         agenda: DataAgenda,
         frame: DataFrame,
         executor: FMExecutor | None = None,
-        timer=None,
     ) -> RealizedFeature | RowCompletionPlan | SourceSuggestion:
         """Dispatch a candidate to the appropriate §3.3 scenario."""
         executor = executor or self.executor
@@ -103,8 +87,8 @@ class FunctionGenerator:
         if candidate.kind == "row_level":
             return self._row_level(candidate, frame, executor=executor)
         if candidate.family == OperatorFamily.HIGH_ORDER:
-            return self._high_order_direct(candidate, frame, timer=timer)
-        return self._via_function(candidate, agenda, frame, executor=executor, timer=timer)
+            return self._high_order_direct(candidate, frame)
+        return self._via_function(candidate, agenda, frame, executor=executor)
 
     def realize_batch(
         self,
@@ -112,7 +96,6 @@ class FunctionGenerator:
         agenda: DataAgenda,
         frame: DataFrame,
         executor: FMExecutor | None = None,
-        timer=None,
     ) -> list[RealizedFeature | RowCompletionPlan | SourceSuggestion | Exception]:
         """Realize a wave of candidates, batching the first FM attempts.
 
@@ -148,14 +131,11 @@ class FunctionGenerator:
                             frame,
                             first_attempt=first_attempts[i],
                             executor=executor,
-                            timer=timer,
                         )
                     )
                 else:
                     outcomes.append(
-                        self.realize(
-                            candidate, agenda, frame, executor=executor, timer=timer
-                        )
+                        self.realize(candidate, agenda, frame, executor=executor)
                     )
             except FMBudgetExceededError:
                 raise  # budget exhaustion aborts the run, not one candidate
@@ -173,7 +153,6 @@ class FunctionGenerator:
         frame: DataFrame,
         first_attempt: "FMResponse | Exception | None" = None,
         executor: FMExecutor | None = None,
-        timer=None,
     ) -> RealizedFeature:
         prompt = prompts.function_generation_prompt(agenda, candidate)
         fm_calls = 0
@@ -194,7 +173,7 @@ class FunctionGenerator:
             fm_calls += 1
             try:
                 source = extract_code(response.text)
-                result = self._run_transform(source, frame, timer=timer)
+                result = run_transform(source, frame)
                 break
             except (FMParseError, SandboxViolation, TransformError) as exc:
                 last_error = exc
@@ -222,7 +201,7 @@ class FunctionGenerator:
     # Scenario 1b: high-order features need no FM interaction
     # ------------------------------------------------------------------
     def _high_order_direct(
-        self, candidate: FeatureCandidate, frame: DataFrame, timer=None
+        self, candidate: FeatureCandidate, frame: DataFrame
     ) -> RealizedFeature:
         params = candidate.params
         group_cols = params["groupby_col"]
@@ -232,7 +211,7 @@ class FunctionGenerator:
             f"def transform(df):\n"
             f"    return df.groupby({group_cols!r})[{agg_col!r}].transform({function!r})\n"
         )
-        result = self._run_transform(source, frame, timer=timer)
+        result = run_transform(source, frame)
         values = self._as_columns(result, candidate.name)
         feature = GeneratedFeature(
             name=candidate.name,

@@ -53,7 +53,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.agenda import DataAgenda
+from repro.core.agenda import DataAgenda, column_kind
 from repro.core.checkpoint import (
     CheckpointStore,
     fingerprint as checkpoint_fingerprint,
@@ -80,7 +80,6 @@ from repro.core.types import (
     SourceSuggestion,
 )
 from repro.core.parsing import parse_json_response, parse_scalar
-from repro.core.timing import StageTimer
 from repro.core.validation import ValidationConfig, validate_output
 from repro.dataframe import DataFrame
 from repro.fm.base import Budget, FMClient
@@ -144,8 +143,9 @@ class StageContext:
     The scheduler owns dispatch; the context owns the data: the working
     frame and agenda every stage merges into (installation order *is*
     the deterministic merge order), the provenance tag per column that
-    stage views are cut by, the drop-heuristic bookkeeping sets, the
-    run's timer, and the draw budgets the budget planner granted.
+    stage views are cut by, the drop-heuristic bookkeeping sets, and
+    the draw budgets the budget planner granted.  The scheduler times
+    each stage itself (``NodeRecord``), so the context carries no clock.
     """
 
     working: DataFrame
@@ -153,7 +153,6 @@ class StageContext:
     result: SmartFeatResult
     original_features: list[str]
     target: str
-    timer: StageTimer
     restrict_views: bool = False
     #: Set by the scheduler when independent stages really run
     #: concurrently; views and installs then serialise on ``lock``.
@@ -417,7 +416,6 @@ class SmartFeat:
             result=result,
             original_features=[c for c in frame.columns if c != target],
             target=target,
-            timer=StageTimer(),
             # restrict_views is derived by the scheduler from its plan —
             # one source of truth for view semantics vs report label.
             column_tags={c: ORIGINALS_TAG for c in frame.columns},
@@ -475,10 +473,6 @@ class SmartFeat:
         execution = dict(self.executor.stats.snapshot())
         execution["concurrency"] = self.executor.concurrency
         execution["wave_size"] = self.wave_size
-        # Data-plane wall clock per stage (plus sandboxed transform
-        # execution under "transform_exec"), next to the FM-side modelled
-        # latency so FM time vs dataframe time reads off one report.
-        execution["dataplane"] = ctx.timer.snapshot()
         execution["schedule"] = schedule.report()
         result.fm_usage["execution"] = execution
         if self.compile_plan:
@@ -632,7 +626,6 @@ class SmartFeat:
                     runner=self._run_unary,
                     reads=frozenset({ORIGINALS_TAG}),
                     writes=frozenset({"unary"}),
-                    timer_key="unary_stage",
                     planned_draws=len(ctx.original_features),
                     calls_per_draw=3.0,  # one proposal + ~2 realizations
                 )
@@ -649,7 +642,6 @@ class SmartFeat:
                     runner=runner,
                     reads=base_reads,
                     writes=frozenset({"binary"}),
-                    timer_key="binary_stage",
                     shrinkable=True,
                     planned_draws=self.sampling_budget,
                     calls_per_draw=(
@@ -664,7 +656,6 @@ class SmartFeat:
                     runner=self._run_high_order,
                     reads=base_reads,
                     writes=frozenset({"high_order"}),
-                    timer_key="high_order_stage",
                     shrinkable=True,
                     planned_draws=self.sampling_budget,
                     calls_per_draw=1.0,  # realization needs no FM call
@@ -677,7 +668,6 @@ class SmartFeat:
                     runner=self._run_extractor,
                     reads=base_reads,
                     writes=frozenset({"extractor"}),
-                    timer_key="extractor_stage",
                     shrinkable=True,
                     planned_draws=self.sampling_budget,
                     calls_per_draw=2.0,
@@ -690,7 +680,6 @@ class SmartFeat:
                     runner=self._run_drop,
                     reads=frozenset({WILDCARD}),
                     writes=frozenset({ORIGINALS_TAG}),
-                    timer_key="drop_heuristic",
                     fm=False,
                 )
             )
@@ -701,7 +690,6 @@ class SmartFeat:
                     runner=self._run_fm_removal,
                     reads=frozenset({WILDCARD}),
                     writes=frozenset({WILDCARD}),
-                    timer_key="fm_removal_stage",
                     optional=True,
                     planned_draws=1,
                 )
@@ -741,7 +729,6 @@ class SmartFeat:
             agenda_view,
             frame_view,
             executor=self.executor,
-            timer=ctx.timer,
         )
         for (attr, candidate), outcome in zip(ordered, realized):
             if self._install(candidate, outcome, ctx, node):
@@ -848,7 +835,6 @@ class SmartFeat:
                     agenda_view,
                     frame_view,
                     executor=self.executor,
-                    timer=ctx.timer,
                 )
                 for candidate, outcome in zip(survivors, realized):
                     if errors >= self.error_threshold:
@@ -874,9 +860,7 @@ class SmartFeat:
     ) -> bool:
         """Realize, validate, and install one candidate; True on success."""
         try:
-            realized = self.generator.realize(
-                candidate, agenda_view, frame_view, timer=ctx.timer
-            )
+            realized = self.generator.realize(candidate, agenda_view, frame_view)
         except FMBudgetExceededError:
             raise  # budget exhaustion ends the stage, not one candidate
         except REALIZE_ERRORS as exc:
@@ -928,13 +912,7 @@ class SmartFeat:
         )
         classified: list[tuple[str, object, str, list[str]]] = []
         for column, series in report.accepted.items():
-            profile = report.profiles[column]
-            kind = "numeric" if series.dtype.kind in "ifb" else "categorical"
-            if profile.binary:
-                kind = "binary"
-            values: list[str] = []
-            if kind == "categorical" and profile.uniques is not None:
-                values = [str(v) for v in profile.uniques]
+            kind, values = column_kind(series, report.profiles[column])
             classified.append((column, series, kind, values))
         with ctx.lock:
             for column, reason in report.rejected.items():

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -103,15 +104,13 @@ class StageNode:
     ignores pure data-plane nodes); ``optional`` nodes may be dropped by
     the planner; ``shrinkable`` nodes accept a reduced draw budget via
     ``ctx.granted_draws[name]``.  ``planned_draws``/``calls_per_draw``
-    feed the planner's spend estimate; ``timer_key`` is the data-plane
-    accounting key (kept stable with the pre-graph report format).
+    feed the planner's spend estimate.
     """
 
     name: str
     runner: Callable[[Any, "StageNode"], None]
     reads: frozenset[str]
     writes: frozenset[str]
-    timer_key: str
     fm: bool = True
     optional: bool = False
     shrinkable: bool = False
@@ -214,7 +213,7 @@ class NodeRecord:
     start_s: float = 0.0
     end_s: float = 0.0
     #: Real (measured) wall-clock span of the stage, as offsets from the
-    #: run's start — from the run timer's windows.  Distinct from the
+    #: start of the scheduler's ``execute()``.  Distinct from the
     #: modelled start_s/end_s; when stages physically overlap (real FM
     #: backends), the measured windows are where that shows up.
     measured_window: tuple[float, float] | None = None
@@ -435,11 +434,11 @@ class StageScheduler:
         """Run every node and return the finalized schedule.
 
         *ctx* is the pipeline's stage context; the scheduler touches only
-        its ``timer``, ``granted_draws``, ``restrict_views``, and
-        ``physical`` fields — the view/physical flags are derived here
-        from the plan and client statefulness (single source of truth),
-        so a context can never carry chain views under an ``overlap``
-        label or vice versa.  The node runners own the rest.
+        its ``granted_draws``, ``restrict_views``, and ``physical``
+        fields — the view/physical flags are derived here from the plan
+        and client statefulness (single source of truth), so a context
+        can never carry chain views under an ``overlap`` label or vice
+        versa.  The node runners own the rest.
 
         One loop dispatches every node whose hazard dependencies are
         done, in declaration order: inline on the calling thread, or on
@@ -448,7 +447,11 @@ class StageScheduler:
         a node starts.  A node failure stops further dispatch, lets
         in-flight nodes drain, and re-raises the earliest failure in
         declaration order.
+
+        The scheduler is the fit path's clock: each node's measured
+        window is its runner's span as offsets from this call's start.
         """
+        origin = time.perf_counter()
         ctx.restrict_views = self.plan == "overlap"
         physical = self._physical_overlap()
         ctx.physical = physical
@@ -476,7 +479,7 @@ class StageScheduler:
         cond = threading.Condition(threading.RLock())
 
         def run_node(node: StageNode, record: NodeRecord) -> None:
-            error = self._run_node(node, record, ctx)
+            error = self._run_node(node, record, ctx, origin)
             if error is None:
                 self._node_done(node)
             with cond:
@@ -525,7 +528,7 @@ class StageScheduler:
         return schedule
 
     def _run_node(
-        self, node: StageNode, record: NodeRecord, ctx
+        self, node: StageNode, record: NodeRecord, ctx, origin: float
     ) -> BaseException | None:
         """Run one node and account it; returns the failure it raised.
 
@@ -540,10 +543,10 @@ class StageScheduler:
         other run sharing the executor.
         """
         batches_before = len(self.executor.batch_log)
-        dataplane_before = ctx.timer.seconds(node.timer_key)
         error: BaseException | None = None
+        start = time.perf_counter()
         try:
-            with self.executor.stage(node.name), ctx.timer.time(node.timer_key):
+            with self.executor.stage(node.name):
                 node.runner(ctx, node)
         except FMBudgetExceededError as exc:
             if self.plan_budget:
@@ -553,6 +556,7 @@ class StageScheduler:
                 error = exc
         except BaseException as exc:  # noqa: BLE001 - re-raised by execute()
             error = exc
+        end = time.perf_counter()
         batches = [
             batch
             for batch in self.executor.batch_log[batches_before:]
@@ -568,10 +572,8 @@ class StageScheduler:
         # (HTTP) would be double-counted against the modelled critical
         # path in duration_s.  Near-zero for simulated clients.
         blocked = sum(batch.wall_s for batch in batches)
-        record.dataplane_s = max(
-            0.0, ctx.timer.seconds(node.timer_key) - dataplane_before - blocked
-        )
-        record.measured_window = ctx.timer.windows().get(node.timer_key)
+        record.dataplane_s = max(0.0, end - start - blocked)
+        record.measured_window = (round(start - origin, 6), round(end - origin, 6))
         return error
 
     # ------------------------------------------------------------------

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import re
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -75,21 +77,36 @@ def _parse_cell(text: str):
     return text
 
 
+def _read_header(reader, path: str | Path) -> list[str] | None:
+    """The header row of *reader* (``None`` for an empty file).
+
+    Every CSV reader here keys columns by header name, so a repeated
+    name would silently drop all but one of its columns; it is refused
+    with a ``ValueError`` naming each duplicate instead.
+    """
+    try:
+        header = next(reader)
+    except StopIteration:
+        return None
+    duplicates = [name for name, n in Counter(header).items() if n > 1]
+    if duplicates:
+        names = ", ".join(repr(name) for name in duplicates)
+        raise ValueError(f"{path}: duplicate column name(s) in CSV header: {names}")
+    return header
+
+
 def read_csv(path: str | Path) -> DataFrame:
-    """Read a headered CSV file into a :class:`DataFrame` with inferred dtypes."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return DataFrame()
-        data: dict[str, list] = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                data[name].append(_parse_cell(cell))
-            for name in header[len(row):]:
-                data[name].append(None)
-    return DataFrame(data)
+    """Read a headered CSV file into a :class:`DataFrame` with inferred dtypes.
+
+    The one-shard case of :func:`read_csv_shards`, so there is one
+    decoder.  An empty file gives ``DataFrame()``; a header-only file a
+    zero-row frame with its columns.
+    """
+    for shard in read_csv_shards(path, sys.maxsize):
+        return shard.frame
+    with open(path, newline="") as handle:  # no data rows
+        header = _read_header(csv.reader(handle), path) or []
+    return DataFrame({name: [] for name in header})
 
 
 def to_csv(
@@ -176,9 +193,8 @@ def scan_csv_kinds(path: str | Path) -> dict[str, str]:
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = _read_header(reader, path)
+        if header is None:
             return {}
         n = len(header)
         forced = [False] * n  # a string cell forces the object path
@@ -256,9 +272,8 @@ def read_csv_shards(
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = _read_header(reader, path)
+        if not header:
             return
         buffers: list[list] = [[] for _ in header]
         index = 0
@@ -271,7 +286,7 @@ def read_csv_shards(
                 start += len(buffers[0])
                 index += 1
                 buffers = [[] for _ in header]
-        if buffers and buffers[0]:
+        if buffers[0]:
             yield Shard(_csv_shard_frame(header, buffers, schema), index, start)
 
 

@@ -21,6 +21,7 @@ from repro.fm import (
     TransportFMClient,
 )
 from repro.fm.cost import CostModel, estimate_tokens
+from repro.serve import frames_identical
 
 __all__ = [
     "InteractionCostPoint",
@@ -215,39 +216,6 @@ def _instrumented_run(
     }
 
 
-def _frames_identical(a, b) -> bool:
-    """Exact (bit-level, NaN-safe) equality of two DataFrames.
-
-    Deliberately stricter than
-    :func:`repro.dataframe.reference.assert_frame_equivalent` (which
-    allows float tolerance): the serial and overlapped plans run the
-    same computations, so anything short of bit identity is a bug.
-    """
-    import numpy as np
-
-    if a.columns != b.columns:
-        return False
-    for column in a.columns:
-        va, vb = a[column].values, b[column].values
-        if va.dtype != vb.dtype or len(va) != len(vb):
-            return False
-        if va.dtype.kind == "f":
-            na, nb = np.isnan(va), np.isnan(vb)
-            if not (na == nb).all() or not (va[~na] == vb[~nb]).all():
-                return False
-        elif va.dtype == object:
-            from repro.dataframe.kernels import is_missing_scalar
-
-            if any(
-                x != y and not (is_missing_scalar(x) and is_missing_scalar(y))
-                for x, y in zip(va, vb)
-            ):
-                return False
-        elif not (va == vb).all():
-            return False
-    return True
-
-
 def stage_overlap_report(
     bundle: DatasetBundle,
     concurrency: int = 8,
@@ -289,9 +257,9 @@ def stage_overlap_report(
         else 0.0,
         "critical_path": overlap["schedule"]["critical_path"],
         "identical_features": serial["feature_order"] == overlap["feature_order"],
-        "identical_frames": _frames_identical(
+        "identical_frames": frames_identical(
             serial["result"].frame, overlap["result"].frame
-        ),
+        )[0],
         "identical_call_counts": (
             serial["n_calls"] == overlap["n_calls"]
             and serial["cache_hits"] == overlap["cache_hits"]

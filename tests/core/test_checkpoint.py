@@ -17,6 +17,7 @@ from repro.core import CheckpointMismatchError, CheckpointStore, SmartFeat
 from repro.core.checkpoint import fingerprint
 from repro.dataframe import DataFrame
 from repro.fm import Budget, SimulatedFM
+from repro.serve import frames_identical
 
 
 def small_frame() -> DataFrame:
@@ -76,19 +77,6 @@ def install_kill_switch(tool: SmartFeat, kill_after: int) -> dict:
 
         client._complete_with_state = killer
     return count
-
-
-def frames_equal(a, b) -> bool:
-    if a.columns != b.columns or len(a) != len(b):
-        return False
-    for column in a.columns:
-        left, right = a[column].to_numpy(), b[column].to_numpy()
-        if left.dtype.kind == "f":
-            if not np.allclose(left, right, equal_nan=True):
-                return False
-        elif not (left == right).all():
-            return False
-    return True
 
 
 def total_calls(tool: SmartFeat) -> int:
@@ -199,7 +187,8 @@ def test_checkpointed_run_is_identical_to_plain_run(tmp_path, baseline):
     tool = make_tool(checkpoint=str(tmp_path / "run.json"))
     result = fit(tool)
     assert sorted(result.new_features) == sorted(base_result.new_features)
-    assert frames_equal(result.frame, base_result.frame)
+    identical, detail = frames_identical(result.frame, base_result.frame)
+    assert identical, detail
     assert total_calls(tool) == base_calls
     store = tool.checkpoint
     payload = store.load()
@@ -236,7 +225,8 @@ def test_kill_and_resume_is_bit_identical_with_zero_respend(
     result = fit(resumed)
 
     assert sorted(result.new_features) == sorted(base_result.new_features)
-    assert frames_equal(result.frame, base_result.frame)
+    identical, detail = frames_identical(result.frame, base_result.frame)
+    assert identical, detail
     # Ledger-verified zero re-spend: restored stages were not re-bought,
     # so the resumed ledgers total exactly the uninterrupted run's.
     assert total_calls(resumed) == base_calls
@@ -297,7 +287,6 @@ def test_client_count_mismatch_rejected(tmp_path):
     from repro.core import DataAgenda
     from repro.core.checkpoint import restore_run
     from repro.core.pipeline import ORIGINALS_TAG, SmartFeatResult, StageContext
-    from repro.core.timing import StageTimer
 
     path = tmp_path / "run.json"
     fit(make_tool(checkpoint=str(path)))
@@ -314,7 +303,6 @@ def test_client_count_mismatch_rejected(tmp_path):
         result=SmartFeatResult(frame=working),
         original_features=[c for c in frame.columns if c != "Target"],
         target="Target",
-        timer=StageTimer(),
         column_tags={c: ORIGINALS_TAG for c in frame.columns},
     )
     with pytest.raises(CheckpointMismatchError, match="client"):

@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 from repro.core import SmartFeat
 from repro.core.agenda import DataAgenda
 from repro.core.function_generator import FunctionGenerator
-from repro.core.timing import StageTimer
 from repro.core.types import FeatureCandidate, OperatorFamily
 from repro.dataframe import DataFrame
-from repro.eval.efficiency import _frames_identical
 from repro.fm import (
     FMExecutor,
     FMRateLimitError,
@@ -28,6 +26,7 @@ from repro.fm import (
     ScriptedFM,
     SimulatedFM,
 )
+from repro.serve import frames_identical
 
 
 def small_frame() -> DataFrame:
@@ -264,11 +263,11 @@ def test_injected_429s_without_retries_identical_across_backends(
     with FMExecutor(concurrency) as pool:
         threaded_frame, threaded_fp = run(pool)
     assert serial_fp == threaded_fp
-    assert _frames_identical(serial_frame, threaded_frame)
+    assert frames_identical(serial_frame, threaded_frame)[0]
 
 
 # ----------------------------------------------------------------------
-# Timers are explicit: concurrent stages can never share one.
+# The generator keeps no clock: the stage scheduler times each node.
 # ----------------------------------------------------------------------
 def _candidate(name: str) -> FeatureCandidate:
     return FeatureCandidate(
@@ -286,50 +285,10 @@ def test_generator_timer_fallback_removed():
 
 
 def test_no_timer_means_no_accounting_anywhere():
-    """With no explicit timer there is nothing to fall back to: the
-    realization still works and no shared state accumulates a window."""
+    """The generator takes no timer and parks none on shared state: a
+    realization needs nothing but the candidate, agenda and frame."""
     generator = FunctionGenerator(ScriptedFM(lambda prompt: GOOD_CODE))
     frame = small_frame()
     agenda = DataAgenda.from_dataframe(frame, target="Target")
     realized = generator.realize(_candidate("gap"), agenda, frame)
     assert "gap" in realized.values
-
-
-def test_concurrent_stages_never_share_a_timer():
-    """Two threads realizing through ONE shared generator, each with its
-    own explicit StageTimer: every sandboxed transform accounts against
-    exactly the timer its stage passed — none leak across threads."""
-    generator = FunctionGenerator(ScriptedFM(lambda prompt: GOOD_CODE))
-    frame = small_frame()
-    agenda = DataAgenda.from_dataframe(frame, target="Target")
-    counts = {"a": 3, "b": 5}
-    timers = {name: StageTimer() for name in counts}
-    barrier = threading.Barrier(len(counts))
-    failures: list[BaseException] = []
-
-    def stage(name: str) -> None:
-        try:
-            barrier.wait(timeout=10)
-            candidates = [_candidate(f"{name}_{i}") for i in range(counts[name])]
-            outcomes = generator.realize_batch(
-                candidates, agenda, frame, timer=timers[name]
-            )
-            assert all(not isinstance(o, Exception) for o in outcomes)
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=stage, args=(name,), name=f"stage-{name}")
-        for name in counts
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not failures, failures
-    for name, expected in counts.items():
-        snapshot = timers[name].snapshot()
-        assert snapshot["transform_exec"]["calls"] == expected, (
-            f"stage {name} expected {expected} transform executions on its own "
-            f"timer, saw {snapshot}"
-        )

@@ -228,3 +228,52 @@ class TestColumnProfileFitIdentity:
         assert fast == oracle
         assert fast["features"] and fast["agenda"]
         assert "single-valued" in fast["rejections"].values()
+
+
+class TestOneColumnClassifier:
+    """Original and generated columns share one agenda classifier."""
+
+    def test_generated_bool_with_missing_matches_an_original(self):
+        from repro.core.agenda import DataAgenda
+        from repro.core.function_generator import RealizedFeature
+        from repro.core.pipeline import ORIGINALS_TAG, SmartFeatResult, StageContext
+        from repro.core.types import FeatureCandidate, GeneratedFeature
+        from repro.dataframe import Series
+
+        cells = [True, False, None, True, False, True, False, True, False, True]
+        base = {"x": [float(i) for i in range(10)], "Target": [0, 1] * 5}
+        original = DataAgenda.from_dataframe(
+            DataFrame({**base, "flag": cells}), target="Target"
+        ).entries["flag"]
+
+        frame = DataFrame(base)
+        tool = SmartFeat(ScriptedFM(lambda prompt: ""))
+        ctx = StageContext(
+            working=frame.copy(),
+            agenda=DataAgenda.from_dataframe(frame, target="Target"),
+            result=SmartFeatResult(frame=frame),
+            original_features=["x"],
+            target="Target",
+            column_tags={c: ORIGINALS_TAG for c in frame.columns},
+        )
+        candidate = FeatureCandidate(
+            name="flag", columns=["x"], description="a flag", family=OperatorFamily.UNARY
+        )
+        realized = RealizedFeature(
+            GeneratedFeature(
+                name="flag",
+                family=OperatorFamily.UNARY,
+                input_columns=["x"],
+                description="a flag",
+                output_columns=["flag"],
+                source_code="",
+                fm_calls=0,
+            ),
+            {"flag": Series(cells)},
+        )
+        node = tool.build_stage_graph(ctx)["unary"]
+        assert tool._install(candidate, realized, ctx, node)
+        generated = ctx.agenda.entries["flag"]
+        assert (generated.kind, generated.values) == (original.kind, original.values)
+        assert original.kind == "categorical"
+        assert original.values == ["True", "False"]

@@ -2,8 +2,9 @@
 
 Graph hazard derivation, pipeline graph shape, schedule reporting,
 per-stage view restriction, budget-aware planning decisions, and the
-supporting pieces (Budget.headroom, StageTimer windows, Series grouping
-cache, executor batch attribution).
+scheduler-owned node clock (measured windows and data-plane seconds),
+and the supporting pieces (Budget.headroom, Series grouping cache,
+executor batch attribution).
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 
 from repro.core import SmartFeat
 from repro.core.scheduler import StageGraph, StageNode, WILDCARD
-from repro.core.timing import StageTimer
 from repro.core.types import OperatorFamily
 from repro.dataframe import DataFrame, Series
 from repro.eval import render_schedule
@@ -33,7 +33,6 @@ def _node(name, reads, writes, **kw):
         runner=_noop,
         reads=frozenset(reads),
         writes=frozenset(writes),
-        timer_key=name,
         **kw,
     )
 
@@ -198,13 +197,6 @@ class TestScheduleReport:
         per_node = sum(n["fm_calls"] for n in schedule["nodes"])
         assert per_node == fm.ledger.n_calls + function_fm.ledger.n_calls
 
-    def test_dataplane_keys_unchanged(self):
-        result, *_ = run_smartfeat()
-        dataplane = result.fm_usage["execution"]["dataplane"]
-        assert {"unary_stage", "binary_stage", "high_order_stage",
-                "extractor_stage", "drop_heuristic"} <= set(dataplane)
-        assert "transform_exec" in dataplane
-
     def test_render_schedule_smoke(self):
         result, *_ = run_smartfeat(stage_plan="overlap")
         text = render_schedule(result.fm_usage["execution"]["schedule"])
@@ -357,23 +349,6 @@ class TestBudgetPlanning:
 # ----------------------------------------------------------------------
 # Supporting pieces
 # ----------------------------------------------------------------------
-class TestStageTimerWindows:
-    def test_windows_track_first_start_and_last_end(self):
-        timer = StageTimer()
-        with timer.time("a"):
-            pass
-        with timer.time("a"):
-            pass
-        with timer.time("b"):
-            pass
-        windows = timer.windows()
-        assert set(windows) == {"a", "b"}
-        first, last = windows["a"]
-        assert 0.0 <= first <= last
-        assert timer.snapshot()["a"]["calls"] == 2
-        assert timer.seconds("missing") == 0.0
-
-
 class TestSeriesGroupingCache:
     def test_grouping_is_cached(self):
         s = Series(["x", "y", "x", "z"] * 10, "key")
@@ -437,7 +412,6 @@ class _Ctx:
     """Minimal stage context for driving StageScheduler directly."""
 
     def __init__(self):
-        self.timer = StageTimer()
         self.granted_draws = {}
 
 
@@ -485,7 +459,6 @@ class TestPhysicalOverlap:
                     runner=meet,
                     reads=frozenset({"originals"}),
                     writes=frozenset({name}),
-                    timer_key=name,
                     fm=False,
                 )
                 for name in ("left", "right")
@@ -514,7 +487,6 @@ class TestPhysicalOverlap:
                     runner=boom,
                     reads=frozenset({"originals"}),
                     writes=frozenset({"unary"}),
-                    timer_key="a",
                     fm=False,
                 ),
                 StageNode(
@@ -522,7 +494,6 @@ class TestPhysicalOverlap:
                     runner=ok,
                     reads=frozenset({"unary"}),
                     writes=frozenset({"binary"}),
-                    timer_key="b",
                     fm=False,
                 ),
             ]
@@ -551,7 +522,6 @@ class TestPhysicalOverlap:
                     runner=call_twice,
                     reads=frozenset({"originals"}),
                     writes=frozenset({name}),
-                    timer_key=name,
                 )
                 for name in ("x", "y", "z")
             ]
@@ -581,7 +551,6 @@ class TestPhysicalOverlap:
                     runner=should_not_run,
                     reads=frozenset({"originals"}),
                     writes=frozenset({"unary"}),
-                    timer_key="fm_stage",
                     planned_draws=4,
                 )
             ]
@@ -660,7 +629,6 @@ class TestOneNodeRunner:
                     runner=runners[name],
                     reads=frozenset(reads[name]),
                     writes=frozenset({name}),
-                    timer_key=name,
                 )
                 for name in ("a", "b", "c")
             ]
@@ -722,3 +690,82 @@ class TestOneNodeRunner:
         assert "a" not in finished  # a failed node is never checkpointed
         if concurrency == 1:
             assert ran == []  # inline dispatch stops at the first failure
+
+
+class TestNodeClock:
+    """The scheduler is the fit path's clock: one ``perf_counter`` pair
+    around each runner gives the node's measured window (offsets from the
+    start of ``execute()``) and its data-plane seconds."""
+
+    @staticmethod
+    def _graph(runner, **kw):
+        return StageGraph(
+            [
+                StageNode(
+                    name=name,
+                    runner=runner,
+                    reads=frozenset({"originals"}),
+                    writes=frozenset({name}),
+                    **kw,
+                )
+                for name in ("a", "b", "c")
+            ]
+        )
+
+    def test_sequential_windows_are_ordered_and_hold_the_dataplane(self):
+        import time
+
+        from repro.core.scheduler import StageScheduler
+        from repro.fm import FMRequest
+
+        client = _stateless_client()
+
+        def runner(ctx, node):
+            time.sleep(0.002)  # data-plane work the clock must count
+            executor.run(client, [FMRequest(node.name), FMRequest(node.name + "2")])
+
+        with FMExecutor() as executor:
+            scheduler = StageScheduler(executor, (client,), plan="serial")
+            started = time.perf_counter()
+            schedule = scheduler.execute(self._graph(runner), _Ctx())
+            run_wall = time.perf_counter() - started
+        windows = [r.measured_window for r in schedule.records]
+        assert windows[0][0] >= 0.0 and windows[-1][1] <= run_wall
+        for (start, end), (next_start, _) in zip(windows, windows[1:]):
+            assert start <= end <= next_start  # ordered, never overlapping
+        for record in schedule.records:
+            start, end = record.measured_window
+            assert 0.0 < record.dataplane_s <= end - start + 1e-6
+        report = schedule.report()
+        assert [n["measured_window_s"] for n in report["nodes"]] == [
+            list(w) for w in windows
+        ]
+        assert report["measured_makespan_s"] <= run_wall
+
+    def test_skipped_and_restored_nodes_have_no_window(self):
+        from repro.core.scheduler import StageScheduler
+
+        ran: list[str] = []
+        scheduler = StageScheduler(
+            FMExecutor(),
+            (SimulatedFM(seed=0),),
+            budget=Budget(max_calls=0),
+            plan_budget=True,
+            completed={"a"},
+        )
+        schedule = scheduler.execute(
+            self._graph(lambda ctx, node: ran.append(node.name), planned_draws=1),
+            _Ctx(),
+        )
+        assert ran == []
+        assert [r.status for r in schedule.records] == ["restored", "skipped", "skipped"]
+        assert all(r.measured_window is None for r in schedule.records)
+        assert all(r.dataplane_s == 0.0 for r in schedule.records)
+        assert schedule.report()["measured_makespan_s"] == 0.0
+
+    def test_pipeline_fit_reports_a_window_per_executed_node(self):
+        result, *_ = run_smartfeat()
+        for node in result.fm_usage["execution"]["schedule"]["nodes"]:
+            start, end = node["measured_window_s"]
+            assert 0.0 <= start <= end
+            assert 0.0 <= node["dataplane_s"] <= end - start + 1e-6

@@ -20,7 +20,6 @@ updating this pin is a test failure, not a silent drift):
 
 import re
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +31,7 @@ from repro.dataframe.io import (
     scan_csv_kinds,
     to_csv,
 )
+from repro.serve import frames_identical
 
 # ----------------------------------------------------------------------
 # The contract model (independent re-statement of the strict grammar)
@@ -68,14 +68,6 @@ def expected_frame(columns: dict) -> DataFrame:
     return DataFrame(
         {name: Series([model_cell(v) for v in cells]) for name, cells in columns.items()}
     )
-
-
-def assert_frames_equal(got: DataFrame, want: DataFrame) -> None:
-    assert got.columns == want.columns
-    for name in want.columns:
-        a, b = got[name].values, want[name].values
-        assert a.dtype == b.dtype, (name, a.dtype, b.dtype)
-        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +113,8 @@ def hostile_table(draw):
 def test_roundtrip_matches_the_model(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     to_csv(DataFrame({k: Series(v) for k, v in columns.items()}), path)
-    assert_frames_equal(read_csv(path), expected_frame(columns))
+    identical, detail = frames_identical(read_csv(path), expected_frame(columns))
+    assert identical, detail
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,13 +128,12 @@ def test_schema_pinned_shards_match_whole_file(tmp_path_factory, columns, chunk)
     # every shard is bit-identical to the matching row slice, dtype included
     offset = 0
     for shard in shards:
-        for name in whole.columns:
-            expect = whole[name].values[offset : offset + len(shard)]
-            got = shard.frame[name].values
-            assert got.dtype == expect.dtype, (name, chunk, got.dtype, expect.dtype)
-            assert np.array_equal(got, expect, equal_nan=got.dtype.kind == "f")
+        expect = whole.iloc[offset : offset + len(shard)]
+        identical, detail = frames_identical(shard.frame, expect)
+        assert identical, (chunk, detail)
         offset += len(shard)
-    assert_frames_equal(concat_shards(shards), whole)
+    identical, detail = frames_identical(concat_shards(shards), whole)
+    assert identical, detail
 
 
 @settings(max_examples=40, deadline=None)

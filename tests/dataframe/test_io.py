@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dataframe import DataFrame, Series, read_csv
-from repro.dataframe.io import _parse_cell, scan_csv_kinds, to_csv
+from repro.dataframe.io import _parse_cell, read_csv_shards, scan_csv_kinds, to_csv
 
 
 class TestCsvRoundtrip:
@@ -35,6 +35,30 @@ class TestCsvRoundtrip:
         path = tmp_path / "t.csv"
         path.write_text("")
         assert read_csv(path).empty
+        assert read_csv(path).columns == []
+        assert list(read_csv_shards(path, 4)) == []
+
+    def test_header_only_file_is_a_zero_row_frame(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n")
+        df = read_csv(path)
+        assert df.columns == ["a", "b"]
+        assert len(df) == 0
+        assert list(read_csv_shards(path, 4)) == []
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [read_csv, scan_csv_kinds, lambda path: list(read_csv_shards(path, 1))],
+    ids=["read_csv", "scan_csv_kinds", "read_csv_shards"],
+)
+def test_duplicate_header_names_are_refused_by_name(tmp_path, reader):
+    """Columns are keyed by header name, so a repeated name must fail
+    loudly instead of dropping all but one of its columns."""
+    path = tmp_path / "dup.csv"
+    path.write_text("a,a,b,c,b\n1,2,3,4,5\n6,7,8,9,10\n")
+    with pytest.raises(ValueError, match="duplicate column name.*'a', 'b'"):
+        reader(path)
 
 
 class TestStrictCellGrammar:

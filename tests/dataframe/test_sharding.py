@@ -30,6 +30,7 @@ from repro.dataframe.io import (
     scan_csv_kinds,
     to_csv,
 )
+from repro.serve import frames_identical
 
 
 def mixed_frame(n=100, seed=0):
@@ -48,18 +49,6 @@ def mixed_frame(n=100, seed=0):
     )
 
 
-def frames_equal(a: DataFrame, b: DataFrame) -> bool:
-    if a.columns != b.columns or len(a) != len(b):
-        return False
-    for name in a.columns:
-        va, vb = a[name].values, b[name].values
-        if va.dtype != vb.dtype:
-            return False
-        if not np.array_equal(va, vb, equal_nan=va.dtype.kind == "f"):
-            return False
-    return True
-
-
 class TestFrameShards:
     @pytest.mark.parametrize("chunk", [1, 7, 33, 100, 1000])
     def test_roundtrip_bit_identical(self, chunk):
@@ -68,7 +57,7 @@ class TestFrameShards:
         assert sum(len(s) for s in shards) == len(df)
         assert [s.index for s in shards] == list(range(len(shards)))
         assert shards[0].start == 0
-        assert frames_equal(concat_shards(shards), df)
+        assert frames_identical(concat_shards(shards), df)[0]
 
     def test_shards_are_views_with_offsets(self):
         df = mixed_frame(50)
@@ -88,7 +77,7 @@ class TestFrameShards:
     def test_concat_accepts_plain_frames(self):
         df = mixed_frame(30)
         parts = [s.frame for s in iter_frame_shards(df, 11)]
-        assert frames_equal(concat_shards(parts), df)
+        assert frames_identical(concat_shards(parts), df)[0]
 
     def test_concat_column_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -118,19 +107,19 @@ class TestReservoirSample:
         for chunk in (1, 9, 64, 499):
             sample, n = reservoir_sample(iter_frame_shards(df, chunk), 64, seed=5)
             assert n == 500
-            assert frames_equal(sample, base)
+            assert frames_identical(sample, base)[0]
 
     def test_seed_changes_sample(self):
         df = mixed_frame(500, seed=3)
         a, _ = reservoir_sample(iter_frame_shards(df, 100), 64, seed=0)
         b, _ = reservoir_sample(iter_frame_shards(df, 100), 64, seed=1)
-        assert not frames_equal(a, b)
+        assert not frames_identical(a, b)[0]
 
     def test_k_at_least_n_returns_whole_stream_in_order(self):
         df = mixed_frame(40)
         sample, total = reservoir_sample(iter_frame_shards(df, 7), 40, seed=9)
         assert total == 40
-        assert frames_equal(sample, df)
+        assert frames_identical(sample, df)[0]
 
     def test_rows_kept_in_original_order(self):
         df = DataFrame({"x": Series(list(range(200)))})
@@ -157,17 +146,12 @@ class TestCsvShards:
         for chunk in (1, 37, 5000):
             shards = list(read_csv_shards(path, chunk, schema=schema))
             merged = concat_shards(shards)
-            assert frames_equal(merged, whole)
+            assert frames_identical(merged, whole)[0]
             # each shard individually matches the corresponding row slice
             offset = 0
             for shard in shards:
-                for name in whole.columns:
-                    expect = whole[name].values[offset : offset + len(shard)]
-                    got = shard.frame[name].values
-                    assert got.dtype == expect.dtype
-                    assert np.array_equal(
-                        got, expect, equal_nan=got.dtype.kind == "f"
-                    )
+                expect = whole.iloc[offset : offset + len(shard)]
+                assert frames_identical(shard.frame, expect)[0]
                 offset += len(shard)
 
     def test_schemaless_shards_concat_to_read_csv(self, tmp_path):
@@ -175,7 +159,7 @@ class TestCsvShards:
         path = tmp_path / "t.csv"
         to_csv(df, path)
         merged = concat_shards(list(read_csv_shards(path, 13)))
-        assert frames_equal(merged, read_csv(path))
+        assert frames_identical(merged, read_csv(path))[0]
 
     def test_append_mode_writes_incrementally(self, tmp_path):
         df = mixed_frame(45, seed=4)

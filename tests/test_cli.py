@@ -187,6 +187,12 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(["run", str(source), "--target", "missing"])
 
+    def test_csv_with_duplicate_header_exits_with_a_message(self, tmp_path):
+        source = tmp_path / "data.csv"
+        source.write_text("a,a,label\n1,2,0\n3,4,1\n")
+        with pytest.raises(SystemExit, match="duplicate column name.*'a'"):
+            main(["run", str(source), "--target", "label"])
+
 
 class TestCompareCommand:
     def test_compare_prints_table(self, capsys):
@@ -312,6 +318,20 @@ class TestPlanCommands:
         wrong.write_text("something,else\n1,2\n")
         with pytest.raises(SystemExit, match="plan apply failed"):
             main(["plan", "apply", "--plan", str(plan_path), "--csv", str(wrong)])
+
+    @pytest.mark.parametrize("chunk", [[], ["--chunk-rows", "1"]], ids=["whole", "chunked"])
+    def test_apply_duplicate_header_exits_with_a_message(self, tmp_path, chunk):
+        source = tmp_path / "data.csv"
+        self._write_csv(source)
+        plan_path = tmp_path / "plan.json"
+        main(["plan", "export", str(source), "--target", "label", "--out", str(plan_path)])
+        dup = tmp_path / "dup.csv"
+        dup.write_text("age,income,income\n20,30,40\n")
+        out = tmp_path / "out.csv"
+        argv = ["plan", "apply", "--plan", str(plan_path), "--csv", str(dup)]
+        with pytest.raises(SystemExit, match="duplicate column name.*'income'"):
+            main(argv + ["--out", str(out), *chunk])
+        assert not out.exists()
 
     def test_apply_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit, match="exactly one"):
