@@ -30,9 +30,6 @@ and the git commit into the file.
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import time
 from pathlib import Path
 
@@ -183,26 +180,6 @@ def check_column_profiles(frame: DataFrame, label: str) -> None:
         assert repr(new) == repr(ref), f"column_profile[{label}.{name}]: {new} != {ref}"
 
 
-def environment() -> dict:
-    """Where the numbers were measured; ``-dirty`` marks uncommitted edits."""
-    try:
-        sha = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        sha = "unknown"
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "git_sha": sha,
-    }
-
-
 COMPARED_OPS = {
     "groupby_agg": bench_groupby,
     "groupby_agg_str": bench_groupby_str,
@@ -212,7 +189,7 @@ COMPARED_OPS = {
 
 
 def run(row_counts=ROW_COUNTS, fit_transform_rows=ROW_COUNTS, seed: int = 0) -> dict:
-    from conftest import peak_rss_mb
+    from conftest import environment, peak_rss_mb
 
     payload: dict = {
         "environment": environment(),

@@ -12,14 +12,19 @@ Three sections:
   :func:`repro.eval.serving.sandbox_replay` (re-exec every recorded
   source — what serving cost before plans), gated at **≥10×**; plus the
   raw kernel loop (expression evaluation with no plan bookkeeping) to
-  show plan overhead stays within ~1.2×.
+  show plan overhead stays within ~1.2×, and a per-feature table timing
+  ``evaluate_feature`` for each plan feature.  Every timed repeat runs on
+  fresh column objects, as a served batch does, so each column's cached
+  dictionary encoding is paid by the first op that reads it.
 * ``concurrency`` — one :class:`~repro.serve.FeatureServer` hammered by
   8 threads; aggregate throughput must hold up (no shared-state
   serialization on the hot path).
 
 ``python benchmarks/bench_serve.py`` writes ``BENCH_serve.json`` at the
-repo root; ``--smoke`` runs smaller row counts with the same assertions
-(the CI gate) and writes ``results/BENCH_serve.smoke.json`` instead.
+repo root, stamped with ``cpu_count``, the Python and numpy versions and
+the git commit; ``--smoke`` runs smaller row counts with the same
+assertions (the CI gate) and writes ``results/BENCH_serve.smoke.json``
+instead.
 """
 
 import argparse
@@ -27,7 +32,8 @@ import json
 import threading
 import time
 
-from conftest import bench_json_path
+from conftest import bench_json_path, environment
+from repro.dataframe import DataFrame, Series
 from repro.dataframe.expr import evaluate_feature
 from repro.eval.serving import (
     ALL_DATASETS,
@@ -41,6 +47,14 @@ SANDBOX_SPEEDUP_FLOOR = 10.0
 FIT_ROWS = {"smoke": 240, "full": 400}
 SERVE_ROWS = {"smoke": 100_000, "full": 1_000_000}
 CONCURRENT_CALLERS = 8
+
+
+def _fresh(frame: DataFrame) -> DataFrame:
+    """The same arrays under new Series objects: no cached encodings or
+    groupings, like a freshly decoded batch."""
+    return DataFrame(
+        {name: Series._from_array(frame[name].values, name) for name in frame.columns}
+    )
 
 
 def _timed(fn, repeats: int = 1):
@@ -83,19 +97,24 @@ def throughput_section(serve_rows: int) -> dict:
         f"demo workload must fully compile, got {counts}"
     )
 
-    replayed, t_plan = _timed(lambda: plan.apply(frame), repeats=3)
+    replayed, t_plan = _timed(lambda: plan.apply(_fresh(frame)), repeats=3)
     identical, detail = frames_identical(replayed, result.frame)
     assert identical, f"plan replay diverged at {serve_rows} rows: {detail}"
 
-    _, t_sandbox = _timed(lambda: sandbox_replay(result, frame), repeats=3)
+    _, t_sandbox = _timed(lambda: sandbox_replay(result, _fresh(frame)), repeats=3)
 
     # Raw kernel loop: the frozen expressions evaluated with no plan
     # bookkeeping (no schema validation, no spec dispatch) — the floor
-    # plan.apply overhead is measured against.
+    # plan.apply overhead is measured against.  ``per_feature`` keeps each
+    # feature's fastest evaluation over the repeats.
+    per_feature = [float("inf")] * len(plan.features)
+
     def raw():
-        working = frame.column_view(frame.columns)
-        for spec in plan.features:
+        working = _fresh(frame)
+        for i, spec in enumerate(plan.features):
+            start = time.perf_counter()
             out = evaluate_feature(spec.expr, working)
+            per_feature[i] = min(per_feature[i], time.perf_counter() - start)
             if isinstance(out, dict):
                 for name in spec.output_columns:
                     working[name] = out[name]
@@ -105,6 +124,12 @@ def throughput_section(serve_rows: int) -> dict:
         return working
 
     _, t_raw = _timed(raw, repeats=3)
+    features = [
+        {"feature": spec.name, "op": spec.expr["op"], "ms": round(t * 1000, 2)}
+        for spec, t in zip(plan.features, per_feature)
+    ]
+    for row in features:
+        print(f"  feature {row['feature']:28s} {row['op']:14s} {row['ms']:9.2f} ms")
 
     speedup = t_sandbox / t_plan
     overhead = t_plan / t_raw
@@ -117,6 +142,7 @@ def throughput_section(serve_rows: int) -> dict:
         "speedup_vs_sandbox": round(speedup, 2),
         "overhead_vs_raw": round(overhead, 3),
         "rows_per_s_plan": round(serve_rows / t_plan),
+        "per_feature_ms": features,
     }
     print(
         f"throughput @ {serve_rows} rows: plan={t_plan:.3f}s "
@@ -186,6 +212,7 @@ def run(mode: str) -> dict:
 
     report = {
         "mode": mode,
+        "environment": environment(),
         "identity": identity_section(FIT_ROWS[mode]),
         "throughput": throughput_section(SERVE_ROWS[mode]),
         "concurrency": concurrency_section(SERVE_ROWS[mode]),

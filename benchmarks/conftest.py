@@ -10,10 +10,14 @@ and a modelled full-scale time budget of 600 s (the simulator-scale
 equivalent of the paper's one-hour limit — see EXPERIMENTS.md).
 """
 
+import os
+import platform
 import resource
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.eval import SweepConfig, run_sweep
@@ -33,6 +37,26 @@ def peak_rss_mb() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1 if sys.platform == "darwin" else 1024
     return peak * scale / 1e6
+
+
+def environment() -> dict:
+    """Where the numbers were measured; ``-dirty`` marks uncommitted edits."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": sha,
+    }
 
 
 @pytest.fixture(scope="session")

@@ -54,7 +54,12 @@ def _check_column(
         return f"length {len(series)} does not match dataframe length {n_rows}", None
     if n_rows == 0:
         return "empty dataframe", None
-    profile = column_profile(series.values, MAX_LISTED_VALUES)
+    try:
+        profile = column_profile(series.values, MAX_LISTED_VALUES)
+    except TypeError:
+        if series.encoding() is None:  # a list or dict cell, say
+            return "unhashable values", None
+        raise
     null_fraction = 1.0 - profile.non_null / n_rows
     if null_fraction > config.max_null_fraction:
         return f"highly null ({null_fraction:.0%} missing)", profile

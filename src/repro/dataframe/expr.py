@@ -24,10 +24,19 @@ Evaluation deliberately routes through the public ``Series`` operations
 reshape kernels, and the segmented group machinery) rather than raw
 numpy — those carry the package's exact missingness and dtype-coercion
 rules, which is what makes bit-identical replay provable.
+
+String work reads each column's cached dictionary encoding
+(:meth:`Series.encoding`): a batch encodes each object column once,
+every string op (``str_len``, ``date_split``, ``split_parts``,
+``dummies``, ``dict_map``) runs over the batch's distinct values and
+gathers its result by code, and ``group_lookup`` maps those distinct
+values onto a table compiled once per node (:class:`_GroupTable`).
 """
 
 from __future__ import annotations
 
+import threading
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -229,10 +238,12 @@ def _evaluate(node: dict, frame) -> Series:
         return _evaluate(node["arg"], frame).fillna(node["value"])
     if op == "str_len":
         series = _col(frame, node["column"])
-        fast = _kernels.str_lengths(series.values)
-        if fast is not None:
-            return Series._from_array(fast, series.name)
-        return series.str.len()
+        encoded = _str_encoding(series)
+        if encoded is None:
+            return series.str.len()
+        codes, uniques = encoded
+        lengths = np.fromiter(map(len, uniques), np.int64, len(uniques))
+        return Series._from_array(lengths[codes], series.name)
     if op == "group_lookup":
         return _eval_group_lookup(node, frame)
     if op in _MULTI_OUTPUT:
@@ -258,44 +269,180 @@ def _eval_qcut_collapsed(series: Series) -> Series:
     return Series._from_array(np.where(missing, np.nan, 0.0), series.name)
 
 
+def _str_encoding(series: Series) -> tuple[np.ndarray, list] | None:
+    """``(codes, uniques)`` of an all-``str`` column, else ``None``."""
+    encoded = series.encoding()
+    if encoded is None or encoded[2] is None:
+        return None
+    return encoded[0], encoded[1]
+
+
 def _unbox(value: Any) -> Any:
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _eval_group_lookup(node: dict, frame) -> Series:
-    """Broadcast a frozen per-group table along the batch's grouping.
+class _GroupTable:
+    """A frozen ``group_lookup`` table compiled for vectorized probing.
 
-    The fast path reuses the cached ``Series.grouping()`` encode through
-    ``_GroupIndex`` — one stable sort (and, for string keys, one
-    S-encode) per key column per batch, shared across every
-    groupby-bearing feature in the plan — then looks each *segment* up
-    once and broadcasts via the inverse permutation, exactly like the
-    fitted ``transform`` did.  Unseen groups take ``fill``.
+    ``key_ids[j]`` maps each distinct table value of key *j* to a dense
+    id in first-seen order, with dict semantics (``1``, ``1.0`` and
+    ``True`` share an id).  Key ids combine mixed-radix into one id per
+    key tuple; ``slot_of`` (dense) or ``sorted_ids``/``sorted_slots``
+    (when the id space is much larger than the table) turn a combined id
+    into a value slot.  ``values`` holds each slot's value, the last row
+    of a repeated key winning like the dict the table once built; the
+    slot after the last stands for ``fill``, read at evaluation time.
     """
-    from repro.dataframe.groupby import _GroupIndex
 
+    def __init__(self, node: dict) -> None:
+        n_keys = len(node["keys"])
+        self.key_ids: list[dict] = [{} for _ in range(n_keys)]
+        row_ids = [
+            [ids.setdefault(v, len(ids)) for ids, v in zip(self.key_ids, row)]
+            for row in node["table"]
+        ]
+        self.strides = [1] * n_keys
+        for j in range(n_keys - 2, -1, -1):
+            self.strides[j] = self.strides[j + 1] * len(self.key_ids[j + 1])
+        space = self.strides[0] * len(self.key_ids[0])
+        if space >= 2**62:
+            raise OverflowError("group table key space does not fit int64")
+        slot_by_id: dict[int, int] = {}
+        values: list = []
+        for ids, row in zip(row_ids, node["table"]):
+            combined = sum(i * stride for i, stride in zip(ids, self.strides))
+            slot = slot_by_id.setdefault(combined, len(values))
+            if slot == len(values):
+                values.append(row[-1])
+            else:
+                values[slot] = row[-1]
+        self.fill_slot = len(values)
+        self.values = np.empty(len(values) + 1, dtype=object)
+        self.values[: len(values)] = values
+        ids = np.fromiter(slot_by_id, np.int64, len(slot_by_id))
+        slots = np.fromiter(slot_by_id.values(), np.int64, len(slot_by_id))
+        self.slot_of = self.sorted_ids = self.sorted_slots = None
+        if space <= max(8 * len(values), 1 << 16):
+            # One extra trailing entry: a combined id of -1 lands on fill.
+            self.slot_of = np.full(space + 1, self.fill_slot, dtype=np.int64)
+            self.slot_of[ids] = slots
+        else:
+            order = np.argsort(ids)
+            self.sorted_ids, self.sorted_slots = ids[order], slots[order]
+
+    def key_ids_per_row(self, j: int, series: Series) -> np.ndarray | None:
+        """Row ids of key *j* in this table (``-1`` unseen), or ``None``
+        when the column needs the hash path (missing or mixed cells)."""
+        kind = series.dtype.kind
+        encoded = series.encoding() if kind in "iubfO" else None
+        if encoded is None:
+            return None
+        codes, uniques, index = encoded
+        if kind == "O" and index is None:
+            return None
+        if index is None and len(codes) and codes.min() < 0:
+            return None
+        table_ids = self.key_ids[j]
+        if index is not None and len(table_ids) < len(uniques):
+            # Fewer table keys than batch values: probe the batch's index.
+            found = np.fromiter(
+                map(index.get, table_ids, repeat(-1)), np.int64, len(table_ids)
+            )
+            hit = found >= 0
+            ids = np.full(len(uniques), -1, dtype=np.int64)
+            ids[found[hit]] = np.flatnonzero(hit)
+        else:
+            ids = np.fromiter(
+                map(table_ids.get, uniques, repeat(-1)), np.int64, len(uniques)
+            )
+        return ids[codes]
+
+    def slots(self, key_ids: list[np.ndarray]) -> np.ndarray:
+        """Value slot per row from each key's per-row ids."""
+        combined = key_ids[0] * self.strides[0]
+        unseen = key_ids[0] < 0
+        for ids, stride in zip(key_ids[1:], self.strides[1:]):
+            combined += ids * stride
+            unseen |= ids < 0
+        combined[unseen] = -1
+        if self.slot_of is not None:
+            return self.slot_of[combined]
+        pos = np.searchsorted(self.sorted_ids, combined)
+        pos = np.minimum(pos, len(self.sorted_ids) - 1)
+        hit = self.sorted_ids[pos] == combined
+        return np.where(hit, self.sorted_slots[pos], self.fill_slot)
+
+
+#: Compiled group tables, outside the plan JSON: ``id(node)`` →
+#: ``(table, compiled)``.  An entry serves a node only while
+#: ``node["table"]`` is the very list it was compiled from, so
+#: :func:`refreeze_group_table` (which installs a new list) invalidates
+#: it and the recompile replaces it in place.  Holding the table keeps
+#: that identity check sound after a dead node's id is reused.  Bounded
+#: FIFO; entries of discarded plans age out.
+_COMPILED_TABLES: dict[int, tuple[list, _GroupTable | None]] = {}
+_COMPILED_TABLES_MAX = 256
+_COMPILED_TABLES_LOCK = threading.Lock()
+
+
+def _compiled_table(node: dict) -> _GroupTable | None:
+    table = node["table"]
+    hit = _COMPILED_TABLES.get(id(node))
+    if hit is not None and hit[0] is table:
+        return hit[1]
+    try:
+        compiled = _GroupTable(node)
+    except (TypeError, OverflowError):  # unhashable keys, huge key space
+        compiled = None
+    with _COMPILED_TABLES_LOCK:
+        if id(node) not in _COMPILED_TABLES and (
+            len(_COMPILED_TABLES) >= _COMPILED_TABLES_MAX
+        ):
+            _COMPILED_TABLES.pop(next(iter(_COMPILED_TABLES)))
+        _COMPILED_TABLES[id(node)] = (table, compiled)
+    return compiled
+
+
+def _eval_group_lookup(node: dict, frame) -> Series:
+    """Broadcast a frozen per-group table along the batch.
+
+    The table is compiled once per node (:class:`_GroupTable`).  Per
+    batch, each key column's distinct values (its cached
+    :meth:`Series.encoding`) are mapped to the table's key ids — from
+    whichever side is smaller — and gathered by code; the ids combine
+    into one value slot per row.  Unseen groups take ``fill``.  Only the
+    slots present in the batch are materialized, so the output dtype
+    follows the groups the batch holds, as the fitted ``transform`` did.
+    """
     keys = node["keys"]
+    if len(frame) == 0:
+        return Series([])
+    compiled = _compiled_table(node)
+    key_ids = []
+    if compiled is not None:
+        for j, key in enumerate(keys):
+            ids = compiled.key_ids_per_row(j, frame[key])
+            if ids is None:
+                break
+            key_ids.append(ids)
+    fill = node.get("fill")
+    if len(key_ids) == len(keys):
+        slots = compiled.slots(key_ids)
+        seen = np.zeros(len(compiled.values), dtype=bool)
+        seen[slots] = True
+        present = np.flatnonzero(seen)
+        per = compiled.values[present].tolist()
+        if seen[-1]:
+            per[-1] = fill
+        remap = np.empty(len(seen), dtype=np.int64)
+        remap[present] = np.arange(len(present))
+        return _broadcast_per_group(per, remap[slots], node["value_kind"])
+    # Hash path (missing or mixed-type keys): per-row lookup keeps the
+    # NaN-key semantics — NaN never equals a table key, so it fills.
     single = len(keys) == 1
     table: dict = {}
     for row in node["table"]:
         table[row[0] if single else tuple(row[:-1])] = row[-1]
-    fill = node.get("fill")
-    if len(frame) == 0:
-        return Series([])
-    index = _GroupIndex(frame, keys)
-    if index.fast:
-        firsts, _ = index.first_last_positions()
-        key_cols = [frame[k].values[firsts] for k in keys]
-        if single:
-            per = [table.get(_unbox(v), fill) for v in key_cols[0]]
-        else:
-            per = [
-                table.get(tuple(_unbox(v) for v in tup), fill)
-                for tup in zip(*key_cols)
-            ]
-        return _broadcast_per_group(per, index.inverse, node["value_kind"])
-    # Hash-path grouping (missing/unorderable keys): per-row lookup keeps
-    # the NaN-key semantics — NaN never equals a table key, so it fills.
     key_lists = [frame[k].tolist() for k in keys]
     values = [
         table.get(tup[0] if single else tup, fill) for tup in zip(*key_lists)
@@ -323,18 +470,21 @@ def _broadcast_per_group(per: list, inverse: np.ndarray, value_kind: str) -> Ser
 def _eval_date_split(node: dict, frame) -> dict[str, Series]:
     series = _col(frame, node["column"])
     outputs = [(part, name) for part, name in node["outputs"]]
-    parts = _kernels.iso_date_parts(series.values)
-    if parts is not None and all(part in parts for part, _ in outputs):
-        return {
-            name: Series._from_array(parts[part].copy(), name)
-            for part, name in outputs
-        }
+    encoded = _str_encoding(series)
+    if encoded is not None:
+        codes, uniques = encoded
+        parts = _kernels.iso_date_parts(uniques)
+        if parts is not None and all(part in parts for part, _ in outputs):
+            return {
+                name: Series._from_array(parts[part][codes], name)
+                for part, name in outputs
+            }
     accessor = series.dt
     return {name: getattr(accessor, part).rename(name) for part, name in outputs}
 
 
 def _eval_dummies(node: dict, frame) -> dict[str, Series]:
-    codes, uniques = _kernels.factorize_values(_col(frame, node["column"]).values)
+    codes, uniques = _col(frame, node["column"])._factorized()
     position = {u: j for j, u in enumerate(uniques)}
     out: dict[str, Series] = {}
     for category, name in zip(node["categories"], node["names"]):
@@ -343,28 +493,28 @@ def _eval_dummies(node: dict, frame) -> dict[str, Series]:
     return out
 
 
-def _split_parts_fast(values: np.ndarray, sep: str, names: list[str]):
+def _split_parts_fast(uniques: list[str], sep: str, n_parts: int):
     """Vectorized ``str.split`` via repeated ``np.char.partition``.
 
-    Only the all-strings case (the common serve batch) qualifies; any
-    missing value falls back to the per-row loop.  Each partition peels
-    one piece: rows whose previous partition found no separator have no
+    Runs over the distinct values of an all-``str`` column and returns one
+    object array per output part, to be gathered by code; a value with a
+    NUL returns ``None`` (fixed-width ``U`` arrays drop trailing NULs),
+    and the caller keeps the per-row loop.  Each partition peels one
+    piece: values whose previous partition found no separator have no
     further pieces, matching ``pieces[i] if i < len(pieces) else None``.
     """
-    if values.dtype != object or len(values) == 0:
+    if not uniques or any("\x00" in u for u in uniques):
         return None
-    if not _kernels._all_strings(values):
-        return None
-    rest = values.astype("U")
-    out: dict[str, Series] = {}
+    rest = np.array(uniques, dtype=str)
+    out: list[np.ndarray] = []
     has_piece = np.ones(len(rest), dtype=bool)
-    for name in names:
+    for _ in range(n_parts):
         parts = np.char.partition(rest, sep)
         column = np.empty(len(rest), dtype=object)
         column[:] = np.char.strip(parts[:, 0]).tolist()
         if not has_piece.all():
             column[~has_piece] = None
-        out[name] = Series._from_array(column, name)
+        out.append(column)
         has_piece = has_piece & (parts[:, 1] != "")
         rest = parts[:, 2]
     return out
@@ -372,11 +522,18 @@ def _split_parts_fast(values: np.ndarray, sep: str, names: list[str]):
 
 def _eval_split_parts(node: dict, frame) -> dict[str, Series]:
     sep, names = node["sep"], node["outputs"]
-    fast = _split_parts_fast(_col(frame, node["column"]).values, sep, names)
-    if fast is not None:
-        return fast
+    series = _col(frame, node["column"])
+    encoded = _str_encoding(series)
+    if encoded is not None:
+        codes, uniques = encoded
+        fast = _split_parts_fast(uniques, sep, len(names))
+        if fast is not None:
+            return {
+                name: Series._from_array(column[codes], name)
+                for name, column in zip(names, fast)
+            }
     columns: list[list] = [[] for _ in names]
-    for value in frame[node["column"]].tolist():
+    for value in series.tolist():
         if _kernels.is_missing_scalar(value):
             for lst in columns:
                 lst.append(None)
@@ -432,7 +589,7 @@ def _freeze_qcut(node: dict, frame) -> dict:
 
 
 def _freeze_categories(node: dict, frame) -> dict:
-    _, uniques = _kernels.factorize_values(frame[node["column"]].values)
+    _, uniques = frame[node["column"]]._factorized()
     prefix = node["prefix"]
     return {
         "op": "dummies",

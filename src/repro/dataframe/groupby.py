@@ -4,9 +4,10 @@ The high-order operator in SMARTFEAT emits exactly the pandas idiom
 ``df.groupby(groupby_col)[agg_col].transform(function)``; this module
 implements that surface plus the aggregate forms the baselines use.
 
-Grouping is vectorised: key columns are factorised
-(:func:`repro.dataframe.kernels.factorize_values`), multi-key groups are
-combined by mixed-radix coding, and the built-in aggregations (``sum`` /
+Grouping is vectorised: each key column is stably sorted once
+(:meth:`repro.dataframe.series.Series.grouping`; string columns sort
+their cached dictionary codes), multi-key groups are combined by
+mixed-radix coding, and the built-in aggregations (``sum`` /
 ``mean`` / ``min`` / ``max`` / ``count`` / ``size`` / ``first`` /
 ``last``) run as sort-based segmented reductions
 (:func:`repro.dataframe.kernels.segmented_agg`) instead of per-group
@@ -117,11 +118,12 @@ class _GroupIndex:
 
     def _build(self) -> None:
         # Per-column groupings come from Series.grouping(), which caches
-        # the stable sort (and the string S-encode step feeding it) on
-        # the column — repeated group-bys over the same key, the
-        # high-order operator's hot pattern, skip straight to the
-        # segment arrays.  Only the multi-key radix combine below is
-        # recomputed per group-by.
+        # the stable sort on the column (a string column sorts its cached
+        # dictionary codes, shared with every other op that reads the
+        # column) — repeated group-bys over the same key, the high-order
+        # operator's hot pattern, skip straight to the segment arrays.
+        # Only the multi-key radix combine below is recomputed per
+        # group-by.
         grouped = self._frame[self.keys[0]].grouping()
         if grouped is None:
             self._build_legacy()

@@ -26,6 +26,7 @@ __all__ = [
     "ColumnProfile",
     "coerce_listlike",
     "column_profile",
+    "dictionary_encode",
     "factorize_values",
     "is_missing_scalar",
     "iso_date_parts",
@@ -34,7 +35,6 @@ __all__ = [
     "segmented_agg",
     "segmented_sum_carry",
     "sorted_grouping",
-    "str_lengths",
     "take_uniques",
 ]
 
@@ -181,7 +181,8 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
 
     Numeric/boolean/sortable-object arrays go through ``np.unique``;
     mixed-type object arrays (unorderable) fall back to the hash loop,
-    which is also the semantics reference.
+    which is also the semantics reference.  Columns of plain ``str``
+    cells are encoded by :func:`dictionary_encode` instead.
     """
     n = len(values)
     if n == 0:
@@ -206,19 +207,6 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
         codes[~mask] = sub_codes
         return codes, [u.item() for u in uniq[order]]
     if values.dtype == object:
-        if _all_strings(values):
-            # Strings are never missing markers: factorise byte-encoded
-            # keys directly (C-speed sort) and recover the original str
-            # objects from the first-occurrence positions.
-            try:
-                skeys = values.astype("S")
-            except UnicodeEncodeError:
-                skeys = values.astype("U")
-            _, first_index, inverse = np.unique(
-                skeys, return_index=True, return_inverse=True
-            )
-            codes, order = _first_seen_renumber(inverse, first_index)
-            return codes, [values[i] for i in first_index[order]]
         try:
             mask = missing_mask(values)
             if mask.all():
@@ -236,6 +224,38 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
             u.item() if isinstance(u, np.generic) else u for u in uniq[order]
         ]
     return _factorize_loop(values)
+
+
+def dictionary_encode(
+    values: np.ndarray,
+) -> tuple[np.ndarray, list, dict | None] | None:
+    """Dictionary-encode a column: ``(codes, uniques, index)``.
+
+    ``codes``/``uniques`` follow :func:`factorize_values` (first-seen
+    order, ``-1`` for missing).  ``index`` is the ``{value: code}`` dict
+    when every cell is a plain ``str`` (``type(v) is str``; ``str``
+    subclasses such as ``np.str_`` do not qualify), else ``None``.  Such
+    columns are keyed by C-level dict hashing — exact equality, so
+    ``"a"`` and ``"a\\x00"`` stay apart, and first-seen numbering never
+    depends on the string hash seed.  Returns ``None`` when a cell is
+    unhashable.
+    """
+    if values.dtype == object:
+        items = values.tolist()
+        types = set(map(type, items))
+        if types <= {str}:
+            first_seen = dict.fromkeys(items)
+            index = dict(zip(first_seen, range(len(first_seen))))
+            codes = np.fromiter(map(index.__getitem__, items), np.int64, len(items))
+            return codes, list(index), index
+    try:
+        codes, uniques = factorize_values(values)
+        if values.dtype == object:
+            for u in uniques:  # np.unique can sort cells it cannot hash
+                hash(u)
+    except TypeError:
+        return None
+    return codes, uniques, None
 
 
 # ----------------------------------------------------------------------
@@ -448,39 +468,6 @@ def take_uniques(choices: Sequence[Any], codes: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Segmented (sort-based) group reductions
 # ----------------------------------------------------------------------
-def _all_strings(values: np.ndarray) -> bool:
-    """True when every element is a plain str safe for fixed-width keys.
-
-    Strings containing NUL are excluded: ``S``/``U`` dtypes pad with NUL,
-    so ``"a"`` and ``"a\\x00"`` would collide under fixed-width equality.
-    """
-    for v in values:
-        if type(v) is not str or "\x00" in v:
-            return False
-    return True
-
-
-def _string_sort_keys(values: np.ndarray) -> np.ndarray:
-    """Grouping-consistent sort keys for an all-string object array.
-
-    ASCII data byte-packs into ``uint64`` words (1-D for short strings,
-    2-D otherwise) so the sort runs as a radix/lexsort over integers
-    instead of string comparisons.  The resulting *order* is arbitrary but
-    total, and equal strings get equal keys — all that grouping needs.
-    Non-ASCII data falls back to fixed-width unicode keys.
-    """
-    try:
-        packed = values.astype("S")
-    except UnicodeEncodeError:
-        return values.astype("U")
-    width = packed.dtype.itemsize or 1
-    words = -(-width // 8)
-    if words * 8 != width:
-        packed = packed.astype(f"S{words * 8}")
-    matrix = packed.view(np.uint64).reshape(len(values), words)
-    return matrix[:, 0] if words == 1 else matrix
-
-
 def _compact_int_keys(values: np.ndarray) -> np.ndarray:
     """Shift integer keys to zero and narrow the dtype.
 
@@ -501,17 +488,6 @@ def _compact_int_keys(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _object_sort_keys(values: np.ndarray) -> np.ndarray | None:
-    """Sortable stand-in keys for an object array, or ``None`` to bail out.
-
-    Anything containing missing values or mixed types returns ``None``
-    (the callers' hash-based path keeps the exact semantics there).
-    """
-    if not _all_strings(values):
-        return None
-    return _string_sort_keys(values) if len(values) else values
-
-
 def sorted_grouping(
     values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -520,10 +496,11 @@ def sorted_grouping(
     Returns ``(order, starts, inverse)``: ``order`` is a stable row
     permutation placing equal values contiguously, ``starts`` the segment
     offsets (one group per segment, ordered by sort key), and ``inverse``
-    each row's segment id.  Returns ``None`` when the values contain
-    missing entries or are unorderable — callers fall back to the hash
-    path, which defines the semantics (missing keys need its NaN-identity
-    behaviour).
+    each row's segment id.  Returns ``None`` for float values with NaN
+    and for non-numeric dtypes — callers fall back to the hash path,
+    which defines the semantics (missing keys need its NaN-identity
+    behaviour).  Object columns group through their dictionary codes
+    (:func:`dictionary_encode`), so only integers ever reach the sort.
     """
     n = len(values)
     if n == 0:
@@ -538,22 +515,13 @@ def sorted_grouping(
         keys = values.view(np.uint8)
     elif kind in "iu":
         keys = _compact_int_keys(values)
-    elif values.dtype == object:
-        keys = _object_sort_keys(values)
-        if keys is None:
-            return None
     else:
         return None
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
-    if keys.ndim == 2:  # byte-packed strings: one stable lexsort over words
-        order = np.lexsort(tuple(keys.T))
-        sorted_keys = keys[order]
-        np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=boundary[1:])
-    else:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
     segment = np.cumsum(boundary) - 1
     inverse = np.empty(n, dtype=np.int64)
@@ -564,44 +532,24 @@ def sorted_grouping(
 # ----------------------------------------------------------------------
 # Serving replay kernels (plan hot path)
 # ----------------------------------------------------------------------
-def str_lengths(values: np.ndarray) -> np.ndarray | None:
-    """Vectorised ``len()`` per element for an all-string object array.
+def iso_date_parts(strings: Sequence[str]) -> dict[str, np.ndarray] | None:
+    """Date components for a sequence of plain-``str`` ``YYYY-MM-DD`` dates.
 
-    Returns ``None`` whenever the exact semantics of the element loop
-    (``len(str(v))`` with ``None`` for missing) cannot be reproduced with
-    one C call — missing entries, non-``str`` elements, or embedded NUL
-    bytes (fixed-width encodings pad with NUL, so lengths would misreport).
-    Callers fall back to ``Series.str.len()``.
+    One vectorized parse yields every component the date-split operator
+    needs — versus one ``strptime`` per element *per component* on the
+    accessor path.  Callers pass the distinct values of an all-``str``
+    column (its dictionary uniques) and gather by code.  Returns ``None``
+    (caller falls back to the ``Series.dt`` loop) unless every element is
+    a 10-character ASCII ISO date; both paths use the proleptic Gregorian
+    calendar, so the components agree exactly.
     """
-    if values.dtype != object or not _all_strings(values):
+    if not len(strings) or set(map(len, strings)) != {10}:
         return None
     try:
-        # ASCII data: byte length == character length, at 1 byte/char.
-        packed = values.astype("S")
-    except UnicodeEncodeError:
-        packed = values.astype("U")
-    return np.char.str_len(packed).astype(np.int64)
-
-
-def iso_date_parts(values: np.ndarray) -> dict[str, np.ndarray] | None:
-    """Date components for an all-string ``YYYY-MM-DD`` object array.
-
-    One ``datetime64`` parse yields every component the date-split
-    operator needs — versus one ``strptime`` per element *per component*
-    on the accessor path.  Returns ``None`` (caller falls back to the
-    ``Series.dt`` loop) unless every element is a plain 10-character
-    ISO-date string that numpy parses; both paths use the proleptic
-    Gregorian calendar, so the components agree exactly.
-    """
-    if values.dtype != object or len(values) == 0 or not _all_strings(values):
-        return None
-    try:
-        packed = values.astype("S")
+        packed = np.array(strings, dtype="S10")
     except UnicodeEncodeError:
         return None
-    if packed.dtype.itemsize != 10:
-        return None
-    mat = packed.view(np.uint8).reshape(len(values), 10)
+    mat = packed.view(np.uint8).reshape(len(strings), 10)
     shape_ok = (mat[:, 4] == ord("-")) & (mat[:, 7] == ord("-"))
     for pos in (0, 1, 2, 3, 5, 6, 8, 9):
         byte = mat[:, pos]

@@ -32,7 +32,7 @@ def get_dummies(
     """
     if isinstance(data, Series):
         name = prefix if prefix is not None else (data.name or "col")
-        codes, categories = _kernels.factorize_values(data.values)
+        codes, categories = data._factorized()
         start = 1 if drop_first else 0
         out: dict[str, np.ndarray] = {}
         for j, cat in enumerate(categories):
@@ -53,10 +53,12 @@ def get_dummies(
 def factorize(series: Series) -> tuple[np.ndarray, list]:
     """Encode values as integer codes (missing → -1); return ``(codes, uniques)``.
 
-    Vectorised through :func:`repro.dataframe.kernels.factorize_values`
-    (``np.unique(return_inverse=True)`` remapped to first-seen order).
+    Reads the column's cached dictionary encoding
+    (:meth:`repro.dataframe.series.Series.encoding`); the result is a
+    fresh copy the caller may mutate.
     """
-    return _kernels.factorize_values(series.values)
+    codes, uniques = series._factorized()
+    return codes.copy(), list(uniques)
 
 
 def cut(

@@ -87,12 +87,13 @@ class Series:
         Optional column name carried through operations.
     """
 
-    __slots__ = ("_values", "name", "_grouping_cache")
+    __slots__ = ("_values", "name", "_grouping_cache", "_encoding_cache")
 
     def __init__(self, data: Any, name: str | None = None) -> None:
         self._values = _coerce_values(data)
         self.name = name
         self._grouping_cache = None
+        self._encoding_cache = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -104,6 +105,7 @@ class Series:
         out._values = values
         out.name = name
         out._grouping_cache = None
+        out._encoding_cache = None
         return out
 
     @classmethod
@@ -130,8 +132,9 @@ class Series:
         """The underlying numpy array (no copy).
 
         Writing into this buffer directly bypasses the bookkeeping
-        :meth:`__setitem__` performs (notably :meth:`grouping` cache
-        invalidation) — mutate through the Series, not the array.
+        :meth:`__setitem__` performs (notably :meth:`grouping` and
+        :meth:`encoding` cache invalidation) — mutate through the Series,
+        not the array.
         """
         return self._values
 
@@ -179,7 +182,9 @@ class Series:
         return value.item() if isinstance(value, np.generic) else value
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        self._grouping_cache = None  # in-place mutation invalidates grouping
+        # In-place mutation invalidates the cached grouping and encoding.
+        self._grouping_cache = None
+        self._encoding_cache = None
         if isinstance(key, Series):
             key = key.to_numpy()
         if self._values.dtype.kind in "if" and isinstance(value, (int, float, np.number)):
@@ -206,30 +211,78 @@ class Series:
     # ------------------------------------------------------------------
     # Grouping
     # ------------------------------------------------------------------
+    def encoding(self) -> tuple[np.ndarray, list, dict | None] | None:
+        """This column's dictionary encoding, computed once and cached.
+
+        Returns :func:`repro.dataframe.kernels.dictionary_encode`'s
+        ``(codes, uniques, index)``: int64 ``codes`` in first-seen order
+        with ``-1`` for missing, the distinct ``uniques`` in that order,
+        and the ``{value: code}`` ``index`` when every cell is a plain
+        ``str`` (else ``None``).  Returns ``None`` when a cell is
+        unhashable.  Every factorize, group-by and string op over the
+        column reads this one encoding, so each column is encoded once
+        however many features touch it.  The shared ``codes`` are
+        read-only, and ``uniques``/``index`` must not be mutated.  The
+        entry is keyed on the backing array's identity and cleared by
+        :meth:`__setitem__`, like :meth:`grouping`'s; it is assigned in
+        one step, so threads encoding the same column at once each get an
+        equal, complete result.
+        """
+        cache = self._encoding_cache
+        if cache is None or cache[1] is not self._values:
+            values = self._values
+            encoded = _kernels.dictionary_encode(values)
+            if encoded is not None:
+                encoded[0].flags.writeable = False
+            cache = (encoded, values)
+            self._encoding_cache = cache
+        return cache[0]
+
+    def _factorized(self) -> tuple[np.ndarray, list]:
+        """``(codes, uniques)`` from :meth:`encoding`; unhashable cells
+        keep :func:`repro.dataframe.kernels.factorize_values`' behaviour."""
+        encoded = self.encoding()
+        if encoded is None:
+            return _kernels.factorize_values(self._values)
+        return encoded[0], encoded[1]
+
     def grouping(self):
         """This column's sorted grouping, computed once and cached.
 
         Returns :func:`repro.dataframe.kernels.sorted_grouping`'s
         ``(order, starts, inverse)`` — or ``None`` when the column needs
-        the hash path (missing keys, unorderable values).  Group-bys
-        dominate the high-order operator's transforms and the same key
-        column is re-grouped for every candidate feature, so the cache
-        turns the per-group-by sort (and, for string keys, the S-encode
-        packing that dominates it) into a one-time cost per column.  The
-        cached arrays are shared across group-bys and marked read-only;
-        mutation through :meth:`__setitem__` invalidates the cache (the
-        entry is also keyed on the backing array's identity, so a
-        swapped-out buffer can never serve a stale grouping).  Writing
-        into the exposed :attr:`values` buffer directly is the one
-        mutation the cache cannot see — see that property's docstring.
+        the hash path (missing keys, mixed or unhashable cells).  Object
+        columns of plain ``str`` group through their :meth:`encoding`
+        codes, a radix sort of small ints; other object columns take the
+        hash path.  Group-bys dominate the high-order operator's
+        transforms and the same key column is re-grouped for every
+        candidate feature, so the cache makes the sort a one-time cost
+        per column.  The cached arrays are shared across group-bys and
+        marked read-only; mutation through :meth:`__setitem__`
+        invalidates the cache (the entry is also keyed on the backing
+        array's identity, so a swapped-out buffer can never serve a stale
+        grouping).  Writing into the exposed :attr:`values` buffer
+        directly is the one mutation the cache cannot see — see that
+        property's docstring.
         """
-        if self._grouping_cache is None or self._grouping_cache[1] is not self._values:
-            grouped = _kernels.sorted_grouping(self._values)
+        cache = self._grouping_cache
+        if cache is None or cache[1] is not self._values:
+            values = self._values
+            if values.dtype == object:
+                encoded = self.encoding()
+                grouped = (
+                    None
+                    if encoded is None or encoded[2] is None
+                    else _kernels.sorted_grouping(encoded[0])
+                )
+            else:
+                grouped = _kernels.sorted_grouping(values)
             if grouped is not None:
                 for arr in grouped:
                     arr.flags.writeable = False
-            self._grouping_cache = (grouped, self._values)
-        return self._grouping_cache[0]
+            cache = (grouped, values)
+            self._grouping_cache = cache
+        return cache[0]
 
     # ------------------------------------------------------------------
     # Missing data
@@ -293,7 +346,7 @@ class Series:
         """
         if isinstance(mapper, Mapping):
             try:
-                codes, uniques = _kernels.factorize_values(self._values)
+                codes, uniques = self._factorized()
                 mapped = [mapper.get(u) for u in uniques]
             except TypeError:  # unhashable values: surface the same error shape
                 return Series(
@@ -504,7 +557,7 @@ class Series:
 
     def _counts_first_seen(self) -> tuple[list, np.ndarray]:
         """``(uniques, counts)`` over non-missing values in first-seen order."""
-        codes, uniques = _kernels.factorize_values(self._values)
+        codes, uniques = self._factorized()
         present = codes[codes >= 0]
         counts = np.bincount(present, minlength=len(uniques)) if len(uniques) else np.zeros(0, np.int64)
         return uniques, counts
@@ -528,7 +581,7 @@ class Series:
     def unique(self) -> list:
         """Distinct non-missing values in first-seen order."""
         uniques, _ = self._counts_first_seen()
-        return uniques
+        return list(uniques)  # the encoding's list is shared
 
     def mode(self) -> Any:
         """Most frequent non-missing value (ties break on first-seen order)."""

@@ -133,7 +133,7 @@ class TestDropReplay:
 class TestSharedGroupingEncode:
     def test_group_features_share_one_key_encode(self, monkeypatch):
         """Two groupby features over the same key column must trigger one
-        sorted-grouping encode per batch, not one per feature."""
+        dictionary encode per batch, not one per feature."""
         frame = DataFrame(
             {
                 "g": Series(["a", "b", "a", "b", "c"]),
@@ -163,20 +163,23 @@ class TestSharedGroupingEncode:
         assert [s.status for s in plan.features] == ["compiled", "compiled"]
 
         calls = []
-        real = kernels.sorted_grouping
+        real = kernels.dictionary_encode
 
         def counting(values):
             calls.append(values)
             return real(values)
 
-        monkeypatch.setattr(kernels, "sorted_grouping", counting)
-        fresh = frame.column_view(frame.columns)  # new Series cache state? no — shared
+        monkeypatch.setattr(kernels, "dictionary_encode", counting)
+        # New Series objects over the same arrays: no cached encodings.
+        fresh = DataFrame(
+            {c: Series._from_array(frame[c].values, c) for c in frame.columns}
+        )
         out = plan.apply(fresh)
         identical, detail = frames_identical(out, result.frame)
         assert identical, detail
         # one encode for the shared "g" key column, despite two features
-        g_encodes = [v for v in calls if len(v) == 5 and v.dtype == object]
-        assert len(g_encodes) <= 1
+        g_encodes = [v for v in calls if v is fresh["g"].values]
+        assert len(g_encodes) == 1
 
 
 class TestEndToEnd:
