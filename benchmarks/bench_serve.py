@@ -5,7 +5,11 @@ Three sections:
 * ``identity`` — fit SMARTFEAT on all nine eval datasets with
   ``compile_plan=True``, JSON-round-trip each exported plan, replay it on
   the original frame, and assert the result is **bit-identical** (dtype
-  and missingness exact) to ``fit_transform``'s frame.
+  and missingness exact) to ``fit_transform``'s frame.  Each fit is also
+  recompiled with the ``op[args]:`` tag stripped from every description
+  (as a real provider's descriptions read): the ``compiled_stripped``
+  count must equal the tagged ``compiled`` count, since the compiler
+  lifts each feature from its source.
 * ``throughput`` — the every-operator demo workload
   (:func:`repro.eval.serving.build_demo_result`) at serving scale:
   ``plan.apply`` (pure-numpy expression replay) against
@@ -28,7 +32,9 @@ instead.
 """
 
 import argparse
+import dataclasses
 import json
+import re
 import threading
 import time
 
@@ -38,6 +44,7 @@ from repro.dataframe.expr import evaluate_feature
 from repro.eval.serving import (
     ALL_DATASETS,
     build_demo_result,
+    fit_and_export,
     replay_identity_report,
     sandbox_replay,
 )
@@ -47,6 +54,7 @@ SANDBOX_SPEEDUP_FLOOR = 10.0
 FIT_ROWS = {"smoke": 240, "full": 400}
 SERVE_ROWS = {"smoke": 100_000, "full": 1_000_000}
 CONCURRENT_CALLERS = 8
+OP_TAG = re.compile(r"^[A-Za-z_]+(\[[^\]]*\])*:\s*")
 
 
 def _fresh(frame: DataFrame) -> DataFrame:
@@ -70,18 +78,36 @@ def _timed(fn, repeats: int = 1):
 # ----------------------------------------------------------------------
 # Section 1: replay identity across the eval datasets
 # ----------------------------------------------------------------------
+def compiled_with_tags_stripped(dataset: str, fit_rows: int) -> int:
+    """Compiled count of *dataset*'s fit with untagged descriptions."""
+    bundle, result = fit_and_export(dataset, n_rows=fit_rows, seed=0)
+    features = {
+        name: dataclasses.replace(f, description=OP_TAG.sub("", f.description))
+        for name, f in result.new_features.items()
+    }
+    untagged = dataclasses.replace(result, new_features=features)
+    plan = compile_plan(untagged, bundle["frame"], bundle["target"])
+    return plan.counts()["compiled"]
+
+
 def identity_section(fit_rows: int) -> list[dict]:
     rows = replay_identity_report(ALL_DATASETS, n_rows=fit_rows, seed=0)
     for row in rows:
+        row["compiled_stripped"] = compiled_with_tags_stripped(row["dataset"], fit_rows)
         status = "bit-identical" if row["identical"] else f"DIVERGED: {row['detail']}"
         print(
             f"identity {row['dataset']:10s} features={row['n_features']:3d} "
-            f"compiled={row['compiled']:3d} fallback={row['fallback']} "
-            f"omitted={row['omitted']} {status}"
+            f"compiled={row['compiled']:3d} "
+            f"compiled_stripped={row['compiled_stripped']:3d} "
+            f"fallback={row['fallback']} omitted={row['omitted']} {status}"
         )
         assert row["identical"], (
             f"plan replay diverged from fitted frame on {row['dataset']}: "
             f"{row['detail']}"
+        )
+        assert row["compiled_stripped"] == row["compiled"], (
+            f"{row['dataset']}: {row['compiled_stripped']} features compile with "
+            f"untagged descriptions vs {row['compiled']} tagged"
         )
     return rows
 

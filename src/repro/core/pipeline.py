@@ -566,7 +566,7 @@ class SmartFeat:
     # ------------------------------------------------------------------
     # Serving plan export
     # ------------------------------------------------------------------
-    def export_plan(self, result, frame, target, knowledge=None, metadata=None):
+    def export_plan(self, result, frame, target, metadata=None):
         """Compile *result* into a serving :class:`~repro.serve.FeaturePlan`.
 
         The plan replays the run's accepted features as a pure-numpy
@@ -578,9 +578,7 @@ class SmartFeat:
         """
         from repro.serve.compiler import compile_plan as _compile_plan
 
-        return _compile_plan(
-            result, frame, target, knowledge=knowledge, metadata=metadata
-        )
+        return _compile_plan(result, frame, target, metadata=metadata)
 
     # ------------------------------------------------------------------
     # Stage graph construction

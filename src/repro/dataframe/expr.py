@@ -2,11 +2,11 @@
 
 A fitted SMARTFEAT run's accepted features are generated ``def
 transform(df)`` sources.  Serving replays them millions of times, where a
-sandboxed ``exec`` per call is pure overhead — so each source form the
-code generator emits (:mod:`repro.fm.codegen`) has a mirror here as a
-JSON-safe expression node that evaluates through the same
-Series/kernel operations the source would have hit, making replay
-value- and dtype-identical to ``fit_transform``'s frame.
+sandboxed ``exec`` per call is pure overhead — so the plan compiler
+(:mod:`repro.serve.compiler`) lifts each accepted source into JSON-safe
+expression nodes that evaluate through the same Series/kernel operations
+the source would have hit, making replay value- and dtype-identical to
+``fit_transform``'s frame.
 
 Two node families exist:
 
@@ -103,20 +103,6 @@ EXPR_OPS = frozenset(
         "dummies",
         "split_parts",
         "group_lookup",
-    }
-)
-
-#: Compile-time-only node kinds; :func:`freeze_expr` resolves these.
-FIT_OPS = frozenset(
-    {
-        "fit_mean",
-        "fit_std_or1",
-        "fit_min",
-        "fit_span_or1",
-        "fit_qcut",
-        "fit_categories",
-        "fit_group_table",
-        "fit_split_outputs",
     }
 )
 
@@ -618,24 +604,19 @@ def _freeze_group_table(node: dict, frame) -> dict:
         raise ExprError(
             f"groupby over {keys!r} needs the hash path at fit time; cannot freeze"
         )
-    kind = per.dtype.kind
-    value_kind = "int64" if kind in "iu" else "float64" if kind == "f" else "object"
-    single = len(keys) == 1
-    table = []
-    for label, value in zip(index.labels(), per):
-        parts = [label] if single else list(label)
-        table.append([*(_unbox(p) for p in parts), _unbox(value)])
-    return {
+    frozen = {
         "op": "group_lookup",
         "keys": list(keys),
         "agg": node["agg"],
         # The aggregated column is not needed to replay the frozen table,
         # but an out-of-core refresh pass re-aggregates from it — keep it.
         "agg_col": agg_col,
-        "table": table,
-        "value_kind": value_kind,
+        "table": None,
+        "value_kind": None,
         "fill": None,
     }
+    refreeze_group_table(frozen, index.labels(), per)
+    return frozen
 
 
 def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
@@ -643,9 +624,9 @@ def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
 
     *labels*/*per* come from an out-of-core aggregation over the full
     shard stream (:class:`repro.dataframe.groupby.StreamingGroupAgg` in
-    first-seen order); the rebuilt ``table``/``value_kind`` follow the
-    same encoding rules as the fit-time freeze, so the node replays
-    through the identical broadcast path.
+    first-seen order).  The fit-time freeze builds its table through this
+    same function, so a refreshed node replays through the identical
+    broadcast path.
     """
     if node.get("op") != "group_lookup":
         raise ExprError(f"cannot refreeze node op {node.get('op')!r}")
@@ -662,46 +643,41 @@ def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
 
 
 def _freeze_split_outputs(node: dict, frame) -> dict:
-    column, sep = node["column"], node["sep"]
+    column, sep, rename = node["column"], node["sep"], node["rename"]
     width = 0
     for value in frame[column].tolist():
         if not _kernels.is_missing_scalar(value):
             width = max(width, len(str(value).split(sep)))
     if width == 0:
         raise ExprError(f"split_parts saw no present values in {column!r} at fit time")
-    names = []
-    for i in range(width):
-        # Mirrors the generated rename: parts 0/1 get friendly names, the
-        # rest keep the stringified positional name the frame gave them.
-        names.append(f"{column}_part{i}" if i < 2 else str(i))
+    # The source's rename maps positional names ("0", "1" …); parts it
+    # does not rename keep the positional name the frame gave them.
+    names = [rename.get(str(i), str(i)) for i in range(width)]
     return {"op": "split_parts", "column": column, "sep": sep, "outputs": names}
 
 
 def _freeze_stat(node: dict, frame) -> dict:
-    series = frame[node["column"]]
-    op = node["op"]
-    if op == "fit_mean":
-        return _const(series.mean())
-    if op == "fit_std_or1":
-        return _const(series.std() or 1.0)
-    if op == "fit_min":
-        return _const(series.min())
-    lo, hi = series.min(), series.max()
-    if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)):
-        raise ExprError(f"column {node['column']!r} has no numeric range to freeze")
-    return _const((hi - lo) or 1.0)
+    """``fit_mean`` → ``Series.mean()`` of the column, and so on."""
+    return _const(getattr(frame[node["column"]], node["op"][len("fit_") :])())
+
+
+def _freeze_or(node: dict, frame) -> dict:
+    """``left or right`` over fit-time scalars (``col.std() or 1.0``)."""
+    left = _operand(freeze_expr(node["left"], frame), frame)
+    return _const(left or _operand(freeze_expr(node["right"], frame), frame))
 
 
 _FIT_FREEZERS = {
-    "fit_mean": _freeze_stat,
-    "fit_std_or1": _freeze_stat,
-    "fit_min": _freeze_stat,
-    "fit_span_or1": _freeze_stat,
+    **dict.fromkeys(("fit_mean", "fit_std", "fit_min", "fit_max"), _freeze_stat),
+    "fit_or": _freeze_or,
     "fit_qcut": _freeze_qcut,
     "fit_categories": _freeze_categories,
     "fit_group_table": _freeze_group_table,
     "fit_split_outputs": _freeze_split_outputs,
 }
+
+#: Compile-time-only node kinds; :func:`freeze_expr` resolves these.
+FIT_OPS = frozenset(_FIT_FREEZERS)
 
 
 def freeze_expr(node: dict, frame) -> dict:

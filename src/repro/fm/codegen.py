@@ -12,26 +12,19 @@ simulated operator selector), e.g. ``"bucketization[age_insurance]: Age
 grouped into standard insurance bands"`` — mirroring how the paper reuses
 the operator description as the feature description.
 
-Each operator form is emitted as an :class:`OpForm` pairing the sandbox
-source with its expression-IR mirror (:mod:`repro.dataframe.expr`): the
-*source* is what fit-time executes, the *expr* is the template the
-FeaturePlan compiler freezes into a pure-numpy serving program.  The two
-representations are built side by side from the same inputs so they
-cannot drift.
+The source is the only emission: the FeaturePlan compiler
+(:mod:`repro.serve.compiler`) lifts the serving expression from the
+accepted source itself, never from the tag, so a real provider's untagged
+code compiles the same way.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.fm.knowledge import KnowledgeStore
 
 __all__ = [
     "KNOWN_TAGS",
-    "OpForm",
     "derivation_tag",
-    "generate_transform_expr",
-    "generate_transform_form",
     "generate_transform_source",
     "parse_op_tag",
 ]
@@ -55,19 +48,6 @@ KNOWN_TAGS = frozenset(
         "source",
     }
 )
-
-
-@dataclass(frozen=True)
-class OpForm:
-    """One operator's two emissions: sandbox source + expression template.
-
-    ``expr`` may contain fit-time nodes (``fit_mean`` …) that the plan
-    compiler resolves against the fitted frame; ``None`` means the form
-    has no IR mirror and serving must fall back to the source.
-    """
-
-    source: str
-    expr: dict | None
 
 
 def derivation_tag(description: str) -> str:
@@ -96,283 +76,167 @@ def parse_op_tag(description: str) -> tuple[str, list[str]]:
     return head, []
 
 
-def _quote(name: str) -> str:
-    return repr(name)
-
-
-# ----------------------------------------------------------------------
-# Expression-node shorthands
-# ----------------------------------------------------------------------
-def _col(name: str) -> dict:
-    return {"op": "col", "name": name}
-
-
-def _const(value) -> dict:
-    return {"op": "const", "value": value}
-
-
-def _bin(op: str, left: dict, right: dict) -> dict:
-    return {"op": op, "left": left, "right": right}
-
-
-def _zscore(column: str) -> dict:
-    return _bin(
-        "div",
-        _bin("sub", _col(column), {"op": "fit_mean", "column": column}),
-        {"op": "fit_std_or1", "column": column},
-    )
-
-
 # ----------------------------------------------------------------------
 # Operator forms
 # ----------------------------------------------------------------------
-def _bucketization(column: str, args: list[str], knowledge: KnowledgeStore) -> OpForm:
+def _bucketization(column: str, args: list[str], knowledge: KnowledgeStore) -> str:
     domain = args[0] if args else ""
     try:
         edges = knowledge.thresholds(domain)
-        edge_src = repr(edges)
-        return OpForm(
-            source=(
-                f"def transform(df):\n"
-                f"    # Domain-standard {domain or 'generic'} bands.\n"
-                f"    edges = {edge_src}\n"
-                f"    return pd.cut(df[{_quote(column)}], edges, labels=list(range(len(edges) - 1)))\n"
-            ),
-            expr={
-                "op": "cut",
-                "column": column,
-                "edges": [float(e) for e in edges],
-                "labels": list(range(len(edges) - 1)),
-                "right": True,
-            },
-        )
     except KeyError:
-        return OpForm(
-            source=(
-                f"def transform(df):\n"
-                f"    # No domain-standard bands known; fall back to quartiles.\n"
-                f"    return pd.qcut(df[{_quote(column)}], 4, labels=[0, 1, 2, 3])\n"
-            ),
-            expr={"op": "fit_qcut", "column": column, "q": 4, "labels": [0, 1, 2, 3]},
+        return (
+            f"def transform(df):\n"
+            f"    # No domain-standard bands known; fall back to quartiles.\n"
+            f"    return pd.qcut(df[{column!r}], 4, labels=[0, 1, 2, 3])\n"
         )
+    return (
+        f"def transform(df):\n"
+        f"    # Domain-standard {domain or 'generic'} bands.\n"
+        f"    edges = {edges!r}\n"
+        f"    return pd.cut(df[{column!r}], edges, labels=list(range(len(edges) - 1)))\n"
+    )
 
 
-def _normalization(column: str, args: list[str]) -> OpForm:
+def _normalization(column: str, args: list[str]) -> str:
     mode = args[0] if args else "zscore"
     if mode == "minmax":
-        return OpForm(
-            source=(
-                f"def transform(df):\n"
-                f"    col = df[{_quote(column)}]\n"
-                f"    lo, hi = col.min(), col.max()\n"
-                f"    span = (hi - lo) or 1.0\n"
-                f"    return (col - lo) / span\n"
-            ),
-            expr=_bin(
-                "div",
-                _bin("sub", _col(column), {"op": "fit_min", "column": column}),
-                {"op": "fit_span_or1", "column": column},
-            ),
+        return (
+            f"def transform(df):\n"
+            f"    col = df[{column!r}]\n"
+            f"    lo, hi = col.min(), col.max()\n"
+            f"    span = (hi - lo) or 1.0\n"
+            f"    return (col - lo) / span\n"
         )
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    col = df[{_quote(column)}]\n"
-            f"    scale = col.std() or 1.0\n"
-            f"    return (col - col.mean()) / scale\n"
-        ),
-        expr=_zscore(column),
+    return (
+        f"def transform(df):\n"
+        f"    col = df[{column!r}]\n"
+        f"    scale = col.std() or 1.0\n"
+        f"    return (col - col.mean()) / scale\n"
     )
 
 
-def _log_transform(column: str) -> OpForm:
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    # log1p of the non-negative part; keeps zeros/negatives safe.\n"
-            f"    # np.log dispatches as one vectorised ufunc call.\n"
-            f"    return (df[{_quote(column)}].clip(0) + 1.0).apply(np.log)\n"
-        ),
-        expr={
-            "op": "ufunc",
-            "fn": "log",
-            "arg": _bin(
-                "add",
-                {"op": "clip", "arg": _col(column), "lower": 0, "upper": None},
-                _const(1.0),
-            ),
-        },
+def _log_transform(column: str) -> str:
+    return (
+        f"def transform(df):\n"
+        f"    # log1p of the non-negative part; keeps zeros/negatives safe.\n"
+        f"    # np.log dispatches as one vectorised ufunc call.\n"
+        f"    return (df[{column!r}].clip(0) + 1.0).apply(np.log)\n"
     )
 
 
-def _squared(column: str) -> OpForm:
-    return OpForm(
-        source=f"def transform(df):\n    return df[{_quote(column)}] ** 2\n",
-        expr=_bin("pow", _col(column), _const(2)),
+def _squared(column: str) -> str:
+    return f"def transform(df):\n    return df[{column!r}] ** 2\n"
+
+
+def _get_dummies(column: str) -> str:
+    return (
+        f"def transform(df):\n"
+        f"    return pd.get_dummies(df[{column!r}], prefix={column!r})\n"
     )
 
 
-def _get_dummies(column: str) -> OpForm:
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    return pd.get_dummies(df[{_quote(column)}], prefix={_quote(column)})\n"
-        ),
-        expr={"op": "fit_categories", "column": column, "prefix": column},
+def _date_split(column: str) -> str:
+    return (
+        f"def transform(df):\n"
+        f"    col = df[{column!r}]\n"
+        f"    return pd.DataFrame({{\n"
+        f"        {column + '_month'!r}: col.dt.month,\n"
+        f"        {column + '_dayofweek'!r}: col.dt.dayofweek,\n"
+        f"    }})\n"
     )
 
 
-def _date_split(column: str) -> OpForm:
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    col = df[{_quote(column)}]\n"
-            f"    return pd.DataFrame({{\n"
-            f"        {_quote(column + '_month')}: col.dt.month,\n"
-            f"        {_quote(column + '_dayofweek')}: col.dt.dayofweek,\n"
-            f"    }})\n"
-        ),
-        expr={
-            "op": "date_split",
-            "column": column,
-            "outputs": [
-                ["month", f"{column}_month"],
-                ["dayofweek", f"{column}_dayofweek"],
-            ],
-        },
+def _text_length(column: str) -> str:
+    return f"def transform(df):\n    return df[{column!r}].str.len()\n"
+
+
+def _is_missing(column: str) -> str:
+    return (
+        f"def transform(df):\n"
+        f"    return df[{column!r}].isna().astype(int)\n"
     )
 
 
-def _text_length(column: str) -> OpForm:
-    return OpForm(
-        source=f"def transform(df):\n    return df[{_quote(column)}].str.len()\n",
-        expr={"op": "str_len", "column": column},
-    )
-
-
-def _is_missing(column: str) -> OpForm:
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    return df[{_quote(column)}].isna().astype(int)\n"
-        ),
-        expr={"op": "isna_int", "column": column},
-    )
-
-
-def _binary(op: str, columns: list[str]) -> OpForm:
+def _binary(op: str, columns: list[str]) -> str:
     a, b = columns[0], columns[1]
     if op == "/":
-        return OpForm(
-            source=(
-                f"def transform(df):\n"
-                f"    # Guard against division by zero: zero/null denominators\n"
-                f"    # become missing via one vectorised mask, and propagate.\n"
-                f"    den = df[{_quote(b)}].where(df[{_quote(b)}] != 0)\n"
-                f"    return df[{_quote(a)}] / den\n"
-            ),
-            expr=_bin("div", _col(a), {"op": "where_nonzero", "arg": _col(b)}),
+        return (
+            f"def transform(df):\n"
+            f"    # Guard against division by zero: zero/null denominators\n"
+            f"    # become missing via one vectorised mask, and propagate.\n"
+            f"    den = df[{b!r}].where(df[{b!r}] != 0)\n"
+            f"    return df[{a!r}] / den\n"
         )
     symbol = {"+": "+", "-": "-", "*": "*"}[op]
-    node = {"+": "add", "-": "sub", "*": "mul"}[op]
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    return df[{_quote(a)}] {symbol} df[{_quote(b)}]\n"
-        ),
-        expr=_bin(node, _col(a), _col(b)),
+    return (
+        f"def transform(df):\n"
+        f"    return df[{a!r}] {symbol} df[{b!r}]\n"
     )
 
 
-def _groupby(args: list[str], columns: list[str]) -> OpForm:
+def _groupby(args: list[str], columns: list[str]) -> str:
     func = args[0] if args else "mean"
     agg_col = columns[-1]
     group_cols = columns[:-1]
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    return df.groupby({group_cols!r})[{_quote(agg_col)}].transform({_quote(func)})\n"
-        ),
-        expr={
-            "op": "fit_group_table",
-            "keys": list(group_cols),
-            "agg_col": agg_col,
-            "agg": func,
-        },
+    return (
+        f"def transform(df):\n"
+        f"    return df.groupby({group_cols!r})[{agg_col!r}].transform({func!r})\n"
     )
 
 
 def _knowledge_map(
     topic: str, column: str, values: list[str], knowledge: KnowledgeStore
-) -> OpForm:
+) -> str:
     mapping = knowledge.mapping_for(topic, values)
     default = knowledge.default_for(topic)
     entries = ", ".join(f"{k!r}: {v!r}" for k, v in mapping.items())
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    # Encoded world knowledge: {topic.replace('_', ' ')}.\n"
-            f"    # Dict .map runs one lookup per distinct value; unmapped and\n"
-            f"    # missing inputs fall through to the default.\n"
-            f"    lookup = {{{entries}}}\n"
-            f"    return df[{_quote(column)}].map(lookup).fillna({default!r})\n"
-        ),
-        expr={
-            "op": "fillna",
-            "arg": {
-                "op": "dict_map",
-                "column": column,
-                "keys": list(mapping),
-                "values": list(mapping.values()),
-            },
-            "value": default,
-        },
+    return (
+        f"def transform(df):\n"
+        f"    # Encoded world knowledge: {topic.replace('_', ' ')}.\n"
+        f"    # Dict .map runs one lookup per distinct value; unmapped and\n"
+        f"    # missing inputs fall through to the default.\n"
+        f"    lookup = {{{entries}}}\n"
+        f"    return df[{column!r}].map(lookup).fillna({default!r})\n"
     )
 
 
-def _split_parts(column: str, args: list[str]) -> OpForm:
+def _split_parts(column: str, args: list[str]) -> str:
     separator = args[0] if args else ","
-    return OpForm(
-        source=(
-            f"def transform(df):\n"
-            f"    parts = df[{_quote(column)}].str.split({separator!r}, expand=True)\n"
-            f"    parts = parts.rename(columns={{'0': {_quote(column + '_part0')}, '1': {_quote(column + '_part1')}}})\n"
-            f"    out = pd.DataFrame({{}})\n"
-            f"    for name in parts.columns:\n"
-            f"        out[name] = parts[name].str.strip()\n"
-            f"    return out\n"
-        ),
-        expr={"op": "fit_split_outputs", "column": column, "sep": separator},
+    return (
+        f"def transform(df):\n"
+        f"    parts = df[{column!r}].str.split({separator!r}, expand=True)\n"
+        f"    parts = parts.rename(columns={{'0': {column + '_part0'!r}, '1': {column + '_part1'!r}}})\n"
+        f"    out = pd.DataFrame({{}})\n"
+        f"    for name in parts.columns:\n"
+        f"        out[name] = parts[name].str.strip()\n"
+        f"    return out\n"
     )
 
 
-def _composite_index(columns: list[str]) -> OpForm:
+def _composite_index(columns: list[str]) -> str:
     weight = 1.0 / max(len(columns), 1)
     body = [
         "def transform(df):",
         "    # Equal-weight z-score composite of the inputs.",
         "    total = None",
     ]
-    total: dict | None = None
     for col in columns:
-        body.append(f"    col = df[{_quote(col)}]")
+        body.append(f"    col = df[{col!r}]")
         body.append("    scale = col.std() or 1.0")
         body.append(f"    part = ((col - col.mean()) / scale) * {weight!r}")
         body.append("    total = part if total is None else total + part")
-        part = _bin("mul", _zscore(col), _const(weight))
-        total = part if total is None else _bin("add", total, part)
     body.append("    return total")
-    return OpForm(source="\n".join(body) + "\n", expr=total)
+    return "\n".join(body) + "\n"
 
 
-def generate_transform_form(
+def generate_transform_source(
     name: str,
     columns: list[str],
     description: str,
     knowledge: KnowledgeStore,
     column_values: dict[str, list[str]] | None = None,
-) -> OpForm:
-    """Emit one feature candidate's :class:`OpForm`.
+) -> str:
+    """Emit ``def transform(df)`` source for one feature candidate.
 
     Parameters mirror the function-generator prompt: the feature *name*,
     its *columns*, the tagged *description*, and the categorical domains
@@ -409,38 +273,4 @@ def generate_transform_form(
         return _composite_index(columns)
     # Unknown intent: a defensible generic fallback (identity copy) that the
     # validator will reject as redundant — mirroring an FM low-quality answer.
-    return OpForm(
-        source=f"def transform(df):\n    return df[{_quote(column)}]\n",
-        expr=_col(column),
-    )
-
-
-def generate_transform_source(
-    name: str,
-    columns: list[str],
-    description: str,
-    knowledge: KnowledgeStore,
-    column_values: dict[str, list[str]] | None = None,
-) -> str:
-    """Emit ``def transform(df)`` source for one feature candidate."""
-    return generate_transform_form(
-        name, columns, description, knowledge, column_values
-    ).source
-
-
-def generate_transform_expr(
-    name: str,
-    columns: list[str],
-    description: str,
-    knowledge: KnowledgeStore,
-    column_values: dict[str, list[str]] | None = None,
-) -> dict | None:
-    """Emit the expression-IR template for one feature candidate.
-
-    The result may contain fit-time nodes; freeze with
-    :func:`repro.dataframe.expr.freeze_expr` before serving.  ``None``
-    means the form has no IR mirror.
-    """
-    return generate_transform_form(
-        name, columns, description, knowledge, column_values
-    ).expr
+    return f"def transform(df):\n    return df[{column!r}]\n"

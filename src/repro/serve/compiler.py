@@ -13,22 +13,30 @@ verified the same way), and anything else is recorded as ``omitted`` with
 a reason.  The fitted outputs are installed into the rebuild either way,
 so later features always freeze against the exact state fit saw.
 
-Templates come from the same code generator that emitted the sources
-(:func:`repro.fm.codegen.generate_transform_expr`); the three forms whose
-sources embed run-specific literals (knowledge mappings, bucket edges,
-group specs) are lifted from the accepted source via ``ast`` instead, so
-the plan reproduces what actually ran, not what would be regenerated.
+Templates are lifted from each feature's accepted ``def transform(df)``
+source — never from its description — by symbolic evaluation of the
+source's ``ast`` over a whitelisted pandas subset (column arithmetic,
+clip/ufunc/where, isna, map/fillna, cut/qcut, get_dummies, group-by
+transforms, string length/split, date parts, and fit-time statistics,
+which become fit nodes).  Nothing is executed; a source outside the
+subset gets no template and takes the verified sandbox fallback, and a
+wrong lift fails the bitwise check the same way, so it can never ship.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import json
+import operator
+import re
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.dataframe import kernels as _kernels
+from repro.dataframe import pandas_facade as _pd
 from repro.dataframe.expr import (
     ExprError,
     evaluate_feature,
@@ -36,9 +44,8 @@ from repro.dataframe.expr import (
     freeze_expr,
 )
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.series import Series
-from repro.fm.codegen import generate_transform_expr, parse_op_tag
-from repro.fm.knowledge import default_knowledge
+from repro.dataframe.groupby import SeriesGroupBy
+from repro.dataframe.series import DatetimeAccessor, Series, StringAccessor
 from repro.serve.plan import FeaturePlan, FeatureSpec, column_kind
 
 __all__ = ["compile_plan", "frames_identical", "series_identical"]
@@ -84,164 +91,387 @@ def frames_identical(a: DataFrame, b: DataFrame) -> tuple[bool, str]:
 
 
 # ----------------------------------------------------------------------
-# AST lifting for literal-bearing sources
+# Lifting accepted source to the expression IR
 # ----------------------------------------------------------------------
-def _literal(node: ast.AST) -> Any:
-    return ast.literal_eval(node)
+class _Unliftable(Exception):
+    """The source steps outside the subset the lifter understands."""
 
 
-def _lift_knowledge_map(source: str) -> dict | None:
-    """Recover ``{lookup dict, mapped column, fillna default}`` from source.
+@dataclass(frozen=True)
+class _Lit:
+    """A value known at lift time: a literal, or a builtin over literals."""
 
-    The knowledge mapping was built from FM-time column values the fitted
-    result does not retain, so regeneration could diverge; the accepted
-    source is the ground truth.
-    """
+    value: Any
+
+
+@dataclass(frozen=True)
+class _Ref:
+    """A lift-time value that is neither a literal nor a column expression:
+    the frame, a module, an accessor, a group-by, a split, a mask …"""
+
+    kind: str
+    args: tuple = ()
+
+
+#: Names of the sandbox namespace the lifter follows.
+_GLOBALS = {
+    "pd": _Ref("pd"),
+    "np": _Ref("np"),
+    **{fn.__name__: _Lit(fn) for fn in (float, int, len, list, range, tuple)},
+}
+
+#: What each receiver kind is at fit time; its method signatures bind a
+#: call's arguments exactly as the sandbox will.
+_RECEIVERS = {
+    "pd": _pd,
+    "frame": DataFrame,
+    "grouped": SeriesGroupBy,
+    "series": Series,
+    "isna": Series,
+    "str": StringAccessor,
+    "split": DataFrame,
+}
+
+_ARITH = {
+    ast.Add: ("add", operator.add),
+    ast.Sub: ("sub", operator.sub),
+    ast.Mult: ("mul", operator.mul),
+    ast.Div: ("div", operator.truediv),
+    ast.Pow: ("pow", operator.pow),
+}
+
+_NUMBER = (int, float)
+_OPTIONAL_LIST = (list, tuple, type(None))
+
+#: The split-and-strip loop (as ``ast.unparse`` prints it): loop name,
+#: split parts, output frame.
+_STRIP_LOOP = re.compile(
+    r"for (\w+) in (\w+)\.columns:\n    (\w+)\[\1\] = \2\[\1\]\.str\.strip\(\)"
+)
+
+
+def _is_ref(value: Any, kind: str) -> bool:
+    return isinstance(value, _Ref) and value.kind == kind
+
+
+def _lit(value: Any, *types: type) -> Any:
+    """The literal *value* holds, optionally restricted to exact *types*."""
+    if not isinstance(value, _Lit) or (types and type(value.value) not in types):
+        raise _Unliftable("expected a literal")
+    return value.value
+
+
+def _column(value: Any) -> str:
+    """The column a plain ``df[c]`` reference names."""
+    if not (isinstance(value, dict) and value["op"] == "col"):
+        raise _Unliftable("expected a plain column reference")
+    return value["name"]
+
+
+def _operand(value: Any) -> dict:
+    if isinstance(value, dict):
+        return value
+    return {"op": "const", "value": _lit(value, *_NUMBER)}
+
+
+def _fold(fn: Any, *args: Any) -> _Lit:
+    """Apply a whitelisted builtin or operator to literals."""
+    if not callable(fn):
+        raise _Unliftable("call of a non-callable literal")
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
-    lookup = column = default = None
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "lookup"
-            and isinstance(node.value, ast.Dict)
-        ):
-            try:
-                lookup = _literal(node.value)
-            except ValueError:
-                return None
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fillna"
-            and len(node.args) == 1
-        ):
-            try:
-                default = _literal(node.args[0])
-            except ValueError:
-                return None
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "df"
-            and isinstance(node.slice, ast.Constant)
-        ):
-            column = node.slice.value
-    if lookup is None or column is None or default is None:
-        return None
+        return _Lit(fn(*args))
+    except (TypeError, ValueError, ArithmeticError) as exc:  # the source raises too
+        raise _Unliftable(f"literal arithmetic failed: {exc}") from None
+
+
+def _bind(kind: str, method: str, receiver: Any, args: list, keywords: dict) -> dict:
+    """Call arguments by parameter name, defaults filled in as literals."""
+    fn = getattr(_RECEIVERS.get(kind), method, None)
+    if method.startswith("_") or not callable(fn):
+        raise _Unliftable(f"unsupported call .{method}() on {kind}")
+    own = [] if kind == "pd" else [receiver]
+    try:
+        bound = inspect.signature(fn).bind(*own, *args, **keywords)
+    except (TypeError, ValueError) as exc:
+        raise _Unliftable(f".{method}(): {exc}") from None
+    bound.apply_defaults()
     return {
-        "op": "fillna",
-        "arg": {
-            "op": "dict_map",
-            "column": column,
-            "keys": list(lookup),
-            "values": list(lookup.values()),
-        },
-        "value": default,
+        name: value if isinstance(value, (_Lit, _Ref, dict)) else _Lit(value)
+        for name, value in bound.arguments.items()
     }
 
 
-def _lift_bucketization(source: str) -> dict | None:
-    """Recover the cut edges (or the qcut fallback) the source embeds."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
-    edges = column = None
-    qcut = None
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "edges"
+class _Lifter:
+    """Symbolic evaluation of a ``def transform(df)`` body into the IR.
+
+    Straight-line statements only: each name binds to an IR node, a
+    :class:`_Lit` or a :class:`_Ref`, and conditions resolve at lift
+    time.  Anything else raises :class:`_Unliftable`.
+    """
+
+    def __init__(self, frame_name: str) -> None:
+        self.env: dict[str, Any] = {frame_name: _Ref("frame")}
+
+    def run(self, body: list[ast.stmt]) -> dict:
+        for stmt in body:
+            if isinstance(stmt, ast.Return) and stmt.value is not None:
+                value = self.lift_expr(stmt.value)
+                if not isinstance(value, dict):
+                    raise _Unliftable("the returned value is not a column expression")
+                return value
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                self.assign(stmt.targets[0], stmt.value)
+            elif isinstance(stmt, ast.For):
+                self.strip_loop(stmt)
+            elif not (
+                isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            ):
+                raise _Unliftable(f"unsupported statement {type(stmt).__name__}")
+        raise _Unliftable("no return statement")
+
+    def assign(self, target: ast.expr, value: ast.expr) -> None:
+        if isinstance(target, ast.Name):
+            self.env[target.id] = self.lift_expr(value)
+            return
+        if not (
+            isinstance(target, ast.Tuple)
+            and isinstance(value, ast.Tuple)
+            and len(target.elts) == len(value.elts)
+            and all(isinstance(t, ast.Name) for t in target.elts)
         ):
-            try:
-                edges = _literal(node.value)
-            except ValueError:
-                return None
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "pd"
-            and node.func.attr == "qcut"
+            raise _Unliftable("unsupported assignment target")
+        values = [self.lift_expr(v) for v in value.elts]
+        for name, bound in zip(target.elts, values):
+            self.env[name.id] = bound
+
+    def strip_loop(self, stmt: ast.For) -> None:
+        """``for c in parts.columns: out[c] = parts[c].str.strip()`` over a
+        split and an empty frame binds *out* to the stripped split."""
+        match = _STRIP_LOOP.fullmatch(ast.unparse(stmt))
+        name, parts, out = match.groups() if match else (None, None, None)
+        if not (
+            _is_ref(self.env.get(parts), "split")
+            and _is_ref(self.env.get(out), "empty_frame")
         ):
-            try:
-                q = _literal(node.args[1])
-                labels = next(
-                    (_literal(kw.value) for kw in node.keywords if kw.arg == "labels"),
-                    None,
-                )
-            except (ValueError, IndexError):
-                return None
-            qcut = (q, labels)
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "df"
-            and isinstance(node.slice, ast.Constant)
-        ):
-            column = node.slice.value
-    if column is None:
-        return None
-    if edges is not None:
-        return {
-            "op": "cut",
+            raise _Unliftable("unsupported loop")
+        column, sep, rename = self.env[parts].args
+        self.env[out] = {
+            "op": "fit_split_outputs",
             "column": column,
-            "edges": [float(e) for e in edges],
-            "labels": list(range(len(edges) - 1)),
-            "right": True,
+            "sep": sep,
+            "rename": rename,
         }
-    if qcut is not None:
-        q, labels = qcut
-        return {"op": "fit_qcut", "column": column, "q": q, "labels": labels}
-    return None
+        self.env.pop(name, None)  # bound to a data-dependent column name
+
+    def lift_expr(self, node: ast.expr) -> Any:
+        if isinstance(node, ast.Constant):
+            return _Lit(node.value)
+        if isinstance(node, ast.Name):
+            value = self.env.get(node.id, _GLOBALS.get(node.id))
+            if value is None:
+                raise _Unliftable(f"unknown name {node.id!r}")
+            return value
+        if isinstance(node, (ast.List, ast.Tuple)):
+            items = [_lit(self.lift_expr(e)) for e in node.elts]
+            return _Lit(items if isinstance(node, ast.List) else tuple(items))
+        if isinstance(node, ast.Dict):
+            if None in node.keys:
+                raise _Unliftable("dict unpacking")
+            keys = [_lit(self.lift_expr(k)) for k in node.keys]
+            values = [self.lift_expr(v) for v in node.values]
+            if all(isinstance(v, _Lit) for v in values):
+                return _Lit({k: v.value for k, v in zip(keys, values)})
+            return _Ref("columns", tuple(zip(keys, values)))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return _Lit(-_lit(self.lift_expr(node.operand), *_NUMBER))
+        if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+            name, fn = _ARITH[type(node.op)]
+            left, right = self.lift_expr(node.left), self.lift_expr(node.right)
+            if isinstance(left, _Lit) and isinstance(right, _Lit):
+                return _fold(fn, left.value, right.value)
+            return {"op": name, "left": _operand(left), "right": _operand(right)}
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            if len(node.values) != 2:
+                raise _Unliftable("unsupported `or`")
+            left, right = (self.lift_expr(v) for v in node.values)
+            if isinstance(left, _Lit):
+                return left if left.value else right
+            return {"op": "fit_or", "left": _operand(left), "right": _operand(right)}
+        if isinstance(node, ast.Compare) and len(node.ops) == 1:
+            left, right = self.lift_expr(node.left), self.lift_expr(node.comparators[0])
+            return self.compare(node.ops[0], left, right)
+        if isinstance(node, ast.IfExp):
+            test = _lit(self.lift_expr(node.test), bool)
+            return self.lift_expr(node.body if test else node.orelse)
+        if isinstance(node, ast.Attribute):
+            return self.attribute(self.lift_expr(node.value), node.attr)
+        if isinstance(node, ast.Subscript):
+            base, key = self.lift_expr(node.value), _lit(self.lift_expr(node.slice))
+            if _is_ref(base, "frame") and isinstance(key, str):
+                return {"op": "col", "name": key}
+            if _is_ref(base, "groupby") and isinstance(key, str):
+                return _Ref("grouped", (*base.args, key))
+            raise _Unliftable("unsupported subscript")
+        if isinstance(node, ast.Call):
+            return self.call(node)
+        raise _Unliftable(f"unsupported expression {type(node).__name__}")
+
+    def compare(self, op: ast.cmpop, left: Any, right: Any) -> _Lit | _Ref:
+        if isinstance(op, (ast.Is, ast.IsNot)) and right == _Lit(None):
+            # Only a literal can be None; a lifted column never is.
+            is_none = isinstance(left, _Lit) and left.value is None
+            return _Lit(is_none == isinstance(op, ast.Is))
+        if isinstance(op, ast.NotEq) and isinstance(left, dict) and right == _Lit(0):
+            return _Ref("nonzero", (left,))
+        raise _Unliftable("unsupported comparison")
+
+    def attribute(self, base: Any, attr: str) -> _Ref:
+        if _is_ref(base, "np"):
+            return _Ref("ufunc", (attr,))
+        if attr in ("str", "dt") and isinstance(base, dict):
+            return _Ref(attr, (_column(base),))
+        if _is_ref(base, "dt") and isinstance(
+            getattr(DatetimeAccessor, attr, None), property
+        ):
+            return _Ref("date_part", (*base.args, attr))
+        raise _Unliftable(f"unsupported attribute {attr!r}")
+
+    def call(self, node: ast.Call) -> Any:
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        ):
+            raise _Unliftable("unpacked call arguments")
+        args = [self.lift_expr(a) for a in node.args]
+        keywords = {kw.arg: self.lift_expr(kw.value) for kw in node.keywords}
+        if not isinstance(node.func, ast.Attribute):  # a builtin over literals
+            if keywords:
+                raise _Unliftable("keywords on a builtin call")
+            return _fold(_lit(self.lift_expr(node.func)), *(_lit(a) for a in args))
+        receiver, method = self.lift_expr(node.func.value), node.func.attr
+        if isinstance(receiver, _Ref):
+            kind = receiver.kind
+        else:
+            kind = "series" if isinstance(receiver, dict) else "literal"
+        a = _bind(kind, method, receiver, args, keywords)
+        match kind, method:
+            case "pd", "cut":
+                edges = _lit(a["bins"], list, tuple)
+                labels = _lit(a["labels"], *_OPTIONAL_LIST)
+                if all(type(e) in _NUMBER for e in edges):
+                    return {
+                        "op": "cut",
+                        "column": _column(a["series"]),
+                        "edges": [float(e) for e in edges],
+                        "labels": None if labels is None else list(labels),
+                        "right": _lit(a["right"], bool),
+                    }
+            case "pd", "qcut":
+                return {
+                    "op": "fit_qcut",
+                    "column": _column(a["series"]),
+                    "q": _lit(a["q"], int),
+                    "labels": _lit(a["labels"], *_OPTIONAL_LIST),
+                }
+            case "pd", "get_dummies" if (a["columns"], a["drop_first"]) == (
+                _Lit(None),
+                _Lit(False),
+            ):
+                column, prefix = _column(a["data"]), _lit(a["prefix"], str, type(None))
+                return {
+                    "op": "fit_categories",
+                    "column": column,
+                    "prefix": column if prefix is None else prefix,
+                }
+            case "pd", "DataFrame":
+                if a["data"] == _Lit({}):
+                    return _Ref("empty_frame")
+                items = a["data"].args if _is_ref(a["data"], "columns") else ()
+                parts = [v.args for _, v in items if _is_ref(v, "date_part")]
+                columns = {column for column, _ in parts}
+                if items and len(parts) == len(items) and len(columns) == 1:
+                    return {
+                        "op": "date_split",
+                        "column": parts[0][0],
+                        "outputs": [
+                            [part, name] for (_, part), (name, _) in zip(parts, items)
+                        ],
+                    }
+            case "frame", "groupby":
+                keys = _lit(a["by"], str, list, tuple)
+                keys = [keys] if isinstance(keys, str) else list(keys)
+                return _Ref("groupby", (keys,))
+            case "grouped", "transform":
+                keys, agg_col = receiver.args
+                return {
+                    "op": "fit_group_table",
+                    "keys": keys,
+                    "agg_col": agg_col,
+                    "agg": _lit(a["func"], str),
+                }
+            case "series", "clip":
+                return {
+                    "op": "clip",
+                    "arg": receiver,
+                    "lower": _lit(a["lower"], int, float, type(None)),
+                    "upper": _lit(a["upper"], int, float, type(None)),
+                }
+            case "series", "apply" if _is_ref(a["func"], "ufunc"):
+                return {"op": "ufunc", "fn": a["func"].args[0], "arg": receiver}
+            case "series", "where" if (a["cond"], a["other"]) == (
+                _Ref("nonzero", (receiver,)),
+                _Lit(None),
+            ):
+                return {"op": "where_nonzero", "arg": receiver}
+            case "series", "isna" | "isnull":
+                return _Ref("isna", (_column(receiver),))
+            case "isna", "astype" if a["dtype"] == _Lit(int):
+                return {"op": "isna_int", "column": receiver.args[0]}
+            case "series", "map":
+                mapping = _lit(a["mapper"], dict)
+                if all(isinstance(key, _JSON_SCALARS) for key in mapping):
+                    return {
+                        "op": "dict_map",
+                        "column": _column(receiver),
+                        "keys": list(mapping),
+                        "values": list(mapping.values()),
+                    }
+            case "series", "fillna":
+                return {"op": "fillna", "arg": receiver, "value": _lit(a["value"])}
+            case "series", "mean" | "min" | "max":
+                return {"op": f"fit_{method}", "column": _column(receiver)}
+            case "series", "std" if a["ddof"] == _Lit(1):
+                return {"op": "fit_std", "column": _column(receiver)}
+            case "str", "len":
+                return {"op": "str_len", "column": receiver.args[0]}
+            case "str", "split" if a["expand"] == _Lit(True):
+                return _Ref("split", (receiver.args[0], _lit(a["sep"], str), {}))
+            case "split", "rename" if not receiver.args[2]:
+                return _Ref("split", (*receiver.args[:2], _lit(a["columns"], dict)))
+        raise _Unliftable(f"unsupported call .{method}() on {kind}")
 
 
-def _lift_groupby(source: str) -> dict | None:
-    """Recover ``(group keys, agg column, function)`` from a transform call."""
+def _lift(source: str) -> dict:
+    """Lift accepted ``def transform(df)`` source to an IR template.
+
+    The template may hold fit-time nodes for :func:`freeze_expr` to
+    resolve.  Raises :class:`_Unliftable` outside the whitelisted subset.
+    """
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "transform"
-            and len(node.args) == 1
-        ):
-            continue
-        sub = node.func.value  # df.groupby(keys)[agg_col]
-        if not (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Call)):
-            continue
-        groupby_call = sub.value
-        if not (
-            isinstance(groupby_call.func, ast.Attribute)
-            and groupby_call.func.attr == "groupby"
-            and len(groupby_call.args) == 1
-        ):
-            continue
-        try:
-            keys = _literal(groupby_call.args[0])
-            agg_col = _literal(sub.slice)
-            func = _literal(node.args[0])
-        except ValueError:
-            continue
-        if isinstance(keys, str):
-            keys = [keys]
-        return {
-            "op": "fit_group_table",
-            "keys": list(keys),
-            "agg_col": agg_col,
-            "agg": func,
-        }
-    return None
+        body = ast.parse(source).body
+    except (SyntaxError, ValueError) as exc:
+        raise _Unliftable(f"source does not parse: {exc}") from None
+    func = body[0] if len(body) == 1 else None
+    if not (
+        isinstance(func, ast.FunctionDef)
+        and func.name == "transform"
+        and not func.decorator_list
+        and ast.unparse(func.args).isidentifier()  # exactly one plain parameter
+    ):
+        raise _Unliftable("source is not one def transform(df)")
+    try:
+        return _Lifter(func.args.args[0].arg).run(func.body)
+    except RecursionError:
+        raise _Unliftable("expression nests too deeply") from None
 
 
 # ----------------------------------------------------------------------
@@ -278,71 +508,39 @@ def _row_level_template(feature, rebuild: DataFrame, expected: dict[str, Series]
     }
 
 
-def _template_for(feature, rebuild: DataFrame, expected, knowledge) -> dict | None:
+def _outputs(result, output_columns: list[str]) -> dict[str, Series]:
+    """A transform's result keyed by the feature's output columns."""
+    if isinstance(result, Series):
+        if len(output_columns) != 1:
+            raise ExprError("expression yields one column, feature has several")
+        return {output_columns[0]: result}
+    for name in output_columns:
+        if name not in result:
+            raise ExprError(f"expression did not produce output column {name!r}")
+    return {name: result[name] for name in output_columns}
+
+
+def _identical(outputs: dict[str, Series], expected: dict[str, Series]) -> bool:
+    return all(series_identical(outputs[name], expected[name]) for name in expected)
+
+
+def _compiled_expr(feature, rebuild: DataFrame, expected) -> tuple[dict, dict]:
+    """Lift, freeze and evaluate; returns ``(frozen expr, outputs)``."""
     if feature.source_code == _ROW_LEVEL_SENTINEL:
-        return _row_level_template(feature, rebuild, expected)
-    op, _ = parse_op_tag(feature.description)
-    if op == "knowledge_map":
-        return _lift_knowledge_map(feature.source_code)
-    if op == "bucketization":
-        return _lift_bucketization(feature.source_code)
-    if op == "groupby":
-        return _lift_groupby(feature.source_code)
-    return generate_transform_expr(
-        feature.name, list(feature.input_columns), feature.description, knowledge
-    )
-
-
-def _evaluate_outputs(
-    template: dict, rebuild: DataFrame, output_columns: list[str]
-) -> tuple[dict, dict[str, Series]]:
-    """Freeze + evaluate a template; returns ``(frozen expr, outputs)``."""
+        template = _row_level_template(feature, rebuild, expected)
+    else:
+        template = _lift(feature.source_code)
     missing = [c for c in expr_columns(template) if c not in rebuild]
     if missing:
         raise ExprError(f"expression reads columns absent at serve time: {missing}")
     frozen = freeze_expr(template, rebuild)
-    result = evaluate_feature(frozen, rebuild)
-    if isinstance(result, Series):
-        if len(output_columns) != 1:
-            raise ExprError("expression yields one column, feature has several")
-        return frozen, {output_columns[0]: result}
-    out = {}
-    for name in output_columns:
-        if name not in result:
-            raise ExprError(f"expression did not produce output column {name!r}")
-        out[name] = result[name]
-    return frozen, out
-
-
-def _verify_sandbox(feature, rebuild: DataFrame) -> dict[str, Series] | None:
-    """Replay the original source on the rebuild; None when it fails."""
-    from repro.core.sandbox import SandboxViolation, TransformError, run_transform
-
-    try:
-        result = run_transform(feature.source_code, rebuild)
-    except (TransformError, SandboxViolation):
-        return None
-    if isinstance(result, Series):
-        if len(feature.output_columns) != 1:
-            return None
-        return {feature.output_columns[0]: result}
-    out = {}
-    for name in feature.output_columns:
-        if name not in result:
-            return None
-        out[name] = result[name]
-    return out
-
-
-def _family_name(family: Any) -> str:
-    return getattr(family, "value", None) or str(family)
+    return frozen, _outputs(evaluate_feature(frozen, rebuild), feature.output_columns)
 
 
 def compile_plan(
     result,
     frame: DataFrame,
     target: str,
-    knowledge=None,
     metadata: dict | None = None,
 ) -> FeaturePlan:
     """Compile a fitted *result* (over original *frame*) into a FeaturePlan.
@@ -351,7 +549,6 @@ def compile_plan(
     rebuild starts from it, so the compiler needs the original columns the
     fitted result may have dropped.
     """
-    knowledge = knowledge if knowledge is not None else default_knowledge()
     input_columns = frame.columns
     input_schema = [
         (name, column_kind(frame[name])) for name in input_columns if name != target
@@ -366,12 +563,11 @@ def compile_plan(
                 reason = f"output column {name!r} missing from fitted frame"
                 break
             expected[name] = result.frame[name]
-        spec = None
-        if not reason:
-            spec = _compile_feature(feature, rebuild, expected, knowledge)
-        else:
-            spec = _spec(feature, "omitted", reason=reason)
-        specs.append(spec)
+        specs.append(
+            _spec(feature, "omitted", reason=reason)
+            if reason
+            else _compile_feature(feature, rebuild, expected)
+        )
         # Install the *fitted* outputs regardless of compile status so
         # later features freeze against the exact state fit saw.
         for name, series in expected.items():
@@ -409,7 +605,7 @@ def _spec(
         kinds = [column_kind(expected[n]) for n in feature.output_columns]
     return FeatureSpec(
         name=feature.name,
-        family=_family_name(feature.family),
+        family=getattr(feature.family, "value", None) or str(feature.family),
         description=feature.description,
         input_columns=list(feature.input_columns),
         output_columns=list(feature.output_columns),
@@ -421,42 +617,35 @@ def _spec(
     )
 
 
-def _compile_feature(feature, rebuild, expected, knowledge) -> FeatureSpec:
-    reason = ""
+def _compile_feature(feature, rebuild, expected) -> FeatureSpec:
     try:
-        template = _template_for(feature, rebuild, expected, knowledge)
+        frozen, outputs = _compiled_expr(feature, rebuild, expected)
+        if _identical(outputs, expected):
+            json.dumps(frozen)  # plans must round-trip; reject exotic scalars
+            return _spec(feature, "compiled", expr=frozen, expected=expected)
+        reason = "compiled replay not bit-identical to fitted output"
+    except _Unliftable as exc:
+        reason = f"no expression template for this form: {exc}"
     except ExprError as exc:
-        template, reason = None, str(exc)
-    if template is not None:
-        try:
-            frozen, outputs = _evaluate_outputs(
-                template, rebuild, list(feature.output_columns)
-            )
-            if all(
-                series_identical(outputs[name], expected[name]) for name in expected
-            ):
-                json.dumps(frozen)  # plans must round-trip; reject exotic scalars
-                return _spec(feature, "compiled", expr=frozen, expected=expected)
-            reason = "compiled replay not bit-identical to fitted output"
-        except ExprError as exc:
-            reason = str(exc)
-        except (TypeError, ValueError) as exc:
-            reason = f"expression not serializable: {exc}"
-    elif not reason:
-        reason = "no expression template for this form"
+        reason = str(exc)
+    except (TypeError, ValueError) as exc:
+        reason = f"expression not serializable: {exc}"
     # Fall back to the sandbox source — but only if replaying it on the
     # rebuild reproduces the fitted output (and it is real source at all).
     if feature.source_code and feature.source_code != _ROW_LEVEL_SENTINEL:
-        outputs = _verify_sandbox(feature, rebuild)
-        if outputs is not None and all(
-            series_identical(outputs[name], expected[name]) for name in expected
-        ):
-            return _spec(
-                feature,
-                "fallback",
-                fallback_source=feature.source_code,
-                reason=reason,
-                expected=expected,
-            )
+        from repro.core.sandbox import SandboxViolation, TransformError, run_transform
+
+        try:
+            result = run_transform(feature.source_code, rebuild)
+            if _identical(_outputs(result, feature.output_columns), expected):
+                return _spec(
+                    feature,
+                    "fallback",
+                    fallback_source=feature.source_code,
+                    reason=reason,
+                    expected=expected,
+                )
+        except (TransformError, SandboxViolation, ExprError):
+            pass
         reason = f"{reason}; sandbox replay also diverged".lstrip("; ")
     return _spec(feature, "omitted", reason=reason)

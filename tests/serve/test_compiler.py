@@ -15,6 +15,7 @@ from repro.eval.serving import (
     sandbox_replay,
 )
 from repro.serve import FeaturePlan, compile_plan, frames_identical, series_identical
+from repro.serve import compiler
 
 
 def feature(name, columns, description, source, outputs=None, family=OperatorFamily.UNARY):
@@ -69,19 +70,36 @@ class TestStatuses:
         assert plan.features[0].status == "compiled"
         assert plan.features[0].expr is not None
 
-    def test_divergent_source_falls_back_to_sandbox(self, frame):
-        # The description claims zscore but the source computes something
-        # else (a misbehaving FM): verification must catch the mismatch
-        # and carry the source as an explicit fallback.
+    def test_divergent_source_falls_back_to_sandbox(self, frame, monkeypatch):
+        # A wrong lift (here: the lifter forced to emit x * 2 for a source
+        # computing x * 3) must fail the bitwise verify and carry the
+        # source as an explicit fallback — it can never ship.
         src = "def transform(df):\n    return df['x'] * 3.0\n"
-        result = result_of(frame, [feature("x_z", ["x"], "normalization[zscore]: z", src)])
+        divergent = {
+            "op": "mul",
+            "left": {"op": "col", "name": "x"},
+            "right": {"op": "const", "value": 2.0},
+        }
+        monkeypatch.setattr(compiler, "_lift", lambda source: divergent)
+        result = result_of(frame, [feature("x_3", ["x"], "x tripled", src)])
         plan = compile_plan(result, frame, "Target")
         spec = plan.features[0]
         assert spec.status == "fallback"
         assert spec.fallback_source == src
         assert "not bit-identical" in spec.reason
         replayed = plan.apply(frame)
-        assert series_identical(replayed["x_z"], result.frame["x_z"])
+        assert series_identical(replayed["x_3"], result.frame["x_3"])
+
+    def test_unliftable_source_falls_back_to_sandbox(self, frame):
+        src = "def transform(df):\n    return df['x'].apply(lambda v: v * 2)\n"
+        result = result_of(frame, [feature("x_2", ["x"], "x doubled", src)])
+        plan = compile_plan(result, frame, "Target")
+        spec = plan.features[0]
+        assert spec.status == "fallback"
+        assert spec.fallback_source == src
+        assert "no expression template" in spec.reason
+        replayed = plan.apply(frame)
+        assert series_identical(replayed["x_2"], result.frame["x_2"])
 
     def test_feature_on_vanished_column_is_omitted(self, frame):
         src = "def transform(df):\n    return df['ghost'] * 2\n"
