@@ -17,7 +17,8 @@ simulated HTTP transport with **real sleeps** and asserted:
 * **Resume re-spend = $0** — a checkpointed SMARTFEAT run killed
   mid-graph and resumed.  Asserted: the resumed run's output frame is
   bit-identical to an uninterrupted run's and the final ledgers show
-  zero extra FM calls and $0.00 of re-spent cost.
+  zero extra FM calls and an unrounded cost total equal (``==``) to the
+  uninterrupted run's.
 
 ``python benchmarks/bench_transport.py`` writes ``BENCH_transport.json``
 at the repo root; ``--smoke`` runs reduced sizes with the same
@@ -259,6 +260,8 @@ def run_resume_benchmark(n_repeats: int = 6, tmp_dir: Path | None = None) -> dic
         "resumed_total_cost_usd": round(total_cost, 6),
         "respent_calls": total_calls - base_calls,
         "respent_cost_usd": round(total_cost - base_cost, 6),
+        # Unrounded totals for the exact gate (JSON floats round-trip).
+        "exact_cost_usd": {"baseline": base_cost, "resumed": total_cost},
         "bit_identical": frames_identical(result.frame, base_result.frame)[0],
     }
 
@@ -266,8 +269,10 @@ def run_resume_benchmark(n_repeats: int = 6, tmp_dir: Path | None = None) -> dic
 def assert_resume(payload: dict) -> None:
     assert payload["bit_identical"], payload
     assert payload["respent_calls"] == 0, payload
-    # "$0 re-spend": ledger-snapshot rounding leaves sub-cent dust at most.
-    assert abs(payload["respent_cost_usd"]) < 1e-4, payload
+    # "$0 re-spend", exactly: the checkpoint stores unrounded ledger
+    # state, so the resumed cost total equals the uninterrupted run's.
+    exact = payload["exact_cost_usd"]
+    assert exact["resumed"] == exact["baseline"], payload
     assert payload["restored_stages"], "kill landed before any stage completed"
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.dataframe import DataFrame, Series
 from repro.dataframe.kernels import ColumnProfile, column_profile
+from repro.records import from_record, to_record
 
 __all__ = ["AgendaEntry", "DataAgenda"]
 
@@ -159,14 +160,5 @@ class DataAgenda:
         return out
 
     def copy(self) -> "DataAgenda":
-        out = DataAgenda(
-            title=self.title,
-            target=self.target,
-            target_description=self.target_description,
-            model=self.model,
-        )
-        for entry in self.entries.values():
-            out.entries[entry.name] = AgendaEntry(
-                entry.name, entry.kind, entry.description, list(entry.values)
-            )
-        return out
+        """A deep copy: the agenda rebuilt from its record."""
+        return from_record(DataAgenda, to_record(self))

@@ -12,9 +12,15 @@ it on resume:
   (accepted features, drops, rejections, suggestions, row plans),
 - the stage context's bookkeeping (column provenance tags, the drop
   heuristic's sets, planner-granted draw budgets),
-- each FM client's ledger totals and per-call checkpoint state (the
+- each FM client's ledger and per-call checkpoint state (the
   simulator's sampling counter, a scripted client's cursor), and
 - the shared :class:`~repro.fm.base.Budget`'s spend counters.
+
+Every record (features, suggestions, row plans, agenda entries, ledgers,
+the budget) goes through the one codec in :mod:`repro.records`: its shape
+is its dataclass's fields.  Ledgers and the budget are recorded from
+their exact state fields, not their rounded report ``snapshot()``s, so a
+resumed run ends with exactly the uninterrupted run's totals.
 
 A resumed run hands the scheduler the completed node names; those nodes
 are marked ``"restored"`` and never dispatched, so the resumed run
@@ -23,30 +29,23 @@ because the clients' per-call state is restored too, the remaining
 stages draw exactly the samples the uninterrupted run would have drawn:
 the output frame is bit-identical.
 
-Writes are atomic (tmp file + ``os.replace``) so a kill *during* a
-checkpoint write leaves the previous checkpoint intact.  A checkpoint
-records a fingerprint of the input (column names/dtypes, row count,
-target, title); resuming against different data fails loudly.
+Writes go through :func:`repro.records.write_json_atomic`, so a kill
+*during* a checkpoint write leaves the previous checkpoint intact.  A
+checkpoint records a fingerprint of the input (column names/dtypes, row
+count, target, title); resuming against different data fails loudly.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.agenda import AgendaEntry, DataAgenda
-from repro.core.types import (
-    GeneratedFeature,
-    OperatorFamily,
-    RowCompletionPlan,
-    SourceSuggestion,
-)
 from repro.dataframe import DataFrame, Series
+from repro.records import assign_record, to_record, write_json_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import StageContext
@@ -68,25 +67,14 @@ class CheckpointMismatchError(ValueError):
     """The checkpoint does not belong to this (data, target, title) run."""
 
 
-def _json_default(value):
-    """Make numpy scalars (row-plan previews carry them) serializable."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return str(value)
-
-
 class CheckpointStore:
     """One checkpoint file with atomic writes.
 
-    ``save`` serialises through a temp file in the same directory and
-    ``os.replace``s it over the target — readers (and a kill mid-write)
-    only ever see a complete previous state or a complete new one.
-    A lock serialises writers: under physical stage fan-out two nodes may
-    finish (and checkpoint) at the same moment.
+    ``save`` goes through :func:`~repro.records.write_json_atomic` —
+    readers (and a kill mid-write) only ever see a complete previous
+    state or a complete new one.  A lock serialises writers: under
+    physical stage fan-out two nodes may finish (and checkpoint) at the
+    same moment.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -105,13 +93,9 @@ class CheckpointStore:
         return json.loads(raw)
 
     def save(self, payload: dict) -> None:
+        text = json.dumps(payload, default=to_record)
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            tmp.write_text(
-                json.dumps(payload, default=_json_default, allow_nan=True)
-            )
-            os.replace(tmp, self.path)
+            write_json_atomic(self.path, text)
 
     def clear(self) -> None:
         with self._lock:
@@ -177,72 +161,35 @@ def snapshot_run(
             "unary_transformed": sorted(ctx.unary_transformed),
             "used_by_other_ops": sorted(ctx.used_by_other_ops),
             "granted_draws": dict(ctx.granted_draws),
+            # Entries as a list in agenda order (the record's dict keys
+            # repeat each entry's name).
             "agenda": {
-                "title": agenda.title,
-                "target": agenda.target,
-                "target_description": agenda.target_description,
-                "model": agenda.model,
-                "entries": [
-                    {
-                        "name": entry.name,
-                        "kind": entry.kind,
-                        "description": entry.description,
-                        "values": list(entry.values),
-                    }
-                    for entry in agenda.entries.values()
-                ],
+                **to_record(agenda),
+                "entries": to_record(list(agenda.entries.values())),
             },
-            "result": {
-                "new_features": [
-                    {
-                        "name": feature.name,
-                        "family": feature.family.value,
-                        "input_columns": list(feature.input_columns),
-                        "description": feature.description,
-                        "output_columns": list(feature.output_columns),
-                        "source_code": feature.source_code,
-                        "fm_calls": feature.fm_calls,
-                    }
-                    for feature in result.new_features.values()
-                ],
-                "dropped": list(result.dropped),
-                "removed_by_fm": list(result.removed_by_fm),
-                "rejections": dict(result.rejections),
-                "errors": dict(result.errors),
-                "suggestions": [
-                    {
-                        "name": s.name,
-                        "description": s.description,
-                        "sources": list(s.sources),
-                    }
-                    for s in result.suggestions
-                ],
-                "row_plans": [
-                    {
-                        "name": p.name,
-                        "description": p.description,
-                        "preview": [
-                            [dict(record), text] for record, text in p.preview
-                        ],
-                        "n_rows": p.n_rows,
-                        "estimated_calls": p.estimated_calls,
-                        "estimated_cost_usd": p.estimated_cost_usd,
-                        "estimated_latency_s": p.estimated_latency_s,
-                        "relevant_columns": list(p.relevant_columns),
-                    }
-                    for p in result.row_plans
-                ],
-            },
+            "result": to_record(
+                {
+                    "new_features": list(result.new_features.values()),
+                    "dropped": result.dropped,
+                    "removed_by_fm": result.removed_by_fm,
+                    "rejections": result.rejections,
+                    "errors": result.errors,
+                    "suggestions": result.suggestions,
+                    "row_plans": result.row_plans,
+                }
+            ),
         },
+        # Ledgers and budget by their exact state fields — never the
+        # rounded report snapshot(), which would make resume inexact.
         "clients": [
             {
                 "model": client.model,
                 "state": client.checkpoint_state(),
-                "ledger": client.ledger.snapshot(),
+                "ledger": to_record(client.ledger),
             }
             for client in _unique_clients(clients)
         ],
-        "budget": None if budget is None else budget.snapshot(),
+        "budget": None if budget is None else to_record(budget),
     }
 
 
@@ -286,54 +233,14 @@ def restore_run(
     ctx.unary_transformed = set(context["unary_transformed"])
     ctx.used_by_other_ops = set(context["used_by_other_ops"])
     ctx.granted_draws = dict(context["granted_draws"])
-    # Agenda: same object identity, rebuilt entries.
+    # Agenda and result: same objects, fields rebuilt from their records
+    # (entries and features keyed by name again).
     spec = context["agenda"]
-    ctx.agenda.title = spec["title"]
-    ctx.agenda.target = spec["target"]
-    ctx.agenda.target_description = spec["target_description"]
-    ctx.agenda.model = spec["model"]
-    ctx.agenda.entries = {
-        entry["name"]: AgendaEntry(
-            entry["name"], entry["kind"], entry["description"], list(entry["values"])
-        )
-        for entry in spec["entries"]
-    }
-    # Result payload.
-    result = ctx.result
+    entries = {e["name"]: e for e in spec["entries"]}
+    assign_record(ctx.agenda, {**spec, "entries": entries})
     spec = context["result"]
-    result.new_features = {
-        feature["name"]: GeneratedFeature(
-            name=feature["name"],
-            family=OperatorFamily(feature["family"]),
-            input_columns=list(feature["input_columns"]),
-            description=feature["description"],
-            output_columns=list(feature["output_columns"]),
-            source_code=feature["source_code"],
-            fm_calls=feature["fm_calls"],
-        )
-        for feature in spec["new_features"]
-    }
-    result.dropped = list(spec["dropped"])
-    result.removed_by_fm = list(spec["removed_by_fm"])
-    result.rejections = dict(spec["rejections"])
-    result.errors = dict(spec["errors"])
-    result.suggestions = [
-        SourceSuggestion(s["name"], s["description"], list(s["sources"]))
-        for s in spec["suggestions"]
-    ]
-    result.row_plans = [
-        RowCompletionPlan(
-            name=p["name"],
-            description=p["description"],
-            preview=[(dict(record), text) for record, text in p["preview"]],
-            n_rows=p["n_rows"],
-            estimated_calls=p["estimated_calls"],
-            estimated_cost_usd=p["estimated_cost_usd"],
-            estimated_latency_s=p["estimated_latency_s"],
-            relevant_columns=list(p["relevant_columns"]),
-        )
-        for p in spec["row_plans"]
-    ]
+    features = {f["name"]: f for f in spec["new_features"]}
+    assign_record(ctx.result, {**spec, "new_features": features})
     # Clients: ledgers + per-call state, matched positionally (the order
     # snapshot_run serialised is the order the caller passes here).
     unique = _unique_clients(clients)
@@ -343,13 +250,11 @@ def restore_run(
             f"checkpoint has {len(saved)} client records, run has {len(unique)}"
         )
     for client, record in zip(unique, saved):
-        client.ledger.restore(record["ledger"])
+        assign_record(client.ledger, record["ledger"])
         client.restore_checkpoint_state(record["state"])
-    if budget is not None and payload.get("budget") is not None:
-        spent = payload["budget"]
-        budget.restore_spent(
-            cost_usd=spent["spent_cost_usd"],
-            calls=spent["spent_calls"],
-            latency_s=spent["spent_latency_s"],
-        )
+    # The budget's limits stay the resumed run's own; only spend resumes.
+    saved_budget = payload.get("budget")
+    if budget is not None and saved_budget is not None:
+        spent = {k: v for k, v in saved_budget.items() if k.startswith("spent_")}
+        assign_record(budget, spent)
     return frozenset(payload["completed"])

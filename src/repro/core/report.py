@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 
 from repro.core.pipeline import SmartFeatResult
+from repro.records import to_record
 
 __all__ = ["provenance_json", "result_summary"]
 
@@ -64,34 +65,18 @@ def result_summary(result: SmartFeatResult) -> str:
 
 
 def provenance_json(result: SmartFeatResult, indent: int = 2) -> str:
-    """Full feature lineage as JSON (name, family, inputs, code, outputs)."""
+    """Full feature lineage as JSON.
+
+    Features, row plans and source suggestions are their full records
+    (:func:`~repro.records.to_record`) — the same shape a checkpoint
+    stores them in.
+    """
     payload = {
-        "features": [
-            {
-                "name": feature.name,
-                "family": feature.family.value,
-                "input_columns": feature.input_columns,
-                "output_columns": feature.output_columns,
-                "description": feature.description,
-                "source_code": feature.source_code,
-                "fm_calls": feature.fm_calls,
-            }
-            for feature in result.new_features.values()
-        ],
+        "features": to_record(list(result.new_features.values())),
         "dropped_originals": result.dropped,
         "rejections": result.rejections,
-        "row_plans": [
-            {
-                "name": plan.name,
-                "n_rows": plan.n_rows,
-                "estimated_calls": plan.estimated_calls,
-                "estimated_cost_usd": plan.estimated_cost_usd,
-            }
-            for plan in result.row_plans
-        ],
-        "source_suggestions": [
-            {"name": s.name, "sources": s.sources} for s in result.suggestions
-        ],
+        "row_plans": to_record(result.row_plans),
+        "source_suggestions": to_record(result.suggestions),
         "fm_usage": result.fm_usage,
     }
     return json.dumps(payload, indent=indent)

@@ -623,19 +623,20 @@ class StageScheduler:
         The calls axis is exact; the cost and latency axes divide the
         headroom by the run's average per-call spend so far (a fixed
         prior before the first call).  Deterministic for seeded runs —
-        every input is ledger state, never wall-clock.
+        every input is the meter's exact spend (not its rounded report
+        snapshot), never wall-clock.
         """
-        assert self.budget is not None
-        headroom = self.budget.headroom()
-        snap = self.budget.snapshot()
-        spent_calls = snap["spent_calls"]
+        budget = self.budget
+        assert budget is not None
+        headroom = budget.headroom()
+        spent_calls = budget.spent_calls
         avg_cost = (
-            snap["spent_cost_usd"] / spent_calls
+            budget.spent_cost_usd / spent_calls
             if spent_calls
             else _DEFAULT_CALL_COST_USD
         )
         avg_latency = (
-            snap["spent_latency_s"] / spent_calls
+            budget.spent_latency_s / spent_calls
             if spent_calls
             else _DEFAULT_CALL_LATENCY_S
         )

@@ -25,12 +25,22 @@ from typing import TYPE_CHECKING
 
 from repro.fm.cost import CostModel, estimate_tokens
 from repro.fm.errors import FMBudgetExceededError
+from repro.records import NOT_RECORDED, assign_record, to_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fm.cache import FMCache
     from repro.fm.executor import FMExecutor, FMRequest, FMResult
 
-__all__ = ["Budget", "CallLedger", "FMClient", "FMResponse"]
+__all__ = ["Budget", "CallLedger", "FMClient", "FMResponse", "report_view"]
+
+
+def report_view(record: dict) -> dict:
+    """A meter's record rounded for reports: ``*_usd`` to 6 places, other
+    floats (seconds) to 3."""
+    return {
+        key: round(v, 6 if key.endswith("usd") else 3) if isinstance(v, float) else v
+        for key, v in record.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -152,32 +162,13 @@ class Budget:
             }
 
     def snapshot(self) -> dict[str, float | None]:
-        """Limits and spend as a plain dict (for reports and tests)."""
-        with self._lock:
-            return {
-                "max_cost_usd": self.max_cost_usd,
-                "max_calls": self.max_calls,
-                "max_latency_s": self.max_latency_s,
-                "spent_cost_usd": round(self.spent_cost_usd, 6),
-                "spent_calls": self.spent_calls,
-                "spent_latency_s": round(self.spent_latency_s, 3),
-            }
+        """Limits and spend, rounded, as a plain dict: the *report* view.
 
-    def restore_spent(
-        self, cost_usd: float, calls: int, latency_s: float
-    ) -> None:
-        """Overwrite the spend counters from a checkpoint snapshot.
-
-        Resuming a killed run must put the shared meter back exactly
-        where the checkpointed stages left it — otherwise the remaining
-        stages would be planned against headroom the original run had
-        already spent.  Never raises: restoring is bookkeeping, not a
-        new charge.
+        Nothing plans from or restores from it — the scheduler reads the
+        exact ``spent_*`` fields and a checkpoint records them unrounded.
         """
         with self._lock:
-            self.spent_cost_usd = float(cost_usd)
-            self.spent_calls = int(calls)
-            self.spent_latency_s = float(latency_s)
+            return report_view(to_record(self))
 
 
 @dataclass
@@ -216,9 +207,11 @@ class CallLedger:
     hedges_issued: int = 0
     hedges_abandoned: int = 0
     hedge_wasted_cost_usd: float = 0.0
-    history: list[tuple[str, str]] = field(default_factory=list)
-    keep_history: bool = False
-    budget: "Budget | None" = None
+    #: Configuration and references, not accounting: left out of the
+    #: record a checkpoint stores and restores.
+    history: list[tuple[str, str]] = field(default_factory=list, metadata=NOT_RECORDED)
+    keep_history: bool = field(default=False, metadata=NOT_RECORDED)
+    budget: "Budget | None" = field(default=None, metadata=NOT_RECORDED)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -277,55 +270,16 @@ class CallLedger:
             self.hedge_wasted_cost_usd += wasted_cost_usd
 
     def snapshot(self) -> dict[str, float]:
-        """Totals as a plain dict (for reports and tests)."""
-        with self._lock:
-            return {
-                "n_calls": self.n_calls,
-                "prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens,
-                "latency_s": round(self.latency_s, 3),
-                "cost_usd": round(self.cost_usd, 6),
-                "cache_hits": self.cache_hits,
-                "wait_s": round(self.wait_s, 3),
-                "hedges_issued": self.hedges_issued,
-                "hedges_abandoned": self.hedges_abandoned,
-                "hedge_wasted_cost_usd": round(self.hedge_wasted_cost_usd, 6),
-            }
+        """Totals, rounded, as a plain dict: the *report* view.
 
-    def restore(self, snapshot: dict) -> None:
-        """Overwrite the totals from a checkpoint snapshot.
-
-        The inverse of :meth:`snapshot` for the resumable-run path: a
-        resumed run's ledger starts where the killed run's last completed
-        stage left it, so completed-stage spend is never double-counted
-        (and never re-spent — the stages themselves are not re-run).
+        A checkpoint records the exact fields instead (``to_record``).
         """
         with self._lock:
-            self.n_calls = int(snapshot["n_calls"])
-            self.prompt_tokens = int(snapshot["prompt_tokens"])
-            self.completion_tokens = int(snapshot["completion_tokens"])
-            self.latency_s = float(snapshot["latency_s"])
-            self.cost_usd = float(snapshot["cost_usd"])
-            self.cache_hits = int(snapshot["cache_hits"])
-            self.wait_s = float(snapshot.get("wait_s", 0.0))
-            self.hedges_issued = int(snapshot.get("hedges_issued", 0))
-            self.hedges_abandoned = int(snapshot.get("hedges_abandoned", 0))
-            self.hedge_wasted_cost_usd = float(
-                snapshot.get("hedge_wasted_cost_usd", 0.0)
-            )
+            return report_view(to_record(self))
 
     def reset(self) -> None:
         with self._lock:
-            self.n_calls = 0
-            self.prompt_tokens = 0
-            self.completion_tokens = 0
-            self.latency_s = 0.0
-            self.cost_usd = 0.0
-            self.cache_hits = 0
-            self.wait_s = 0.0
-            self.hedges_issued = 0
-            self.hedges_abandoned = 0
-            self.hedge_wasted_cost_usd = 0.0
+            assign_record(self, to_record(CallLedger()))
             self.history.clear()
 
 

@@ -9,16 +9,23 @@ shared across clients (the operator-selector and function-generator
 clients can point at one cache) and across runs (repeated
 ``fit_transform`` on the same dataset re-issues zero temperature-0
 calls).
+
+Each entry is the :func:`~repro.records.to_record` of an
+:class:`~repro.fm.base.FMResponse`, and :meth:`FMCache.save` writes the
+store through :func:`~repro.records.write_json_atomic`, the writer every
+persisted artifact shares.  Loading still validates every entry: the
+store is input from outside the program.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from repro.records import from_record, to_record, write_json_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fm.base import FMResponse
@@ -87,19 +94,12 @@ class FMCache:
             self.hits += 1
             from repro.fm.base import FMResponse
 
-            return FMResponse(**entry)
+            return from_record(FMResponse, entry)
 
     def put(self, model: str, prompt: str, temperature: float, response: "FMResponse") -> None:
         if not self.cacheable(temperature):
             return
-        entry = {
-            "text": response.text,
-            "prompt_tokens": response.prompt_tokens,
-            "completion_tokens": response.completion_tokens,
-            "latency_s": response.latency_s,
-            "cost_usd": response.cost_usd,
-            "model": response.model,
-        }
+        entry = to_record(response)
         with self._lock:
             key = _key(model, prompt, temperature)
             self._entries[key] = entry
@@ -176,19 +176,12 @@ class FMCache:
     def save(self) -> None:
         """Write the current entries to :attr:`path` as JSON.
 
-        The write is atomic (tmp file + ``os.replace``, the same pattern
-        as :mod:`repro.core.checkpoint`): a crash mid-save leaves the
-        previous store intact instead of a truncated JSON file that
-        would force a cold start on the next run.
+        The write is atomic (:func:`~repro.records.write_json_atomic`): a
+        crash mid-save leaves the previous store intact instead of a
+        truncated JSON file that would force a cold start on the next run.
         """
         if self.path is None:
             raise ValueError("cache has no persistent path")
         with self._lock:
             payload = {"version": 1, "entries": dict(self._entries)}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_json_atomic(self.path, json.dumps(payload))

@@ -38,9 +38,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.fm.adaptive import AIMDController, ConcurrencyGate
+from repro.fm.base import report_view
 from repro.fm.cost import critical_path_seconds
 from repro.fm.errors import FMBudgetExceededError, FMError
 from repro.fm.hedging import HedgePolicy, LatencyTracker
+from repro.records import to_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fm.base import FMClient, FMResponse
@@ -206,17 +208,7 @@ class ExecutionStats:
     hedges_won: int = 0
 
     def snapshot(self) -> dict[str, float]:
-        return {
-            "n_batches": self.n_batches,
-            "n_calls": self.n_calls,
-            "n_errors": self.n_errors,
-            "n_retries": self.n_retries,
-            "cache_hits": self.cache_hits,
-            "summed_latency_s": round(self.summed_latency_s, 3),
-            "critical_path_s": round(self.critical_path_s, 3),
-            "hedges_issued": self.hedges_issued,
-            "hedges_won": self.hedges_won,
-        }
+        return report_view(to_record(self))
 
 
 class FMExecutor:

@@ -57,6 +57,7 @@ from repro.fm.errors import (
     FMServerError,
     FMTimeoutError,
 )
+from repro.records import to_record
 
 __all__ = [
     "ScriptedTransport",
@@ -137,14 +138,7 @@ class TransportStats:
     n_resets: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "n_sent": self.n_sent,
-            "n_ok": self.n_ok,
-            "n_rate_limited": self.n_rate_limited,
-            "n_server_errors": self.n_server_errors,
-            "n_timeouts": self.n_timeouts,
-            "n_resets": self.n_resets,
-        }
+        return to_record(self)
 
 
 def _default_responder(request: TransportRequest) -> str:

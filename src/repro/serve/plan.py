@@ -21,6 +21,7 @@ import numpy as np
 from repro.dataframe.expr import ExprError, evaluate_feature, validate_expr
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
+from repro.records import from_record, to_record, write_json_atomic
 
 __all__ = [
     "PLAN_SCHEMA_VERSION",
@@ -101,39 +102,17 @@ class FeatureSpec:
     #: version bump — absent kinds just skip the dtype check.
     output_kinds: list[str] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "description": self.description,
-            "input_columns": list(self.input_columns),
-            "output_columns": list(self.output_columns),
-            "status": self.status,
-            "expr": self.expr,
-            "fallback_source": self.fallback_source,
-            "reason": self.reason,
-            "output_kinds": list(self.output_kinds) if self.output_kinds else None,
-        }
+    def __post_init__(self) -> None:
+        # An empty kinds list is recorded as absent, exactly like a plan
+        # compiled before the field existed.
+        self.output_kinds = list(self.output_kinds) if self.output_kinds else None
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureSpec":
         try:
-            spec = cls(
-                name=data["name"],
-                family=data.get("family", ""),
-                description=data.get("description", ""),
-                input_columns=list(data["input_columns"]),
-                output_columns=list(data["output_columns"]),
-                status=data["status"],
-                expr=data.get("expr"),
-                fallback_source=data.get("fallback_source"),
-                reason=data.get("reason", ""),
-                output_kinds=(
-                    list(data["output_kinds"]) if data.get("output_kinds") else None
-                ),
-            )
-        except KeyError as exc:
-            raise PlanSchemaError(f"feature spec is missing field {exc}") from exc
+            spec = from_record(cls, {"family": "", "description": "", **data})
+        except TypeError as exc:
+            raise PlanSchemaError(f"malformed feature spec: {exc}") from exc
         if spec.status == "compiled":
             if spec.expr is None:
                 raise PlanSchemaError(f"compiled feature {spec.name!r} has no expression")
@@ -579,7 +558,7 @@ class FeaturePlan:
             "input_schema": [[name, kind] for name, kind in self.input_schema],
             "drop_columns": list(self.drop_columns),
             "metadata": self.metadata,
-            "features": [spec.to_dict() for spec in self.features],
+            "features": to_record(self.features),
         }
 
     def to_json(self, indent: int = 2) -> str:
@@ -637,8 +616,7 @@ class FeaturePlan:
         return cls.from_dict(data)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        write_json_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "FeaturePlan":

@@ -12,6 +12,12 @@ Saving appends the next version; loading resolves an explicit version,
 then the pin, then the latest.  Loaded plans are cached (they are
 immutable) and every access is lock-guarded so concurrent servers can
 share one registry instance.
+
+Plan files and ``pins.json`` are written through
+:func:`~repro.records.write_json_atomic`, so a crash mid-write leaves the
+previous file whole.  A ``pins.json`` that still fails to parse raises
+:class:`~repro.serve.plan.PlanError` naming the file: silently falling
+back to the latest version would serve a plan nobody pinned.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import os
 import re
 import threading
 
+from repro.records import write_json_atomic
 from repro.serve.plan import FeaturePlan, PlanError, PlanNotFoundError
 
 __all__ = ["PlanRegistry"]
@@ -103,9 +110,19 @@ class PlanRegistry:
         try:
             with open(self._pins_path, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except FileNotFoundError:
             return {}
-        return {str(k): int(v) for k, v in data.items()} if isinstance(data, dict) else {}
+        except ValueError as exc:
+            raise PlanError(f"corrupt pins file {self._pins_path!r}: {exc}") from exc
+        if not isinstance(data, dict) or any(not isinstance(v, int) for v in data.values()):
+            raise PlanError(
+                f"corrupt pins file {self._pins_path!r}: expected {{name: version}}"
+            )
+        return data
+
+    def _write_pins(self, pins: dict[str, int]) -> None:
+        write_json_atomic(self._pins_path, json.dumps(pins, indent=2))
+        self._generation += 1
 
     def pin(self, name: str, version: int) -> None:
         """Pin *name* to *version* (must exist); load() then defaults to it."""
@@ -116,18 +133,13 @@ class PlanRegistry:
                 )
             pins = self._read_pins()
             pins[name] = version
-            os.makedirs(self.root, exist_ok=True)
-            with open(self._pins_path, "w", encoding="utf-8") as handle:
-                json.dump(pins, handle, indent=2)
-            self._generation += 1
+            self._write_pins(pins)
 
     def unpin(self, name: str) -> None:
         with self._lock:
             pins = self._read_pins()
             if pins.pop(name, None) is not None:
-                with open(self._pins_path, "w", encoding="utf-8") as handle:
-                    json.dump(pins, handle, indent=2)
-                self._generation += 1
+                self._write_pins(pins)
 
     def pinned(self, name: str) -> int | None:
         """The pinned version of *name*, or ``None``."""

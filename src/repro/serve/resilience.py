@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
+from repro.records import to_record
 from repro.serve.plan import PlanError, column_kind
 
 __all__ = [
@@ -96,14 +97,6 @@ class FeatureReport:
     error: str = ""
     reason: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "status": self.status,
-            "error": self.error,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class ApplyReport:
@@ -139,7 +132,7 @@ class ApplyReport:
             "policy": self.policy,
             "degraded_fraction": self.degraded_fraction,
             "by_status": self.by_status(),
-            "features": [r.to_dict() for r in self.reports],
+            "features": to_record(self.reports),
         }
 
 

@@ -8,13 +8,15 @@ clients' per-call state resumes exactly where the paid-for work left it.
 """
 
 import json
+import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import CheckpointMismatchError, CheckpointStore, SmartFeat
-from repro.core.checkpoint import fingerprint
+from repro.core.checkpoint import CHECKPOINT_VERSION, fingerprint
 from repro.dataframe import DataFrame
 from repro.fm import Budget, SimulatedFM
 from repro.serve import frames_identical
@@ -83,15 +85,43 @@ def total_calls(tool: SmartFeat) -> int:
     return tool.fm.ledger.n_calls + tool.function_fm.ledger.n_calls
 
 
-def total_cost(tool: SmartFeat) -> float:
-    return tool.fm.ledger.cost_usd + tool.function_fm.ledger.cost_usd
+LEDGER_FIELDS = (
+    "n_calls",
+    "prompt_tokens",
+    "completion_tokens",
+    "latency_s",
+    "cost_usd",
+    "wait_s",
+    "cache_hits",
+)
+BUDGET_FIELDS = ("spent_calls", "spent_cost_usd", "spent_latency_s")
+
+
+def ledgers(tool: SmartFeat) -> dict:
+    """Every client's exact (unrounded) ledger totals."""
+    return {
+        role: {name: getattr(getattr(tool, role).ledger, name) for name in LEDGER_FIELDS}
+        for role in ("fm", "function_fm")
+    }
+
+
+def budget_spent(budget: Budget) -> dict:
+    return {name: getattr(budget, name) for name in BUDGET_FIELDS}
 
 
 @pytest.fixture(scope="module")
 def baseline():
     tool = make_tool()
     result = fit(tool)
-    return result, total_calls(tool), total_cost(tool)
+    return result, total_calls(tool), ledgers(tool)
+
+
+@pytest.fixture(scope="module")
+def budgeted_baseline():
+    """The uninterrupted run's spend on a shared (never tripped) budget."""
+    tool = make_tool(budget=Budget(max_cost_usd=100.0))
+    fit(tool)
+    return budget_spent(tool.budget)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +213,7 @@ def test_checkpoint_accepts_path_or_store(tmp_path):
 # Checkpointing must not perturb the run it rides along with.
 # ----------------------------------------------------------------------
 def test_checkpointed_run_is_identical_to_plain_run(tmp_path, baseline):
-    base_result, base_calls, base_cost = baseline
+    base_result, base_calls, _ = baseline
     tool = make_tool(checkpoint=str(tmp_path / "run.json"))
     result = fit(tool)
     assert sorted(result.new_features) == sorted(base_result.new_features)
@@ -208,29 +238,78 @@ def test_resume_with_no_checkpoint_file_runs_fresh(tmp_path, baseline):
 # ----------------------------------------------------------------------
 # The acceptance test: kill mid-graph, resume, bit-identical, $0 re-spend.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("fraction", [0.3, 0.6, 0.85])
+KILL_FRACTIONS = (0.3, 0.6, 0.85)
+
+
+@pytest.mark.parametrize(
+    "fraction, shared_budget",
+    [pytest.param(f, False, id=str(f)) for f in KILL_FRACTIONS]
+    + [pytest.param(f, True, id=f"{f}-budget") for f in KILL_FRACTIONS],
+)
 def test_kill_and_resume_is_bit_identical_with_zero_respend(
-    tmp_path, baseline, fraction
+    tmp_path, baseline, budgeted_baseline, fraction, shared_budget
 ):
-    base_result, base_calls, base_cost = baseline
+    base_result, base_calls, base_ledgers = baseline
     kill_after = max(1, int(base_calls * fraction))
     path = tmp_path / f"kill{kill_after}.json"
 
-    killed = make_tool(checkpoint=str(path))
+    def budget():
+        return Budget(max_cost_usd=100.0) if shared_budget else None
+
+    killed = make_tool(checkpoint=str(path), budget=budget())
     install_kill_switch(killed, kill_after)
     with pytest.raises(KillSignal):
         fit(killed)
 
-    resumed = make_tool(checkpoint=str(path), resume=True)
+    resumed = make_tool(checkpoint=str(path), resume=True, budget=budget())
     result = fit(resumed)
 
     assert sorted(result.new_features) == sorted(base_result.new_features)
     identical, detail = frames_identical(result.frame, base_result.frame)
     assert identical, detail
     # Ledger-verified zero re-spend: restored stages were not re-bought,
-    # so the resumed ledgers total exactly the uninterrupted run's.
+    # and the checkpoint stores exact ledger state (not the rounded
+    # report snapshot), so every resumed total equals the uninterrupted
+    # run's under ==, float fields included.
     assert total_calls(resumed) == base_calls
-    assert total_cost(resumed) == pytest.approx(base_cost, abs=1e-5)
+    assert ledgers(resumed) == base_ledgers
+    if shared_budget:
+        assert budget_spent(resumed.budget) == budgeted_baseline
+
+
+#: A version-1 checkpoint of the ``small_frame()`` run killed after 16 of
+#: its 28 FM calls (``unary`` and ``binary`` completed), written by the
+#: format that stored each ledger as its rounded report snapshot.
+OLD_FORMAT_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_kill60.json"
+
+
+def test_resumes_checkpoint_written_with_rounded_ledgers(tmp_path, baseline):
+    base_result, base_calls, base_ledgers = baseline
+    path = tmp_path / "run.json"
+    shutil.copy(OLD_FORMAT_CHECKPOINT, path)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == CHECKPOINT_VERSION == 1
+    assert payload["completed"], "fixture has no completed stage: weak test"
+
+    resumed = make_tool(checkpoint=str(path), resume=True)
+    result = fit(resumed)
+
+    identical, detail = frames_identical(result.frame, base_result.frame)
+    assert identical, detail
+    assert total_calls(resumed) == base_calls
+    schedule = result.fm_usage["execution"]["schedule"]
+    restored = {n["name"] for n in schedule["nodes"] if n["status"] == "restored"}
+    assert restored == set(payload["completed"])
+    resumed_ledgers = ledgers(resumed)
+    for role, expected in base_ledgers.items():
+        got = resumed_ledgers[role]
+        for name in ("n_calls", "prompt_tokens", "completion_tokens", "cache_hits"):
+            assert got[name] == expected[name], (role, name)
+        # This fixture predates exact ledger records: it stored cost
+        # rounded to 6 places and latency to 3, so only here do the
+        # float totals compare within that rounding instead of under ==.
+        assert got["cost_usd"] == pytest.approx(expected["cost_usd"], abs=1e-6)
+        assert got["latency_s"] == pytest.approx(expected["latency_s"], abs=1e-3)
 
 
 def test_restored_stages_issue_no_fm_calls(tmp_path, baseline):

@@ -298,14 +298,14 @@ class TestAtomicSave:
         replaced = []
         real_replace = os_module.replace
         monkeypatch.setattr(
-            "repro.fm.cache.os.replace",
+            "repro.records.os.replace",
             lambda src, dst: (replaced.append((str(src), str(dst))), real_replace(src, dst))[1],
         )
         cache = FMCache(path=path)
         cache.save()
         assert replaced and replaced[0][0].endswith(".tmp")
         assert replaced[0][1] == str(path)
-        assert not path.with_name(path.name + ".tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_interrupted_write_leaves_old_store_intact(self, tmp_path, monkeypatch):
         from pathlib import Path
@@ -329,7 +329,7 @@ class TestAtomicSave:
         monkeypatch.undo()
         # The store on disk is byte-identical to the last good save ...
         assert path.read_bytes() == before
-        assert not path.with_name(path.name + ".tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
         # ... and still loads warm.
         assert len(FMCache(path=path)) == 2
 
@@ -337,7 +337,7 @@ class TestAtomicSave:
         path = self._warm_store(tmp_path, n=2)
         before = path.read_bytes()
         monkeypatch.setattr(
-            "repro.fm.cache.os.replace",
+            "repro.records.os.replace",
             lambda src, dst: (_ for _ in ()).throw(OSError("killed")),
         )
         cache = FMCache(path=path)
@@ -345,4 +345,4 @@ class TestAtomicSave:
             cache.save()
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert not path.with_name(path.name + ".tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

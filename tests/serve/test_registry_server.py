@@ -1,6 +1,8 @@
 """PlanRegistry versioning/pinning and FeatureServer concurrency."""
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +70,67 @@ class TestRegistry:
         plan, _, _ = plan_and_frame
         with pytest.raises(PlanError):
             PlanRegistry(str(tmp_path)).save(plan, "../escape")
+
+
+def _two_releases(tmp_path, plan_and_frame) -> PlanRegistry:
+    """A registry holding v1 and v2 of "demo", told apart by metadata."""
+    _, result, frame = plan_and_frame
+    registry = PlanRegistry(str(tmp_path))
+    for release in (1, 2):
+        plan = compile_plan(result, frame, "Target", metadata={"release": release})
+        assert registry.save(plan, "demo") == release
+    return registry
+
+
+def _partial_encoder(monkeypatch):
+    """JSON encoding emits its first chunk, then dies."""
+    real = json.JSONEncoder.iterencode
+
+    def dying(self, o, _one_shot=False):
+        yield next(iter(real(self, o, _one_shot)))
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", dying)
+
+
+def _partial_file_write(monkeypatch):
+    """Half the text reaches the file, then the write dies."""
+    real = Path.write_text
+
+    def dying(self, text, *args, **kwargs):
+        real(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("killed mid-write")
+
+    monkeypatch.setattr(Path, "write_text", dying)
+
+
+class TestPinsDurability:
+    def test_corrupt_pins_file_fails_loudly(self, tmp_path, plan_and_frame):
+        registry = _two_releases(tmp_path, plan_and_frame)
+        registry.pin("demo", 1)
+        pins = tmp_path / "pins.json"
+        pins.write_text(pins.read_text()[:5])  # torn: not valid JSON
+        fresh = PlanRegistry(str(tmp_path))
+        # Falling back to the latest (v2) would serve an unpinned plan.
+        with pytest.raises(PlanError, match="pins.json"):
+            fresh.load("demo")
+        with pytest.raises(PlanError, match="pins.json"):
+            fresh.pinned("demo")
+
+    @pytest.mark.parametrize("inject", [_partial_encoder, _partial_file_write])
+    def test_interrupted_pin_keeps_previous_pin(
+        self, tmp_path, plan_and_frame, monkeypatch, inject
+    ):
+        registry = _two_releases(tmp_path, plan_and_frame)
+        registry.pin("demo", 1)
+        inject(monkeypatch)
+        with pytest.raises(OSError, match="killed mid-write"):
+            registry.pin("demo", 2)
+        monkeypatch.undo()
+        fresh = PlanRegistry(str(tmp_path))
+        assert fresh.pinned("demo") == 1
+        assert fresh.load("demo").metadata["release"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo", "pins.json"]
 
 
 class TestServer:
