@@ -14,7 +14,7 @@ Commands
     The fit/serve split: ``export`` fits SMARTFEAT and writes the
     compiled :class:`~repro.serve.FeaturePlan` JSON (or saves it into a
     plan registry); ``apply`` replays a plan over fresh CSV rows with no
-    FM client in the loop.
+    FM client in the loop, whole or ``--chunk-rows`` at a time.
 """
 
 from __future__ import annotations
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "stream the CSV through the plan N rows at a time instead of "
             "loading it whole (out-of-core: bounded memory, incremental "
-            "--out writes, output bit-identical to the unchunked path)"
+            "--out writes; not always byte-identical to the unchunked "
+            "output, since a feature's output dtype can depend on the chunk)"
         ),
     )
     apply_.add_argument(
@@ -283,11 +284,11 @@ def _load_source(args) -> tuple:
     return frame, args.target, None, "", ""
 
 
-def _read_or_exit(reader, path):
-    """``reader(path)``, with an unreadable CSV (e.g. a duplicated header
+def _read_or_exit(reader, *args):
+    """``reader(*args)``, with an unreadable CSV (e.g. a duplicated header
     name or undecodable bytes) reported as a message, not a traceback."""
     try:
-        return reader(path)
+        return reader(*args)
     except ValueError as exc:
         raise SystemExit(f"cannot read CSV: {exc}")
 
@@ -467,94 +468,57 @@ def _cmd_plan_export(args) -> int:
 
 
 def _cmd_plan_apply(args) -> int:
-    from repro.dataframe import read_csv
+    """``plan apply``: replay a plan over the CSV's shard stream.
+
+    The unchunked apply is the one-shard case (``sys.maxsize`` rows), as
+    ``read_csv`` is of ``read_csv_shards``.  ``--chunk-rows N`` streams N
+    rows at a time, never holding more than one chunk plus its featured
+    output, and a one-pass schema scan pins every chunk to the whole-file
+    column dtypes.  ``--out`` is written chunk by chunk (header once).  A
+    feature's output dtype can still depend on the chunk (``str_len`` is
+    int64 without missing text, float64 with it), so chunked ``--out`` is
+    not always byte-identical to the unchunked one.
+    """
+    from itertools import chain
+
+    from repro.dataframe import io
     from repro.serve import FeaturePlan, FeatureServer, PlanError, PlanRegistry
 
     if bool(args.plan) == bool(args.registry):
         raise SystemExit("pass exactly one of --plan or --registry/--name")
+    if args.registry and not args.name:
+        raise SystemExit("--registry needs --name")
+    if args.chunk_rows is not None and args.chunk_rows < 1:
+        raise SystemExit("--chunk-rows must be >= 1")
     try:
-        if args.plan:
-            plan = FeaturePlan.load(args.plan)
-            server = FeatureServer(
-                plan=plan,
-                failure_policy=args.failure_policy,
-                breaker_threshold=args.breaker_threshold,
-                watchdog_timeout=args.watchdog_timeout,
-            )
-        else:
-            if not args.name:
-                raise SystemExit("--registry needs --name")
-            registry = PlanRegistry(args.registry)
-            server = FeatureServer(
-                registry=registry,
-                name=args.name,
-                version=args.version,
-                failure_policy=args.failure_policy,
-                breaker_threshold=args.breaker_threshold,
-                watchdog_timeout=args.watchdog_timeout,
-            )
-            plan = server.plan_for()
-        if args.chunk_rows is not None:
-            if args.chunk_rows < 1:
-                raise SystemExit("--chunk-rows must be >= 1")
-            return _plan_apply_streaming(args, server, plan)
-        rows = _read_or_exit(read_csv, args.csv)
-        featured, report = server.transform_with_report(rows)
+        server = FeatureServer(
+            plan=FeaturePlan.load(args.plan) if args.plan else None,
+            registry=PlanRegistry(args.registry) if args.registry else None,
+            name=args.name,
+            version=args.version,
+            failure_policy=args.failure_policy,
+            breaker_threshold=args.breaker_threshold,
+            watchdog_timeout=args.watchdog_timeout,
+        )
+        plan = server.plan_for()
+        schema = _read_or_exit(io.scan_csv_kinds, args.csv) if args.chunk_rows else None
+        shards = io.read_csv_shards(args.csv, args.chunk_rows or sys.maxsize, schema=schema)
+        # Any read error surfaces here: by the first shard, the schema scan
+        # (chunked) or the one shard (unchunked) has read the whole file.
+        first = _read_or_exit(next, shards, None)
+        if first is None:
+            raise SystemExit(f"plan apply failed: {args.csv} has no data rows")
+        for n_chunks, featured in enumerate(
+            server.transform_stream(chain([first], shards)), start=1
+        ):
+            if args.out:
+                io.to_csv(featured, args.out, append=n_chunks > 1)
     except PlanError as exc:
         raise SystemExit(f"plan apply failed: {exc}")
+    chunking = f" in {n_chunks} chunks of <= {args.chunk_rows}" if args.chunk_rows else ""
     print(
-        f"Applied plan ({len(plan.features)} features) to {len(rows)} rows: "
-        f"{len(featured.columns)} columns out"
-    )
-    if args.failure_policy == "degrade":
-        health = server.health()
-        apply_report = report.apply_report
-        print(
-            f"Health: {health['status']} — "
-            f"{apply_report.degraded_fraction:.0%} of features degraded, "
-            f"{health['rows_quarantined']} rows quarantined"
-        )
-        for feature in apply_report.failures():
-            print(f"  [{feature.status}] {feature.feature}: {feature.reason}")
-    if args.out:
-        from repro.dataframe.io import to_csv
-
-        to_csv(featured, args.out)
-        print(f"Wrote featured rows to {args.out}")
-    else:
-        preview = ", ".join(featured.columns[:8])
-        more = len(featured.columns) - 8
-        print(f"Columns: {preview}" + (f" … +{more} more" if more > 0 else ""))
-    return 0
-
-
-def _plan_apply_streaming(args, server, plan) -> int:
-    """``plan apply --chunk-rows N``: replay the plan over a CSV shard
-    stream, never holding more than one chunk (plus its featured output).
-
-    A one-pass schema scan pins every chunk to the whole-file column
-    dtypes, so each shard is bit-identical to the matching row slice of
-    ``read_csv`` and the streamed output matches the unchunked path
-    column-for-column; ``--out`` appends shard-by-shard (header once).
-    """
-    from repro.dataframe.io import read_csv_shards, scan_csv_kinds, to_csv
-
-    schema = _read_or_exit(scan_csv_kinds, args.csv)
-    n_shards = 0
-    columns: list[str] = []
-    stream = server.transform_stream(
-        read_csv_shards(args.csv, args.chunk_rows, schema=schema)
-    )
-    for featured in stream:
-        columns = featured.columns
-        if args.out:
-            to_csv(featured, args.out, append=n_shards > 0)
-        n_shards += 1
-    rows_in = server.stats()["rows_in"]
-    print(
-        f"Applied plan ({len(plan.features)} features) to {rows_in} rows "
-        f"in {n_shards} chunks of <= {args.chunk_rows}: "
-        f"{len(columns)} columns out"
+        f"Applied plan ({len(plan.features)} features) to {server.stats()['rows_in']} "
+        f"rows{chunking}: {len(featured.columns)} columns out"
     )
     if args.failure_policy == "degrade":
         health = server.health()
@@ -566,8 +530,8 @@ def _plan_apply_streaming(args, server, plan) -> int:
     if args.out:
         print(f"Wrote featured rows to {args.out}")
     else:
-        preview = ", ".join(columns[:8])
-        more = len(columns) - 8
+        preview = ", ".join(featured.columns[:8])
+        more = len(featured.columns) - 8
         print(f"Columns: {preview}" + (f" … +{more} more" if more > 0 else ""))
     return 0
 

@@ -301,11 +301,6 @@ class FunctionGenerator:
         texts = [result.unwrap().text for result in results]
         return texts if raw else [parse_scalar(text) for text in texts]
 
-    @staticmethod
-    def _parse_value(text: str):
-        """Deprecated alias for :func:`repro.core.parsing.parse_scalar`."""
-        return parse_scalar(text)
-
     # ------------------------------------------------------------------
     # Scenario 3: external data sources
     # ------------------------------------------------------------------

@@ -56,15 +56,6 @@ class OperatorSelector:
     # ------------------------------------------------------------------
     # Proposal strategy (unary)
     # ------------------------------------------------------------------
-    def unary_candidates(self, agenda: DataAgenda, attr: str) -> list[FeatureCandidate]:
-        """All certain/high-confidence unary candidates for one attribute.
-
-        The candidate name follows the paper's ``OpName_OrgAttr`` scheme and
-        the description is the operator description (tag preserved for the
-        function generator).
-        """
-        return self.unary_candidates_batch(agenda, [attr])[0].unwrap()
-
     def unary_candidates_batch(
         self,
         agenda: DataAgenda,
@@ -95,6 +86,9 @@ class OperatorSelector:
         return outcomes
 
     def _parse_unary(self, text: str, attr: str) -> list[FeatureCandidate]:
+        """The certain/high-confidence candidates, named by the paper's
+        ``OpName_OrgAttr`` scheme (the tagged description is kept for the
+        function generator)."""
         candidates: list[FeatureCandidate] = []
         for tag, confidence, description in parse_proposals(text):
             if confidence not in self.accepted_confidences:
@@ -180,11 +174,6 @@ class OperatorSelector:
         }
         return parsers[family](text, agenda)
 
-    def sample_binary(self, agenda: DataAgenda) -> FeatureCandidate | None:
-        """One i.i.d.-sampled binary-operator candidate, or None."""
-        response = self._complete(prompts.binary_sampling_prompt(agenda), self.temperature)
-        return self._parse_binary_sample(response.text, agenda)
-
     def _parse_binary_sample(self, text: str, agenda: DataAgenda) -> FeatureCandidate | None:
         payload = parse_json_response(text)
         return self._binary_from_payload(payload, agenda, strict=True)
@@ -218,17 +207,9 @@ class OperatorSelector:
             params={"operator": operator},
         )
 
-    def sample_high_order(self, agenda: DataAgenda) -> FeatureCandidate | None:
-        """One sampled GroupByThenAgg candidate, or None.
-
-        Per the paper, the feature name is ``GroupBy_Gcol_func_Acol``, the
-        transformation expression doubles as the description, and the
-        group-by plus aggregate columns are the relevant columns.
-        """
-        response = self._complete(prompts.high_order_sampling_prompt(agenda), self.temperature)
-        return self._parse_high_order_sample(response.text, agenda)
-
     def _parse_high_order_sample(self, text: str, agenda: DataAgenda) -> FeatureCandidate | None:
+        """Per the paper, the name is ``GroupBy_Gcol_func_Acol`` and the
+        transformation expression doubles as the description."""
         payload = parse_json_response(text)
         group_cols = payload.get("groupby_col") or []
         if isinstance(group_cols, str):
@@ -251,11 +232,6 @@ class OperatorSelector:
             family=OperatorFamily.HIGH_ORDER,
             params={"groupby_col": list(group_cols), "agg_col": agg_col, "function": function},
         )
-
-    def sample_extractor(self, agenda: DataAgenda) -> FeatureCandidate | None:
-        """One sampled extractor candidate, or None."""
-        response = self._complete(prompts.extractor_sampling_prompt(agenda), self.temperature)
-        return self._parse_extractor_sample(response.text, agenda)
 
     def _parse_extractor_sample(self, text: str, agenda: DataAgenda) -> FeatureCandidate | None:
         payload = parse_json_response(text)

@@ -376,7 +376,7 @@ class SmartFeat:
         self.selector = OperatorSelector(fm, temperature=temperature, executor=self.executor)
         self.generator = FunctionGenerator(
             self.function_fm,
-            row_limit=10**9 if row_level_policy == "always" else row_limit,
+            row_limit={"always": 10**9, "never": -1}.get(row_level_policy, row_limit),
             repair_retries=repair_retries,
             executor=self.executor,
         )

@@ -6,8 +6,10 @@ provides the streaming primitives the sharded fit/serve paths build on:
 * :class:`Shard` — a bounded, contiguous row window of a larger table;
 * :func:`iter_frame_shards` / :func:`read_csv_shards` — shard streams over
   an in-memory frame (zero-copy views) or a CSV file (bounded buffers);
-* :func:`scan_csv_kinds` — a cheap schema pass so every CSV shard coerces
-  to the whole-file dtypes (cell values bit-identical to ``read_csv``);
+* :func:`scan_csv_kinds` — a cheap schema pass naming each column's
+  :func:`~repro.dataframe.kernels.coercion_kind`, so every CSV shard
+  decodes through the ``Series(list)`` rule pinned to the whole-file
+  dtypes (cell values bit-identical to ``read_csv``);
 * :func:`concat_shards` — re-joins per-shard results under Series
   list-coercion semantics, the package-wide dtype authority, so a
   shard-wise pipeline lands on exactly the frame the in-memory path
@@ -29,12 +31,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.kernels import is_missing_scalar
+from repro.dataframe.kernels import coerce_listlike, coercion_kind
 from repro.dataframe.series import Series
 
 __all__ = [
     "Shard",
     "concat_shards",
+    "is_number_cell",
     "iter_frame_shards",
     "read_csv",
     "read_csv_shards",
@@ -54,6 +57,12 @@ _INT_CELL = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_CELL = re.compile(
     r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z"
 )
+
+
+def is_number_cell(text: str) -> bool:
+    """Whether *text* reads as a number under the strict cell grammar
+    (every integer cell is also a float cell)."""
+    return _FLOAT_CELL.match(text) is not None
 
 
 def _parse_cell(text: str):
@@ -181,15 +190,13 @@ def iter_frame_shards(frame: DataFrame, chunk_rows: int) -> Iterator[Shard]:
 def scan_csv_kinds(path: str | Path) -> dict[str, str]:
     """One streaming pass over a CSV → per-column coercion kind.
 
-    Kinds mirror Series list coercion (``kernels._classify``) over
-    :func:`_parse_cell` values: ``"bool"`` (all-boolean, no missing),
-    ``"bool_missing"`` (boolean with missing cells — the object
-    None/bool path), ``"int"``, ``"float"`` (numeric with any float or
-    missing cell), ``"object"`` (any string cell), or ``"empty"`` (no
-    present values).  Feeding the result to :func:`read_csv_shards` pins
-    every shard to the whole-file dtypes.  The parser's strict grammar
-    guarantees cells are never non-finite floats, so a parsed cell is
-    exactly one of None/bool/int/float/str.
+    Each kind is the :func:`~repro.dataframe.kernels.coercion_kind` of the
+    column's :func:`_parse_cell` values — the rule Series list coercion
+    decides by — so feeding the result to :func:`read_csv_shards` pins
+    every shard to the whole-file dtypes.  The pass stays fused (one
+    ``_parse_cell`` per cell, one flag update) instead of classifying
+    column lists.  The parser's strict grammar guarantees cells are never
+    NaN, so a parsed cell is exactly one of None/bool/int/float/str.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -220,38 +227,10 @@ def scan_csv_kinds(path: str | Path) -> dict[str, str]:
                     nonbool[i] = True
                 else:
                     forced[i] = True
-    kinds = {}
-    for i, name in enumerate(header):
-        if forced[i]:
-            kinds[name] = "object"
-        elif not present[i]:
-            kinds[name] = "empty"
-        elif not nonbool[i]:
-            kinds[name] = "bool_missing" if missing[i] else "bool"
-        elif floaty[i] or missing[i]:
-            kinds[name] = "float"
-        else:
-            kinds[name] = "int"
-    return kinds
-
-
-def _coerce_kind(values: list, kind: str) -> Series:
-    """Coerce one shard's cell values to a whole-file column kind."""
-    if kind == "float":
-        return Series._from_array(np.array(values, dtype=np.float64))
-    if kind == "int":
-        return Series._from_array(np.array(values, dtype=np.int64))
-    if kind == "bool":
-        return Series._from_array(np.array([bool(v) for v in values], dtype=bool))
-    if kind == "bool_missing":
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = None if is_missing_scalar(v) else bool(v)
-        return Series._from_array(arr)
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = None if is_missing_scalar(v) else v
-    return Series._from_array(arr)
+    return {
+        name: coercion_kind(forced[i], present[i], not nonbool[i], floaty[i], missing[i])
+        for i, name in enumerate(header)
+    }
 
 
 def read_csv_shards(
@@ -293,13 +272,10 @@ def read_csv_shards(
 def _csv_shard_frame(
     header: list[str], buffers: list[list], schema: dict[str, str] | None
 ) -> DataFrame:
-    if schema is None:
-        return DataFrame({name: cells for name, cells in zip(header, buffers)})
     out = DataFrame()
     for name, cells in zip(header, buffers):
-        series = _coerce_kind(cells, schema.get(name, "object"))
-        series.name = name
-        out._columns[name] = series
+        kind = None if schema is None else schema.get(name, "object")
+        out._columns[name] = Series._from_array(coerce_listlike(cells, kind), name)
     return out
 
 

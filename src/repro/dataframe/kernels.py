@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "ColumnProfile",
     "coerce_listlike",
+    "coercion_kind",
     "column_profile",
     "dictionary_encode",
     "factorize_values",
@@ -78,13 +79,34 @@ def missing_mask(values: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Single-pass list coercion
 # ----------------------------------------------------------------------
-def _classify(values) -> tuple[str, bool]:
-    """One pass over *values* → ``(kind, has_missing)``.
+def coercion_kind(
+    any_object: bool, any_present: bool, all_bool: bool, any_float: bool, any_missing: bool
+) -> str:
+    """Name the list-coercion kind of a column from its one-pass flags.
 
-    ``kind`` is ``"bool"``/``"int"``/``"float"``/``"object"``/``"empty"``
-    (``"empty"`` = no present values, which coerces to an all-``None``
-    object array).  The scan stops early once a non-numeric value forces
-    the object path — object construction re-examines elements anyway.
+    The six kinds are ``"object"`` (any non-numeric, non-bool value),
+    ``"empty"`` (no present values: an all-``None`` object array),
+    ``"bool"``, ``"bool_missing"`` (booleans with missing values: the
+    object ``None``/``bool`` path), ``"float"`` (numeric with any float or
+    missing value) and ``"int"``.  :func:`_classify` and the CSV schema
+    scan (``io.scan_csv_kinds``) both decide through this one rule.
+    """
+    if any_object:
+        return "object"
+    if not any_present:
+        return "empty"
+    if all_bool:
+        return "bool_missing" if any_missing else "bool"
+    if any_float or any_missing:
+        return "float"
+    return "int"
+
+
+def _classify(values) -> str:
+    """One pass over *values* → its :func:`coercion_kind`.
+
+    The scan stops early once a non-numeric value forces the object
+    path — object construction re-examines elements anyway.
     """
     has_missing = False
     n_present = 0
@@ -109,26 +131,26 @@ def _classify(values) -> tuple[str, bool]:
             n_present += 1
             all_bool = False
             continue
-        return "object", True  # has_missing unused on the object path
-    if n_present == 0:
-        return "empty", has_missing
-    if all_bool:
-        return "bool", has_missing
-    if any_float or has_missing:
-        return "float", has_missing
-    return "int", False
+        return "object"
+    return coercion_kind(False, n_present > 0, all_bool, any_float, has_missing)
 
 
-def coerce_listlike(values: list) -> np.ndarray:
+def coerce_listlike(values: list, kind: str | None = None) -> np.ndarray:
     """Coerce a Python list into a 1-D array: one classification pass, then
-    a single C-level construction (the seed scanned the list three times)."""
-    kind, has_missing = _classify(values)
+    a single C-level construction (the seed scanned the list three times).
+
+    *kind* (a :func:`coercion_kind` name) skips the classification and
+    pins the result: the CSV reader passes each column's whole-file kind
+    from its schema scan, so every shard decodes to the same dtype.
+    """
+    if kind is None:
+        kind = _classify(values)
     if kind == "bool":
-        if has_missing:
-            return np.array(
-                [None if is_missing_scalar(v) else bool(v) for v in values], dtype=object
-            )
         return np.array([bool(v) for v in values], dtype=bool)
+    if kind == "bool_missing":
+        return np.array(
+            [None if is_missing_scalar(v) else bool(v) for v in values], dtype=object
+        )
     if kind == "float":
         # np.array converts None → NaN for float64 targets in one pass.
         return np.array(values, dtype=np.float64)
@@ -444,25 +466,17 @@ def take_uniques(choices: Sequence[Any], codes: np.ndarray) -> np.ndarray:
             remap[old] = new
         codes = remap[codes]  # -1 stays -1 via the sentinel slot
         choices = [choices[old] for old in used_list]
-    kind, has_missing = _classify(choices)
-    has_missing = has_missing or has_missing_codes
-    if kind in ("empty",) or (kind == "bool" and has_missing) or kind == "object":
+    kind = _classify(choices)
+    if has_missing_codes:
+        kind = {"bool": "bool_missing", "int": "float"}.get(kind, kind)
+    if kind in ("empty", "bool_missing", "object"):
         lookup = np.empty(len(choices) + 1, dtype=object)
         for i, c in enumerate(choices):
             lookup[i] = None if is_missing_scalar(c) else c
         lookup[-1] = None
         return lookup[codes]
-    if kind == "bool":
-        lookup = np.array([bool(c) for c in choices], dtype=bool)
-        return lookup[codes]
-    if kind == "float" or has_missing:
-        lookup = np.empty(len(choices) + 1, dtype=np.float64)
-        for i, c in enumerate(choices):
-            lookup[i] = np.nan if is_missing_scalar(c) else float(c)
-        lookup[-1] = np.nan
-        return lookup[codes]
-    lookup = np.array([int(c) for c in choices], dtype=np.int64)
-    return lookup[codes]
+    # Only a float lookup can meet a -1 code: its None sentinel reads NaN.
+    return coerce_listlike(choices + [None] * has_missing_codes, kind)[codes]
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
+from repro.dataframe.io import is_number_cell
 from repro.dataframe.series import Series
 from repro.records import to_record
 from repro.serve.plan import PlanError, column_kind
@@ -426,11 +427,12 @@ def _coerce_numeric(value: Any):
             return float("nan"), "inf patched to NaN"
         return value, None
     if isinstance(value, str):
-        try:
-            parsed = float(value)
-        except ValueError:
+        # The CSV reader's strict grammar, so "nan", "inf", "1_000" and
+        # " 3 " stay strings here exactly as they do in a CSV cell.
+        if not is_number_cell(value):
             return None, f"non-numeric string {value[:40]!r} in numeric column"
-        if math.isinf(parsed):
+        parsed = float(value)
+        if math.isinf(parsed):  # "1e999" overflows
             return float("nan"), "inf patched to NaN"
         return parsed, "numeric string coerced"
     return None, f"value of type {type(value).__name__} in numeric column"

@@ -166,6 +166,19 @@ class TestRowPlanCompletion:
         assert stats.critical_path_s < stats.summed_latency_s
 
 
+class TestRowLevelPolicy:
+    def test_never_defers_without_a_row_limit(self, insurance_frame, insurance_descriptions):
+        """``row_level_policy="never"`` alone defers every row-level feature
+        to a plan, even on a table small enough for ``"auto"`` to complete."""
+        frame = insurance_frame.copy()
+        frame["City"] = [f"City{i % 40}" for i in range(len(frame))]
+        tool = SmartFeat(fm=SimulatedFM(seed=0), downstream_model="rf", row_level_policy="never")
+        result = tool.fit_transform(frame, target="Safe", descriptions=insurance_descriptions)
+        assert result.row_plans
+        assert "City_median_income" not in result.new_features
+        assert "City_population_density" not in result.new_features
+
+
 class TestParseScalar:
     def test_numeric(self):
         from repro.core.parsing import parse_scalar
@@ -185,7 +198,7 @@ class TestParseScalar:
         assert parse_scalar("UNKNOWN") is None
         assert parse_scalar("   ") is None
 
-    def test_generator_alias_delegates(self):
-        from repro.core.function_generator import FunctionGenerator
+    def test_number_parses_to_float(self):
+        from repro.core.parsing import parse_scalar
 
-        assert FunctionGenerator._parse_value("7") == 7.0
+        assert parse_scalar("7") == 7.0

@@ -9,6 +9,16 @@ from repro.dataframe import DataFrame
 from repro.fm import FMParseError, ScriptedFM, SimulatedFM
 
 
+def _unary(selector, agenda, attr):
+    """One attribute's unary candidates through the batch call."""
+    return selector.unary_candidates_batch(agenda, [attr])[0].unwrap()
+
+
+def _sample(selector, family, agenda):
+    """One sampling draw for *family* (a candidate or None; errors raise)."""
+    return selector.sample_batch(family, agenda, 1)[0].unwrap()
+
+
 class TestUnarySelection:
     def test_keeps_only_certain_and_high(self, insurance_agenda):
         fm = ScriptedFM(
@@ -19,12 +29,12 @@ class TestUnarySelection:
             ]
         )
         selector = OperatorSelector(fm)
-        candidates = selector.unary_candidates(insurance_agenda, "Age")
+        candidates = _unary(selector, insurance_agenda, "Age")
         assert [c.name for c in candidates] == ["bucketization_Age"]
 
     def test_name_follows_paper_scheme(self, insurance_agenda):
         fm = ScriptedFM(["log_transform (high): squash"])
-        candidates = OperatorSelector(fm).unary_candidates(insurance_agenda, "Age")
+        candidates = _unary(OperatorSelector(fm), insurance_agenda, "Age")
         assert candidates[0].name == "log_transform_Age"
         assert candidates[0].columns == ["Age"]
         assert candidates[0].family == OperatorFamily.UNARY
@@ -32,11 +42,11 @@ class TestUnarySelection:
 
     def test_unknown_attribute_raises(self, insurance_agenda):
         with pytest.raises(KeyError):
-            OperatorSelector(ScriptedFM(["x"])).unary_candidates(insurance_agenda, "nope")
+            _unary(OperatorSelector(ScriptedFM(["x"])), insurance_agenda, "nope")
 
     def test_empty_response_gives_no_candidates(self, insurance_agenda):
         fm = ScriptedFM(["none (certain): nothing applies"])
-        assert OperatorSelector(fm).unary_candidates(insurance_agenda, "Age") == []
+        assert _unary(OperatorSelector(fm), insurance_agenda, "Age") == []
 
 
 class TestBinarySelection:
@@ -44,24 +54,24 @@ class TestBinarySelection:
         fm = ScriptedFM(
             ['{"operator": "-", "columns": ["Age", "Age of car"], "name": "diff", "description": "binary[-]: diff"}']
         )
-        candidate = OperatorSelector(fm).sample_binary(insurance_agenda)
+        candidate = _sample(OperatorSelector(fm), OperatorFamily.BINARY, insurance_agenda)
         assert candidate.name == "diff"
         assert candidate.params["operator"] == "-"
 
     def test_missing_column_raises_parse_error(self, insurance_agenda):
         fm = ScriptedFM(['{"operator": "-", "columns": ["Age", "Bogus"], "name": "d", "description": "x"}'])
         with pytest.raises(FMParseError):
-            OperatorSelector(fm).sample_binary(insurance_agenda)
+            _sample(OperatorSelector(fm), OperatorFamily.BINARY, insurance_agenda)
 
     def test_bad_operator_returns_none(self, insurance_agenda):
         fm = ScriptedFM(['{"operator": "^", "columns": ["Age", "Age of car"]}'])
-        assert OperatorSelector(fm).sample_binary(insurance_agenda) is None
+        assert _sample(OperatorSelector(fm), OperatorFamily.BINARY, insurance_agenda) is None
 
     def test_description_tag_enforced(self, insurance_agenda):
         fm = ScriptedFM(
             ['{"operator": "*", "columns": ["Age", "Age of car"], "name": "p", "description": "a product"}']
         )
-        candidate = OperatorSelector(fm).sample_binary(insurance_agenda)
+        candidate = _sample(OperatorSelector(fm), OperatorFamily.BINARY, insurance_agenda)
         assert candidate.description.startswith("binary[*]:")
 
 
@@ -70,24 +80,24 @@ class TestHighOrderSelection:
         fm = ScriptedFM(
             ['{"groupby_col": ["Make Model"], "agg_col": "Claim in last 6 months", "function": "mean"}']
         )
-        candidate = OperatorSelector(fm).sample_high_order(insurance_agenda)
+        candidate = _sample(OperatorSelector(fm), OperatorFamily.HIGH_ORDER, insurance_agenda)
         assert candidate.name == "GroupBy_Make Model_mean_Claim in last 6 months"
         assert candidate.params["function"] == "mean"
         assert "df.groupby" in candidate.description
 
     def test_string_groupby_col_accepted(self, insurance_agenda):
         fm = ScriptedFM(['{"groupby_col": "City", "agg_col": "Age", "function": "max"}'])
-        candidate = OperatorSelector(fm).sample_high_order(insurance_agenda)
+        candidate = _sample(OperatorSelector(fm), OperatorFamily.HIGH_ORDER, insurance_agenda)
         assert candidate.params["groupby_col"] == ["City"]
 
     def test_invalid_function_returns_none(self, insurance_agenda):
         fm = ScriptedFM(['{"groupby_col": ["City"], "agg_col": "Age", "function": "median-ish"}'])
-        assert OperatorSelector(fm).sample_high_order(insurance_agenda) is None
+        assert _sample(OperatorSelector(fm), OperatorFamily.HIGH_ORDER, insurance_agenda) is None
 
     def test_unknown_column_raises(self, insurance_agenda):
         fm = ScriptedFM(['{"groupby_col": ["Bogus"], "agg_col": "Age", "function": "mean"}'])
         with pytest.raises(FMParseError):
-            OperatorSelector(fm).sample_high_order(insurance_agenda)
+            _sample(OperatorSelector(fm), OperatorFamily.HIGH_ORDER, insurance_agenda)
 
 
 class TestExtractorSelection:
@@ -95,12 +105,12 @@ class TestExtractorSelection:
         fm = ScriptedFM(
             ['{"name": "City_density", "columns": ["City"], "description": "knowledge_map[city_population_density]: d", "kind": "function"}']
         )
-        candidate = OperatorSelector(fm).sample_extractor(insurance_agenda)
+        candidate = _sample(OperatorSelector(fm), OperatorFamily.EXTRACTOR, insurance_agenda)
         assert candidate.kind == "function"
 
     def test_bad_kind_returns_none(self, insurance_agenda):
         fm = ScriptedFM(['{"name": "x", "columns": [], "description": "d", "kind": "teleport"}'])
-        assert OperatorSelector(fm).sample_extractor(insurance_agenda) is None
+        assert _sample(OperatorSelector(fm), OperatorFamily.EXTRACTOR, insurance_agenda) is None
 
 
 class TestFunctionGenerator:

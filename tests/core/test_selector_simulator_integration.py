@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import DataAgenda, FunctionGenerator, OperatorSelector
 from repro.core.function_generator import RealizedFeature
+from repro.core.types import OperatorFamily
 from repro.dataframe import DataFrame
 from repro.fm import SimulatedFM
 from repro.fm.codegen import derivation_tag
@@ -41,7 +42,7 @@ def _build(columns):
 def test_binary_candidates_reference_real_columns(columns, seed):
     frame, agenda = _build(columns)
     selector = OperatorSelector(SimulatedFM(seed=seed))
-    candidate = selector.sample_binary(agenda)
+    candidate = selector.sample_batch(OperatorFamily.BINARY, agenda, 1)[0].unwrap()
     if candidate is None:
         return
     for column in candidate.columns:
@@ -54,7 +55,7 @@ def test_binary_candidates_reference_real_columns(columns, seed):
 def test_high_order_candidates_reference_real_columns(columns, seed):
     frame, agenda = _build(columns)
     selector = OperatorSelector(SimulatedFM(seed=seed))
-    candidate = selector.sample_high_order(agenda)
+    candidate = selector.sample_batch(OperatorFamily.HIGH_ORDER, agenda, 1)[0].unwrap()
     if candidate is None:
         return
     for column in candidate.columns:
@@ -70,7 +71,7 @@ def test_unary_candidates_realize_full_length(columns, seed):
     selector = OperatorSelector(fm)
     generator = FunctionGenerator(fm)
     attr = sorted(columns)[0]
-    for candidate in selector.unary_candidates(agenda, attr):
+    for candidate in selector.unary_candidates_batch(agenda, [attr])[0].unwrap():
         realized = generator.realize(candidate, agenda, frame)
         assert isinstance(realized, RealizedFeature)
         for series in realized.values.values():

@@ -125,6 +125,33 @@ class TestHostileValues:
         with pytest.raises(BatchValidationError, match="no rows survived"):
             degrade_server.transform([row])
 
+    @pytest.mark.parametrize("text", ["1_000", "nan", " 3 ", "inf"])
+    def test_string_outside_the_csv_number_grammar_quarantines(
+        self, plan_and_frame, degrade_server, text
+    ):
+        """A numeric-column string follows the CSV reader's cell grammar:
+        what a CSV cell keeps as a string is not patched into a number."""
+        plan, frame = plan_and_frame
+        good = _good_row(frame, 0)
+        bad = dict(good)
+        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        bad[numeric_col] = text
+        out, report = degrade_server.transform_with_report([good, bad])
+        assert len(out) == 1
+        assert report.quarantine.quarantined == [
+            (1, f"column {numeric_col!r}: non-numeric string {text!r} in numeric column")
+        ]
+
+    @pytest.mark.parametrize("text, value", [("12.5", 12.5), ("1e3", 1000.0)])
+    def test_numeric_string_is_patched(self, plan_and_frame, degrade_server, text, value):
+        plan, frame = plan_and_frame
+        row = _good_row(frame, 0)
+        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        row[numeric_col] = text
+        out, report = degrade_server.transform_with_report([row])
+        assert out[numeric_col].values[0] == value
+        assert report.quarantine.patches == [(0, numeric_col, "numeric string coerced")]
+
     def test_non_utf8_string_quarantines(self, plan_and_frame, degrade_server):
         plan, frame = plan_and_frame
         good = _good_row(frame, 0)
