@@ -272,91 +272,96 @@ class _GroupTable:
 
     ``key_ids[j]`` maps each distinct table value of key *j* to a dense
     id in first-seen order, with dict semantics (``1``, ``1.0`` and
-    ``True`` share an id).  Key ids combine mixed-radix into one id per
-    key tuple; ``slot_of`` (dense) or ``sorted_ids``/``sorted_slots``
-    (when the id space is much larger than the table) turn a combined id
-    into a value slot.  ``values`` holds each slot's value, the last row
-    of a repeated key winning like the dict the table once built; the
-    slot after the last stands for ``fill``, read at evaluation time.
+    ``True`` share an id).  Key ids combine pairwise and are re-densified
+    after each key, as :class:`repro.dataframe.groupby._GroupIndex` does,
+    so a combined id stays below the table's row count squared however
+    many keys there are.  Each of ``steps`` maps ``prefix * width + id``
+    to the next dense prefix, through ``lut`` when the pair space is
+    small and by searching the sorted ``pairs`` otherwise.  The last
+    prefix is the value slot: ``values`` holds each slot's value, the
+    last row of a repeated key winning like the dict the table once
+    built; the slot after the last stands for ``fill``, read at
+    evaluation time.
     """
 
     def __init__(self, node: dict) -> None:
-        n_keys = len(node["keys"])
-        self.key_ids: list[dict] = [{} for _ in range(n_keys)]
-        row_ids = [
-            [ids.setdefault(v, len(ids)) for ids, v in zip(self.key_ids, row)]
-            for row in node["table"]
-        ]
-        self.strides = [1] * n_keys
-        for j in range(n_keys - 2, -1, -1):
-            self.strides[j] = self.strides[j + 1] * len(self.key_ids[j + 1])
-        space = self.strides[0] * len(self.key_ids[0])
-        if space >= 2**62:
-            raise OverflowError("group table key space does not fit int64")
-        slot_by_id: dict[int, int] = {}
-        values: list = []
-        for ids, row in zip(row_ids, node["table"]):
-            combined = sum(i * stride for i, stride in zip(ids, self.strides))
-            slot = slot_by_id.setdefault(combined, len(values))
-            if slot == len(values):
-                values.append(row[-1])
-            else:
-                values[slot] = row[-1]
-        self.fill_slot = len(values)
-        self.values = np.empty(len(values) + 1, dtype=object)
-        self.values[: len(values)] = values
-        ids = np.fromiter(slot_by_id, np.int64, len(slot_by_id))
-        slots = np.fromiter(slot_by_id.values(), np.int64, len(slot_by_id))
-        self.slot_of = self.sorted_ids = self.sorted_slots = None
-        if space <= max(8 * len(values), 1 << 16):
-            # One extra trailing entry: a combined id of -1 lands on fill.
-            self.slot_of = np.full(space + 1, self.fill_slot, dtype=np.int64)
-            self.slot_of[ids] = slots
-        else:
-            order = np.argsort(ids)
-            self.sorted_ids, self.sorted_slots = ids[order], slots[order]
+        rows = node["table"]
+        self.key_ids: list[dict] = [{} for _ in node["keys"]]
+        row_ids = np.array(
+            [
+                [ids.setdefault(v, len(ids)) for ids, v in zip(self.key_ids, row)]
+                for row in rows
+            ],
+            dtype=np.int64,
+        ).reshape(len(rows), len(self.key_ids))
+        slot = row_ids[:, 0]
+        n_slots = len(self.key_ids[0])
+        self.steps: list[tuple[int, np.ndarray, np.ndarray | None]] = []
+        for j, ids in enumerate(self.key_ids[1:], start=1):
+            width = len(ids)
+            pairs, slot = np.unique(slot * width + row_ids[:, j], return_inverse=True)
+            space = n_slots * width
+            lut = None
+            if space <= max(8 * len(pairs), 1 << 16):
+                # One extra trailing entry: a pair id of -1 stays -1.
+                lut = np.full(space + 1, -1, dtype=np.int64)
+                lut[pairs] = np.arange(len(pairs))
+            self.steps.append((width, pairs, lut))
+            n_slots = len(pairs)
+        self.fill_slot = n_slots
+        self.values = np.empty(n_slots + 1, dtype=object)
+        for i, row in zip(slot.tolist(), rows):
+            self.values[i] = row[-1]
 
-    def key_ids_per_row(self, j: int, series: Series) -> np.ndarray | None:
-        """Row ids of key *j* in this table (``-1`` unseen), or ``None``
-        when the column needs the hash path (missing or mixed cells)."""
-        kind = series.dtype.kind
-        encoded = series.encoding() if kind in "iubfO" else None
+    def key_ids_per_row(self, j: int, series: Series) -> np.ndarray:
+        """Row ids of key *j* in this table (``-1`` unseen).
+
+        The batch column's distinct values (its cached
+        :meth:`Series.encoding`) are mapped to table ids from whichever
+        side is smaller and gathered by code.  A missing cell (code
+        ``-1``) never matches, except that ``None`` finds a table
+        ``None`` key; the rows are scanned for it only when the table has
+        such a key and the column has a missing code.
+        """
+        encoded = series.encoding()
         if encoded is None:
-            return None
+            raise TypeError(f"group key {series.name!r} holds unhashable cells")
         codes, uniques, index = encoded
-        if kind == "O" and index is None:
-            return None
-        if index is None and len(codes) and codes.min() < 0:
-            return None
         table_ids = self.key_ids[j]
+        # One extra trailing entry: a missing cell's code of -1 reads -1.
+        ids = np.full(len(uniques) + 1, -1, dtype=np.int64)
         if index is not None and len(table_ids) < len(uniques):
             # Fewer table keys than batch values: probe the batch's index.
             found = np.fromiter(
                 map(index.get, table_ids, repeat(-1)), np.int64, len(table_ids)
             )
             hit = found >= 0
-            ids = np.full(len(uniques), -1, dtype=np.int64)
             ids[found[hit]] = np.flatnonzero(hit)
         else:
-            ids = np.fromiter(
+            ids[:-1] = np.fromiter(
                 map(table_ids.get, uniques, repeat(-1)), np.int64, len(uniques)
             )
-        return ids[codes]
+        per_row = ids[codes]
+        none_id = table_ids.get(None)
+        if none_id is not None and index is None and series.dtype == object:
+            missing = np.flatnonzero(codes < 0)
+            cells = series.values[missing]
+            is_none = np.fromiter((v is None for v in cells), bool, len(cells))
+            per_row[missing[is_none]] = none_id
+        return per_row
 
     def slots(self, key_ids: list[np.ndarray]) -> np.ndarray:
         """Value slot per row from each key's per-row ids."""
-        combined = key_ids[0] * self.strides[0]
-        unseen = key_ids[0] < 0
-        for ids, stride in zip(key_ids[1:], self.strides[1:]):
-            combined += ids * stride
-            unseen |= ids < 0
-        combined[unseen] = -1
-        if self.slot_of is not None:
-            return self.slot_of[combined]
-        pos = np.searchsorted(self.sorted_ids, combined)
-        pos = np.minimum(pos, len(self.sorted_ids) - 1)
-        hit = self.sorted_ids[pos] == combined
-        return np.where(hit, self.sorted_slots[pos], self.fill_slot)
+        slot = key_ids[0]
+        for (width, pairs, lut), ids in zip(self.steps, key_ids[1:]):
+            combined = slot * width + ids
+            combined[(slot < 0) | (ids < 0)] = -1
+            if lut is not None:
+                slot = lut[combined]
+            else:
+                pos = np.minimum(np.searchsorted(pairs, combined), len(pairs) - 1)
+                slot = np.where(pairs[pos] == combined, pos, -1)
+        return np.where(slot < 0, self.fill_slot, slot)
 
 
 #: Compiled group tables, outside the plan JSON: ``id(node)`` →
@@ -366,20 +371,17 @@ class _GroupTable:
 #: it and the recompile replaces it in place.  Holding the table keeps
 #: that identity check sound after a dead node's id is reused.  Bounded
 #: FIFO; entries of discarded plans age out.
-_COMPILED_TABLES: dict[int, tuple[list, _GroupTable | None]] = {}
+_COMPILED_TABLES: dict[int, tuple[list, _GroupTable]] = {}
 _COMPILED_TABLES_MAX = 256
 _COMPILED_TABLES_LOCK = threading.Lock()
 
 
-def _compiled_table(node: dict) -> _GroupTable | None:
+def _compiled_table(node: dict) -> _GroupTable:
     table = node["table"]
     hit = _COMPILED_TABLES.get(id(node))
     if hit is not None and hit[0] is table:
         return hit[1]
-    try:
-        compiled = _GroupTable(node)
-    except (TypeError, OverflowError):  # unhashable keys, huge key space
-        compiled = None
+    compiled = _GroupTable(node)
     with _COMPILED_TABLES_LOCK:
         if id(node) not in _COMPILED_TABLES and (
             len(_COMPILED_TABLES) >= _COMPILED_TABLES_MAX
@@ -396,44 +398,26 @@ def _eval_group_lookup(node: dict, frame) -> Series:
     batch, each key column's distinct values (its cached
     :meth:`Series.encoding`) are mapped to the table's key ids — from
     whichever side is smaller — and gathered by code; the ids combine
-    into one value slot per row.  Unseen groups take ``fill``.  Only the
-    slots present in the batch are materialized, so the output dtype
-    follows the groups the batch holds, as the fitted ``transform`` did.
+    into one value slot per row.  Unseen groups, and NaN keys, take
+    ``fill``.  Only the slots present in the batch are materialized, so
+    the output dtype follows the groups the batch holds, as the fitted
+    ``transform`` did.
     """
-    keys = node["keys"]
     if len(frame) == 0:
         return Series([])
     compiled = _compiled_table(node)
-    key_ids = []
-    if compiled is not None:
-        for j, key in enumerate(keys):
-            ids = compiled.key_ids_per_row(j, frame[key])
-            if ids is None:
-                break
-            key_ids.append(ids)
-    fill = node.get("fill")
-    if len(key_ids) == len(keys):
-        slots = compiled.slots(key_ids)
-        seen = np.zeros(len(compiled.values), dtype=bool)
-        seen[slots] = True
-        present = np.flatnonzero(seen)
-        per = compiled.values[present].tolist()
-        if seen[-1]:
-            per[-1] = fill
-        remap = np.empty(len(seen), dtype=np.int64)
-        remap[present] = np.arange(len(present))
-        return _broadcast_per_group(per, remap[slots], node["value_kind"])
-    # Hash path (missing or mixed-type keys): per-row lookup keeps the
-    # NaN-key semantics — NaN never equals a table key, so it fills.
-    single = len(keys) == 1
-    table: dict = {}
-    for row in node["table"]:
-        table[row[0] if single else tuple(row[:-1])] = row[-1]
-    key_lists = [frame[k].tolist() for k in keys]
-    values = [
-        table.get(tup[0] if single else tup, fill) for tup in zip(*key_lists)
-    ]
-    return Series(values)
+    slots = compiled.slots(
+        [compiled.key_ids_per_row(j, frame[key]) for j, key in enumerate(node["keys"])]
+    )
+    seen = np.zeros(len(compiled.values), dtype=bool)
+    seen[slots] = True
+    present = np.flatnonzero(seen)
+    per = compiled.values[present].tolist()
+    if seen[-1]:
+        per[-1] = node.get("fill")
+    remap = np.empty(len(seen), dtype=np.int64)
+    remap[present] = np.arange(len(present))
+    return _broadcast_per_group(per, remap[slots], node["value_kind"])
 
 
 def _broadcast_per_group(per: list, inverse: np.ndarray, value_kind: str) -> Series:
@@ -586,23 +570,19 @@ def _freeze_categories(node: dict, frame) -> dict:
 
 
 def _freeze_group_table(node: dict, frame) -> dict:
-    from repro.dataframe.groupby import (
-        _GroupIndex,
-        _segmented_name,
-        _segmented_values,
-    )
+    from repro.dataframe.groupby import _GroupIndex, _segmented_name, _segmented_sorted
 
     keys, agg_col = node["keys"], node["agg_col"]
     op = _segmented_name(node["agg"])
     if op is None:
         raise ExprError(f"aggregate {node['agg']!r} has no segmented form")
     index = _GroupIndex(frame, keys)
-    per = _segmented_values(
-        index, frame[agg_col] if op != "size" else None, op, first_seen=True
-    )
+    series = frame[agg_col] if op != "size" else None
+    per = _segmented_sorted(index, series, op) if index.n_rows else None
     if per is None:
         raise ExprError(
-            f"groupby over {keys!r} needs the hash path at fit time; cannot freeze"
+            f"aggregate {node['agg']!r} over {agg_col!r} has no segmented form "
+            "on the fitted frame; cannot freeze"
         )
     frozen = {
         "op": "group_lookup",
@@ -615,7 +595,7 @@ def _freeze_group_table(node: dict, frame) -> dict:
         "value_kind": None,
         "fill": None,
     }
-    refreeze_group_table(frozen, index.labels(), per)
+    refreeze_group_table(frozen, index.labels(), per[index.first_seen_order()])
     return frozen
 
 
@@ -626,7 +606,8 @@ def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
     shard stream (:class:`repro.dataframe.groupby.StreamingGroupAgg` in
     first-seen order).  The fit-time freeze builds its table through this
     same function, so a refreshed node replays through the identical
-    broadcast path.
+    broadcast path.  A group keyed on a NaN gets no row: a NaN key never
+    matches at lookup.
     """
     if node.get("op") != "group_lookup":
         raise ExprError(f"cannot refreeze node op {node.get('op')!r}")
@@ -638,6 +619,8 @@ def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
     table = []
     for label, value in zip(labels, per):
         parts = [label] if single else list(label)
+        if any(p is not None and _kernels.is_missing_scalar(p) for p in parts):
+            continue
         table.append([*(_unbox(p) for p in parts), _unbox(value)])
     node["table"] = table
 

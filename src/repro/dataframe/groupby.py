@@ -5,16 +5,16 @@ The high-order operator in SMARTFEAT emits exactly the pandas idiom
 implements that surface plus the aggregate forms the baselines use.
 
 Grouping is vectorised: each key column is stably sorted once
-(:meth:`repro.dataframe.series.Series.grouping`; string columns sort
+(:meth:`repro.dataframe.series.Series.grouping`; object columns sort
 their cached dictionary codes), multi-key groups are combined by
 mixed-radix coding, and the built-in aggregations (``sum`` /
 ``mean`` / ``min`` / ``max`` / ``count`` / ``size`` / ``first`` /
 ``last``) run as sort-based segmented reductions
 (:func:`repro.dataframe.kernels.segmented_agg`) instead of per-group
-Python loops.  Callable specs, non-numeric reductions, and frames with
-missing key values keep the original per-group path — whose semantics
-(first-seen group order, every NaN key its own group) the fast path
-reproduces exactly.
+Python loops.  Callable specs and the other reductions apply per
+segment.  The groups are a dict's keyed on the key tuples — first-seen
+group order, every float NaN key its own group, ``None`` one group —
+whatever the key columns hold.
 """
 
 from __future__ import annotations
@@ -95,14 +95,12 @@ def _segmented_name(func: str | Callable) -> str | None:
 class _GroupIndex:
     """Shared grouping of row positions by key tuple.
 
-    The fast path holds one stable sort of the key column(s): ``inverse``
-    maps each row to its group segment (sort order), ``order``/``starts``
-    delimit the segments.  First-seen group order — the hash path's
-    observable ordering for labels, ``agg`` rows, and :attr:`groups` — is
-    recovered lazily from each segment's first row position.  Frames with
-    missing or unorderable key values build the legacy hash grouping
-    directly, which also defines the semantics (each NaN key its own
-    group, ``None`` a single group).
+    Holds one stable sort of the key column(s): ``inverse`` maps each row
+    to its group segment (sort order), ``order``/``starts`` delimit the
+    segments.  First-seen group order — the observable ordering for
+    labels, ``agg`` rows, and :attr:`groups` — is recovered lazily from
+    each segment's first row position.  The groups are those of a dict
+    keyed on the key tuples (see :meth:`Series.grouping`).
     """
 
     def __init__(self, frame, keys: Sequence[str]) -> None:
@@ -112,42 +110,22 @@ class _GroupIndex:
         self._groups: dict[Any, list[int]] | None = None
         self._labels: list | None = None
         self._first_to_sorted: np.ndarray | None = None
-        self.fast = False
-        self.n_groups = 0
-        self._build()
-
-    def _build(self) -> None:
         # Per-column groupings come from Series.grouping(), which caches
-        # the stable sort on the column (a string column sorts its cached
-        # dictionary codes, shared with every other op that reads the
-        # column) — repeated group-bys over the same key, the high-order
+        # the stable sort on the column (an object column sorts its
+        # cached codes, shared with every other op that reads the column)
+        # — repeated group-bys over the same key, the high-order
         # operator's hot pattern, skip straight to the segment arrays.
         # Only the multi-key radix combine below is recomputed per
         # group-by.
-        grouped = self._frame[self.keys[0]].grouping()
-        if grouped is None:
-            self._build_legacy()
-            return
+        grouped = frame[self.keys[0]].grouping()
         for key in self.keys[1:]:
-            nxt = self._frame[key].grouping()
-            if nxt is None:
-                self._build_legacy()
-                return
+            nxt = frame[key].grouping()
             # Pairwise mixed-radix combine, re-grouped each step so the
             # codes stay < n_rows² regardless of the key count.
             combined = grouped[2] * np.int64(len(nxt[1])) + nxt[2]
             grouped = _kernels.sorted_grouping(combined)
         self.order, self.starts, self.inverse = grouped
         self.n_groups = len(self.starts)
-        self.fast = True
-
-    def _build_legacy(self) -> None:
-        key_lists = [self._frame[k].tolist() for k in self.keys]
-        groups: dict[Any, list[int]] = {}
-        for i, key in enumerate(zip(*key_lists)):
-            label = key[0] if len(key) == 1 else key
-            groups.setdefault(label, []).append(i)
-        self._groups = groups
 
     def first_last_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """Row position of each segment's first and last member (sort order)."""
@@ -159,7 +137,7 @@ class _GroupIndex:
         return self.order[self.starts], self.order[ends]
 
     def first_seen_order(self) -> np.ndarray:
-        """Segment ids ordered by first occurrence (the hash-path order)."""
+        """Segment ids ordered by first occurrence."""
         if self._first_to_sorted is None:
             firsts, _ = self.first_last_positions()
             self._first_to_sorted = np.argsort(firsts, kind="stable")
@@ -168,28 +146,24 @@ class _GroupIndex:
     def labels(self) -> list:
         """Group labels (scalars, or key tuples) in first-seen order."""
         if self._labels is None:
-            if not self.fast:
-                self._labels = list(self.groups)
+            firsts, _ = self.first_last_positions()
+            rows = firsts[self.first_seen_order()]
+            columns = [self._frame[key].values[rows].tolist() for key in self.keys]
+            if len(columns) == 1:
+                self._labels = columns[0]
             else:
-                firsts, _ = self.first_last_positions()
-                rows = firsts[self.first_seen_order()]
-                columns = []
-                for key in self.keys:
-                    values = self._frame[key].values[rows]
-                    columns.append(
-                        [v.item() if isinstance(v, np.generic) else v for v in values]
-                    )
-                if len(columns) == 1:
-                    self._labels = columns[0]
-                else:
-                    self._labels = [tuple(vals) for vals in zip(*columns)]
+                self._labels = list(zip(*columns))
         return self._labels
+
+    def segments(self) -> list[np.ndarray]:
+        """Each segment's row positions, ascending (sort-segment order)."""
+        return np.split(self.order, self.starts[1:]) if self.n_rows else []
 
     @property
     def groups(self) -> dict[Any, list[int]]:
-        """Mapping of group label → list of row positions (lazy on fast path)."""
+        """Mapping of group label → list of row positions (built lazily)."""
         if self._groups is None:
-            chunks = np.split(self.order, self.starts[1:])
+            chunks = self.segments()
             first_seen = self.first_seen_order()
             self._groups = {
                 label: chunks[seg].tolist()
@@ -198,39 +172,34 @@ class _GroupIndex:
         return self._groups
 
 
-def _segmented_transform(
-    index: _GroupIndex, series: Series, op: str
-) -> Series | None:
-    """Vectorised per-group reduce + broadcast, or ``None`` for the loop path."""
-    per_segment = _segmented_values(index, series, op, first_seen=False)
-    if per_segment is None:
-        return None
-    out = per_segment[index.inverse]
-    if out.dtype == object:
-        # first/last of an object column can be all-numeric: re-coerce
-        # exactly like the loop path's Series(out.tolist()).
-        return Series(out.tolist(), series.name)
-    return Series._from_array(_kernels.match_coerce_float(out), series.name)
-
-
 #: Placeholder for ops (``size``) that reduce positions, not values.
 _NO_VALUES = np.empty(0, dtype=np.float64)
 
 
-def _segmented_values(
-    index: _GroupIndex, series: Series | None, op: str, first_seen: bool = True
-) -> np.ndarray | None:
-    """One value per group for a built-in aggregation, or ``None``.
+def _per_group(
+    index: _GroupIndex, series: Series | None, func: str | Callable, first_seen: bool = True
+) -> np.ndarray | list:
+    """One value per group of *index*: *func* reduced over *series*.
 
-    ``first_seen=True`` orders the result like the hash path's group
-    iteration (what ``agg`` rows need); ``False`` keeps sort-segment
+    Runs the segmented kernel when *func* has one (an ndarray comes
+    back), otherwise applies the reducer to each segment's rows in
+    ascending position order (a list comes back; empty for an empty
+    frame).  ``first_seen=True`` orders the result like the groups' first
+    occurrences (what ``agg`` rows need); ``False`` keeps sort-segment
     order (what a broadcast through ``inverse`` needs).
     """
-    if not index.fast or index.n_rows == 0:
-        return None
-    out = _segmented_sorted(index, series, op)
-    if out is None or not first_seen:
+    op = _segmented_name(func)
+    out = _segmented_sorted(index, series, op) if op and index.n_rows else None
+    if out is None:
+        reducer = resolve_aggregator(func)
+        out = [
+            reducer(Series._from_array(series.values[rows], series.name))
+            for rows in index.segments()
+        ]
+    if not first_seen:
         return out
+    if isinstance(out, list):
+        return [out[seg] for seg in index.first_seen_order()]
     return out[index.first_seen_order()]
 
 
@@ -276,11 +245,11 @@ class StreamingGroupAgg:
     ``sum``/``mean`` agree with the one-shot (pairwise-summing) kernel
     to within float64 round-off (a few ulps).
 
-    Group labels accumulate in *global* first-seen order — the hash
-    path's observable ordering, and the order a frozen group table uses.
-    Shards must group on the fast (sort) path: missing or unorderable key
-    values raise, the same contract as freezing a group table at fit
-    time.
+    Group labels accumulate in *global* first-seen order — the order an
+    in-memory group-by and a frozen group table use.  Labels merge across
+    shards by dict keying, the rule the one-shot grouping applies to
+    rows: a ``None`` key is one group over the whole stream, and each
+    float NaN key a group of its own.
     """
 
     def __init__(self, keys: Sequence[str], agg_col: str | None, agg: str) -> None:
@@ -327,15 +296,9 @@ class StreamingGroupAgg:
         if n == 0:
             return
         index = _GroupIndex(frame, self.keys)
-        if not index.fast:
-            raise ValueError(
-                f"streaming groupby over {self.keys!r} needs orderable, "
-                "non-missing key values in every shard (the hash path "
-                "cannot stream)"
-            )
         self.rows_seen += n
         # Register unseen labels in first-seen order — across the whole
-        # stream this reproduces the hash path's global group ordering.
+        # stream this reproduces the in-memory global group ordering.
         first_seen = index.first_seen_order()
         slots_first_seen = np.empty(index.n_groups, dtype=np.int64)
         for j, label in enumerate(index.labels()):
@@ -440,7 +403,7 @@ class DataFrameGroupBy:
         return self._index.groups
 
     def __len__(self) -> int:
-        return self._index.n_groups if self._index.fast else len(self._index.groups)
+        return self._index.n_groups
 
     def __getitem__(self, column: str) -> "SeriesGroupBy":
         if column not in self._frame.columns:
@@ -449,64 +412,34 @@ class DataFrameGroupBy:
 
     def size(self):
         """Per-group row counts as a DataFrame of keys + ``size``."""
-        from repro.dataframe.frame import DataFrame
-
-        sizes = _segmented_values(self._index, None, "size")
-        if sizes is not None:
-            out = _key_columns(self._index)
-            out["size"] = sizes
-            return DataFrame(out)
-        return self._agg_frame({"size": lambda rows, col=None: len(rows)}, None)
+        return _aggregate(self._index, {"size": (None, "size")})
 
     def agg(self, spec: dict[str, str | Callable]):
         """Aggregate several columns at once: ``{column: func}`` → DataFrame."""
-        from repro.dataframe.frame import DataFrame
-
-        out: dict[str, Any] = _key_columns(self._index)
-        for col, func in spec.items():
-            series = self._frame[col]
-            op = _segmented_name(func)
-            fast = (
-                _segmented_values(self._index, series, op) if op is not None else None
-            )
-            if fast is not None:
-                out[col] = _agg_series(fast, col)
-            else:
-                reducer = resolve_aggregator(func)
-                values = []
-                for rows in self._index.groups.values():
-                    sub = Series._from_array(series.values[np.asarray(rows)], col)
-                    values.append(reducer(sub))
-                out[col] = values
-        return DataFrame(out)
-
-    def _agg_frame(self, spec: dict[str, Callable], column: str | None):
-        from repro.dataframe.frame import DataFrame
-
-        out: dict[str, list] = {k: [] for k in self._index.keys}
-        for name in spec:
-            out[name] = []
-        for label, rows in self._index.groups.items():
-            key = (label,) if len(self._index.keys) == 1 else label
-            for k, v in zip(self._index.keys, key):
-                out[k].append(v)
-            for name, func in spec.items():
-                out[name].append(func(rows))
-        return DataFrame(out)
+        return _aggregate(
+            self._index, {col: (self._frame[col], func) for col, func in spec.items()}
+        )
 
 
-def _key_columns(index: _GroupIndex) -> dict[str, list]:
-    """Key-column lists (one entry per group, first-seen order)."""
+def _aggregate(index: _GroupIndex, spec: dict[str, tuple[Series | None, str | Callable]]):
+    """Key columns plus one per-group column per ``{name: (series, func)}``,
+    one row per group in first-seen order."""
+    from repro.dataframe.frame import DataFrame
+
     labels = index.labels()
     if len(index.keys) == 1:
-        return {index.keys[0]: list(labels)}
-    return {
-        k: [label[j] for label in labels] for j, k in enumerate(index.keys)
-    }
+        out: dict[str, Any] = {index.keys[0]: list(labels)}
+    else:
+        out = {k: [label[j] for label in labels] for j, k in enumerate(index.keys)}
+    for name, (series, func) in spec.items():
+        out[name] = _agg_series(_per_group(index, series, func), name)
+    return DataFrame(out)
 
 
-def _agg_series(per_group: np.ndarray, name: str | None) -> Series:
+def _agg_series(per_group: np.ndarray | list, name: str | None) -> Series | list:
     """Wrap per-group aggregate values, matching list-coercion dtypes."""
+    if isinstance(per_group, list):
+        return per_group
     if per_group.dtype == object:
         return Series([v.item() if isinstance(v, np.generic) else v for v in per_group], name)
     return Series._from_array(_kernels.match_coerce_float(per_group), name)
@@ -525,45 +458,24 @@ class SeriesGroupBy:
         This is the exact call emitted by the high-order operator:
         ``df.groupby(gcols)[acol].transform('mean')``.
         """
-        op = _segmented_name(func)
-        if op is not None:
-            fast = _segmented_transform(self._index, self._series, op)
-            if fast is not None:
-                return fast
-        reducer = resolve_aggregator(func)
-        out = np.empty(self._index.n_rows, dtype=object)
-        for rows in self._index.groups.values():
-            idx = np.asarray(rows)
-            sub = Series._from_array(self._series.values[idx], self._series.name)
-            out[idx] = reducer(sub)
-        return Series(out.tolist(), self._series.name)
+        index, name = self._index, self._series.name
+        per = _per_group(index, self._series, func, first_seen=False)
+        if isinstance(per, list):
+            out = np.empty(index.n_rows, dtype=object)
+            for rows, value in zip(index.segments(), per):
+                out[rows] = value
+            return Series(out.tolist(), name)
+        out = per[index.inverse]
+        if out.dtype == object:
+            # first/last of an object column can be all-numeric: re-coerce
+            # exactly like the loop's Series(out.tolist()).
+            return Series(out.tolist(), name)
+        return Series._from_array(_kernels.match_coerce_float(out), name)
 
     def agg(self, func: str | Callable):
         """Per-group reduce; returns a DataFrame of keys + aggregated value."""
-        from repro.dataframe.frame import DataFrame
-
         name = self._series.name or "value"
-        op = _segmented_name(func)
-        fast = (
-            _segmented_values(self._index, self._series, op)
-            if op is not None and self._index.fast
-            else None
-        )
-        if fast is not None:
-            out: dict[str, Any] = _key_columns(self._index)
-            out[name] = _agg_series(fast, name)
-            return DataFrame(out)
-        reducer = resolve_aggregator(func)
-        out = {k: [] for k in self._index.keys}
-        out[name] = []
-        for label, rows in self._index.groups.items():
-            key = (label,) if len(self._index.keys) == 1 else label
-            for k, v in zip(self._index.keys, key):
-                out[k].append(v)
-            idx = np.asarray(rows)
-            sub = Series._from_array(self._series.values[idx], self._series.name)
-            out[name].append(reducer(sub))
-        return DataFrame(out)
+        return _aggregate(self._index, {name: (self._series, func)})
 
     def mean(self):
         return self.agg("mean")

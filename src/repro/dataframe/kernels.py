@@ -29,6 +29,7 @@ __all__ = [
     "column_profile",
     "dictionary_encode",
     "factorize_values",
+    "group_codes",
     "is_missing_scalar",
     "iso_date_parts",
     "match_coerce_float",
@@ -248,6 +249,30 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
     return _factorize_loop(values)
 
 
+def _dict_codes(items: list) -> tuple[np.ndarray, dict]:
+    """``(codes, {key: code})`` under dict keying, codes in first-seen order.
+
+    Keying is C-level dict hashing: equal cells share a code (``1``,
+    ``1.0`` and ``True`` included), ``None`` is one key, a NaN object
+    matches only itself, and the numbering never depends on the hash
+    seed.  Raises ``TypeError`` for an unhashable cell.
+    """
+    first_seen = dict.fromkeys(items)
+    index = dict(zip(first_seen, range(len(first_seen))))
+    return np.fromiter(map(index.__getitem__, items), np.int64, len(items)), index
+
+
+def group_codes(values: np.ndarray) -> np.ndarray:
+    """Codes grouping an object column exactly as a dict keyed on its cells.
+
+    These are :meth:`repro.dataframe.series.Series.grouping`'s keys for
+    object columns that are not all plain ``str``: unlike
+    :func:`dictionary_encode`, missing cells get codes of their own
+    (``None`` one group, each NaN object its own by identity).
+    """
+    return _dict_codes(values.tolist())[0]
+
+
 def dictionary_encode(
     values: np.ndarray,
 ) -> tuple[np.ndarray, list, dict | None] | None:
@@ -264,11 +289,8 @@ def dictionary_encode(
     """
     if values.dtype == object:
         items = values.tolist()
-        types = set(map(type, items))
-        if types <= {str}:
-            first_seen = dict.fromkeys(items)
-            index = dict(zip(first_seen, range(len(first_seen))))
-            codes = np.fromiter(map(index.__getitem__, items), np.int64, len(items))
+        if set(map(type, items)) <= {str}:
+            codes, index = _dict_codes(items)
             return codes, list(index), index
     try:
         codes, uniques = factorize_values(values)
@@ -502,35 +524,29 @@ def _compact_int_keys(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def sorted_grouping(
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def sorted_grouping(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group equal values with ONE stable argsort.
 
     Returns ``(order, starts, inverse)``: ``order`` is a stable row
     permutation placing equal values contiguously, ``starts`` the segment
     offsets (one group per segment, ordered by sort key), and ``inverse``
-    each row's segment id.  Returns ``None`` for float values with NaN
-    and for non-numeric dtypes — callers fall back to the hash path,
-    which defines the semantics (missing keys need its NaN-identity
-    behaviour).  Object columns group through their dictionary codes
-    (:func:`dictionary_encode`), so only integers ever reach the sort.
+    each row's segment id.  Float NaNs sort last and never equal one
+    another, so each NaN row is a segment of its own — the grouping a
+    dict keyed on the column's ``tolist()`` gives.  Object columns group
+    through integer codes (:func:`dictionary_encode`,
+    :func:`group_codes`), never through this sort directly.
     """
     n = len(values)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     kind = values.dtype.kind
-    if kind == "f":
-        if np.isnan(values).any():
-            return None
-        keys = values
-    elif kind == "b":
+    if kind == "b":
         keys = values.view(np.uint8)
     elif kind in "iu":
         keys = _compact_int_keys(values)
     else:
-        return None
+        keys = values
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
     order = np.argsort(keys, kind="stable")

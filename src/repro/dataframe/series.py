@@ -246,40 +246,41 @@ class Series:
             return _kernels.factorize_values(self._values)
         return encoded[0], encoded[1]
 
-    def grouping(self):
+    def grouping(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """This column's sorted grouping, computed once and cached.
 
         Returns :func:`repro.dataframe.kernels.sorted_grouping`'s
-        ``(order, starts, inverse)`` — or ``None`` when the column needs
-        the hash path (missing keys, mixed or unhashable cells).  Object
-        columns of plain ``str`` group through their :meth:`encoding`
-        codes, a radix sort of small ints; other object columns take the
-        hash path.  Group-bys dominate the high-order operator's
-        transforms and the same key column is re-grouped for every
-        candidate feature, so the cache makes the sort a one-time cost
-        per column.  The cached arrays are shared across group-bys and
-        marked read-only; mutation through :meth:`__setitem__`
-        invalidates the cache (the entry is also keyed on the backing
-        array's identity, so a swapped-out buffer can never serve a stale
-        grouping).  Writing into the exposed :attr:`values` buffer
-        directly is the one mutation the cache cannot see — see that
-        property's docstring.
+        ``(order, starts, inverse)``.  The groups are those of a dict
+        keyed on :meth:`tolist`: each float NaN is its own group, ``None``
+        is one group, an object NaN groups by identity, and ``1``,
+        ``1.0`` and ``True`` are one group.  Numeric columns sort their
+        values; object columns of plain ``str`` sort their
+        :meth:`encoding` codes, and other object columns sort
+        :func:`repro.dataframe.kernels.group_codes`.  Raises
+        ``TypeError`` for an unhashable cell.  Group-bys dominate the
+        high-order operator's transforms and the same key column is
+        re-grouped for every candidate feature, so the cache makes the
+        sort a one-time cost per column.  The cached arrays are shared
+        across group-bys and marked read-only; mutation through
+        :meth:`__setitem__` invalidates the cache (the entry is also keyed
+        on the backing array's identity, so a swapped-out buffer can never
+        serve a stale grouping).  Writing into the exposed :attr:`values`
+        buffer directly is the one mutation the cache cannot see — see
+        that property's docstring.
         """
         cache = self._grouping_cache
         if cache is None or cache[1] is not self._values:
             values = self._values
+            keys = values
             if values.dtype == object:
                 encoded = self.encoding()
-                grouped = (
-                    None
-                    if encoded is None or encoded[2] is None
-                    else _kernels.sorted_grouping(encoded[0])
-                )
-            else:
-                grouped = _kernels.sorted_grouping(values)
-            if grouped is not None:
-                for arr in grouped:
-                    arr.flags.writeable = False
+                if encoded is not None and encoded[2] is not None:
+                    keys = encoded[0]
+                else:
+                    keys = _kernels.group_codes(values)
+            grouped = _kernels.sorted_grouping(keys)
+            for arr in grouped:
+                arr.flags.writeable = False
             cache = (grouped, values)
             self._grouping_cache = cache
         return cache[0]
@@ -566,17 +567,8 @@ class Series:
         if dropna:
             _, counts = self._counts_first_seen()
             return len(counts)
-        # The semantics are len(set(self.tolist())).  Every NaN .item() is
-        # a fresh float, and a set keeps unequal objects apart, so each NaN
-        # of a float column counts once more; int and bool columns have no
-        # missing values.  Object cells keep the exact loop (one NaN object
-        # repeated is one member, None is one, 1 == 1.0 == True).
-        kind = self._values.dtype.kind
-        if kind == "f":
-            return self.nunique() + int(np.isnan(self._values).sum())
-        if kind in "iub":
-            return self.nunique()
-        return len(set(self.tolist()))
+        # len(set(self.tolist())): the number of groups in the grouping.
+        return len(self.grouping()[1])
 
     def unique(self) -> list:
         """Distinct non-missing values in first-seen order."""

@@ -86,8 +86,8 @@ def make_synthetic_frame(n_rows: int, seed: int = 0, missing_rate: float = 0.02)
     ``missing_rate`` NaNs), ``City`` (low-cardinality strings),
     ``Segment``/``SegmentId`` (high-cardinality string labels and their
     integer codes, ~``n_rows/200`` groups), ``Active`` (bool), and a
-    planted binary ``Target``.  Key columns are kept complete so group-bys
-    stay on the vectorised path.  The same ``(n_rows, seed)`` pair always
+    planted binary ``Target``.  Key columns are kept complete, so the
+    benchmarked group-bys never meet a missing key.  The same ``(n_rows, seed)`` pair always
     produces identical data.
     """
     from repro.dataframe import DataFrame, Series

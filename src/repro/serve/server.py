@@ -118,6 +118,17 @@ class FeatureServer:
                 f"unknown failure_policy {failure_policy!r}; "
                 f"expected one of {FAILURE_POLICIES}"
             )
+        if breaker_threshold < 0:
+            raise PlanError(
+                f"breaker_threshold must be >= 0 (0 disables breakers), "
+                f"got {breaker_threshold!r}"
+            )
+        if breaker_cooldown < 1:
+            raise PlanError(f"breaker_cooldown must be >= 1, got {breaker_cooldown!r}")
+        if watchdog_timeout is not None and not watchdog_timeout > 0:
+            raise PlanError(
+                f"watchdog_timeout must be None or > 0 seconds, got {watchdog_timeout!r}"
+            )
         self._plan = plan
         self._registry = registry
         self._default_name = name

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.core import SmartFeat
+from repro.dataframe import DataFrame, Series
 from repro.dataframe.io import iter_frame_shards, reservoir_sample
 from repro.eval.serving import make_serving_frame
 from repro.fm import SimulatedFM
@@ -107,6 +108,32 @@ class TestFitTransformStream:
         a = json.loads(refreshed.plan.to_json())
         b = json.loads(unrefreshed.plan.to_json())
         assert a != b  # tables over 2000 rows vs over the 500-row sample
+
+    def test_refresh_adds_a_none_key_seen_only_outside_the_sample(self, frame):
+        """A ``None`` key the sample never drew still streams through the
+        refresh pass and joins each table on that key as one group."""
+        ids = DataFrame({"row": Series(list(range(len(frame))))})
+        drawn, _ = reservoir_sample(iter_frame_shards(ids, 257), 500, seed=7)
+        outside = sorted(set(range(len(frame))) - set(drawn["row"].tolist()))[:40]
+        blanked = frame.column_view(frame.columns)
+        city = blanked["City"].values.copy()
+        city[outside] = None
+        blanked["City"] = Series._from_array(city, "City")
+        result = make_tool(compile_plan=True).fit_transform_stream(
+            lambda: iter_frame_shards(blanked, 257),
+            "Target",
+            fit_sample_rows=500,
+            sample_seed=7,
+        )
+        assert None not in result.frame["City"].tolist()  # the fitted sample
+        nodes = [
+            node
+            for node in result.plan._group_lookup_nodes()
+            if node["keys"] == ["City"]
+        ]
+        assert nodes
+        for node in nodes:
+            assert [row[0] for row in node["table"]].count(None) == 1
 
     def test_one_shot_iterator_with_refresh_raises(self, frame):
         with pytest.raises(ValueError, match="callable shard factory"):

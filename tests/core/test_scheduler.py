@@ -371,10 +371,11 @@ class TestSeriesGroupingCache:
         got = frame2.groupby("key")["v"].transform("sum").tolist()
         assert got == expected
 
-    def test_missing_keys_cache_the_hash_fallback(self):
+    def test_missing_keys_cache_their_grouping(self):
         s = Series(["x", None, "x"], "key")
-        assert s.grouping() is None
-        assert s.grouping() is None  # cached negative
+        first = s.grouping()
+        assert first is s.grouping()
+        assert first[2].tolist() == [0, 1, 0]  # None is a group of its own
 
     def test_repeated_groupbys_share_the_index_arrays(self):
         frame = DataFrame({"key": ["a", "b", "a", "c"] * 25, "v": list(range(100))})

@@ -20,6 +20,7 @@ from repro.dataframe import reshape
 from repro.dataframe.expr import evaluate_feature, refreeze_group_table
 from repro.dataframe.kernels import is_missing_scalar
 from repro.dataframe.reference import (
+    _reference_groups,
     assert_series_equivalent,
     reference_factorize,
     reference_get_dummies,
@@ -198,7 +199,14 @@ class TestFitConsumers:
 
     @pytest.mark.parametrize("name", ["np_str", "str_none", "str_nan", "mixed"])
     def test_other_object_columns_keep_the_hash_path(self, name):
-        assert obj(HOSTILE[name]).grouping() is None
+        """Columns that are not all plain ``str`` group by dict keying:
+        the segments are the reference's groups (``None`` one group, a
+        NaN object by identity, ``1 == 1.0 == True``)."""
+        series = obj(HOSTILE[name])
+        order, starts, _ = series.grouping()
+        segments = sorted(np.split(order, starts[1:]), key=lambda rows: rows[0])
+        groups = _reference_groups(DataFrame({"c": series}), ["c"])
+        assert [rows.tolist() for rows in segments] == list(groups.values())
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +305,9 @@ def lookup(keys, table, value_kind="float64", fill=None) -> dict:
 
 
 #: Table keys of every kind against string batches: ``1``/``1.0``/``True``
-#: never equal a string, ``"a\x00"`` never equals ``"a"``.
-MIXED_KEYS = ["a", "a\x00", 1, 1.0, True, "1", "nan", "", "Zürich", "b"]
+#: never equal a string, ``"a\x00"`` never equals ``"a"``, ``None`` finds
+#: a ``None`` cell and never a NaN one.
+MIXED_KEYS = ["a", "a\x00", 1, 1.0, True, "1", "nan", "", "Zürich", "b", None]
 
 
 class TestGroupLookup:
@@ -359,6 +368,21 @@ class TestGroupLookup:
         n = 300
         frame = DataFrame({"a": Series(list(range(n))), "b": Series(list(range(n)))})
         node = lookup(["a", "b"], [[i, i, float(i)] for i in range(0, n, 2)])
+        assert_same(evaluate_feature(node, frame), lookup_reference(node, frame))
+
+    def test_key_space_past_int64_keeps_serving(self):
+        """4 keys × 50k distinct values each: the key space overflows
+        int64, and pairwise re-densified ids still probe exactly."""
+        n = 50_000
+        rng = np.random.default_rng(0)
+        cols = [rng.permutation(n) for _ in range(4)]
+        table = [[*map(int, keys), float(i)] for i, keys in enumerate(zip(*cols))]
+        last = cols[3].copy()
+        last[::3] = np.roll(last[::3], 1)  # unseen combinations take the fill
+        frame = DataFrame(
+            {"a": Series(cols[0]), "b": Series(cols[1]), "c": Series(cols[2]), "d": Series(last)}
+        )
+        node = lookup(["a", "b", "c", "d"], table, fill=-1.0)
         assert_same(evaluate_feature(node, frame), lookup_reference(node, frame))
 
     def test_empty_batch(self):
@@ -463,7 +487,10 @@ class TestUnhashableCells:
     def test_encoding_is_none_and_callers_keep_their_fallback(self):
         series = obj([[1], [2], [1]])
         assert series.encoding() is None
-        assert series.grouping() is None
+        with pytest.raises(TypeError):
+            series.grouping()
+        with pytest.raises(TypeError):
+            DataFrame({"c": series, "v": Series([1.0, 2.0, 3.0])}).groupby("c")
         codes, uniques = reshape.factorize(series)
         assert codes.tolist() == [0, 1, 0] and uniques == [[1], [2]]
         with pytest.raises(TypeError):

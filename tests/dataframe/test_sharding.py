@@ -263,11 +263,31 @@ class TestStreamingGroupAgg:
             assert np.isnan(out["a"])
             assert out["b"] == 1.0
 
-    def test_missing_keys_raise(self):
-        frame = DataFrame({"k": Series(["a", None]), "v": Series([1.0, 2.0])})
-        agg = StreamingGroupAgg(["k"], "v", "sum")
-        with pytest.raises(ValueError, match="hash path"):
-            agg.update(frame)
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ["a", None, "b", None, "a", None, "c"],
+            [1, "1", 1.0, True, "a", 2, "1"],
+            [1.0, np.nan, 2.0, np.nan, 1.0, np.nan, 2.0],
+            ["a", np.nan, "b", np.nan, "a", float("nan"), "b"],
+        ],
+        ids=["none", "mixed", "float_nan", "object_nan"],
+    )
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 10**6])
+    def test_missing_keys_match_the_one_shot_grouping(self, keys, chunk):
+        frame = DataFrame(
+            {"k": Series(keys), "v": Series([float(i) for i in range(len(keys))])}
+        )
+        for op in AGG_OPS:
+            labels, values = streaming_result(
+                frame, chunk, ["k"], None if op == "size" else "v", op
+            )
+            grouped = (
+                frame.groupby("k").size() if op == "size" else frame.groupby("k")["v"].agg(op)
+            )
+            key_col, val_col = grouped.columns
+            assert list(map(repr, labels)) == list(map(repr, grouped[key_col].tolist()))
+            assert values.tolist() == grouped[val_col].tolist()
 
     def test_unknown_agg_raises(self):
         with pytest.raises(ValueError, match="segmented form"):

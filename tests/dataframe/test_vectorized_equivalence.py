@@ -446,7 +446,8 @@ def test_groupby_multi_key_matches_reference(keys_a, keys_b, values, agg):
 )
 @settings(max_examples=100)
 def test_groupby_missing_keys_fall_back_identically(keys, values):
-    """None/NaN group keys route to the hash path — still reference-equal."""
+    """None/NaN group keys group like the reference's dict: ``None`` one
+    group, each NaN key its own."""
     n = min(len(keys), len(values))
     frame = DataFrame({"k": keys[:n], "v": values[:n]})
     assert_series_equal(

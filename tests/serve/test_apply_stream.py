@@ -4,7 +4,7 @@ transforms, per-shard fault isolation, and group-table refresh.
 The central contract: every frozen op is row-local given its fitted
 statistics, so ``concat_shards(plan.apply_stream(shards))`` is
 **bit-identical** to ``plan.apply`` over the whole table — for every
-codegen form, any chunking, hash-path serve keys split across shard
+codegen form, any chunking, unseen serve keys split across shard
 boundaries, and all-NaN shards included.
 """
 

@@ -200,7 +200,85 @@ class TestSharedGroupingEncode:
         assert len(g_encodes) == 1
 
 
+class TestIncompleteGroupKeys:
+    @pytest.mark.parametrize(
+        "city",
+        [
+            ["SF", None, "LA", "SF", None, "LA", "NY"],
+            ["SF", 1, "LA", "SF", 1, "SF", "NY"],
+        ],
+        ids=["none", "mixed"],
+    )
+    def test_groupby_mean_compiles_and_replays_after_json(self, city):
+        frame = DataFrame(
+            {
+                "City": Series(city),
+                "Income": Series([10.0, 20.0, 30.0, 40.0, np.nan, 60.0, 70.0]),
+                "Target": Series([0, 1, 0, 1, 0, 1, 0]),
+            }
+        )
+        src = "def transform(df):\n    return df.groupby('City')['Income'].transform('mean')\n"
+        result = result_of(
+            frame,
+            [
+                feature(
+                    "City_mean_Income",
+                    ["City", "Income"],
+                    "groupby[mean]: mean Income per City",
+                    src,
+                    family=OperatorFamily.HIGH_ORDER,
+                )
+            ],
+        )
+        plan = compile_plan(result, frame, "Target")
+        assert plan.features[0].status == "compiled"
+        replayed = FeaturePlan.from_json(plan.to_json())
+        identical, detail = frames_identical(replayed.apply(frame), result.frame)
+        assert identical, detail
+
+
+def blank_object_cells(frame, rate, seed):
+    """Set about *rate* of every object column's cells to ``None``."""
+    rng = np.random.default_rng(seed)
+    for column in frame.columns:
+        values = frame[column].values
+        if values.dtype == object:
+            values = values.copy()
+            values[rng.random(len(values)) < rate] = None
+            frame[column] = Series._from_array(values, column)
+    return frame
+
+
 class TestEndToEnd:
+    def test_blanked_object_cells_compile_every_feature(self):
+        """Group keys with missing cells freeze into group tables: a fit on
+        adult with 2% of its object cells blanked ships no fallback."""
+        from repro.core import SmartFeat
+        from repro.datasets import load_dataset
+        from repro.fm import SimulatedFM
+
+        loaded = load_dataset("adult", seed=0, n_rows=400)
+        frame = blank_object_cells(loaded.frame, 0.02, seed=0)
+        assert any(
+            None in frame[c].tolist() for c in frame.columns if frame[c].dtype == object
+        )
+        result = SmartFeat(
+            SimulatedFM(seed=0, model="gpt-4"),
+            function_fm=SimulatedFM(seed=1, model="gpt-3.5-turbo"),
+            compile_plan=True,
+        ).fit_transform(
+            frame,
+            loaded.target,
+            descriptions=loaded.descriptions,
+            title=loaded.title,
+            target_description=loaded.target_description,
+        )
+        counts = result.plan.counts()
+        assert counts["fallback"] == 0 and counts["compiled"] > 0
+        replayed = FeaturePlan.from_json(result.plan.to_json())
+        identical, detail = frames_identical(replayed.apply(frame), result.frame)
+        assert identical, detail
+
     def test_fitted_dataset_roundtrip(self):
         bundle, result = fit_and_export("diabetes", n_rows=240, seed=0)
         plan = FeaturePlan.from_json(result.plan.to_json())

@@ -271,6 +271,26 @@ class TestPlanCommands:
         out = capsys.readouterr().out
         assert "Applied plan" in out and featured.exists()
 
+    @pytest.mark.parametrize(
+        "flags, knob",
+        [
+            (["--watchdog-timeout", "-1"], "watchdog_timeout"),
+            (["--breaker-threshold", "-2"], "breaker_threshold"),
+        ],
+    )
+    def test_apply_rejects_bad_resilience_knobs_in_one_line(self, tmp_path, flags, knob):
+        from repro.eval.serving import build_demo_result
+        from repro.serve import compile_plan
+
+        result, frame = build_demo_result(60, seed=0)
+        plan_path = tmp_path / "plan.json"
+        compile_plan(result, frame, "Target").save(str(plan_path))
+        source = tmp_path / "rows.csv"
+        self._write_csv(source)
+        argv = ["plan", "apply", "--plan", str(plan_path), "--csv", str(source)]
+        with pytest.raises(SystemExit, match=f"plan apply failed: {knob} must be"):
+            main([*argv, *flags])
+
     def test_export_to_registry_and_apply(self, tmp_path, capsys):
         source = tmp_path / "data.csv"
         self._write_csv(source)
