@@ -572,8 +572,11 @@ class StageScheduler:
         # (HTTP) would be double-counted against the modelled critical
         # path in duration_s.  Near-zero for simulated clients.
         blocked = sum(batch.wall_s for batch in batches)
-        record.dataplane_s = max(0.0, end - start - blocked)
-        record.measured_window = (round(start - origin, 6), round(end - origin, 6))
+        # Round the window first and clamp to its rounded length, so the
+        # reported data-plane time never exceeds the reported window.
+        window = (round(start - origin, 6), round(end - origin, 6))
+        record.measured_window = window
+        record.dataplane_s = min(max(0.0, end - start - blocked), window[1] - window[0])
         return error
 
     # ------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """CSV input/output and the row-shard substrate for out-of-core execution.
 
+Both directions are columnar: :func:`to_csv` formats each column once
+and hands the columns to the C ``csv`` writer in one ``writerows`` call,
+and the CSV decoder reads rows in bounded blocks, transposes each block
+and parses it column by column.
+
 Besides the one-shot :func:`read_csv`/:func:`to_csv` pair, this module
 provides the streaming primitives the sharded fit/serve paths build on:
 
@@ -25,6 +30,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -57,6 +63,12 @@ _INT_CELL = re.compile(r"[+-]?[0-9]+\Z")
 _FLOAT_CELL = re.compile(
     r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z"
 )
+#: Every cell the strict grammar accepts starts with one of these, so a
+#: cell starting with anything else skips both regexes.
+_NUMBER_LEADS = "+-.0123456789"
+#: Most rows the CSV decoder holds in one block before transposing it;
+#: bounds the row lists of a whole-file read (``chunk_rows=sys.maxsize``).
+_DECODE_BLOCK_ROWS = 4096
 
 
 def is_number_cell(text: str) -> bool:
@@ -75,10 +87,12 @@ def _parse_cell(text: str):
     """
     if text == "":
         return None
-    if _INT_CELL.match(text):
-        return int(text)
-    if _FLOAT_CELL.match(text):
-        return float(text)
+    if text[0] in _NUMBER_LEADS:
+        if _INT_CELL.match(text):
+            return int(text)
+        if _FLOAT_CELL.match(text):
+            return float(text)
+        return text
     if text == "True":
         return True
     if text == "False":
@@ -127,19 +141,41 @@ def to_csv(
 ) -> None:
     """Write *frame* to a headered CSV file (missing values become empty cells).
 
+    Columnar: each column is formatted once into a list of plain Python
+    cells (:func:`_csv_cells`) and the C writer joins and quotes the rows
+    in one ``writerows`` call, so its quoting rules alone define the bytes.
+
     ``append=True`` adds rows to an existing file; *header* defaults to
     ``not append`` so a shard stream writes the header exactly once
     (first shard ``append=False``, the rest ``append=True``).
     """
     write_header = (not append) if header is None else header
+    columns = [_csv_cells(frame[name]) for name in frame.columns]
     with open(path, "a" if append else "w", newline="") as handle:
         writer = csv.writer(handle)
         if write_header:
             writer.writerow(frame.columns)
-        for _, row in frame.iterrows():
-            writer.writerow(
-                ["" if value is None or value != value else value for value in row.to_dict().values()]
-            )
+        writer.writerows(zip(*columns))
+
+
+def _csv_cells(series: Series) -> list:
+    """One column's cells for the CSV writer: ``None`` and NaN become ``""``.
+
+    Numpy scalars in object columns are unboxed (``Series.tolist``) so
+    each cell writes as its Python value: the writer formats a boxed
+    ``np.float32(0.1)`` with ``str`` as ``0.1``, its value as
+    ``0.10000000149011612``.
+    """
+    values = series.values
+    kind = values.dtype.kind
+    if kind in "iub":  # never missing
+        return values.tolist()
+    if kind == "f":
+        cells = values.tolist()
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = ""
+        return cells
+    return ["" if value is None or value != value else value for value in series.tolist()]
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +276,12 @@ def read_csv_shards(
 ) -> Iterator[Shard]:
     """Stream a headered CSV as :class:`Shard`\\ s of ≤ *chunk_rows* rows.
 
+    Rows are decoded in blocks of at most ``_DECODE_BLOCK_ROWS`` that
+    never cross a shard boundary: each block is transposed and parsed
+    column by column into the shard's buffers.  A short row's missing
+    cells read as missing, extra cells are ignored, and a blank line is
+    an all-missing row.
+
     With *schema* (from :func:`scan_csv_kinds`) every shard coerces to
     the whole-file dtypes, so each shard is bit-identical to the matching
     row slice of ``read_csv(path)`` regardless of where the boundaries
@@ -254,18 +296,22 @@ def read_csv_shards(
         header = _read_header(reader, path)
         if not header:
             return
+        width = len(header)
         buffers: list[list] = [[] for _ in header]
-        index = 0
-        start = 0
-        for row in reader:
-            for i, name in enumerate(header):
-                buffers[i].append(_parse_cell(row[i]) if i < len(row) else None)
-            if len(buffers[0]) >= chunk_rows:
+        filled = index = start = 0
+        while rows := list(islice(reader, min(chunk_rows - filled, _DECODE_BLOCK_ROWS))):
+            if any(len(row) != width for row in rows):
+                rows = [(row + [""] * (width - len(row)))[:width] for row in rows]
+            for buffer, cells in zip(buffers, zip(*rows)):
+                buffer.extend(map(_parse_cell, cells))
+            filled += len(rows)
+            if filled == chunk_rows:
                 yield Shard(_csv_shard_frame(header, buffers, schema), index, start)
-                start += len(buffers[0])
+                start += filled
                 index += 1
+                filled = 0
                 buffers = [[] for _ in header]
-        if buffers[0]:
+        if filled:
             yield Shard(_csv_shard_frame(header, buffers, schema), index, start)
 
 

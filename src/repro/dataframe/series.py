@@ -154,6 +154,8 @@ class Series:
 
     def tolist(self) -> list:
         """Return the data as a plain Python list (numpy scalars unboxed)."""
+        if self._values.dtype.kind != "O":  # ndarray.tolist unboxes like .item()
+            return self._values.tolist()
         return [v.item() if isinstance(v, np.generic) else v for v in self._values]
 
     def copy(self) -> "Series":

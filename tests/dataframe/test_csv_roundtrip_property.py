@@ -16,10 +16,16 @@ updating this pin is a test failure, not a silent drift):
 * dtype fidelity: the frame read back coerces exactly like an in-memory
   frame built from the modelled cells, whatever the chunking, and every
   schema-pinned shard matches the whole-file dtypes.
+
+The columnar writer is also pinned byte for byte against a row-at-a-time
+oracle writer kept in this file.
 """
 
+import csv
 import re
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -158,3 +164,85 @@ def test_nonfinite_float_values_are_pinned_as_strings(tmp_path):
     back = read_csv(path)
     assert back["f"].values.dtype == object
     assert back["f"].tolist() == [1.5, "inf"]
+
+
+# ----------------------------------------------------------------------
+# Writer bytes: the columnar ``to_csv`` against a row-at-a-time oracle
+# ----------------------------------------------------------------------
+def oracle_to_csv(frame: DataFrame, path, *, append: bool = False) -> None:
+    """One ``writerow`` per row: numpy scalars unboxed with ``.item()``,
+    ``None`` and NaN written as empty cells, header unless appending."""
+    names = frame.columns
+    columns = [
+        [v.item() if isinstance(v, np.generic) else v for v in frame[name].values]
+        for name in names
+    ]
+    with open(path, "a" if append else "w", newline="") as handle:
+        writer = csv.writer(handle)
+        if not append:
+            writer.writerow(names)
+        for row in zip(*columns):
+            writer.writerow(["" if v is None or v != v else v for v in row])
+
+
+def assert_writer_matches_oracle(base, frame: DataFrame) -> None:
+    got, want = base / "got.csv", base / "want.csv"
+    to_csv(frame, got)
+    oracle_to_csv(frame, want)
+    assert got.read_bytes() == want.read_bytes()
+    to_csv(frame, got, append=True)
+    oracle_to_csv(frame, want, append=True)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def object_series(values: list) -> Series:
+    """An object column holding *values* exactly as given (numpy scalars
+    stay boxed, ``None`` and NaN both kept)."""
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return Series._from_array(array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hostile_table())
+def test_writer_bytes_match_the_row_oracle(tmp_path_factory, columns):
+    frame = DataFrame({k: Series(v) for k, v in columns.items()})
+    assert_writer_matches_oracle(tmp_path_factory.mktemp("csv"), frame)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"b": Series([True, False, True])},
+        {"f": Series([-0.0, float("inf"), float("-inf"), 1e300, 5e-324, float("nan")])},
+        {"s": Series(["nan", "x"]), "o": object_series([None, float("nan")])},
+        {"o": object_series([np.float64(2.5), np.float32(0.1), np.int64(7), np.bool_(True), np.float64("nan")])},
+        {"s": Series(["a,b", 'q"uote', "line\nbreak", "cr\rlf"])},
+        {"one": object_series(["", None, "x"])},
+        {"one": Series([1.5, float("nan")])},
+        {"a": Series._from_array(np.empty(0)), "b": object_series([])},
+    ],
+    ids=[
+        "bools", "float-edges", "nan-string-none-vs-nan", "numpy-scalars-in-object",
+        "comma-quote-newline", "one-column-empty-cell", "one-column-nan", "zero-rows",
+    ],
+)
+def test_writer_bytes_pinned_cases(tmp_path, columns):
+    assert_writer_matches_oracle(tmp_path, DataFrame(columns))
+
+
+def test_boxed_numpy_scalars_write_as_their_python_values(tmp_path):
+    """Object-column numpy scalars are unboxed before writing: the writer
+    would format a boxed ``np.float32(0.1)`` with ``str`` as ``0.1``."""
+    path = tmp_path / "t.csv"
+    cells = [np.float64(2.5), np.float32(0.1), np.int64(7), np.bool_(False)]
+    to_csv(DataFrame({"o": object_series(cells)}), path)
+    assert path.read_text() == "o\n2.5\n0.10000000149011612\n7\nFalse\n"
+
+
+def test_one_column_empty_cell_is_quoted(tmp_path):
+    """The C writer's quoting defines the bytes: a one-column row holding
+    an empty cell is written as ``""`` so it is not read as a blank line."""
+    path = tmp_path / "t.csv"
+    to_csv(DataFrame({"a": Series([1.0, None])}), path)
+    assert path.read_bytes() == b'a\r\n1.0\r\n""\r\n'

@@ -1,10 +1,20 @@
 """Unit tests for :mod:`repro.dataframe.io`."""
 
+import csv
+import sys
+
 import numpy as np
 import pytest
 
 from repro.dataframe import DataFrame, Series, read_csv
-from repro.dataframe.io import _parse_cell, read_csv_shards, scan_csv_kinds, to_csv
+from repro.dataframe.io import (
+    _parse_cell,
+    concat_shards,
+    read_csv_shards,
+    scan_csv_kinds,
+    to_csv,
+)
+from repro.serve import frames_identical
 
 
 class TestCsvRoundtrip:
@@ -168,3 +178,85 @@ class TestBoolRoundtrip:
         to_csv(DataFrame({"s": Series(["007", "x"])}), path)
         back = read_csv(path)
         assert back["s"].tolist() == [7, "x"]
+
+
+class TestDecodeBlockBoundaries:
+    """The decoder reads rows in bounded blocks that never cross a shard
+    boundary; shards must not depend on where those blocks fall."""
+
+    CHUNKS = [1, 7, 4095, 4096, 4097, 10_000, sys.maxsize]
+    N_ROWS = 10_000
+
+    @pytest.fixture(scope="class")
+    def big_csv(self, tmp_path_factory):
+        rng = np.random.default_rng(0)
+        n = self.N_ROWS
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.1] = np.nan
+        frame = DataFrame({
+            "i": Series(rng.integers(-1000, 1000, size=n)),
+            "x": Series(x),
+            "s": Series([f"s{v}" if v % 5 else None for v in range(n)]),
+            "b": Series(rng.random(n) < 0.5),
+        })
+        path = tmp_path_factory.mktemp("csv") / "big.csv"
+        to_csv(frame, path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def ragged_csv(self, tmp_path_factory):
+        """Ragged rows (short, long, blank) on both sides of the first block."""
+        lines = ["a,b,c"]
+        for i in range(self.N_ROWS):
+            if i % 997 == 3:
+                lines.append(f"{i}")  # short row
+            elif i % 1009 == 5:
+                lines.append(f"{i},x,1.5,extra,cells")  # long row
+            elif i % 1013 == 7:
+                lines.append("")  # blank line
+            else:
+                lines.append(f"{i},y{i % 3},{i / 4}")
+        path = tmp_path_factory.mktemp("csv") / "ragged.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    @pytest.mark.parametrize("pinned", [False, True], ids=["inferred", "schema"])
+    def test_shards_concat_to_read_csv(self, big_csv, chunk_rows, pinned):
+        schema = scan_csv_kinds(big_csv) if pinned else None
+        shards = list(read_csv_shards(big_csv, chunk_rows, schema))
+        expect_start = 0
+        for index, shard in enumerate(shards):
+            assert (shard.index, shard.start) == (index, expect_start)
+            assert 1 <= len(shard) <= chunk_rows
+            expect_start += len(shard)
+        assert expect_start == self.N_ROWS
+        identical, detail = frames_identical(concat_shards(shards), read_csv(big_csv))
+        assert identical, detail
+
+    @pytest.mark.parametrize("chunk_rows", CHUNKS)
+    def test_ragged_rows_decode_the_same_at_every_chunking(self, ragged_csv, chunk_rows):
+        whole = read_csv(ragged_csv)
+        assert len(whole) == self.N_ROWS
+        missing = {name: whole[name].isna().tolist() for name in whole.columns}
+        assert [missing[name][3] for name in "abc"] == [False, True, True]  # short
+        assert [whole[name].tolist()[5] for name in "abc"] == [5, "x", 1.5]  # long
+        assert [missing[name][7] for name in "abc"] == [True, True, True]  # blank
+        schema = scan_csv_kinds(ragged_csv)
+        shards = list(read_csv_shards(ragged_csv, chunk_rows, schema))
+        identical, detail = frames_identical(concat_shards(shards), whole)
+        assert identical, detail
+
+    def test_malformed_row_past_the_first_block_raises(self, tmp_path):
+        """A cell over ``csv.field_size_limit`` is a ``csv.Error``; one in
+        row 5000 surfaces on every chunking, after the shards before it."""
+        path = tmp_path / "bad.csv"
+        rows = ["a,b"] + [f"{i},{i}" for i in range(5000)]
+        rows.append("1," + "y" * (csv.field_size_limit() + 1))
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(csv.Error, match="field limit"):
+            list(read_csv_shards(path, sys.maxsize))
+        shards = read_csv_shards(path, 4096)
+        assert len(next(shards)) == 4096
+        with pytest.raises(csv.Error, match="field limit"):
+            next(shards)

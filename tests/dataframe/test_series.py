@@ -412,3 +412,37 @@ class TestDatetimeAccessor:
 
     def test_slash_format(self):
         assert Series(["2024/03/09"]).dt.month.tolist() == [3]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([True, False]),
+        np.array([-3, 0, 2**62], dtype=np.int64),
+        np.array([1, -128], dtype=np.int8),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+        np.array([-0.0, np.nan, np.inf, 5e-324]),
+        np.array([1.5, np.nan], dtype=np.float32),
+        np.array([1 + 2j, complex(np.nan, 0)]),
+        np.array(["2020-01-02T03:04:05", "NaT"], dtype="datetime64[s]"),
+        np.array(["2020-01-02", "NaT"], dtype="datetime64[ns]"),
+        np.array([5, "NaT"], dtype="timedelta64[ms]"),
+        np.array(["ab", ""], dtype="U2"),
+        np.array([b"ab", b""], dtype="S2"),
+    ],
+    ids=lambda values: values.dtype.str,
+)
+def test_tolist_unboxes_like_item_for_every_native_kind(values):
+    """``tolist`` on a non-object array returns ``ndarray.tolist()``,
+    which must equal the per-element ``.item()`` list in value and type."""
+    got = Series._from_array(values).tolist()
+    want = [v.item() for v in values]
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_tolist_unboxes_numpy_scalars_in_object_arrays():
+    values = np.empty(3, dtype=object)
+    values[:] = [np.float64(2.5), np.int64(7), "x"]
+    got = Series._from_array(values).tolist()
+    assert [type(v) for v in got] == [float, int, str]
