@@ -29,9 +29,7 @@ and the git commit into the file.
 """
 
 import argparse
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -189,10 +187,9 @@ COMPARED_OPS = {
 
 
 def run(row_counts=ROW_COUNTS, fit_transform_rows=ROW_COUNTS, seed: int = 0) -> dict:
-    from conftest import environment, peak_rss_mb
+    from conftest import peak_rss_mb
 
     payload: dict = {
-        "environment": environment(),
         "row_counts": list(row_counts),
         "ops": {},
         "fit_transform": {},
@@ -243,6 +240,8 @@ def smoke() -> int:
 
 
 def main() -> int:
+    from conftest import bench_json_path, write_bench_json
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true", help="small rows, equivalence assertions only"
@@ -252,9 +251,7 @@ def main() -> int:
         return smoke()
     payload = run()
     at_100k = {op: payload["ops"][op]["100000"]["speedup"] for op in COMPARED_OPS}
-    out = Path(__file__).resolve().parent.parent / "BENCH_dataplane.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
+    write_bench_json(bench_json_path("dataplane", smoke=False), payload)
     for op in ("groupby_agg", "generated_transform"):
         assert at_100k[op] >= 10.0, f"{op} speedup below 10x at 1e5 rows: {at_100k[op]}"
     return 0

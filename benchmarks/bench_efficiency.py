@@ -22,9 +22,6 @@ pytest session) and writes ``BENCH_efficiency.json`` at the repo root
 for the performance trajectory.
 """
 
-import json
-from pathlib import Path
-
 from repro.datasets import load_dataset
 from repro.eval import SweepConfig, concurrency_speedup_report, render_table, run_sweep
 
@@ -181,15 +178,15 @@ def test_sweep_parallel_speedup(results_dir):
 
 
 def main() -> int:
+    from conftest import bench_json_path, write_bench_json
+
     payload = run_concurrency_benchmark()
     print(render_concurrency_table(payload))
     sweep_payload = run_sweep_speedup_benchmark()
     payload["sweep"] = sweep_payload
     print()
     print(render_sweep_speedup_table(sweep_payload))
-    out = Path(__file__).resolve().parent.parent / "BENCH_efficiency.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
+    write_bench_json(bench_json_path("efficiency", smoke=False), payload)
     assert payload["all_equivalent"], "serial/concurrent runs diverged"
     assert payload["min_speedup"] >= 3.0, f"speedup below 3x: {payload['min_speedup']}"
     assert sweep_payload["identical_cells"], "serial/parallel sweeps diverged"

@@ -24,12 +24,11 @@ instead.
 """
 
 import argparse
-import json
 import time
 
 import numpy as np
 
-from conftest import bench_json_path
+from conftest import bench_json_path, write_bench_json
 from repro.eval.chaos import CHAOS_MODES, ChaosSchedule, FaultInjector, hostile_rows
 from repro.eval.serving import build_demo_result
 from repro.serve import (
@@ -256,9 +255,7 @@ def main() -> int:
     args = parser.parse_args()
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = bench_json_path("resilience", args.smoke)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
+    write_bench_json(bench_json_path("resilience", args.smoke), report)
     return 0
 
 

@@ -28,9 +28,7 @@ equivalence assertion and the physical-overlap check on one dataset
 (the CI gate).
 """
 
-import json
 import sys
-from pathlib import Path
 
 from repro.core import SmartFeat
 from repro.datasets import load_dataset
@@ -263,6 +261,8 @@ def test_physical_stage_overlap(results_dir):
 
 
 def main() -> int:
+    from conftest import bench_json_path, write_bench_json
+
     if "--smoke" in sys.argv:
         return run_smoke()
     payload = run_overlap_benchmark()
@@ -273,19 +273,10 @@ def main() -> int:
     physical = run_physical_benchmark()
     print()
     print(render_physical_table(physical))
-    out = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
-    out.write_text(
-        json.dumps(
-            {
-                "overlap": payload,
-                "budget_planning": budget_payload,
-                "physical_overlap": physical,
-            },
-            indent=2,
-        )
-        + "\n"
+    write_bench_json(
+        bench_json_path("scheduler", smoke=False),
+        {"overlap": payload, "budget_planning": budget_payload, "physical_overlap": physical},
     )
-    print(f"wrote {out}")
     assert_overlap(payload)
     assert_budget(budget_payload)
     assert_physical(physical)

@@ -33,12 +33,11 @@ instead.
 
 import argparse
 import dataclasses
-import json
 import re
 import threading
 import time
 
-from conftest import bench_json_path, environment
+from conftest import bench_json_path, write_bench_json
 from repro.dataframe import DataFrame, Series
 from repro.dataframe.expr import evaluate_feature
 from repro.eval.serving import (
@@ -238,7 +237,6 @@ def run(mode: str) -> dict:
 
     report = {
         "mode": mode,
-        "environment": environment(),
         "identity": identity_section(FIT_ROWS[mode]),
         "throughput": throughput_section(SERVE_ROWS[mode]),
         "concurrency": concurrency_section(SERVE_ROWS[mode]),
@@ -256,9 +254,7 @@ def main() -> int:
     args = parser.parse_args()
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = bench_json_path("serve", args.smoke)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
+    write_bench_json(bench_json_path("serve", args.smoke), report)
     return 0
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_json_path, peak_rss_mb
+from conftest import bench_json_path, peak_rss_mb, write_bench_json
 from repro.dataframe.io import concat_shards, iter_frame_shards
 from repro.eval.serving import (
     ALL_DATASETS,
@@ -357,9 +357,7 @@ def main() -> int:
         return 0
     mode = "smoke" if args.smoke else "full"
     report = run(mode)
-    out = bench_json_path("sharded", args.smoke)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
+    write_bench_json(bench_json_path("sharded", args.smoke), report)
     return 0
 
 

@@ -325,6 +325,8 @@ def test_resume_respends_nothing(results_dir, tmp_path):
 
 
 def main() -> int:
+    from conftest import bench_json_path, write_bench_json
+
     if "--smoke" in sys.argv:
         return run_smoke()
     hedging = run_hedging_benchmark()
@@ -332,9 +334,7 @@ def main() -> int:
     resume = run_resume_benchmark()
     payload = {"hedging": hedging, "aimd": aimd, "resume": resume}
     print(json.dumps(payload, indent=2))
-    out = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
+    write_bench_json(bench_json_path("transport", smoke=False), payload)
     assert_hedging(hedging)
     assert_aimd(aimd)
     assert_resume(resume)

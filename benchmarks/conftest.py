@@ -10,6 +10,7 @@ and a modelled full-scale time budget of 600 s (the simulator-scale
 equivalent of the paper's one-hour limit — see EXPERIMENTS.md).
 """
 
+import json
 import os
 import platform
 import resource
@@ -82,6 +83,13 @@ def bench_json_path(name: str, smoke: bool) -> Path:
         return root / f"BENCH_{name}.json"
     (root / "results").mkdir(exist_ok=True)
     return root / "results" / f"BENCH_{name}.smoke.json"
+
+
+def write_bench_json(out: Path, payload: dict) -> None:
+    """Write a ``BENCH_*.json`` payload stamped with :func:`environment`,
+    so every recorded number names the machine and commit it came from."""
+    out.write_text(json.dumps({"environment": environment(), **payload}, indent=2) + "\n")
+    print(f"wrote {out}")
 
 
 def write_result(results_dir: Path, name: str, text: str) -> None:

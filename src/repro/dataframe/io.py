@@ -1,9 +1,34 @@
 """CSV input/output and the row-shard substrate for out-of-core execution.
 
-Both directions are columnar: :func:`to_csv` formats each column once
-and hands the columns to the C ``csv`` writer in one ``writerows`` call,
-and the CSV decoder reads rows in bounded blocks, transposes each block
-and parses it column by column.
+The codec is text-native: every stage handles a whole column block of
+at most ``_BLOCK_ROWS`` rows in C-level calls, never one Python call
+per cell.
+
+* **Classify** (:func:`_block_flags`).  Tuple counts settle an
+  all-empty or bool-or-empty block.  Otherwise the block's text cells
+  are joined with ``"\\n"`` and three anchored regexes run over the
+  joined string: every line is int-or-empty, every line is
+  number-or-empty, or no non-empty line is a number, ``True`` or
+  ``False`` (a verbatim string block).  The first two only run once a
+  newline count has shown that no cell holds ``"\\n"`` itself, so that
+  a line is exactly one cell; a cell holding one can only make the
+  third see a typed line where there is none, which costs the fallback
+  but never a wrong answer.  A block none of them settles (mixed, or
+  cells holding newlines) falls back to :func:`_parse_cell` per cell,
+  so the strict grammar below stays the one definition of a cell.  The
+  flags feed :func:`~repro.dataframe.kernels.coercion_kind` unchanged,
+  for the schema scan and for schema-less shards alike.
+* **Decode** (:func:`_decode_block`).  Each block decodes by its
+  column's kind: ints through ``int``, floats through ``float(text)``
+  with empty cells as NaN, a verbatim string block straight into an
+  object array, anything else through :func:`_parse_cell` and Series
+  list coercion.  An int column holding a cell outside int64 is kind
+  ``object``, so its cells stay exact Python ints.
+* **Write** (:func:`to_csv`).  Each numeric or bool column is formatted
+  once per distinct value and rows are joined here, one row block at a
+  time, under the excel dialect's QUOTE_MINIMAL rule: a cell holding
+  ``,``, ``"``, ``\\r`` or ``\\n`` is quoted with its quotes doubled,
+  and a row of one empty field is written ``""``.
 
 Besides the one-shot :func:`read_csv`/:func:`to_csv` pair, this module
 provides the streaming primitives the sharded fit/serve paths build on:
@@ -13,8 +38,8 @@ provides the streaming primitives the sharded fit/serve paths build on:
   an in-memory frame (zero-copy views) or a CSV file (bounded buffers);
 * :func:`scan_csv_kinds` — a cheap schema pass naming each column's
   :func:`~repro.dataframe.kernels.coercion_kind`, so every CSV shard
-  decodes through the ``Series(list)`` rule pinned to the whole-file
-  dtypes (cell values bit-identical to ``read_csv``);
+  decodes to the whole-file dtypes (cell values bit-identical to
+  ``read_csv``);
 * :func:`concat_shards` — re-joins per-shard results under Series
   list-coercion semantics, the package-wide dtype authority, so a
   shard-wise pipeline lands on exactly the frame the in-memory path
@@ -26,10 +51,12 @@ provides the streaming primitives the sharded fit/serve paths build on:
 from __future__ import annotations
 
 import csv
+import enum
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -59,16 +86,29 @@ __all__ = [
 #: string ``"nan"`` — parsing it to a non-finite float made it serialize
 #: back as an *empty* cell, silent data loss), and no surrounding
 #: whitespace (``" 3 "`` is a padded string, not the number 3).
-_INT_CELL = re.compile(r"[+-]?[0-9]+\Z")
-_FLOAT_CELL = re.compile(
-    r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z"
-)
+#: Possessive quantifiers: each piece has one way to match, so the line
+#: regexes below never backtrack across cells.
+_INT = r"[+-]?+[0-9]++"
+_NUMBER = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
+_INT_CELL = re.compile(_INT + r"\Z")
+_FLOAT_CELL = re.compile(_NUMBER + r"\Z")
 #: Every cell the strict grammar accepts starts with one of these, so a
 #: cell starting with anything else skips both regexes.
 _NUMBER_LEADS = "+-.0123456789"
-#: Most rows the CSV decoder holds in one block before transposing it;
-#: bounds the row lists of a whole-file read (``chunk_rows=sys.maxsize``).
-_DECODE_BLOCK_ROWS = 4096
+#: The block classifiers, over a block's cells joined with ``"\n"``:
+#: every line int-or-empty, every line number-or-empty, and (searched in
+#: ``"\n" + joined + "\n"``) some line a number or bool spelling.
+_INT_LINES = re.compile(rf"(?:{_INT})?+(?:\n(?:{_INT})?+)*+\Z")
+_NUMBER_LINES = re.compile(rf"(?:{_NUMBER})?+(?:\n(?:{_NUMBER})?+)*+\Z")
+_TYPED_LINE = re.compile(rf"\n(?:{_NUMBER}|True|False)\n")
+#: Longest int text that always fits int64 (18 digits, or a sign and 17).
+_INT64_SAFE_LEN = 18
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+#: Most rows one codec block holds: the CSV decoder's row lists before
+#: each transpose, and the rows :func:`to_csv` joins per write.
+_BLOCK_ROWS = 4096
+#: A cell holding one of these is quoted on write (QUOTE_MINIMAL).
+_QUOTE_CHARS = re.compile(r'[,"\r\n]')
 
 
 def is_number_cell(text: str) -> bool:
@@ -83,7 +123,8 @@ def _parse_cell(text: str):
     Numeric parsing follows the strict grammar above; ``"True"`` and
     ``"False"`` (exactly — the spelling :func:`to_csv` writes) parse as
     booleans so boolean columns survive a CSV round trip.  Everything
-    else is kept verbatim as a string.
+    else is kept verbatim as a string.  The block codec calls this only
+    for blocks its regexes cannot settle.
     """
     if text == "":
         return None
@@ -141,41 +182,77 @@ def to_csv(
 ) -> None:
     """Write *frame* to a headered CSV file (missing values become empty cells).
 
-    Columnar: each column is formatted once into a list of plain Python
-    cells (:func:`_csv_cells`) and the C writer joins and quotes the rows
-    in one ``writerows`` call, so its quoting rules alone define the bytes.
+    Bytes are the excel dialect's, as ``csv.writer`` would write them
+    (the header still goes through it): ``\\r\\n`` line ends and
+    QUOTE_MINIMAL quoting.  The rows are formatted and joined here, one
+    block of ``_BLOCK_ROWS`` rows at a time (:func:`_csv_cells`), so a
+    write never holds more than one block's text.
 
     ``append=True`` adds rows to an existing file; *header* defaults to
     ``not append`` so a shard stream writes the header exactly once
     (first shard ``append=False``, the rest ``append=True``).
     """
     write_header = (not append) if header is None else header
-    columns = [_csv_cells(frame[name]) for name in frame.columns]
+    arrays = [frame[name].values for name in frame.columns]
     with open(path, "a" if append else "w", newline="") as handle:
-        writer = csv.writer(handle)
         if write_header:
-            writer.writerow(frame.columns)
-        writer.writerows(zip(*columns))
+            csv.writer(handle).writerow(frame.columns)
+        for start in range(0, len(frame), _BLOCK_ROWS):
+            columns = [_csv_cells(values[start : start + _BLOCK_ROWS]) for values in arrays]
+            if len(columns) == 1:  # a lone empty field must not read as a blank line
+                rows = [cell or '""' for cell in columns[0]]
+            else:
+                rows = map(",".join, zip(*columns))
+            handle.write("\r\n".join(rows) + "\r\n")
 
 
-def _csv_cells(series: Series) -> list:
-    """One column's cells for the CSV writer: ``None`` and NaN become ``""``.
+def _csv_cells(values: np.ndarray) -> list[str]:
+    """One column block's cells as CSV text: missing is ``""``.
 
-    Numpy scalars in object columns are unboxed (``Series.tolist``) so
-    each cell writes as its Python value: the writer formats a boxed
-    ``np.float32(0.1)`` with ``str`` as ``0.1``, its value as
-    ``0.10000000149011612``.
+    Numeric and bool columns are formatted once per distinct value —
+    floats per distinct bit pattern, so ``-0.0`` and ``0.0`` stay apart —
+    as the C writer formats them (``repr`` for floats, ``str`` else).
+    Other columns go cell by cell through :func:`_cell_text`.
     """
-    values = series.values
     kind = values.dtype.kind
     if kind in "iub":  # never missing
-        return values.tolist()
-    if kind == "f":
-        cells = values.tolist()
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            cells[i] = ""
+        uniques, codes = np.unique(values, return_inverse=True)
+        texts = list(map(str, uniques.tolist()))
+    elif kind == "f":
+        uniques, codes = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+        floats = uniques.view(values.dtype)
+        texts = list(map(repr, floats.tolist()))
+        for i in np.flatnonzero(np.isnan(floats)).tolist():
+            texts[i] = ""
+    else:  # str and None, the common cells, skip the call
+        return _quoted([
+            v if type(v) is str else "" if v is None else _cell_text(v)
+            for v in values.tolist()
+        ])
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _cell_text(value) -> str:
+    """One non-``str`` cell as the C writer would write it: ``None`` and
+    NaN as ``""``, a numpy scalar as its Python value (the writer formats
+    a boxed ``np.float32(0.1)`` with ``str`` as ``0.1``, its value as
+    ``0.10000000149011612``)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None or value != value:
+        return ""
+    return str(value)
+
+
+def _quoted(cells: list[str]) -> list[str]:
+    """*cells* under QUOTE_MINIMAL: a cell holding a delimiter, quote or
+    line break is wrapped in quotes, its own quotes doubled."""
+    if _QUOTE_CHARS.search("".join(cells)) is None:
         return cells
-    return ["" if value is None or value != value else value for value in series.tolist()]
+    return [
+        '"' + cell.replace('"', '""') + '"' if _QUOTE_CHARS.search(cell) else cell
+        for cell in cells
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -221,52 +298,149 @@ def iter_frame_shards(frame: DataFrame, chunk_rows: int) -> Iterator[Shard]:
 
 
 # ----------------------------------------------------------------------
-# Streaming CSV: schema scan + bounded shard reader
+# Streaming CSV: block classifier, schema scan, bounded shard reader
 # ----------------------------------------------------------------------
+class _Seen(enum.Flag):
+    """What a column's cells held, accumulated block by block."""
+
+    NONE = 0
+    OBJECT = enum.auto()  # a cell that is not empty, a bool or a number
+    PRESENT = enum.auto()  # a non-empty cell
+    NUMBER = enum.auto()  # an int or float cell
+    FLOAT = enum.auto()  # a float cell
+    MISSING = enum.auto()  # an empty cell
+    WIDE = enum.auto()  # an int cell outside int64
+
+
+def _block_flags(cells: tuple[str, ...]) -> _Seen:
+    """Classify one column block of text cells (see the module docstring)."""
+    n = len(cells)
+    n_missing = cells.count("")
+    seen = _Seen.MISSING if n_missing else _Seen.NONE
+    if n_missing == n:
+        return seen
+    seen |= _Seen.PRESENT
+    if n_missing + cells.count("True") + cells.count("False") == n:
+        return seen
+    joined = "\n".join(cells)
+    if joined.count("\n") == n - 1:  # no cell holds a newline: a line is a cell
+        if _INT_LINES.match(joined):
+            if max(map(len, cells)) > _INT64_SAFE_LEN and not all(
+                _INT64_MIN <= int(text) <= _INT64_MAX
+                for text in cells
+                if len(text) > _INT64_SAFE_LEN
+            ):
+                seen |= _Seen.WIDE
+            return seen | _Seen.NUMBER
+        if _NUMBER_LINES.match(joined):
+            return seen | _Seen.NUMBER | _Seen.FLOAT
+    if _TYPED_LINE.search(f"\n{joined}\n") is None:
+        return seen | _Seen.OBJECT
+    for cell in map(_parse_cell, cells):  # a mixed block
+        if cell is None or cell is True or cell is False:
+            continue
+        if type(cell) is str:
+            return seen | _Seen.OBJECT
+        seen |= _Seen.NUMBER
+        if type(cell) is float:
+            seen |= _Seen.FLOAT
+        elif not _INT64_MIN <= cell <= _INT64_MAX:
+            seen |= _Seen.WIDE
+    return seen
+
+
+def _see(seen: _Seen, cells: tuple[str, ...]) -> _Seen:
+    """*seen* updated with one more block (a string already decides)."""
+    return seen if _Seen.OBJECT in seen else seen | _block_flags(cells)
+
+
+def _kind(seen: _Seen) -> str:
+    """The :func:`~repro.dataframe.kernels.coercion_kind` of a column.
+
+    An int column holding a cell outside int64 is ``object`` (its cells
+    stay exact Python ints); with a float or a missing cell it is a
+    float column, and every cell decodes through ``float(text)``.
+    """
+    wide_int = _Seen.WIDE in seen and not seen & (_Seen.FLOAT | _Seen.MISSING)
+    return coercion_kind(
+        _Seen.OBJECT in seen or wide_int,
+        _Seen.PRESENT in seen,
+        _Seen.NUMBER not in seen,
+        _Seen.FLOAT in seen,
+        _Seen.MISSING in seen,
+    )
+
+
+#: Cells of a numeric column that ``int``/``float`` do not read directly.
+_NUMBER_WORDS = {"": "nan", "True": "1", "False": "0"}
+_BOOL_CELLS = {"": None, "True": True, "False": False}
+
+
+def _decode_block(cells: tuple[str, ...], kind: str) -> np.ndarray:
+    """One column block of text cells as an array of coercion *kind*.
+
+    Equal to ``coerce_listlike([_parse_cell(c) for c in cells], kind)``
+    for every block the classifier gives *kind*, except that a float
+    column reads each cell through ``float(text)``: an int text too long
+    for a float reads as ``±inf``, as ``"1e400"`` does.
+    """
+    if kind == "int":
+        return _decode_numbers(cells, int, np.int64)
+    if kind == "float":
+        values = _decode_numbers(cells, float, np.float64)
+        for i in np.flatnonzero((values == 0) & np.signbit(values)).tolist():
+            if _INT_CELL.match(cells[i]):  # "-0" is the int 0
+                values[i] = 0.0
+        return values
+    if kind == "bool":
+        return np.fromiter(map("True".__eq__, cells), bool, len(cells))
+    if kind == "bool_missing":
+        return np.array(list(map(_BOOL_CELLS.__getitem__, cells)), dtype=object)
+    joined = "\n".join(cells)
+    if _TYPED_LINE.search(f"\n{joined}\n") is None:  # verbatim strings
+        values = np.array(cells, dtype=object)
+        if "" in cells:
+            values[values == ""] = None
+        return values
+    return coerce_listlike(list(map(_parse_cell, cells)), kind)
+
+
+def _decode_numbers(cells: tuple[str, ...], parse, dtype) -> np.ndarray:
+    """*cells* through *parse* (``int`` or ``float``) into *dtype*; empty
+    and bool cells are respelled only when a block holds one."""
+    try:
+        return np.fromiter(map(parse, cells), dtype, len(cells))
+    except ValueError:  # an empty or bool cell
+        texts = map(_NUMBER_WORDS.get, cells, cells)
+        return np.fromiter(map(parse, texts), dtype, len(cells))
+
+
+def _column_blocks(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
+    """A block of rows transposed to one tuple of cells per column: a
+    short row's missing cells read as ``""``, extra cells are dropped."""
+    if any(map(width.__ne__, map(len, rows))):
+        rows = [(row + [""] * (width - len(row)))[:width] for row in rows]
+    return list(zip(*rows))
+
+
 def scan_csv_kinds(path: str | Path) -> dict[str, str]:
     """One streaming pass over a CSV → per-column coercion kind.
 
-    Each kind is the :func:`~repro.dataframe.kernels.coercion_kind` of the
-    column's :func:`_parse_cell` values — the rule Series list coercion
-    decides by — so feeding the result to :func:`read_csv_shards` pins
-    every shard to the whole-file dtypes.  The pass stays fused (one
-    ``_parse_cell`` per cell, one flag update) instead of classifying
-    column lists.  The parser's strict grammar guarantees cells are never
-    NaN, so a parsed cell is exactly one of None/bool/int/float/str.
+    Each kind is the :func:`~repro.dataframe.kernels.coercion_kind` the
+    column's cells decode to, so feeding the result to
+    :func:`read_csv_shards` pins every shard to the whole-file dtypes.
+    Blocks are classified whole (:func:`_block_flags`); a column stops
+    being classified once a string cell has made it ``object``.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(reader, path)
         if header is None:
             return {}
-        n = len(header)
-        forced = [False] * n  # a string cell forces the object path
-        missing = [False] * n
-        present = [False] * n
-        floaty = [False] * n
-        nonbool = [False] * n
-        for row in reader:
-            for i in range(n):
-                if forced[i]:
-                    continue
-                cell = _parse_cell(row[i]) if i < len(row) else None
-                if cell is None:
-                    missing[i] = True
-                elif isinstance(cell, bool):
-                    present[i] = True
-                elif isinstance(cell, int):
-                    present[i] = True
-                    nonbool[i] = True
-                elif isinstance(cell, float):
-                    present[i] = True
-                    floaty[i] = True
-                    nonbool[i] = True
-                else:
-                    forced[i] = True
-    return {
-        name: coercion_kind(forced[i], present[i], not nonbool[i], floaty[i], missing[i])
-        for i, name in enumerate(header)
-    }
+        seen = [_Seen.NONE] * len(header)
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            seen = list(map(_see, seen, _column_blocks(rows, len(header))))
+    return {name: _kind(flags) for name, flags in zip(header, seen)}
 
 
 def read_csv_shards(
@@ -276,16 +450,16 @@ def read_csv_shards(
 ) -> Iterator[Shard]:
     """Stream a headered CSV as :class:`Shard`\\ s of ≤ *chunk_rows* rows.
 
-    Rows are decoded in blocks of at most ``_DECODE_BLOCK_ROWS`` that
-    never cross a shard boundary: each block is transposed and parsed
-    column by column into the shard's buffers.  A short row's missing
-    cells read as missing, extra cells are ignored, and a blank line is
-    an all-missing row.
+    Rows are read in blocks of at most ``_BLOCK_ROWS`` that never cross
+    a shard boundary; each block is transposed and kept as raw text
+    until the shard is complete, then every column decodes block by
+    block by its kind.  A short row's missing cells read as missing,
+    extra cells are ignored, and a blank line is an all-missing row.
 
-    With *schema* (from :func:`scan_csv_kinds`) every shard coerces to
+    With *schema* (from :func:`scan_csv_kinds`) every shard decodes to
     the whole-file dtypes, so each shard is bit-identical to the matching
     row slice of ``read_csv(path)`` regardless of where the boundaries
-    fall.  Without a schema each shard infers dtypes independently —
+    fall.  Without a schema each shard classifies its own blocks —
     cheaper (no scan pass), but downstream consumers must tolerate dtype
     drift between shards (:func:`concat_shards` re-coerces).
     """
@@ -296,32 +470,36 @@ def read_csv_shards(
         header = _read_header(reader, path)
         if not header:
             return
-        width = len(header)
-        buffers: list[list] = [[] for _ in header]
+        blocks: list[list[tuple[str, ...]]] = []
         filled = index = start = 0
-        while rows := list(islice(reader, min(chunk_rows - filled, _DECODE_BLOCK_ROWS))):
-            if any(len(row) != width for row in rows):
-                rows = [(row + [""] * (width - len(row)))[:width] for row in rows]
-            for buffer, cells in zip(buffers, zip(*rows)):
-                buffer.extend(map(_parse_cell, cells))
+        while rows := list(islice(reader, min(chunk_rows - filled, _BLOCK_ROWS))):
+            blocks.append(_column_blocks(rows, len(header)))
             filled += len(rows)
             if filled == chunk_rows:
-                yield Shard(_csv_shard_frame(header, buffers, schema), index, start)
+                yield Shard(_csv_shard_frame(header, blocks, schema), index, start)
                 start += filled
                 index += 1
                 filled = 0
-                buffers = [[] for _ in header]
+                blocks = []
         if filled:
-            yield Shard(_csv_shard_frame(header, buffers, schema), index, start)
+            yield Shard(_csv_shard_frame(header, blocks, schema), index, start)
 
 
 def _csv_shard_frame(
-    header: list[str], buffers: list[list], schema: dict[str, str] | None
+    header: list[str],
+    blocks: list[list[tuple[str, ...]]],
+    schema: dict[str, str] | None,
 ) -> DataFrame:
     out = DataFrame()
-    for name, cells in zip(header, buffers):
-        kind = None if schema is None else schema.get(name, "object")
-        out._columns[name] = Series._from_array(coerce_listlike(cells, kind), name)
+    for i, name in enumerate(header):
+        column = [block[i] for block in blocks]
+        if schema is None:
+            kind = _kind(reduce(_see, column, _Seen.NONE))
+        else:
+            kind = schema.get(name, "object")
+        arrays = [_decode_block(cells, kind) for cells in column]
+        values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        out._columns[name] = Series._from_array(values, name)
     return out
 
 

@@ -141,8 +141,8 @@ def coerce_listlike(values: list, kind: str | None = None) -> np.ndarray:
     a single C-level construction (the seed scanned the list three times).
 
     *kind* (a :func:`coercion_kind` name) skips the classification and
-    pins the result: the CSV reader passes each column's whole-file kind
-    from its schema scan, so every shard decodes to the same dtype.
+    pins the result: the CSV decoder's per-cell fallback passes its
+    column's kind, so that block decodes to the column's dtype.
     """
     if kind is None:
         kind = _classify(values)

@@ -17,12 +17,14 @@ updating this pin is a test failure, not a silent drift):
   frame built from the modelled cells, whatever the chunking, and every
   schema-pinned shard matches the whole-file dtypes.
 
-The columnar writer is also pinned byte for byte against a row-at-a-time
-oracle writer kept in this file.
+The block writer is also pinned byte for byte against a row-at-a-time
+oracle writer kept in this file, and the block decoder cell for cell
+against the per-cell decoder it replaced (``oracle_read_csv_shards``).
 """
 
 import csv
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,12 +33,14 @@ from hypothesis import strategies as st
 
 from repro.dataframe import DataFrame, Series, read_csv
 from repro.dataframe.io import (
+    _parse_cell,
     concat_shards,
     iter_frame_shards,
     read_csv_shards,
     scan_csv_kinds,
     to_csv,
 )
+from repro.dataframe.kernels import coerce_listlike, coercion_kind
 from repro.serve import frames_identical
 
 # ----------------------------------------------------------------------
@@ -246,3 +250,231 @@ def test_one_column_empty_cell_is_quoted(tmp_path):
     path = tmp_path / "t.csv"
     to_csv(DataFrame({"a": Series([1.0, None])}), path)
     assert path.read_bytes() == b'a\r\n1.0\r\n""\r\n'
+
+
+@pytest.mark.parametrize("n_rows", [4095, 4096, 4097])
+def test_writer_bytes_across_write_blocks(tmp_path, n_rows):
+    i = np.arange(n_rows)
+    x = (i * 0.37) - 500.0
+    x[i % 11 == 0] = np.nan
+    frame = DataFrame({
+        "i": Series(i * 7 - 300),
+        "x": Series(x),
+        "b": Series(i % 3 == 0),
+        "s": Series([f"s{v % 13}" if v % 5 else None for v in range(n_rows)]),
+        "q": Series(["a,b" if v == n_rows - 1 else "plain" for v in range(n_rows)]),
+    })
+    assert_writer_matches_oracle(tmp_path, frame)
+
+
+def _nan(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"z": Series([0.0, -0.0, 0.0, -0.0, 1.0])},
+        {"n": Series._from_array(np.array(
+            [_nan(0x7FF8000000000001), 1.5, _nan(0xFFF8000000000000),
+             _nan(0x7FF0000000000001), float("nan")]
+        ))},
+        {"b": Series([True, False, False]), "c": Series([False, False, False])},
+        {"one": Series(np.where(np.arange(8200) % 4096 < 2, np.nan, 1.25))},
+        {"o": Series(["x"] * 5000 + ['q"uote', "line\nbreak", "cr\rlf"] + ["y"] * 10)},
+    ],
+    ids=[
+        "signed-zeros", "nan-payloads", "bool-columns",
+        "one-column-missing-across-blocks", "first-quote-in-a-later-block",
+    ],
+)
+def test_writer_bytes_block_cases(tmp_path, columns):
+    assert_writer_matches_oracle(tmp_path, DataFrame(columns))
+
+
+# ----------------------------------------------------------------------
+# Decoder: the block codec against the per-cell decoder it replaced
+# ----------------------------------------------------------------------
+def oracle_scan_csv_kinds(path) -> dict[str, str]:
+    """The fused per-cell scan: one ``_parse_cell`` and one flag update
+    per cell until a string forces the column to object."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return {}
+        n = len(header)
+        forced, missing, present, floaty, nonbool = ([False] * n for _ in range(5))
+        for row in reader:
+            for i in range(n):
+                if forced[i]:
+                    continue
+                cell = _parse_cell(row[i]) if i < len(row) else None
+                if cell is None:
+                    missing[i] = True
+                elif isinstance(cell, bool):
+                    present[i] = True
+                elif isinstance(cell, (int, float)):
+                    present[i] = nonbool[i] = True
+                    floaty[i] = floaty[i] or isinstance(cell, float)
+                else:
+                    forced[i] = True
+    return {
+        name: coercion_kind(forced[i], present[i], not nonbool[i], floaty[i], missing[i])
+        for i, name in enumerate(header)
+    }
+
+
+def oracle_read_csv_shards(path, chunk_rows: int, schema=None):
+    """``_parse_cell`` per cell, then ``coerce_listlike`` per shard column
+    (pinned to *schema*'s kind when given)."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if not header:
+            return
+        width = len(header)
+
+        def frame(buffers):
+            return DataFrame({
+                name: Series._from_array(
+                    coerce_listlike(cells, None if schema is None else schema[name]), name
+                )
+                for name, cells in zip(header, buffers)
+            })
+
+        buffers = [[] for _ in header]
+        for n_read, row in enumerate(reader, start=1):
+            row = (row + [""] * (width - len(row)))[:width]
+            for buffer, text in zip(buffers, row):
+                buffer.append(_parse_cell(text))
+            if n_read % chunk_rows == 0:
+                yield frame(buffers)
+                buffers = [[] for _ in header]
+        if buffers[0]:
+            yield frame(buffers)
+
+
+def assert_bit_identical(got: DataFrame, want: DataFrame) -> None:
+    """Same columns, dtypes, float bits, and cell types and values."""
+    assert got.columns == want.columns
+    for name in got.columns:
+        a, b = got[name].values, want[name].values
+        assert a.dtype == b.dtype, (name, a.dtype, b.dtype)
+        if a.dtype.kind == "f":
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        elif a.dtype == object:
+            assert [type(v) for v in a] == [type(v) for v in b], name
+            assert [repr(v) for v in a] == [repr(v) for v in b], name
+        else:
+            assert np.array_equal(a, b), name
+
+
+RAW_CELLS = [
+    "", "0", "12", "-3", "+7", "007", "-0", "-00", "9007199254740993",
+    "9223372036854775807", "-9223372036854775808",
+    "1.5", "-0.0", "+.5", "5.", ".5", "1e3", "2.5E-3", "1e400",
+    "1_000", "nan", "inf", "-inf", " 3 ", "3 ", "\t7",
+    "True", "False", "true", "x", "e5", ".", "+", "--5",
+    "a,b", 'q"uote', "line\nbreak", "cr\rlf", "5\n6", "\n", "\r", "7\r",
+]
+
+raw_cell = st.one_of(
+    st.sampled_from(RAW_CELLS),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(alphabet="ab019 _.,+-eE\"\n\r", max_size=6),
+)
+
+#: Rows of uniform cells for a column kind, laid before the drawn rows so
+#: a column can be settled by a whole block and upset by a later one.
+FILLERS = {
+    "int": lambda i: str(i % 97 - 40),
+    "float": lambda i: f"{i % 89}.25" if i % 9 else "",
+    "bool": lambda i: "True" if i % 3 else "False",
+    "str": lambda i: f"s{i % 7}" if i % 5 else "",
+    "empty": lambda i: "",
+}
+
+CHUNKINGS = [1, 2, 7, 4095, 4096, 4097, sys.maxsize]
+
+
+@st.composite
+def raw_csv_rows(draw):
+    """A header and data rows: hostile cells, ragged rows, blank lines."""
+    n_cols = draw(st.integers(1, 4))
+    drawn = draw(st.lists(
+        st.one_of(
+            st.lists(raw_cell, min_size=n_cols, max_size=n_cols),
+            st.lists(raw_cell, min_size=0, max_size=n_cols + 2),  # ragged or blank
+        ),
+        min_size=1,
+        max_size=20,
+    ))
+    n_filler = draw(st.sampled_from([0, 0, 4090, 4096]))
+    kinds = draw(st.lists(st.sampled_from(sorted(FILLERS)), min_size=n_cols, max_size=n_cols))
+    filler = [[FILLERS[kind](i) for kind in kinds] for i in range(n_filler)]
+    return [f"c{i}" for i in range(n_cols)], filler + drawn
+
+
+def assert_decoder_matches_oracle(path, chunk: int, pinned: bool) -> None:
+    kinds = scan_csv_kinds(path)
+    assert kinds == oracle_scan_csv_kinds(path)
+    schema = kinds if pinned else None
+    got = list(read_csv_shards(path, chunk, schema))
+    want = list(oracle_read_csv_shards(path, chunk, schema))
+    assert len(got) == len(want)
+    for shard, expect in zip(got, want):
+        assert_bit_identical(shard.frame, expect)
+    assert_bit_identical(read_csv(path), next(oracle_read_csv_shards(path, sys.maxsize)))
+
+
+def write_raw_csv(path, header: list[str], rows: list[list[str]]) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_csv_rows(), st.sampled_from(CHUNKINGS), st.booleans())
+def test_block_decoder_matches_the_per_cell_oracle(tmp_path_factory, table, chunk, pinned):
+    header, rows = table
+    if len(rows) > 1000 and chunk < 7:
+        chunk = 7  # thousands of one-row shards add time, not coverage
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_raw_csv(path, header, rows)
+    assert_decoder_matches_oracle(path, chunk, pinned)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        ["1", "5\n6", "2"],
+        ["1.5", "2\n.5", ""],
+        ["3", "\n", "4"],
+        ["7\r", "8"],
+        ["True", "True\nFalse", ""],
+        ["x\n5", "y", ""],
+        ["-0", "1.5", "-0.0", "-00", ""],
+        ["-0", "0", "+0"],
+        ["True", "2", "False"],
+        ["True", "2.5", ""],
+        ["True", "", "x"],
+        ["", "", ""],
+    ],
+    ids=[
+        "newline-in-ints", "newline-in-floats", "lone-newline-in-ints", "cr-after-int",
+        "newline-in-bools", "newline-before-number", "negative-zero-ints-in-floats",
+        "signed-zero-ints", "bools-in-ints", "bools-in-floats", "bools-and-strings",
+        "all-empty",
+    ],
+)
+@pytest.mark.parametrize("pinned", [False, True], ids=["inferred", "schema"])
+def test_block_decoder_pinned_cases(tmp_path, column, pinned):
+    """Each case alone, and after 4095 int rows so that it straddles a
+    block boundary."""
+    for n_filler, chunk in ((0, 2), (0, sys.maxsize), (4095, 4095), (4095, sys.maxsize)):
+        path = tmp_path / f"t{n_filler}.csv"
+        write_raw_csv(path, ["a"], [[str(i)] for i in range(n_filler)] + [[c] for c in column])
+        assert_decoder_matches_oracle(path, chunk, pinned)

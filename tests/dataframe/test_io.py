@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import repro.dataframe.io as io
 from repro.dataframe import DataFrame, Series, read_csv
 from repro.dataframe.io import (
     _parse_cell,
@@ -132,6 +133,104 @@ class TestStrictCellGrammar:
         kinds = scan_csv_kinds(path)
         assert kinds["a"] == "object"
         assert kinds["b"] == "float"
+
+
+class TestNumericOverflow:
+    """Number texts past what a dtype holds: an int column with a cell
+    outside int64 stays object (exact Python ints), and a float column
+    reads every cell through ``float(text)``, so a too-long int text
+    reads as ``inf`` just as ``"1e400"`` does."""
+
+    def test_int_past_int64_keeps_the_column_object(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n99999999999999999999,3\n-9223372036854775809,4\n")
+        back = read_csv(path)
+        assert back["a"].values.dtype == object
+        assert back["a"].tolist() == [1, 99999999999999999999, -9223372036854775809]
+        assert back["b"].values.dtype == np.int64
+        assert scan_csv_kinds(path) == {"a": "object", "b": "int"}
+
+    def test_int64_bounds_stay_int(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "a\n9223372036854775807\n-9223372036854775808\n00000009223372036854775807\n"
+        )
+        back = read_csv(path)
+        assert back["a"].values.dtype == np.int64
+        assert back["a"].tolist() == [2**63 - 1, -(2**63), 2**63 - 1]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 4095, 4096, 4097, sys.maxsize])
+    def test_wide_int_past_the_first_block_agrees_at_every_chunking(self, tmp_path, chunk_rows):
+        """The scan sees the late wide cell, so every schema-pinned shard
+        is object, and the shards re-join to the whole-file read."""
+        path = tmp_path / "t.csv"
+        cells = [str(i) for i in range(5000)]
+        cells[4500] = str(10**30)
+        path.write_text("a\n" + "\n".join(cells) + "\n")
+        whole = read_csv(path)
+        assert whole["a"].values.dtype == object
+        assert whole["a"].tolist()[4500] == 10**30
+        schema = scan_csv_kinds(path)
+        assert schema == {"a": "object"}
+        shards = list(read_csv_shards(path, chunk_rows, schema))
+        assert all(shard.frame["a"].values.dtype == object for shard in shards)
+        identical, detail = frames_identical(concat_shards(shards), whole)
+        assert identical, detail
+
+    def test_wide_int_with_a_float_or_missing_cell_is_a_float_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("f,m\n99999999999999999999,99999999999999999999\n1.5,\n")
+        back = read_csv(path)
+        assert scan_csv_kinds(path) == {"f": "float", "m": "float"}
+        assert back["f"].tolist() == [1e20, 1.5]
+        assert back["m"].values[0] == 1e20 and np.isnan(back["m"].values[1])
+
+    def test_overflowing_number_texts_in_a_float_column_read_as_inf(self, tmp_path):
+        """A 309-digit int text overflows a float like ``"1e400"``: both
+        read as ``±inf``, while 308 nines still read as a finite float."""
+        nines = "9" * 309
+        path = tmp_path / "t.csv"
+        path.write_text(f"f\n1.5\n{nines}\n-{nines}\n1e400\n-1e400\n{nines[1:]}\n")
+        back = read_csv(path)
+        assert scan_csv_kinds(path) == {"f": "float"}
+        assert back["f"].values.dtype == np.float64
+        inf = float("inf")
+        assert back["f"].tolist() == [1.5, inf, -inf, inf, -inf, float(nines[1:])]
+        shards = list(read_csv_shards(path, 2, scan_csv_kinds(path)))
+        identical, detail = frames_identical(concat_shards(shards), back)
+        assert identical, detail
+
+    def test_negative_zero_int_text_in_a_float_column_is_positive_zero(self, tmp_path):
+        """``"-0"`` is the int 0, so it reads as ``0.0`` in a float column;
+        ``"-0.0"`` is the float ``-0.0``."""
+        path = tmp_path / "t.csv"
+        path.write_text("f\n-0\n-0.0\n-00\n1.5\n")
+        values = read_csv(path)["f"].values
+        assert np.signbit(values).tolist() == [False, True, False, False]
+
+
+def test_serving_table_decodes_without_per_cell_parsing(tmp_path, monkeypatch):
+    """The served demo table is all int, float and verbatim string
+    blocks: scanning and decoding it never calls ``_parse_cell``."""
+    from repro.eval.serving import make_serving_frame
+
+    frame = make_serving_frame(10_000, seed=1000, n_groups=500)
+    path = tmp_path / "in.csv"
+    to_csv(frame, path)
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return _parse_cell(text)
+
+    monkeypatch.setattr(io, "_parse_cell", counting)
+    schema = scan_csv_kinds(path)
+    shards = list(read_csv_shards(path, 2000, schema))
+    whole = read_csv(path)
+    assert calls == []
+    assert len(whole) == len(frame)
+    identical, detail = frames_identical(concat_shards(shards), whole)
+    assert identical, detail
 
 
 class TestBoolRoundtrip:

@@ -353,6 +353,26 @@ class TestPlanCommands:
             main(argv + ["--out", str(out), *chunk])
         assert not out.exists()
 
+    @pytest.mark.parametrize("chunk", [[], ["--chunk-rows", "7"]], ids=["whole", "chunked"])
+    def test_apply_int_past_int64_exits_before_writing(self, tmp_path, chunk):
+        """An ``age`` cell outside int64 reads as an exact Python int, so
+        the column is object and fails the plan's schema check by name,
+        in both modes and before any ``--out`` byte is written (the
+        chunked scan sees the late cell before the first chunk)."""
+        source = tmp_path / "data.csv"
+        self._write_csv(source)
+        plan_path = tmp_path / "plan.json"
+        main(["plan", "export", str(source), "--target", "label", "--out", str(plan_path)])
+        wide = tmp_path / "wide.csv"
+        lines = source.read_text().splitlines()
+        lines[60] = "99999999999999999999" + lines[60][lines[60].index(","):]
+        wide.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        argv = ["plan", "apply", "--plan", str(plan_path), "--csv", str(wide)]
+        with pytest.raises(SystemExit, match="plan apply failed.*'age' has kind object"):
+            main(argv + ["--out", str(out), *chunk])
+        assert not out.exists()
+
     def test_apply_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit, match="exactly one"):
             main(["plan", "apply", "--csv", "rows.csv"])
