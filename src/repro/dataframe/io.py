@@ -9,21 +9,23 @@ per cell.
   are joined with ``"\\n"`` and three anchored regexes run over the
   joined string: every line is int-or-empty, every line is
   number-or-empty, or no non-empty line is a number, ``True`` or
-  ``False`` (a verbatim string block).  The first two only run once a
-  newline count has shown that no cell holds ``"\\n"`` itself, so that
-  a line is exactly one cell; a cell holding one can only make the
-  third see a typed line where there is none, which costs the fallback
-  but never a wrong answer.  A block none of them settles (mixed, or
-  cells holding newlines) falls back to :func:`_parse_cell` per cell,
-  so the strict grammar below stays the one definition of a cell.  The
-  flags feed :func:`~repro.dataframe.kernels.coercion_kind` unchanged,
-  for the schema scan and for schema-less shards alike.
+  ``False`` (a verbatim string block, :func:`_verbatim`).  The first
+  two only run once a newline count has shown that no cell holds
+  ``"\\n"`` itself, so that a line is exactly one cell; a cell holding
+  one can only make the third see a typed line where there is none,
+  which costs the fallback but never a wrong answer.  A block none of
+  them settles (mixed, or cells holding newlines) falls back to
+  :func:`_parse_cell` per cell, so the strict grammar below stays the
+  one definition of a cell.  The flags feed
+  :func:`~repro.dataframe.kernels.coercion_kind` unchanged, for the
+  schema scan and for schema-less shards alike; it is the rule Series
+  list coercion follows too, down to an int outside int64 making an int
+  column ``object`` (its cells stay exact Python ints).
 * **Decode** (:func:`_decode_block`).  Each block decodes by its
   column's kind: ints through ``int``, floats through ``float(text)``
   with empty cells as NaN, a verbatim string block straight into an
   object array, anything else through :func:`_parse_cell` and Series
-  list coercion.  An int column holding a cell outside int64 is kind
-  ``object``, so its cells stay exact Python ints.
+  list coercion.
 * **Write** (:func:`to_csv`).  Each numeric or bool column is formatted
   once per distinct value and rows are joined here, one row block at a
   time, under the excel dialect's QUOTE_MINIMAL rule: a cell holding
@@ -64,7 +66,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.kernels import coerce_listlike, coercion_kind
+from repro.dataframe.kernels import _INT64_MAX, _INT64_MIN, coerce_listlike, coercion_kind
 from repro.dataframe.series import Series
 
 __all__ = [
@@ -86,10 +88,8 @@ __all__ = [
 #: string ``"nan"`` — parsing it to a non-finite float made it serialize
 #: back as an *empty* cell, silent data loss), and no surrounding
 #: whitespace (``" 3 "`` is a padded string, not the number 3).
-#: Possessive quantifiers: each piece has one way to match, so the line
-#: regexes below never backtrack across cells.
-_INT = r"[+-]?+[0-9]++"
-_NUMBER = r"[+-]?+(?:[0-9]++(?:\.[0-9]*+)?+|\.[0-9]++)(?:[eE][+-]?+[0-9]++)?+"
+_INT = r"[+-]?[0-9]+"
+_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _INT_CELL = re.compile(_INT + r"\Z")
 _FLOAT_CELL = re.compile(_NUMBER + r"\Z")
 #: Every cell the strict grammar accepts starts with one of these, so a
@@ -97,13 +97,14 @@ _FLOAT_CELL = re.compile(_NUMBER + r"\Z")
 _NUMBER_LEADS = "+-.0123456789"
 #: The block classifiers, over a block's cells joined with ``"\n"``:
 #: every line int-or-empty, every line number-or-empty, and (searched in
-#: ``"\n" + joined + "\n"``) some line a number or bool spelling.
-_INT_LINES = re.compile(rf"(?:{_INT})?+(?:\n(?:{_INT})?+)*+\Z")
-_NUMBER_LINES = re.compile(rf"(?:{_NUMBER})?+(?:\n(?:{_NUMBER})?+)*+\Z")
+#: ``"\n" + joined + "\n"``) some line a number or bool spelling.  A line
+#: has one parse, and only ``"\n"`` or the end may follow it, so a failed
+#: match backtracks through each line once: linear in the block's text.
+_INT_LINES = re.compile(rf"(?:{_INT})?(?:\n(?:{_INT})?)*\Z")
+_NUMBER_LINES = re.compile(rf"(?:{_NUMBER})?(?:\n(?:{_NUMBER})?)*\Z")
 _TYPED_LINE = re.compile(rf"\n(?:{_NUMBER}|True|False)\n")
 #: Longest int text that always fits int64 (18 digits, or a sign and 17).
 _INT64_SAFE_LEN = 18
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 #: Most rows one codec block holds: the CSV decoder's row lists before
 #: each transpose, and the rows :func:`to_csv` joins per write.
 _BLOCK_ROWS = 4096
@@ -334,19 +335,33 @@ def _block_flags(cells: tuple[str, ...]) -> _Seen:
             return seen | _Seen.NUMBER
         if _NUMBER_LINES.match(joined):
             return seen | _Seen.NUMBER | _Seen.FLOAT
-    if _TYPED_LINE.search(f"\n{joined}\n") is None:
+    if _verbatim(cells):
         return seen | _Seen.OBJECT
-    for cell in map(_parse_cell, cells):  # a mixed block
+    number = floaty = wide = False  # a mixed block: plain flags per cell
+    for cell in map(_parse_cell, cells):
         if cell is None or cell is True or cell is False:
             continue
         if type(cell) is str:
             return seen | _Seen.OBJECT
-        seen |= _Seen.NUMBER
+        number = True
         if type(cell) is float:
-            seen |= _Seen.FLOAT
+            floaty = True
         elif not _INT64_MIN <= cell <= _INT64_MAX:
-            seen |= _Seen.WIDE
+            wide = True
+    if number:
+        seen |= _Seen.NUMBER
+    if floaty:
+        seen |= _Seen.FLOAT
+    if wide:
+        seen |= _Seen.WIDE
     return seen
+
+
+def _verbatim(cells: tuple[str, ...]) -> bool:
+    """Whether no cell is a number, ``True`` or ``False``: every present
+    cell is a string kept verbatim (a cell holding ``"\\n"`` can only
+    make a typed line appear, never hide one)."""
+    return _TYPED_LINE.search("\n" + "\n".join(cells) + "\n") is None
 
 
 def _see(seen: _Seen, cells: tuple[str, ...]) -> _Seen:
@@ -355,19 +370,14 @@ def _see(seen: _Seen, cells: tuple[str, ...]) -> _Seen:
 
 
 def _kind(seen: _Seen) -> str:
-    """The :func:`~repro.dataframe.kernels.coercion_kind` of a column.
-
-    An int column holding a cell outside int64 is ``object`` (its cells
-    stay exact Python ints); with a float or a missing cell it is a
-    float column, and every cell decodes through ``float(text)``.
-    """
-    wide_int = _Seen.WIDE in seen and not seen & (_Seen.FLOAT | _Seen.MISSING)
+    """The :func:`~repro.dataframe.kernels.coercion_kind` of a column."""
     return coercion_kind(
-        _Seen.OBJECT in seen or wide_int,
+        _Seen.OBJECT in seen,
         _Seen.PRESENT in seen,
         _Seen.NUMBER not in seen,
         _Seen.FLOAT in seen,
         _Seen.MISSING in seen,
+        _Seen.WIDE in seen,
     )
 
 
@@ -380,9 +390,9 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> np.ndarray:
     """One column block of text cells as an array of coercion *kind*.
 
     Equal to ``coerce_listlike([_parse_cell(c) for c in cells], kind)``
-    for every block the classifier gives *kind*, except that a float
-    column reads each cell through ``float(text)``: an int text too long
-    for a float reads as ``±inf``, as ``"1e400"`` does.
+    for every block the classifier gives *kind*.  A float column reads
+    each cell through ``float(text)``, so an int text too long for a
+    float reads as ``±inf``, as ``"1e400"`` does.
     """
     if kind == "int":
         return _decode_numbers(cells, int, np.int64)
@@ -396,8 +406,7 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> np.ndarray:
         return np.fromiter(map("True".__eq__, cells), bool, len(cells))
     if kind == "bool_missing":
         return np.array(list(map(_BOOL_CELLS.__getitem__, cells)), dtype=object)
-    joined = "\n".join(cells)
-    if _TYPED_LINE.search(f"\n{joined}\n") is None:  # verbatim strings
+    if _verbatim(cells):
         values = np.array(cells, dtype=object)
         if "" in cells:
             values[values == ""] = None

@@ -81,7 +81,12 @@ def missing_mask(values: np.ndarray) -> np.ndarray:
 # Single-pass list coercion
 # ----------------------------------------------------------------------
 def coercion_kind(
-    any_object: bool, any_present: bool, all_bool: bool, any_float: bool, any_missing: bool
+    any_object: bool,
+    any_present: bool,
+    all_bool: bool,
+    any_float: bool,
+    any_missing: bool,
+    any_wide: bool,
 ) -> str:
     """Name the list-coercion kind of a column from its one-pass flags.
 
@@ -89,8 +94,12 @@ def coercion_kind(
     ``"empty"`` (no present values: an all-``None`` object array),
     ``"bool"``, ``"bool_missing"`` (booleans with missing values: the
     object ``None``/``bool`` path), ``"float"`` (numeric with any float or
-    missing value) and ``"int"``.  :func:`_classify` and the CSV schema
-    scan (``io.scan_csv_kinds``) both decide through this one rule.
+    missing value) and ``"int"``.  An int column with a value outside
+    int64 (*any_wide*) is ``"object"``, so its values stay exact Python
+    ints; with a float or missing value it is ``"float"`` like any other
+    int column, and an int past a float's range reads as ``±inf``.
+    :func:`_classify` and the CSV codec (``io.scan_csv_kinds`` and
+    schema-less shards) all decide through this one rule.
     """
     if any_object:
         return "object"
@@ -100,7 +109,10 @@ def coercion_kind(
         return "bool_missing" if any_missing else "bool"
     if any_float or any_missing:
         return "float"
-    return "int"
+    return "object" if any_wide else "int"
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _classify(values) -> str:
@@ -113,6 +125,7 @@ def _classify(values) -> str:
     n_present = 0
     all_bool = True
     any_float = False
+    any_wide = False
     for v in values:
         if v is None:
             has_missing = True
@@ -131,9 +144,11 @@ def _classify(values) -> str:
         if isinstance(v, (int, np.integer)):
             n_present += 1
             all_bool = False
+            if not _INT64_MIN <= v <= _INT64_MAX:
+                any_wide = True
             continue
         return "object"
-    return coercion_kind(False, n_present > 0, all_bool, any_float, has_missing)
+    return coercion_kind(False, n_present > 0, all_bool, any_float, has_missing, any_wide)
 
 
 def coerce_listlike(values: list, kind: str | None = None) -> np.ndarray:
@@ -154,12 +169,26 @@ def coerce_listlike(values: list, kind: str | None = None) -> np.ndarray:
         )
     if kind == "float":
         # np.array converts None → NaN for float64 targets in one pass.
-        return np.array(values, dtype=np.float64)
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:  # an int past a float's range
+            return np.array([_as_float(v) for v in values], dtype=np.float64)
     if kind == "int":
         return np.array(values, dtype=np.int64)
     return np.array(
         [None if is_missing_scalar(v) else v for v in values], dtype=object
     )
+
+
+def _as_float(value) -> float:
+    """*value* as a float (``None`` as NaN); an int past a float's range
+    is ``±inf``, as ``float(text)`` reads its text."""
+    if value is None:
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # ----------------------------------------------------------------------
@@ -488,9 +517,8 @@ def take_uniques(choices: Sequence[Any], codes: np.ndarray) -> np.ndarray:
             remap[old] = new
         codes = remap[codes]  # -1 stays -1 via the sentinel slot
         choices = [choices[old] for old in used_list]
+    choices += [None] * has_missing_codes
     kind = _classify(choices)
-    if has_missing_codes:
-        kind = {"bool": "bool_missing", "int": "float"}.get(kind, kind)
     if kind in ("empty", "bool_missing", "object"):
         lookup = np.empty(len(choices) + 1, dtype=object)
         for i, c in enumerate(choices):
@@ -498,7 +526,7 @@ def take_uniques(choices: Sequence[Any], codes: np.ndarray) -> np.ndarray:
         lookup[-1] = None
         return lookup[codes]
     # Only a float lookup can meet a -1 code: its None sentinel reads NaN.
-    return coerce_listlike(choices + [None] * has_missing_codes, kind)[codes]
+    return coerce_listlike(choices, kind)[codes]
 
 
 # ----------------------------------------------------------------------

@@ -304,7 +304,7 @@ def oracle_scan_csv_kinds(path) -> dict[str, str]:
         if header is None:
             return {}
         n = len(header)
-        forced, missing, present, floaty, nonbool = ([False] * n for _ in range(5))
+        forced, missing, present, floaty, nonbool, wide = ([False] * n for _ in range(6))
         for row in reader:
             for i in range(n):
                 if forced[i]:
@@ -317,10 +317,12 @@ def oracle_scan_csv_kinds(path) -> dict[str, str]:
                 elif isinstance(cell, (int, float)):
                     present[i] = nonbool[i] = True
                     floaty[i] = floaty[i] or isinstance(cell, float)
+                    if isinstance(cell, int) and not -(2**63) <= cell < 2**63:
+                        wide[i] = True
                 else:
                     forced[i] = True
     return {
-        name: coercion_kind(forced[i], present[i], not nonbool[i], floaty[i], missing[i])
+        name: coercion_kind(forced[i], present[i], not nonbool[i], floaty[i], missing[i], wide[i])
         for i, name in enumerate(header)
     }
 
@@ -372,7 +374,8 @@ def assert_bit_identical(got: DataFrame, want: DataFrame) -> None:
 
 RAW_CELLS = [
     "", "0", "12", "-3", "+7", "007", "-0", "-00", "9007199254740993",
-    "9223372036854775807", "-9223372036854775808",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "-9223372036854775809", "1" + "0" * 308, "-" + "9" * 309,
     "1.5", "-0.0", "+.5", "5.", ".5", "1e3", "2.5E-3", "1e400",
     "1_000", "nan", "inf", "-inf", " 3 ", "3 ", "\t7",
     "True", "False", "true", "x", "e5", ".", "+", "--5",

@@ -1,6 +1,7 @@
 """Unit tests for :mod:`repro.dataframe.io`."""
 
 import csv
+import re
 import sys
 
 import numpy as np
@@ -177,6 +178,27 @@ class TestNumericOverflow:
         identical, detail = frames_identical(concat_shards(shards), whole)
         assert identical, detail
 
+    @pytest.mark.parametrize("tail", ["", "\n2.5"], ids=["ints", "then-a-float"])
+    def test_schema_less_shards_rejoin_to_the_whole_read(self, tmp_path, tail):
+        """Unpinned, the shard holding the wide cell is object and the
+        others int64 (or float64); concat re-coerces through Series list
+        coercion, which applies the same int64 rule as the CSV codec."""
+        path = tmp_path / "t.csv"
+        cells = [str(i) for i in range(5000)]
+        cells[4500] = str(10**30)
+        path.write_text("a\n" + "\n".join(cells) + tail + "\n")
+        whole = read_csv(path)
+        shards = list(read_csv_shards(path, 4096))
+        assert [shard.frame["a"].values.dtype for shard in shards] == [
+            np.int64, whole["a"].values.dtype if tail else object
+        ]
+        identical, detail = frames_identical(concat_shards(shards), whole)
+        assert identical, detail
+        identical, detail = frames_identical(
+            DataFrame({"a": Series(whole["a"].tolist(), "a")}), whole
+        )
+        assert identical, detail
+
     def test_wide_int_with_a_float_or_missing_cell_is_a_float_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("f,m\n99999999999999999999,99999999999999999999\n1.5,\n")
@@ -207,6 +229,16 @@ class TestNumericOverflow:
         path.write_text("f\n-0\n-0.0\n-00\n1.5\n")
         values = read_csv(path)["f"].values
         assert np.signbit(values).tolist() == [False, True, False, False]
+
+
+def test_codec_regexes_compile_on_every_supported_python(capsys):
+    """Possessive quantifiers and atomic groups compile only from Python
+    3.11; the codec's regexes must parse on the oldest supported one."""
+    for regex in (io._INT_CELL, io._FLOAT_CELL, io._INT_LINES, io._NUMBER_LINES,
+                  io._TYPED_LINE, io._QUOTE_CHARS):
+        re.compile(regex.pattern, regex.flags | re.DEBUG)
+    dump = capsys.readouterr().out
+    assert "POSSESSIVE" not in dump and "ATOMIC" not in dump
 
 
 def test_serving_table_decodes_without_per_cell_parsing(tmp_path, monkeypatch):

@@ -39,6 +39,34 @@ class TestConstruction:
         s = Series(["a", None])
         assert s.tolist() == ["a", None]
 
+    def test_int_past_int64_keeps_exact_ints_in_object(self):
+        s = Series([1, 2**63, -(2**63) - 1])
+        assert s.dtype == object
+        assert s.tolist() == [1, 2**63, -(2**63) - 1]
+        assert Series([2**63 - 1, -(2**63)]).dtype == np.int64
+
+    def test_int_past_int64_with_a_float_or_missing_is_float(self):
+        assert Series([2**63, 1.5]).tolist() == [float(2**63), 1.5]
+        s = Series([2**63, None])
+        assert s.dtype == np.float64
+        assert s[0] == float(2**63) and math.isnan(s[1])
+
+    def test_int_past_a_floats_range_reads_as_inf(self):
+        """As ``float(text)`` reads the int's text (``"1e400"`` → inf)."""
+        s = Series([10**400, -(10**400), 1.5, None])
+        assert s.dtype == np.float64
+        assert s.tolist()[:3] == [math.inf, -math.inf, 1.5]
+
+    @pytest.mark.parametrize(
+        "mapping", [{"a": 2**70, "b": 1}, {"a": 2**70, "b": 1, "c": 2}, {"a": 10**400, "b": 0.5}]
+    )
+    def test_dict_map_to_wide_ints_matches_the_expanded_list(self, mapping):
+        s = Series(["a", "b", "c", "a"])
+        got = s.map(mapping)
+        want = Series([mapping.get(v) for v in s.tolist()])
+        assert got.dtype == want.dtype
+        assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
+
     def test_from_numpy_copies(self):
         arr = np.array([1.0, 2.0])
         s = Series(arr)
