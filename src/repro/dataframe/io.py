@@ -20,12 +20,15 @@ per cell.
   :func:`~repro.dataframe.kernels.coercion_kind` unchanged, for the
   schema scan and for schema-less shards alike; it is the rule Series
   list coercion follows too, down to an int outside int64 making an int
-  column ``object`` (its cells stay exact Python ints).
+  column ``object`` (its cells stay exact Python ints).  An int text of
+  more than ``_INT_MAX_DIGITS`` digits is a string cell, whatever the
+  interpreter's ``int_max_str_digits`` (:func:`_parse_int`).
 * **Decode** (:func:`_decode_block`).  Each block decodes by its
   column's kind: ints through ``int``, floats through ``float(text)``
-  with empty cells as NaN, a verbatim string block straight into an
-  object array, anything else through :func:`_parse_cell` and Series
-  list coercion.
+  with empty cells as NaN (so a float column pinned by a caller's
+  schema reads an over-long int text as ``±inf``), a verbatim string
+  block straight into an object array, anything else through
+  :func:`_parse_cell` and Series list coercion.
 * **Write** (:func:`to_csv`).  Each numeric or bool column is formatted
   once per distinct value and rows are joined here, one row block at a
   time, under the excel dialect's QUOTE_MINIMAL rule: a cell holding
@@ -105,6 +108,14 @@ _NUMBER_LINES = re.compile(rf"(?:{_NUMBER})?(?:\n(?:{_NUMBER})?)*\Z")
 _TYPED_LINE = re.compile(rf"\n(?:{_NUMBER}|True|False)\n")
 #: Longest int text that always fits int64 (18 digits, or a sign and 17).
 _INT64_SAFE_LEN = 18
+#: Most digits an int cell holds: Python's default ``int`` string limit
+#: (``sys.int_info.default_max_str_digits``), fixed here so that the
+#: interpreter's own setting never changes a read.  A longer digit run
+#: is a string cell.
+_INT_MAX_DIGITS = 4300
+#: Digits ``int`` converts under every ``int_max_str_digits`` setting
+#: (``sys.int_info.str_digits_check_threshold``).
+_INT_SAFE_DIGITS = 640
 #: Most rows one codec block holds: the CSV decoder's row lists before
 #: each transpose, and the rows :func:`to_csv` joins per write.
 _BLOCK_ROWS = 4096
@@ -124,14 +135,15 @@ def _parse_cell(text: str):
     Numeric parsing follows the strict grammar above; ``"True"`` and
     ``"False"`` (exactly — the spelling :func:`to_csv` writes) parse as
     booleans so boolean columns survive a CSV round trip.  Everything
-    else is kept verbatim as a string.  The block codec calls this only
-    for blocks its regexes cannot settle.
+    else, an int of more than ``_INT_MAX_DIGITS`` digits included, is
+    kept verbatim as a string.  The block codec calls this only for
+    blocks its regexes cannot settle.
     """
     if text == "":
         return None
     if text[0] in _NUMBER_LEADS:
         if _INT_CELL.match(text):
-            return int(text)
+            return _parse_int(text)
         if _FLOAT_CELL.match(text):
             return float(text)
         return text
@@ -140,6 +152,25 @@ def _parse_cell(text: str):
     if text == "False":
         return False
     return text
+
+
+def _parse_int(text: str) -> int | str:
+    """An int-grammar cell as an ``int``, or *text* itself when it has
+    more than ``_INT_MAX_DIGITS`` digits.
+
+    ``int`` only ever sees at most ``_INT_SAFE_DIGITS`` digits at a time,
+    so the result does not depend on ``sys.set_int_max_str_digits``.
+    """
+    if len(text) <= _INT_SAFE_DIGITS:
+        return int(text)
+    digits = text.lstrip("+-")
+    if len(digits) > _INT_MAX_DIGITS:
+        return text
+    value = 0
+    for start in range(0, len(digits), _INT_SAFE_DIGITS):
+        piece = digits[start : start + _INT_SAFE_DIGITS]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text[0] == "-" else value
 
 
 def _read_header(reader, path: str | Path) -> list[str] | None:
@@ -326,14 +357,10 @@ def _block_flags(cells: tuple[str, ...]) -> _Seen:
     joined = "\n".join(cells)
     if joined.count("\n") == n - 1:  # no cell holds a newline: a line is a cell
         if _INT_LINES.match(joined):
-            if max(map(len, cells)) > _INT64_SAFE_LEN and not all(
-                _INT64_MIN <= int(text) <= _INT64_MAX
-                for text in cells
-                if len(text) > _INT64_SAFE_LEN
-            ):
-                seen |= _Seen.WIDE
-            return seen | _Seen.NUMBER
-        if _NUMBER_LINES.match(joined):
+            return seen | _int_flags(cells)
+        # A number line longer than an int cell may be an int-grammar
+        # string, which only the per-cell path below tells apart.
+        if _NUMBER_LINES.match(joined) and max(map(len, cells)) <= _INT_MAX_DIGITS:
             return seen | _Seen.NUMBER | _Seen.FLOAT
     if _verbatim(cells):
         return seen | _Seen.OBJECT
@@ -355,6 +382,19 @@ def _block_flags(cells: tuple[str, ...]) -> _Seen:
     if wide:
         seen |= _Seen.WIDE
     return seen
+
+
+def _int_flags(cells: tuple[str, ...]) -> _Seen:
+    """Flags of a block whose every line is int-or-empty: only a cell
+    too long for int64 is parsed, and one past ``_INT_MAX_DIGITS``
+    digits is a string (:func:`_parse_int`)."""
+    flags = _Seen.NUMBER
+    for value in map(_parse_int, [text for text in cells if len(text) > _INT64_SAFE_LEN]):
+        if type(value) is str:
+            return _Seen.OBJECT
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            flags |= _Seen.WIDE
+    return flags
 
 
 def _verbatim(cells: tuple[str, ...]) -> bool:
@@ -416,11 +456,13 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> np.ndarray:
 
 def _decode_numbers(cells: tuple[str, ...], parse, dtype) -> np.ndarray:
     """*cells* through *parse* (``int`` or ``float``) into *dtype*; empty
-    and bool cells are respelled only when a block holds one."""
+    and bool cells are respelled, and ints go through :func:`_parse_int`,
+    only when a block holds a cell the plain call refuses."""
     try:
         return np.fromiter(map(parse, cells), dtype, len(cells))
-    except ValueError:  # an empty or bool cell
+    except ValueError:  # an empty or bool cell, or an int past int's limit
         texts = map(_NUMBER_WORDS.get, cells, cells)
+        parse = _parse_int if parse is int else parse
         return np.fromiter(map(parse, texts), dtype, len(cells))
 
 

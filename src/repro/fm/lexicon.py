@@ -10,11 +10,19 @@ drive which operators the simulated FM proposes and with what parameters
 The lexicon deliberately works better with descriptions than with bare
 abbreviated names — reproducing the paper's "Impact of Feature
 Descriptions" finding that opaque names like ``FSW.1`` degrade output.
+
+Cost model: each role's keywords compile once, at import, into one
+containment regex and one ``str.startswith`` prefix tuple, and
+:func:`infer_role` and :func:`tokenize_identifier` are memoized on their
+string arguments (bounded LRU caches).  A role is resolved once per
+distinct column text per process, so the simulator's per-call cost is
+O(prompt), independent of the lexicon's size.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 
 __all__ = ["ColumnRole", "infer_role", "tokenize_identifier"]
@@ -70,15 +78,46 @@ _ROLE_KEYWORDS: list[tuple[ColumnRole, tuple[str, ...]]] = [
 ]
 
 
+def _compile_roles() -> list[tuple[ColumnRole, re.Pattern[str], tuple[str, ...]]]:
+    """Each role's keywords as ``(role, needles, prefixes)``.
+
+    A keyword matches a haystack (``" " + " ".join(tokens) + " "``) when
+    its needle (the keyword itself if it starts or ends with a space,
+    else ``" " + keyword``) occurs in it, or when the stripped haystack
+    starts with the stripped keyword (so ``" id"`` matches any name
+    starting with ``id``).  A role's needles become one regex
+    alternation and its prefixes one tuple: two C-level calls per
+    haystack.
+    """
+    compiled = []
+    for role, keywords in _ROLE_KEYWORDS:
+        needles = [k if k.startswith(" ") or k.endswith(" ") else f" {k}" for k in keywords]
+        pattern = re.compile("|".join(map(re.escape, needles)))
+        compiled.append((role, pattern, tuple(k.strip() for k in keywords)))
+    return compiled
+
+
+_ROLE_MATCHERS = _compile_roles()
+#: Entries each memo keeps.  Fitting all nine evaluation datasets at
+#: two seeds resolves 490 distinct roles from 873 distinct strings.
+_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _tokens(name: str) -> tuple[str, ...]:
+    spaced = re.sub(r"([a-z0-9])([A-Z])", r"\1 \2", name)
+    spaced = re.sub(r"[_\.\-/,:]+", " ", spaced)
+    return tuple(spaced.lower().split())
+
+
 def tokenize_identifier(name: str) -> list[str]:
     """Split an identifier into lowercase word tokens.
 
     Handles snake_case, camelCase, dotted abbreviations, and digits:
     ``"AgeOfCar"`` → ``["age", "of", "car"]``; ``"FSW.1"`` → ``["fsw", "1"]``.
+    The tokens are memoized; each call returns a fresh list.
     """
-    spaced = re.sub(r"([a-z0-9])([A-Z])", r"\1 \2", name)
-    spaced = re.sub(r"[_\.\-/,:]+", " ", spaced)
-    return [t for t in spaced.lower().split() if t]
+    return list(_tokens(name))
 
 
 _POSITIVE_STAT_WORDS = frozenset(
@@ -97,7 +136,7 @@ def stat_polarity(name: str, description: str = "") -> int:
     which is why differentials/ratios of opposing stats rank highly in its
     binary-operator proposals.
     """
-    tokens = set(tokenize_identifier(name)) | set(tokenize_identifier(description))
+    tokens = set(_tokens(name)).union(_tokens(description))
     positive = bool(tokens & _POSITIVE_STAT_WORDS)
     negative = bool(tokens & _NEGATIVE_STAT_WORDS)
     if positive and not negative:
@@ -112,18 +151,28 @@ def infer_role(name: str, description: str = "", dtype: str = "") -> ColumnRole:
 
     The description dominates when present (an FM reads the data card); a
     bare cryptic name often yields :attr:`ColumnRole.UNKNOWN` — which is
-    what degrades SMARTFEAT's output in the names-only ablation.
+    what degrades SMARTFEAT's output in the names-only ablation.  Roles
+    are memoized per ``(name, description, dtype)``.
     """
-    haystacks = []
+    return _cached_role(name, description, dtype)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_role(name: str, description: str, dtype: str) -> ColumnRole:
+    return _match_role(name, description, dtype)
+
+
+def _match_role(name: str, description: str, dtype: str) -> ColumnRole:
+    """The uncached matcher: the first role in lexicon order whose
+    keywords match the description's or the name's haystack."""
+    texts = [" ".join(_tokens(name))]
     if description:
-        haystacks.append(" " + " ".join(tokenize_identifier(description)) + " ")
-    haystacks.append(" " + " ".join(tokenize_identifier(name)) + " ")
-    for role, keywords in _ROLE_KEYWORDS:
-        for haystack in haystacks:
-            for keyword in keywords:
-                needle = keyword if keyword.startswith(" ") or keyword.endswith(" ") else f" {keyword}"
-                if needle in haystack or haystack.strip().startswith(keyword.strip()):
-                    return role
+        texts.insert(0, " ".join(_tokens(description)))
+    haystacks = [(f" {text} ", text) for text in texts]
+    for role, needles, prefixes in _ROLE_MATCHERS:
+        for haystack, text in haystacks:
+            if needles.search(haystack) or text.startswith(prefixes):
+                return role
     if dtype == "categorical":
         return ColumnRole.CATEGORY
     return ColumnRole.UNKNOWN

@@ -6,7 +6,9 @@ and the CAAFE baseline.  It sees *only the prompt text* — never the raw
 dataframe — exactly like a real FM:
 
 * column semantics come from :mod:`repro.fm.lexicon` applied to the names
-  and descriptions serialised into the prompt's data agenda;
+  and descriptions serialised into the prompt's data agenda (a role is
+  resolved once per distinct column text per process, so a call costs
+  O(prompt): parsing the agenda, never rescanning the lexicon);
 * open-world answers come from :mod:`repro.fm.knowledge`;
 * executable code comes from :mod:`repro.fm.codegen`;
 * sampling-strategy diversity comes from a seeded generator keyed on the
@@ -33,7 +35,7 @@ from repro.fm.base import Budget, FMClient
 from repro.fm.codegen import derivation_tag, generate_transform_source
 from repro.fm.cost import CostModel
 from repro.fm.knowledge import KnowledgeStore, default_knowledge
-from repro.fm.lexicon import ColumnRole, infer_role, stat_polarity
+from repro.fm.lexicon import ColumnRole, infer_role, stat_polarity, tokenize_identifier
 
 __all__ = ["AgendaView", "SimulatedFM"]
 
@@ -91,7 +93,12 @@ class AgendaView:
 
 
 def parse_agenda(prompt: str) -> AgendaView:
-    """Extract the serialised data agenda from a prompt."""
+    """Extract the serialised data agenda from a prompt.
+
+    Each feature line's role comes from the memoized :func:`infer_role`,
+    so a column is matched against the lexicon once per process, not
+    once per call.
+    """
     view = AgendaView()
     title = _TITLE_LINE.search(prompt)
     if title:
@@ -381,8 +388,6 @@ class SimulatedFM(FMClient):
     def _is_opportunity_stat(cls, info: _FeatureInfo) -> bool:
         """True for "chances" stats (created/attempted) — natural ratio
         denominators."""
-        from repro.fm.lexicon import tokenize_identifier
-
         tokens = set(tokenize_identifier(info.name)) | set(tokenize_identifier(info.description))
         return bool(tokens & cls._OPPORTUNITY_WORDS)
 
@@ -390,8 +395,6 @@ class SimulatedFM(FMClient):
     def _shared_concept(cls, a: _FeatureInfo, b: _FeatureInfo) -> bool:
         """True when two columns describe the same underlying quantity
         (≥2 shared content words in their descriptions)."""
-        from repro.fm.lexicon import tokenize_identifier
-
         words_a = set(tokenize_identifier(a.description)) - cls._STOPWORDS
         words_b = set(tokenize_identifier(b.description)) - cls._STOPWORDS
         return len(words_a & words_b) >= 2

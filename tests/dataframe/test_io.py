@@ -231,6 +231,123 @@ class TestNumericOverflow:
         assert np.signbit(values).tolist() == [False, True, False, False]
 
 
+class TestOverlongIntCell:
+    """An int text of more than 4300 digits (Python's default ``int``
+    string limit) is a string cell: reading it never raises, and never
+    depends on the interpreter's ``int_max_str_digits``."""
+
+    BIG = "1" * 5000
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a\n{self.BIG}\n2\n")
+        return path
+
+    def test_reads_as_its_verbatim_string(self, path):
+        back = read_csv(path)
+        assert back["a"].values.dtype == object
+        assert back["a"].tolist() == [self.BIG, 2]
+        assert scan_csv_kinds(path) == {"a": "object"}
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, sys.maxsize])
+    @pytest.mark.parametrize("pinned", [True, False], ids=["scan", "schema-less"])
+    def test_every_csv_path_agrees(self, path, chunk_rows, pinned):
+        whole = read_csv(path)
+        schema = scan_csv_kinds(path) if pinned else None
+        shards = list(read_csv_shards(path, chunk_rows, schema))
+        identical, detail = frames_identical(concat_shards(shards), whole)
+        assert identical, detail
+
+    def test_to_csv_keeps_the_text(self, path, tmp_path):
+        out = tmp_path / "out.csv"
+        to_csv(read_csv(path), out)
+        assert out.read_text().split() == ["a", self.BIG, "2"]
+        assert read_csv(out)["a"].tolist() == [self.BIG, 2]
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_the_limit_counts_digits_not_the_sign(self, tmp_path, sign):
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b\n{sign}{'7' * 4300},{sign}{'7' * 4301}\n")
+        back = read_csv(path)
+        assert back["a"].tolist() == [int(f"{sign}{'7' * 4300}")]
+        assert back["b"].tolist() == [f"{sign}{'7' * 4301}"]
+
+    def test_every_block_path_reads_it_as_a_string(self, tmp_path):
+        """Int lines, number lines and the per-cell fallback alike; a
+        long float text is still a float."""
+        path = tmp_path / "t.csv"
+        long_float = "1" * 5000 + ".5"
+        path.write_text(
+            f"i,n,m,g\n{self.BIG},1.5,True,{long_float}\n3,{self.BIG},{self.BIG},2\n"
+        )
+        back = read_csv(path)
+        assert back["i"].tolist() == [self.BIG, 3]
+        assert back["n"].tolist() == [1.5, self.BIG]
+        assert back["m"].tolist() == [True, self.BIG]
+        assert back["g"].values.dtype == np.float64
+        assert back["g"].tolist() == [float("inf"), 2.0]
+        assert scan_csv_kinds(path) == {"i": "object", "n": "object", "m": "object", "g": "float"}
+
+    def test_a_float_column_pinned_by_schema_reads_inf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"f\n1.5\n{self.BIG}\n-{self.BIG}\n")
+        for chunk_rows in (1, 2, sys.maxsize):
+            shards = read_csv_shards(path, chunk_rows, {"f": "float"})
+            values = concat_shards(shards)["f"]
+            assert values.values.dtype == np.float64
+            assert values.tolist() == [1.5, float("inf"), float("-inf")]
+
+    @pytest.fixture
+    def mixed_path(self, tmp_path):
+        """An over-long int, a 1000-digit int (object: past int64) and a
+        701-character int64 with leading zeros, each in an int column."""
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b,c\n{self.BIG},{'9' * 1000},{'0' * 700}5\n2,3,4\n")
+        return path
+
+    def test_int_is_never_called_on_it(self, mixed_path, monkeypatch):
+        def checked_int(text, *args):
+            assert len(text.lstrip("+-")) <= 4300, len(text)
+            return int(text, *args)
+
+        monkeypatch.setattr(io, "int", checked_int, raising=False)
+        back = read_csv(mixed_path)
+        assert back["a"].tolist() == [self.BIG, 2]
+        schema = scan_csv_kinds(mixed_path)
+        for chunk_rows in (1, 2):
+            for pinned in (schema, None):
+                shards = read_csv_shards(mixed_path, chunk_rows, pinned)
+                identical, detail = frames_identical(concat_shards(shards), back)
+                assert identical, detail
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+    )
+    @pytest.mark.parametrize("limit", [640, 0])
+    def test_the_int_digit_limit_setting_changes_nothing(self, mixed_path, limit):
+        """Read under the lowest limit and under none: the same frames
+        as under the default, and the setting is left as it was."""
+        default = sys.get_int_max_str_digits()
+        expect = read_csv(mixed_path)
+        assert expect["b"].tolist() == [int("9" * 1000), 3]
+        assert expect["c"].values.dtype == np.int64
+        sys.set_int_max_str_digits(limit)
+        try:
+            schema = scan_csv_kinds(mixed_path)
+            reads = [read_csv(mixed_path)] + [
+                concat_shards(read_csv_shards(mixed_path, chunk_rows, pinned))
+                for chunk_rows in (1, 2)
+                for pinned in (schema, None)
+            ]
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(default)
+        for back in reads:
+            identical, detail = frames_identical(back, expect)
+            assert identical, detail
+
+
 def test_codec_regexes_compile_on_every_supported_python(capsys):
     """Possessive quantifiers and atomic groups compile only from Python
     3.11; the codec's regexes must parse on the oldest supported one."""
