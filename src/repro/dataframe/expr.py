@@ -25,16 +25,38 @@ reshape kernels, and the segmented group machinery) rather than raw
 numpy — those carry the package's exact missingness and dtype-coercion
 rules, which is what makes bit-identical replay provable.
 
-String work reads each column's cached dictionary encoding
-(:meth:`Series.encoding`): a batch encodes each object column once,
-every string op (``str_len``, ``date_split``, ``split_parts``,
-``dummies``, ``dict_map``) runs over the batch's distinct values and
-gathers its result by code, and ``group_lookup`` maps those distinct
-values onto a table compiled once per node (:class:`_GroupTable`).
+String work runs over column dictionaries
+(:mod:`repro.dataframe.dictionary`).  A compiled
+:class:`~repro.serve.plan.FeaturePlan` holds one per string column it
+reads: the column's distinct values, a ``{value: id}`` index, and
+per-entry results of the ops that read the column.  The cost model of
+one served batch:
+
+* each all-plain-``str`` column costs one type pass and one ``index.get``
+  pass over its cells, however many features read it, and only the
+  values the dictionary has not seen are added; the codes are kept on
+  the Series, so serving the same Series again skips both passes;
+* ``str_len``, ``date_split``, ``split_parts``, ``dict_map`` and the
+  ``group_lookup`` key ids are computed once per distinct value over the
+  plan's lifetime and gathered by code; ``dummies`` compares codes with
+  each category's id;
+* any other column (``None``, NaN, ``np.str_`` or numbers among its
+  cells), and any batch bringing new values to a full dictionary, is
+  encoded per batch through :meth:`Series.encoding` into a throwaway
+  dictionary and pays per distinct value of the batch, as every column
+  does when :func:`evaluate_feature` is called without a plan's lookup
+  (fit, compile, tests) — there is one op code path.
+
+Every per-entry result is a function of one value, and validity (an ISO
+date, a NUL-free split) is judged over the entries a batch holds, so a
+batch's output never depends on what the plan served before.
+``group_lookup`` maps key ids onto a table compiled once per node
+(:class:`_GroupTable`).
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from itertools import repeat
 from typing import Any
@@ -43,6 +65,8 @@ import numpy as np
 
 from repro.dataframe import kernels as _kernels
 from repro.dataframe import reshape as _reshape
+from repro.dataframe import dictionary as _dictionary
+from repro.dataframe.dictionary import ColumnDictionaries
 from repro.dataframe.series import Series
 
 __all__ = [
@@ -164,6 +188,60 @@ def expr_columns(node: dict) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# Per-entry derivations (each a function of one value at a time)
+# ----------------------------------------------------------------------
+def _str_lengths(values: list) -> tuple[np.ndarray]:
+    return (np.fromiter(map(len, values), np.int64, len(values)),)
+
+
+def _split_fields(values: list, sep: str, n_parts: int) -> tuple[np.ndarray, ...]:
+    """``(valid, part 0, part 1, …)`` of ``str.split`` per value.
+
+    A value holding a NUL is not valid (fixed-width ``U`` arrays drop
+    trailing NULs) and its parts are ``None``; a column holding one takes
+    the per-row loop.
+    """
+    n = len(values)
+    valid = ~np.fromiter(map(operator.contains, values, repeat("\x00")), bool, n)
+    if valid.all():
+        return (valid, *_split_parts(values, sep, n_parts))
+    rows = np.flatnonzero(valid)
+    columns = [np.empty(n, dtype=object) for _ in range(n_parts)]
+    kept = _split_parts([values[i] for i in rows.tolist()], sep, n_parts)
+    for column, part in zip(columns, kept):
+        column[rows] = part
+    return (valid, *columns)
+
+
+def _split_parts(values: list, sep: str, n_parts: int) -> list[np.ndarray]:
+    """Vectorized ``str.split`` of NUL-free values via repeated
+    ``np.char.partition``: each partition peels one piece, and values
+    whose previous partition found no separator have no further pieces,
+    matching ``pieces[i] if i < len(pieces) else None``."""
+    out = [np.empty(len(values), dtype=object) for _ in range(n_parts)]
+    if not values:
+        return out
+    rest = np.array(values, dtype=str)
+    has_piece = np.ones(len(values), dtype=bool)
+    for column in out:
+        parts = np.char.partition(rest, sep)
+        column[:] = np.char.strip(parts[:, 0]).tolist()
+        column[~has_piece] = None
+        has_piece &= parts[:, 1] != ""
+        rest = parts[:, 2]
+    return out
+
+
+def _mapped(values: list, node: dict) -> tuple[np.ndarray]:
+    mapping = dict(zip(node["keys"], node["values"]))
+    return (np.fromiter(map(mapping.get, values), object, len(values)),)
+
+
+def _table_ids(values: list, table_ids: dict) -> tuple[np.ndarray]:
+    return (np.fromiter(map(table_ids.get, values, repeat(-1)), np.int64, len(values)),)
+
+
+# ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
 def _col(frame, name: str) -> Series:
@@ -178,7 +256,7 @@ def _col(frame, name: str) -> Series:
     return frame[name]
 
 
-def _operand(node: dict, frame) -> Any:
+def _operand(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Any:
     """Evaluate an arithmetic operand: ``const`` → scalar, else Series.
 
     Scalar constants must stay plain Python numbers so the Series
@@ -187,24 +265,27 @@ def _operand(node: dict, frame) -> Any:
     """
     if node["op"] == "const":
         return node["value"]
-    return _evaluate(node, frame)
+    return _evaluate(node, frame, dictionaries)
 
 
-def _evaluate(node: dict, frame) -> Series:
+def _evaluate(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
     op = node["op"]
     if op == "col":
         return _col(frame, node["name"])
     if op in _ARITH:
-        return _ARITH[op](_operand(node["left"], frame), _operand(node["right"], frame))
+        return _ARITH[op](
+            _operand(node["left"], frame, dictionaries), _operand(node["right"], frame, dictionaries)
+        )
     if op == "clip":
-        return _evaluate(node["arg"], frame).clip(node.get("lower"), node.get("upper"))
+        arg = _evaluate(node["arg"], frame, dictionaries)
+        return arg.clip(node.get("lower"), node.get("upper"))
     if op == "ufunc":
         fn = node["fn"]
         if fn not in _UFUNCS:
             raise ExprError(f"unknown ufunc {fn!r}")
-        return _evaluate(node["arg"], frame).apply(_UFUNCS[fn])
+        return _evaluate(node["arg"], frame, dictionaries).apply(_UFUNCS[fn])
     if op == "where_nonzero":
-        arg = _evaluate(node["arg"], frame)
+        arg = _evaluate(node["arg"], frame, dictionaries)
         return arg.where(arg != 0)
     if op == "isna_int":
         return _col(frame, node["column"]).isna().astype(int)
@@ -218,20 +299,19 @@ def _evaluate(node: dict, frame) -> Series:
     if op == "qcut_collapsed":
         return _eval_qcut_collapsed(_col(frame, node["column"]))
     if op == "dict_map":
-        mapping = dict(zip(node["keys"], node["values"]))
-        return _col(frame, node["column"]).map(mapping)
+        return _eval_dict_map(node, frame, dictionaries)
     if op == "fillna":
-        return _evaluate(node["arg"], frame).fillna(node["value"])
+        return _evaluate(node["arg"], frame, dictionaries).fillna(node["value"])
     if op == "str_len":
         series = _col(frame, node["column"])
-        encoded = _str_encoding(series)
+        encoded = _dictionary.strings(dictionaries, node["column"], series)
         if encoded is None:
             return series.str.len()
-        codes, uniques = encoded
-        lengths = np.fromiter(map(len, uniques), np.int64, len(uniques))
+        codes, dictionary = encoded
+        (lengths,) = dictionary.derive("str_len", None, _str_lengths)
         return Series._from_array(lengths[codes], series.name)
     if op == "group_lookup":
-        return _eval_group_lookup(node, frame)
+        return _eval_group_lookup(node, frame, dictionaries)
     if op in _MULTI_OUTPUT:
         raise ExprError(f"multi-output op {op!r} must be evaluated via evaluate_feature()")
     if op == "const":
@@ -255,12 +335,18 @@ def _eval_qcut_collapsed(series: Series) -> Series:
     return Series._from_array(np.where(missing, np.nan, 0.0), series.name)
 
 
-def _str_encoding(series: Series) -> tuple[np.ndarray, list] | None:
-    """``(codes, uniques)`` of an all-``str`` column, else ``None``."""
-    encoded = series.encoding()
-    if encoded is None or encoded[2] is None:
-        return None
-    return encoded[0], encoded[1]
+def _eval_dict_map(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
+    """``Series.map`` of the node's mapping: per-entry mapped values
+    gathered by code (unused entries cannot sway the output dtype)."""
+    series = _col(frame, node["column"])
+    encoded = _dictionary.strings(dictionaries, node["column"], series)
+    if encoded is None:
+        return series.map(dict(zip(node["keys"], node["values"])))
+    codes, dictionary = encoded
+    (mapped,) = dictionary.derive(
+        ("dict_map", id(node)), node, lambda values: _mapped(values, node)
+    )
+    return Series._from_array(_kernels.take_uniques(mapped, codes), series.name)
 
 
 def _unbox(value: Any) -> Any:
@@ -313,37 +399,33 @@ class _GroupTable:
         for i, row in zip(slot.tolist(), rows):
             self.values[i] = row[-1]
 
-    def key_ids_per_row(self, j: int, series: Series) -> np.ndarray:
+    def key_ids_per_row(
+        self, node: dict, j: int, series: Series, dictionaries: ColumnDictionaries | None
+    ) -> np.ndarray:
         """Row ids of key *j* in this table (``-1`` unseen).
 
-        The batch column's distinct values (its cached
-        :meth:`Series.encoding`) are mapped to table ids from whichever
-        side is smaller and gathered by code.  A missing cell (code
-        ``-1``) never matches, except that ``None`` finds a table
-        ``None`` key; the rows are scanned for it only when the table has
-        such a key and the column has a missing code.
+        Each dictionary entry of the key column is mapped to its table id
+        once (memoized per entry until the node's table is refrozen) and
+        gathered by code.  A missing cell (code ``-1``) never matches,
+        except that ``None`` finds a table ``None`` key; the rows are
+        scanned for it only when the table has such a key and the column
+        is not all plain ``str``.
         """
-        encoded = series.encoding()
+        name = node["keys"][j]
+        encoded = _dictionary.encoded(dictionaries, name, series)
         if encoded is None:
             raise TypeError(f"group key {series.name!r} holds unhashable cells")
-        codes, uniques, index = encoded
+        codes, dictionary = encoded
         table_ids = self.key_ids[j]
+        (ids,) = dictionary.derive(
+            ("group_lookup", id(node), j),
+            node["table"],
+            lambda values: _table_ids(values, table_ids),
+        )
         # One extra trailing entry: a missing cell's code of -1 reads -1.
-        ids = np.full(len(uniques) + 1, -1, dtype=np.int64)
-        if index is not None and len(table_ids) < len(uniques):
-            # Fewer table keys than batch values: probe the batch's index.
-            found = np.fromiter(
-                map(index.get, table_ids, repeat(-1)), np.int64, len(table_ids)
-            )
-            hit = found >= 0
-            ids[found[hit]] = np.flatnonzero(hit)
-        else:
-            ids[:-1] = np.fromiter(
-                map(table_ids.get, uniques, repeat(-1)), np.int64, len(uniques)
-            )
-        per_row = ids[codes]
+        per_row = np.append(ids, -1)[codes]
         none_id = table_ids.get(None)
-        if none_id is not None and index is None and series.dtype == object:
+        if none_id is not None and dictionary.index is None and series.dtype == object:
             missing = np.flatnonzero(codes < 0)
             cells = series.values[missing]
             is_none = np.fromiter((v is None for v in cells), bool, len(cells))
@@ -370,7 +452,8 @@ class _GroupTable:
 #: :func:`refreeze_group_table` (which installs a new list) invalidates
 #: it and the recompile replaces it in place.  Holding the table keeps
 #: that identity check sound after a dead node's id is reused.  Bounded
-#: FIFO; entries of discarded plans age out.
+#: FIFO; entries of discarded plans age out.  The per-entry table ids in
+#: column dictionaries are keyed on the same table list.
 _COMPILED_TABLES: dict[int, tuple[list, _GroupTable]] = {}
 _COMPILED_TABLES_MAX = 256
 _COMPILED_TABLES_LOCK = threading.Lock()
@@ -391,23 +474,25 @@ def _compiled_table(node: dict) -> _GroupTable:
     return compiled
 
 
-def _eval_group_lookup(node: dict, frame) -> Series:
+def _eval_group_lookup(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
     """Broadcast a frozen per-group table along the batch.
 
     The table is compiled once per node (:class:`_GroupTable`).  Per
-    batch, each key column's distinct values (its cached
-    :meth:`Series.encoding`) are mapped to the table's key ids — from
-    whichever side is smaller — and gathered by code; the ids combine
-    into one value slot per row.  Unseen groups, and NaN keys, take
-    ``fill``.  Only the slots present in the batch are materialized, so
-    the output dtype follows the groups the batch holds, as the fitted
-    ``transform`` did.
+    batch, each key column's codes are mapped to the table's key ids
+    through its dictionary (:meth:`_GroupTable.key_ids_per_row`); the
+    ids combine into one value slot per row.  Unseen groups, and NaN
+    keys, take ``fill``.  Only the slots present in the batch are
+    materialized, so the output dtype follows the groups the batch
+    holds, as the fitted ``transform`` did.
     """
     if len(frame) == 0:
         return Series([])
     compiled = _compiled_table(node)
     slots = compiled.slots(
-        [compiled.key_ids_per_row(j, frame[key]) for j, key in enumerate(node["keys"])]
+        [
+            compiled.key_ids_per_row(node, j, frame[key], dictionaries)
+            for j, key in enumerate(node["keys"])
+        ]
     )
     seen = np.zeros(len(compiled.values), dtype=bool)
     seen[slots] = True
@@ -437,98 +522,101 @@ def _broadcast_per_group(per: list, inverse: np.ndarray, value_kind: str) -> Ser
     return Series._from_array(arr[inverse])
 
 
-def _eval_date_split(node: dict, frame) -> dict[str, Series]:
+def _eval_date_split(node: dict, frame, dictionaries: ColumnDictionaries | None) -> dict[str, Series]:
     series = _col(frame, node["column"])
     outputs = [(part, name) for part, name in node["outputs"]]
-    encoded = _str_encoding(series)
-    if encoded is not None:
-        codes, uniques = encoded
-        parts = _kernels.iso_date_parts(uniques)
-        if parts is not None and all(part in parts for part, _ in outputs):
+    encoded = _dictionary.strings(dictionaries, node["column"], series)
+    if encoded is not None and all(part in _kernels.ISO_DATE_PARTS for part, _ in outputs):
+        codes, dictionary = encoded
+        valid, *fields = dictionary.derive("date_split", None, _kernels.iso_date_fields)
+        if len(codes) and valid[codes].all():
+            parts = dict(zip(_kernels.ISO_DATE_PARTS, fields))
             return {
                 name: Series._from_array(parts[part][codes], name)
                 for part, name in outputs
             }
+    return _date_split_by_accessor(series, outputs)
+
+
+def _date_split_by_accessor(series: Series, outputs: list) -> dict[str, Series]:
+    """The per-row ``Series.dt`` path: raises for an invalid date, as the
+    fitted transform did."""
     accessor = series.dt
     return {name: getattr(accessor, part).rename(name) for part, name in outputs}
 
 
-def _eval_dummies(node: dict, frame) -> dict[str, Series]:
-    codes, uniques = _col(frame, node["column"])._factorized()
-    position = {u: j for j, u in enumerate(uniques)}
+def _eval_dummies(node: dict, frame, dictionaries: ColumnDictionaries | None) -> dict[str, Series]:
+    name = node["column"]
+    series = _col(frame, name)
+    encoded = _dictionary.encoded(dictionaries, name, series)
+    if encoded is None:
+        codes, uniques = series._factorized()
+        position = {u: j for j, u in enumerate(uniques)}
+    else:
+        codes, dictionary = encoded
+        position = dictionary.index
+        if position is None:
+            position = {u: j for j, u in enumerate(dictionary.values)}
     out: dict[str, Series] = {}
-    for category, name in zip(node["categories"], node["names"]):
+    for category, column in zip(node["categories"], node["names"]):
         j = position.get(category, -2)  # -2 matches nothing, incl. missing (-1)
-        out[name] = Series._from_array((codes == j).astype(np.int64), name)
+        out[column] = Series._from_array((codes == j).astype(np.int64), column)
     return out
 
 
-def _split_parts_fast(uniques: list[str], sep: str, n_parts: int):
-    """Vectorized ``str.split`` via repeated ``np.char.partition``.
-
-    Runs over the distinct values of an all-``str`` column and returns one
-    object array per output part, to be gathered by code; a value with a
-    NUL returns ``None`` (fixed-width ``U`` arrays drop trailing NULs),
-    and the caller keeps the per-row loop.  Each partition peels one
-    piece: values whose previous partition found no separator have no
-    further pieces, matching ``pieces[i] if i < len(pieces) else None``.
-    """
-    if not uniques or any("\x00" in u for u in uniques):
-        return None
-    rest = np.array(uniques, dtype=str)
-    out: list[np.ndarray] = []
-    has_piece = np.ones(len(rest), dtype=bool)
-    for _ in range(n_parts):
-        parts = np.char.partition(rest, sep)
-        column = np.empty(len(rest), dtype=object)
-        column[:] = np.char.strip(parts[:, 0]).tolist()
-        if not has_piece.all():
-            column[~has_piece] = None
-        out.append(column)
-        has_piece = has_piece & (parts[:, 1] != "")
-        rest = parts[:, 2]
-    return out
-
-
-def _eval_split_parts(node: dict, frame) -> dict[str, Series]:
+def _eval_split_parts(node: dict, frame, dictionaries: ColumnDictionaries | None) -> dict[str, Series]:
     sep, names = node["sep"], node["outputs"]
     series = _col(frame, node["column"])
-    encoded = _str_encoding(series)
+    encoded = _dictionary.strings(dictionaries, node["column"], series)
     if encoded is not None:
-        codes, uniques = encoded
-        fast = _split_parts_fast(uniques, sep, len(names))
-        if fast is not None:
+        codes, dictionary = encoded
+        valid, *parts = dictionary.derive(
+            ("split_parts", sep, len(names)),
+            None,
+            lambda values: _split_fields(values, sep, len(names)),
+        )
+        if len(codes) and valid[codes].all():
             return {
                 name: Series._from_array(column[codes], name)
-                for name, column in zip(names, fast)
+                for name, column in zip(names, parts)
             }
-    columns: list[list] = [[] for _ in names]
+    return _split_parts_by_row(series, sep, names)
+
+
+def _split_parts_by_row(series: Series, sep: str, names: list) -> dict[str, Series]:
+    """The per-row ``str.split`` loop, for columns that are not all plain
+    ``str`` or that hold a NUL."""
+    lists: list[list] = [[] for _ in names]
     for value in series.tolist():
         if _kernels.is_missing_scalar(value):
-            for lst in columns:
+            for lst in lists:
                 lst.append(None)
             continue
         pieces = str(value).split(sep)
-        for i, lst in enumerate(columns):
+        for i, lst in enumerate(lists):
             lst.append(pieces[i].strip() if i < len(pieces) else None)
-    return {name: Series(lst, name) for name, lst in zip(names, columns)}
+    return {name: Series(lst, name) for name, lst in zip(names, lists)}
 
 
-def evaluate_feature(node: dict, frame) -> Series | dict[str, Series]:
+def evaluate_feature(
+    node: dict, frame, dictionaries: ColumnDictionaries | None = None
+) -> Series | dict[str, Series]:
     """Evaluate a frozen expression against *frame*.
 
     Single-column expressions return a :class:`Series`; the multi-output
     forms (``date_split``/``dummies``/``split_parts``) return an ordered
-    ``{column name: Series}`` mapping.
+    ``{column name: Series}`` mapping.  A plan passes its
+    *dictionaries*; without them the string ops use throwaway
+    dictionaries (:mod:`repro.dataframe.dictionary`).
     """
     op = node.get("op")
     if op == "date_split":
-        return _eval_date_split(node, frame)
+        return _eval_date_split(node, frame, dictionaries)
     if op == "dummies":
-        return _eval_dummies(node, frame)
+        return _eval_dummies(node, frame, dictionaries)
     if op == "split_parts":
-        return _eval_split_parts(node, frame)
-    return _evaluate(node, frame)
+        return _eval_split_parts(node, frame, dictionaries)
+    return _evaluate(node, frame, dictionaries)
 
 
 # ----------------------------------------------------------------------
@@ -646,8 +734,8 @@ def _freeze_stat(node: dict, frame) -> dict:
 
 def _freeze_or(node: dict, frame) -> dict:
     """``left or right`` over fit-time scalars (``col.std() or 1.0``)."""
-    left = _operand(freeze_expr(node["left"], frame), frame)
-    return _const(left or _operand(freeze_expr(node["right"], frame), frame))
+    left = _operand(freeze_expr(node["left"], frame), frame, None)
+    return _const(left or _operand(freeze_expr(node["right"], frame), frame, None))
 
 
 _FIT_FREEZERS = {

@@ -35,6 +35,11 @@ per cell.
   ``,``, ``"``, ``\\r`` or ``\\n`` is quoted with its quotes doubled,
   and a row of one empty field is written ``""``.
 
+Files are UTF-8 whatever the locale: writes encode UTF-8 without a
+byte-order mark, and reads decode UTF-8 and drop one leading BOM
+(:data:`_READ_ENCODING`), so a spreadsheet's UTF-8 export keeps its
+first column name.
+
 Besides the one-shot :func:`read_csv`/:func:`to_csv` pair, this module
 provides the streaming primitives the sharded fit/serve paths build on:
 
@@ -121,6 +126,8 @@ _INT_SAFE_DIGITS = 640
 _BLOCK_ROWS = 4096
 #: A cell holding one of these is quoted on write (QUOTE_MINIMAL).
 _QUOTE_CHARS = re.compile(r'[,"\r\n]')
+#: Every CSV read decodes UTF-8 and drops one leading byte-order mark.
+_READ_ENCODING = "utf-8-sig"
 
 
 def is_number_cell(text: str) -> bool:
@@ -200,7 +207,8 @@ def read_csv(path: str | Path) -> DataFrame:
     """
     for shard in read_csv_shards(path, sys.maxsize):
         return shard.frame
-    with open(path, newline="") as handle:  # no data rows
+    # No data rows: the header alone.
+    with open(path, newline="", encoding=_READ_ENCODING) as handle:
         header = _read_header(csv.reader(handle), path) or []
     return DataFrame({name: [] for name in header})
 
@@ -226,7 +234,8 @@ def to_csv(
     """
     write_header = (not append) if header is None else header
     arrays = [frame[name].values for name in frame.columns]
-    with open(path, "a" if append else "w", newline="") as handle:
+    mode = "a" if append else "w"
+    with open(path, mode, newline="", encoding="utf-8") as handle:
         if write_header:
             csv.writer(handle).writerow(frame.columns)
         for start in range(0, len(frame), _BLOCK_ROWS):
@@ -483,7 +492,7 @@ def scan_csv_kinds(path: str | Path) -> dict[str, str]:
     Blocks are classified whole (:func:`_block_flags`); a column stops
     being classified once a string cell has made it ``object``.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding=_READ_ENCODING) as handle:
         reader = csv.reader(handle)
         header = _read_header(reader, path)
         if header is None:
@@ -516,7 +525,7 @@ def read_csv_shards(
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding=_READ_ENCODING) as handle:
         reader = csv.reader(handle)
         header = _read_header(reader, path)
         if not header:

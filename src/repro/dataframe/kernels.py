@@ -31,7 +31,8 @@ __all__ = [
     "factorize_values",
     "group_codes",
     "is_missing_scalar",
-    "iso_date_parts",
+    "ISO_DATE_PARTS",
+    "iso_date_fields",
     "match_coerce_float",
     "missing_mask",
     "segmented_agg",
@@ -590,37 +591,40 @@ def sorted_grouping(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 # ----------------------------------------------------------------------
 # Serving replay kernels (plan hot path)
 # ----------------------------------------------------------------------
-def iso_date_parts(strings: Sequence[str]) -> dict[str, np.ndarray] | None:
-    """Date components for a sequence of plain-``str`` ``YYYY-MM-DD`` dates.
+#: The components :func:`iso_date_fields` returns, in order.
+ISO_DATE_PARTS = ("year", "month", "day", "dayofweek")
 
-    One vectorized parse yields every component the date-split operator
-    needs — versus one ``strptime`` per element *per component* on the
-    accessor path.  Callers pass the distinct values of an all-``str``
-    column (its dictionary uniques) and gather by code.  Returns ``None``
-    (caller falls back to the ``Series.dt`` loop) unless every element is
-    a 10-character ASCII ISO date; both paths use the proleptic Gregorian
-    calendar, so the components agree exactly.
+
+def iso_date_fields(strings: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """Per-element date components of plain-``str`` ``YYYY-MM-DD`` dates.
+
+    Returns ``(valid, year, month, day, dayofweek)``: ``valid[i]`` says
+    whether ``strings[i]`` is a 10-character ASCII ISO date of the
+    proleptic Gregorian calendar, and the int64 component arrays hold its
+    parts (zeros where it is not).  One vectorized parse yields every
+    component the date-split operator needs — versus one ``strptime``
+    per element *per component* on the accessor path — and each element
+    is judged on its own, so callers can parse a column's distinct values
+    once and gather by code.  Both paths use the proleptic Gregorian
+    calendar, so the components agree exactly; a caller whose column
+    holds an invalid element must take the accessor path, which raises
+    the same error fitting would have.
     """
-    if not len(strings) or set(map(len, strings)) != {10}:
-        return None
-    try:
-        packed = np.array(strings, dtype="S10")
-    except UnicodeEncodeError:
-        return None
-    mat = packed.view(np.uint8).reshape(len(strings), 10)
-    shape_ok = (mat[:, 4] == ord("-")) & (mat[:, 7] == ord("-"))
+    n = len(strings)
+    valid = np.fromiter(map(len, strings), np.int64, n) == 10
+    valid &= np.fromiter(map(str.isascii, strings), bool, n)
+    rows = np.flatnonzero(valid)
+    kept = strings if len(rows) == n else [strings[i] for i in rows.tolist()]
+    mat = np.array(kept, dtype="S10").view(np.uint8).reshape(len(rows), 10)
+    ok = (mat[:, 4] == ord("-")) & (mat[:, 7] == ord("-"))
     for pos in (0, 1, 2, 3, 5, 6, 8, 9):
         byte = mat[:, pos]
-        shape_ok &= (byte >= ord("0")) & (byte <= ord("9"))
-    if not shape_ok.all():
-        return None
+        ok &= (byte >= ord("0")) & (byte <= ord("9"))
     zero = np.int64(ord("0"))
     digit = lambda pos: mat[:, pos].astype(np.int64) - zero  # noqa: E731
     year = digit(0) * 1000 + digit(1) * 100 + digit(2) * 10 + digit(3)
     month = digit(5) * 10 + digit(6)
     day = digit(8) * 10 + digit(9)
-    # Proleptic-Gregorian validity: an out-of-range date must fall back so
-    # the accessor path raises the same error fitting would have.
     leap = ((year % 4 == 0) & (year % 100 != 0)) | (year % 400 == 0)
     month_ok = (month >= 1) & (month <= 12)
     month_lengths = np.array(
@@ -629,8 +633,7 @@ def iso_date_parts(strings: Sequence[str]) -> dict[str, np.ndarray] | None:
     limit = month_lengths[np.where(month_ok, month, 0)] + (
         (month == 2) & leap
     )
-    if not (month_ok & (day >= 1) & (day <= limit)).all():
-        return None
+    ok &= month_ok & (day >= 1) & (day <= limit)
     # Days since 1970-01-01 by the civil-calendar formula (shifted March
     # years), all integer ufuncs — no per-element parse.
     shifted = year - (month <= 2)
@@ -642,13 +645,17 @@ def iso_date_parts(strings: Sequence[str]) -> dict[str, np.ndarray] | None:
         year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
     )
     day_idx = era * 146097 + day_of_era - 719468
-    return {
-        "year": year,
-        "month": month,
-        "day": day,
-        # 1970-01-01 was a Thursday; Monday == 0 like datetime.weekday().
-        "dayofweek": (day_idx + 3) % 7,
-    }
+    # 1970-01-01 was a Thursday; Monday == 0 like datetime.weekday().
+    fields = (year, month, day, (day_idx + 3) % 7)
+    if len(rows) == n and ok.all():
+        return (ok, *fields)
+    valid[rows] = ok
+    out = [valid]
+    for part in fields:
+        full = np.zeros(n, dtype=np.int64)
+        full[rows[ok]] = part[ok]
+        out.append(full)
+    return tuple(out)
 
 
 def segmented_agg(

@@ -87,13 +87,18 @@ class Series:
         Optional column name carried through operations.
     """
 
-    __slots__ = ("_values", "name", "_grouping_cache", "_encoding_cache")
+    __slots__ = (
+        "_values", "name", "_grouping_cache", "_encoding_cache", "_dictionary_cache"
+    )
 
     def __init__(self, data: Any, name: str | None = None) -> None:
         self._values = _coerce_values(data)
         self.name = name
         self._grouping_cache = None
         self._encoding_cache = None
+        #: This column's codes against a column dictionary, kept by
+        #: :mod:`repro.dataframe.dictionary`; cleared like the caches above.
+        self._dictionary_cache = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -106,6 +111,7 @@ class Series:
         out.name = name
         out._grouping_cache = None
         out._encoding_cache = None
+        out._dictionary_cache = None
         return out
 
     @classmethod
@@ -132,9 +138,9 @@ class Series:
         """The underlying numpy array (no copy).
 
         Writing into this buffer directly bypasses the bookkeeping
-        :meth:`__setitem__` performs (notably :meth:`grouping` and
-        :meth:`encoding` cache invalidation) — mutate through the Series,
-        not the array.
+        :meth:`__setitem__` performs (notably :meth:`grouping`,
+        :meth:`encoding` and column-dictionary cache invalidation) — mutate
+        through the Series, not the array.
         """
         return self._values
 
@@ -184,9 +190,10 @@ class Series:
         return value.item() if isinstance(value, np.generic) else value
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        # In-place mutation invalidates the cached grouping and encoding.
+        # In-place mutation invalidates the cached grouping and encodings.
         self._grouping_cache = None
         self._encoding_cache = None
+        self._dictionary_cache = None
         if isinstance(key, Series):
             key = key.to_numpy()
         if self._values.dtype.kind in "if" and isinstance(value, (int, float, np.number)):

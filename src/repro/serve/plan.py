@@ -7,6 +7,18 @@ source as an explicit fallback.  Plans carry an input-schema fingerprint
 and a schema version: loading validates both, so a plan can never be
 silently replayed against the wrong table shape or by a reader that does
 not understand its encoding.
+
+Replay cost: each plan instance also holds runtime-only column
+dictionaries (:class:`~repro.dataframe.dictionary.ColumnDictionaries`; not
+serialized, not fingerprinted, not compared).  A served batch looks each
+all-plain-``str`` column its string ops read up once against that
+column's dictionary, however many features read it (a Series served
+again keeps its codes and skips the lookup), and the ops gather
+per-entry results computed once per distinct value over the plan's
+lifetime; new values are added up to a fixed cap.  Every other column is
+encoded per batch, as outside a plan.  Outputs are functions of each
+cell alone, so a batch's output never depends on what the plan served
+before.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.dataframe.dictionary import ColumnDictionaries
 from repro.dataframe.expr import ExprError, evaluate_feature, validate_expr
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
@@ -144,6 +157,15 @@ class FeaturePlan:
     schema_version: int = PLAN_SCHEMA_VERSION
     fingerprint: str = ""
     metadata: dict = field(default_factory=dict)
+    #: Runtime state of :meth:`apply_with_report`: grows as batches are
+    #: served, never serialized or compared.
+    _dictionaries: ColumnDictionaries = field(
+        default_factory=ColumnDictionaries,
+        init=False,
+        repr=False,
+        compare=False,
+        metadata={"record": False},
+    )
 
     def __post_init__(self) -> None:
         self.input_schema = [(name, kind) for name, kind in self.input_schema]
@@ -326,7 +348,7 @@ class FeaturePlan:
 
         def default_on(frame: DataFrame):
             if spec.status == "compiled":
-                return evaluate_feature(spec.expr, frame)
+                return evaluate_feature(spec.expr, frame, self._dictionaries)
             return self._run_fallback(spec, frame)
 
         def chaos_on(frame: DataFrame):

@@ -3,10 +3,15 @@
 ``FeatureServer.transform(rows)`` is the production-traffic surface: it
 accepts a :class:`DataFrame` or a list of row dicts, validates the batch
 against the plan's schema fingerprint, and replays the plan's pure-numpy
-program.  Plans are immutable once loaded and replay never mutates shared
-state (per-call frames are per-caller; the one shared write — a Series
-grouping-cache fill — is an idempotent publish of identical data), so one
-server instance is safe under concurrent callers.
+program.  A loaded plan's features are immutable; per-call frames are
+per-caller.  Replay writes shared state in two places, both safe under
+concurrent callers of one server: Series cache fills (each an idempotent
+publish: whichever thread computes a column's encoding or dictionary
+codes computes equal data), and the plan's column dictionaries, which
+grow by publishing a new state under a lock while each batch reads one
+consistent state
+(:class:`~repro.dataframe.dictionary.ColumnDictionaries`).  Neither
+changes any batch's output.
 
 Registry-backed resolution is cached per ``(name, version)``: explicit
 versions are immutable and cached forever; pin-or-latest resolution

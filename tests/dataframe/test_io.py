@@ -1,8 +1,12 @@
 """Unit tests for :mod:`repro.dataframe.io`."""
 
 import csv
+import os
 import re
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,3 +512,97 @@ class TestDecodeBlockBoundaries:
         assert len(next(shards)) == 4096
         with pytest.raises(csv.Error, match="field limit"):
             next(shards)
+
+
+class TestTextEncoding:
+    """CSV files are UTF-8 whatever the locale, and a leading byte-order
+    mark is not part of the first column name."""
+
+    CELLS = ["Zürich", "😀", "naïve, \"quoted\"", "日本語", "plain"]
+
+    @staticmethod
+    def frame() -> DataFrame:
+        cells = TestTextEncoding.CELLS
+        return DataFrame({"città": cells, "n": list(range(len(cells)))})
+
+    def test_four_entry_points_pass_an_encoding(self, tmp_path):
+        """``EncodingWarning`` is raised for any ``open`` that leans on the
+        locale; the child turns it into an error on all four entry points
+        and checks the round trip of non-ASCII cells."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.dataframe import DataFrame
+            from repro.dataframe.io import (
+                concat_shards, read_csv, read_csv_shards, scan_csv_kinds, to_csv,
+            )
+            from repro.serve import frames_identical
+
+            cells = %r
+            frame = DataFrame({"città": cells, "n": list(range(len(cells)))})
+            path = sys.argv[1]
+            to_csv(frame, path)
+            to_csv(frame, path, append=True)
+            expected = DataFrame({"città": cells * 2, "n": list(range(len(cells))) * 2})
+            assert frames_identical(read_csv(path), expected)[0]
+            schema = scan_csv_kinds(path)
+            assert schema == {"città": "object", "n": "int"}, schema
+            shards = list(read_csv_shards(path, 3, schema))
+            assert frames_identical(concat_shards(shards), expected)[0]
+            print("ok")
+            """
+            % (self.CELLS,)
+        )
+        path = tmp_path / "utf8.csv"
+        done = subprocess.run(
+            [
+                sys.executable, "-X", "warn_default_encoding",
+                "-W", "error::EncodingWarning", "-c", script, str(path),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[2])},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+        text = path.read_bytes().decode("utf-8")
+        assert not text.startswith("\ufeff")
+        assert text.count("Zürich") == 2 and text.count("😀") == 2
+
+    def test_written_bytes_are_utf8(self, tmp_path):
+        path = tmp_path / "out.csv"
+        to_csv(self.frame(), path)
+        lines = ["città,n"] + [
+            f'"{c.replace(chr(34), chr(34) * 2)}",{i}' if "," in c else f"{c},{i}"
+            for i, c in enumerate(self.CELLS)
+        ]
+        assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            read_csv,
+            lambda path: concat_shards(read_csv_shards(path, 2)),
+            lambda path: concat_shards(read_csv_shards(path, 2, scan_csv_kinds(path))),
+        ],
+        ids=["read_csv", "read_csv_shards", "scanned_shards"],
+    )
+    def test_one_leading_bom_is_dropped(self, tmp_path, reader):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        to_csv(self.frame(), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        identical, detail = frames_identical(reader(marked), reader(plain))
+        assert identical, detail
+        assert scan_csv_kinds(marked) == scan_csv_kinds(plain)
+
+    def test_only_one_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa,b\r\n1,2\r\n")
+        assert read_csv(path).columns == ["\ufeffa", "b"]
+        assert list(scan_csv_kinds(path)) == ["\ufeffa", "b"]
+
+    def test_bom_on_a_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\r\n")
+        df = read_csv(path)
+        assert df.columns == ["a", "b"] and len(df) == 0

@@ -178,6 +178,32 @@ class TestDateSplit:
         out = evaluate_feature(node, frame)
         assert series_identical(out["d_month"], frame["d"].dt.month.rename("d_month"))
 
+    def test_iso_date_fields_judge_each_element_alone(self):
+        """Validity and parts of each string do not depend on its
+        neighbours, and valid parts agree with ``datetime``."""
+        import datetime
+
+        from repro.dataframe.kernels import iso_date_fields
+
+        strings = [
+            "2015-01-01", "2020-02-29", "2019-02-29", "2020-13-01", "2020-01-0\x00",
+            "2020-01-0é", "0001-01-01", "9999-12-31", "2020-1-01", "abcd-ef-gh", "",
+        ]
+        valid, *parts = iso_date_fields(strings)
+        for i, text in enumerate(strings):
+            alone_valid, *alone = iso_date_fields([text])
+            assert alone_valid[0] == valid[i]
+            assert [p[0] for p in alone] == [p[i] for p in parts]
+            try:
+                day = datetime.date.fromisoformat(text)
+            except ValueError:
+                day = None
+            assert valid[i] == (day is not None and len(text) == 10), text
+            if day is not None:
+                expected = [day.year, day.month, day.day, day.weekday()]
+                assert [int(p[i]) for p in parts] == expected
+        assert [len(a) for a in iso_date_fields([])] == [0] * 5
+
 
 class TestDummies:
     def test_unseen_category_gets_all_zeros(self):

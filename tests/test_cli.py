@@ -454,6 +454,29 @@ class TestPlanCommands:
             main(argv + ["--out", str(out), *chunk])
         assert not out.exists()
 
+    @pytest.mark.parametrize("chunk", [[], ["--chunk-rows", "7"]], ids=["whole", "chunked"])
+    def test_apply_reads_a_bom_prefixed_csv(self, tmp_path, chunk):
+        """A UTF-8 export with a byte-order mark keeps its first column
+        name, so it applies and writes the bytes the unmarked file does."""
+        from repro.dataframe.io import to_csv
+        from repro.eval.serving import build_demo_result, make_serving_frame
+        from repro.serve import compile_plan
+
+        result, frame = build_demo_result(200, seed=0)
+        plan_path = tmp_path / "plan.json"
+        compile_plan(result, frame, "Target").save(str(plan_path))
+        plain, marked = tmp_path / "rows.csv", tmp_path / "bom.csv"
+        to_csv(make_serving_frame(40, seed=7), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for source in (plain, marked):
+            out = tmp_path / f"{source.stem}.out.csv"
+            argv = ["plan", "apply", "--plan", str(plan_path), "--csv", str(source)]
+            assert main(argv + ["--out", str(out), *chunk]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert outputs[0].startswith(b"Age,")
+
     @pytest.mark.xfail(
         strict=True,
         reason=(
