@@ -98,7 +98,7 @@ def identity_section(fit_rows: int) -> list[dict]:
             f"identity {row['dataset']:10s} features={row['n_features']:3d} "
             f"compiled={row['compiled']:3d} "
             f"compiled_stripped={row['compiled_stripped']:3d} "
-            f"fallback={row['fallback']} omitted={row['omitted']} {status}"
+            f"omitted={row['omitted']} {status}"
         )
         assert row["identical"], (
             f"plan replay diverged from fitted frame on {row['dataset']}: "
@@ -118,7 +118,7 @@ def throughput_section(serve_rows: int) -> dict:
     result, frame = build_demo_result(serve_rows, seed=0)
     plan = FeaturePlan.from_json(compile_plan(result, frame, "Target").to_json())
     counts = plan.counts()
-    assert counts["fallback"] == 0 and counts["omitted"] == 0, (
+    assert counts == {"compiled": len(plan.features), "omitted": 0}, (
         f"demo workload must fully compile, got {counts}"
     )
 

@@ -106,7 +106,7 @@ def fit_plan(fit_rows: int, n_groups: int) -> FeaturePlan:
     result, frame = build_demo_result(fit_rows, seed=0, n_groups=n_groups)
     plan = compile_plan(result, frame, "Target")
     counts = plan.counts()
-    assert counts["fallback"] == 0 and counts["omitted"] == 0, counts
+    assert counts == {"compiled": len(plan.features), "omitted": 0}, counts
     return plan
 
 

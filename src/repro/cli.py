@@ -198,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
             "failures (0 disables breakers)"
         ),
     )
-    apply_.add_argument(
-        "--watchdog-timeout",
-        type=float,
-        default=None,
-        help="wall-clock seconds a sandbox-fallback feature may take per batch",
-    )
     return parser
 
 
@@ -449,8 +443,8 @@ def _cmd_plan_export(args) -> int:
     counts = plan.counts()
     print(
         f"Compiled plan: {len(plan.features)} features "
-        f"({counts['compiled']} compiled, {counts['fallback']} fallback, "
-        f"{counts['omitted']} omitted), fingerprint {plan.fingerprint[:12]}…"
+        f"({counts['compiled']} compiled, {counts['omitted']} omitted), "
+        f"fingerprint {plan.fingerprint[:12]}…"
     )
     for spec in plan.features:
         if spec.status != "compiled":
@@ -498,7 +492,6 @@ def _cmd_plan_apply(args) -> int:
             version=args.version,
             failure_policy=args.failure_policy,
             breaker_threshold=args.breaker_threshold,
-            watchdog_timeout=args.watchdog_timeout,
         )
         plan = server.plan_for()
         schema = _read_or_exit(io.scan_csv_kinds, args.csv) if args.chunk_rows else None

@@ -4,9 +4,14 @@ For each candidate the generator decides among the paper's three
 scenarios:
 
 1. **Transformation function** — interact with the FM (the efficient path:
-   one call per feature, independent of table size), extract the code, run
-   it in the sandbox.  High-order candidates skip the FM entirely: the
-   selector's output already determines ``df.groupby(g)[a].transform(f)``.
+   one call per feature, independent of table size), extract the code, and
+   run it in the sandbox only if the serving compiler can lift it
+   (:func:`~repro.serve.compiler.lift_source`): an answer outside the
+   lifted subset is re-prompted with the lifter's reason like any other
+   error, and rejected as "not compilable" once its retries run out, so
+   every accepted feature can be served without executing FM code.
+   High-order candidates skip the FM entirely: the selector's output
+   already determines ``df.groupby(g)[a].transform(f)``.
 2. **Row-level completion** — no explicit function exists.  Small tables
    are completed row by row; for large tables the generator produces a
    preview plus a cost estimate and defers to the user (the pipeline's
@@ -40,11 +45,22 @@ from repro.dataframe import DataFrame, Series
 from repro.fm.base import FMClient, FMResponse
 from repro.fm.cost import estimate_tokens
 from repro.fm.executor import FMExecutor, FMRequest
+from repro.serve.compiler import Unliftable, lift_source
 
 __all__ = ["FunctionGenerator", "RealizedFeature"]
 
 #: Exceptions that turn one candidate's realization into a rejection.
 REALIZE_ERRORS = (FMError, FMParseError, SandboxViolation, TransformError)
+
+
+def _run_compilable(source: str, frame: DataFrame) -> Series | DataFrame:
+    """Run *source* in the sandbox, unless the serving compiler cannot lift
+    it: then raise ``TransformError("not compilable: <why>")`` unrun."""
+    try:
+        lift_source(source)
+    except Unliftable as exc:
+        raise TransformError(f"not compilable: {exc}") from None
+    return run_transform(source, frame)
 
 
 class RealizedFeature:
@@ -173,12 +189,13 @@ class FunctionGenerator:
             fm_calls += 1
             try:
                 source = extract_code(response.text)
-                result = run_transform(source, frame)
+                result = _run_compilable(source, frame)
                 break
             except (FMParseError, SandboxViolation, TransformError) as exc:
                 last_error = exc
                 # Error-correction loop (Section 5 future work): re-ask with
-                # the failing code and the error message.
+                # the failing code and the error message (or the lifter's
+                # reason it cannot be compiled).
                 prompt = prompts.function_repair_prompt(
                     agenda, candidate, source or response.text, str(exc)
                 )
@@ -211,7 +228,7 @@ class FunctionGenerator:
             f"def transform(df):\n"
             f"    return df.groupby({group_cols!r})[{agg_col!r}].transform({function!r})\n"
         )
-        result = run_transform(source, frame)
+        result = _run_compilable(source, frame)
         values = self._as_columns(result, candidate.name)
         feature = GeneratedFeature(
             name=candidate.name,

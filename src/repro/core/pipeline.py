@@ -123,8 +123,7 @@ class SmartFeatResult:
     errors: dict[str, int] = field(default_factory=dict)
     fm_usage: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Compiled serving artifact (:class:`repro.serve.FeaturePlan`) when the
-    #: run was built with ``compile_plan=True``; ``None`` otherwise.  Typed
-    #: loosely so the core pipeline never imports the serve layer eagerly.
+    #: run was built with ``compile_plan=True``; ``None`` otherwise.
     plan: Any = None
 
     @property

@@ -11,19 +11,14 @@ without touching production code paths.
 Failure modes:
 
 * ``raise`` — the evaluation raises :class:`TransformError`, the shape
-  of a sandbox fallback blowing up.
-* ``hang`` — a pure-Python busy loop, interruptible by the watchdog's
-  trace hook; bounded by ``max_hang_s`` so a chaos run without a
-  watchdog cannot wedge forever.
+  of a feature's evaluation blowing up.
 * ``bad_output`` — returns a wrong-row-count Series, the shape of a
-  transform that aggregated when it should have broadcast.
-* ``mutate`` — evaluates normally, then scribbles over an input column,
-  the shape of a transform editing ``df`` in place.
+  transform that aggregated when it should have broadcast; the replay
+  loop's install step rejects it.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
@@ -34,7 +29,7 @@ from repro.dataframe.series import Series
 
 __all__ = ["CHAOS_MODES", "ChaosSchedule", "FaultInjector", "hostile_rows"]
 
-CHAOS_MODES = ("raise", "hang", "bad_output", "mutate")
+CHAOS_MODES = ("raise", "bad_output")
 
 
 class ChaosSchedule:
@@ -93,9 +88,8 @@ class ChaosSchedule:
 class FaultInjector:
     """The ``evaluator`` seam implementation driven by a schedule."""
 
-    def __init__(self, schedule: ChaosSchedule, *, max_hang_s: float = 5.0) -> None:
+    def __init__(self, schedule: ChaosSchedule) -> None:
         self.schedule = schedule
-        self.max_hang_s = max_hang_s
         self.injected: list[tuple[str, str]] = []
 
     def __call__(self, spec, frame, default) -> Any:
@@ -105,30 +99,9 @@ class FaultInjector:
         self.injected.append((spec.name, mode))
         if mode == "raise":
             raise TransformError(f"chaos: injected failure for {spec.name!r}")
-        if mode == "hang":
-            # Pure-Python spin so a watchdog trace hook can cancel it;
-            # the monotonic deadline bounds a watchdog-less run.
-            deadline = time.monotonic() + self.max_hang_s
-            while time.monotonic() < deadline:
-                pass
-            raise TransformError(
-                f"chaos: hang for {spec.name!r} ran its full {self.max_hang_s}s "
-                f"(no watchdog interrupted it)"
-            )
-        if mode == "bad_output":
-            name = spec.output_columns[0] if spec.output_columns else spec.name
-            return Series._from_array(
-                np.zeros(max(len(frame) - 1, 1)), name
-            )
-        # mode == "mutate": produce the real output, then scribble over an
-        # input column — only a watchdog guard turns this into a failure.
-        out = default()
-        victim = spec.input_columns[0] if spec.input_columns else None
-        if victim is not None and victim in frame:
-            frame[victim] = Series._from_array(
-                np.zeros(len(frame)), victim
-            )
-        return out
+        # mode == "bad_output"
+        name = spec.output_columns[0] if spec.output_columns else spec.name
+        return Series._from_array(np.zeros(max(len(frame) - 1, 1)), name)
 
 
 def hostile_rows(

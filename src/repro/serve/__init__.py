@@ -29,11 +29,8 @@ from repro.serve.resilience import (
     CircuitBreaker,
     FeatureReport,
     QuarantineReport,
-    SandboxWatchdog,
     ServerStats,
     ValidationLimits,
-    WatchdogTimeout,
-    WatchdogViolation,
     validate_rows,
 )
 from repro.serve.server import FeatureServer, ServeReport
@@ -55,12 +52,9 @@ __all__ = [
     "PlanSchemaError",
     "PlanVersionError",
     "QuarantineReport",
-    "SandboxWatchdog",
     "ServeReport",
     "ServerStats",
     "ValidationLimits",
-    "WatchdogTimeout",
-    "WatchdogViolation",
     "column_kind",
     "compile_plan",
     "frames_identical",

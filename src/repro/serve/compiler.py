@@ -7,25 +7,26 @@ template, frozen against the rebuild state at its install point (fit-time
 statistics — means, quantile edges, group tables, dummy categories — are
 captured as constants), evaluated, and compared **bitwise** against the
 fitted frame's columns.  Only a feature whose replay is value-, dtype-,
-and missingness-identical ships as ``compiled``; a mismatch or an
-unrepresentable form falls back to carrying the sandbox source (itself
-verified the same way), and anything else is recorded as ``omitted`` with
-a reason.  The fitted outputs are installed into the rebuild either way,
-so later features always freeze against the exact state fit saw.
+and missingness-identical ships as ``compiled``; anything else is
+recorded as ``omitted`` with a reason.  The fitted outputs are installed
+into the rebuild either way, so later features always freeze against the
+exact state fit saw.
 
 Templates are lifted from each feature's accepted ``def transform(df)``
-source — never from its description — by symbolic evaluation of the
-source's ``ast`` over a whitelisted pandas subset (column arithmetic,
-clip/ufunc/where, isna, map/fillna, cut/qcut, get_dummies, group-by
-transforms, string length/split, date parts, and fit-time statistics,
-which become fit nodes).  Nothing is executed; a source outside the
-subset gets no template and takes the verified sandbox fallback, and a
-wrong lift fails the bitwise check the same way, so it can never ship.
+source — never from its description — by :func:`lift_source`, a symbolic
+evaluation of the source's ``ast`` over a whitelisted pandas subset
+(column arithmetic, clip/ufunc/where, isna, map/fillna, cut/qcut,
+get_dummies, group-by transforms, string length/split, date parts, and
+fit-time statistics, which become fit nodes).  Nothing is executed.  The
+function generator lifts every FM answer before it runs it and rejects
+one outside the subset (:class:`Unliftable`), so a fitted feature always
+lifts; a wrong lift fails the bitwise check, so it can never ship.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import json
 import operator
@@ -48,7 +49,13 @@ from repro.dataframe.groupby import SeriesGroupBy
 from repro.dataframe.series import DatetimeAccessor, Series, StringAccessor
 from repro.serve.plan import FeaturePlan, FeatureSpec, column_kind
 
-__all__ = ["compile_plan", "frames_identical", "series_identical"]
+__all__ = [
+    "Unliftable",
+    "compile_plan",
+    "frames_identical",
+    "lift_source",
+    "series_identical",
+]
 
 #: Marker the pipeline stamps on features materialised by per-row FM
 #: completion rather than generated code.
@@ -93,8 +100,9 @@ def frames_identical(a: DataFrame, b: DataFrame) -> tuple[bool, str]:
 # ----------------------------------------------------------------------
 # Lifting accepted source to the expression IR
 # ----------------------------------------------------------------------
-class _Unliftable(Exception):
-    """The source steps outside the subset the lifter understands."""
+class Unliftable(Exception):
+    """The source steps outside the subset the lifter understands; the
+    message says where."""
 
 
 @dataclass(frozen=True)
@@ -157,14 +165,14 @@ def _is_ref(value: Any, kind: str) -> bool:
 def _lit(value: Any, *types: type) -> Any:
     """The literal *value* holds, optionally restricted to exact *types*."""
     if not isinstance(value, _Lit) or (types and type(value.value) not in types):
-        raise _Unliftable("expected a literal")
+        raise Unliftable("expected a literal")
     return value.value
 
 
 def _column(value: Any) -> str:
     """The column a plain ``df[c]`` reference names."""
     if not (isinstance(value, dict) and value["op"] == "col"):
-        raise _Unliftable("expected a plain column reference")
+        raise Unliftable("expected a plain column reference")
     return value["name"]
 
 
@@ -177,23 +185,27 @@ def _operand(value: Any) -> dict:
 def _fold(fn: Any, *args: Any) -> _Lit:
     """Apply a whitelisted builtin or operator to literals."""
     if not callable(fn):
-        raise _Unliftable("call of a non-callable literal")
+        raise Unliftable("call of a non-callable literal")
     try:
         return _Lit(fn(*args))
     except (TypeError, ValueError, ArithmeticError) as exc:  # the source raises too
-        raise _Unliftable(f"literal arithmetic failed: {exc}") from None
+        raise Unliftable(f"literal arithmetic failed: {exc}") from None
+
+
+#: One signature per whitelisted method: fit lifts every FM answer.
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)
 
 
 def _bind(kind: str, method: str, receiver: Any, args: list, keywords: dict) -> dict:
     """Call arguments by parameter name, defaults filled in as literals."""
     fn = getattr(_RECEIVERS.get(kind), method, None)
     if method.startswith("_") or not callable(fn):
-        raise _Unliftable(f"unsupported call .{method}() on {kind}")
+        raise Unliftable(f"unsupported call .{method}() on {kind}")
     own = [] if kind == "pd" else [receiver]
     try:
-        bound = inspect.signature(fn).bind(*own, *args, **keywords)
+        bound = _signature(fn).bind(*own, *args, **keywords)
     except (TypeError, ValueError) as exc:
-        raise _Unliftable(f".{method}(): {exc}") from None
+        raise Unliftable(f".{method}(): {exc}") from None
     bound.apply_defaults()
     return {
         name: value if isinstance(value, (_Lit, _Ref, dict)) else _Lit(value)
@@ -206,7 +218,7 @@ class _Lifter:
 
     Straight-line statements only: each name binds to an IR node, a
     :class:`_Lit` or a :class:`_Ref`, and conditions resolve at lift
-    time.  Anything else raises :class:`_Unliftable`.
+    time.  Anything else raises :class:`Unliftable`.
     """
 
     def __init__(self, frame_name: str) -> None:
@@ -217,7 +229,7 @@ class _Lifter:
             if isinstance(stmt, ast.Return) and stmt.value is not None:
                 value = self.lift_expr(stmt.value)
                 if not isinstance(value, dict):
-                    raise _Unliftable("the returned value is not a column expression")
+                    raise Unliftable("the returned value is not a column expression")
                 return value
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 self.assign(stmt.targets[0], stmt.value)
@@ -226,8 +238,8 @@ class _Lifter:
             elif not (
                 isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
             ):
-                raise _Unliftable(f"unsupported statement {type(stmt).__name__}")
-        raise _Unliftable("no return statement")
+                raise Unliftable(f"unsupported statement {type(stmt).__name__}")
+        raise Unliftable("no return statement")
 
     def assign(self, target: ast.expr, value: ast.expr) -> None:
         if isinstance(target, ast.Name):
@@ -239,7 +251,7 @@ class _Lifter:
             and len(target.elts) == len(value.elts)
             and all(isinstance(t, ast.Name) for t in target.elts)
         ):
-            raise _Unliftable("unsupported assignment target")
+            raise Unliftable("unsupported assignment target")
         values = [self.lift_expr(v) for v in value.elts]
         for name, bound in zip(target.elts, values):
             self.env[name.id] = bound
@@ -253,7 +265,7 @@ class _Lifter:
             _is_ref(self.env.get(parts), "split")
             and _is_ref(self.env.get(out), "empty_frame")
         ):
-            raise _Unliftable("unsupported loop")
+            raise Unliftable("unsupported loop")
         column, sep, rename = self.env[parts].args
         self.env[out] = {
             "op": "fit_split_outputs",
@@ -269,14 +281,14 @@ class _Lifter:
         if isinstance(node, ast.Name):
             value = self.env.get(node.id, _GLOBALS.get(node.id))
             if value is None:
-                raise _Unliftable(f"unknown name {node.id!r}")
+                raise Unliftable(f"unknown name {node.id!r}")
             return value
         if isinstance(node, (ast.List, ast.Tuple)):
             items = [_lit(self.lift_expr(e)) for e in node.elts]
             return _Lit(items if isinstance(node, ast.List) else tuple(items))
         if isinstance(node, ast.Dict):
             if None in node.keys:
-                raise _Unliftable("dict unpacking")
+                raise Unliftable("dict unpacking")
             keys = [_lit(self.lift_expr(k)) for k in node.keys]
             values = [self.lift_expr(v) for v in node.values]
             if all(isinstance(v, _Lit) for v in values):
@@ -292,7 +304,7 @@ class _Lifter:
             return {"op": name, "left": _operand(left), "right": _operand(right)}
         if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
             if len(node.values) != 2:
-                raise _Unliftable("unsupported `or`")
+                raise Unliftable("unsupported `or`")
             left, right = (self.lift_expr(v) for v in node.values)
             if isinstance(left, _Lit):
                 return left if left.value else right
@@ -311,10 +323,10 @@ class _Lifter:
                 return {"op": "col", "name": key}
             if _is_ref(base, "groupby") and isinstance(key, str):
                 return _Ref("grouped", (*base.args, key))
-            raise _Unliftable("unsupported subscript")
+            raise Unliftable("unsupported subscript")
         if isinstance(node, ast.Call):
             return self.call(node)
-        raise _Unliftable(f"unsupported expression {type(node).__name__}")
+        raise Unliftable(f"unsupported expression {type(node).__name__}")
 
     def compare(self, op: ast.cmpop, left: Any, right: Any) -> _Lit | _Ref:
         if isinstance(op, (ast.Is, ast.IsNot)) and right == _Lit(None):
@@ -323,7 +335,7 @@ class _Lifter:
             return _Lit(is_none == isinstance(op, ast.Is))
         if isinstance(op, ast.NotEq) and isinstance(left, dict) and right == _Lit(0):
             return _Ref("nonzero", (left,))
-        raise _Unliftable("unsupported comparison")
+        raise Unliftable("unsupported comparison")
 
     def attribute(self, base: Any, attr: str) -> _Ref:
         if _is_ref(base, "np"):
@@ -334,18 +346,18 @@ class _Lifter:
             getattr(DatetimeAccessor, attr, None), property
         ):
             return _Ref("date_part", (*base.args, attr))
-        raise _Unliftable(f"unsupported attribute {attr!r}")
+        raise Unliftable(f"unsupported attribute {attr!r}")
 
     def call(self, node: ast.Call) -> Any:
         if any(isinstance(a, ast.Starred) for a in node.args) or any(
             kw.arg is None for kw in node.keywords
         ):
-            raise _Unliftable("unpacked call arguments")
+            raise Unliftable("unpacked call arguments")
         args = [self.lift_expr(a) for a in node.args]
         keywords = {kw.arg: self.lift_expr(kw.value) for kw in node.keywords}
         if not isinstance(node.func, ast.Attribute):  # a builtin over literals
             if keywords:
-                raise _Unliftable("keywords on a builtin call")
+                raise Unliftable("keywords on a builtin call")
             return _fold(_lit(self.lift_expr(node.func)), *(_lit(a) for a in args))
         receiver, method = self.lift_expr(node.func.value), node.func.attr
         if isinstance(receiver, _Ref):
@@ -447,19 +459,20 @@ class _Lifter:
                 return _Ref("split", (receiver.args[0], _lit(a["sep"], str), {}))
             case "split", "rename" if not receiver.args[2]:
                 return _Ref("split", (*receiver.args[:2], _lit(a["columns"], dict)))
-        raise _Unliftable(f"unsupported call .{method}() on {kind}")
+        raise Unliftable(f"unsupported call .{method}() on {kind}")
 
 
-def _lift(source: str) -> dict:
+def lift_source(source: str) -> dict:
     """Lift accepted ``def transform(df)`` source to an IR template.
 
     The template may hold fit-time nodes for :func:`freeze_expr` to
-    resolve.  Raises :class:`_Unliftable` outside the whitelisted subset.
+    resolve.  Raises :class:`Unliftable` outside the whitelisted subset:
+    fit rejects such an answer, so it never runs and never ships.
     """
     try:
         body = ast.parse(source).body
     except (SyntaxError, ValueError) as exc:
-        raise _Unliftable(f"source does not parse: {exc}") from None
+        raise Unliftable(f"source does not parse: {exc}") from None
     func = body[0] if len(body) == 1 else None
     if not (
         isinstance(func, ast.FunctionDef)
@@ -467,11 +480,11 @@ def _lift(source: str) -> dict:
         and not func.decorator_list
         and ast.unparse(func.args).isidentifier()  # exactly one plain parameter
     ):
-        raise _Unliftable("source is not one def transform(df)")
+        raise Unliftable("source is not one def transform(df)")
     try:
         return _Lifter(func.args.args[0].arg).run(func.body)
     except RecursionError:
-        raise _Unliftable("expression nests too deeply") from None
+        raise Unliftable("expression nests too deeply") from None
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +542,7 @@ def _compiled_expr(feature, rebuild: DataFrame, expected) -> tuple[dict, dict]:
     if feature.source_code == _ROW_LEVEL_SENTINEL:
         template = _row_level_template(feature, rebuild, expected)
     else:
-        template = _lift(feature.source_code)
+        template = lift_source(feature.source_code)
     missing = [c for c in expr_columns(template) if c not in rebuild]
     if missing:
         raise ExprError(f"expression reads columns absent at serve time: {missing}")
@@ -595,11 +608,9 @@ def compile_plan(
     return plan
 
 
-def _spec(
-    feature, status: str, expr=None, fallback_source=None, reason="", expected=None
-) -> FeatureSpec:
-    # Freeze the fitted outputs' schema kinds alongside the recipe so the
-    # serve-path watchdog can sanity-check what a fallback returns.
+def _spec(feature, status: str, expr=None, reason="", expected=None) -> FeatureSpec:
+    # Record the fitted outputs' schema kinds alongside the recipe;
+    # ``budget_rows`` sizes streamed shards by them.
     kinds = None
     if expected is not None and all(n in expected for n in feature.output_columns):
         kinds = [column_kind(expected[n]) for n in feature.output_columns]
@@ -611,7 +622,6 @@ def _spec(
         output_columns=list(feature.output_columns),
         status=status,
         expr=expr,
-        fallback_source=fallback_source,
         reason=reason,
         output_kinds=kinds,
     )
@@ -624,28 +634,10 @@ def _compile_feature(feature, rebuild, expected) -> FeatureSpec:
             json.dumps(frozen)  # plans must round-trip; reject exotic scalars
             return _spec(feature, "compiled", expr=frozen, expected=expected)
         reason = "compiled replay not bit-identical to fitted output"
-    except _Unliftable as exc:
+    except Unliftable as exc:
         reason = f"no expression template for this form: {exc}"
     except ExprError as exc:
         reason = str(exc)
     except (TypeError, ValueError) as exc:
         reason = f"expression not serializable: {exc}"
-    # Fall back to the sandbox source — but only if replaying it on the
-    # rebuild reproduces the fitted output (and it is real source at all).
-    if feature.source_code and feature.source_code != _ROW_LEVEL_SENTINEL:
-        from repro.core.sandbox import SandboxViolation, TransformError, run_transform
-
-        try:
-            result = run_transform(feature.source_code, rebuild)
-            if _identical(_outputs(result, feature.output_columns), expected):
-                return _spec(
-                    feature,
-                    "fallback",
-                    fallback_source=feature.source_code,
-                    reason=reason,
-                    expected=expected,
-                )
-        except (TransformError, SandboxViolation, ExprError):
-            pass
-        reason = f"{reason}; sandbox replay also diverged".lstrip("; ")
     return _spec(feature, "omitted", reason=reason)

@@ -1,12 +1,12 @@
 """The FeaturePlan artifact: a fitted run's features as replayable data.
 
-A plan records, per accepted feature, its column provenance and either a
-frozen expression tree (:mod:`repro.dataframe.expr` — the pure-numpy hot
-path) or, for the rare form the IR cannot represent, the original sandbox
-source as an explicit fallback.  Plans carry an input-schema fingerprint
-and a schema version: loading validates both, so a plan can never be
-silently replayed against the wrong table shape or by a reader that does
-not understand its encoding.
+A plan records, per accepted feature, its column provenance and a frozen
+expression tree (:mod:`repro.dataframe.expr` — the pure-numpy hot path),
+or, for a feature that did not compile, the reason it is omitted.  No
+FM-written code runs at serve time.  Plans carry an input-schema
+fingerprint and a schema version: loading validates both, so a plan can
+never be silently replayed against the wrong table shape or by a reader
+that does not understand its encoding.
 
 Replay cost: each plan instance also holds runtime-only column
 dictionaries (:class:`~repro.dataframe.dictionary.ColumnDictionaries`; not
@@ -94,9 +94,9 @@ def schema_fingerprint(input_schema: list[tuple[str, str]]) -> str:
 class FeatureSpec:
     """One accepted feature's replay recipe.
 
-    ``status`` is ``"compiled"`` (frozen expression), ``"fallback"``
-    (sandbox source carried verbatim), or ``"omitted"`` (not replayable;
-    ``reason`` says why — the plan records it so the gap is loud).
+    ``status`` is ``"compiled"`` (frozen expression) or ``"omitted"``
+    (not replayable; ``reason`` says why — the plan records it so the gap
+    is loud).
     """
 
     name: str
@@ -106,13 +106,12 @@ class FeatureSpec:
     output_columns: list[str]
     status: str
     expr: dict | None = None
-    fallback_source: str | None = None
     reason: str = ""
     #: Optional per-output-column schema kinds (parallel to
-    #: ``output_columns``), recorded at compile time so the serve-path
-    #: watchdog can sanity-check fallback output dtypes.  Optional and
-    #: additive: old plans lack it (readers use ``.get``), so no schema
-    #: version bump — absent kinds just skip the dtype check.
+    #: ``output_columns``), recorded at compile time; only
+    #: :meth:`FeaturePlan.budget_rows` reads them, to size streamed
+    #: shards.  Old plans lack them (no schema version bump): absent kinds
+    #: count as numeric.
     output_kinds: list[str] | None = None
 
     def __post_init__(self) -> None:
@@ -122,6 +121,11 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureSpec":
+        """Rebuild and validate one spec.  Keys that are not fields are
+        ignored, such as the null ``fallback_source`` of plans written
+        before FM-source fallbacks were removed; a spec with the old
+        ``"fallback"`` status fails as an unknown status, naming the
+        feature, rather than being dropped."""
         try:
             spec = from_record(cls, {"family": "", "description": "", **data})
         except TypeError as exc:
@@ -133,9 +137,6 @@ class FeatureSpec:
                 validate_expr(spec.expr)
             except ExprError as exc:
                 raise PlanSchemaError(f"feature {spec.name!r}: {exc}") from exc
-        elif spec.status == "fallback":
-            if not spec.fallback_source:
-                raise PlanSchemaError(f"fallback feature {spec.name!r} has no source")
         elif spec.status != "omitted":
             raise PlanSchemaError(
                 f"feature {spec.name!r} has unknown status {spec.status!r}"
@@ -210,28 +211,26 @@ class FeaturePlan:
         *,
         failure_policy: str = "strict",
         breakers=None,
-        watchdog=None,
         evaluator=None,
     ) -> DataFrame:
         """Replay the plan against *frame* and return the featured frame.
 
         Pure data-plane work: input columns are shared (zero copy), each
-        feature evaluates through the kernel layer (or its recorded
-        sandbox fallback), and the fitted run's dropped originals are
-        removed at the end — reproducing ``fit_transform``'s output frame
-        column-for-column.  The input frame itself is never mutated.
+        feature evaluates through the kernel layer, and the fitted run's
+        dropped originals are removed at the end — reproducing
+        ``fit_transform``'s output frame column-for-column.  The input
+        frame itself is never mutated.
 
         ``failure_policy="strict"`` (the default) fails the whole batch
         on the first misbehaving feature.  ``"degrade"`` isolates
         failures per feature (NaN-filled columns).  See
-        :meth:`apply_with_report` for *breakers*, *watchdog* and the
-        chaos *evaluator* seam, and for the per-feature report.
+        :meth:`apply_with_report` for *breakers* and the chaos
+        *evaluator* seam, and for the per-feature report.
         """
         out, _report = self.apply_with_report(
             frame,
             failure_policy=failure_policy,
             breakers=breakers,
-            watchdog=watchdog,
             evaluator=evaluator,
         )
         return out
@@ -242,7 +241,6 @@ class FeaturePlan:
         *,
         failure_policy: str = "degrade",
         breakers=None,
-        watchdog=None,
         evaluator=None,
     ):
         """Replay with per-feature fault isolation: ``(frame, ApplyReport)``.
@@ -256,12 +254,11 @@ class FeaturePlan:
         policy, so their outputs are bit-identical to a fault-free run.
 
         *breakers* (a :class:`~repro.serve.resilience.BreakerBoard`)
-        skips features whose breaker is open; *watchdog* (a
-        :class:`~repro.serve.resilience.SandboxWatchdog`) guards sandbox
-        fallbacks.  *evaluator* is the chaos seam: when given, every
-        feature evaluation routes through ``evaluator(spec, frame,
-        default)`` where ``default()`` performs the normal evaluation —
-        fault injectors wrap it, production never sets it.
+        skips features whose breaker is open.  *evaluator* is the chaos
+        seam: when given, every feature evaluation routes through
+        ``evaluator(spec, frame, default)`` where ``default()`` performs
+        the normal evaluation — fault injectors wrap it, production never
+        sets it.
         """
         from repro.serve.resilience import FAILURE_POLICIES, ApplyReport, FeatureReport
 
@@ -314,7 +311,7 @@ class FeaturePlan:
                 )
                 continue
             try:
-                out = self._evaluate(spec, working, watchdog, evaluator)
+                out = self._evaluate(spec, working, evaluator)
                 self._install(spec, out, working)
             except Exception as exc:  # noqa: BLE001 - isolation is the point
                 if breaker is not None:
@@ -337,27 +334,15 @@ class FeaturePlan:
             working.drop(columns=to_drop, inplace=True)
         return working, report
 
-    def _evaluate(self, spec: FeatureSpec, working: DataFrame, watchdog, evaluator):
-        """One feature's output, chaos-wrapped and watchdog-guarded as asked.
-
-        The watchdog engages for sandbox fallbacks (untrusted FM source)
-        and for any evaluation routed through a chaos *evaluator*;
-        compiled expressions on the production path stay unguarded, they
-        are pure data-plane numpy with nothing to time out.
-        """
-
-        def default_on(frame: DataFrame):
-            if spec.status == "compiled":
-                return evaluate_feature(spec.expr, frame, self._dictionaries)
-            return self._run_fallback(spec, frame)
-
-        def chaos_on(frame: DataFrame):
-            return evaluator(spec, frame, lambda: default_on(frame))
-
-        run = default_on if evaluator is None else chaos_on
-        if watchdog is not None and (spec.status == "fallback" or evaluator is not None):
-            return watchdog.run_guarded(spec, working, run)
-        return run(working)
+    def _evaluate(self, spec: FeatureSpec, working: DataFrame, evaluator):
+        """One feature's output, routed through the chaos *evaluator* if set."""
+        if evaluator is None:
+            return evaluate_feature(spec.expr, working, self._dictionaries)
+        return evaluator(
+            spec,
+            working,
+            lambda: evaluate_feature(spec.expr, working, self._dictionaries),
+        )
 
     # ------------------------------------------------------------------
     # Out-of-core streaming
@@ -369,7 +354,6 @@ class FeaturePlan:
         memory_budget_mb: float | None = None,
         failure_policy: str = "strict",
         breakers=None,
-        watchdog=None,
         evaluator=None,
     ):
         """Replay the plan shard-by-shard: a generator of featured frames.
@@ -391,13 +375,8 @@ class FeaturePlan:
 
         Fault isolation composes per shard: under
         ``failure_policy="degrade"`` a failing feature NaN-fills only the
-        shard it failed on, and a shared *breakers* board / *watchdog*
-        accumulates across shards exactly as it does across batches.
-        Sandbox-fallback features (statuses other than ``compiled``)
-        recompute their batch statistics per shard — equivalent to
-        serving the same rows as smaller batches, and flagged in the
-        plan's ``counts()``; fully compiled plans (every eval dataset)
-        have no such features.
+        shard it failed on, and a shared *breakers* board accumulates
+        across shards exactly as it does across batches.
         """
         from repro.dataframe.io import Shard, iter_frame_shards
 
@@ -415,7 +394,6 @@ class FeaturePlan:
                     sub,
                     failure_policy=failure_policy,
                     breakers=breakers,
-                    watchdog=watchdog,
                     evaluator=evaluator,
                 )
 
@@ -473,9 +451,8 @@ class FeaturePlan:
         shard replays the plan's compiled features in install order —
         stopping as soon as every needed column exists — before the
         aggregators see it, so derived inputs materialize exactly as
-        they do at serve time.  A needed column only a sandbox-fallback
-        feature produces raises :class:`PlanError` (fallback statistics
-        are batch-relative and cannot stream).
+        they do at serve time.  A needed column only an omitted feature
+        would produce raises :class:`PlanError`.
 
         Mutates this plan in place: do it at fit/publish time, before the
         plan is saved or served (loaded plans are treated as immutable).
@@ -517,8 +494,7 @@ class FeaturePlan:
             if missing:
                 raise PlanError(
                     f"group-table refresh needs columns {sorted(missing)} that "
-                    "no compiled feature produces (sandbox-fallback outputs "
-                    "cannot stream)"
+                    "no compiled feature produces"
                 )
             for agg in aggs:
                 agg.update(working)
@@ -541,30 +517,25 @@ class FeaturePlan:
         return nodes
 
     @staticmethod
-    def _run_fallback(spec: FeatureSpec, working: DataFrame):
-        from repro.core.sandbox import TransformError, run_transform
-
-        try:
-            return run_transform(spec.fallback_source, working)
-        except TransformError as exc:
-            raise PlanError(
-                f"fallback source for feature {spec.name!r} failed: {exc}"
-            ) from exc
-
-    @staticmethod
     def _install(spec: FeatureSpec, out: Any, working: DataFrame) -> None:
+        """Add a feature's output columns to *working*, each checked to
+        exist and to match the batch's row count."""
         if isinstance(out, Series):
             if len(spec.output_columns) != 1:
                 raise PlanError(
                     f"feature {spec.name!r} produced one column, plan expects "
                     f"{len(spec.output_columns)}"
                 )
-            working[spec.output_columns[0]] = out
-            return
+            out = {spec.output_columns[0]: out}
         for name in spec.output_columns:
             if name not in out:
                 raise PlanError(
                     f"feature {spec.name!r} did not produce column {name!r}"
+                )
+            if len(out[name]) != len(working):
+                raise PlanError(
+                    f"feature {spec.name!r} produced {len(out[name])} rows "
+                    f"for a {len(working)}-row batch"
                 )
             working[name] = out[name]
 
@@ -662,8 +633,8 @@ class FeaturePlan:
         return out
 
     def counts(self) -> dict[str, int]:
-        """How many features compiled / fell back / were omitted."""
-        out = {"compiled": 0, "fallback": 0, "omitted": 0}
+        """How many features compiled / were omitted."""
+        out = {"compiled": 0, "omitted": 0}
         for spec in self.features:
             out[spec.status] = out.get(spec.status, 0) + 1
         return out

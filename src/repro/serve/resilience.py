@@ -1,11 +1,11 @@
-"""Serve-path resilience: breakers, watchdog, reports, quarantine.
+"""Serve-path resilience: breakers, reports, quarantine.
 
 ``FeaturePlan.apply`` under the default ``strict`` policy fails the
 whole batch the moment one feature misbehaves, which is the right
 contract for offline replay and tests.  Production traffic needs the
-opposite: a misbehaving feature (a sandbox fallback that raises, a
-drifted column, a hostile row value) should cost exactly its own column,
-with the blast radius recorded, never the batch.  The replay loop itself
+opposite: a misbehaving feature (an op that raises, a drifted column, a
+hostile row value) should cost exactly its own column, with the blast
+radius recorded, never the batch.  The replay loop itself
 lives in :meth:`FeaturePlan.apply_with_report
 <repro.serve.plan.FeaturePlan.apply_with_report>`; this module holds the
 pieces it and the server compose:
@@ -16,10 +16,6 @@ pieces it and the server compose:
   closed → open → half-open breakers with thread-safe, *call-count*
   based state (no wall clock, so trips and recoveries are exactly
   reproducible in tests).
-* :class:`SandboxWatchdog` — wall-clock timeout plus output sanity
-  (row count, dtype, no input-frame mutation) around sandbox-fallback
-  evaluation, so FM-generated code can hang or explode without taking
-  the server down.
 * :func:`validate_rows` — typed coercion of row-dict batches against the
   plan's schema fingerprint with per-cell patching and per-row
   quarantine, so hostile input surfaces as a reasoned
@@ -31,11 +27,10 @@ pieces it and the server compose:
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -43,7 +38,7 @@ from repro.dataframe.frame import DataFrame
 from repro.dataframe.io import is_number_cell
 from repro.dataframe.series import Series
 from repro.records import to_record
-from repro.serve.plan import PlanError, column_kind
+from repro.serve.plan import PlanError
 
 __all__ = [
     "FAILURE_POLICIES",
@@ -53,11 +48,8 @@ __all__ = [
     "CircuitBreaker",
     "FeatureReport",
     "QuarantineReport",
-    "SandboxWatchdog",
     "ServerStats",
     "ValidationLimits",
-    "WatchdogTimeout",
-    "WatchdogViolation",
     "plan_known_categories",
     "validate_rows",
 ]
@@ -65,14 +57,6 @@ __all__ = [
 #: ``strict`` is today's contract (one bad feature fails the batch) and
 #: stays the default; ``degrade`` NaN-fills failing features and reports.
 FAILURE_POLICIES = ("strict", "degrade")
-
-
-class WatchdogTimeout(PlanError):
-    """A guarded fallback exceeded its wall-clock budget."""
-
-
-class WatchdogViolation(PlanError):
-    """A guarded fallback returned insane output or mutated its input."""
 
 
 class BatchValidationError(PlanError):
@@ -226,137 +210,6 @@ class BreakerBoard:
         with self._lock:
             items = list(self._breakers.items())
         return {name: breaker.snapshot() for name, breaker in items}
-
-
-# ----------------------------------------------------------------------
-# Sandbox watchdog
-# ----------------------------------------------------------------------
-def _series_equal(a: Series, b: Series) -> bool:
-    av, bv = a.values, b.values
-    if av.dtype != bv.dtype or av.shape != bv.shape:
-        return False
-    if av.dtype.kind == "f":
-        return bool(np.array_equal(av, bv, equal_nan=True))
-    if av.dtype.kind == "O":
-        for x, y in zip(av.tolist(), bv.tolist()):
-            if x is y:
-                continue
-            if (
-                isinstance(x, float)
-                and isinstance(y, float)
-                and math.isnan(x)
-                and math.isnan(y)
-            ):
-                continue
-            if x != y:
-                return False
-        return True
-    return bool(np.array_equal(av, bv))
-
-
-class SandboxWatchdog:
-    """Wall-clock budget + output sanity around fallback evaluation.
-
-    The guarded callable runs in a daemon worker thread under a
-    ``sys.settrace`` hook; on timeout the hook is armed to raise
-    :class:`WatchdogTimeout` at the worker's next bytecode line, which
-    interrupts pure-Python busy loops (a C-level hang cannot be
-    interrupted, but the daemon thread cannot block process exit
-    either).  The budget is enforced with ``Thread.join(timeout)`` — no
-    polling, no wall-clock reads.
-    """
-
-    def __init__(self, timeout_s: float = 2.0, join_grace_s: float = 0.5) -> None:
-        if timeout_s <= 0:
-            raise ValueError("watchdog timeout must be positive")
-        self.timeout_s = timeout_s
-        self.join_grace_s = join_grace_s
-
-    def run(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn()`` under the wall-clock budget; re-raise its errors."""
-        cancel = threading.Event()
-        holder: dict[str, Any] = {}
-
-        def tracer(frame, event, arg):
-            if cancel.is_set():
-                raise WatchdogTimeout("watchdog cancelled the transform")
-            return tracer
-
-        def worker() -> None:
-            sys.settrace(tracer)
-            try:
-                holder["result"] = fn()
-            except BaseException as exc:  # noqa: BLE001 - ferried to caller
-                holder["error"] = exc
-            finally:
-                sys.settrace(None)
-
-        thread = threading.Thread(
-            target=worker, name="sandbox-watchdog", daemon=True
-        )
-        thread.start()
-        thread.join(self.timeout_s)
-        if thread.is_alive():
-            cancel.set()
-            thread.join(self.join_grace_s)
-            raise WatchdogTimeout(
-                f"transform exceeded its {self.timeout_s:.3f}s wall-clock budget"
-            )
-        if "error" in holder:
-            raise holder["error"]
-        return holder["result"]
-
-    def run_guarded(self, spec, working: DataFrame, fn: Callable[[DataFrame], Any]):
-        """Run ``fn(guard)`` on a defensive copy and sanity-check the output.
-
-        The copy means a mutating transform can never corrupt the
-        caller's frame; comparing the copy back against the original
-        afterwards turns the attempted mutation into a loud
-        :class:`WatchdogViolation`, as are a wrong row count and (when
-        the spec records ``output_kinds``) a wrong output dtype kind.
-        """
-        guard = working.copy()
-        out = self.run(lambda: fn(guard))
-        if guard.columns != working.columns or any(
-            not _series_equal(guard[name], working[name]) for name in working.columns
-        ):
-            raise WatchdogViolation(
-                f"feature {spec.name!r} transform mutated its input frame"
-            )
-        n_rows = len(working)
-        kinds = getattr(spec, "output_kinds", None) or {}
-        if isinstance(kinds, Sequence) and not isinstance(kinds, Mapping):
-            kinds = dict(zip(spec.output_columns, kinds))
-        for name, series in _iter_outputs(spec, out):
-            if len(series) != n_rows:
-                raise WatchdogViolation(
-                    f"feature {spec.name!r} produced {len(series)} rows "
-                    f"for a {n_rows}-row batch"
-                )
-            expected = kinds.get(name)
-            if expected is not None and column_kind(series) != expected:
-                raise WatchdogViolation(
-                    f"feature {spec.name!r} output {name!r} has kind "
-                    f"{column_kind(series)}, plan recorded {expected}"
-                )
-        return out
-
-
-def _iter_outputs(spec, out):
-    """Yield ``(column name, Series)`` from a transform's raw output."""
-    if isinstance(out, Series):
-        name = spec.output_columns[0] if spec.output_columns else out.name
-        yield name, out
-        return
-    if isinstance(out, DataFrame):
-        for name in spec.output_columns:
-            if name in out:
-                yield name, out[name]
-        return
-    if isinstance(out, Mapping):
-        for name, series in out.items():
-            if isinstance(series, Series):
-                yield name, series
 
 
 # ----------------------------------------------------------------------

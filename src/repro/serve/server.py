@@ -21,8 +21,7 @@ happens while the server lock is held.
 
 Resilience is opt-in per server: ``failure_policy="degrade"`` NaN-fills
 failing features instead of failing the batch, per-feature circuit
-breakers stop burning sandbox time on persistently broken fallbacks, a
-watchdog bounds fallback wall-clock and output sanity, and row-dict
+breakers stop evaluating persistently failing features, and row-dict
 batches are coerced/quarantined against the plan schema.
 :meth:`FeatureServer.health` and :meth:`FeatureServer.stats` expose the
 accumulated picture.
@@ -41,7 +40,6 @@ from repro.serve.resilience import (
     ApplyReport,
     BreakerBoard,
     QuarantineReport,
-    SandboxWatchdog,
     ServerStats,
     ValidationLimits,
     validate_rows,
@@ -94,10 +92,6 @@ class FeatureServer:
         consecutive failures, admit a half-open probe after
         *breaker_cooldown* refused calls.  ``breaker_threshold=0``
         disables breakers.
-    watchdog_timeout:
-        Wall-clock seconds a sandbox-fallback feature may spend per
-        batch (plus output sanity checks).  ``None`` disables the
-        watchdog.
     limits:
         :class:`~repro.serve.resilience.ValidationLimits` for row-dict
         batches (string size, NaN-flood threshold).
@@ -113,7 +107,6 @@ class FeatureServer:
         failure_policy: str = "strict",
         breaker_threshold: int = 0,
         breaker_cooldown: int = 5,
-        watchdog_timeout: float | None = None,
         limits: ValidationLimits | None = None,
     ) -> None:
         if plan is None and registry is None:
@@ -130,10 +123,6 @@ class FeatureServer:
             )
         if breaker_cooldown < 1:
             raise PlanError(f"breaker_cooldown must be >= 1, got {breaker_cooldown!r}")
-        if watchdog_timeout is not None and not watchdog_timeout > 0:
-            raise PlanError(
-                f"watchdog_timeout must be None or > 0 seconds, got {watchdog_timeout!r}"
-            )
         self._plan = plan
         self._registry = registry
         self._default_name = name
@@ -145,9 +134,6 @@ class FeatureServer:
             BreakerBoard(breaker_threshold, breaker_cooldown)
             if breaker_threshold > 0
             else None
-        )
-        self.watchdog = (
-            SandboxWatchdog(watchdog_timeout) if watchdog_timeout else None
         )
         self.limits = limits or ValidationLimits()
         self.stats_board = ServerStats()
@@ -233,10 +219,9 @@ class FeatureServer:
         DataFrames, or row-dict batches; each goes through the identical
         validation/resilience path a :meth:`transform` batch does, so
         fault isolation applies per shard under ``degrade`` (a failing
-        feature NaN-fills only the shards it fails on) while breakers,
-        the watchdog, and the stats board accumulate across the whole
-        stream.  Never holds more than one shard plus its featured
-        output.
+        feature NaN-fills only the shards it fails on) while breakers and
+        the stats board accumulate across the whole stream.  Never holds
+        more than one shard plus its featured output.
         """
         from repro.dataframe.io import Shard
 
@@ -264,7 +249,6 @@ class FeatureServer:
             frame,
             failure_policy=self.failure_policy,
             breakers=self.breakers,
-            watchdog=self.watchdog,
         )
         self.stats_board.record(
             rows_in=quarantine.total_rows if quarantine else len(frame),

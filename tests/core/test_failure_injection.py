@@ -73,7 +73,12 @@ class TestMalformedOutput:
         tool = scripted_tool([BINARY_JSON], [code])
         result = tool.fit_transform(frame, target="y")
         assert result.new_features == {}
-        assert any("length" in reason for reason in result.rejections.values())
+        # A row-dropping call is outside the compilable subset, so fit
+        # rejects it before it runs (validation's own length check is
+        # pinned in test_validation.py).
+        assert result.rejections["gap"].startswith(
+            "generation failed: not compilable: unsupported call .head()"
+        )
 
     def test_json_with_wrong_types_counts_as_error(self, frame):
         bad = json.dumps({"operator": ["-"], "columns": "Age"})

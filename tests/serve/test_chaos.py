@@ -1,8 +1,8 @@
 """Deterministic chaos gate over the serve-path resilience layer.
 
 Seeded fault schedules drive every failure mode the resilience layer
-claims to contain — sandbox raise, sandbox hang, bad output, input
-mutation, hostile rows, schema drift — and assert the blast-radius
+claims to contain — a raising evaluation, bad output, hostile rows,
+schema drift — and assert the blast-radius
 contract: under ``degrade`` every healthy feature's output is
 bit-identical to a fault-free run, breakers trip and recover exactly on
 schedule, and ``strict`` still fails loudly.
@@ -14,13 +14,7 @@ import pytest
 from repro.core.sandbox import TransformError
 from repro.eval.chaos import CHAOS_MODES, ChaosSchedule, FaultInjector, hostile_rows
 from repro.eval.serving import build_demo_result
-from repro.serve import (
-    BreakerBoard,
-    FeatureServer,
-    SandboxWatchdog,
-    compile_plan,
-    series_identical,
-)
+from repro.serve import BreakerBoard, FeatureServer, compile_plan, series_identical
 
 
 @pytest.fixture(scope="module")
@@ -63,20 +57,13 @@ class TestEveryFailureMode:
     def test_mode_is_contained_and_reported(self, plan_and_frame, mode):
         plan, frame = plan_and_frame
         victim = _served(plan)[0]
-        injector = FaultInjector(
-            ChaosSchedule({victim.name: {0: mode}}), max_hang_s=5.0
-        )
-        watchdog = SandboxWatchdog(timeout_s=0.2, join_grace_s=2.0)
+        injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
         out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", watchdog=watchdog, evaluator=injector
+            frame, failure_policy="degrade", evaluator=injector
         )
         entry = next(r for r in report.reports if r.feature == victim.name)
         assert entry.status == "failed"
-        assert entry.error in {
-            "TransformError",
-            "WatchdogTimeout",
-            "WatchdogViolation",
-        }
+        assert entry.error in {"TransformError", "PlanError"}
         for name in victim.output_columns:
             assert np.isnan(out[name].values).all()
         assert injector.injected == [(victim.name, mode)]
@@ -87,13 +74,10 @@ class TestEveryFailureMode:
     ):
         plan, frame = plan_and_frame
         victim = _served(plan)[0]
-        injector = FaultInjector(
-            ChaosSchedule({victim.name: {0: mode}}), max_hang_s=5.0
-        )
-        watchdog = SandboxWatchdog(timeout_s=0.2, join_grace_s=2.0)
+        injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
         clean = plan.apply(frame)
         out, _report = plan.apply_with_report(
-            frame, failure_policy="degrade", watchdog=watchdog, evaluator=injector
+            frame, failure_policy="degrade", evaluator=injector
         )
         for name in clean.columns:
             if name in victim.output_columns:
@@ -105,14 +89,9 @@ class TestEveryFailureMode:
         victim = _served(plan)[0]
         before = {name: frame[name].values.copy() for name in frame.columns}
         for mode in CHAOS_MODES:
-            injector = FaultInjector(
-                ChaosSchedule({victim.name: {0: mode}}), max_hang_s=5.0
-            )
+            injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
             plan.apply_with_report(
-                frame,
-                failure_policy="degrade",
-                watchdog=SandboxWatchdog(timeout_s=0.2, join_grace_s=2.0),
-                evaluator=injector,
+                frame, failure_policy="degrade", evaluator=injector
             )
         assert frame.columns == list(before)
         for name, values in before.items():
@@ -131,18 +110,11 @@ class TestStrictFailsLoudly:
         injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
         with pytest.raises(Exception) as excinfo:
             plan.apply_with_report(
-                frame,
-                failure_policy="strict",
-                watchdog=SandboxWatchdog(timeout_s=0.5),
-                evaluator=injector,
+                frame, failure_policy="strict", evaluator=injector
             )
-        # typed: either the sandbox error or a watchdog verdict, never a
-        # bare KeyError/IndexError from a kernel
-        assert type(excinfo.value).__name__ in {
-            "TransformError",
-            "PlanError",
-            "WatchdogViolation",
-        }
+        # typed: the injected error or the install check's verdict, never
+        # a bare KeyError/IndexError/ValueError from a kernel
+        assert type(excinfo.value).__name__ in {"TransformError", "PlanError"}
 
 
 class TestBreakerSchedule:

@@ -1,4 +1,4 @@
-"""Plan compilation: statuses, verification, fallbacks, and the
+"""Plan compilation: statuses, verification, omissions, and the
 shared-grouping encode satellite."""
 
 import numpy as np
@@ -70,36 +70,32 @@ class TestStatuses:
         assert plan.features[0].status == "compiled"
         assert plan.features[0].expr is not None
 
-    def test_divergent_source_falls_back_to_sandbox(self, frame, monkeypatch):
+    def test_divergent_lift_is_omitted(self, frame, monkeypatch):
         # A wrong lift (here: the lifter forced to emit x * 2 for a source
-        # computing x * 3) must fail the bitwise verify and carry the
-        # source as an explicit fallback — it can never ship.
+        # computing x * 3) must fail the bitwise verify and be omitted
+        # with its reason — it can never ship.
         src = "def transform(df):\n    return df['x'] * 3.0\n"
         divergent = {
             "op": "mul",
             "left": {"op": "col", "name": "x"},
             "right": {"op": "const", "value": 2.0},
         }
-        monkeypatch.setattr(compiler, "_lift", lambda source: divergent)
+        monkeypatch.setattr(compiler, "lift_source", lambda source: divergent)
         result = result_of(frame, [feature("x_3", ["x"], "x tripled", src)])
         plan = compile_plan(result, frame, "Target")
         spec = plan.features[0]
-        assert spec.status == "fallback"
-        assert spec.fallback_source == src
+        assert (spec.status, spec.expr) == ("omitted", None)
         assert "not bit-identical" in spec.reason
-        replayed = plan.apply(frame)
-        assert series_identical(replayed["x_3"], result.frame["x_3"])
+        assert "x_3" not in plan.apply(frame)
 
-    def test_unliftable_source_falls_back_to_sandbox(self, frame):
+    def test_unliftable_source_is_omitted(self, frame):
         src = "def transform(df):\n    return df['x'].apply(lambda v: v * 2)\n"
         result = result_of(frame, [feature("x_2", ["x"], "x doubled", src)])
         plan = compile_plan(result, frame, "Target")
         spec = plan.features[0]
-        assert spec.status == "fallback"
-        assert spec.fallback_source == src
+        assert (spec.status, spec.expr) == ("omitted", None)
         assert "no expression template" in spec.reason
-        replayed = plan.apply(frame)
-        assert series_identical(replayed["x_2"], result.frame["x_2"])
+        assert "x_2" not in plan.apply(frame)
 
     def test_feature_on_vanished_column_is_omitted(self, frame):
         src = "def transform(df):\n    return df['ghost'] * 2\n"
@@ -252,7 +248,7 @@ def blank_object_cells(frame, rate, seed):
 class TestEndToEnd:
     def test_blanked_object_cells_compile_every_feature(self):
         """Group keys with missing cells freeze into group tables: a fit on
-        adult with 2% of its object cells blanked ships no fallback."""
+        adult with 2% of its object cells blanked compiles every feature."""
         from repro.core import SmartFeat
         from repro.datasets import load_dataset
         from repro.fm import SimulatedFM
@@ -274,7 +270,7 @@ class TestEndToEnd:
             target_description=loaded.target_description,
         )
         counts = result.plan.counts()
-        assert counts["fallback"] == 0 and counts["compiled"] > 0
+        assert counts == {"compiled": len(result.plan.features), "omitted": 0}
         replayed = FeaturePlan.from_json(result.plan.to_json())
         identical, detail = frames_identical(replayed.apply(frame), result.frame)
         assert identical, detail

@@ -1,16 +1,23 @@
 """FeaturePlan serialization: round-trip identity, versioning, migration."""
 
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import SmartFeatResult
+from repro.core.sandbox import run_transform
+from repro.core.types import GeneratedFeature, OperatorFamily
+from repro.dataframe import DataFrame, io
+from repro.dataframe.series import Series
 from repro.eval.serving import build_demo_result
 from repro.serve import (
     PLAN_SCHEMA_VERSION,
     FeaturePlan,
     FeatureSpec,
+    PlanRegistry,
     PlanSchemaError,
     PlanVersionError,
     compile_plan,
@@ -38,7 +45,7 @@ class TestRoundTrip:
         workload that exercises every operator form the codegen emits."""
         plan, result, frame = demo_plan(n_rows, seed)
         counts = plan.counts()
-        assert counts["fallback"] == 0 and counts["omitted"] == 0, counts
+        assert counts == {"compiled": len(plan.features), "omitted": 0}, counts
         loaded = FeaturePlan.from_json(plan.to_json())
         identical, detail = frames_identical(loaded.apply(frame), result.frame)
         assert identical, detail
@@ -144,3 +151,117 @@ class TestTampering:
         wrong = frame.column_view([c for c in frame.columns if c != "Age"])
         with pytest.raises(PlanSchemaError, match="Age"):
             plan.apply(wrong)
+
+
+# ----------------------------------------------------------------------
+# Plans written before the fallback status was removed
+# ----------------------------------------------------------------------
+#: A v2 plan as the previous writer saved it: every feature carries
+#: ``"fallback_source": null`` and the compile metadata a fallback count.
+OLD_V2_PLAN = """{
+  "schema_version": 2,
+  "fingerprint": "8605270b8eeaedaa53b11120fecb4f748690734dd82f0732977dd81c117c2af2",
+  "target": "Target",
+  "input_columns": ["x", "g", "Target"],
+  "input_schema": [["x", "numeric"], ["g", "object"]],
+  "drop_columns": [],
+  "metadata": {"compile": {"n_features": 2, "compiled": 2, "fallback": 0,
+                           "omitted": 0, "omitted_features": []}},
+  "features": [
+    {"name": "x_twice", "family": "unary", "description": "x_twice",
+     "input_columns": ["x"], "output_columns": ["x_twice"], "status": "compiled",
+     "expr": {"op": "mul", "left": {"op": "col", "name": "x"},
+              "right": {"op": "const", "value": 2}},
+     "fallback_source": null, "reason": "", "output_kinds": ["numeric"]},
+    {"name": "x_by_g", "family": "high_order", "description": "x_by_g",
+     "input_columns": ["g", "x"], "output_columns": ["x_by_g"], "status": "compiled",
+     "expr": {"op": "group_lookup", "keys": ["g"], "agg": "mean", "agg_col": "x",
+              "table": [["a", 3.0], ["b", 3.0]], "value_kind": "float64",
+              "fill": null},
+     "fallback_source": null, "reason": "", "output_kinds": ["numeric"]}
+  ]
+}"""
+
+_OLD_SOURCES = {
+    "x_twice": (["x"], OperatorFamily.UNARY, "return df['x'] * 2"),
+    "x_by_g": (
+        ["g", "x"],
+        OperatorFamily.HIGH_ORDER,
+        "return df.groupby('g')['x'].transform('mean')",
+    ),
+}
+
+
+def _old_frame():
+    return DataFrame(
+        {
+            "x": Series([1.0, 2.0, 3.0, 4.0, 5.0]),
+            "g": Series(["a", "b", "a", "b", "a"]),
+            "Target": Series([0, 1, 0, 1, 0]),
+        }
+    )
+
+
+def _fresh_plan(frame):
+    """The old plan's features, fitted and compiled by this writer."""
+    working = frame.column_view(frame.columns)
+    features = {}
+    for name, (columns, family, body) in _OLD_SOURCES.items():
+        source = f"def transform(df):\n    {body}\n"
+        working[name] = run_transform(source, working).rename(name)
+        features[name] = GeneratedFeature(
+            name=name,
+            family=family,
+            input_columns=columns,
+            description=name,
+            output_columns=[name],
+            source_code=source,
+        )
+    result = SmartFeatResult(frame=working, new_features=features)
+    return compile_plan(result, frame, "Target")
+
+
+def _load_routes(text, tmp_path):
+    """Load *text* through ``from_json``, ``FeaturePlan.load`` and a
+    registry, as ``(route, loader)`` pairs."""
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    registry_dir = tmp_path / "registry" / "old"
+    os.makedirs(registry_dir)
+    (registry_dir / "v1.json").write_text(text)
+    return [
+        ("from_json", lambda: FeaturePlan.from_json(text)),
+        ("load", lambda: FeaturePlan.load(str(path))),
+        ("registry", lambda: PlanRegistry(str(tmp_path / "registry")).load("old")),
+    ]
+
+
+class TestPlansFromBeforeFallbackRemoval:
+    def test_old_v2_plan_loads_and_applies_like_a_fresh_compile(self, tmp_path):
+        frame = _old_frame()
+        fresh = _fresh_plan(frame)
+        assert fresh.counts() == {"compiled": 2, "omitted": 0}
+        fresh_csv = tmp_path / "fresh.csv"
+        io.to_csv(fresh.apply(frame), str(fresh_csv))
+        for route, load in _load_routes(OLD_V2_PLAN, tmp_path):
+            loaded = load()
+            assert loaded.schema_version == PLAN_SCHEMA_VERSION, route
+            assert loaded.to_dict()["features"] == fresh.to_dict()["features"], route
+            identical, detail = frames_identical(loaded.apply(frame), fresh.apply(frame))
+            assert identical, (route, detail)
+            out_csv = tmp_path / f"{route}.csv"
+            io.to_csv(loaded.apply(frame), str(out_csv))
+            assert out_csv.read_bytes() == fresh_csv.read_bytes(), route
+
+    def test_old_fallback_spec_fails_loudly_naming_the_feature(self, tmp_path):
+        payload = json.loads(OLD_V2_PLAN)
+        spec = payload["features"][1]
+        spec.update(
+            status="fallback",
+            expr=None,
+            fallback_source="def transform(df):\n    return df['x'].apply(abs)\n",
+        )
+        text = json.dumps(payload)
+        for route, load in _load_routes(text, tmp_path):
+            with pytest.raises(PlanSchemaError, match="'x_by_g'.*fallback"):
+                load()

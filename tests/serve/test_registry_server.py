@@ -143,9 +143,6 @@ class TestServer:
         [
             {"breaker_threshold": -2},
             {"breaker_cooldown": 0},
-            {"watchdog_timeout": 0},
-            {"watchdog_timeout": -1.0},
-            {"watchdog_timeout": float("nan")},
         ],
     )
     def test_resilience_knobs_are_validated_at_construction(self, plan_and_frame, knob):
@@ -157,9 +154,9 @@ class TestServer:
     def test_resilience_knob_edges_are_accepted(self, plan_and_frame):
         plan, _, _ = plan_and_frame
         server = FeatureServer(plan=plan, breaker_threshold=0, breaker_cooldown=1)
-        assert server.breakers is None and server.watchdog is None
-        server = FeatureServer(plan=plan, breaker_threshold=1, watchdog_timeout=0.5)
-        assert server.breakers is not None and server.watchdog is not None
+        assert server.breakers is None
+        server = FeatureServer(plan=plan, breaker_threshold=1)
+        assert server.breakers is not None
 
     def test_transform_dataframe(self, plan_and_frame):
         plan, result, frame = plan_and_frame

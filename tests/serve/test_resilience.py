@@ -1,4 +1,4 @@
-"""Serve-path resilience: isolation, breakers, watchdog, plan cache, health."""
+"""Serve-path resilience: isolation, breakers, plan cache, health."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,7 @@ from repro.serve import (
     FeatureSpec,
     PlanError,
     PlanRegistry,
-    SandboxWatchdog,
-    WatchdogTimeout,
-    WatchdogViolation,
     compile_plan,
-    frames_identical,
     series_identical,
 )
 
@@ -197,79 +193,6 @@ class TestDegradeIsolation:
         assert board.get(victim.name).state == "open"
 
 
-class TestWatchdog:
-    def test_timeout_interrupts_pure_python_hang(self):
-        watchdog = SandboxWatchdog(timeout_s=0.1, join_grace_s=2.0)
-
-        def spin():
-            while True:
-                pass
-
-        with pytest.raises(WatchdogTimeout, match="wall-clock"):
-            watchdog.run(spin)
-
-    def test_result_and_errors_pass_through(self):
-        watchdog = SandboxWatchdog(timeout_s=1.0)
-        assert watchdog.run(lambda: 42) == 42
-        with pytest.raises(ValueError, match="boom"):
-            watchdog.run(lambda: (_ for _ in ()).throw(ValueError("boom")))
-
-    def test_guarded_catches_row_count_violation(self, plan_result_frame):
-        plan, _result, frame = plan_result_frame
-        spec = next(s for s in plan.features if s.status != "omitted")
-        working = frame.column_view(frame.columns)
-        watchdog = SandboxWatchdog(timeout_s=1.0)
-        from repro.dataframe.series import Series
-
-        with pytest.raises(WatchdogViolation, match="rows"):
-            watchdog.run_guarded(
-                spec,
-                working,
-                lambda g: Series._from_array(
-                    np.zeros(len(g) - 1), spec.output_columns[0]
-                ),
-            )
-
-    def test_guarded_catches_dtype_violation(self, plan_result_frame):
-        plan, _result, frame = plan_result_frame
-        spec = next(
-            s
-            for s in plan.features
-            if s.status != "omitted" and (s.output_kinds or []) == ["numeric"]
-        )
-        working = frame.column_view(frame.columns)
-        watchdog = SandboxWatchdog(timeout_s=1.0)
-        from repro.dataframe.series import Series
-
-        wrong = np.empty(len(frame), dtype=object)
-        wrong[:] = "oops"
-        with pytest.raises(WatchdogViolation, match="kind"):
-            watchdog.run_guarded(
-                spec,
-                working,
-                lambda g: Series._from_array(wrong, spec.output_columns[0]),
-            )
-
-    def test_guarded_catches_input_mutation(self, plan_result_frame):
-        plan, _result, frame = plan_result_frame
-        spec = next(s for s in plan.features if s.status != "omitted")
-        working = frame.column_view(frame.columns)
-        watchdog = SandboxWatchdog(timeout_s=1.0)
-        from repro.dataframe.series import Series
-
-        def mutate(g):
-            g[g.columns[0]] = Series._from_array(np.zeros(len(g)), g.columns[0])
-            return Series._from_array(np.zeros(len(g)), spec.output_columns[0])
-
-        with pytest.raises(WatchdogViolation, match="mutated"):
-            watchdog.run_guarded(spec, working, mutate)
-        # and the caller's frame was never touched (the guard is a copy)
-        identical, detail = frames_identical(
-            working, frame.column_view(frame.columns)
-        )
-        assert identical, detail
-
-
 class TestServerPlanCache:
     def test_explicit_version_cached_without_reread(self, tmp_path, plan_result_frame):
         plan, _result, frame = plan_result_frame
@@ -392,13 +315,13 @@ def _target_reading_plan() -> FeaturePlan:
 
 @pytest.mark.parametrize(
     "extras",
-    [{}, {"breakers": BreakerBoard()}, {"watchdog": SandboxWatchdog()}],
-    ids=["no-extras", "breakers", "watchdog"],
+    [{}, {"breakers": BreakerBoard()}],
+    ids=["no-extras", "breakers"],
 )
 @pytest.mark.parametrize("entry", ["apply", "apply_with_report"])
 def test_strict_raises_on_missing_input_whatever_the_extras(entry, extras):
     """Strict never NaN-fills: a feature whose input is absent at serve
-    time fails the batch with or without breakers or a watchdog."""
+    time fails the batch with or without breakers."""
     plan = _target_reading_plan()
     frame = DataFrame({"x": Series([1.0, 2.0, 3.0], "x")})
     with pytest.raises(ExprError, match="'y'"):

@@ -8,8 +8,9 @@ Two contracts:
   expression unchanged.
 * **Rewrite corpus.**  Hand-written sources equivalent in intent to the
   codegen forms (renamed variables, intermediate assignments, inline
-  literals, operand swaps …) mostly compile, and every compiled entry
-  replays bit-identically to its sandbox run.
+  literals, operand swaps …) mostly compile, every compiled entry
+  replays bit-identically to its sandbox run, and every other entry is
+  omitted with the lifter's reason.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from repro.eval.serving import (
     make_serving_frame,
 )
 from repro.serve import compile_plan, series_identical
+from repro.serve.compiler import Unliftable, lift_source
 
 _TAG = re.compile(r"^[A-Za-z_]+(\[[^\]]*\])*:\s*")
 
@@ -61,7 +63,7 @@ class TestTagBlind:
     def test_demo_plan_compiles_every_form_untagged(self):
         result, frame = build_demo_result(400, seed=0)
         plan = compile_plan(_strip_tags(result), frame, "Target")
-        assert plan.counts() == {"compiled": 16, "fallback": 0, "omitted": 0}
+        assert plan.counts() == {"compiled": 16, "omitted": 0}
         assert _signature(plan) == _signature(compile_plan(result, frame, "Target"))
 
 
@@ -169,13 +171,15 @@ CORPUS = [
             "return total",
         ),
     ),
-    # Outside the lifted subset: these must take the sandbox fallback.
+    # Outside the lifted subset: fit rejects these, and a plan omits them.
     ("lambda_apply", _src("return df['Income'].apply(lambda v: v * 2)")),
     ("string_method_chain", _src("return df['City'].str.lower().str.len()")),
     ("median_fill", _src("return df['Income'].fillna(df['Income'].median())")),
 ]
 
 MIN_COMPILED_SHARE = 0.8
+
+UNLIFTABLE = ["lambda_apply", "string_method_chain", "median_fill"]
 
 
 def _as_outputs(name: str, out) -> dict:
@@ -218,23 +222,27 @@ class TestRewriteCorpus:
 
     def test_compiled_share(self, corpus_plans):
         statuses = {name: plan.features[0].status for name, (plan, _) in corpus_plans.items()}
-        assert set(statuses.values()) <= {"compiled", "fallback"}
+        assert set(statuses.values()) <= {"compiled", "omitted"}
         compiled = sum(status == "compiled" for status in statuses.values())
         share = compiled / len(statuses)
         print(f"rewrite corpus: {compiled}/{len(statuses)} compiled ({share:.0%})")
         assert share >= MIN_COMPILED_SHARE, statuses
 
-    @pytest.mark.parametrize("name", [name for name, _ in CORPUS])
+    @pytest.mark.parametrize(
+        "name", [name for name, _ in CORPUS if name not in UNLIFTABLE]
+    )
     def test_entry_replays_like_its_sandbox_run(self, name, corpus_plans, corpus_frame):
         plan, outputs = corpus_plans[name]
         replayed = plan.apply(corpus_frame)
         for column, series in outputs.items():
             assert series_identical(replayed[column], series), column
 
-    @pytest.mark.parametrize(
-        "name", ["lambda_apply", "string_method_chain", "median_fill"]
-    )
-    def test_unliftable_entries_fall_back(self, name, corpus_plans):
-        spec = corpus_plans[name][0].features[0]
-        assert spec.status == "fallback"
-        assert "no expression template" in spec.reason
+    @pytest.mark.parametrize("name", UNLIFTABLE)
+    def test_unliftable_entries_are_omitted(self, name, corpus_plans, corpus_frame):
+        with pytest.raises(Unliftable) as excinfo:
+            lift_source(dict(CORPUS)[name])
+        plan = corpus_plans[name][0]
+        spec = plan.features[0]
+        assert (spec.status, spec.expr) == ("omitted", None)
+        assert spec.reason == f"no expression template for this form: {excinfo.value}"
+        assert not set(spec.output_columns) & set(plan.apply(corpus_frame).columns)

@@ -274,7 +274,6 @@ class TestPlanCommands:
     @pytest.mark.parametrize(
         "flags, knob",
         [
-            (["--watchdog-timeout", "-1"], "watchdog_timeout"),
             (["--breaker-threshold", "-2"], "breaker_threshold"),
         ],
     )
