@@ -8,6 +8,7 @@ and never reaches a plan.
 """
 
 import json
+import re
 
 import pytest
 
@@ -22,9 +23,21 @@ from repro.fm import ScriptedFM
 from repro.serve.compiler import Unliftable, lift_source
 
 GOOD_CODE = "```python\ndef transform(df):\n    return df['Age'] * 2\n```"
-UNLIFTABLE_CODE = (
-    "```python\ndef transform(df):\n    return df['Age'].apply(lambda v: v * 2)\n```"
-)
+
+
+def _answer(body: str) -> str:
+    return f"```python\ndef transform(df):\n    return {body}\n```"
+
+
+UNLIFTABLE_CODE = _answer("df['Age'].apply(lambda v: v * 2)")
+
+#: One answer per form outside the lifted subset (the rewrite corpus's
+#: unliftable entries), each with its own lifter reason.
+UNLIFTABLE_ANSWERS = {
+    "lambda_apply": UNLIFTABLE_CODE,
+    "string_method_chain": _answer("df['Sex'].str.lower().str.len()"),
+    "median_fill": _answer("df['Age'].fillna(df['Age'].median())"),
+}
 
 
 def _lifter_reason(code: str) -> str:
@@ -36,7 +49,7 @@ def _lifter_reason(code: str) -> str:
 def _candidate():
     return FeatureCandidate(
         name="double_age",
-        columns=["Age"],
+        columns=["Age", "Sex"],
         description="doubled age (test)",
         family=OperatorFamily.UNARY,
     )
@@ -56,11 +69,13 @@ def sandbox_sources(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("form", sorted(UNLIFTABLE_ANSWERS))
 class TestGenerator:
     def test_unliftable_answer_repaired_with_the_lifters_reason(
-        self, insurance_agenda, insurance_frame, sandbox_sources
+        self, form, insurance_agenda, insurance_frame, sandbox_sources
     ):
-        fm = ScriptedFM([UNLIFTABLE_CODE, GOOD_CODE])
+        unliftable = UNLIFTABLE_ANSWERS[form]
+        fm = ScriptedFM([unliftable, GOOD_CODE])
         fm.ledger.keep_history = True
         realized = FunctionGenerator(fm, repair_retries=1).realize(
             _candidate(), insurance_agenda, insurance_frame
@@ -70,14 +85,16 @@ class TestGenerator:
         assert realized.feature.source_code == extract_code(GOOD_CODE)
         repair_prompt = fm.ledger.history[1][0]
         assert "Generate a corrected" in repair_prompt
-        assert f"not compilable: {_lifter_reason(UNLIFTABLE_CODE)}" in repair_prompt
+        assert f"not compilable: {_lifter_reason(unliftable)}" in repair_prompt
         assert sandbox_sources == [extract_code(GOOD_CODE)]
 
     def test_still_unliftable_after_retries_raises_not_compilable(
-        self, insurance_agenda, insurance_frame, sandbox_sources
+        self, form, insurance_agenda, insurance_frame, sandbox_sources
     ):
-        fm = ScriptedFM([UNLIFTABLE_CODE, UNLIFTABLE_CODE])
-        with pytest.raises(TransformError, match="^not compilable: "):
+        unliftable = UNLIFTABLE_ANSWERS[form]
+        fm = ScriptedFM([unliftable, unliftable])
+        reason = re.escape(_lifter_reason(unliftable))
+        with pytest.raises(TransformError, match=f"^not compilable: {reason}$"):
             FunctionGenerator(fm, repair_retries=1).realize(
                 _candidate(), insurance_agenda, insurance_frame
             )

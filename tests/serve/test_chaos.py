@@ -42,6 +42,16 @@ class TestChaosSchedule:
         with pytest.raises(ValueError, match="unknown chaos mode"):
             ChaosSchedule({"f": {0: "meteor"}})
 
+    @pytest.mark.parametrize("mode", ["hang", "mutate"])
+    def test_retired_modes_rejected(self, mode):
+        # Schedules written when features could hang or mutate their
+        # input fail loudly rather than injecting nothing.
+        assert mode not in CHAOS_MODES
+        with pytest.raises(ValueError, match=f"unknown chaos mode '{mode}'"):
+            ChaosSchedule({"f": {0: mode}})
+        with pytest.raises(ValueError, match=f"unknown chaos mode '{mode}'"):
+            ChaosSchedule.seeded(["f"], modes=(mode,), rate=1.0, n_calls=1)
+
     def test_calls_advance_and_reset(self):
         schedule = ChaosSchedule({"f": {1: "raise"}})
         assert schedule.fault_for("f") is None

@@ -22,6 +22,7 @@ from repro.serve import (
     PlanVersionError,
     compile_plan,
     frames_identical,
+    series_identical,
 )
 
 
@@ -221,39 +222,63 @@ def _fresh_plan(frame):
     return compile_plan(result, frame, "Target")
 
 
-def _load_routes(text, tmp_path):
-    """Load *text* through ``from_json``, ``FeaturePlan.load`` and a
-    registry, as ``(route, loader)`` pairs."""
-    path = tmp_path / "plan.json"
-    path.write_text(text)
+ROUTES = ["from_json", "load", "registry"]
+
+
+def _loader(route, text, tmp_path):
+    """A loader of *text* through ``from_json``, ``FeaturePlan.load`` or a
+    registry."""
+    if route == "from_json":
+        return lambda: FeaturePlan.from_json(text)
+    if route == "load":
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        return lambda: FeaturePlan.load(str(path))
     registry_dir = tmp_path / "registry" / "old"
     os.makedirs(registry_dir)
     (registry_dir / "v1.json").write_text(text)
-    return [
-        ("from_json", lambda: FeaturePlan.from_json(text)),
-        ("load", lambda: FeaturePlan.load(str(path))),
-        ("registry", lambda: PlanRegistry(str(tmp_path / "registry")).load("old")),
-    ]
+    return lambda: PlanRegistry(str(tmp_path / "registry")).load("old")
 
 
+@pytest.mark.parametrize("route", ROUTES)
 class TestPlansFromBeforeFallbackRemoval:
-    def test_old_v2_plan_loads_and_applies_like_a_fresh_compile(self, tmp_path):
+    def test_old_v2_plan_loads_and_applies_like_a_fresh_compile(self, route, tmp_path):
         frame = _old_frame()
         fresh = _fresh_plan(frame)
         assert fresh.counts() == {"compiled": 2, "omitted": 0}
+        loaded = _loader(route, OLD_V2_PLAN, tmp_path)()
+        assert loaded.schema_version == PLAN_SCHEMA_VERSION
+        assert loaded.to_dict()["features"] == fresh.to_dict()["features"]
+        identical, detail = frames_identical(loaded.apply(frame), fresh.apply(frame))
+        assert identical, detail
         fresh_csv = tmp_path / "fresh.csv"
         io.to_csv(fresh.apply(frame), str(fresh_csv))
-        for route, load in _load_routes(OLD_V2_PLAN, tmp_path):
-            loaded = load()
-            assert loaded.schema_version == PLAN_SCHEMA_VERSION, route
-            assert loaded.to_dict()["features"] == fresh.to_dict()["features"], route
-            identical, detail = frames_identical(loaded.apply(frame), fresh.apply(frame))
-            assert identical, (route, detail)
-            out_csv = tmp_path / f"{route}.csv"
-            io.to_csv(loaded.apply(frame), str(out_csv))
-            assert out_csv.read_bytes() == fresh_csv.read_bytes(), route
+        out_csv = tmp_path / f"{route}.csv"
+        io.to_csv(loaded.apply(frame), str(out_csv))
+        assert out_csv.read_bytes() == fresh_csv.read_bytes()
 
-    def test_old_fallback_spec_fails_loudly_naming_the_feature(self, tmp_path):
+    def test_old_omitted_spec_stays_omitted(self, route, tmp_path):
+        # The previous writer put ``"fallback_source": null`` on omitted
+        # specs too; they load as omissions with their reason and serve
+        # no column.
+        payload = json.loads(OLD_V2_PLAN)
+        spec = payload["features"][1]
+        spec.update(status="omitted", expr=None, reason="column 'g' vanished")
+        payload["metadata"]["compile"].update(
+            compiled=1, omitted=1, omitted_features=["x_by_g"]
+        )
+        loaded = _loader(route, json.dumps(payload), tmp_path)()
+        assert loaded.counts() == {"compiled": 1, "omitted": 1}
+        omitted = loaded.features[1]
+        assert (omitted.name, omitted.expr) == ("x_by_g", None)
+        assert omitted.reason == "column 'g' vanished"
+        frame = _old_frame()
+        out = loaded.apply(frame)
+        assert "x_by_g" not in out.columns
+        fresh = _fresh_plan(frame).apply(frame)
+        assert series_identical(out["x_twice"], fresh["x_twice"])
+
+    def test_old_fallback_spec_fails_loudly_naming_the_feature(self, route, tmp_path):
         payload = json.loads(OLD_V2_PLAN)
         spec = payload["features"][1]
         spec.update(
@@ -261,7 +286,6 @@ class TestPlansFromBeforeFallbackRemoval:
             expr=None,
             fallback_source="def transform(df):\n    return df['x'].apply(abs)\n",
         )
-        text = json.dumps(payload)
-        for route, load in _load_routes(text, tmp_path):
-            with pytest.raises(PlanSchemaError, match="'x_by_g'.*fallback"):
-                load()
+        load = _loader(route, json.dumps(payload), tmp_path)
+        with pytest.raises(PlanSchemaError, match="'x_by_g'.*fallback"):
+            load()

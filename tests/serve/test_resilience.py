@@ -314,15 +314,20 @@ def _target_reading_plan() -> FeaturePlan:
 
 
 @pytest.mark.parametrize(
-    "extras",
-    [{}, {"breakers": BreakerBoard()}],
+    "make_extras",
+    [dict, lambda: {"breakers": BreakerBoard()}],
     ids=["no-extras", "breakers"],
 )
-@pytest.mark.parametrize("entry", ["apply", "apply_with_report"])
-def test_strict_raises_on_missing_input_whatever_the_extras(entry, extras):
+@pytest.mark.parametrize("entry", ["apply", "apply_with_report", "apply_stream"])
+def test_strict_raises_on_missing_input_whatever_the_extras(entry, make_extras):
     """Strict never NaN-fills: a feature whose input is absent at serve
-    time fails the batch with or without breakers."""
+    time fails the batch with or without breakers, on every entry point."""
+    # A fresh board per case: a shared one would open after three cases.
+    extras = make_extras()
     plan = _target_reading_plan()
     frame = DataFrame({"x": Series([1.0, 2.0, 3.0], "x")})
     with pytest.raises(ExprError, match="'y'"):
-        getattr(plan, entry)(frame, failure_policy="strict", **extras)
+        if entry == "apply_stream":
+            list(plan.apply_stream([frame], failure_policy="strict", **extras))
+        else:
+            getattr(plan, entry)(frame, failure_policy="strict", **extras)
