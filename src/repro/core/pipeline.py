@@ -86,6 +86,7 @@ from repro.fm.base import Budget, FMClient
 from repro.fm.cache import FMCache
 from repro.fm.errors import FMBudgetExceededError, FMError, FMParseError
 from repro.fm.executor import FMExecutor, FMRequest
+from repro.serve.compiler import compile_plan as _compile_plan
 
 __all__ = ["SmartFeat", "SmartFeatResult", "StageContext"]
 
@@ -575,8 +576,6 @@ class SmartFeat:
         state from it and only marks a feature ``compiled`` when replay
         is bit-identical to ``result.frame``.
         """
-        from repro.serve.compiler import compile_plan as _compile_plan
-
         return _compile_plan(result, frame, target, metadata=metadata)
 
     # ------------------------------------------------------------------

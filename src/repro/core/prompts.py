@@ -102,15 +102,30 @@ def extractor_sampling_prompt(agenda: DataAgenda) -> str:
     return _EXTRACTOR.format(agenda=agenda.describe(), target=agenda.target)
 
 
+#: The code the serving compiler can lift (``serve.compiler.lift_source``);
+#: fit rejects any other answer as "not compilable", so both prompts that
+#: ask for code state it.
+_SUBSET = """The execution environment provides `pd` (pandas-compatible) and
+`np` (numpy). Write straight-line code over `df[c]` columns, with no
+loops, lambdas, `math` or `.apply` of Python functions. Accepted forms:
+arithmetic with numeric constants; `pd.cut(df[c], bins=[...])`,
+`pd.qcut(df[c], q)`, `pd.get_dummies(df[c])`,
+`df.groupby(keys)[c].transform(agg)`,
+`pd.DataFrame({name: df[c].dt.<part>, ...})`; and on a column
+`.map(dict)`, `.fillna(constant)`, `.clip(lower, upper)`,
+`.isna().astype(int)`, `.mean()`/`.min()`/`.max()`/`.std()`,
+`.where(s != 0)`, `.apply(np.<ufunc>)` and `.str.len()`."""
+
 _FUNCTION = """{agenda}
 
 Task: Generate the optimal Python function to obtain the new feature
 "{name}" (output) using feature(s) {columns} (input).
 Feature description: {description}
 Requirements: define `def transform(df):` returning the new column (a
-Series) or new columns (a DataFrame). The execution environment provides
-`pd` (pandas-compatible), `np` (numpy) and `math`. Handle missing values
-and avoid division by zero. Respond with Python code only."""
+Series) or new columns (a DataFrame).
+{subset}
+Handle missing values and avoid division by zero. Respond with Python
+code only."""
 
 
 def function_generation_prompt(agenda: DataAgenda, candidate: FeatureCandidate) -> str:
@@ -120,6 +135,7 @@ def function_generation_prompt(agenda: DataAgenda, candidate: FeatureCandidate) 
         name=candidate.name,
         columns=candidate.columns,
         description=candidate.description,
+        subset=_SUBSET,
     )
 
 
@@ -133,9 +149,10 @@ Failing code:
 {source}
 ```
 Error: {error}
-Generate a corrected `def transform(df):` meeting the same requirements
-(`pd`, `np`, `math` available; handle missing values; avoid division by
-zero). Respond with Python code only."""
+Generate a corrected `def transform(df):` meeting the same requirements.
+{subset}
+Handle missing values and avoid division by zero. Respond with Python
+code only."""
 
 
 def function_repair_prompt(
@@ -153,6 +170,7 @@ def function_repair_prompt(
         description=candidate.description,
         source=source.rstrip(),
         error=error,
+        subset=_SUBSET,
     )
 
 

@@ -26,7 +26,6 @@ lifts; a wrong lift fails the bitwise check, so it can never ship.
 from __future__ import annotations
 
 import ast
-import functools
 import inspect
 import json
 import operator
@@ -192,10 +191,6 @@ def _fold(fn: Any, *args: Any) -> _Lit:
         raise Unliftable(f"literal arithmetic failed: {exc}") from None
 
 
-#: One signature per whitelisted method: fit lifts every FM answer.
-_signature = functools.lru_cache(maxsize=None)(inspect.signature)
-
-
 def _bind(kind: str, method: str, receiver: Any, args: list, keywords: dict) -> dict:
     """Call arguments by parameter name, defaults filled in as literals."""
     fn = getattr(_RECEIVERS.get(kind), method, None)
@@ -203,7 +198,7 @@ def _bind(kind: str, method: str, receiver: Any, args: list, keywords: dict) -> 
         raise Unliftable(f"unsupported call .{method}() on {kind}")
     own = [] if kind == "pd" else [receiver]
     try:
-        bound = _signature(fn).bind(*own, *args, **keywords)
+        bound = inspect.signature(fn).bind(*own, *args, **keywords)
     except (TypeError, ValueError) as exc:
         raise Unliftable(f".{method}(): {exc}") from None
     bound.apply_defaults()
@@ -468,7 +463,21 @@ def lift_source(source: str) -> dict:
     The template may hold fit-time nodes for :func:`freeze_expr` to
     resolve.  Raises :class:`Unliftable` outside the whitelisted subset:
     fit rejects such an answer, so it never runs and never ships.
+    Any other failure of the lift itself (an unhashable dict-literal key,
+    literal folding out of memory …) is an :class:`Unliftable` too, so one
+    malformed answer costs its candidate, never the fit.
     """
+    try:
+        return _lift(source)
+    except Unliftable:
+        raise
+    except RecursionError:
+        raise Unliftable("expression nests too deeply") from None
+    except Exception as exc:
+        raise Unliftable(f"lift failed: {type(exc).__name__}: {exc}") from None
+
+
+def _lift(source: str) -> dict:
     try:
         body = ast.parse(source).body
     except (SyntaxError, ValueError) as exc:
@@ -481,10 +490,7 @@ def lift_source(source: str) -> dict:
         and ast.unparse(func.args).isidentifier()  # exactly one plain parameter
     ):
         raise Unliftable("source is not one def transform(df)")
-    try:
-        return _Lifter(func.args.args[0].arg).run(func.body)
-    except RecursionError:
-        raise Unliftable("expression nests too deeply") from None
+    return _Lifter(func.args.args[0].arg).run(func.body)
 
 
 # ----------------------------------------------------------------------

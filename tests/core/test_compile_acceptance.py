@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from repro.core import FunctionGenerator, SmartFeat
+from repro.core import FunctionGenerator, SmartFeat, prompts
 from repro.core import function_generator
 from repro.core.function_generator import RealizedFeature
 from repro.core.parsing import extract_code
@@ -30,13 +30,22 @@ def _answer(body: str) -> str:
 
 
 UNLIFTABLE_CODE = _answer("df['Age'].apply(lambda v: v * 2)")
+RATIO_CODE = _answer("df['Age'] / df['Income']")
+
+#: An answer whose literal the lifter cannot even build: the dict
+#: display raises ``TypeError`` (as the sandbox would) while lifting.
+UNHASHABLE_KEY_CODE = (
+    "```python\ndef transform(df):\n    m = {[1]: 2}\n    return df['Age'] * 2\n```"
+)
 
 #: One answer per form outside the lifted subset (the rewrite corpus's
-#: unliftable entries), each with its own lifter reason.
+#: unliftable entries, and a literal that fails to lift), each with its
+#: own lifter reason.
 UNLIFTABLE_ANSWERS = {
     "lambda_apply": UNLIFTABLE_CODE,
     "string_method_chain": _answer("df['Sex'].str.lower().str.len()"),
     "median_fill": _answer("df['Age'].fillna(df['Age'].median())"),
+    "unhashable_key": UNHASHABLE_KEY_CODE,
 }
 
 
@@ -135,3 +144,79 @@ class TestPipeline:
         reason = _lifter_reason(UNLIFTABLE_CODE)
         assert result.rejections["gap"] == f"generation failed: not compilable: {reason}"
         assert sandbox_sources == []
+
+    def test_lift_failure_rejects_one_candidate_and_the_fit_runs_on(
+        self, frame, sandbox_sources
+    ):
+        def proposal(name, operator):
+            return json.dumps(
+                {
+                    "operator": operator,
+                    "columns": ["Age", "Income"],
+                    "name": name,
+                    "description": f"binary[{operator}]: {name}",
+                }
+            )
+
+        def answer(prompt):
+            return UNHASHABLE_KEY_CODE if '"broken"' in prompt else RATIO_CODE
+
+        tool = SmartFeat(
+            fm=ScriptedFM([proposal("broken", "-"), proposal("ratio", "/")]),
+            function_fm=ScriptedFM(answer),
+            downstream_model="rf",
+            operator_families=(OperatorFamily.BINARY,),
+            sampling_budget=2,
+            repair_retries=1,
+        )
+        result = tool.fit_transform(frame, target="y")
+        assert result.rejections["broken"] == (
+            "generation failed: not compilable: "
+            "lift failed: TypeError: unhashable type: 'list'"
+        )
+        assert list(result.new_features) == ["ratio"]
+        assert sandbox_sources == [extract_code(RATIO_CODE)]
+
+
+class TestLifter:
+    def test_unhashable_dict_key_is_unliftable(self):
+        with pytest.raises(Unliftable, match="^lift failed: TypeError: unhashable"):
+            lift_source(extract_code(UNHASHABLE_KEY_CODE))
+
+
+#: One source per form the code prompts name as accepted.
+PROMPTED_FORMS = {
+    "arithmetic": "(df['Age'] - 1.5) * df['Income'] ** 2",
+    "pd.cut": "pd.cut(df['Age'], bins=[0, 30, 60], labels=['young', 'old'])",
+    "pd.qcut": "pd.qcut(df['Age'], 4)",
+    "pd.get_dummies": "pd.get_dummies(df['Sex'])",
+    "groupby": "df.groupby(['Sex'])['Age'].transform('mean')",
+    "date parts": "pd.DataFrame({'y': df['D'].dt.year, 'm': df['D'].dt.month})",
+    ".map(dict)": "df['Sex'].map({'male': 0, 'female': 1})",
+    ".fillna": "df['Age'].fillna(0)",
+    ".clip": "df['Age'].clip(18, 65)",
+    ".isna": "df['Age'].isna().astype(int)",
+    "fit statistics": "(df['Age'] - df['Age'].mean()) / df['Age'].std()",
+    ".min/.max": "(df['Age'] - df['Age'].min()) / df['Age'].max()",
+    ".where": "df['Age'] / df['Income'].where(df['Income'] != 0)",
+    ".apply(np.ufunc)": "df['Age'].apply(np.log1p)",
+    ".str.len": "df['Sex'].str.len()",
+}
+
+
+class TestPrompts:
+    """The code prompts promise exactly what fit accepts."""
+
+    def test_both_code_prompts_state_the_subset(self, insurance_agenda):
+        for prompt in (
+            prompts.function_generation_prompt(insurance_agenda, _candidate()),
+            prompts.function_repair_prompt(
+                insurance_agenda, _candidate(), "def transform(df): ...", "boom"
+            ),
+        ):
+            assert prompts._SUBSET in prompt
+            assert "no\nloops, lambdas, `math`" in prompt
+
+    @pytest.mark.parametrize("form", sorted(PROMPTED_FORMS))
+    def test_each_named_form_lifts(self, form):
+        lift_source(extract_code(_answer(PROMPTED_FORMS[form])))
