@@ -350,8 +350,9 @@ class FunctionGenerator:
     def _as_columns(result: Series | DataFrame, default_name: str) -> dict[str, Series]:
         # A single-Series output is the candidate feature itself; generated
         # code often returns it still carrying the *input* column's name
-        # (e.g. ``pd.cut(df['Age'], ...)``), so it is renamed to the
-        # candidate name.  Multi-column outputs keep their own names.
+        # (e.g. ``pd.cut(df['Age'], ...)``), so it is keyed by the
+        # candidate name (installing it names the column after its key).
+        # Multi-column outputs keep their own names.
         if isinstance(result, Series):
-            return {default_name: result.rename(default_name)}
+            return {default_name: result}
         return {c: result[c] for c in result.columns}

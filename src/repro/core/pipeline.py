@@ -1040,8 +1040,6 @@ def complete_row_plan(
 
 
 def _merge_columns(realized: RealizedFeature) -> DataFrame:
-    """Collect a realized feature's output columns into one frame."""
-    out = DataFrame()
-    for name, series in realized.values.items():
-        out[name] = series.rename(name)
-    return out
+    """Collect a realized feature's output columns into one frame, each
+    named after its key (copy-on-write: no column is copied)."""
+    return DataFrame(realized.values)

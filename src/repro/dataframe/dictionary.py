@@ -152,13 +152,20 @@ def encoded(
     Resolved against *dictionaries*' state for column *name* (``None``:
     the throwaway path) once per Series and kept on it, so every op of a
     batch — and every later batch serving the same Series — reuses it.
+    The entry is keyed on the name too: a copy-on-write alias of the
+    Series (which keeps the entry) may be served as another column.
     """
     values = series.values
     cached = series._dictionary_cache
-    if cached is not None and cached[0] is dictionaries and cached[1] is values:
-        return cached[2]
+    if (
+        cached is not None
+        and cached[0] is dictionaries
+        and cached[1] is values
+        and cached[2] == name
+    ):
+        return cached[3]
     resolved = _resolve(dictionaries, name, series)
-    series._dictionary_cache = (dictionaries, values, resolved)
+    series._dictionary_cache = (dictionaries, values, name, resolved)
     return resolved
 
 

@@ -755,8 +755,8 @@ def freeze_expr(node: dict, frame) -> dict:
     """Resolve every fit-time node against the fitted *frame*.
 
     Returns a frozen tree safe to serialize; raises :class:`ExprError`
-    when a statistic cannot be captured (the compiler then falls back to
-    carrying the sandbox source).
+    when a statistic cannot be captured (the compiler then records the
+    feature as ``omitted``, with the error as its reason).
     """
     op = node.get("op")
     if op in _FIT_FREEZERS:

@@ -76,7 +76,9 @@ class DataFrame:
     ----------
     data:
         A mapping of column name to 1-D data, a list of row dicts, or
-        another DataFrame (copied).
+        another DataFrame.  Series (and another frame's columns) are
+        taken copy-on-write, O(1) per column (see
+        :meth:`repro.dataframe.series.Series.copy`); other data is copied.
     columns:
         Optional column ordering / selection applied after construction.
     """
@@ -205,6 +207,7 @@ class DataFrame:
     # Structure manipulation
     # ------------------------------------------------------------------
     def copy(self) -> "DataFrame":
+        """An independent frame: O(1) per column, copy-on-write."""
         return DataFrame(self)
 
     def column_view(self, columns: Sequence[str]) -> "DataFrame":
@@ -248,13 +251,11 @@ class DataFrame:
                 self._columns.pop(name, None)
             return None
         keep = [c for c in self.columns if c not in set(names)]
-        return self[keep].copy()
+        return self[keep]
 
     def rename(self, columns: Mapping[str, str]) -> "DataFrame":
         """Return a copy with columns renamed per the *columns* mapping."""
-        return DataFrame(
-            {columns.get(name, name): s.copy() for name, s in self._columns.items()}
-        )
+        return DataFrame({columns.get(name, name): s for name, s in self._columns.items()})
 
     def assign(self, **new_columns: Any) -> "DataFrame":
         """Return a copy with new/updated columns.

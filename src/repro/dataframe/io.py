@@ -329,7 +329,7 @@ def iter_frame_shards(frame: DataFrame, chunk_rows: int) -> Iterator[Shard]:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     n = len(frame)
     names = frame.columns
-    arrays = [frame[c].values for c in names]
+    arrays = [frame[c]._shared_values() for c in names]  # views: read-only
     for index, start in enumerate(range(0, n, chunk_rows)):
         stop = min(start + chunk_rows, n)
         piece = DataFrame()

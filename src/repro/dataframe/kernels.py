@@ -415,17 +415,28 @@ def _numeric_uniques(present: np.ndarray, cap: int) -> list | None:
     scalars, or ``None`` when there are more than *cap*.
 
     The leading rows are probed first; when every later value is among
-    the probe's, the probe's first occurrences are the column's.
+    the probe's, the probe's first occurrences are the column's.  That
+    membership test is one ``==`` pass per probed value (at most *cap*
+    of them): ``np.isin`` would pick its table method for an int column
+    and pay for the whole value range.
     """
     head = present[:_PROBE_ROWS]
     distinct, first = np.unique(head, return_index=True)
     if len(distinct) > cap:
         return None
-    if len(head) < len(present) and not np.isin(present[len(head):], distinct).all():
+    if len(head) < len(present) and not _all_among(present[len(head):], distinct):
         distinct, first = np.unique(present, return_index=True)
         if len(distinct) > cap:
             return None
     return present[np.sort(first)].tolist()
+
+
+def _all_among(values: np.ndarray, distinct: np.ndarray) -> bool:
+    """Whether every one of *values* equals one of the (few) *distinct*."""
+    seen = values == distinct[0]
+    for value in distinct[1:]:
+        seen |= values == value
+    return bool(seen.all())
 
 
 #: Cell types whose equality with ``None`` is identity and that are never

@@ -34,11 +34,12 @@ def get_dummies(
         name = prefix if prefix is not None else (data.name or "col")
         codes, categories = data._factorized()
         start = 1 if drop_first else 0
-        out: dict[str, np.ndarray] = {}
+        out: dict[str, Series] = {}
         for j, cat in enumerate(categories):
             if j < start:
                 continue
-            out[f"{name}_{cat}"] = (codes == j).astype(np.int64)
+            column = f"{name}_{cat}"
+            out[column] = Series._from_array((codes == j).astype(np.int64), column)
         return DataFrame(out)
     frame = data
     targets = list(columns) if columns is not None else frame.categorical_columns()

@@ -4,6 +4,14 @@ A :class:`Series` wraps a numpy array plus a name.  Numeric data is kept in
 native numpy dtypes (``float64``/``int64``/``bool``); strings and mixed data
 live in ``object`` arrays.  Missing values are ``NaN`` for floats and
 ``None`` for objects; :meth:`Series.isna` treats both uniformly.
+
+Columns are copy-on-write.  :meth:`Series.rename`, :meth:`Series.copy`,
+``Series(series)`` and slicing share the backing array instead of
+copying it, and mark it read-only; the derived-data caches
+(:meth:`Series.encoding`, :meth:`Series.grouping`, the column-dictionary
+codes) travel with it.  :meth:`Series.__setitem__` copies a read-only
+buffer before it writes, so a write through one owner never reaches
+another.
 """
 
 from __future__ import annotations
@@ -32,10 +40,9 @@ def _coerce_values(values: Any) -> np.ndarray:
     Lists of numbers become ``int64``/``float64``; anything containing
     strings or mixed types becomes an ``object`` array with ``None`` for
     missing entries.  Lists are classified in a single pass
-    (:func:`repro.dataframe.kernels.coerce_listlike`).
+    (:func:`repro.dataframe.kernels.coerce_listlike`).  A numpy array is
+    copied: the caller still owns it.
     """
-    if isinstance(values, Series):
-        return values.to_numpy().copy()
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"Series data must be 1-dimensional, got shape {values.shape}")
@@ -82,7 +89,8 @@ class Series:
     ----------
     data:
         Any 1-D iterable (list, numpy array, another Series, or a scalar
-        broadcast via ``length``).
+        broadcast via ``length``).  A numpy array is copied; another
+        Series shares its buffer copy-on-write (see :meth:`copy`).
     name:
         Optional column name carried through operations.
     """
@@ -92,8 +100,14 @@ class Series:
     )
 
     def __init__(self, data: Any, name: str | None = None) -> None:
-        self._values = _coerce_values(data)
         self.name = name
+        if isinstance(data, Series):
+            self._values = data._shared_values()
+            self._grouping_cache = data._grouping_cache
+            self._encoding_cache = data._encoding_cache
+            self._dictionary_cache = data._dictionary_cache
+            return
+        self._values = _coerce_values(data)
         self._grouping_cache = None
         self._encoding_cache = None
         #: This column's codes against a column dictionary, kept by
@@ -137,10 +151,15 @@ class Series:
     def values(self) -> np.ndarray:
         """The underlying numpy array (no copy).
 
-        Writing into this buffer directly bypasses the bookkeeping
-        :meth:`__setitem__` performs (notably :meth:`grouping`,
-        :meth:`encoding` and column-dictionary cache invalidation) — mutate
-        through the Series, not the array.
+        A buffer shared with another Series (after :meth:`rename`,
+        :meth:`copy`, ``Series(series)``, slicing, or handing the column
+        to another frame) is read-only: writing into it raises numpy's
+        ``ValueError`` instead of silently changing the other owner.
+        Write through :meth:`__setitem__`, which copies a shared buffer
+        first and clears :meth:`grouping`, :meth:`encoding` and the
+        column-dictionary codes.  Writing into an unshared buffer
+        directly bypasses that bookkeeping — mutate through the Series,
+        not the array.
         """
         return self._values
 
@@ -164,12 +183,27 @@ class Series:
             return self._values.tolist()
         return [v.item() if isinstance(v, np.generic) else v for v in self._values]
 
+    def _shared_values(self) -> np.ndarray:
+        """The backing array, marked read-only: a second owner is about
+        to hold it, so the next :meth:`__setitem__` of either copies."""
+        self._values.flags.writeable = False
+        return self._values
+
     def copy(self) -> "Series":
-        return Series._from_array(self._values.copy(), self.name)
+        """An independent Series with the same name and values.
+
+        O(1): the copy shares this Series' buffer copy-on-write — the
+        buffer is marked read-only and whichever owner writes first
+        (through :meth:`__setitem__`) copies it — and keeps its
+        :meth:`encoding`, :meth:`grouping` and column-dictionary caches,
+        which stay valid because the shared buffer cannot change.
+        """
+        return Series(self, self.name)
 
     def rename(self, name: str) -> "Series":
-        """Return a copy of the Series carrying *name*."""
-        return Series._from_array(self._values.copy(), name)
+        """An independent Series carrying *name*: O(1), copy-on-write and
+        keeping the caches, exactly like :meth:`copy`."""
+        return Series(self, name)
 
     # ------------------------------------------------------------------
     # Indexing
@@ -185,7 +219,8 @@ class Series:
                 return Series._from_array(self._values[idx], self.name)
             return Series._from_array(self._values[idx.astype(np.int64)], self.name)
         if isinstance(key, slice):
-            return Series._from_array(self._values[key], self.name)
+            # A view shares the buffer: both sides turn read-only.
+            return Series._from_array(self._shared_values()[key], self.name)
         value = self._values[int(key)]
         return value.item() if isinstance(value, np.generic) else value
 
@@ -206,6 +241,8 @@ class Series:
             value = np.nan
         elif self._values.dtype != object and not isinstance(value, (int, float, bool, np.number)):
             self._values = self._values.astype(object)
+        if not self._values.flags.writeable:  # shared: copy on write
+            self._values = self._values.copy()
         self._values[key] = value
 
     def head(self, n: int = 5) -> "Series":
@@ -235,7 +272,11 @@ class Series:
         entry is keyed on the backing array's identity and cleared by
         :meth:`__setitem__`, like :meth:`grouping`'s; it is assigned in
         one step, so threads encoding the same column at once each get an
-        equal, complete result.
+        equal, complete result.  Copy-on-write aliases (:meth:`rename`,
+        :meth:`copy`, ``Series(series)``) share the entry with the
+        read-only buffer it describes; a write through any alias gives
+        that alias a fresh buffer and an empty entry, and leaves the
+        others' untouched.
         """
         cache = self._encoding_cache
         if cache is None or cache[1] is not self._values:
@@ -273,9 +314,10 @@ class Series:
         across group-bys and marked read-only; mutation through
         :meth:`__setitem__` invalidates the cache (the entry is also keyed
         on the backing array's identity, so a swapped-out buffer can never
-        serve a stale grouping).  Writing into the exposed :attr:`values`
-        buffer directly is the one mutation the cache cannot see — see
-        that property's docstring.
+        serve a stale grouping).  Copy-on-write aliases share the entry
+        with their read-only buffer, as :meth:`encoding`'s do.  Writing
+        into an unshared :attr:`values` buffer directly is the one
+        mutation the cache cannot see — see that property's docstring.
         """
         cache = self._grouping_cache
         if cache is None or cache[1] is not self._values:
@@ -472,7 +514,7 @@ class Series:
                 # Nothing is replaced: the loop coerces the surviving ints
                 # back to int64 regardless of what `other` would have been.
                 if other is None or isinstance(other, (int, float, np.number)):
-                    return Series._from_array(self._values.copy(), self.name)
+                    return self.copy()
             if other is None:
                 out = np.where(mask, self._values.astype(np.float64), np.nan)
                 return Series._from_array(_kernels.match_coerce_float(out), self.name)

@@ -171,6 +171,41 @@ class TestErrorHandling:
         assert fm.ledger.n_calls == 2  # stopped at the threshold, not the budget
 
 
+class TestResultFrameIsIndependent:
+    """``result.frame`` shares the input's column buffers copy-on-write;
+    writes through either frame must never reach the other."""
+
+    @pytest.fixture
+    def fitted(self):
+        from tests.core.conftest import INSURANCE_DESCRIPTIONS, make_insurance_frame
+
+        frame = make_insurance_frame()
+        result = run_tool(frame, dict(INSURANCE_DESCRIPTIONS))
+        return frame, make_insurance_frame().to_dict(), result
+
+    def test_writes_into_result_columns_leave_the_input_unchanged(self, fitted):
+        frame, before, result = fitted
+        assert result.new_features
+        for name in result.frame.columns:
+            column = result.frame[name]
+            column[0] = "written" if column.dtype == object else -1
+        assert frame.to_dict() == before
+
+    def test_shared_buffers_refuse_raw_writes(self, fitted):
+        frame, before, result = fitted
+        for name in frame.columns:
+            with pytest.raises(ValueError):
+                result.frame[name].values[0] = result.frame[name].values[1]
+        assert frame.to_dict() == before
+
+    def test_writes_into_the_input_leave_the_result_unchanged(self, fitted):
+        frame, before, result = fitted
+        fitted_values = result.frame.to_dict()
+        for name in frame.columns:
+            frame[name][0] = None
+        assert result.frame.to_dict() == fitted_values
+
+
 class TestColumnProfileFitIdentity:
     """A fit classifies columns through ``column_profile``; swapping in the
     loop oracle built from the expressions it replaced must change nothing."""

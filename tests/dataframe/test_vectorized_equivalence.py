@@ -15,11 +15,12 @@ those compare with ``rtol=1e-12``.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import DataFrame, Series, cut, factorize, get_dummies
-from repro.dataframe.kernels import column_profile
+from repro.dataframe.kernels import _PROBE_ROWS, _numeric_uniques, column_profile
 from repro.dataframe.reference import (
     REFERENCE_TRANSFORM_SOURCES,
     assert_frame_equivalent,
@@ -369,6 +370,50 @@ def test_signed_zeros_are_single_valued():
     profile = column_profile(values, PROFILE_CAP)
     assert profile.single_valued and profile.binary
     assert [_scalar_key(u) for u in profile.uniques] == [_scalar_key(0.0)]
+
+
+def _uniques_columns() -> dict[str, np.ndarray]:
+    """Int, bool and float columns longer than the probe rows, each with
+    the case named: the linear probe must match ``np.unique`` on all."""
+    rng = np.random.default_rng(0)
+    n = 3 * _PROBE_ROWS
+    low = rng.integers(0, 3, n)
+    late = low.copy()
+    late[2 * _PROBE_ROWS] = 9
+    crowded = low.copy()  # 3 probe values, then 14 more only in the tail
+    crowded[_PROBE_ROWS + 1 : _PROBE_ROWS + 15] = np.arange(100, 114)
+    zeros = np.zeros(n)
+    zeros[: _PROBE_ROWS] = -0.0
+    flip = -zeros
+    falses = np.ones(n, dtype=bool)
+    falses[-1] = False
+    return {
+        "int": low,
+        "int_short": low[:100],
+        "int_new_after_probe": late,
+        "int_wide_range": low * 10**12,
+        "int_over_cap_in_head": rng.integers(0, 40, n),
+        "int_over_cap_after_probe": crowded,
+        "bool": low.astype(bool),
+        "bool_new_after_probe": falses,
+        "float": low / 2.0,
+        "float_new_after_probe": late / 2.0,
+        "float_over_cap_after_probe": crowded / 2.0,
+        "float_neg_zero_then_zero": zeros,
+        "float_zero_then_neg_zero": flip,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_uniques_columns()))
+def test_numeric_uniques_match_numpy_unique(case):
+    values = _uniques_columns()[case]
+    distinct, first = np.unique(values, return_index=True)
+    want = None if len(distinct) > PROFILE_CAP else values[np.sort(first)].tolist()
+    got = _numeric_uniques(values, PROFILE_CAP)
+    if want is None:
+        assert got is None
+    else:
+        assert [_scalar_key(u) for u in got] == [_scalar_key(u) for u in want]
 
 
 @given(st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=40), st.booleans())
