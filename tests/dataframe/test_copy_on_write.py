@@ -199,7 +199,6 @@ def test_random_programs_match_the_eager_copy_model(initial, data):
     ops = [
         "rename", "copy", "Series", "slice", "setitem", "values_write",
         "frame_from_mapping", "frame_from_frame", "frame_copy", "frame_setitem",
-        "frame_getitem",
     ]
     for _ in range(data.draw(st.integers(1, 25))):
         op = data.draw(st.sampled_from(ops))
@@ -242,8 +241,4 @@ def test_random_programs_match_the_eager_copy_model(initial, data):
             column = data.draw(st.sampled_from(["m0", "new"]))
             frame[column] = t
             program.add(frame[column], program.expected(t))
-        elif op == "frame_getitem" and program.frames:
-            frame = data.draw(st.sampled_from(program.frames))
-            got = frame[data.draw(st.sampled_from(frame.columns))]
-            assert id(got) in program.model  # the frame's own column: an alias
         program.check()
