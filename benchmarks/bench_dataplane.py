@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.agenda import MAX_LISTED_VALUES
 from repro.core.sandbox import run_transform
 from repro.datasets.synth import make_synthetic_bundle, make_synthetic_frame
-from repro.dataframe import DataFrame
+from repro.dataframe import DataFrame, Series
 from repro.dataframe.kernels import column_profile
 from repro.dataframe.reference import (
     FLOAT_RTOL,
@@ -170,12 +170,14 @@ def bench_fit_transform(n_rows: int, seed: int = 0) -> dict:
 
 def check_column_profiles(frame: DataFrame, label: str) -> None:
     """``column_profile`` == its loop oracle on every column (reprs, so
-    ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` must agree too)."""
+    ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` must agree too), with and
+    without the column's encoding on offer, as the agenda offers it."""
     for name in frame.columns:
         values = frame[name].values
-        new = column_profile(values, MAX_LISTED_VALUES)
         ref = reference_column_profile(values, MAX_LISTED_VALUES)
-        assert repr(new) == repr(ref), f"column_profile[{label}.{name}]: {new} != {ref}"
+        for encoding in (None, Series._from_array(values).encoding):
+            new = column_profile(values, MAX_LISTED_VALUES, encoding)
+            assert repr(new) == repr(ref), f"column_profile[{label}.{name}]: {new} != {ref}"
 
 
 COMPARED_OPS = {

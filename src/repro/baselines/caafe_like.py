@@ -76,14 +76,14 @@ class CAAFELike:
         deadline: Deadline | None = None,
     ) -> AFEResult:
         deadline = deadline or Deadline()
+        working = frame.copy()
         agenda = DataAgenda.from_dataframe(
-            frame,
+            working,
             target=target,
             descriptions=descriptions,
             title=title,
             target_description=target_description,
         )
-        working = frame.copy()
         accepted: list[str] = []
         n_generated = 0
         baseline_auc = self._validation_auc(working, target, deadline)

@@ -78,6 +78,12 @@ class DataAgenda:
         content of a Kaggle-style data card).  Absent descriptions leave the
         entry with an empty description — the paper's "minimal input,
         consisting only of the feature names" configuration.
+
+        Each column is profiled once (:func:`column_profile`); a
+        low-cardinality plain-``str`` column is profiled from its
+        ``Series.encoding()``, which stays cached on *frame*'s Series for
+        the ops that read it.  A fit therefore passes its working copy,
+        never the caller's frame.
         """
         if target not in frame.columns:
             raise KeyError(f"target column {target!r} not in dataframe")
@@ -93,7 +99,8 @@ class DataAgenda:
                 continue
             series = frame[name]
             kind, values = column_kind(
-                series, column_profile(series.values, MAX_LISTED_VALUES)
+                series,
+                column_profile(series.values, MAX_LISTED_VALUES, series.encoding),
             )
             agenda.entries[name] = AgendaEntry(
                 name=name,

@@ -400,15 +400,15 @@ class SmartFeat:
         ``plan_budget`` (constructor knobs) select the view/overlap
         semantics and the budget planner.
         """
+        working = frame.copy()  # the agenda caches encodings on it, not on frame
         agenda = DataAgenda.from_dataframe(
-            frame,
+            working,
             target=target,
             descriptions=descriptions,
             title=title,
             target_description=target_description,
             model=self.downstream_model,
         )
-        working = frame.copy()
         result = SmartFeatResult(frame=working)
         ctx = StageContext(
             working=working,

@@ -17,7 +17,7 @@ Conventions shared with :mod:`repro.dataframe.series`:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -348,6 +348,10 @@ class ColumnProfile(NamedTuple):
     * ``binary`` — exactly ``set(series.unique()) <= {0, 1}``: every
       present value equals 0 or 1 (``0 == 0.0 == False``); vacuously true
       when nothing is present.
+
+    All three value verdicts follow from the distinct present values
+    when there are at most ``max(cap, 2)`` of them; past that the column
+    is neither single-valued nor binary and lists no uniques.
     """
 
     non_null: int
@@ -364,50 +368,55 @@ _PROBE_ROWS = 1024
 _BINARY = frozenset((0, 1))
 
 
-def column_profile(values: np.ndarray, cap: int) -> ColumnProfile:
+def column_profile(
+    values: np.ndarray, cap: int, encoding: Callable[[], tuple | None] | None = None
+) -> ColumnProfile:
     """Profile one column's backing array (see :class:`ColumnProfile`).
 
-    Numeric and boolean arrays take vectorized reductions: min/max for
-    the single-valued test (``-0.0 == 0.0``; NaNs counted apart), a
-    ``(v == 0) | (v == 1)`` test, and a capped first-seen distinct probe.
-    Other arrays keep exact Python set semantics in one pass that exits
-    once the single-valued and binary verdicts are settled and more than
-    *cap* distinct values were seen, so high-cardinality text is never
-    fully factorised; columns of plain ``str``/``int``/``bool``/``None``
-    cells run that pass as C-level dict keying.  Cells must be hashable,
-    as the set semantics require (an unhashable cell raises
+    Numeric and boolean arrays take one capped first-seen distinct probe
+    (:func:`_numeric_uniques`, ``-0.0 == 0.0``, NaNs counted apart), and
+    every verdict is read off its uniques.  *encoding*, when given, is
+    the column's ``Series.encoding``: an object column whose leading
+    rows are plain ``str`` with at most *cap* distinct values is then
+    profiled from that cached encoding, so the ops that later read it do
+    not key the column again.  Other arrays keep exact Python set
+    semantics in one pass that exits once the verdicts are settled and
+    more than *cap* distinct values were seen, so high-cardinality text
+    is never fully factorised; columns of plain ``str``/``int``/``bool``/
+    ``None`` cells run that pass as C-level dict keying.  Cells must be
+    hashable, as the set semantics require (an unhashable cell raises
     ``TypeError``).
     """
     kind = values.dtype.kind
-    if kind == "f":
-        missing = np.isnan(values)
-        n_nan = int(missing.sum())
-        present = values[~missing] if n_nan else values
-        return ColumnProfile(
-            non_null=len(present),
-            single_valued=_distinct_upto_two(present) + n_nan <= 1,
-            uniques=_numeric_uniques(present, cap),
-            binary=_all_binary(present),
+    if kind in "fiub":
+        n_nan = int(np.count_nonzero(np.isnan(values))) if kind == "f" else 0
+        present = values[~np.isnan(values)] if n_nan else values
+        return _uniques_profile(
+            len(present), _numeric_uniques(present, max(cap, 2)), cap, n_nan
         )
-    if kind in "iub":
-        return ColumnProfile(
-            non_null=len(values),
-            single_valued=_distinct_upto_two(values) <= 1,
-            uniques=_numeric_uniques(values, cap),
-            binary=kind == "b" or _all_binary(values),
-        )
+    if encoding is not None and kind == "O":
+        head = values[:_PROBE_ROWS].tolist()
+        if set(map(type, head)) <= {str} and len(dict.fromkeys(head)) <= cap:
+            encoded = encoding()
+            if encoded is not None and encoded[2] is not None:  # all plain str
+                return _uniques_profile(len(values), encoded[1], cap)
     return _object_profile(values, cap)
 
 
-def _distinct_upto_two(present: np.ndarray) -> int:
-    """Distinct values of a NaN-free numeric array, capped at 2."""
-    if not len(present):
-        return 0
-    return 1 if present.min() == present.max() else 2
-
-
-def _all_binary(present: np.ndarray) -> bool:
-    return bool(((present == 0) | (present == 1)).all())
+def _uniques_profile(
+    non_null: int, uniques: list | None, cap: int, n_apart: int = 0
+) -> ColumnProfile:
+    """The profile of a column whose distinct present values are *uniques*
+    (``None``: more than ``max(cap, 2)`` of them), plus *n_apart* set
+    members among its missing cells (each float NaN, or one ``None``)."""
+    if uniques is None:
+        return ColumnProfile(non_null, False, None, False)
+    return ColumnProfile(
+        non_null=non_null,
+        single_valued=len(uniques) + n_apart <= 1,
+        uniques=list(uniques) if len(uniques) <= cap else None,
+        binary=_BINARY.issuperset(uniques),
+    )
 
 
 def _numeric_uniques(present: np.ndarray, cap: int) -> list | None:
@@ -457,8 +466,8 @@ def _object_profile(values: np.ndarray, cap: int) -> ColumnProfile:
     items = values.tolist()
     if values.dtype != object:  # typed cells: nothing is missing
         non_null = len(items)
-    elif set(map(type, items)) <= _PLAIN_CELLS:
-        return _plain_profile(items, cap)
+    elif (types := set(map(type, items))) <= _PLAIN_CELLS:
+        return _plain_profile(items, cap, type(None) in types)
     else:
         non_null = len(items) - sum(map(is_missing_scalar, items))
     seen: set = set()  # set(series.tolist()), kept to two members
@@ -484,7 +493,7 @@ def _object_profile(values: np.ndarray, cap: int) -> ColumnProfile:
     )
 
 
-def _plain_profile(items: list, cap: int) -> ColumnProfile:
+def _plain_profile(items: list, cap: int, has_none: bool) -> ColumnProfile:
     """:func:`_object_profile` for cells of :data:`_PLAIN_CELLS` types.
 
     The leading rows settle every verdict once they hold more than
@@ -495,14 +504,10 @@ def _plain_profile(items: list, cap: int) -> ColumnProfile:
     distinct = dict.fromkeys(items[:_PROBE_ROWS])
     if len(distinct) - (None in distinct) <= max(cap, 2):
         distinct = dict.fromkeys(items)
-    n_seen = len(distinct)
+    n_none = int(None in distinct)
     distinct.pop(None, None)
-    present = list(distinct)
-    return ColumnProfile(
-        non_null=len(items) - items.count(None),
-        single_valued=n_seen <= 1,
-        uniques=present if len(present) <= cap else None,
-        binary=all(v in _BINARY for v in present),
+    return _uniques_profile(
+        len(items) - (items.count(None) if has_none else 0), list(distinct), cap, n_none
     )
 
 

@@ -34,13 +34,11 @@ def get_dummies(
         name = prefix if prefix is not None else (data.name or "col")
         codes, categories = data._factorized()
         start = 1 if drop_first else 0
-        out: dict[str, Series] = {}
-        for j, cat in enumerate(categories):
-            if j < start:
-                continue
-            column = f"{name}_{cat}"
-            out[column] = Series._from_array((codes == j).astype(np.int64), column)
-        return DataFrame(out)
+        kept = np.arange(start, len(categories))
+        block = np.empty((len(kept), len(codes)), np.int64)  # one row per column
+        np.equal(kept[:, None], codes, out=block)
+        names = [f"{name}_{cat}" for cat in categories[start:]]
+        return DataFrame({c: Series._from_array(row, c) for c, row in zip(names, block)})
     frame = data
     targets = list(columns) if columns is not None else frame.categorical_columns()
     result = frame.drop(columns=targets) if targets else frame.copy()

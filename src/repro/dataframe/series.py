@@ -476,11 +476,13 @@ class Series:
 
     def clip(self, lower: float | None = None, upper: float | None = None) -> "Series":
         """Bound values to ``[lower, upper]``; missing values pass through."""
-        out = self._numeric().copy()
-        if lower is not None:
-            out = np.where(np.isnan(out), out, np.maximum(out, lower))
+        out = self._numeric()
+        if lower is None and upper is None:
+            return Series._from_array(out.copy(), self.name)
+        if lower is not None:  # np.maximum/np.minimum pass NaN cells through
+            out = np.maximum(out, lower)
         if upper is not None:
-            out = np.where(np.isnan(out), out, np.minimum(out, upper))
+            out = np.minimum(out, upper)
         return Series._from_array(out, self.name)
 
     def round(self, decimals: int = 0) -> "Series":
@@ -539,7 +541,7 @@ class Series:
         """Return the values as ``float64`` (object arrays convert, missing→NaN).
 
         Float64 input returns the live buffer (no copy) — treat the result
-        as read-only; every in-place consumer copies first (``clip``).
+        as read-only; every in-place consumer copies first.
         """
         if self._values.dtype.kind in "ifb":
             return self._values.astype(np.float64, copy=False)

@@ -258,11 +258,28 @@ class TestColumnProfileFitIdentity:
         from repro.dataframe.kernels import column_profile
         from repro.dataframe.reference import reference_column_profile
 
-        fast = self._fit(monkeypatch, column_profile)
-        oracle = self._fit(monkeypatch, reference_column_profile)
-        assert fast == oracle
-        assert fast["features"] and fast["agenda"]
-        assert "single-valued" in fast["rejections"].values()
+        encoded: list[list] = []  # the columns the agenda profiled from an encoding
+
+        def fast(values, cap, encoding=None):
+            if encoding is None:
+                return column_profile(values, cap)
+
+            def spy():
+                encoded.append(values[:3].tolist())
+                return encoding()
+
+            return column_profile(values, cap, spy)
+
+        def oracle(values, cap, encoding=None):
+            return reference_column_profile(values, cap)
+
+        fast_fit = self._fit(monkeypatch, fast)
+        oracle_fit = self._fit(monkeypatch, oracle)
+        assert fast_fit == oracle_fit
+        assert fast_fit["features"] and fast_fit["agenda"]
+        assert "single-valued" in fast_fit["rejections"].values()
+        # City and Segment, the bundle's plain-str columns, took the encoding path.
+        assert len(encoded) == 2 and all(isinstance(v, str) for v in sum(encoded, []))
 
 
 class TestOneColumnClassifier:
