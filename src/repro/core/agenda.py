@@ -100,7 +100,9 @@ class DataAgenda:
             series = frame[name]
             kind, values = column_kind(
                 series,
-                column_profile(series.values, MAX_LISTED_VALUES, series.encoding),
+                column_profile(
+                    series.values, MAX_LISTED_VALUES, series.encoding, series.cell_types()
+                ),
             )
             agenda.entries[name] = AgendaEntry(
                 name=name,

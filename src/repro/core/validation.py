@@ -55,7 +55,7 @@ def _check_column(
     if n_rows == 0:
         return "empty dataframe", None
     try:
-        profile = column_profile(series.values, MAX_LISTED_VALUES)
+        profile = column_profile(series.values, MAX_LISTED_VALUES, types=series.cell_types())
     except TypeError:
         if series.encoding() is None:  # a list or dict cell, say
             return "unhashable values", None

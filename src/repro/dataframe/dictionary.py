@@ -10,12 +10,16 @@ distinct value over the plan's lifetime and gathers it by code.
 
 :func:`encoded` resolves a column once per Series (the result is kept on
 the Series and cleared by its ``__setitem__``), however many features
-read it:
+read it.  Whether a column is all plain ``str`` (``type(v) is str`` for
+every cell; ``None``, NaN and ``np.str_`` do not qualify) is read off
+its :meth:`Series.cell_types` summary, which list coercion, the CSV
+decoder and shard views fill for free, so a served batch pays no type
+pass.  Then:
 
-* an all-plain-``str`` column (``type(v) is str`` for every cell; ``None``,
-  NaN and ``np.str_`` do not qualify) costs one type pass and one
-  ``index.get`` pass over its cells, and the values it misses are
-  appended in first-seen order;
+* an all-plain-``str`` column costs one C-level lookup of all its cells
+  (``operator.itemgetter(*cells)(index)``); a batch that brings values
+  not seen yet takes one ``index.get`` pass instead, and the values it
+  misses are appended in first-seen order;
 * a batch whose first :data:`PROBE_CELLS` cells mostly miss is encoded
   whole (:meth:`Series.encoding`), its new values appended, and its codes
   translated to ids, so a stream of new values pays for one encode, not
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import threading
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,7 +52,7 @@ MAX_ENTRIES = 1 << 15
 #: quarter of them miss, the batch is encoded whole instead.
 PROBE_CELLS = 64
 
-_PLAIN_STR = {str}
+_PLAIN_STR = frozenset((str,))
 
 
 class Dictionary:
@@ -171,17 +176,18 @@ def encoded(
 
 def _resolve(dictionaries: ColumnDictionaries | None, name: str, series: Series):
     values = series.values
-    if dictionaries is None or values.dtype != object or not len(values):
+    if (
+        dictionaries is None
+        or values.dtype != object
+        or not len(values)
+        or not series.cell_types() <= _PLAIN_STR
+    ):
         return _throwaway(series)
     current = dictionaries.get(name)
     head = values[:PROBE_CELLS].tolist()
-    if not set(map(type, head)) <= _PLAIN_STR:
-        return _throwaway(series)
     if 4 * sum(v not in current.index for v in head) > len(head):
         return _seeded(dictionaries, name, series)
     cells = values.tolist()
-    if not set(map(type, cells)) <= _PLAIN_STR:
-        return _throwaway(series)
     codes = _lookup(current.index, cells)
     miss = np.flatnonzero(codes < 0)
     if not len(miss):
@@ -215,5 +221,11 @@ def _throwaway(series: Series):
 
 
 def _lookup(index: dict, cells: list) -> np.ndarray:
-    """Each cell's id in *index*, ``-1`` when absent."""
+    """Each cell's id in *index*, ``-1`` when absent: one C-level
+    ``itemgetter`` call, or an ``index.get`` pass once a cell misses."""
+    if len(cells) > 1:  # itemgetter of one key returns the bare id
+        try:
+            return np.fromiter(itemgetter(*cells)(index), np.int64, len(cells))
+        except KeyError:
+            pass
     return np.fromiter(map(index.get, cells, repeat(-1)), np.int64, len(cells))

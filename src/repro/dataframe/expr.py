@@ -557,11 +557,15 @@ def _eval_dummies(node: dict, frame, dictionaries: ColumnDictionaries | None) ->
         position = dictionary.index
         if position is None:
             position = {u: j for j, u in enumerate(dictionary.values)}
-    out: dict[str, Series] = {}
-    for category, column in zip(node["categories"], node["names"]):
-        j = position.get(category, -2)  # -2 matches nothing, incl. missing (-1)
-        out[column] = Series._from_array((codes == j).astype(np.int64), column)
-    return out
+    # -2 matches nothing, incl. missing (-1); one row of the block per column.
+    kept = np.fromiter(
+        (position.get(category, -2) for category in node["categories"]), np.int64
+    )
+    block = np.empty((len(kept), len(codes)), np.int64)
+    np.equal(kept[:, None], codes, out=block)
+    return {
+        column: Series._from_array(row, column) for column, row in zip(node["names"], block)
+    }
 
 
 def _eval_split_parts(node: dict, frame, dictionaries: ColumnDictionaries | None) -> dict[str, Series]:

@@ -195,13 +195,11 @@ class DataFrame:
     def _take_mask(self, mask: np.ndarray) -> "DataFrame":
         if len(mask) != len(self):
             raise ValueError("boolean mask length mismatch")
-        return DataFrame({name: Series._from_array(s.values[mask], name) for name, s in self._columns.items()})
+        return DataFrame({name: s[mask] for name, s in self._columns.items()})
 
     def _take_positions(self, positions: Iterable[int]) -> "DataFrame":
         idx = np.fromiter(positions, dtype=np.int64)
-        return DataFrame(
-            {name: Series._from_array(s.values[idx], name) for name, s in self._columns.items()}
-        )
+        return DataFrame({name: s[idx] for name, s in self._columns.items()})
 
     # ------------------------------------------------------------------
     # Structure manipulation

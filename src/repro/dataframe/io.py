@@ -27,8 +27,10 @@ per cell.
   column's kind: ints through ``int``, floats through ``float(text)``
   with empty cells as NaN (so a float column pinned by a caller's
   schema reads an over-long int text as ``±inf``), a verbatim string
-  block straight into an object array, anything else through
-  :func:`_parse_cell` and Series list coercion.
+  block straight into an object array (its column then knows its cell
+  types, ``str`` and ``None`` for an empty cell: see
+  ``Series.cell_types``), anything else through :func:`_parse_cell` and
+  Series list coercion.
 * **Write** (:func:`to_csv`).  Each numeric or bool column is formatted
   once per distinct value and rows are joined here, one row block at a
   time, under the excel dialect's QUOTE_MINIMAL rule: a cell holding
@@ -74,7 +76,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.kernels import _INT64_MAX, _INT64_MIN, coerce_listlike, coercion_kind
+from repro.dataframe.kernels import _INT64_MAX, _INT64_MIN, coerce_typed, coercion_kind
 from repro.dataframe.series import Series
 
 __all__ = [
@@ -330,11 +332,12 @@ def iter_frame_shards(frame: DataFrame, chunk_rows: int) -> Iterator[Shard]:
     n = len(frame)
     names = frame.columns
     arrays = [frame[c]._shared_values() for c in names]  # views: read-only
+    types = [frame[c]._subset_types() for c in names]
     for index, start in enumerate(range(0, n, chunk_rows)):
         stop = min(start + chunk_rows, n)
         piece = DataFrame()
-        for name, values in zip(names, arrays):
-            piece._columns[name] = Series._from_array(values[start:stop], name)
+        for name, values, known in zip(names, arrays, types):
+            piece._columns[name] = Series._from_array(values[start:stop], name, known)
         yield Shard(piece, index, start)
 
 
@@ -433,34 +436,38 @@ def _kind(seen: _Seen) -> str:
 #: Cells of a numeric column that ``int``/``float`` do not read directly.
 _NUMBER_WORDS = {"": "nan", "True": "1", "False": "0"}
 _BOOL_CELLS = {"": None, "True": True, "False": False}
+_STR_CELLS = frozenset((str,))
+_STR_OR_MISSING_CELLS = frozenset((str, type(None)))
 
 
-def _decode_block(cells: tuple[str, ...], kind: str) -> np.ndarray:
-    """One column block of text cells as an array of coercion *kind*.
+def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozenset | None]:
+    """One column block of text cells as an array of coercion *kind*,
+    with its cell types when they are known (see ``Series.cell_types``).
 
-    Equal to ``coerce_listlike([_parse_cell(c) for c in cells], kind)``
+    Equal to ``coerce_typed([_parse_cell(c) for c in cells], kind)``
     for every block the classifier gives *kind*.  A float column reads
     each cell through ``float(text)``, so an int text too long for a
     float reads as ``±inf``, as ``"1e400"`` does.
     """
     if kind == "int":
-        return _decode_numbers(cells, int, np.int64)
+        return _decode_numbers(cells, int, np.int64), None
     if kind == "float":
         values = _decode_numbers(cells, float, np.float64)
         for i in np.flatnonzero((values == 0) & np.signbit(values)).tolist():
             if _INT_CELL.match(cells[i]):  # "-0" is the int 0
                 values[i] = 0.0
-        return values
+        return values, None
     if kind == "bool":
-        return np.fromiter(map("True".__eq__, cells), bool, len(cells))
+        return np.fromiter(map("True".__eq__, cells), bool, len(cells)), None
     if kind == "bool_missing":
-        return np.array(list(map(_BOOL_CELLS.__getitem__, cells)), dtype=object)
+        return np.array(list(map(_BOOL_CELLS.__getitem__, cells)), dtype=object), None
     if _verbatim(cells):
         values = np.array(cells, dtype=object)
-        if "" in cells:
-            values[values == ""] = None
-        return values
-    return coerce_listlike(list(map(_parse_cell, cells)), kind)
+        if "" not in cells:
+            return values, _STR_CELLS
+        values[values == ""] = None
+        return values, _STR_OR_MISSING_CELLS
+    return coerce_typed(list(map(_parse_cell, cells)), kind)
 
 
 def _decode_numbers(cells: tuple[str, ...], parse, dtype) -> np.ndarray:
@@ -557,9 +564,10 @@ def _csv_shard_frame(
             kind = _kind(reduce(_see, column, _Seen.NONE))
         else:
             kind = schema.get(name, "object")
-        arrays = [_decode_block(cells, kind) for cells in column]
+        arrays, types = zip(*(_decode_block(cells, kind) for cells in column))
         values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        out._columns[name] = Series._from_array(values, name)
+        known = None if None in types else frozenset().union(*types)
+        out._columns[name] = Series._from_array(values, name, known)
     return out
 
 

@@ -24,7 +24,9 @@ import numpy as np
 
 __all__ = [
     "ColumnProfile",
+    "cell_types",
     "coerce_listlike",
+    "coerce_typed",
     "coercion_kind",
     "column_profile",
     "dictionary_encode",
@@ -99,8 +101,9 @@ def coercion_kind(
     int64 (*any_wide*) is ``"object"``, so its values stay exact Python
     ints; with a float or missing value it is ``"float"`` like any other
     int column, and an int past a float's range reads as ``±inf``.
-    :func:`_classify` and the CSV codec (``io.scan_csv_kinds`` and
-    schema-less shards) all decide through this one rule.
+    List coercion (:func:`_classify`) and the CSV codec
+    (``io.scan_csv_kinds`` and schema-less shards) all decide through
+    this one rule.
     """
     if any_object:
         return "object"
@@ -115,70 +118,119 @@ def coercion_kind(
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
+_NONE_TYPE = type(None)
+_PLAIN_STR = frozenset((str,))
 
-def _classify(values) -> str:
-    """One pass over *values* → its :func:`coercion_kind`.
 
-    The scan stops early once a non-numeric value forces the object
-    path — object construction re-examines elements anyway.
+def _role(cell_type: type) -> str:
+    """What a cell of *cell_type* is to list coercion, by ``isinstance``
+    semantics: ``"none"``, ``"bool"``, ``"float"`` (a NaN is missing),
+    ``"int"`` or ``"object"``."""
+    if cell_type is _NONE_TYPE:
+        return "none"
+    if issubclass(cell_type, (bool, np.bool_)):
+        return "bool"
+    if issubclass(cell_type, (float, np.floating)):
+        return "float"
+    if issubclass(cell_type, (int, np.integer)):
+        return "int"
+    return "object"
+
+
+def _classify(values: list, types: frozenset) -> tuple[str, np.ndarray | None]:
+    """*values*' :func:`coercion_kind`, read off the roles of their
+    distinct cell *types*.
+
+    The roles settle the kind except for two facts about cells, each
+    checked in one vectorized pass: whether a float cell is NaN, and
+    whether an int cell lies outside int64.  The array built for that
+    check comes back with the kind when it is the coerced result.
     """
-    has_missing = False
-    n_present = 0
-    all_bool = True
-    any_float = False
-    any_wide = False
-    for v in values:
-        if v is None:
-            has_missing = True
-            continue
-        if isinstance(v, (bool, np.bool_)):
-            n_present += 1
-            continue
-        if isinstance(v, (float, np.floating)):
-            if math.isnan(v):
-                has_missing = True
-            else:
-                n_present += 1
-                any_float = True
-                all_bool = False
-            continue
-        if isinstance(v, (int, np.integer)):
-            n_present += 1
-            all_bool = False
-            if not _INT64_MIN <= v <= _INT64_MAX:
-                any_wide = True
-            continue
-        return "object"
-    return coercion_kind(False, n_present > 0, all_bool, any_float, has_missing, any_wide)
+    roles = set(map(_role, types))
+    if "object" in roles:
+        return "object", None
+    if "float" not in roles:
+        numeric = "int" in roles
+        kind = coercion_kind(
+            False, bool(roles - {"none"}), not numeric, False, "none" in roles, False
+        )
+        if kind != "int":
+            return kind, None
+        try:
+            return kind, np.array(values, dtype=np.int64)
+        except OverflowError:  # an int outside int64
+            return "object", None
+    if roles <= {"none", "float"}:
+        array = np.array(values, dtype=np.float64)  # None reads as NaN
+        missing = np.isnan(array)
+        any_float = not missing.all()
+        kind = coercion_kind(False, any_float, False, any_float, bool(missing.any()), False)
+        return kind, array if kind == "float" else None
+    # Floats among ints or bools: a float cell is present or missing, so
+    # only an all-NaN set of floats beside bools keeps the bool kind.
+    floats = {t for t in types if _role(t) == "float"}
+    if "int" in roles or any(v == v for v in values if type(v) in floats):
+        return "float", None
+    return "bool_missing", None
+
+
+def coerce_typed(
+    values: list, kind: str | None = None
+) -> tuple[np.ndarray, frozenset | None]:
+    """Coerce a Python list into a 1-D array, and name its cell types.
+
+    One C-level ``set(map(type, values))`` pass classifies the list
+    (:func:`_classify`); the array is then built in one C-level call.
+    An object result is always 1-D (a list of equal-length tuples stays
+    a column of tuples).  *kind* (a :func:`coercion_kind` name) skips
+    the classification and pins the result: the CSV decoder's per-cell
+    fallback passes its column's kind, so that block decodes to the
+    column's dtype.
+
+    The types cover ``type(v)`` for every cell of an object result (a
+    NaN cell is stored as ``None``, so a list holding floats adds
+    ``NoneType``); they are ``None`` for a typed result, whose dtype
+    names its cells' type.
+    """
+    types = frozenset(map(type, values))
+    if kind is None:
+        kind, built = _classify(values, types)
+        if built is not None:
+            return built, None
+    if kind == "bool":
+        return np.fromiter(map(bool, values), bool, len(values)), None
+    if kind == "float":
+        try:
+            return np.array(values, dtype=np.float64), None
+        except OverflowError:  # an int past a float's range
+            return np.array([_as_float(v) for v in values], dtype=np.float64), None
+    if kind == "int":
+        return np.array(values, dtype=np.int64), None
+    if kind == "bool_missing" and not types <= {bool, _NONE_TYPE}:
+        values = [None if is_missing_scalar(v) else bool(v) for v in values]
+        types = frozenset((bool, _NONE_TYPE))
+    elif any(_role(t) == "float" for t in types):  # NaN cells become None
+        values = [None if is_missing_scalar(v) else v for v in values]
+        types |= {_NONE_TYPE}
+    return np.fromiter(values, object, len(values)), types
 
 
 def coerce_listlike(values: list, kind: str | None = None) -> np.ndarray:
-    """Coerce a Python list into a 1-D array: one classification pass, then
-    a single C-level construction (the seed scanned the list three times).
+    """:func:`coerce_typed`'s array alone."""
+    return coerce_typed(values, kind)[0]
 
-    *kind* (a :func:`coercion_kind` name) skips the classification and
-    pins the result: the CSV decoder's per-cell fallback passes its
-    column's kind, so that block decodes to the column's dtype.
-    """
-    if kind is None:
-        kind = _classify(values)
-    if kind == "bool":
-        return np.array([bool(v) for v in values], dtype=bool)
-    if kind == "bool_missing":
-        return np.array(
-            [None if is_missing_scalar(v) else bool(v) for v in values], dtype=object
-        )
-    if kind == "float":
-        # np.array converts None → NaN for float64 targets in one pass.
-        try:
-            return np.array(values, dtype=np.float64)
-        except OverflowError:  # an int past a float's range
-            return np.array([_as_float(v) for v in values], dtype=np.float64)
-    if kind == "int":
-        return np.array(values, dtype=np.int64)
-    return np.array(
-        [None if is_missing_scalar(v) else v for v in values], dtype=object
-    )
+
+#: The Python type ``ndarray.tolist`` gives each cell of a typed array.
+_TYPED_CELLS = {"f": float, "i": int, "u": int, "b": bool}
+
+
+def cell_types(values: np.ndarray) -> frozenset:
+    """``frozenset(map(type, values.tolist()))``: read off the dtype for a
+    numeric or bool array, one C-level pass over the cells otherwise."""
+    typed = _TYPED_CELLS.get(values.dtype.kind)
+    if typed is not None:
+        return frozenset((typed,) if len(values) else ())
+    return frozenset(map(type, values.tolist()))
 
 
 def _as_float(value) -> float:
@@ -304,7 +356,7 @@ def group_codes(values: np.ndarray) -> np.ndarray:
 
 
 def dictionary_encode(
-    values: np.ndarray,
+    values: np.ndarray, types: frozenset | None = None
 ) -> tuple[np.ndarray, list, dict | None] | None:
     """Dictionary-encode a column: ``(codes, uniques, index)``.
 
@@ -315,12 +367,14 @@ def dictionary_encode(
     columns are keyed by C-level dict hashing — exact equality, so
     ``"a"`` and ``"a\\x00"`` stay apart, and first-seen numbering never
     depends on the string hash seed.  Returns ``None`` when a cell is
-    unhashable.
+    unhashable.  *types*, the column's known cell types
+    (``Series.cell_types``), saves the pass that finds them.
     """
     if values.dtype == object:
-        items = values.tolist()
-        if set(map(type, items)) <= {str}:
-            codes, index = _dict_codes(items)
+        if types is None:
+            types = cell_types(values)
+        if types <= _PLAIN_STR:
+            codes, index = _dict_codes(values.tolist())
             return codes, list(index), index
     try:
         codes, uniques = factorize_values(values)
@@ -369,23 +423,27 @@ _BINARY = frozenset((0, 1))
 
 
 def column_profile(
-    values: np.ndarray, cap: int, encoding: Callable[[], tuple | None] | None = None
+    values: np.ndarray,
+    cap: int,
+    encoding: Callable[[], tuple | None] | None = None,
+    types: frozenset | None = None,
 ) -> ColumnProfile:
     """Profile one column's backing array (see :class:`ColumnProfile`).
 
     Numeric and boolean arrays take one capped first-seen distinct probe
     (:func:`_numeric_uniques`, ``-0.0 == 0.0``, NaNs counted apart), and
-    every verdict is read off its uniques.  *encoding*, when given, is
-    the column's ``Series.encoding``: an object column whose leading
-    rows are plain ``str`` with at most *cap* distinct values is then
-    profiled from that cached encoding, so the ops that later read it do
-    not key the column again.  Other arrays keep exact Python set
-    semantics in one pass that exits once the verdicts are settled and
-    more than *cap* distinct values were seen, so high-cardinality text
-    is never fully factorised; columns of plain ``str``/``int``/``bool``/
-    ``None`` cells run that pass as C-level dict keying.  Cells must be
-    hashable, as the set semantics require (an unhashable cell raises
-    ``TypeError``).
+    every verdict is read off its uniques.  *types* are the column's
+    known cell types (``Series.cell_types``); without them an object
+    column pays one pass to find them.  *encoding*, when given, is the
+    column's ``Series.encoding``: an all-plain-``str`` column whose
+    leading rows hold at most *cap* distinct values is then profiled from
+    that cached encoding, so the ops that later read it do not key the
+    column again.  Other arrays keep exact Python set semantics in one
+    pass that exits once the verdicts are settled and more than *cap*
+    distinct values were seen, so high-cardinality text is never fully
+    factorised; columns of plain ``str``/``int``/``bool``/``None`` cells
+    run that pass as C-level dict keying.  Cells must be hashable, as the
+    set semantics require (an unhashable cell raises ``TypeError``).
     """
     kind = values.dtype.kind
     if kind in "fiub":
@@ -394,13 +452,16 @@ def column_profile(
         return _uniques_profile(
             len(present), _numeric_uniques(present, max(cap, 2)), cap, n_nan
         )
-    if encoding is not None and kind == "O":
-        head = values[:_PROBE_ROWS].tolist()
-        if set(map(type, head)) <= {str} and len(dict.fromkeys(head)) <= cap:
-            encoded = encoding()
-            if encoded is not None and encoded[2] is not None:  # all plain str
-                return _uniques_profile(len(values), encoded[1], cap)
-    return _object_profile(values, cap)
+    if kind == "O":
+        if types is None:
+            types = cell_types(values)
+        if (
+            encoding is not None
+            and types <= _PLAIN_STR
+            and len(dict.fromkeys(values[:_PROBE_ROWS].tolist())) <= cap
+        ):
+            return _uniques_profile(len(values), encoding()[1], cap)
+    return _object_profile(values, cap, types)
 
 
 def _uniques_profile(
@@ -454,8 +515,9 @@ def _all_among(values: np.ndarray, distinct: np.ndarray) -> bool:
 _PLAIN_CELLS = frozenset((str, int, bool, type(None)))
 
 
-def _object_profile(values: np.ndarray, cap: int) -> ColumnProfile:
-    """The exact set-semantics scan for object (and other) arrays.
+def _object_profile(values: np.ndarray, cap: int, types: frozenset | None) -> ColumnProfile:
+    """The exact set-semantics scan for object (and other) arrays; the
+    *types* of an object array's cells are known.
 
     ``ndarray.tolist`` unboxes numpy scalars of typed arrays but keeps
     object cells as stored, so numpy scalars in object cells are unboxed
@@ -466,8 +528,8 @@ def _object_profile(values: np.ndarray, cap: int) -> ColumnProfile:
     items = values.tolist()
     if values.dtype != object:  # typed cells: nothing is missing
         non_null = len(items)
-    elif (types := set(map(type, items))) <= _PLAIN_CELLS:
-        return _plain_profile(items, cap, type(None) in types)
+    elif types <= _PLAIN_CELLS:
+        return _plain_profile(items, cap, _NONE_TYPE in types)
     else:
         non_null = len(items) - sum(map(is_missing_scalar, items))
     seen: set = set()  # set(series.tolist()), kept to two members
@@ -535,7 +597,7 @@ def take_uniques(choices: Sequence[Any], codes: np.ndarray) -> np.ndarray:
         codes = remap[codes]  # -1 stays -1 via the sentinel slot
         choices = [choices[old] for old in used_list]
     choices += [None] * has_missing_codes
-    kind = _classify(choices)
+    kind, _ = _classify(choices, frozenset(map(type, choices)))
     if kind in ("empty", "bool_missing", "object"):
         lookup = np.empty(len(choices) + 1, dtype=object)
         for i, c in enumerate(choices):

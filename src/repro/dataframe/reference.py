@@ -15,13 +15,14 @@ Nothing in the library itself calls into this module.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.kernels import ColumnProfile
+from repro.dataframe.kernels import ColumnProfile, _as_float, coercion_kind
 from repro.dataframe.series import Series, _is_missing_scalar
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "assert_series_equivalent",
     "reference_apply",
     "reference_astype",
+    "reference_coerce_listlike",
     "reference_coerce_values",
     "reference_column_profile",
     "reference_cut",
@@ -110,6 +112,62 @@ def reference_coerce_values(values: Any) -> np.ndarray:
     return np.array(
         [None if _is_missing_scalar(v) else v for v in values], dtype=object
     )
+
+
+def _reference_classify(values: list) -> str:
+    """One ``isinstance`` loop over *values* → its ``coercion_kind``."""
+    has_missing = False
+    n_present = 0
+    all_bool = True
+    any_float = False
+    any_wide = False
+    for v in values:
+        if v is None:
+            has_missing = True
+            continue
+        if isinstance(v, (bool, np.bool_)):
+            n_present += 1
+            continue
+        if isinstance(v, (float, np.floating)):
+            if math.isnan(v):
+                has_missing = True
+            else:
+                n_present += 1
+                any_float = True
+                all_bool = False
+            continue
+        if isinstance(v, (int, np.integer)):
+            n_present += 1
+            all_bool = False
+            if not -(2**63) <= v <= 2**63 - 1:
+                any_wide = True
+            continue
+        return "object"
+    return coercion_kind(False, n_present > 0, all_bool, any_float, has_missing, any_wide)
+
+
+def reference_coerce_listlike(values: list) -> np.ndarray:
+    """The per-cell list coercion ``kernels.coerce_listlike`` replaced: an
+    ``isinstance`` classification loop, then a per-cell missing check.
+    Object results are filled cell by cell, so they are always 1-D."""
+    kind = _reference_classify(values)
+    if kind == "bool":
+        return np.array([bool(v) for v in values], dtype=bool)
+    if kind == "float":
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:  # an int past a float's range
+            return np.array([_as_float(v) for v in values], dtype=np.float64)
+    if kind == "int":
+        return np.array(values, dtype=np.int64)
+    if kind == "bool_missing":
+        cells = [None if _is_missing_scalar(v) else bool(v) for v in values]
+    else:
+        cells = [None if _is_missing_scalar(v) else v for v in values]
+    out = np.empty(len(cells), dtype=object)
+    for i, cell in enumerate(cells):
+        out[i] = cell
+    return out
 
 
 def reference_map(series: Series, mapper: Callable[[Any], Any] | Mapping[Any, Any]) -> Series:

@@ -9,9 +9,12 @@ Columns are copy-on-write.  :meth:`Series.rename`, :meth:`Series.copy`,
 ``Series(series)`` and slicing share the backing array instead of
 copying it, and mark it read-only; the derived-data caches
 (:meth:`Series.encoding`, :meth:`Series.grouping`, the column-dictionary
-codes) travel with it.  :meth:`Series.__setitem__` copies a read-only
-buffer before it writes, so a write through one owner never reaches
-another.
+codes and the :meth:`Series.cell_types` summary) travel with it, and
+with a pickle.  A slice, a row selection and a frame shard keep a
+one-type summary, since their cells are of that type too.
+:meth:`Series.__setitem__` copies a read-only buffer before it writes,
+so a write through one owner never reaches another, and clears every
+cache.
 """
 
 from __future__ import annotations
@@ -34,22 +37,25 @@ _is_missing_scalar = _kernels.is_missing_scalar
 _isna_array = _kernels.missing_mask
 
 
-def _coerce_values(values: Any) -> np.ndarray:
-    """Coerce arbitrary input into a 1-D numpy array with a sensible dtype.
+def _coerce_values(values: Any) -> tuple[np.ndarray, frozenset | None]:
+    """Coerce arbitrary input into a 1-D numpy array with a sensible dtype,
+    and the types of its cells when that comes free.
 
     Lists of numbers become ``int64``/``float64``; anything containing
     strings or mixed types becomes an ``object`` array with ``None`` for
-    missing entries.  Lists are classified in a single pass
-    (:func:`repro.dataframe.kernels.coerce_listlike`).  A numpy array is
+    missing entries.  Lists are classified in a single type pass
+    (:func:`repro.dataframe.kernels.coerce_typed`).  A numpy array is
     copied: the caller still owns it.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"Series data must be 1-dimensional, got shape {values.shape}")
-        if values.dtype.kind in "US":  # fixed-width strings -> object storage
-            return values.astype(object)
-        return values.copy()
-    return _kernels.coerce_listlike(list(values))
+        if values.dtype.kind == "U":  # fixed-width strings -> object storage
+            return values.astype(object), frozenset((str,))
+        if values.dtype.kind == "S":
+            return values.astype(object), None
+        return values.copy(), None
+    return _kernels.coerce_typed(list(values))
 
 
 #: Unary ufunc stand-ins for the ``math`` functions generated code applies
@@ -96,7 +102,12 @@ class Series:
     """
 
     __slots__ = (
-        "_values", "name", "_grouping_cache", "_encoding_cache", "_dictionary_cache"
+        "_values",
+        "name",
+        "_grouping_cache",
+        "_encoding_cache",
+        "_dictionary_cache",
+        "_types_cache",
     )
 
     def __init__(self, data: Any, name: str | None = None) -> None:
@@ -106,26 +117,42 @@ class Series:
             self._grouping_cache = data._grouping_cache
             self._encoding_cache = data._encoding_cache
             self._dictionary_cache = data._dictionary_cache
+            self._types_cache = data._types_cache
             return
-        self._values = _coerce_values(data)
+        values, types = _coerce_values(data)
+        self._values = values
         self._grouping_cache = None
         self._encoding_cache = None
         #: This column's codes against a column dictionary, kept by
         #: :mod:`repro.dataframe.dictionary`; cleared like the caches above.
         self._dictionary_cache = None
+        self._types_cache = None if types is None else (types, values)
+
+    def __setstate__(self, state: tuple) -> None:
+        # A pickle written before a cache slot existed has no entry for it.
+        for slot in Series.__slots__[2:]:
+            setattr(self, slot, None)
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def _from_array(cls, values: np.ndarray, name: str | None = None) -> "Series":
-        """Build a Series without re-coercing *values* (internal fast path)."""
+    def _from_array(
+        cls, values: np.ndarray, name: str | None = None, types: frozenset | None = None
+    ) -> "Series":
+        """Build a Series without re-coercing *values* (internal fast path);
+        *types*, when known, cover its cells' types (see :meth:`cell_types`)."""
         out = cls.__new__(cls)
         out._values = values
         out.name = name
         out._grouping_cache = None
         out._encoding_cache = None
         out._dictionary_cache = None
+        if types is not None and not len(values):
+            types = frozenset()  # a subset with no cells: none to cover
+        out._types_cache = None if types is None else (types, values)
         return out
 
     @classmethod
@@ -189,6 +216,14 @@ class Series:
         self._values.flags.writeable = False
         return self._values
 
+    def _subset_types(self) -> frozenset | None:
+        """The :meth:`cell_types` any subset of this column's cells has:
+        known when this column's summary is known and names one type."""
+        cache = self._types_cache
+        if cache is not None and cache[1] is self._values and len(cache[0]) <= 1:
+            return cache[0]
+        return None
+
     def copy(self) -> "Series":
         """An independent Series with the same name and values.
 
@@ -212,23 +247,26 @@ class Series:
         if isinstance(key, Series):
             key = key.to_numpy()
         if isinstance(key, np.ndarray) and key.dtype == bool:
-            return Series._from_array(self._values[key], self.name)
+            return Series._from_array(self._values[key], self.name, self._subset_types())
         if isinstance(key, (list, np.ndarray)):
             idx = np.asarray(key)
-            if idx.dtype == bool:
-                return Series._from_array(self._values[idx], self.name)
-            return Series._from_array(self._values[idx.astype(np.int64)], self.name)
+            if idx.dtype != bool:
+                idx = idx.astype(np.int64)
+            return Series._from_array(self._values[idx], self.name, self._subset_types())
         if isinstance(key, slice):
             # A view shares the buffer: both sides turn read-only.
-            return Series._from_array(self._shared_values()[key], self.name)
+            return Series._from_array(
+                self._shared_values()[key], self.name, self._subset_types()
+            )
         value = self._values[int(key)]
         return value.item() if isinstance(value, np.generic) else value
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        # In-place mutation invalidates the cached grouping and encodings.
+        # In-place mutation invalidates the cached grouping, encodings and types.
         self._grouping_cache = None
         self._encoding_cache = None
         self._dictionary_cache = None
+        self._types_cache = None
         if isinstance(key, Series):
             key = key.to_numpy()
         if self._values.dtype.kind in "if" and isinstance(value, (int, float, np.number)):
@@ -281,11 +319,35 @@ class Series:
         cache = self._encoding_cache
         if cache is None or cache[1] is not self._values:
             values = self._values
-            encoded = _kernels.dictionary_encode(values)
+            encoded = _kernels.dictionary_encode(values, self.cell_types())
             if encoded is not None:
                 encoded[0].flags.writeable = False
             cache = (encoded, values)
             self._encoding_cache = cache
+        return cache[0]
+
+    def cell_types(self) -> frozenset:
+        """The types of this column's cells, a frozenset covering
+        ``set(map(type, self.values.tolist()))``.
+
+        Every pass that asks whether a column is all plain ``str`` (the
+        encoding, the column profile, the served column dictionaries)
+        reads this summary instead of scanning the cells.  List coercion
+        fills it from its one type pass; a column built from a numpy
+        object array finds it with one pass the first time it is asked.
+        The summary may name a type no cell holds (list coercion adds
+        ``NoneType`` beside a float type, as a NaN cell is stored as
+        ``None``), but it is a subset of ``{str}`` exactly when every cell
+        is a plain ``str``.  Keyed on the backing array's identity and
+        cleared by :meth:`__setitem__`, like :meth:`encoding`'s entry, and
+        carried by copy-on-write aliases, pickles and (when it names one
+        type) slices and row selections.
+        """
+        cache = self._types_cache
+        if cache is None or cache[1] is not self._values:
+            values = self._values
+            cache = (_kernels.cell_types(values), values)
+            self._types_cache = cache
         return cache[0]
 
     def _factorized(self) -> tuple[np.ndarray, list]:
@@ -442,7 +504,7 @@ class Series:
         if dtype in (str, "str", "string"):
             if kind in "ib":
                 return Series._from_array(
-                    self._values.astype(str).astype(object), self.name
+                    self._values.astype(str).astype(object), self.name, frozenset((str,))
                 )
             return Series(
                 [None if _is_missing_scalar(v) else str(v) for v in self.tolist()], self.name

@@ -26,9 +26,9 @@ def test_each_plain_str_column_is_encoded_once_per_fit(monkeypatch, rows):
     encoded: list[list] = []
     real = kernels.dictionary_encode
 
-    def counting(values):
+    def counting(values, types=None):
         encoded.append(values[:8].tolist())
-        return real(values)
+        return real(values, types)
 
     monkeypatch.setattr(kernels, "dictionary_encode", counting)
     for _ in range(2):

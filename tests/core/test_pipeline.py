@@ -260,17 +260,17 @@ class TestColumnProfileFitIdentity:
 
         encoded: list[list] = []  # the columns the agenda profiled from an encoding
 
-        def fast(values, cap, encoding=None):
+        def fast(values, cap, encoding=None, types=None):
             if encoding is None:
-                return column_profile(values, cap)
+                return column_profile(values, cap, types=types)
 
             def spy():
                 encoded.append(values[:3].tolist())
                 return encoding()
 
-            return column_profile(values, cap, spy)
+            return column_profile(values, cap, spy, types)
 
-        def oracle(values, cap, encoding=None):
+        def oracle(values, cap, encoding=None, types=None):
             return reference_column_profile(values, cap)
 
         fast_fit = self._fit(monkeypatch, fast)

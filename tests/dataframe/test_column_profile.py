@@ -154,16 +154,16 @@ def test_value_first_seen_after_the_probe(cap):
 )
 def test_non_plain_cells_are_profiled_by_the_set_scan(where, odd):
     """``np.str_``, ``None``, NaN and non-str cells never take the encoding
-    path: in the probe rows they keep it from being read, after them the
-    encoding is read but carries no ``{value: code}`` index."""
+    path: the column's cell types rule it out before the encoding is
+    read, in the probe rows or after them."""
     head, tail = ["a", "b"], ["b"]
     if where == "head":
         head = head + [odd]
     else:
         tail = tail + [odd]
     values = _long(head, tail, object)
-    read, _ = _profile_via_encoding(values, 15)
-    assert read == (where == "tail")
+    read, series = _profile_via_encoding(values, 15)
+    assert not read and series._encoding_cache is None
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 15])

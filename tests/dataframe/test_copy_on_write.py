@@ -10,7 +10,9 @@ instead of copying it.  The contract checked here:
   ``.values`` raises ``ValueError`` instead of changing the other owner;
 * the cached ``encoding()``, ``grouping()`` and column-dictionary codes,
   which travel with the shared buffer, are never stale after a write
-  through any alias.
+  through any alias;
+* every cached ``cell_types()`` summary covers the cells' types and says
+  exactly whether they are all plain ``str``.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.dataframe.kernels import dictionary_encode
 
 N_ROWS = 6
 
-cells = st.sampled_from([0, 1, 7, -3, 2.5, "a", "zz"])
+cells = st.sampled_from([0, 1, 7, -3, 2.5, "a", "zz", np.str_("zz")])
 columns = st.one_of(
     st.lists(st.integers(-3, 3), min_size=N_ROWS, max_size=N_ROWS),
     st.lists(st.sampled_from([0.5, 1.0, -2.0, 0.0]), min_size=N_ROWS, max_size=N_ROWS),
@@ -179,6 +181,10 @@ class Program:
 
 def check_caches(s: Series, dictionaries: dictionary.ColumnDictionaries) -> None:
     """Every cache of *s* agrees with a fresh computation on its values."""
+    if s._types_cache is not None and s._types_cache[1] is s.values:
+        types, cell_types = s._types_cache[0], set(map(type, s.values.tolist()))
+        assert cell_types <= types
+        assert (types <= {str}) == (cell_types <= {str})
     fresh = Series._from_array(s.values.copy(), s.name)
     cached, recomputed = s.encoding(), dictionary_encode(fresh.values)
     assert cached[0].tolist() == recomputed[0].tolist()
@@ -197,7 +203,7 @@ def test_random_programs_match_the_eager_copy_model(initial, data):
     for i, values in enumerate(initial):
         program.add(Series(values, f"c{i}"), values)
     ops = [
-        "rename", "copy", "Series", "slice", "setitem", "values_write",
+        "rename", "copy", "Series", "slice", "mask", "setitem", "values_write",
         "frame_from_mapping", "frame_from_frame", "frame_copy", "frame_setitem",
     ]
     for _ in range(data.draw(st.integers(1, 25))):
@@ -214,6 +220,12 @@ def test_random_programs_match_the_eager_copy_model(initial, data):
             start = data.draw(st.integers(0, len(s)))
             stop = data.draw(st.integers(start, len(s)))
             program.add(s[start:stop], program.expected(s)[start:stop])
+        elif op == "mask":
+            keep = data.draw(st.lists(st.booleans(), min_size=len(s), max_size=len(s)))
+            program.add(
+                s[np.array(keep, dtype=bool)],
+                [v for v, k in zip(program.expected(s), keep) if k],
+            )
         elif op == "setitem" and len(s):
             i, v = data.draw(st.integers(0, len(s) - 1)), data.draw(cells)
             s[i] = v

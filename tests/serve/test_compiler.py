@@ -179,9 +179,9 @@ class TestSharedGroupingEncode:
         calls = []
         real = kernels.dictionary_encode
 
-        def counting(values):
+        def counting(values, types=None):
             calls.append(values)
-            return real(values)
+            return real(values, types)
 
         monkeypatch.setattr(kernels, "dictionary_encode", counting)
         # New Series objects over the same arrays: no cached encodings.

@@ -1,9 +1,14 @@
 """Unit tests for the serving expression IR evaluator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dataframe import DataFrame
+from repro.dataframe import DataFrame, dictionary
+from repro.dataframe.dictionary import ColumnDictionaries
 from repro.dataframe.expr import (
     ExprError,
     evaluate_feature,
@@ -217,6 +222,37 @@ class TestDummies:
         out = evaluate_feature(node, frame)
         assert out["s_x"].tolist() == [1, 0, 0]
         assert out["s_y"].tolist() == [0, 0, 1]
+
+    @given(
+        cells=st.lists(
+            st.sampled_from(["x", "y", "z", None, math.nan, np.str_("x"), 1, True]), max_size=30
+        ),
+        categories=st.lists(st.sampled_from(["x", "y", "w", "z", 1]), unique=True, max_size=4),
+        held=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_block_pass_matches_the_per_category_loop(self, cells, categories, held):
+        """Unseen categories and missing cells read 0, as each category's
+        own ``(codes == j)`` pass gave them."""
+        series = Series._from_array(np.fromiter(cells, object, len(cells)), "s")
+        dictionaries = ColumnDictionaries() if held else None
+        names = [f"s_{i}" for i in range(len(categories))]
+        node = {"op": "dummies", "column": "s", "categories": categories, "names": names}
+        out = evaluate_feature(node, DataFrame({"s": series}), dictionaries)
+        encoded = dictionary.encoded(dictionaries, "s", series)
+        if encoded is None:
+            codes, uniques = series._factorized()
+            position = {u: j for j, u in enumerate(uniques)}
+        else:
+            codes, state = encoded
+            position = state.index
+            if position is None:
+                position = {u: j for j, u in enumerate(state.values)}
+        assert list(out) == names
+        for category, name in zip(categories, names):
+            want = (codes == position.get(category, -2)).astype(np.int64)
+            assert out[name].dtype == want.dtype
+            assert out[name].values.tobytes() == want.tobytes()
 
 
 class TestGroupLookup:
