@@ -160,11 +160,11 @@ def _fit(n_rows: int, seed: int):
     )
 
 
-def bench_fit_transform(n_rows: int, seed: int = 0, repeats: int = FIT_REPEATS) -> dict:
-    """*repeats* cold fits: the median wall, its spread (min and max), and
-    the per-stage data-plane times of the median fit."""
+def bench_fit_transform(n_rows: int, seed: int = 0) -> dict:
+    """:data:`FIT_REPEATS` cold fits: the median wall, its spread (min and
+    max), and the per-stage data-plane times of the median fit."""
     fits = []
-    for _ in range(repeats):  # keep only the numbers: a 1e6-row result is large
+    for _ in range(FIT_REPEATS):  # keep only the numbers: a 1e6-row result is large
         result, wall_s = _fit(n_rows, seed)
         nodes = result.fm_usage["execution"]["schedule"]["nodes"]
         dataplane_s = {node["name"]: node["dataplane_s"] for node in nodes}
@@ -175,7 +175,7 @@ def bench_fit_transform(n_rows: int, seed: int = 0, repeats: int = FIT_REPEATS) 
     return {
         "wall_s": round(wall_s, 3),
         "wall_s_spread": [round(fits[0][0], 3), round(fits[-1][0], 3)],
-        "repeats": repeats,
+        "repeats": FIT_REPEATS,
         "rows_per_s": round(n_rows / wall_s),
         "n_new_features": n_new_features,
         "dataplane_s": dataplane_s,

@@ -12,9 +12,10 @@ distinct value over the plan's lifetime and gathers it by code.
 the Series and cleared by its ``__setitem__``), however many features
 read it.  Whether a column is all plain ``str`` (``type(v) is str`` for
 every cell; ``None``, NaN and ``np.str_`` do not qualify) is read off
-its :meth:`Series.cell_types` summary, which list coercion, the CSV
-decoder and shard views fill for free, so a served batch pays no type
-pass.  Then:
+its :meth:`Series.cell_types` summary.  List coercion, the CSV decoder
+and shard views fill it for free, so a batch whose columns already know
+their cell types pays no type pass; any other batch pays one, over the
+cell list its lookup then reuses.  Then:
 
 * an all-plain-``str`` column costs one C-level lookup of all its cells
   (``operator.itemgetter(*cells)(index)``); a batch that brings values
@@ -41,6 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from repro.dataframe.kernels import PLAIN_STR
 from repro.dataframe.series import Series
 
 __all__ = ["ColumnDictionaries", "Dictionary", "encoded", "strings"]
@@ -51,8 +53,6 @@ MAX_ENTRIES = 1 << 15
 #: Leading cells probed before a batch's lookup pass: when more than a
 #: quarter of them miss, the batch is encoded whole instead.
 PROBE_CELLS = 64
-
-_PLAIN_STR = frozenset((str,))
 
 
 class Dictionary:
@@ -176,18 +176,17 @@ def encoded(
 
 def _resolve(dictionaries: ColumnDictionaries | None, name: str, series: Series):
     values = series.values
-    if (
-        dictionaries is None
-        or values.dtype != object
-        or not len(values)
-        or not series.cell_types() <= _PLAIN_STR
-    ):
+    if dictionaries is None or values.dtype != object or not len(values):
+        return _throwaway(series)
+    cells, types = series._typed_cells()
+    if not types <= PLAIN_STR:
         return _throwaway(series)
     current = dictionaries.get(name)
     head = values[:PROBE_CELLS].tolist()
     if 4 * sum(v not in current.index for v in head) > len(head):
         return _seeded(dictionaries, name, series)
-    cells = values.tolist()
+    if cells is None:
+        cells = values.tolist()
     codes = _lookup(current.index, cells)
     miss = np.flatnonzero(codes < 0)
     if not len(miss):

@@ -76,7 +76,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.kernels import _INT64_MAX, _INT64_MIN, coerce_typed, coercion_kind
+from repro.dataframe.kernels import (
+    _INT64_MAX,
+    _INT64_MIN,
+    PLAIN_STR,
+    coerce_typed,
+    coercion_kind,
+)
 from repro.dataframe.series import Series
 
 __all__ = [
@@ -436,8 +442,7 @@ def _kind(seen: _Seen) -> str:
 #: Cells of a numeric column that ``int``/``float`` do not read directly.
 _NUMBER_WORDS = {"": "nan", "True": "1", "False": "0"}
 _BOOL_CELLS = {"": None, "True": True, "False": False}
-_STR_CELLS = frozenset((str,))
-_STR_OR_MISSING_CELLS = frozenset((str, type(None)))
+_STR_OR_MISSING_CELLS = PLAIN_STR | {type(None)}
 
 
 def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozenset | None]:
@@ -464,7 +469,7 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozen
     if _verbatim(cells):
         values = np.array(cells, dtype=object)
         if "" not in cells:
-            return values, _STR_CELLS
+            return values, PLAIN_STR
         values[values == ""] = None
         return values, _STR_OR_MISSING_CELLS
     return coerce_typed(list(map(_parse_cell, cells)), kind)

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "ColumnProfile",
+    "PLAIN_STR",
     "cell_types",
     "coerce_listlike",
     "coerce_typed",
@@ -119,7 +120,11 @@ def coercion_kind(
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _NONE_TYPE = type(None)
-_PLAIN_STR = frozenset((str,))
+
+#: The cell-types summary of an all-plain-``str`` column: a column's
+#: ``Series.cell_types`` is a subset of it exactly when every cell is a
+#: ``str`` proper (``np.str_`` and other subclasses do not qualify).
+PLAIN_STR = frozenset((str,))
 
 
 def _role(cell_type: type) -> str:
@@ -224,13 +229,15 @@ def coerce_listlike(values: list, kind: str | None = None) -> np.ndarray:
 _TYPED_CELLS = {"f": float, "i": int, "u": int, "b": bool}
 
 
-def cell_types(values: np.ndarray) -> frozenset:
+def cell_types(values: np.ndarray, items: list | None = None) -> frozenset:
     """``frozenset(map(type, values.tolist()))``: read off the dtype for a
-    numeric or bool array, one C-level pass over the cells otherwise."""
+    numeric or bool array, one C-level pass over the cells otherwise.
+    *items*, ``values.tolist()`` when the caller has already built it,
+    saves building it again."""
     typed = _TYPED_CELLS.get(values.dtype.kind)
     if typed is not None:
         return frozenset((typed,) if len(values) else ())
-    return frozenset(map(type, values.tolist()))
+    return frozenset(map(type, values.tolist() if items is None else items))
 
 
 def _as_float(value) -> float:
@@ -356,7 +363,7 @@ def group_codes(values: np.ndarray) -> np.ndarray:
 
 
 def dictionary_encode(
-    values: np.ndarray, types: frozenset | None = None
+    values: np.ndarray, types: frozenset | None = None, items: list | None = None
 ) -> tuple[np.ndarray, list, dict | None] | None:
     """Dictionary-encode a column: ``(codes, uniques, index)``.
 
@@ -368,13 +375,18 @@ def dictionary_encode(
     ``"a"`` and ``"a\\x00"`` stay apart, and first-seen numbering never
     depends on the string hash seed.  Returns ``None`` when a cell is
     unhashable.  *types*, the column's known cell types
-    (``Series.cell_types``), saves the pass that finds them.
+    (``Series.cell_types``), saves the pass that finds them; without
+    them an object column finds them from the cell list it keys.
+    *items*, ``values.tolist()`` when the caller has built it, saves
+    building it again.
     """
-    if values.dtype == object:
+    if values.dtype == object and (types is None or types <= PLAIN_STR):
+        if items is None:
+            items = values.tolist()
         if types is None:
-            types = cell_types(values)
-        if types <= _PLAIN_STR:
-            codes, index = _dict_codes(values.tolist())
+            types = cell_types(values, items)
+        if types <= PLAIN_STR:
+            codes, index = _dict_codes(items)
             return codes, list(index), index
     try:
         codes, uniques = factorize_values(values)
@@ -434,11 +446,11 @@ def column_profile(
     (:func:`_numeric_uniques`, ``-0.0 == 0.0``, NaNs counted apart), and
     every verdict is read off its uniques.  *types* are the column's
     known cell types (``Series.cell_types``); without them an object
-    column pays one pass to find them.  *encoding*, when given, is the
-    column's ``Series.encoding``: an all-plain-``str`` column whose
-    leading rows hold at most *cap* distinct values is then profiled from
-    that cached encoding, so the ops that later read it do not key the
-    column again.  Other arrays keep exact Python set semantics in one
+    column finds them from the cell list it profiles.  *encoding*, when
+    given, is the column's ``Series.encoding``: an all-plain-``str``
+    column whose leading rows hold at most *cap* distinct values is then
+    profiled from that cached encoding, so the ops that later read it do
+    not key the column again.  Other arrays keep exact Python set semantics in one
     pass that exits once the verdicts are settled and more than *cap*
     distinct values were seen, so high-cardinality text is never fully
     factorised; columns of plain ``str``/``int``/``bool``/``None`` cells
@@ -452,16 +464,19 @@ def column_profile(
         return _uniques_profile(
             len(present), _numeric_uniques(present, max(cap, 2)), cap, n_nan
         )
-    if kind == "O":
-        if types is None:
-            types = cell_types(values)
-        if (
-            encoding is not None
-            and types <= _PLAIN_STR
-            and len(dict.fromkeys(values[:_PROBE_ROWS].tolist())) <= cap
-        ):
-            return _uniques_profile(len(values), encoding()[1], cap)
-    return _object_profile(values, cap, types)
+    if kind != "O":
+        return _object_profile(values.tolist(), cap, None)
+    items = None
+    if types is None:
+        items = values.tolist()
+        types = cell_types(values, items)
+    if (
+        encoding is not None
+        and types <= PLAIN_STR
+        and len(dict.fromkeys(values[:_PROBE_ROWS].tolist())) <= cap
+    ):
+        return _uniques_profile(len(values), encoding()[1], cap)
+    return _object_profile(values.tolist() if items is None else items, cap, types)
 
 
 def _uniques_profile(
@@ -515,9 +530,10 @@ def _all_among(values: np.ndarray, distinct: np.ndarray) -> bool:
 _PLAIN_CELLS = frozenset((str, int, bool, type(None)))
 
 
-def _object_profile(values: np.ndarray, cap: int, types: frozenset | None) -> ColumnProfile:
-    """The exact set-semantics scan for object (and other) arrays; the
-    *types* of an object array's cells are known.
+def _object_profile(items: list, cap: int, types: frozenset | None) -> ColumnProfile:
+    """The exact set-semantics scan over an array's cells, *items*
+    (``values.tolist()``): the *types* of an object array's cells, or
+    ``None`` for any other array.
 
     ``ndarray.tolist`` unboxes numpy scalars of typed arrays but keeps
     object cells as stored, so numpy scalars in object cells are unboxed
@@ -525,8 +541,7 @@ def _object_profile(values: np.ndarray, cap: int, types: frozenset | None) -> Co
     hence distinct from every other NaN, while one NaN object repeated
     is one set member.
     """
-    items = values.tolist()
-    if values.dtype != object:  # typed cells: nothing is missing
+    if types is None:  # typed cells: nothing is missing
         non_null = len(items)
     elif types <= _PLAIN_CELLS:
         return _plain_profile(items, cap, _NONE_TYPE in types)

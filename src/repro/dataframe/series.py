@@ -51,7 +51,7 @@ def _coerce_values(values: Any) -> tuple[np.ndarray, frozenset | None]:
         if values.ndim != 1:
             raise ValueError(f"Series data must be 1-dimensional, got shape {values.shape}")
         if values.dtype.kind == "U":  # fixed-width strings -> object storage
-            return values.astype(object), frozenset((str,))
+            return values.astype(object), _kernels.PLAIN_STR
         if values.dtype.kind == "S":
             return values.astype(object), None
         return values.copy(), None
@@ -251,7 +251,7 @@ class Series:
         if isinstance(key, (list, np.ndarray)):
             idx = np.asarray(key)
             if idx.dtype != bool:
-                idx = idx.astype(np.int64)
+                idx = idx.astype(np.int64, copy=False)
             return Series._from_array(self._values[idx], self.name, self._subset_types())
         if isinstance(key, slice):
             # A view shares the buffer: both sides turn read-only.
@@ -319,7 +319,8 @@ class Series:
         cache = self._encoding_cache
         if cache is None or cache[1] is not self._values:
             values = self._values
-            encoded = _kernels.dictionary_encode(values, self.cell_types())
+            items, types = self._typed_cells()
+            encoded = _kernels.dictionary_encode(values, types, items)
             if encoded is not None:
                 encoded[0].flags.writeable = False
             cache = (encoded, values)
@@ -343,12 +344,20 @@ class Series:
         carried by copy-on-write aliases, pickles and (when it names one
         type) slices and row selections.
         """
+        return self._typed_cells()[1]
+
+    def _typed_cells(self) -> tuple[list | None, frozenset]:
+        """:meth:`cell_types`, plus this object column's cells as a list
+        when finding the types had to build it (else ``None``), so the
+        caller that keys the cells next does not build it again."""
         cache = self._types_cache
-        if cache is None or cache[1] is not self._values:
-            values = self._values
-            cache = (_kernels.cell_types(values), values)
-            self._types_cache = cache
-        return cache[0]
+        if cache is not None and cache[1] is self._values:
+            return None, cache[0]
+        values = self._values
+        items = values.tolist() if values.dtype == object else None
+        types = _kernels.cell_types(values, items)
+        self._types_cache = (types, values)
+        return items, types
 
     def _factorized(self) -> tuple[np.ndarray, list]:
         """``(codes, uniques)`` from :meth:`encoding`; unhashable cells
@@ -504,7 +513,7 @@ class Series:
         if dtype in (str, "str", "string"):
             if kind in "ib":
                 return Series._from_array(
-                    self._values.astype(str).astype(object), self.name, frozenset((str,))
+                    self._values.astype(str).astype(object), self.name, _kernels.PLAIN_STR
                 )
             return Series(
                 [None if _is_missing_scalar(v) else str(v) for v in self.tolist()], self.name

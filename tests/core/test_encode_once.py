@@ -26,9 +26,9 @@ def test_each_plain_str_column_is_encoded_once_per_fit(monkeypatch, rows):
     encoded: list[list] = []
     real = kernels.dictionary_encode
 
-    def counting(values, types=None):
+    def counting(values, *known):
         encoded.append(values[:8].tolist())
-        return real(values, types)
+        return real(values, *known)
 
     monkeypatch.setattr(kernels, "dictionary_encode", counting)
     for _ in range(2):

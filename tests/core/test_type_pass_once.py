@@ -36,11 +36,11 @@ def type_passes(monkeypatch) -> Counter:
         passes[id(array)] += 1
         return array, types
 
-    def scanning(values):
+    def scanning(values, items=None):
         if values.dtype == object:
             keep.append(values)
             passes[id(values)] += 1
-        return cell_types(values)
+        return cell_types(values, items)
 
     monkeypatch.setattr(kernels, "coerce_typed", coercing)
     monkeypatch.setattr(kernels, "cell_types", scanning)

@@ -126,9 +126,9 @@ def passes(monkeypatch) -> list:
     seen: list = []
     real = kernels.cell_types
 
-    def counting(values):
+    def counting(values, items=None):
         seen.append(values)
-        return real(values)
+        return real(values, items)
 
     monkeypatch.setattr(kernels, "cell_types", counting)
     return seen
@@ -194,6 +194,26 @@ def test_a_summary_is_computed_at_most_once(passes):
     assert old.cell_types() == old.cell_types() == {str, type(None)}
     assert old.encoding()[1] == ["a"]
     assert len(passes) == 2
+
+
+def test_a_type_pass_reuses_the_cell_list_its_caller_keys(monkeypatch):
+    """An untyped object column's type pass runs over the list that the
+    encoding, the profile or the column dictionary lookup keys next."""
+    given: list = []
+    real = kernels.cell_types
+
+    def recording(values, items=None):
+        given.append(items is not None)
+        return real(values, items)
+
+    monkeypatch.setattr(kernels, "cell_types", recording)
+    values = np.array(["b", "a", "b"], dtype=object)
+    s = Series._from_array(values.copy(), "a")
+    assert s.encoding()[1] == ["b", "a"]
+    assert s.cell_types() == {str}
+    assert kernels.dictionary_encode(values)[1] == ["b", "a"]
+    assert kernels.column_profile(values, 8).uniques == ["b", "a"]
+    assert given == [True, True, True]
 
 
 def test_csv_verbatim_blocks_fill_the_summary(tmp_path, passes):

@@ -179,9 +179,9 @@ class TestSharedGroupingEncode:
         calls = []
         real = kernels.dictionary_encode
 
-        def counting(values, types=None):
+        def counting(values, *known):
             calls.append(values)
-            return real(values, types)
+            return real(values, *known)
 
         monkeypatch.setattr(kernels, "dictionary_encode", counting)
         # New Series objects over the same arrays: no cached encodings.
