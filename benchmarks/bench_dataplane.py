@@ -22,7 +22,8 @@ column of the smoke tables, the fit's generated features included.
 Each compared op runs both the retained loop reference and the vectorized
 path, asserts the outputs match (exact dtypes and missingness; float
 accumulations within a few ulp — summation order differs), and records
-the speedup.  ``python benchmarks/bench_dataplane.py`` runs standalone
+the speedup of the medians of :data:`OP_REPEATS` cold timings per side
+(each on fresh Series, so no grouping or encoding is cached).  ``python benchmarks/bench_dataplane.py`` runs standalone
 and writes ``BENCH_dataplane.json`` at the repo root;  ``--smoke`` runs a
 small row count and only the equivalence assertions (the CI regression
 gate).  The full run stamps ``cpu_count``, the Python and numpy versions
@@ -30,6 +31,7 @@ and the git commit into the file.
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
@@ -60,11 +62,30 @@ SMOKE_ROW_COUNTS = (2_000,)
 #: between runs, so the file records their median and spread.
 FIT_REPEATS = 5
 
+#: Cold timings per side of each compared op: one cold groupby at 1e5
+#: rows spreads 7-10 ms between runs, so the speedup (and its 10x gate)
+#: compares medians.
+OP_REPEATS = 5
+
 
 def _timed(fn):
     start = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - start
+
+
+def _fresh(frame: DataFrame) -> DataFrame:
+    """*frame*'s columns as new Series over the same arrays: nothing cached."""
+    return DataFrame({c: Series._from_array(frame[c].values, c) for c in frame.columns})
+
+
+def _median_cell(bench, frame: DataFrame) -> dict:
+    """Median reference and vectorized seconds of :data:`OP_REPEATS` cold runs."""
+    cells = [bench(_fresh(frame)) for _ in range(OP_REPEATS)]
+    return {
+        side: statistics.median(cell[side] for cell in cells)
+        for side in ("reference_s", "vectorized_s")
+    } | {"repeats": OP_REPEATS}
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +234,7 @@ def run(row_counts=ROW_COUNTS, fit_transform_rows=ROW_COUNTS, seed: int = 0) -> 
     for n_rows in row_counts:
         frame = make_synthetic_frame(n_rows, seed=seed)
         for op, bench in COMPARED_OPS.items():
-            cell = bench(frame)
+            cell = _median_cell(bench, frame)
             cell["speedup"] = round(cell["reference_s"] / cell["vectorized_s"], 2)
             cell["reference_s"] = round(cell["reference_s"], 4)
             cell["vectorized_s"] = round(cell["vectorized_s"], 4)

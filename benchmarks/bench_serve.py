@@ -2,8 +2,8 @@
 
 Three sections:
 
-* ``identity`` — fit SMARTFEAT on all nine eval datasets with
-  ``compile_plan=True``, JSON-round-trip each exported plan, replay it on
+* ``identity`` — fit SMARTFEAT on all nine eval datasets, JSON-round-trip
+  each fit's plan, replay it on
   the original frame, and assert the result is **bit-identical** (dtype
   and missingness exact) to ``fit_transform``'s frame.  Each fit is also
   recompiled with the ``op[args]:`` tag stripped from every description

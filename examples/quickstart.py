@@ -58,11 +58,11 @@ def main() -> None:
         f"${usage['cost_usd']:.4f} modelled cost — independent of table size."
     )
 
-    # --- Fit / serve split: export the run as a compiled plan and replay
-    # it on fresh rows with zero FM calls and no sandbox exec. ---
+    # --- Fit / serve split: the run's compiled plan replays on fresh
+    # rows with zero FM calls and no FM-written code. ---
     from repro.serve import FeaturePlan, FeatureServer
 
-    plan = tool.export_plan(result, bundle.frame, bundle.target)
+    plan = result.plan
     counts = plan.counts()
     print(
         f"\nCompiled plan: {counts['compiled']}/{len(plan.features)} features "

@@ -431,7 +431,7 @@ def _cmd_plan_export(args) -> int:
         raise SystemExit("pass --out and/or --registry to store the exported plan")
     frame, target, descriptions, title, target_description = _load_source(args)
     fm, function_fm = _make_clients(args)
-    tool = SmartFeat(fm=fm, function_fm=function_fm, compile_plan=True)
+    tool = SmartFeat(fm=fm, function_fm=function_fm)
     result = tool.fit_transform(
         frame,
         target=target,

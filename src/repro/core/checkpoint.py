@@ -18,7 +18,8 @@ it on resume:
 
 Every record (features, suggestions, row plans, agenda entries, ledgers,
 the budget) goes through the one codec in :mod:`repro.records`: its shape
-is its dataclass's fields.  Ledgers and the budget are recorded from
+is its dataclass's fields; a feature's record holds its frozen
+expression (older checkpoints get it on resume).  Ledgers and the budget are recorded from
 their exact state fields, not their rounded report ``snapshot()``s, so a
 resumed run ends with exactly the uninterrupted run's totals.
 
@@ -44,6 +45,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.function_generator import ROW_LEVEL_SOURCE, freeze_completion, realize_source
+from repro.core.sandbox import TransformError
 from repro.dataframe import DataFrame, Series
 from repro.records import assign_record, to_record, write_json_atomic
 
@@ -202,12 +205,17 @@ def restore_run(
     clients,
     budget: "Budget | None",
     run_fingerprint: dict,
+    inputs: DataFrame | None = None,
 ) -> frozenset[str]:
     """Rehydrate *ctx*, *clients*, and *budget* from a checkpoint payload.
 
     Returns the completed node names for the scheduler's ``completed``
     parameter.  Raises :class:`CheckpointMismatchError` when the payload
     belongs to different data or an incompatible checkpoint version.
+
+    A feature recorded without ``expr`` (an older checkpoint) is frozen
+    once against the restored frame plus the run's *inputs*: columns are
+    never rewritten after install, so this is the freeze fit made.
     """
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointMismatchError(
@@ -241,6 +249,8 @@ def restore_run(
     spec = context["result"]
     features = {f["name"]: f for f in spec["new_features"]}
     assign_record(ctx.result, {**spec, "new_features": features})
+    legacy = [ctx.result.new_features[n] for n, f in features.items() if "expr" not in f]
+    _freeze_legacy(legacy, frame, inputs)
     # Clients: ledgers + per-call state, matched positionally (the order
     # snapshot_run serialised is the order the caller passes here).
     unique = _unique_clients(clients)
@@ -258,3 +268,17 @@ def restore_run(
         spent = {k: v for k, v in saved_budget.items() if k.startswith("spent_")}
         assign_record(budget, spent)
     return frozenset(payload["completed"])
+
+
+def _freeze_legacy(features, restored: DataFrame, inputs: DataFrame | None) -> None:
+    basis = restored.column_view(restored.columns)
+    for name in inputs.columns if inputs is not None else ():
+        basis[name] = inputs[name]
+    for feature in features:
+        try:
+            if feature.source_code == ROW_LEVEL_SOURCE:
+                freeze_completion(feature, basis, basis[feature.output_columns[0]])
+            else:
+                feature.expr = realize_source(feature.source_code, basis)[0]
+        except (KeyError, TransformError) as exc:  # the plan omits it, with why
+            feature.omit_reason = str(exc)

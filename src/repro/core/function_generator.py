@@ -4,18 +4,19 @@ For each candidate the generator decides among the paper's three
 scenarios:
 
 1. **Transformation function** — interact with the FM (the efficient path:
-   one call per feature, independent of table size), extract the code, and
-   run it in the sandbox only if the serving compiler can lift it
-   (:func:`~repro.serve.compiler.lift_source`): an answer outside the
-   lifted subset is re-prompted with the lifter's reason like any other
-   error, and rejected as "not compilable" once its retries run out, so
-   every accepted feature can be served without executing FM code.
+   one call per feature, independent of table size), extract the code,
+   lift it once to the serving IR, freeze it against the working frame
+   and evaluate it there (:func:`realize_source`): FM code never runs,
+   and the plan serves the expression whose output fit installed.  An
+   answer outside the lifted subset is re-prompted with the lifter's
+   reason like any other error, and rejected as "not compilable" once
+   its retries run out.
    High-order candidates skip the FM entirely: the selector's output
    already determines ``df.groupby(g)[a].transform(f)``.
 2. **Row-level completion** — no explicit function exists.  Small tables
-   are completed row by row; for large tables the generator produces a
-   preview plus a cost estimate and defers to the user (the pipeline's
-   ``row_level_policy``).
+   are completed row by row (and frozen as an input→output map); for
+   large tables the generator produces a preview plus a cost estimate and
+   defers to the user (the pipeline's ``row_level_policy``).
 3. **Source suggestion** — neither applies; the FM suggests external data
    sources.
 
@@ -29,10 +30,17 @@ on the previous attempt's failure.
 
 from __future__ import annotations
 
+import json
+
 from repro.core import prompts
 from repro.core.agenda import DataAgenda
 from repro.core.parsing import extract_code, parse_scalar
-from repro.core.sandbox import SandboxViolation, TransformError, run_transform
+from repro.core.sandbox import TransformError
+
+# Fit no longer calls the sandbox, but perfbench's tracer patches this
+# name; the benchmark change that adds a ``fit_eval`` layer drops the
+# import (ROADMAP item L).
+from repro.core.sandbox import run_transform  # noqa: F401
 from repro.fm.errors import FMBudgetExceededError, FMError, FMParseError
 from repro.core.types import (
     FeatureCandidate,
@@ -42,25 +50,77 @@ from repro.core.types import (
     SourceSuggestion,
 )
 from repro.dataframe import DataFrame, Series
+from repro.dataframe import kernels as _kernels
+from repro.dataframe.expr import ExprError, expr_columns, fit_feature
 from repro.fm.base import FMClient, FMResponse
 from repro.fm.cost import estimate_tokens
 from repro.fm.executor import FMExecutor, FMRequest
-from repro.serve.compiler import Unliftable, lift_source
+from repro.serve.compiler import _JSON_SCALARS, Unliftable, lift_source
 
-__all__ = ["FunctionGenerator", "RealizedFeature"]
+__all__ = ["FunctionGenerator", "RealizedFeature", "freeze_completion", "realize_source"]
 
 #: Exceptions that turn one candidate's realization into a rejection.
-REALIZE_ERRORS = (FMError, FMParseError, SandboxViolation, TransformError)
+REALIZE_ERRORS = (FMError, FMParseError, TransformError)
+
+#: ``source_code`` of a feature materialised by per-row FM completion.
+ROW_LEVEL_SOURCE = "<row-level FM completion>"
 
 
-def _run_compilable(source: str, frame: DataFrame) -> Series | DataFrame:
-    """Run *source* in the sandbox, unless the serving compiler cannot lift
-    it: then raise ``TransformError("not compilable: <why>")`` unrun."""
+def realize_source(source: str, frame: DataFrame) -> tuple[dict, Series | dict[str, Series]]:
+    """``(frozen expression, outputs)`` of *source*, lifted once, frozen
+    against *frame* and evaluated there.  A lift, freeze or serialisation
+    failure raises ``TransformError("not compilable: <why>")``; one the
+    source itself would hit, the sandbox's ``transform(df) raised …``."""
     try:
-        lift_source(source)
+        template = lift_source(source)
     except Unliftable as exc:
         raise TransformError(f"not compilable: {exc}") from None
-    return run_transform(source, frame)
+    missing = [c for c in expr_columns(template) if c not in frame]
+    if missing:
+        raise TransformError(f"transform(df) raised KeyError: {missing[0]!r}")
+    try:
+        frozen, outputs = fit_feature(template, frame)
+    except ExprError as exc:
+        raise TransformError(f"not compilable: {exc}") from None
+    except Exception as exc:
+        raise TransformError(f"transform(df) raised {type(exc).__name__}: {exc}") from exc
+    try:
+        json.dumps(frozen)  # plans must round-trip; reject exotic scalars
+    except (TypeError, ValueError) as exc:
+        raise TransformError(f"not compilable: expression not serializable: {exc}") from None
+    return frozen, outputs
+
+
+def freeze_completion(feature: GeneratedFeature, frame: DataFrame, values: Series) -> None:
+    """Freeze a row-level FM completion on *feature* as an exact ``dict_map``
+    over *frame*, or record why its plan omits it (it stays accepted)."""
+    try:
+        feature.expr = _completion_map(feature.input_columns, frame, values)
+    except ExprError as exc:
+        feature.omit_reason = str(exc)
+
+
+def _completion_map(input_columns: list[str], frame: DataFrame, values: Series) -> dict:
+    if len(input_columns) != 1:
+        raise ExprError("row-level completion reads multiple columns")
+    column = input_columns[0]
+    if column not in frame:
+        raise ExprError(f"row-level input column {column!r} unavailable at serve time")
+    mapping: dict = {}
+    for key, value in zip(frame[column].tolist(), values.tolist()):
+        if _kernels.is_missing_scalar(key):
+            if value is not None:
+                raise ExprError("completion is not missing-preserving")
+            continue
+        if not isinstance(key, _JSON_SCALARS):
+            raise ExprError(f"completion key {key!r} is not a JSON scalar")
+        if value is not None and not isinstance(value, _JSON_SCALARS):
+            raise ExprError(f"completion value {value!r} is not a JSON scalar")
+        if key not in mapping:
+            mapping[key] = value
+        elif mapping[key] != value or type(mapping[key]) is not type(value):
+            raise ExprError("completion is not a function of the input column")
+    return {"op": "dict_map", "column": column, "keys": list(mapping), "values": list(mapping.values())}
 
 
 class RealizedFeature:
@@ -173,7 +233,6 @@ class FunctionGenerator:
         prompt = prompts.function_generation_prompt(agenda, candidate)
         fm_calls = 0
         source = ""
-        result = None
         last_error: Exception | None = None
         for attempt in range(self.repair_retries + 1):
             if attempt == 0 and isinstance(first_attempt, Exception):
@@ -189,9 +248,9 @@ class FunctionGenerator:
             fm_calls += 1
             try:
                 source = extract_code(response.text)
-                result = _run_compilable(source, frame)
-                break
-            except (FMParseError, SandboxViolation, TransformError) as exc:
+                realized = realize_source(source, frame)
+                return self._realized(candidate, source, realized, fm_calls)
+            except (FMParseError, TransformError) as exc:
                 last_error = exc
                 # Error-correction loop (Section 5 future work): re-ask with
                 # the failing code and the error message (or the lifter's
@@ -199,20 +258,8 @@ class FunctionGenerator:
                 prompt = prompts.function_repair_prompt(
                     agenda, candidate, source or response.text, str(exc)
                 )
-        if result is None:
-            assert last_error is not None
-            raise last_error
-        values = self._as_columns(result, candidate.name)
-        feature = GeneratedFeature(
-            name=candidate.name,
-            family=candidate.family,
-            input_columns=candidate.columns,
-            description=candidate.description,
-            output_columns=list(values),
-            source_code=source,
-            fm_calls=fm_calls,
-        )
-        return RealizedFeature(feature, values)
+        assert last_error is not None
+        raise last_error
 
     # ------------------------------------------------------------------
     # Scenario 1b: high-order features need no FM interaction
@@ -221,25 +268,11 @@ class FunctionGenerator:
         self, candidate: FeatureCandidate, frame: DataFrame
     ) -> RealizedFeature:
         params = candidate.params
-        group_cols = params["groupby_col"]
-        agg_col = params["agg_col"]
-        function = params["function"]
         source = (
-            f"def transform(df):\n"
-            f"    return df.groupby({group_cols!r})[{agg_col!r}].transform({function!r})\n"
+            f"def transform(df):\n    return df.groupby({params['groupby_col']!r})"
+            f"[{params['agg_col']!r}].transform({params['function']!r})\n"
         )
-        result = _run_compilable(source, frame)
-        values = self._as_columns(result, candidate.name)
-        feature = GeneratedFeature(
-            name=candidate.name,
-            family=candidate.family,
-            input_columns=candidate.columns,
-            description=candidate.description,
-            output_columns=list(values),
-            source_code=source,
-            fm_calls=0,
-        )
-        return RealizedFeature(feature, values)
+        return self._realized(candidate, source, realize_source(source, frame), 0)
 
     # ------------------------------------------------------------------
     # Scenario 2: row-level completion with cost gating
@@ -263,9 +296,10 @@ class FunctionGenerator:
                 input_columns=list(relevant),
                 description=candidate.description,
                 output_columns=[candidate.name],
-                source_code="<row-level FM completion>",
+                source_code=ROW_LEVEL_SOURCE,
                 fm_calls=n_rows,
             )
+            freeze_completion(feature, frame, series)
             return RealizedFeature(feature, {candidate.name: series})
         # Too large: produce a preview and a cost projection for the user.
         preview_values = self._complete_rows(
@@ -347,12 +381,20 @@ class FunctionGenerator:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _as_columns(result: Series | DataFrame, default_name: str) -> dict[str, Series]:
-        # A single-Series output is the candidate feature itself; generated
-        # code often returns it still carrying the *input* column's name
-        # (e.g. ``pd.cut(df['Age'], ...)``), so it is keyed by the
-        # candidate name (installing it names the column after its key).
-        # Multi-column outputs keep their own names.
-        if isinstance(result, Series):
-            return {default_name: result}
-        return {c: result[c] for c in result.columns}
+    def _realized(candidate: FeatureCandidate, source: str, realized, fm_calls: int):
+        expr, outputs = realized
+        # A single-Series output is the candidate feature itself, keyed by
+        # its name (installing names the column after its key; the Series
+        # may still carry an input's name).  Multi-column outputs keep theirs.
+        values = {candidate.name: outputs} if isinstance(outputs, Series) else dict(outputs)
+        feature = GeneratedFeature(
+            name=candidate.name,
+            family=candidate.family,
+            input_columns=candidate.columns,
+            description=candidate.description,
+            output_columns=list(values),
+            source_code=source,
+            fm_calls=fm_calls,
+            expr=expr,
+        )
+        return RealizedFeature(feature, values)

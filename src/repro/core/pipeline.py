@@ -49,6 +49,7 @@ aborting mid-flight.  See :mod:`repro.core.scheduler` for the contract.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -62,8 +63,10 @@ from repro.core.checkpoint import (
 )
 from repro.core.function_generator import (
     REALIZE_ERRORS,
+    ROW_LEVEL_SOURCE,
     FunctionGenerator,
     RealizedFeature,
+    freeze_completion,
 )
 from repro.core.operator_selector import OperatorSelector
 from repro.core.scheduler import (
@@ -111,7 +114,8 @@ class SmartFeatResult:
     ``row_plans`` surface the §3.3 scenario-2/3 outputs; ``rejections``
     records validator verdicts; ``fm_usage`` summarises API accounting,
     including the execution layer's summed vs critical-path latency and
-    the stage schedule (``fm_usage["execution"]["schedule"]``).
+    the stage schedule (``fm_usage["execution"]["schedule"]``); ``plan``
+    serves the accepted features (:class:`~repro.serve.FeaturePlan`).
     """
 
     frame: DataFrame
@@ -123,8 +127,6 @@ class SmartFeatResult:
     rejections: dict[str, str] = field(default_factory=dict)
     errors: dict[str, int] = field(default_factory=dict)
     fm_usage: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Compiled serving artifact (:class:`repro.serve.FeaturePlan`) when the
-    #: run was built with ``compile_plan=True``; ``None`` otherwise.
     plan: Any = None
 
     @property
@@ -288,10 +290,6 @@ class SmartFeat:
         and drops optional stages to fit, and absorbs a mid-stage budget
         trip into the schedule report instead of raising.  Decisions
         land in ``result.fm_usage["execution"]["schedule"]``.
-    compile_plan:
-        After fitting, also compile the accepted features into a serving
-        :class:`~repro.serve.FeaturePlan` and attach it as
-        ``result.plan`` — see :meth:`export_plan`.
     checkpoint:
         Path (or :class:`~repro.core.checkpoint.CheckpointStore`) to
         checkpoint the search to: after every completed stage node the
@@ -330,7 +328,6 @@ class SmartFeat:
         budget: Budget | None = None,
         stage_plan: str = "serial",
         plan_budget: bool = False,
-        compile_plan: bool = False,
         checkpoint: "str | CheckpointStore | None" = None,
         resume: bool = False,
     ) -> None:
@@ -365,7 +362,6 @@ class SmartFeat:
         self.wave_size = wave_size if wave_size is not None else 1
         self.stage_plan = stage_plan
         self.plan_budget = plan_budget
-        self.compile_plan = compile_plan
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path/store")
         if checkpoint is None or isinstance(checkpoint, CheckpointStore):
@@ -399,6 +395,8 @@ class SmartFeat:
         :meth:`build_stage_graph` declares; ``stage_plan`` and
         ``plan_budget`` (constructor knobs) select the view/overlap
         semantics and the budget planner.
+        ``result.plan`` serves the frozen expressions fit evaluated, so it
+        replays ``result.frame`` bit-identically.
         """
         working = frame.copy()  # the agenda caches encodings on it, not on frame
         agenda = DataAgenda.from_dataframe(
@@ -434,6 +432,7 @@ class SmartFeat:
                         (self.fm, self.function_fm),
                         self.budget,
                         run_fingerprint,
+                        inputs=frame,
                     )
             finished: list[str] = list(completed)
             store = self.checkpoint
@@ -475,8 +474,7 @@ class SmartFeat:
         execution["wave_size"] = self.wave_size
         execution["schedule"] = schedule.report()
         result.fm_usage["execution"] = execution
-        if self.compile_plan:
-            result.plan = self.export_plan(result, frame, target)
+        result.plan = _compile_plan(result, frame, target)
         return result
 
     # ------------------------------------------------------------------
@@ -505,21 +503,20 @@ class SmartFeat:
         boundaries — and holds at most the sample plus one shard in
         memory.  The FM search then runs :meth:`fit_transform` on that
         sample, so the accepted features, ``result.frame``, and the
-        exported plan are bit-identical to fitting in memory on the same
-        sample.
+        plan are bit-identical to fitting in memory on the same sample.
 
-        With ``compile_plan=True`` and *refresh_group_tables* (default),
-        a second pass re-aggregates every frozen ``group_lookup`` table
+        With *refresh_group_tables* (default), a second pass
+        re-aggregates every frozen ``group_lookup`` table of the plan
         over the **full** stream through the two-pass segmented merge
         (:meth:`~repro.serve.FeaturePlan.refresh_group_tables`), so group
         statistics reflect every row even though the search saw only the
-        sample.  A one-shot iterator cannot be re-wound: if the plan has
-        group tables and *shards* is not callable, this raises
-        ``ValueError`` before any FM spend is wasted on a half-done
-        artifact.  Pass ``refresh_group_tables=False`` to keep
-        sample-only tables.
+        sample.  A one-shot iterator cannot be re-wound: for every stream
+        fit whose plan has group tables, a *shards* that is not callable
+        raises ``ValueError`` once the search is done, before the plan is
+        handed out with sample-only tables it did not ask for.  Pass
+        ``refresh_group_tables=False`` to keep sample-only tables.
 
-        The exported plan records what happened under
+        The plan records what happened under
         ``plan.metadata["fit_stream"]``: sampled vs total row counts, the
         seed, and whether tables were refreshed.
         """
@@ -544,39 +541,24 @@ class SmartFeat:
             target_description=target_description,
         )
         refreshed = 0
-        if result.plan is not None:
-            if refresh_group_tables and result.plan._group_lookup_nodes():
-                if factory is None:
-                    raise ValueError(
-                        "refreshing group tables needs a second pass over the "
-                        "stream: pass a callable shard factory (e.g. "
-                        "lambda: read_csv_shards(path, rows)) or set "
-                        "refresh_group_tables=False"
-                    )
-                refreshed = result.plan.refresh_group_tables(factory())
-            result.plan.metadata["fit_stream"] = {
-                "sample_rows": len(sample),
-                "requested_sample_rows": fit_sample_rows,
-                "total_rows": total_rows,
-                "seed": sample_seed,
-                "group_tables_refreshed": refreshed,
-            }
+        if refresh_group_tables and result.plan._group_lookup_nodes():
+            if factory is None:
+                raise ValueError(
+                    "refreshing group tables needs a second pass over the "
+                    "stream: pass a callable shard factory (e.g. "
+                    "lambda: read_csv_shards(path, rows)) or set "
+                    "refresh_group_tables=False"
+                )
+            result.plan = copy.deepcopy(result.plan)  # keep features' exprs as fit froze them
+            refreshed = result.plan.refresh_group_tables(factory())
+        result.plan.metadata["fit_stream"] = {
+            "sample_rows": len(sample),
+            "requested_sample_rows": fit_sample_rows,
+            "total_rows": total_rows,
+            "seed": sample_seed,
+            "group_tables_refreshed": refreshed,
+        }
         return result
-
-    # ------------------------------------------------------------------
-    # Serving plan export
-    # ------------------------------------------------------------------
-    def export_plan(self, result, frame, target, metadata=None):
-        """Compile *result* into a serving :class:`~repro.serve.FeaturePlan`.
-
-        The plan replays the run's accepted features as a pure-numpy
-        program (no FM client, no sandbox exec on the hot path) — see
-        :mod:`repro.serve`.  *frame* must be the original input frame the
-        run was fitted on; per-feature verification rebuilds the fit
-        state from it and only marks a feature ``compiled`` when replay
-        is bit-identical to ``result.frame``.
-        """
-        return _compile_plan(result, frame, target, metadata=metadata)
 
     # ------------------------------------------------------------------
     # Stage graph construction
@@ -1026,15 +1008,16 @@ def complete_row_plan(
     from repro.dataframe import Series
 
     result.frame[plan.name] = Series(values, plan.name)
-    result.new_features[plan.name] = GeneratedFeature(
+    feature = result.new_features[plan.name] = GeneratedFeature(
         name=plan.name,
         family=OperatorFamily.EXTRACTOR,
         input_columns=list(columns),
         description=plan.description,
         output_columns=[plan.name],
-        source_code="<row-level FM completion>",
+        source_code=ROW_LEVEL_SOURCE,
         fm_calls=len(values),
     )
+    freeze_completion(feature, result.frame, result.frame[plan.name])
     result.row_plans.remove(plan)
     return result
 

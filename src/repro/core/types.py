@@ -43,7 +43,9 @@ class FeatureCandidate:
 
 @dataclass
 class GeneratedFeature:
-    """A realised feature: provenance plus the executable transformation."""
+    """A realised feature: provenance plus ``expr``, the frozen expression
+    fit evaluated and its plan serves, or ``omit_reason``, why the plan
+    omits it."""
 
     name: str
     family: OperatorFamily
@@ -52,6 +54,8 @@ class GeneratedFeature:
     output_columns: list[str]
     source_code: str = ""
     fm_calls: int = 0
+    expr: dict | None = None
+    omit_reason: str = ""
 
 
 @dataclass

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import threading
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
-from repro.dataframe.kernels import PLAIN_STR
+from repro.dataframe.kernels import PLAIN_STR, gather_ids
 from repro.dataframe.series import Series
 
 __all__ = ["ColumnDictionaries", "Dictionary", "encoded", "strings"]
@@ -221,10 +220,9 @@ def _throwaway(series: Series):
 
 def _lookup(index: dict, cells: list) -> np.ndarray:
     """Each cell's id in *index*, ``-1`` when absent: one C-level
-    ``itemgetter`` call, or an ``index.get`` pass once a cell misses."""
-    if len(cells) > 1:  # itemgetter of one key returns the bare id
-        try:
-            return np.fromiter(itemgetter(*cells)(index), np.int64, len(cells))
-        except KeyError:
-            pass
-    return np.fromiter(map(index.get, cells, repeat(-1)), np.int64, len(cells))
+    gather (:func:`~repro.dataframe.kernels.gather_ids`), or an
+    ``index.get`` pass once a cell misses."""
+    try:
+        return gather_ids(index, cells)
+    except KeyError:
+        return np.fromiter(map(index.get, cells, repeat(-1)), np.int64, len(cells))

@@ -1,12 +1,12 @@
 """Frozen transform expressions: the serving IR behind compiled FeaturePlans.
 
-A fitted SMARTFEAT run's accepted features are generated ``def
-transform(df)`` sources.  Serving replays them millions of times, where a
-sandboxed ``exec`` per call is pure overhead — so the plan compiler
-(:mod:`repro.serve.compiler`) lifts each accepted source into JSON-safe
-expression nodes that evaluate through the same Series/kernel operations
-the source would have hit, making replay value- and dtype-identical to
-``fit_transform``'s frame.
+A SMARTFEAT run's FM answers are ``def transform(df)`` sources.  The
+lifter (:mod:`repro.serve.compiler`) turns each into JSON-safe expression
+nodes that evaluate through the same Series/kernel operations the source
+would have hit; fit freezes and evaluates those nodes
+(:func:`fit_feature`) instead of executing the source, and the plan
+serves the same frozen nodes, so replay is value- and dtype-identical to
+``fit_transform``'s frame by construction.
 
 Two node families exist:
 
@@ -15,9 +15,9 @@ Two node families exist:
   statistics — and are what a serialized plan contains;
 * **fit** nodes (``fit_mean``/``fit_qcut``/``fit_group_table`` …) stand
   for statistics the source would recompute per call.  They exist only
-  in compile-time templates: :func:`freeze_expr` resolves each one
-  against the fitted frame into a frozen node, and
-  :func:`validate_expr` rejects them in anything claiming to be a plan.
+  in lifted templates: :func:`freeze_expr` resolves each one against the
+  fit frame into a frozen node, and :func:`validate_expr` rejects them
+  in anything claiming to be a plan.
 
 Evaluation deliberately routes through the public ``Series`` operations
 (``where``/``map``/``fillna``/``apply`` on ufuncs, the ``cut``/``qcut``
@@ -45,7 +45,7 @@ one served batch:
   encoded per batch through :meth:`Series.encoding` into a throwaway
   dictionary and pays per distinct value of the batch, as every column
   does when :func:`evaluate_feature` is called without a plan's lookup
-  (fit, compile, tests) — there is one op code path.
+  (fit, tests) — there is one op code path.
 
 Every per-entry result is a function of one value, and validity (an ISO
 date, a NUL-free split) is judged over the entries a batch holds, so a
@@ -75,6 +75,7 @@ __all__ = [
     "ExprError",
     "evaluate_feature",
     "expr_columns",
+    "fit_feature",
     "freeze_expr",
     "is_frozen",
     "refreeze_group_table",
@@ -661,7 +662,10 @@ def _freeze_categories(node: dict, frame) -> dict:
     }
 
 
-def _freeze_group_table(node: dict, frame) -> dict:
+def _group_table(node: dict, frame) -> tuple[dict, Any, np.ndarray, list]:
+    """``(frozen group_lookup node, group index, per-group values, kept)``:
+    the values in the index's sort-segment order, and whether each group
+    got a table row in first-seen order."""
     from repro.dataframe.groupby import _GroupIndex, _segmented_name, _segmented_sorted
 
     keys, agg_col = node["keys"], node["agg_col"]
@@ -687,11 +691,34 @@ def _freeze_group_table(node: dict, frame) -> dict:
         "value_kind": None,
         "fill": None,
     }
-    refreeze_group_table(frozen, index.labels(), per[index.first_seen_order()])
-    return frozen
+    kept = refreeze_group_table(frozen, index.labels(), per[index.first_seen_order()])
+    return frozen, index, per, kept
 
 
-def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
+def _fit_group_table(node: dict, frame) -> tuple[dict, Series]:
+    """Freeze a group table and broadcast it over the frame it was fitted
+    on through the freeze's own group codes, not a table probe: every
+    table group is present there, and NaN-keyed rows take the fill.
+    Bit-identical to ``evaluate_feature`` on the frozen node."""
+    frozen, index, per, kept_first_seen = _group_table(node, frame)
+    kept = np.empty(index.n_groups, dtype=bool)
+    kept[index.first_seen_order()] = kept_first_seen
+    values, inverse = _unboxed(per[kept]), index.inverse
+    if not kept.all():
+        remap = np.full(index.n_groups, len(values), dtype=np.int64)
+        remap[kept] = np.arange(len(values))
+        inverse = remap[inverse]
+        values.append(frozen["fill"])
+    return frozen, _broadcast_per_group(values, inverse, frozen["value_kind"])
+
+
+def _unboxed(values: np.ndarray) -> list:
+    """The array's cells as Python scalars (``tolist`` leaves object cells)."""
+    cells = values.tolist()
+    return list(map(_unbox, cells)) if values.dtype == object else cells
+
+
+def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> list[bool]:
     """Replace a frozen ``group_lookup`` table in place from per-group values.
 
     *labels*/*per* come from an out-of-core aggregation over the full
@@ -699,7 +726,7 @@ def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
     first-seen order).  The fit-time freeze builds its table through this
     same function, so a refreshed node replays through the identical
     broadcast path.  A group keyed on a NaN gets no row: a NaN key never
-    matches at lookup.
+    matches at lookup.  Returns whether each label got a row.
     """
     if node.get("op") != "group_lookup":
         raise ExprError(f"cannot refreeze node op {node.get('op')!r}")
@@ -707,14 +734,14 @@ def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> None:
     node["value_kind"] = (
         "int64" if kind in "iu" else "float64" if kind == "f" else "object"
     )
-    single = len(node["keys"]) == 1
-    table = []
-    for label, value in zip(labels, per):
-        parts = [label] if single else list(label)
-        if any(p is not None and _kernels.is_missing_scalar(p) for p in parts):
-            continue
-        table.append([*(_unbox(p) for p in parts), _unbox(value)])
-    node["table"] = table
+    parts = [[label] for label in labels] if len(node["keys"]) == 1 else labels
+    kept = [not any(p != p and _kernels.is_missing_scalar(p) for p in key) for key in parts]
+    node["table"] = [
+        [*map(_unbox, key), value]
+        for key, value, keep in zip(parts, _unboxed(per), kept)
+        if keep
+    ]
+    return kept
 
 
 def _freeze_split_outputs(node: dict, frame) -> dict:
@@ -747,7 +774,7 @@ _FIT_FREEZERS = {
     "fit_or": _freeze_or,
     "fit_qcut": _freeze_qcut,
     "fit_categories": _freeze_categories,
-    "fit_group_table": _freeze_group_table,
+    "fit_group_table": lambda node, frame: _group_table(node, frame)[0],
     "fit_split_outputs": _freeze_split_outputs,
 }
 
@@ -759,8 +786,8 @@ def freeze_expr(node: dict, frame) -> dict:
     """Resolve every fit-time node against the fitted *frame*.
 
     Returns a frozen tree safe to serialize; raises :class:`ExprError`
-    when a statistic cannot be captured (the compiler then records the
-    feature as ``omitted``, with the error as its reason).
+    when a statistic cannot be captured (fit then rejects the answer as
+    not compilable, with the error as its reason).
     """
     op = node.get("op")
     if op in _FIT_FREEZERS:
@@ -771,3 +798,13 @@ def freeze_expr(node: dict, frame) -> dict:
         if isinstance(child, dict):
             out[slot] = freeze_expr(child, frame)
     return out
+
+
+def fit_feature(template: dict, frame) -> tuple[dict, Series | dict[str, Series]]:
+    """``(freeze_expr(template, frame), evaluate_feature(frozen, frame))``:
+    fit's one evaluator, so what a plan serves is what fit installed.  A
+    top-level ``fit_group_table`` reuses its freeze's grouping."""
+    if template.get("op") == "fit_group_table":
+        return _fit_group_table(template, frame)
+    frozen = freeze_expr(template, frame)
+    return frozen, evaluate_feature(frozen, frame)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "column_profile",
     "dictionary_encode",
     "factorize_values",
+    "gather_ids",
     "group_codes",
     "is_missing_scalar",
     "ISO_DATE_PARTS",
@@ -348,7 +350,15 @@ def _dict_codes(items: list) -> tuple[np.ndarray, dict]:
     """
     first_seen = dict.fromkeys(items)
     index = dict(zip(first_seen, range(len(first_seen))))
-    return np.fromiter(map(index.__getitem__, items), np.int64, len(items)), index
+    return gather_ids(index, items), index
+
+
+def gather_ids(index: dict, items: list) -> np.ndarray:
+    """``index[item]`` for every item, as int64, in one C-level
+    ``operator.itemgetter`` call; ``KeyError`` when an item is absent."""
+    if len(items) < 2:  # itemgetter of one key returns the bare id
+        return np.array([index[item] for item in items], dtype=np.int64)
+    return np.fromiter(itemgetter(*items)(index), np.int64, len(items))
 
 
 def group_codes(values: np.ndarray) -> np.ndarray:

@@ -3,13 +3,14 @@
 Two jobs:
 
 * **Fidelity** — :func:`replay_identity_report` fits SMARTFEAT on every
-  eval dataset with ``compile_plan=True``, JSON-round-trips the exported
+  eval dataset, JSON-round-trips the result's
   :class:`~repro.serve.FeaturePlan`, replays it against the original
   frame, and checks the result is *bit-identical* (dtypes and missingness
   included) to ``fit_transform``'s frame.  This is the CI identity gate.
 * **Workload** — :func:`build_demo_result` constructs a synthetic fitted
   run that exercises every codegen operator form at an arbitrary row
-  count, so the serving benchmark can compare plan replay against
+  count, realized through the fit evaluator as ``fit_transform`` would,
+  so the serving benchmark can compare plan replay against
   :func:`sandbox_replay` (the legacy re-exec baseline) at 10⁵–10⁶ rows
   without paying a million-row fit.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.function_generator import realize_source
 from repro.core.pipeline import SmartFeat, SmartFeatResult
 from repro.core.sandbox import run_transform
 from repro.core.types import GeneratedFeature, OperatorFamily
@@ -60,9 +62,9 @@ def _load_bundle(dataset: str, n_rows: int, seed: int) -> dict:
 
 
 def fit_and_export(dataset: str, n_rows: int = 300, seed: int = 0):
-    """Fit SMARTFEAT on *dataset* with plan compilation on.
+    """Fit SMARTFEAT on *dataset*.
 
-    Returns ``(bundle, result)`` where ``result.plan`` is the compiled
+    Returns ``(bundle, result)`` where ``result.plan`` is the fitted
     :class:`~repro.serve.FeaturePlan` and ``bundle["frame"]`` is the
     original input frame replay should be checked against.
     """
@@ -70,7 +72,6 @@ def fit_and_export(dataset: str, n_rows: int = 300, seed: int = 0):
     smartfeat = SmartFeat(
         SimulatedFM(seed=seed, model="gpt-4"),
         function_fm=SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo"),
-        compile_plan=True,
     )
     result = smartfeat.fit_transform(
         bundle["frame"],
@@ -282,7 +283,7 @@ _DEMO_DROPPED = ("Notes", "Pair", "SignupDate")
 def build_demo_result(n_rows: int, seed: int = 0, n_groups: int | None = None):
     """A synthetic fitted run covering every codegen form.
 
-    Realizes each :data:`_DEMO_SPECS` source through the sandbox in
+    Realizes each :data:`_DEMO_SPECS` source through the fit evaluator in
     install order (exactly what ``fit_transform`` would do) and wraps the
     outcome in a :class:`SmartFeatResult`.  Returns ``(result, frame)``
     with *frame* the untouched input table.  *n_groups* passes through to
@@ -297,11 +298,8 @@ def build_demo_result(n_rows: int, seed: int = 0, n_groups: int | None = None):
         source = generate_transform_source(
             name, list(columns), description, knowledge, column_values
         )
-        out = run_transform(source, working)
-        if isinstance(out, Series):
-            values = {name: out.rename(name)}
-        else:
-            values = {c: out[c] for c in out.columns}
+        expr, out = realize_source(source, working)
+        values = {name: out.rename(name)} if isinstance(out, Series) else out
         for column, series in values.items():
             working[column] = series
         new_features[name] = GeneratedFeature(
@@ -311,6 +309,7 @@ def build_demo_result(n_rows: int, seed: int = 0, n_groups: int | None = None):
             description=description,
             output_columns=list(values),
             source_code=source,
+            expr=expr,
         )
     dropped = [c for c in _DEMO_DROPPED if c in working]
     working.drop(columns=dropped, inplace=True)

@@ -1,33 +1,29 @@
-"""Compile a fitted run's accepted features into a :class:`FeaturePlan`.
+"""Lift FM answers to the serving IR, and assemble fitted features into a
+:class:`FeaturePlan`.
 
-Strategy: **rebuild and verify**.  Starting from the *original* input
-frame (the fitted result drops some originals, so its frame cannot seed
-the rebuild), each accepted feature is compiled to an expression
-template, frozen against the rebuild state at its install point (fit-time
-statistics — means, quantile edges, group tables, dummy categories — are
-captured as constants), evaluated, and compared **bitwise** against the
-fitted frame's columns.  Only a feature whose replay is value-, dtype-,
-and missingness-identical ships as ``compiled``; anything else is
-recorded as ``omitted`` with a reason.  The fitted outputs are installed
-into the rebuild either way, so later features always freeze against the
-exact state fit saw.
-
-Templates are lifted from each feature's accepted ``def transform(df)``
-source — never from its description — by :func:`lift_source`, a symbolic
+Templates are lifted from each FM answer's ``def transform(df)`` source —
+never from its description — by :func:`lift_source`, a symbolic
 evaluation of the source's ``ast`` over a whitelisted pandas subset
 (column arithmetic, clip/ufunc/where, isna, map/fillna, cut/qcut,
 get_dummies, group-by transforms, string length/split, date parts, and
 fit-time statistics, which become fit nodes).  Nothing is executed.  The
-function generator lifts every FM answer before it runs it and rejects
-one outside the subset (:class:`Unliftable`), so a fitted feature always
-lifts; a wrong lift fails the bitwise check, so it can never ship.
+function generator lifts every answer once, freezes the template against
+the working frame and evaluates it there
+(:func:`~repro.core.function_generator.realize_source`); an answer outside
+the subset (:class:`Unliftable`) is rejected, so every accepted feature
+carries the frozen expression whose output fit installed.
+
+:func:`compile_plan` is therefore assembly, not verification: it collects
+each feature's frozen expression into a spec, records the input schema,
+and omits a feature that has no expression or whose expression reads a
+column that is neither an input nor an earlier feature's output.  Fit
+output equals served output by construction.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
-import json
 import operator
 import re
 from dataclasses import dataclass
@@ -37,12 +33,7 @@ import numpy as np
 
 from repro.dataframe import kernels as _kernels
 from repro.dataframe import pandas_facade as _pd
-from repro.dataframe.expr import (
-    ExprError,
-    evaluate_feature,
-    expr_columns,
-    freeze_expr,
-)
+from repro.dataframe.expr import expr_columns
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.groupby import SeriesGroupBy
 from repro.dataframe.series import DatetimeAccessor, Series, StringAccessor
@@ -55,10 +46,6 @@ __all__ = [
     "lift_source",
     "series_identical",
 ]
-
-#: Marker the pipeline stamps on features materialised by per-row FM
-#: completion rather than generated code.
-_ROW_LEVEL_SENTINEL = "<row-level FM completion>"
 
 _JSON_SCALARS = (str, int, float, bool)
 
@@ -494,103 +481,32 @@ def _lift(source: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Per-feature compilation
+# Plan assembly
 # ----------------------------------------------------------------------
-def _row_level_template(feature, rebuild: DataFrame, expected: dict[str, Series]):
-    """Freeze a small row-level FM completion as an exact input→output map."""
-    if len(feature.input_columns) != 1 or len(feature.output_columns) != 1:
-        raise ExprError("row-level completion reads multiple columns")
-    column = feature.input_columns[0]
-    if column not in rebuild:
-        raise ExprError(f"row-level input column {column!r} unavailable at serve time")
-    outputs = expected[feature.output_columns[0]].tolist()
-    mapping: dict = {}
-    for key, value in zip(rebuild[column].tolist(), outputs):
-        if _kernels.is_missing_scalar(key):
-            if value is not None:
-                raise ExprError("completion is not missing-preserving")
-            continue
-        if not isinstance(key, _JSON_SCALARS):
-            raise ExprError(f"completion key {key!r} is not a JSON scalar")
-        if value is not None and not isinstance(value, _JSON_SCALARS):
-            raise ExprError(f"completion value {value!r} is not a JSON scalar")
-        if key in mapping:
-            if mapping[key] != value or type(mapping[key]) is not type(value):
-                raise ExprError("completion is not a function of the input column")
-        else:
-            mapping[key] = value
-    return {
-        "op": "dict_map",
-        "column": column,
-        "keys": list(mapping),
-        "values": list(mapping.values()),
-    }
-
-
-def _outputs(result, output_columns: list[str]) -> dict[str, Series]:
-    """A transform's result keyed by the feature's output columns."""
-    if isinstance(result, Series):
-        if len(output_columns) != 1:
-            raise ExprError("expression yields one column, feature has several")
-        return {output_columns[0]: result}
-    for name in output_columns:
-        if name not in result:
-            raise ExprError(f"expression did not produce output column {name!r}")
-    return {name: result[name] for name in output_columns}
-
-
-def _identical(outputs: dict[str, Series], expected: dict[str, Series]) -> bool:
-    return all(series_identical(outputs[name], expected[name]) for name in expected)
-
-
-def _compiled_expr(feature, rebuild: DataFrame, expected) -> tuple[dict, dict]:
-    """Lift, freeze and evaluate; returns ``(frozen expr, outputs)``."""
-    if feature.source_code == _ROW_LEVEL_SENTINEL:
-        template = _row_level_template(feature, rebuild, expected)
-    else:
-        template = lift_source(feature.source_code)
-    missing = [c for c in expr_columns(template) if c not in rebuild]
-    if missing:
-        raise ExprError(f"expression reads columns absent at serve time: {missing}")
-    frozen = freeze_expr(template, rebuild)
-    return frozen, _outputs(evaluate_feature(frozen, rebuild), feature.output_columns)
-
-
 def compile_plan(
     result,
     frame: DataFrame,
     target: str,
     metadata: dict | None = None,
 ) -> FeaturePlan:
-    """Compile a fitted *result* (over original *frame*) into a FeaturePlan.
+    """Assemble a fitted *result*'s features into a :class:`FeaturePlan`.
 
-    *frame* must be the frame ``fit_transform`` was called with — the
-    rebuild starts from it, so the compiler needs the original columns the
-    fitted result may have dropped.
+    *frame* is the frame ``fit_transform`` was called with: its columns
+    are the plan's inputs.  Each feature ships the frozen expression fit
+    evaluated, or is omitted: it has none (``omit_reason``), an output
+    column is missing from the fitted frame, or its expression reads a
+    column that is neither an input nor an earlier feature's output
+    (FM-driven removal can take one away).
     """
     input_columns = frame.columns
     input_schema = [
         (name, column_kind(frame[name])) for name in input_columns if name != target
     ]
-    rebuild = frame.column_view(input_columns)
+    available = set(input_columns)
     specs: list[FeatureSpec] = []
     for feature in result.new_features.values():
-        expected: dict[str, Series] = {}
-        reason = ""
-        for name in feature.output_columns:
-            if name not in result.frame:
-                reason = f"output column {name!r} missing from fitted frame"
-                break
-            expected[name] = result.frame[name]
-        specs.append(
-            _spec(feature, "omitted", reason=reason)
-            if reason
-            else _compile_feature(feature, rebuild, expected)
-        )
-        # Install the *fitted* outputs regardless of compile status so
-        # later features freeze against the exact state fit saw.
-        for name, series in expected.items():
-            rebuild[name] = series
+        specs.append(_spec(feature, result.frame, available))
+        available.update(n for n in feature.output_columns if n in result.frame)
     plan = FeaturePlan(
         input_columns=input_columns,
         input_schema=input_schema,
@@ -599,51 +515,37 @@ def compile_plan(
         drop_columns=list(result.dropped),
         metadata=dict(metadata or {}),
     )
-    counts = plan.counts()
+    omitted = [{"name": s.name, "reason": s.reason} for s in specs if s.status == "omitted"]
     plan.metadata.setdefault("compile", {}).update(
-        {
-            "n_features": len(specs),
-            **counts,
-            "omitted_features": [
-                {"name": s.name, "reason": s.reason}
-                for s in specs
-                if s.status == "omitted"
-            ],
-        }
+        {"n_features": len(specs), **plan.counts(), "omitted_features": omitted}
     )
     return plan
 
 
-def _spec(feature, status: str, expr=None, reason="", expected=None) -> FeatureSpec:
-    # Record the fitted outputs' schema kinds alongside the recipe;
-    # ``budget_rows`` sizes streamed shards by them.
-    kinds = None
-    if expected is not None and all(n in expected for n in feature.output_columns):
-        kinds = [column_kind(expected[n]) for n in feature.output_columns]
+def _spec(feature, fitted: DataFrame, available: set) -> FeatureSpec:
+    """One feature's spec: ``compiled`` with its frozen expression and the
+    fitted outputs' schema kinds (``budget_rows`` sizes streamed shards by
+    them), or ``omitted`` with the reason."""
+    missing = [n for n in feature.output_columns if n not in fitted]
+    expr, reason = feature.expr, ""
+    if missing:
+        reason = f"output column {missing[0]!r} missing from fitted frame"
+    elif expr is None:
+        reason = feature.omit_reason or "no frozen expression"
+    else:
+        absent = [c for c in expr_columns(expr) if c not in available]
+        if absent:
+            reason = f"expression reads columns absent at serve time: {absent}"
+    if reason:
+        expr = None
     return FeatureSpec(
         name=feature.name,
         family=getattr(feature.family, "value", None) or str(feature.family),
         description=feature.description,
         input_columns=list(feature.input_columns),
         output_columns=list(feature.output_columns),
-        status=status,
+        status="omitted" if reason else "compiled",
         expr=expr,
         reason=reason,
-        output_kinds=kinds,
+        output_kinds=None if reason else [column_kind(fitted[n]) for n in feature.output_columns],
     )
-
-
-def _compile_feature(feature, rebuild, expected) -> FeatureSpec:
-    try:
-        frozen, outputs = _compiled_expr(feature, rebuild, expected)
-        if _identical(outputs, expected):
-            json.dumps(frozen)  # plans must round-trip; reject exotic scalars
-            return _spec(feature, "compiled", expr=frozen, expected=expected)
-        reason = "compiled replay not bit-identical to fitted output"
-    except Unliftable as exc:
-        reason = f"no expression template for this form: {exc}"
-    except ExprError as exc:
-        reason = str(exc)
-    except (TypeError, ValueError) as exc:
-        reason = f"expression not serializable: {exc}"
-    return _spec(feature, "omitted", reason=reason)

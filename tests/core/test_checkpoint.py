@@ -267,6 +267,7 @@ def test_kill_and_resume_is_bit_identical_with_zero_respend(
     assert sorted(result.new_features) == sorted(base_result.new_features)
     identical, detail = frames_identical(result.frame, base_result.frame)
     assert identical, detail
+    assert result.plan.to_json() == base_result.plan.to_json()
     # Ledger-verified zero re-spend: restored stages were not re-bought,
     # and the checkpoint stores exact ledger state (not the rounded
     # report snapshot), so every resumed total equals the uninterrupted
@@ -296,6 +297,9 @@ def test_resumes_checkpoint_written_with_rounded_ledgers(tmp_path, baseline):
 
     identical, detail = frames_identical(result.frame, base_result.frame)
     assert identical, detail
+    # Its features carry no frozen expression: the resume freezes them.
+    assert all("expr" not in f for f in payload["context"]["result"]["new_features"])
+    assert result.plan.to_json() == base_result.plan.to_json()
     assert total_calls(resumed) == base_calls
     schedule = result.fm_usage["execution"]["schedule"]
     restored = {n["name"] for n in schedule["nodes"] if n["status"] == "restored"}

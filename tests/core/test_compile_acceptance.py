@@ -1,10 +1,10 @@
 """Compilability is the fit-time acceptance rule.
 
-The function generator lifts every FM answer with the serving compiler's
-lifter before the sandbox sees it.  An answer outside the lifted subset
-is re-prompted with the lifter's reason, like a sandbox error, and
-rejected as "not compilable" once its retries run out — so it never runs
-and never reaches a plan.
+The function generator lifts every FM answer once with the serving
+compiler's lifter and evaluates the frozen template; FM code never runs.
+An answer outside the lifted subset is re-prompted with the lifter's
+reason, like an evaluation error, and rejected as "not compilable" once
+its retries run out — so it is never evaluated and never reaches a plan.
 """
 
 import json
@@ -65,23 +65,27 @@ def _candidate():
 
 
 @pytest.fixture
-def sandbox_sources(monkeypatch):
-    """Every source the generator hands to the sandbox, in order."""
+def evaluated(monkeypatch):
+    """Every template the generator hands to the fit evaluator, in order."""
     seen = []
-    real = function_generator.run_transform
+    real = function_generator.fit_feature
 
-    def counting(source, frame):
-        seen.append(source)
-        return real(source, frame)
+    def counting(template, frame):
+        seen.append(template)
+        return real(template, frame)
 
-    monkeypatch.setattr(function_generator, "run_transform", counting)
+    monkeypatch.setattr(function_generator, "fit_feature", counting)
     return seen
+
+
+def _template(code: str) -> dict:
+    return lift_source(extract_code(code))
 
 
 @pytest.mark.parametrize("form", sorted(UNLIFTABLE_ANSWERS))
 class TestGenerator:
     def test_unliftable_answer_repaired_with_the_lifters_reason(
-        self, form, insurance_agenda, insurance_frame, sandbox_sources
+        self, form, insurance_agenda, insurance_frame, evaluated
     ):
         unliftable = UNLIFTABLE_ANSWERS[form]
         fm = ScriptedFM([unliftable, GOOD_CODE])
@@ -95,10 +99,10 @@ class TestGenerator:
         repair_prompt = fm.ledger.history[1][0]
         assert "Generate a corrected" in repair_prompt
         assert f"not compilable: {_lifter_reason(unliftable)}" in repair_prompt
-        assert sandbox_sources == [extract_code(GOOD_CODE)]
+        assert evaluated == [_template(GOOD_CODE)]
 
     def test_still_unliftable_after_retries_raises_not_compilable(
-        self, form, insurance_agenda, insurance_frame, sandbox_sources
+        self, form, insurance_agenda, insurance_frame, evaluated
     ):
         unliftable = UNLIFTABLE_ANSWERS[form]
         fm = ScriptedFM([unliftable, unliftable])
@@ -108,7 +112,7 @@ class TestGenerator:
                 _candidate(), insurance_agenda, insurance_frame
             )
         assert fm.ledger.n_calls == 2
-        assert sandbox_sources == []
+        assert evaluated == []
 
 
 class TestPipeline:
@@ -122,7 +126,7 @@ class TestPipeline:
             }
         )
 
-    def test_unliftable_candidate_lands_in_rejections(self, frame, sandbox_sources):
+    def test_unliftable_candidate_lands_in_rejections(self, frame, evaluated):
         proposal = json.dumps(
             {
                 "operator": "-",
@@ -143,10 +147,10 @@ class TestPipeline:
         assert result.new_features == {}
         reason = _lifter_reason(UNLIFTABLE_CODE)
         assert result.rejections["gap"] == f"generation failed: not compilable: {reason}"
-        assert sandbox_sources == []
+        assert evaluated == []
 
     def test_lift_failure_rejects_one_candidate_and_the_fit_runs_on(
-        self, frame, sandbox_sources
+        self, frame, evaluated
     ):
         def proposal(name, operator):
             return json.dumps(
@@ -175,7 +179,54 @@ class TestPipeline:
             "lift failed: TypeError: unhashable type: 'list'"
         )
         assert list(result.new_features) == ["ratio"]
-        assert sandbox_sources == [extract_code(RATIO_CODE)]
+        assert evaluated == [_template(RATIO_CODE)]
+
+
+class TestOneEvaluator:
+    """A fit lifts each FM answer once and never enters the sandbox."""
+
+    def test_fit_lifts_each_answer_once_and_never_runs_the_sandbox(self, monkeypatch):
+        from repro.core import sandbox
+        from repro.datasets import load_dataset
+        from repro.fm import SimulatedFM
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit entered the sandbox")
+
+        monkeypatch.setattr(sandbox, "run_transform", forbidden)
+        monkeypatch.setattr(sandbox, "_compiled", forbidden)
+        monkeypatch.setattr(function_generator, "run_transform", forbidden)
+        answers, lifted = [], []
+        real_extract, real_lift = function_generator.extract_code, function_generator.lift_source
+
+        def extracting(text):
+            answers.append(real_extract(text))
+            return answers[-1]
+
+        def lifting(source):
+            lifted.append(source)
+            return real_lift(source)
+
+        monkeypatch.setattr(function_generator, "extract_code", extracting)
+        monkeypatch.setattr(function_generator, "lift_source", lifting)
+        loaded = load_dataset("heart", seed=0, n_rows=200)
+        result = SmartFeat(
+            SimulatedFM(seed=0, model="gpt-4"),
+            function_fm=SimulatedFM(seed=1, model="gpt-3.5-turbo"),
+            operator_families=(
+                OperatorFamily.UNARY,
+                OperatorFamily.BINARY,
+                OperatorFamily.EXTRACTOR,
+            ),
+        ).fit_transform(
+            loaded.frame,
+            loaded.target,
+            descriptions=loaded.descriptions,
+            title=loaded.title,
+        )
+        assert len(answers) >= 5, "too few FM answers: weak test"
+        assert lifted == answers
+        assert result.plan.counts() == {"compiled": len(result.new_features), "omitted": 0}
 
 
 class TestLifter:

@@ -62,7 +62,7 @@ class TestFitTransformStream:
 
     def test_chunk_invariant_including_plan(self, frame):
         results = [
-            make_tool(compile_plan=True).fit_transform_stream(
+            make_tool().fit_transform_stream(
                 lambda: iter_frame_shards(frame, chunk),
                 "Target",
                 fit_sample_rows=400,
@@ -75,7 +75,7 @@ class TestFitTransformStream:
         assert results[0].plan.to_json() == results[1].plan.to_json()
 
     def test_stream_metadata_recorded(self, frame):
-        result = make_tool(compile_plan=True).fit_transform_stream(
+        result = make_tool().fit_transform_stream(
             lambda: iter_frame_shards(frame, 257),
             "Target",
             fit_sample_rows=500,
@@ -91,13 +91,13 @@ class TestFitTransformStream:
     def test_refresh_survives_plan_export(self, frame):
         """The refreshed group tables land in the exported JSON (they
         reflect all rows, not just the fitted sample)."""
-        refreshed = make_tool(compile_plan=True).fit_transform_stream(
+        refreshed = make_tool().fit_transform_stream(
             lambda: iter_frame_shards(frame, 257),
             "Target",
             fit_sample_rows=500,
             sample_seed=7,
         )
-        unrefreshed = make_tool(compile_plan=True).fit_transform_stream(
+        unrefreshed = make_tool().fit_transform_stream(
             lambda: iter_frame_shards(frame, 257),
             "Target",
             fit_sample_rows=500,
@@ -108,6 +108,10 @@ class TestFitTransformStream:
         a = json.loads(refreshed.plan.to_json())
         b = json.loads(unrefreshed.plan.to_json())
         assert a != b  # tables over 2000 rows vs over the 500-row sample
+        # The features keep the expressions fit evaluated on the sample.
+        assert [f.expr for f in refreshed.new_features.values()] == [
+            s.expr for s in unrefreshed.plan.features
+        ]
 
     def test_refresh_adds_a_none_key_seen_only_outside_the_sample(self, frame):
         """A ``None`` key the sample never drew still streams through the
@@ -119,7 +123,7 @@ class TestFitTransformStream:
         city = blanked["City"].values.copy()
         city[outside] = None
         blanked["City"] = Series._from_array(city, "City")
-        result = make_tool(compile_plan=True).fit_transform_stream(
+        result = make_tool().fit_transform_stream(
             lambda: iter_frame_shards(blanked, 257),
             "Target",
             fit_sample_rows=500,
@@ -137,14 +141,14 @@ class TestFitTransformStream:
 
     def test_one_shot_iterator_with_refresh_raises(self, frame):
         with pytest.raises(ValueError, match="callable shard factory"):
-            make_tool(compile_plan=True).fit_transform_stream(
+            make_tool().fit_transform_stream(
                 iter_frame_shards(frame, 257),
                 "Target",
                 fit_sample_rows=500,
             )
 
     def test_one_shot_iterator_without_refresh_ok(self, frame):
-        result = make_tool(compile_plan=True).fit_transform_stream(
+        result = make_tool().fit_transform_stream(
             iter_frame_shards(frame, 257),
             "Target",
             fit_sample_rows=500,

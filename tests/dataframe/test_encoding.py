@@ -498,3 +498,47 @@ class TestUnhashableCells:
 
     def test_hashable_container_of_an_unhashable_cell(self):
         assert obj([(1, [2]), (1, [2])]).encoding() is None
+
+
+class TestGatherIds:
+    """``kernels.gather_ids``: the one-call id gather behind fit-time
+    dictionary codes and the served column lookup."""
+
+    @staticmethod
+    def codes_by_getitem(items):
+        """The per-item ``index.__getitem__`` codes the gather replaced."""
+        first_seen = dict.fromkeys(items)
+        index = dict(zip(first_seen, range(len(first_seen))))
+        return np.fromiter(map(index.__getitem__, items), np.int64, len(items))
+
+    @pytest.mark.parametrize(
+        "items",
+        [[], ["a"], ["a", "b"], ["b", "b"], [1, 1.0, True], [True, 1.0, 1, 2, None]],
+    )
+    def test_codes_equal_the_getitem_codes(self, items):
+        from repro.dataframe.kernels import _dict_codes
+
+        codes, index = _dict_codes(items)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == self.codes_by_getitem(items).tolist()
+        assert list(index.values()) == list(range(len(index)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_gather_over_short_lists_and_a_miss(self, n):
+        from repro.dataframe.kernels import gather_ids
+
+        index = {"a": 0, "b": 1, 1: 2}
+        items = ["b", True, "a"][:n]
+        assert gather_ids(index, items).tolist() == [1, 2, 0][:n]
+        if n:
+            with pytest.raises(KeyError):
+                gather_ids(index, [*items[:-1], "missing"])
+
+    def test_column_lookup_keeps_its_misses(self):
+        from repro.dataframe.dictionary import _lookup
+
+        index = {"a": 0, "b": 1}
+        assert _lookup(index, []).tolist() == []
+        assert _lookup(index, ["z"]).tolist() == [-1]
+        assert _lookup(index, ["b"]).tolist() == [1]
+        assert _lookup(index, ["a", "z", "b"]).tolist() == [0, -1, 1]

@@ -1,9 +1,11 @@
-"""Plan compilation: statuses, verification, omissions, and the
-shared-grouping encode satellite."""
+"""Plan assembly: statuses, omissions, and the shared-grouping encode
+satellite."""
 
 import numpy as np
 import pytest
 
+from repro.core.function_generator import freeze_completion, realize_source
+from repro.core.sandbox import TransformError
 from repro.core.types import GeneratedFeature, OperatorFamily
 from repro.dataframe import DataFrame
 from repro.dataframe import kernels
@@ -15,7 +17,7 @@ from repro.eval.serving import (
     sandbox_replay,
 )
 from repro.serve import FeaturePlan, compile_plan, frames_identical, series_identical
-from repro.serve import compiler
+from repro.serve.compiler import lift_source
 
 
 def feature(name, columns, description, source, outputs=None, family=OperatorFamily.UNARY):
@@ -30,14 +32,14 @@ def feature(name, columns, description, source, outputs=None, family=OperatorFam
 
 
 def result_of(frame, features):
-    """Realize *features* in order the way fit_transform would."""
-    from repro.core.sandbox import run_transform
+    """Realize *features* in order through the fit evaluator, the way
+    fit_transform would."""
     from repro.core.pipeline import SmartFeatResult
 
     working = frame.column_view(frame.columns)
     table = {}
     for feat in features:
-        out = run_transform(feat.source_code, working)
+        feat.expr, out = realize_source(feat.source_code, working)
         if isinstance(out, Series):
             working[feat.output_columns[0]] = out.rename(feat.output_columns[0])
         else:
@@ -70,36 +72,28 @@ class TestStatuses:
         assert plan.features[0].status == "compiled"
         assert plan.features[0].expr is not None
 
-    def test_divergent_lift_is_omitted(self, frame, monkeypatch):
-        # A wrong lift (here: the lifter forced to emit x * 2 for a source
-        # computing x * 3) must fail the bitwise verify and be omitted
-        # with its reason — it can never ship.
-        src = "def transform(df):\n    return df['x'] * 3.0\n"
-        divergent = {
-            "op": "mul",
-            "left": {"op": "col", "name": "x"},
-            "right": {"op": "const", "value": 2.0},
-        }
-        monkeypatch.setattr(compiler, "lift_source", lambda source: divergent)
-        result = result_of(frame, [feature("x_3", ["x"], "x tripled", src)])
-        plan = compile_plan(result, frame, "Target")
-        spec = plan.features[0]
-        assert (spec.status, spec.expr) == ("omitted", None)
-        assert "not bit-identical" in spec.reason
-        assert "x_3" not in plan.apply(frame)
-
-    def test_unliftable_source_is_omitted(self, frame):
+    def test_unliftable_source_is_rejected_and_never_ships(self, frame):
         src = "def transform(df):\n    return df['x'].apply(lambda v: v * 2)\n"
-        result = result_of(frame, [feature("x_2", ["x"], "x doubled", src)])
+        with pytest.raises(TransformError, match="^not compilable: "):
+            realize_source(src, frame)
+        # A feature that reaches assembly with no frozen expression ships
+        # omitted, with its reason.
+        feat = feature("x_2", ["x"], "x doubled", src)
+        feat.omit_reason = "hand-built"
+        from repro.core.pipeline import SmartFeatResult
+
+        working = frame.column_view(frame.columns)
+        working["x_2"] = frame["x"] * 2
+        result = SmartFeatResult(frame=working, new_features={"x_2": feat})
         plan = compile_plan(result, frame, "Target")
         spec = plan.features[0]
-        assert (spec.status, spec.expr) == ("omitted", None)
-        assert "no expression template" in spec.reason
+        assert (spec.status, spec.expr, spec.reason) == ("omitted", None, "hand-built")
         assert "x_2" not in plan.apply(frame)
 
     def test_feature_on_vanished_column_is_omitted(self, frame):
         src = "def transform(df):\n    return df['ghost'] * 2\n"
         feat = feature("ghost_x", ["ghost"], "squared: ghost", src)
+        feat.expr = lift_source(src)  # no fit-time node: already frozen
         from repro.core.pipeline import SmartFeatResult
 
         working = frame.column_view(frame.columns)
@@ -107,7 +101,9 @@ class TestStatuses:
         result = SmartFeatResult(frame=working, new_features={"ghost_x": feat})
         plan = compile_plan(result, frame, "Target")
         assert plan.features[0].status == "omitted"
-        assert plan.features[0].reason
+        assert plan.features[0].reason == (
+            "expression reads columns absent at serve time: ['ghost']"
+        )
         # replay still works, skipping the omitted feature
         out = plan.apply(frame)
         assert "ghost_x" not in out
@@ -123,12 +119,29 @@ class TestStatuses:
 
         working = frame.column_view(frame.columns)
         working["g_code"] = Series([1, 2, 1, 2, 1])
+        freeze_completion(feat, frame, working["g_code"])
         result = SmartFeatResult(frame=working, new_features={"g_code": feat})
         plan = compile_plan(result, frame, "Target")
         assert plan.features[0].status == "compiled"
         assert plan.features[0].expr["op"] == "dict_map"
         out = plan.apply(frame)
         assert series_identical(out["g_code"], working["g_code"])
+
+
+    def test_row_level_over_several_columns_is_omitted_with_its_reason(self, frame):
+        feat = feature("xg_code", ["x", "g"], "knowledge lookup", "<row-level FM completion>")
+        from repro.core.pipeline import SmartFeatResult
+
+        working = frame.column_view(frame.columns)
+        working["xg_code"] = Series([1, 2, 1, 2, 1])
+        freeze_completion(feat, frame, working["xg_code"])
+        assert feat.expr is None
+        result = SmartFeatResult(frame=working, new_features={"xg_code": feat})
+        spec = compile_plan(result, frame, "Target").features[0]
+        assert (spec.status, spec.reason) == (
+            "omitted",
+            "row-level completion reads multiple columns",
+        )
 
 
 class TestDropReplay:
@@ -261,7 +274,6 @@ class TestEndToEnd:
         result = SmartFeat(
             SimulatedFM(seed=0, model="gpt-4"),
             function_fm=SimulatedFM(seed=1, model="gpt-3.5-turbo"),
-            compile_plan=True,
         ).fit_transform(
             frame,
             loaded.target,

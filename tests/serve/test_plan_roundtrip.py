@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import SmartFeatResult
-from repro.core.sandbox import run_transform
+from repro.core.function_generator import realize_source
 from repro.core.types import GeneratedFeature, OperatorFamily
 from repro.dataframe import DataFrame, io
 from repro.dataframe.series import Series
@@ -209,7 +209,8 @@ def _fresh_plan(frame):
     features = {}
     for name, (columns, family, body) in _OLD_SOURCES.items():
         source = f"def transform(df):\n    {body}\n"
-        working[name] = run_transform(source, working).rename(name)
+        expr, out = realize_source(source, working)
+        working[name] = out.rename(name)
         features[name] = GeneratedFeature(
             name=name,
             family=family,
@@ -217,6 +218,7 @@ def _fresh_plan(frame):
             description=name,
             output_columns=[name],
             source_code=source,
+            expr=expr,
         )
     result = SmartFeatResult(frame=working, new_features=features)
     return compile_plan(result, frame, "Target")

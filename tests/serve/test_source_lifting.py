@@ -9,8 +9,9 @@ Two contracts:
 * **Rewrite corpus.**  Hand-written sources equivalent in intent to the
   codegen forms (renamed variables, intermediate assignments, inline
   literals, operand swaps …) mostly compile, every compiled entry
-  replays bit-identically to its sandbox run, and every other entry is
-  omitted with the lifter's reason.
+  realizes and replays bit-identically to its sandbox run (the sandbox
+  is the oracle here; fit never runs it), and every other entry is
+  rejected with the lifter's reason and never ships.
 """
 
 import dataclasses
@@ -18,8 +19,9 @@ import re
 
 import pytest
 
+from repro.core.function_generator import realize_source
 from repro.core.pipeline import SmartFeatResult
-from repro.core.sandbox import run_transform
+from repro.core.sandbox import TransformError, run_transform
 from repro.core.types import GeneratedFeature, OperatorFamily
 from repro.dataframe.series import Series
 from repro.eval.serving import (
@@ -185,7 +187,7 @@ UNLIFTABLE = ["lambda_apply", "string_method_chain", "median_fill"]
 def _as_outputs(name: str, out) -> dict:
     if isinstance(out, Series):
         return {name: out.rename(name)}
-    return {column: out[column] for column in out.columns}
+    return {column: out[column] for column in out}
 
 
 @pytest.fixture(scope="module")
@@ -195,13 +197,13 @@ def corpus_frame():
 
 @pytest.fixture(scope="module")
 def corpus_plans(corpus_frame):
-    """Each entry run in the sandbox, then compiled on its own."""
+    """Each entry realized through the fit evaluator and assembled into a
+    plan on its own, paired with its sandbox run.  An entry fit rejects
+    keeps its sandbox outputs in the fitted frame, so only the missing
+    expression omits it."""
     plans = {}
     for name, source in CORPUS:
         outputs = _as_outputs(name, run_transform(source, corpus_frame))
-        working = corpus_frame.column_view(corpus_frame.columns)
-        for column, series in outputs.items():
-            working[column] = series
         feature = GeneratedFeature(
             name=name,
             family=OperatorFamily.UNARY,
@@ -210,6 +212,15 @@ def corpus_plans(corpus_frame):
             output_columns=list(outputs),
             source_code=source,
         )
+        fitted = outputs
+        try:
+            feature.expr, out = realize_source(source, corpus_frame)
+            fitted = _as_outputs(name, out)
+        except TransformError as exc:
+            feature.omit_reason = str(exc)
+        working = corpus_frame.column_view(corpus_frame.columns)
+        for column, series in fitted.items():
+            working[column] = series
         result = SmartFeatResult(frame=working, new_features={name: feature})
         plans[name] = (compile_plan(result, corpus_frame, "Target"), outputs)
     return plans
@@ -244,5 +255,5 @@ class TestRewriteCorpus:
         plan = corpus_plans[name][0]
         spec = plan.features[0]
         assert (spec.status, spec.expr) == ("omitted", None)
-        assert spec.reason == f"no expression template for this form: {excinfo.value}"
+        assert spec.reason == f"not compilable: {excinfo.value}"
         assert not set(spec.output_columns) & set(plan.apply(corpus_frame).columns)

@@ -50,6 +50,8 @@ class TestToRecord:
             "output_columns",
             "source_code",
             "fm_calls",
+            "expr",
+            "omit_reason",
         ]
         assert record["family"] == "binary"
 
