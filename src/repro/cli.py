@@ -22,17 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import SmartFeat
 from repro.datasets import DATASET_NAMES, list_datasets, load_dataset
-from repro.eval import (
-    SweepConfig,
-    render_auc_table,
-    render_schedule,
-    render_sweep_summary,
-    render_table,
-    run_sweep,
-)
-from repro.eval.harness import evaluate_models
 from repro.fm import (
     Budget,
     FMBudgetExceededError,
@@ -250,6 +240,8 @@ def _budget_from_args(args) -> Budget | None:
 
 
 def _cmd_datasets() -> int:
+    from repro.eval import render_table
+
     rows = [
         [s.name, str(s.n_categorical), str(s.n_numeric), str(s.n_rows), s.field, s.target]
         for s in list_datasets()
@@ -308,6 +300,10 @@ def _make_clients(args) -> tuple:
 
 
 def _cmd_run(args) -> int:
+    from repro.core import SmartFeat
+    from repro.eval import render_schedule
+    from repro.eval.harness import evaluate_models
+
     frame, target, descriptions, title, target_description = _load_source(args)
     if args.concurrency < 1:
         raise SystemExit("--concurrency must be >= 1")
@@ -397,6 +393,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.eval import SweepConfig, render_auc_table, render_sweep_summary, run_sweep
+
     if args.sweep_concurrency < 1:
         raise SystemExit("--sweep-concurrency must be >= 1")
     if args.plan_budget and _budget_from_args(args) is None:
@@ -425,6 +423,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plan_export(args) -> int:
+    from repro.core import SmartFeat
     from repro.serve import PlanRegistry
 
     if not args.out and not args.registry:

@@ -10,14 +10,19 @@ distinct value over the plan's lifetime and gathers it by code.
 
 :func:`encoded` resolves a column once per Series (the result is kept on
 the Series and cleared by its ``__setitem__``), however many features
-read it.  Whether a column is all plain ``str`` (``type(v) is str`` for
-every cell; ``None``, NaN and ``np.str_`` do not qualify) is read off
+read it.  A string column is one whose cells are all plain ``str`` or
+``None`` (``type(v) is str``; NaN, ``np.str_`` and numbers do not
+qualify): a text column with empty CSV cells is one.  That is read off
 its :meth:`Series.cell_types` summary.  List coercion, the CSV decoder
 and shard views fill it for free, so a batch whose columns already know
 their cell types pays no type pass; any other batch pays one, over the
-cell list its lookup then reuses.  Then:
+cell list its lookup then reuses.  ``None`` is never an entry: its code
+is ``-1``.  A column with ``None`` cells is looked up in a copy of the
+index that maps ``None`` to ``-1`` (:meth:`Dictionary.none_index`, built
+once per state), so its lookup never misses on one; the index itself
+keeps only ``str`` keys, which CPython looks up faster.  Then:
 
-* an all-plain-``str`` column costs one C-level lookup of all its cells
+* a string column costs one C-level lookup of all its cells
   (``operator.itemgetter(*cells)(index)``); a batch that brings values
   not seen yet takes one ``index.get`` pass instead, and the values it
   misses are appended in first-seen order;
@@ -25,10 +30,12 @@ cell list its lookup then reuses.  Then:
   whole (:meth:`Series.encoding`), its new values appended, and its codes
   translated to ids, so a stream of new values pays for one encode, not
   a lookup pass as well;
-* any other column, and any batch once its column dictionary holds
-  :data:`MAX_ENTRIES` values and the batch brings more, is encoded
-  through :meth:`Series.encoding` into a throwaway dictionary — the
-  path every column takes without a plan.
+* a batch bringing more values to a column dictionary that holds
+  :data:`MAX_ENTRIES`, and a string column without a plan, are encoded
+  through :meth:`Series.encoding` (C-level dict keying of the non-``None``
+  cells) into a throwaway string dictionary;
+* any other column is encoded through :meth:`Series.encoding` into a
+  throwaway dictionary with no index.
 
 Ids never change once given and every per-entry result is a function of
 one value, so a batch's output never depends on what was served before.
@@ -41,7 +48,7 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.dataframe.kernels import PLAIN_STR, gather_ids
+from repro.dataframe.kernels import PLAIN_STR, STR_OR_NONE, gather_ids
 from repro.dataframe.series import Series
 
 __all__ = ["ColumnDictionaries", "Dictionary", "encoded", "strings"]
@@ -59,20 +66,29 @@ class Dictionary:
 
     ``values`` are the distinct cells in id order and ``index`` maps each
     to its id; ``index`` is ``None`` for a throwaway dictionary of a
-    column that is not all plain ``str``.  ``memo`` holds per-entry
+    column that is not a string column.  ``memo`` holds per-entry
     results (:meth:`derive`) and ``inherited`` those of the state this
     one grew from, which cover a prefix of ``values``.  A published state
-    only ever changes by memo fills, each a single dict store of data
-    computed from ``values`` alone.
+    only ever changes by memo fills and its :meth:`none_index`, each a
+    single store of data computed from ``values`` alone.
     """
 
-    __slots__ = ("values", "index", "memo", "inherited")
+    __slots__ = ("values", "index", "memo", "inherited", "_none_index")
 
     def __init__(self, values: list, index: dict | None, inherited: dict | None = None):
         self.values = values
         self.index = index
         self.memo: dict = {}
         self.inherited = inherited or {}
+        self._none_index: dict | None = None
+
+    def none_index(self) -> dict:
+        """``index`` plus ``None`` mapped to the missing code ``-1``: the
+        lookup of a column with ``None`` cells."""
+        probe = self._none_index
+        if probe is None:
+            probe = self._none_index = {**self.index, None: -1}
+        return probe
 
     def derive(self, key, token, compute) -> tuple[np.ndarray, ...]:
         """Per-entry results of *compute*, a function of each value alone.
@@ -101,8 +117,6 @@ class Dictionary:
         return Dictionary(self.values + new_values, index, {**self.inherited, **self.memo})
 
 
-_EMPTY = Dictionary([], {})
-
 
 class ColumnDictionaries:
     """Per-column :class:`Dictionary` states, grown as batches are served.
@@ -116,18 +130,21 @@ class ColumnDictionaries:
     def __init__(self) -> None:
         self._columns: dict[str, Dictionary] = {}
         self._lock = threading.Lock()
+        # The state of a column not seen yet: an all-None batch resolves
+        # to it and may fill its memo, with results over no values.
+        self._empty = Dictionary([], {})
 
     def __reduce__(self):
         return (ColumnDictionaries, ())
 
     def get(self, name: str) -> Dictionary:
-        return self._columns.get(name, _EMPTY)
+        return self._columns.get(name, self._empty)
 
     def grow(self, name: str, values: list) -> Dictionary | None:
         """A state holding all the distinct *values*, or ``None`` when
         they do not fit (the dictionary is then filled to the cap)."""
         with self._lock:
-            current = self._columns.get(name, _EMPTY)
+            current = self._columns.get(name, self._empty)
             room = MAX_ENTRIES - len(current.values)
             if room <= 0:
                 return None
@@ -142,7 +159,8 @@ class ColumnDictionaries:
 def strings(
     dictionaries: ColumnDictionaries | None, name: str, series: Series
 ) -> tuple[np.ndarray, Dictionary] | None:
-    """``(codes, dictionary)`` of an all-plain-``str`` column, else ``None``."""
+    """``(codes, dictionary)`` of a column of plain ``str`` and ``None``
+    cells (``None`` codes ``-1``), else ``None``."""
     resolved = encoded(dictionaries, name, series)
     return resolved if resolved is not None and resolved[1].index is not None else None
 
@@ -173,21 +191,27 @@ def encoded(
     return resolved
 
 
+#: A lookup's code for a cell the index does not hold (``-1`` is
+#: ``None``'s code).
+_ABSENT = -2
+
+
 def _resolve(dictionaries: ColumnDictionaries | None, name: str, series: Series):
     values = series.values
     if dictionaries is None or values.dtype != object or not len(values):
         return _throwaway(series)
     cells, types = series._typed_cells()
-    if not types <= PLAIN_STR:
+    if not types <= STR_OR_NONE:
         return _throwaway(series)
     current = dictionaries.get(name)
+    index = current.index if types <= PLAIN_STR else current.none_index()
     head = values[:PROBE_CELLS].tolist()
-    if 4 * sum(v not in current.index for v in head) > len(head):
+    if 4 * sum(v not in index for v in head) > len(head):
         return _seeded(dictionaries, name, series)
     if cells is None:
         cells = values.tolist()
-    codes = _lookup(current.index, cells)
-    miss = np.flatnonzero(codes < 0)
+    codes = _lookup(index, cells, _ABSENT)
+    miss = np.flatnonzero(codes == _ABSENT)
     if not len(miss):
         return codes, current
     missed = [cells[i] for i in miss.tolist()]
@@ -200,13 +224,13 @@ def _resolve(dictionaries: ColumnDictionaries | None, name: str, series: Series)
 
 def _seeded(dictionaries: ColumnDictionaries, name: str, series: Series):
     """A mostly-new batch: encode it whole, append its new values and
-    translate its codes to ids."""
+    translate its codes to ids (a missing cell's ``-1`` stays ``-1``)."""
     encoding = series.encoding()
-    if encoding is not None and encoding[2] is not None:
+    if encoding is not None:
         codes, uniques, _index = encoding
         grown = dictionaries.grow(name, uniques)
         if grown is not None:
-            return _lookup(grown.index, uniques)[codes], grown
+            return np.append(_lookup(grown.index, uniques), -1)[codes], grown
     return _throwaway(series)
 
 
@@ -215,14 +239,16 @@ def _throwaway(series: Series):
     if encoding is None:
         return None
     codes, uniques, index = encoding
+    if index is None and series.dtype == object and series.cell_types() <= STR_OR_NONE:
+        index = dict(zip(uniques, range(len(uniques))))
     return codes, Dictionary(uniques, index)
 
 
-def _lookup(index: dict, cells: list) -> np.ndarray:
-    """Each cell's id in *index*, ``-1`` when absent: one C-level
+def _lookup(index: dict, cells: list, absent: int = -1) -> np.ndarray:
+    """Each cell's id in *index*, *absent* when it has none: one C-level
     gather (:func:`~repro.dataframe.kernels.gather_ids`), or an
     ``index.get`` pass once a cell misses."""
     try:
         return gather_ids(index, cells)
     except KeyError:
-        return np.fromiter(map(index.get, cells, repeat(-1)), np.int64, len(cells))
+        return np.fromiter(map(index.get, cells, repeat(absent)), np.int64, len(cells))

@@ -32,20 +32,23 @@ reads: the column's distinct values, a ``{value: id}`` index, and
 per-entry results of the ops that read the column.  The cost model of
 one served batch:
 
-* each all-plain-``str`` column costs one type pass and one ``index.get``
-  pass over its cells, however many features read it, and only the
-  values the dictionary has not seen are added; the codes are kept on
-  the Series, so serving the same Series again skips both passes;
+* each string column (plain ``str`` cells, and ``None`` for an empty
+  CSV cell) costs one C-level lookup of its cells, however many features
+  read it, and only the values the dictionary has not seen are added;
+  the codes are kept on the Series, so serving the same Series again
+  skips the lookup;
 * ``str_len``, ``date_split``, ``split_parts``, ``dict_map`` and the
   ``group_lookup`` key ids are computed once per distinct value over the
-  plan's lifetime and gathered by code; ``dummies`` compares codes with
-  each category's id;
-* any other column (``None``, NaN, ``np.str_`` or numbers among its
-  cells), and any batch bringing new values to a full dictionary, is
-  encoded per batch through :meth:`Series.encoding` into a throwaway
-  dictionary and pays per distinct value of the batch, as every column
-  does when :func:`evaluate_feature` is called without a plan's lookup
-  (fit, tests) — there is one op code path.
+  plan's lifetime and gathered by code, a ``None`` cell's ``-1`` code
+  reading what the per-row path gives a missing cell (:func:`_gathered`,
+  and ``take_uniques`` for ``dict_map``); ``dummies`` compares codes
+  with each category's id;
+* any other column (NaN, ``np.str_`` or numbers among its cells), and
+  any batch bringing new values to a full dictionary, is encoded per
+  batch through :meth:`Series.encoding` into a throwaway dictionary and
+  pays per distinct value of the batch, as every column does when
+  :func:`evaluate_feature` is called without a plan's lookup (fit,
+  tests) — there is one op code path.
 
 Every per-entry result is a function of one value, and validity (an ISO
 date, a NUL-free split) is judged over the entries a batch holds, so a
@@ -242,6 +245,30 @@ def _table_ids(values: list, table_ids: dict) -> tuple[np.ndarray]:
     return (np.fromiter(map(table_ids.get, values, repeat(-1)), np.int64, len(values)),)
 
 
+def _gathered(entries: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``entries[codes]``, a ``-1`` code reading a missing cell as list
+    coercion stores it: NaN in a float64 copy of int entries, ``None`` in
+    object ones, and an object column of ``None`` when no code is
+    present (an empty batch too) — what the per-row path builds from a
+    ``None`` per missing cell."""
+    if len(codes) and codes.min() >= 0:
+        return entries[codes]
+    missing = codes < 0
+    if missing.all():
+        return np.full(len(codes), None, dtype=object)
+    out = entries[codes]
+    if out.dtype != object:
+        out = out.astype(np.float64)
+    out[missing] = None if out.dtype == object else np.nan
+    return out
+
+
+def _present(valid: np.ndarray, codes: np.ndarray) -> bool:
+    """Whether every present cell's entry is *valid* (``-1`` codes read
+    the appended ``True``)."""
+    return bool(np.append(valid, True)[codes].all())
+
+
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
@@ -310,7 +337,7 @@ def _evaluate(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Ser
             return series.str.len()
         codes, dictionary = encoded
         (lengths,) = dictionary.derive("str_len", None, _str_lengths)
-        return Series._from_array(lengths[codes], series.name)
+        return Series._from_array(_gathered(lengths, codes), series.name)
     if op == "group_lookup":
         return _eval_group_lookup(node, frame, dictionaries)
     if op in _MULTI_OUTPUT:
@@ -409,8 +436,8 @@ class _GroupTable:
         once (memoized per entry until the node's table is refrozen) and
         gathered by code.  A missing cell (code ``-1``) never matches,
         except that ``None`` finds a table ``None`` key; the rows are
-        scanned for it only when the table has such a key and the column
-        is not all plain ``str``.
+        scanned for it only when the table has such a key and the
+        column's cell types include ``None``.
         """
         name = node["keys"][j]
         encoded = _dictionary.encoded(dictionaries, name, series)
@@ -426,7 +453,11 @@ class _GroupTable:
         # One extra trailing entry: a missing cell's code of -1 reads -1.
         per_row = np.append(ids, -1)[codes]
         none_id = table_ids.get(None)
-        if none_id is not None and dictionary.index is None and series.dtype == object:
+        if (
+            none_id is not None
+            and series.dtype == object
+            and type(None) in series.cell_types()
+        ):
             missing = np.flatnonzero(codes < 0)
             cells = series.values[missing]
             is_none = np.fromiter((v is None for v in cells), bool, len(cells))
@@ -530,10 +561,10 @@ def _eval_date_split(node: dict, frame, dictionaries: ColumnDictionaries | None)
     if encoded is not None and all(part in _kernels.ISO_DATE_PARTS for part, _ in outputs):
         codes, dictionary = encoded
         valid, *fields = dictionary.derive("date_split", None, _kernels.iso_date_fields)
-        if len(codes) and valid[codes].all():
+        if len(codes) and _present(valid, codes):
             parts = dict(zip(_kernels.ISO_DATE_PARTS, fields))
             return {
-                name: Series._from_array(parts[part][codes], name)
+                name: Series._from_array(_gathered(parts[part], codes), name)
                 for part, name in outputs
             }
     return _date_split_by_accessor(series, outputs)
@@ -580,17 +611,17 @@ def _eval_split_parts(node: dict, frame, dictionaries: ColumnDictionaries | None
             None,
             lambda values: _split_fields(values, sep, len(names)),
         )
-        if len(codes) and valid[codes].all():
+        if len(codes) and _present(valid, codes):
             return {
-                name: Series._from_array(column[codes], name)
+                name: Series._from_array(_gathered(column, codes), name)
                 for name, column in zip(names, parts)
             }
     return _split_parts_by_row(series, sep, names)
 
 
 def _split_parts_by_row(series: Series, sep: str, names: list) -> dict[str, Series]:
-    """The per-row ``str.split`` loop, for columns that are not all plain
-    ``str`` or that hold a NUL."""
+    """The per-row ``str.split`` loop, for columns that are not string
+    columns or that hold a NUL."""
     lists: list[list] = [[] for _ in names]
     for value in series.tolist():
         if _kernels.is_missing_scalar(value):

@@ -31,11 +31,14 @@ per cell.
   types, ``str`` and ``None`` for an empty cell: see
   ``Series.cell_types``), anything else through :func:`_parse_cell` and
   Series list coercion.
-* **Write** (:func:`to_csv`).  Each numeric or bool column is formatted
-  once per distinct value and rows are joined here, one row block at a
-  time, under the excel dialect's QUOTE_MINIMAL rule: a cell holding
-  ``,``, ``"``, ``\\r`` or ``\\n`` is quoted with its quotes doubled,
-  and a row of one empty field is written ``""``.
+* **Write** (:func:`to_csv`).  Each numeric or bool column block is
+  formatted without a sort where the block shows one is not needed (an
+  int block through a table of its value range, a float block of
+  distinct values cell by cell), else once per distinct value
+  (:func:`_csv_cells`).  Rows are joined here, one row block at a time,
+  under the excel dialect's QUOTE_MINIMAL rule: a cell holding ``,``,
+  ``"``, ``\\r`` or ``\\n`` is quoted with its quotes doubled, and a
+  row of one empty field is written ``""``.
 
 Files are UTF-8 whatever the locale: writes encode UTF-8 without a
 byte-order mark, and reads decode UTF-8 and drop one leading BOM
@@ -80,6 +83,7 @@ from repro.dataframe.kernels import (
     _INT64_MAX,
     _INT64_MIN,
     PLAIN_STR,
+    STR_OR_NONE,
     coerce_typed,
     coercion_kind,
 )
@@ -255,24 +259,47 @@ def to_csv(
             handle.write("\r\n".join(rows) + "\r\n")
 
 
+#: Leading cells of a float block that, all distinct, mark it as not
+#: worth formatting per distinct value.
+_DISTINCT_PROBE = 64
+
+
 def _csv_cells(values: np.ndarray) -> list[str]:
     """One column block's cells as CSV text: missing is ``""``.
 
-    Numeric and bool columns are formatted once per distinct value —
-    floats per distinct bit pattern, so ``-0.0`` and ``0.0`` stay apart —
-    as the C writer formats them (``repr`` for floats, ``str`` else).
-    Other columns go cell by cell through :func:`_cell_text`.
+    Numeric and bool cells are written as the C writer formats them
+    (``repr`` for floats, ``str`` else).  An int block whose values span
+    fewer ints than it has cells is formatted through a table of every
+    int in its range, gathered by offset; a float block whose first
+    :data:`_DISTINCT_PROBE` cells are distinct bit patterns is formatted
+    cell by cell, NaN blanked.  Any other numeric or bool block is
+    formatted once per distinct value — floats per distinct bit pattern,
+    so ``-0.0`` and ``0.0`` stay apart.  Each cell's text is a function
+    of its value alone, so the three give equal bytes.  Other columns go
+    cell by cell through :func:`_cell_text`.
     """
     kind = values.dtype.kind
-    if kind in "iub":  # never missing
+    if kind in "iu" and len(values) and int(values.max()) - int(values.min()) < len(values):
+        low = values.min()
+        texts = list(map(str, range(int(low), int(values.max()) + 1)))
+        # int64 offsets: exact for any int dtype, as each is < len(values).
+        codes = np.subtract(values, low, dtype=np.int64)
+    elif kind in "iub":  # never missing
         uniques, codes = np.unique(values, return_inverse=True)
         texts = list(map(str, uniques.tolist()))
     elif kind == "f":
-        uniques, codes = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
-        floats = uniques.view(values.dtype)
+        bits = values.view(f"i{values.itemsize}")
+        head = bits[:_DISTINCT_PROBE]
+        if len(np.unique(head)) == len(head):  # no sort, and no gather
+            floats, codes = values, None
+        else:
+            uniques, codes = np.unique(bits, return_inverse=True)
+            floats = uniques.view(values.dtype)
         texts = list(map(repr, floats.tolist()))
         for i in np.flatnonzero(np.isnan(floats)).tolist():
             texts[i] = ""
+        if codes is None:
+            return texts
     else:  # str and None, the common cells, skip the call
         return _quoted([
             v if type(v) is str else "" if v is None else _cell_text(v)
@@ -442,7 +469,6 @@ def _kind(seen: _Seen) -> str:
 #: Cells of a numeric column that ``int``/``float`` do not read directly.
 _NUMBER_WORDS = {"": "nan", "True": "1", "False": "0"}
 _BOOL_CELLS = {"": None, "True": True, "False": False}
-_STR_OR_MISSING_CELLS = PLAIN_STR | {type(None)}
 
 
 def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozenset | None]:
@@ -471,7 +497,7 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozen
         if "" not in cells:
             return values, PLAIN_STR
         values[values == ""] = None
-        return values, _STR_OR_MISSING_CELLS
+        return values, STR_OR_NONE
     return coerce_typed(list(map(_parse_cell, cells)), kind)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "ColumnProfile",
     "PLAIN_STR",
+    "STR_OR_NONE",
     "cell_types",
     "coerce_listlike",
     "coerce_typed",
@@ -127,6 +128,10 @@ _NONE_TYPE = type(None)
 #: ``Series.cell_types`` is a subset of it exactly when every cell is a
 #: ``str`` proper (``np.str_`` and other subclasses do not qualify).
 PLAIN_STR = frozenset((str,))
+
+#: The cell-types summary of a text column with missing cells (an empty
+#: CSV cell decodes to ``None``): plain ``str`` and ``None`` only.
+STR_OR_NONE = frozenset((str, _NONE_TYPE))
 
 
 def _role(cell_type: type) -> str:
@@ -296,7 +301,8 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
     Numeric/boolean/sortable-object arrays go through ``np.unique``;
     mixed-type object arrays (unorderable) fall back to the hash loop,
     which is also the semantics reference.  Columns of plain ``str``
-    cells are encoded by :func:`dictionary_encode` instead.
+    cells, with or without ``None`` cells, are encoded by
+    :func:`dictionary_encode` instead.
     """
     n = len(values)
     if n == 0:
@@ -340,16 +346,22 @@ def factorize_values(values: np.ndarray) -> tuple[np.ndarray, list]:
     return _factorize_loop(values)
 
 
-def _dict_codes(items: list) -> tuple[np.ndarray, dict]:
+def _dict_codes(items: list, none_missing: bool = False) -> tuple[np.ndarray, dict]:
     """``(codes, {key: code})`` under dict keying, codes in first-seen order.
 
     Keying is C-level dict hashing: equal cells share a code (``1``,
     ``1.0`` and ``True`` included), ``None`` is one key, a NaN object
     matches only itself, and the numbering never depends on the hash
-    seed.  Raises ``TypeError`` for an unhashable cell.
+    seed.  With *none_missing*, ``None`` is no key but maps to the
+    missing code ``-1``, as the index's last entry.  Raises
+    ``TypeError`` for an unhashable cell.
     """
     first_seen = dict.fromkeys(items)
+    if none_missing:
+        first_seen.pop(None, None)
     index = dict(zip(first_seen, range(len(first_seen))))
+    if none_missing:
+        index[None] = -1
     return gather_ids(index, items), index
 
 
@@ -381,16 +393,17 @@ def dictionary_encode(
     order, ``-1`` for missing).  ``index`` is the ``{value: code}`` dict
     when every cell is a plain ``str`` (``type(v) is str``; ``str``
     subclasses such as ``np.str_`` do not qualify), else ``None``.  Such
-    columns are keyed by C-level dict hashing — exact equality, so
-    ``"a"`` and ``"a\\x00"`` stay apart, and first-seen numbering never
-    depends on the string hash seed.  Returns ``None`` when a cell is
-    unhashable.  *types*, the column's known cell types
+    columns, and columns of plain ``str`` and ``None`` cells (whose
+    ``None`` cells code ``-1``), are keyed by C-level dict hashing —
+    exact equality, so ``"a"`` and ``"a\\x00"`` stay apart, and
+    first-seen numbering never depends on the string hash seed.  Returns
+    ``None`` when a cell is unhashable.  *types*, the column's known cell types
     (``Series.cell_types``), saves the pass that finds them; without
     them an object column finds them from the cell list it keys.
     *items*, ``values.tolist()`` when the caller has built it, saves
     building it again.
     """
-    if values.dtype == object and (types is None or types <= PLAIN_STR):
+    if values.dtype == object and (types is None or types <= STR_OR_NONE):
         if items is None:
             items = values.tolist()
         if types is None:
@@ -398,6 +411,9 @@ def dictionary_encode(
         if types <= PLAIN_STR:
             codes, index = _dict_codes(items)
             return codes, list(index), index
+        if types <= STR_OR_NONE:
+            codes, index = _dict_codes(items, none_missing=True)
+            return codes, list(index)[:-1], None
     try:
         codes, uniques = factorize_values(values)
         if values.dtype == object:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import BaseEstimator
 
@@ -46,6 +45,8 @@ class LogisticRegression(BaseEstimator):
             grad_coef = X.T @ weighted + 2.0 * alpha * coef
             grad_bias = weighted.sum()
             return float(loss), np.concatenate([grad_coef, [grad_bias]])
+
+        from scipy import optimize  # here, not at import: serving never fits a model
 
         w0 = np.zeros(d + 1)
         result = optimize.minimize(

@@ -1,8 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import _make_clients, build_parser, main
 from repro.fm import FMExecutor, SimulatedFM, TransportFMClient
@@ -475,6 +481,39 @@ class TestPlanCommands:
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
         assert outputs[0].startswith(b"Age,")
+
+    def test_plan_apply_imports_only_the_serving_stack(self, tmp_path):
+        """Serving needs no fitting stack: a fresh interpreter that runs
+        ``plan apply`` imports none of scipy, ``repro.core``,
+        ``repro.eval`` or ``repro.ml``."""
+        from repro.dataframe.io import to_csv
+        from repro.eval.serving import build_demo_result, make_serving_frame
+        from repro.serve import compile_plan
+
+        result, frame = build_demo_result(200, seed=0)
+        plan_path = tmp_path / "plan.json"
+        compile_plan(result, frame, "Target").save(str(plan_path))
+        source = tmp_path / "rows.csv"
+        to_csv(make_serving_frame(60, seed=3), source)
+        argv = [
+            "plan", "apply", "--plan", str(plan_path), "--csv", str(source),
+            "--out", str(tmp_path / "out.csv"), "--chunk-rows", "25",
+        ]
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"code = main({argv!r})\n"
+            "heavy = ('scipy', 'repro.core', 'repro.eval', 'repro.ml')\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith(tuple(h + '.' for h in heavy)) or m in heavy]\n"
+            "print(code, sorted(loaded))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "out.csv").exists()
 
     @pytest.mark.xfail(
         strict=True,
