@@ -51,11 +51,11 @@ from repro.core.types import (
 )
 from repro.dataframe import DataFrame, Series
 from repro.dataframe import kernels as _kernels
-from repro.dataframe.expr import ExprError, expr_columns, fit_feature
+from repro.dataframe.expr import JSON_SCALARS, ExprError, Unliftable, expr_columns, fit_feature
+from repro.dataframe.lift import lift_source
 from repro.fm.base import FMClient, FMResponse
 from repro.fm.cost import estimate_tokens
 from repro.fm.executor import FMExecutor, FMRequest
-from repro.serve.compiler import _JSON_SCALARS, Unliftable, lift_source
 
 __all__ = ["FunctionGenerator", "RealizedFeature", "freeze_completion", "realize_source"]
 
@@ -112,9 +112,9 @@ def _completion_map(input_columns: list[str], frame: DataFrame, values: Series) 
             if value is not None:
                 raise ExprError("completion is not missing-preserving")
             continue
-        if not isinstance(key, _JSON_SCALARS):
+        if not isinstance(key, JSON_SCALARS):
             raise ExprError(f"completion key {key!r} is not a JSON scalar")
-        if value is not None and not isinstance(value, _JSON_SCALARS):
+        if value is not None and not isinstance(value, JSON_SCALARS):
             raise ExprError(f"completion value {value!r} is not a JSON scalar")
         if key not in mapping:
             mapping[key] = value

@@ -102,9 +102,10 @@ def extractor_sampling_prompt(agenda: DataAgenda) -> str:
     return _EXTRACTOR.format(agenda=agenda.describe(), target=agenda.target)
 
 
-#: The code the serving compiler can lift (``serve.compiler.lift_source``);
-#: fit rejects any other answer as "not compilable", so both prompts that
-#: ask for code state it.
+#: The code fit's lifter accepts (``dataframe.lift.lift_source``; its
+#: calls are the table ``dataframe.expr.SOURCE_FORMS``): fit rejects any
+#: other answer as "not compilable", so both prompts that ask for code
+#: state it.
 _SUBSET = """The execution environment provides `pd` (pandas-compatible) and
 `np` (numpy). Write straight-line code over `df[c]` columns, with no
 loops, lambdas, `math` or `.apply` of Python functions. Accepted forms:

@@ -1,23 +1,31 @@
-"""Frozen transform expressions: the serving IR behind compiled FeaturePlans.
+"""The serving IR: one op table, the kernels it names, and the source
+forms the lifter accepts.
 
 A SMARTFEAT run's FM answers are ``def transform(df)`` sources.  The
-lifter (:mod:`repro.serve.compiler`) turns each into JSON-safe expression
+lifter (:mod:`repro.dataframe.lift`) turns each into JSON-safe expression
 nodes that evaluate through the same Series/kernel operations the source
 would have hit; fit freezes and evaluates those nodes
 (:func:`fit_feature`) instead of executing the source, and the plan
 serves the same frozen nodes, so replay is value- and dtype-identical to
 ``fit_transform``'s frame by construction.
 
-Two node families exist:
+Each op and each source form is declared once, here:
 
-* **frozen** nodes (``col``/``add``/``cut``/``dict_map``/``group_lookup``
-  …) are pure data — column references, constants, and frozen fit-time
-  statistics — and are what a serialized plan contains;
-* **fit** nodes (``fit_mean``/``fit_qcut``/``fit_group_table`` …) stand
-  for statistics the source would recompute per call.  They exist only
-  in lifted templates: :func:`freeze_expr` resolves each one against the
-  fit frame into a frozen node, and :func:`validate_expr` rejects them
-  in anything claiming to be a plan.
+* :data:`OPS` maps an op name to its :class:`Op`: the node's fields and
+  child slots, the columns it reads, and either a serve kernel or a
+  fit-time freeze.  **Frozen** ops (``col``/``add``/``cut``/``dict_map``/
+  ``group_lookup`` …) have a kernel: they are pure data — column
+  references, constants, frozen fit-time statistics — and are what a
+  plan holds.  **Fit** ops (``fit_mean``/``fit_qcut``/``fit_group_table``
+  …) have a freeze: they stand for statistics the source recomputes per
+  call, exist only in lifted templates, and :func:`freeze_expr` resolves
+  each into a frozen node.  Every function below that walks a tree reads
+  this table; no other module branches on an op name.
+* :data:`SOURCE_FORMS` maps a (receiver kind, method) call to the
+  builder of the node or :class:`Ref` it lifts to.  A builder's
+  parameters are the pandas-facade method's, so its signature, built
+  once at import, binds a call's arguments (and words a bad call's
+  error) as the sandbox would.
 
 Evaluation deliberately routes through the public ``Series`` operations
 (``where``/``map``/``fillna``/``apply`` on ufuncs, the ``cut``/``qcut``
@@ -59,10 +67,12 @@ batch's output never depends on what the plan served before.
 
 from __future__ import annotations
 
+import inspect
 import operator
 import threading
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -73,16 +83,19 @@ from repro.dataframe.dictionary import ColumnDictionaries
 from repro.dataframe.series import Series
 
 __all__ = [
-    "EXPR_OPS",
-    "FIT_OPS",
+    "OPS",
+    "SOURCE_FORMS",
     "ExprError",
+    "Unliftable",
     "evaluate_feature",
     "expr_columns",
     "fit_feature",
     "freeze_expr",
+    "group_tables",
     "is_frozen",
     "refreeze_group_table",
     "validate_expr",
+    "vocabularies",
 ]
 
 
@@ -95,100 +108,72 @@ class ExprError(Exception):
 #: generated ``.apply(np.log)`` source makes, so domain violations
 #: (``log`` of a negative) produce the identical NaN/warning behaviour.
 _UFUNCS: dict[str, np.ufunc] = {
-    "log": np.log,
-    "log1p": np.log1p,
-    "log2": np.log2,
-    "log10": np.log10,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
+    name: getattr(np, name) for name in ("log", "log1p", "log2", "log10", "exp", "sqrt", "abs")
 }
-
-_ARITH = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": lambda a, b: a ** b,
-}
-
-#: Frozen (serializable) node kinds.
-EXPR_OPS = frozenset(
-    {
-        "col",
-        "const",
-        *_ARITH,
-        "clip",
-        "ufunc",
-        "where_nonzero",
-        "isna_int",
-        "cut",
-        "qcut_collapsed",
-        "dict_map",
-        "fillna",
-        "str_len",
-        "date_split",
-        "dummies",
-        "split_parts",
-        "group_lookup",
-    }
-)
-
-#: Node kinds producing several named columns at once.
-_MULTI_OUTPUT = frozenset({"date_split", "dummies", "split_parts"})
-
-#: Child-expression slots a node may carry.
-_CHILD_SLOTS = ("arg", "left", "right")
 
 
 # ----------------------------------------------------------------------
 # Validation / inspection
 # ----------------------------------------------------------------------
+def _op(node: dict) -> "Op":
+    op = node.get("op")
+    spec = OPS.get(op) if isinstance(op, str) else None
+    if spec is None:
+        raise ExprError(f"unknown expression op {op!r}")
+    return spec
+
+
 def _walk(node: dict):
     yield node
-    for slot in _CHILD_SLOTS:
-        child = node.get(slot)
-        if isinstance(child, dict):
-            yield from _walk(child)
+    for slot in _op(node).children:
+        yield from _walk(node[slot])
 
 
 def validate_expr(node: Any) -> None:
-    """Raise :class:`ExprError` unless *node* is a well-formed frozen tree."""
+    """Raise :class:`ExprError` unless *node* is a well-formed frozen tree:
+    known frozen ops only, each node holding its op's declared fields and
+    an expression node in each child slot."""
     if not isinstance(node, dict) or "op" not in node:
         raise ExprError(f"expression node must be a dict with an 'op' key, got {node!r}")
-    for sub in _walk(node):
-        if not isinstance(sub, dict) or "op" not in sub:
-            raise ExprError(f"malformed expression node: {sub!r}")
-        op = sub["op"]
-        if op in FIT_OPS:
-            raise ExprError(
-                f"expression contains unfrozen fit-time node {op!r}; "
-                f"plans must be frozen with freeze_expr() before serialization"
-            )
-        if op not in EXPR_OPS:
-            raise ExprError(f"unknown expression op {op!r}")
+    spec, op = _op(node), node["op"]
+    if spec.freeze is not None:
+        raise ExprError(
+            f"expression contains unfrozen fit-time node {op!r}; "
+            f"plans must be frozen with freeze_expr() before serialization"
+        )
+    for field in (*spec.fields, *spec.children):
+        if field not in node:
+            raise ExprError(f"{op!r} node lacks its {field!r} field")
+    for slot in spec.children:
+        child = node[slot]
+        if not isinstance(child, dict) or "op" not in child:
+            raise ExprError(f"{op!r} node's {slot!r} field is not an expression node: {child!r}")
+        validate_expr(child)
 
 
 def is_frozen(node: dict) -> bool:
     """True when no fit-time node remains anywhere in the tree."""
-    return all(sub.get("op") not in FIT_OPS for sub in _walk(node))
+    return all(_op(sub).freeze is None for sub in _walk(node))
 
 
 def expr_columns(node: dict) -> list[str]:
     """Input columns the expression reads, in first-reference order."""
     seen: dict[str, None] = {}
     for sub in _walk(node):
-        op = sub.get("op")
-        if op == "col":
-            seen.setdefault(sub["name"], None)
-        elif op == "group_lookup" or op == "fit_group_table":
-            for key in sub["keys"]:
-                seen.setdefault(key, None)
-            if "agg_col" in sub:
-                seen.setdefault(sub["agg_col"], None)
-        elif "column" in sub:
-            seen.setdefault(sub["column"], None)
+        for field in _op(sub).reads:
+            value = sub.get(field, [])
+            seen.update(dict.fromkeys(value if isinstance(value, list) else [value]))
     return list(seen)
+
+
+def vocabularies(node: dict) -> list[tuple[str, list]]:
+    """``(input column, values seen at fit)`` per category vocabulary."""
+    return [pair for sub in _walk(node) for pair in _op(sub).vocabulary(sub)]
+
+
+def group_tables(node: dict) -> list[dict]:
+    """The tree's ``group_lookup`` nodes, for :func:`refreeze_group_table`."""
+    return [sub for sub in _walk(node) if sub["op"] == "group_lookup"]
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +269,20 @@ def _col(frame, name: str) -> Series:
     return frame[name]
 
 
+def _evaluate(node: dict, frame, dictionaries, yields: tuple = ("column",)) -> Any:
+    """Run *node*'s kernel; its op must yield one of *yields*."""
+    spec = _op(node)
+    if spec.kernel is None:
+        raise ExprError(f"unknown expression op {node['op']!r}")
+    if spec.yields not in yields:
+        raise ExprError(
+            f"multi-output op {node['op']!r} must be evaluated via evaluate_feature()"
+            if spec.yields == "columns"
+            else "a bare constant is not a column expression"
+        )
+    return spec.kernel(node, frame, dictionaries)
+
+
 def _operand(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Any:
     """Evaluate an arithmetic operand: ``const`` → scalar, else Series.
 
@@ -291,69 +290,50 @@ def _operand(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Any:
     arithmetic takes the same scalar-broadcast path the generated source
     took with its literal/computed statistics.
     """
-    if node["op"] == "const":
-        return node["value"]
-    return _evaluate(node, frame, dictionaries)
+    return _evaluate(node, frame, dictionaries, ("column", "scalar"))
 
 
-def _evaluate(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
-    op = node["op"]
-    if op == "col":
-        return _col(frame, node["name"])
-    if op in _ARITH:
-        return _ARITH[op](
-            _operand(node["left"], frame, dictionaries), _operand(node["right"], frame, dictionaries)
-        )
-    if op == "clip":
-        arg = _evaluate(node["arg"], frame, dictionaries)
-        return arg.clip(node.get("lower"), node.get("upper"))
-    if op == "ufunc":
-        fn = node["fn"]
-        if fn not in _UFUNCS:
-            raise ExprError(f"unknown ufunc {fn!r}")
-        return _evaluate(node["arg"], frame, dictionaries).apply(_UFUNCS[fn])
-    if op == "where_nonzero":
-        arg = _evaluate(node["arg"], frame, dictionaries)
-        return arg.where(arg != 0)
-    if op == "isna_int":
-        return _col(frame, node["column"]).isna().astype(int)
-    if op == "cut":
-        return _reshape.cut(
-            _col(frame, node["column"]),
-            list(node["edges"]),
-            labels=list(node["labels"]) if node.get("labels") is not None else None,
-            right=node.get("right", True),
-        )
-    if op == "qcut_collapsed":
-        return _eval_qcut_collapsed(_col(frame, node["column"]))
-    if op == "dict_map":
-        return _eval_dict_map(node, frame, dictionaries)
-    if op == "fillna":
-        return _evaluate(node["arg"], frame, dictionaries).fillna(node["value"])
-    if op == "str_len":
-        series = _col(frame, node["column"])
-        encoded = _dictionary.strings(dictionaries, node["column"], series)
-        if encoded is None:
-            return series.str.len()
-        codes, dictionary = encoded
-        (lengths,) = dictionary.derive("str_len", None, _str_lengths)
-        return Series._from_array(_gathered(lengths, codes), series.name)
-    if op == "group_lookup":
-        return _eval_group_lookup(node, frame, dictionaries)
-    if op in _MULTI_OUTPUT:
-        raise ExprError(f"multi-output op {op!r} must be evaluated via evaluate_feature()")
-    if op == "const":
-        raise ExprError("a bare constant is not a column expression")
-    raise ExprError(f"unknown expression op {op!r}")
+def _arith(fn: Callable) -> Callable:
+    return lambda n, f, d: fn(_operand(n["left"], f, d), _operand(n["right"], f, d))
 
 
-def _eval_qcut_collapsed(series: Series) -> Series:
+def _arg(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
+    return _evaluate(node["arg"], frame, dictionaries)
+
+
+def _eval_ufunc(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
+    if node["fn"] not in _UFUNCS:
+        raise ExprError(f"unknown ufunc {node['fn']!r}")
+    return _arg(node, frame, dictionaries).apply(_UFUNCS[node["fn"]])
+
+
+def _eval_cut(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
+    return _reshape.cut(
+        _col(frame, node["column"]),
+        list(node["edges"]),
+        labels=list(node["labels"]) if node.get("labels") is not None else None,
+        right=node.get("right", True),
+    )
+
+
+def _eval_str_len(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
+    series = _col(frame, node["column"])
+    encoded = _dictionary.strings(dictionaries, node["column"], series)
+    if encoded is None:
+        return series.str.len()
+    codes, dictionary = encoded
+    (lengths,) = dictionary.derive("str_len", None, _str_lengths)
+    return Series._from_array(_gathered(lengths, codes), series.name)
+
+
+def _eval_qcut_collapsed(node: dict, frame, dictionaries: ColumnDictionaries | None) -> Series:
     """Replay of degenerate ``qcut`` fits (all edges tied, or no data).
 
     Mirrors ``Series([0 if not isnan(v) else None])`` — present values
     collapse into the single bin, missing stays missing, and the
     all-missing case coerces to an object column of ``None``.
     """
+    series = _col(frame, node["column"])
     data = series._numeric()
     missing = np.isnan(data)
     if len(data) and missing.all():
@@ -645,14 +625,7 @@ def evaluate_feature(
     *dictionaries*; without them the string ops use throwaway
     dictionaries (:mod:`repro.dataframe.dictionary`).
     """
-    op = node.get("op")
-    if op == "date_split":
-        return _eval_date_split(node, frame, dictionaries)
-    if op == "dummies":
-        return _eval_dummies(node, frame, dictionaries)
-    if op == "split_parts":
-        return _eval_split_parts(node, frame, dictionaries)
-    return _evaluate(node, frame, dictionaries)
+    return _evaluate(node, frame, dictionaries, ("column", "columns"))
 
 
 # ----------------------------------------------------------------------
@@ -789,28 +762,15 @@ def _freeze_split_outputs(node: dict, frame) -> dict:
     return {"op": "split_parts", "column": column, "sep": sep, "outputs": names}
 
 
-def _freeze_stat(node: dict, frame) -> dict:
+def _freeze_stat(name: str) -> Callable:
     """``fit_mean`` → ``Series.mean()`` of the column, and so on."""
-    return _const(getattr(frame[node["column"]], node["op"][len("fit_") :])())
+    return lambda node, frame: _const(getattr(frame[node["column"]], name)())
 
 
 def _freeze_or(node: dict, frame) -> dict:
     """``left or right`` over fit-time scalars (``col.std() or 1.0``)."""
     left = _operand(freeze_expr(node["left"], frame), frame, None)
     return _const(left or _operand(freeze_expr(node["right"], frame), frame, None))
-
-
-_FIT_FREEZERS = {
-    **dict.fromkeys(("fit_mean", "fit_std", "fit_min", "fit_max"), _freeze_stat),
-    "fit_or": _freeze_or,
-    "fit_qcut": _freeze_qcut,
-    "fit_categories": _freeze_categories,
-    "fit_group_table": lambda node, frame: _group_table(node, frame)[0],
-    "fit_split_outputs": _freeze_split_outputs,
-}
-
-#: Compile-time-only node kinds; :func:`freeze_expr` resolves these.
-FIT_OPS = frozenset(_FIT_FREEZERS)
 
 
 def freeze_expr(node: dict, frame) -> dict:
@@ -820,22 +780,259 @@ def freeze_expr(node: dict, frame) -> dict:
     when a statistic cannot be captured (fit then rejects the answer as
     not compilable, with the error as its reason).
     """
-    op = node.get("op")
-    if op in _FIT_FREEZERS:
-        return _FIT_FREEZERS[op](node, frame)
+    spec = _op(node)
+    if spec.freeze is not None:
+        return spec.freeze(node, frame)
     out = dict(node)
-    for slot in _CHILD_SLOTS:
-        child = out.get(slot)
-        if isinstance(child, dict):
-            out[slot] = freeze_expr(child, frame)
+    for slot in spec.children:
+        out[slot] = freeze_expr(node[slot], frame)
     return out
 
 
 def fit_feature(template: dict, frame) -> tuple[dict, Series | dict[str, Series]]:
     """``(freeze_expr(template, frame), evaluate_feature(frozen, frame))``:
     fit's one evaluator, so what a plan serves is what fit installed.  A
-    top-level ``fit_group_table`` reuses its freeze's grouping."""
-    if template.get("op") == "fit_group_table":
-        return _fit_group_table(template, frame)
+    top-level op with a ``fit`` (``fit_group_table``) freezes and
+    evaluates in one pass."""
+    fit = _op(template).fit
+    if fit is not None:
+        return fit(template, frame)
     frozen = freeze_expr(template, frame)
     return frozen, evaluate_feature(frozen, frame)
+
+
+# ----------------------------------------------------------------------
+# The op table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Op:
+    """One IR op of :data:`OPS`."""
+
+    fields: tuple[str, ...] = ()  # every node holds these ...
+    children: tuple[str, ...] = ()  # ... and these child expressions
+    reads: tuple[str, ...] = ("column",)  # fields naming the columns read
+    kernel: Callable | None = None  # frozen op: (node, frame, dictionaries)
+    freeze: Callable | None = None  # fit op: (node, frame) -> frozen node
+    fit: Callable | None = None  # fit op: (node, frame) -> (frozen, outputs)
+    yields: str = "column"  # a Series, "columns" ({name: Series}) or "scalar"
+    vocabulary: Callable = lambda node: ()  # -> [(column, category values)]
+
+
+def _listed(field: str) -> Callable:
+    """The vocabulary of a node listing its column's values in *field*."""
+    return lambda n: [(n["column"], n[field])]
+
+
+#: Every IR op, by name.  Optional fields (``clip``'s bounds, ``cut``'s
+#: ``labels``/``right``, ``group_lookup``'s ``agg_col``/``fill``) are
+#: read with defaults.
+OPS: dict[str, Op] = {
+    # Frozen ops: what a plan holds.
+    "col": Op(("name",), reads=("name",), kernel=lambda n, f, d: _col(f, n["name"])),
+    "const": Op(("value",), yields="scalar", kernel=lambda n, f, d: n["value"]),
+    "add": Op(children=("left", "right"), kernel=_arith(operator.add)),
+    "sub": Op(children=("left", "right"), kernel=_arith(operator.sub)),
+    "mul": Op(children=("left", "right"), kernel=_arith(operator.mul)),
+    "div": Op(children=("left", "right"), kernel=_arith(operator.truediv)),
+    "pow": Op(children=("left", "right"), kernel=_arith(operator.pow)),
+    "clip": Op(
+        children=("arg",), kernel=lambda n, f, d: _arg(n, f, d).clip(n.get("lower"), n.get("upper"))
+    ),
+    "ufunc": Op(("fn",), ("arg",), kernel=_eval_ufunc),
+    "where_nonzero": Op(
+        children=("arg",), kernel=lambda n, f, d: (a := _arg(n, f, d)).where(a != 0)
+    ),
+    "isna_int": Op(("column",), kernel=lambda n, f, d: _col(f, n["column"]).isna().astype(int)),
+    "cut": Op(("column", "edges"), kernel=_eval_cut),
+    "qcut_collapsed": Op(("column",), kernel=_eval_qcut_collapsed),
+    "dict_map": Op(
+        ("column", "keys", "values"), kernel=_eval_dict_map, vocabulary=_listed("keys")
+    ),
+    "fillna": Op(("value",), ("arg",), kernel=lambda n, f, d: _arg(n, f, d).fillna(n["value"])),
+    "str_len": Op(("column",), kernel=_eval_str_len),
+    "date_split": Op(("column", "outputs"), kernel=_eval_date_split, yields="columns"),
+    "dummies": Op(
+        ("column", "categories", "names"),
+        kernel=_eval_dummies,
+        yields="columns",
+        vocabulary=_listed("categories"),
+    ),
+    "split_parts": Op(("column", "sep", "outputs"), kernel=_eval_split_parts, yields="columns"),
+    "group_lookup": Op(
+        ("keys", "agg", "table", "value_kind"),
+        reads=("keys", "agg_col"),
+        kernel=_eval_group_lookup,
+        vocabulary=lambda n: [
+            (key, [row[j] for row in n["table"]]) for j, key in enumerate(n["keys"])
+        ],
+    ),
+    # Fit ops: lifted templates only.
+    **{f"fit_{s}": Op(("column",), freeze=_freeze_stat(s)) for s in ("mean", "std", "min", "max")},
+    "fit_or": Op(children=("left", "right"), freeze=_freeze_or),
+    "fit_qcut": Op(("column", "q", "labels"), freeze=_freeze_qcut),
+    "fit_categories": Op(("column", "prefix"), freeze=_freeze_categories),
+    "fit_group_table": Op(
+        ("keys", "agg_col", "agg"),
+        reads=("keys", "agg_col"),
+        freeze=lambda n, f: _group_table(n, f)[0],
+        fit=_fit_group_table,
+    ),
+    "fit_split_outputs": Op(("column", "sep", "rename"), freeze=_freeze_split_outputs),
+}
+
+
+# ----------------------------------------------------------------------
+# Lift-time values and the source forms
+# ----------------------------------------------------------------------
+class Unliftable(Exception):
+    """The source steps outside the lifted subset; the message says where."""
+
+
+@dataclass(frozen=True)
+class Lit:
+    """A value known at lift time: a literal, or a builtin over literals."""
+
+    value: Any
+
+
+@dataclass(frozen=True)
+class Ref:
+    """A lift-time value that is neither a literal nor a column expression:
+    the frame, a module, an accessor, a group-by, a split, a mask …"""
+
+    kind: str
+    args: tuple = ()
+
+
+def is_ref(value: Any, kind: str) -> bool:
+    return isinstance(value, Ref) and value.kind == kind
+
+
+def literal(value: Any, *types: type) -> Any:
+    """The literal *value* holds, optionally restricted to exact *types*."""
+    if not isinstance(value, Lit) or (types and type(value.value) not in types):
+        raise Unliftable("expected a literal")
+    return value.value
+
+
+def column_name(value: Any) -> str:
+    """The column a plain ``df[c]`` reference names."""
+    if not (isinstance(value, dict) and value["op"] == "col"):
+        raise Unliftable("expected a plain column reference")
+    return value["name"]
+
+
+JSON_SCALARS = (str, int, float, bool)
+_NUMBER = (int, float)
+_OPTIONAL_LIST = (list, tuple, type(None))
+_OPTIONAL_NUMBER = (int, float, type(None))
+
+#: The ``Series.dt`` date parts a source may read.
+DATE_PARTS = frozenset({"year", "month", "day", "dayofweek", "quarter", "dayofyear"})
+
+
+# A builder takes the facade method's parameters (``self``: the receiver)
+# and returns the node or Ref the call lifts to, or None if unsupported.
+def _cut(series, bins, labels=None, right=True):
+    edges, labels = literal(bins, list, tuple), literal(labels, *_OPTIONAL_LIST)
+    if all(type(e) in _NUMBER for e in edges):
+        return {
+            "op": "cut",
+            "column": column_name(series),
+            "edges": [float(e) for e in edges],
+            "labels": None if labels is None else list(labels),
+            "right": literal(right, bool),
+        }
+
+
+def _get_dummies(data, columns=None, prefix=None, drop_first=False):
+    if (columns, drop_first) == (Lit(None), Lit(False)):
+        column, prefix = column_name(data), literal(prefix, str, type(None))
+        prefix = column if prefix is None else prefix
+        return {"op": "fit_categories", "column": column, "prefix": prefix}
+
+
+def _frame(data=None, columns=None):
+    """``pd.DataFrame({})``, or a frame of one column's date parts."""
+    if data == Lit({}):
+        return Ref("empty_frame")
+    items = data.args if is_ref(data, "columns") else ()
+    parts = [v.args for _, v in items if is_ref(v, "date_part")]
+    if items and len(parts) == len(items) and len({column for column, _ in parts}) == 1:
+        outputs = [[part, name] for (_, part), (name, _) in zip(parts, items)]
+        return {"op": "date_split", "column": parts[0][0], "outputs": outputs}
+
+
+def _groupby(self, by):
+    keys = literal(by, str, list, tuple)
+    return Ref("groupby", ([keys] if isinstance(keys, str) else list(keys),))
+
+
+def _map(self, mapper):
+    mapping = literal(mapper, dict)
+    if all(isinstance(key, JSON_SCALARS) for key in mapping):
+        keys, values = list(mapping), list(mapping.values())
+        return {"op": "dict_map", "column": column_name(self), "keys": keys, "values": values}
+
+
+#: ``(receiver kind, method)`` → ``(signature, builder)`` of every call the
+#: lifter accepts.  Kinds: ``pd`` (the facade module), ``frame``/``split``
+#: (DataFrame), ``grouped`` (SeriesGroupBy), ``series``/``isna`` (Series),
+#: ``str`` (StringAccessor).
+SOURCE_FORMS: dict[tuple[str, str], tuple[inspect.Signature, Callable]] = {
+    key: (inspect.signature(build), build)
+    for key, build in {
+        ("pd", "cut"): _cut,
+        ("pd", "qcut"): lambda series, q, labels=None: {
+            "op": "fit_qcut",
+            "column": column_name(series),
+            "q": literal(q, int),
+            "labels": literal(labels, *_OPTIONAL_LIST),
+        },
+        ("pd", "get_dummies"): _get_dummies,
+        ("pd", "DataFrame"): _frame,
+        ("frame", "groupby"): _groupby,
+        ("grouped", "transform"): lambda self, func: {
+            "op": "fit_group_table",
+            "keys": self.args[0],
+            "agg_col": self.args[1],
+            "agg": literal(func, str),
+        },
+        ("series", "clip"): lambda self, lower=None, upper=None: {
+            "op": "clip",
+            "arg": self,
+            "lower": literal(lower, *_OPTIONAL_NUMBER),
+            "upper": literal(upper, *_OPTIONAL_NUMBER),
+        },
+        ("series", "apply"): lambda self, func: (
+            {"op": "ufunc", "fn": func.args[0], "arg": self} if is_ref(func, "ufunc") else None
+        ),
+        ("series", "where"): lambda self, cond, other=None: (
+            {"op": "where_nonzero", "arg": self}
+            if (cond, other) == (Ref("nonzero", (self,)), Lit(None))
+            else None
+        ),
+        ("series", "isna"): lambda self: Ref("isna", (column_name(self),)),
+        ("series", "isnull"): lambda self: Ref("isna", (column_name(self),)),
+        ("isna", "astype"): lambda self, dtype: (
+            {"op": "isna_int", "column": self.args[0]} if dtype == Lit(int) else None
+        ),
+        ("series", "map"): _map,
+        ("series", "fillna"): lambda self, value: (
+            {"op": "fillna", "arg": self, "value": literal(value)}
+        ),
+        ("series", "mean"): lambda self: {"op": "fit_mean", "column": column_name(self)},
+        ("series", "min"): lambda self: {"op": "fit_min", "column": column_name(self)},
+        ("series", "max"): lambda self: {"op": "fit_max", "column": column_name(self)},
+        ("series", "std"): lambda self, ddof=1: (
+            {"op": "fit_std", "column": column_name(self)} if ddof == Lit(1) else None
+        ),
+        ("str", "len"): lambda self: {"op": "str_len", "column": self.args[0]},
+        ("str", "split"): lambda self, sep, expand=False: (
+            Ref("split", (self.args[0], literal(sep, str), {})) if expand == Lit(True) else None
+        ),
+        ("split", "rename"): lambda self, columns: (
+            None if self.args[2] else Ref("split", (*self.args[:2], literal(columns, dict)))
+        ),
+    }.items()
+}

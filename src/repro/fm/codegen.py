@@ -12,8 +12,8 @@ simulated operator selector), e.g. ``"bucketization[age_insurance]: Age
 grouped into standard insurance bands"`` — mirroring how the paper reuses
 the operator description as the feature description.
 
-The source is the only emission: the FeaturePlan compiler
-(:mod:`repro.serve.compiler`) lifts the serving expression from the
+The source is the only emission: fit's lifter
+(:mod:`repro.dataframe.lift`) lifts the serving expression from the
 accepted source itself, never from the tag, so a real provider's untagged
 code compiles the same way.
 """

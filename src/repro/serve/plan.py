@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.dataframe.dictionary import ColumnDictionaries
-from repro.dataframe.expr import ExprError, evaluate_feature, validate_expr
+from repro.dataframe.expr import ExprError, evaluate_feature, group_tables, validate_expr
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
 from repro.records import from_record, to_record, write_json_atomic
@@ -505,16 +505,8 @@ class FeaturePlan:
 
     def _group_lookup_nodes(self) -> list[dict]:
         """Every frozen ``group_lookup`` node across compiled features."""
-        from repro.dataframe.expr import _walk
-
-        nodes = []
-        for spec in self.features:
-            if spec.status != "compiled" or not spec.expr:
-                continue
-            for node in _walk(spec.expr):
-                if isinstance(node, dict) and node.get("op") == "group_lookup":
-                    nodes.append(node)
-        return nodes
+        compiled = [spec.expr for spec in self.features if spec.status == "compiled" and spec.expr]
+        return [node for expr in compiled for node in group_tables(expr)]
 
     @staticmethod
     def _install(spec: FeatureSpec, out: Any, working: DataFrame) -> None:

@@ -34,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.dataframe.expr import vocabularies
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.io import is_number_cell
 from repro.dataframe.series import Series
@@ -468,34 +469,17 @@ def validate_rows(
 def plan_known_categories(plan) -> dict[str, set]:
     """Category vocabularies the plan froze, per input column.
 
-    Derived from ``dummies`` / ``dict_map`` / ``group_lookup`` nodes —
-    the forms whose fit-time statistics enumerate the values they saw.
-    A serve-time value outside the set is not an error (the kernels all
-    have an unseen-value path), but a surge of them is drift worth
-    flagging.
+    Derived from the ops whose fit-time statistics enumerate the values
+    they saw (:func:`~repro.dataframe.expr.vocabularies`).  A serve-time
+    value outside the set is not an error (the kernels all have an
+    unseen-value path), but a surge of them is drift worth flagging.
     """
     out: dict[str, set] = {}
     for spec in plan.features:
         if spec.status != "compiled" or spec.expr is None:
             continue
-        stack = [spec.expr]
-        while stack:
-            node = stack.pop()
-            if not isinstance(node, dict):
-                continue
-            op = node.get("op")
-            if op == "dummies":
-                out.setdefault(node["column"], set()).update(node["categories"])
-            elif op == "dict_map":
-                out.setdefault(node["column"], set()).update(node["keys"])
-            elif op == "group_lookup":
-                for j, key in enumerate(node["keys"]):
-                    out.setdefault(key, set()).update(
-                        row[j] for row in node.get("table", [])
-                    )
-            for child in node.values():
-                if isinstance(child, dict):
-                    stack.append(child)
+        for column, values in vocabularies(spec.expr):
+            out.setdefault(column, set()).update(values)
     return out
 
 

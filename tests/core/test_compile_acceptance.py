@@ -19,8 +19,9 @@ from repro.core.parsing import extract_code
 from repro.core.sandbox import TransformError
 from repro.core.types import FeatureCandidate, OperatorFamily
 from repro.dataframe import DataFrame
+from repro.dataframe.expr import Unliftable
+from repro.dataframe.lift import lift_source
 from repro.fm import ScriptedFM
-from repro.serve.compiler import Unliftable, lift_source
 
 GOOD_CODE = "```python\ndef transform(df):\n    return df['Age'] * 2\n```"
 

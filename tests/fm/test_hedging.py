@@ -108,24 +108,52 @@ def test_policy_validation():
 class SlowFirstTransport(Transport):
     """First send of each prompt stalls; the duplicate answers fast.
 
-    Deterministic tail injection: the race's winner is always the
-    shadow, so hedge accounting is exactly predictable.
+    Deterministic tail injection.  By default the stall is a sleep of
+    *stall_s*.  Given *races_won* (the executor's ``hedges_won``), the
+    stall instead waits until the prompt's duplicate has landed and the
+    executor has decided every race whose duplicate landed, so the
+    shadow wins each race however the threads are scheduled (the
+    generous *timeout_s* only bounds a broken run).
     """
 
-    def __init__(self, stall_s: float = 0.3, fast_s: float = 0.005) -> None:
+    def __init__(
+        self,
+        stall_s: float = 0.3,
+        fast_s: float = 0.005,
+        races_won=None,
+        timeout_s: float = 30.0,
+    ) -> None:
         self.stall_s = stall_s
         self.fast_s = fast_s
-        self._seen: set[str] = set()
+        self.races_won = races_won
+        self.timeout_s = timeout_s
+        self._landed: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self.n_sends = 0
+        self.n_landed = 0
 
     def send(self, request: TransportRequest) -> TransportResponse:
         with self._lock:
             self.n_sends += 1
-            first = request.prompt not in self._seen
-            self._seen.add(request.prompt)
-        latency = self.stall_s if first else self.fast_s
-        time.sleep(latency)
+            first = request.prompt not in self._landed
+            landed = self._landed.setdefault(request.prompt, threading.Event())
+        if not first:
+            time.sleep(self.fast_s)
+            with self._lock:
+                self.n_landed += 1
+            landed.set()
+            latency = self.fast_s
+        elif self.races_won is None:
+            time.sleep(self.stall_s)
+            latency = self.stall_s
+        else:
+            deadline = time.monotonic() + self.timeout_s
+            landed.wait(self.timeout_s)
+            # Races won are read before duplicates landed: once they
+            # match, this prompt's race is among those decided.
+            while self.races_won() < self.n_landed and time.monotonic() < deadline:
+                time.sleep(0.001)
+            latency = self.stall_s
         return TransportResponse(
             status=200, text=f"echo:{request.prompt}", latency_s=latency
         )
@@ -145,7 +173,8 @@ HEDGE_NOW = HedgePolicy(initial_delay_s=0.02, min_observations=10_000)
 def test_shadow_wins_the_tail_race(make_executor):
     executor = make_executor()
     try:
-        client = TransportFMClient(SlowFirstTransport())
+        transport = SlowFirstTransport(races_won=lambda: executor.stats.hedges_won)
+        client = TransportFMClient(transport)
         requests = [FMRequest(f"p{i}") for i in range(4)]
         results = executor.run(client, requests)
         assert [r.unwrap().text for r in results] == [f"echo:p{i}" for i in range(4)]

@@ -17,7 +17,7 @@ from repro.eval.serving import (
     sandbox_replay,
 )
 from repro.serve import FeaturePlan, compile_plan, frames_identical, series_identical
-from repro.serve.compiler import lift_source
+from repro.dataframe.lift import lift_source
 
 
 def feature(name, columns, description, source, outputs=None, family=OperatorFamily.UNARY):

@@ -15,6 +15,7 @@ Two contracts:
 """
 
 import dataclasses
+import inspect
 import re
 
 import pytest
@@ -23,6 +24,8 @@ from repro.core.function_generator import realize_source
 from repro.core.pipeline import SmartFeatResult
 from repro.core.sandbox import TransformError, run_transform
 from repro.core.types import GeneratedFeature, OperatorFamily
+from repro.dataframe.expr import Unliftable
+from repro.dataframe.lift import lift_source
 from repro.dataframe.series import Series
 from repro.eval.serving import (
     ALL_DATASETS,
@@ -31,7 +34,6 @@ from repro.eval.serving import (
     make_serving_frame,
 )
 from repro.serve import compile_plan, series_identical
-from repro.serve.compiler import Unliftable, lift_source
 
 _TAG = re.compile(r"^[A-Za-z_]+(\[[^\]]*\])*:\s*")
 
@@ -230,6 +232,22 @@ class TestRewriteCorpus:
     def test_corpus_is_large_enough(self):
         assert len(CORPUS) >= 20
         assert len({name for name, _ in CORPUS}) == len(CORPUS)
+
+    def test_lifting_never_builds_a_signature(self, monkeypatch):
+        """Every form's signature is built once, at import."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inspect.signature called while lifting")
+
+        monkeypatch.setattr(inspect, "signature", forbidden)
+        rejected = {}
+        for name, source in CORPUS:
+            try:
+                lift_source(source)
+            except Unliftable as exc:  # a lift failure would land here too
+                rejected[name] = str(exc)
+        assert len(CORPUS) == 31
+        assert sorted(rejected) == sorted(UNLIFTABLE), rejected
 
     def test_compiled_share(self, corpus_plans):
         statuses = {name: plan.features[0].status for name, (plan, _) in corpus_plans.items()}
