@@ -466,15 +466,22 @@ def _cmd_plan_apply(args) -> int:
     The unchunked apply is the one-shard case (``sys.maxsize`` rows), as
     ``read_csv`` is of ``read_csv_shards``.  ``--chunk-rows N`` streams N
     rows at a time, never holding more than one chunk plus its featured
-    output, and a one-pass schema scan pins every chunk to the whole-file
-    column dtypes.  ``--out`` is written chunk by chunk (header once).  A
-    feature's output dtype can still depend on the chunk (``str_len`` is
-    int64 without missing text, float64 with it), so chunked ``--out`` is
-    not always byte-identical to the unchunked one.
+    output.  The CSV is read once: every chunk decodes against the plan's
+    pinned input kinds (``FeaturePlan.csv_schema``), the columns it does
+    not read pass through as text, and a cell that breaks its kind fails
+    naming the file's first such row.  A v2 plan pins no CSV kinds, so
+    its chunked apply scans the file for them first
+    (``io.scan_csv_kinds``).  ``--out`` is written chunk by chunk (header
+    once) to a temporary file beside it, moved into place once every
+    chunk is written: a failure leaves no partial file.  A feature's
+    output dtype can still depend on the chunk (``str_len`` is int64
+    without missing text, float64 with it), so chunked ``--out`` is not
+    always byte-identical to the unchunked one.
     """
     from itertools import chain
 
     from repro.dataframe import io
+    from repro.records import replaced_atomically
     from repro.serve import FeaturePlan, FeatureServer, PlanError, PlanRegistry
 
     if bool(args.plan) == bool(args.registry):
@@ -483,6 +490,20 @@ def _cmd_plan_apply(args) -> int:
         raise SystemExit("--registry needs --name")
     if args.chunk_rows is not None and args.chunk_rows < 1:
         raise SystemExit("--chunk-rows must be >= 1")
+
+    def read_shards(shards):
+        """*shards*, with a read error reported as a message."""
+        while True:
+            try:
+                shard = next(shards, None)
+            except io.CsvKindError as exc:
+                raise SystemExit(f"plan apply failed: {exc}")
+            except ValueError as exc:  # e.g. a duplicated header name
+                raise SystemExit(f"cannot read CSV: {exc}")
+            if shard is None:
+                return
+            yield shard
+
     try:
         server = FeatureServer(
             plan=FeaturePlan.load(args.plan) if args.plan else None,
@@ -493,18 +514,23 @@ def _cmd_plan_apply(args) -> int:
             breaker_threshold=args.breaker_threshold,
         )
         plan = server.plan_for()
-        schema = _read_or_exit(io.scan_csv_kinds, args.csv) if args.chunk_rows else None
-        shards = io.read_csv_shards(args.csv, args.chunk_rows or sys.maxsize, schema=schema)
-        # Any read error surfaces here: by the first shard, the schema scan
-        # (chunked) or the one shard (unchunked) has read the whole file.
-        first = _read_or_exit(next, shards, None)
+        schema = plan.csv_schema()
+        if schema is None and args.chunk_rows:  # a v2 plan
+            schema = _read_or_exit(io.scan_csv_kinds, args.csv)
+        shards = read_shards(
+            io.read_csv_shards(args.csv, args.chunk_rows or sys.maxsize, schema=schema)
+        )
+        first = next(shards, None)
         if first is None:
             raise SystemExit(f"plan apply failed: {args.csv} has no data rows")
-        for n_chunks, featured in enumerate(
-            server.transform_stream(chain([first], shards)), start=1
-        ):
-            if args.out:
-                io.to_csv(featured, args.out, append=n_chunks > 1)
+        chunks = enumerate(server.transform_stream(chain([first], shards)), start=1)
+        if args.out:
+            with replaced_atomically(args.out) as partial:
+                for n_chunks, featured in chunks:
+                    io.to_csv(featured, partial, append=n_chunks > 1)
+        else:
+            for n_chunks, featured in chunks:
+                pass
     except PlanError as exc:
         raise SystemExit(f"plan apply failed: {exc}")
     chunking = f" in {n_chunks} chunks of <= {args.chunk_rows}" if args.chunk_rows else ""

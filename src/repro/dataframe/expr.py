@@ -11,9 +11,10 @@ serves the same frozen nodes, so replay is value- and dtype-identical to
 
 Each op and each source form is declared once, here:
 
-* :data:`OPS` maps an op name to its :class:`Op`: the node's fields and
-  child slots, the columns it reads, and either a serve kernel or a
-  fit-time freeze.  **Frozen** ops (``col``/``add``/``cut``/``dict_map``/
+* :data:`OPS` maps an op name to its :class:`Op`: the node's fields
+  (with the JSON kind of each name or list field) and child slots, the
+  columns it reads, and either a serve kernel or a fit-time freeze.
+  **Frozen** ops (``col``/``add``/``cut``/``dict_map``/
   ``group_lookup`` …) have a kernel: they are pure data — column
   references, constants, frozen fit-time statistics — and are what a
   plan holds.  **Fit** ops (``fit_mean``/``fit_qcut``/``fit_group_table``
@@ -71,6 +72,7 @@ import inspect
 import operator
 import threading
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from itertools import repeat
 from typing import Any, Callable
 
@@ -123,6 +125,10 @@ def _op(node: dict) -> "Op":
     return spec
 
 
+#: The JSON name of each declared field kind (see :class:`Op`).
+_JSON_KINDS = {str: "string", list: "list"}
+
+
 def _walk(node: dict):
     yield node
     for slot in _op(node).children:
@@ -131,8 +137,9 @@ def _walk(node: dict):
 
 def validate_expr(node: Any) -> None:
     """Raise :class:`ExprError` unless *node* is a well-formed frozen tree:
-    known frozen ops only, each node holding its op's declared fields and
-    an expression node in each child slot."""
+    known frozen ops only, each node holding its op's declared fields, a
+    name or list field of its declared JSON kind, and an expression node
+    in each child slot."""
     if not isinstance(node, dict) or "op" not in node:
         raise ExprError(f"expression node must be a dict with an 'op' key, got {node!r}")
     spec, op = _op(node), node["op"]
@@ -144,6 +151,12 @@ def validate_expr(node: Any) -> None:
     for field in (*spec.fields, *spec.children):
         if field not in node:
             raise ExprError(f"{op!r} node lacks its {field!r} field")
+    for field, kind in spec.fields.items():
+        if kind is not None and not isinstance(node[field], kind):
+            raise ExprError(
+                f"{op!r} node's {field!r} field must be a {_JSON_KINDS[kind]}, "
+                f"got {node[field]!r}"
+            )
     for slot in spec.children:
         child = node[slot]
         if not isinstance(child, dict) or "op" not in child:
@@ -808,7 +821,9 @@ def fit_feature(template: dict, frame) -> tuple[dict, Series | dict[str, Series]
 class Op:
     """One IR op of :data:`OPS`."""
 
-    fields: tuple[str, ...] = ()  # every node holds these ...
+    #: Every node holds these fields, each of its JSON kind: ``str`` (a
+    #: name), ``list`` (an array) or ``None`` (any value) ...
+    fields: dict[str, type | None] = dataclass_field(default_factory=dict)
     children: tuple[str, ...] = ()  # ... and these child expressions
     reads: tuple[str, ...] = ("column",)  # fields naming the columns read
     kernel: Callable | None = None  # frozen op: (node, frame, dictionaries)
@@ -828,8 +843,8 @@ def _listed(field: str) -> Callable:
 #: read with defaults.
 OPS: dict[str, Op] = {
     # Frozen ops: what a plan holds.
-    "col": Op(("name",), reads=("name",), kernel=lambda n, f, d: _col(f, n["name"])),
-    "const": Op(("value",), yields="scalar", kernel=lambda n, f, d: n["value"]),
+    "col": Op({"name": str}, reads=("name",), kernel=lambda n, f, d: _col(f, n["name"])),
+    "const": Op({"value": None}, yields="scalar", kernel=lambda n, f, d: n["value"]),
     "add": Op(children=("left", "right"), kernel=_arith(operator.add)),
     "sub": Op(children=("left", "right"), kernel=_arith(operator.sub)),
     "mul": Op(children=("left", "right"), kernel=_arith(operator.mul)),
@@ -838,28 +853,36 @@ OPS: dict[str, Op] = {
     "clip": Op(
         children=("arg",), kernel=lambda n, f, d: _arg(n, f, d).clip(n.get("lower"), n.get("upper"))
     ),
-    "ufunc": Op(("fn",), ("arg",), kernel=_eval_ufunc),
+    "ufunc": Op({"fn": str}, ("arg",), kernel=_eval_ufunc),
     "where_nonzero": Op(
         children=("arg",), kernel=lambda n, f, d: (a := _arg(n, f, d)).where(a != 0)
     ),
-    "isna_int": Op(("column",), kernel=lambda n, f, d: _col(f, n["column"]).isna().astype(int)),
-    "cut": Op(("column", "edges"), kernel=_eval_cut),
-    "qcut_collapsed": Op(("column",), kernel=_eval_qcut_collapsed),
+    "isna_int": Op({"column": str}, kernel=lambda n, f, d: _col(f, n["column"]).isna().astype(int)),
+    "cut": Op({"column": str, "edges": list}, kernel=_eval_cut),
+    "qcut_collapsed": Op({"column": str}, kernel=_eval_qcut_collapsed),
     "dict_map": Op(
-        ("column", "keys", "values"), kernel=_eval_dict_map, vocabulary=_listed("keys")
+        {"column": str, "keys": list, "values": list},
+        kernel=_eval_dict_map,
+        vocabulary=_listed("keys"),
     ),
-    "fillna": Op(("value",), ("arg",), kernel=lambda n, f, d: _arg(n, f, d).fillna(n["value"])),
-    "str_len": Op(("column",), kernel=_eval_str_len),
-    "date_split": Op(("column", "outputs"), kernel=_eval_date_split, yields="columns"),
+    "fillna": Op(
+        {"value": None}, ("arg",), kernel=lambda n, f, d: _arg(n, f, d).fillna(n["value"])
+    ),
+    "str_len": Op({"column": str}, kernel=_eval_str_len),
+    "date_split": Op({"column": str, "outputs": list}, kernel=_eval_date_split, yields="columns"),
     "dummies": Op(
-        ("column", "categories", "names"),
+        {"column": str, "categories": list, "names": list},
         kernel=_eval_dummies,
         yields="columns",
         vocabulary=_listed("categories"),
     ),
-    "split_parts": Op(("column", "sep", "outputs"), kernel=_eval_split_parts, yields="columns"),
+    "split_parts": Op(
+        {"column": str, "sep": str, "outputs": list},
+        kernel=_eval_split_parts,
+        yields="columns",
+    ),
     "group_lookup": Op(
-        ("keys", "agg", "table", "value_kind"),
+        {"keys": list, "agg": str, "table": list, "value_kind": str},
         reads=("keys", "agg_col"),
         kernel=_eval_group_lookup,
         vocabulary=lambda n: [
@@ -867,17 +890,22 @@ OPS: dict[str, Op] = {
         ],
     ),
     # Fit ops: lifted templates only.
-    **{f"fit_{s}": Op(("column",), freeze=_freeze_stat(s)) for s in ("mean", "std", "min", "max")},
+    **{
+        f"fit_{s}": Op({"column": str}, freeze=_freeze_stat(s))
+        for s in ("mean", "std", "min", "max")
+    },
     "fit_or": Op(children=("left", "right"), freeze=_freeze_or),
-    "fit_qcut": Op(("column", "q", "labels"), freeze=_freeze_qcut),
-    "fit_categories": Op(("column", "prefix"), freeze=_freeze_categories),
+    "fit_qcut": Op({"column": str, "q": None, "labels": None}, freeze=_freeze_qcut),
+    "fit_categories": Op({"column": str, "prefix": str}, freeze=_freeze_categories),
     "fit_group_table": Op(
-        ("keys", "agg_col", "agg"),
+        {"keys": list, "agg_col": None, "agg": str},
         reads=("keys", "agg_col"),
         freeze=lambda n, f: _group_table(n, f)[0],
         fit=_fit_group_table,
     ),
-    "fit_split_outputs": Op(("column", "sep", "rename"), freeze=_freeze_split_outputs),
+    "fit_split_outputs": Op(
+        {"column": str, "sep": str, "rename": None}, freeze=_freeze_split_outputs
+    ),
 }
 
 

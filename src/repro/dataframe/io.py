@@ -25,12 +25,21 @@ per cell.
   interpreter's ``int_max_str_digits`` (:func:`_parse_int`).
 * **Decode** (:func:`_decode_block`).  Each block decodes by its
   column's kind: ints through ``int``, floats through ``float(text)``
-  with empty cells as NaN (so a float column pinned by a caller's
-  schema reads an over-long int text as ``±inf``), a verbatim string
-  block straight into an object array (its column then knows its cell
-  types, ``str`` and ``None`` for an empty cell: see
-  ``Series.cell_types``), anything else through :func:`_parse_cell` and
-  Series list coercion.
+  with empty cells as NaN (so a float column reads an int text past a
+  float's range as ``±inf``), a verbatim string block straight into an
+  object array (its column then knows its cell types, ``str`` and
+  ``None`` for an empty cell: see ``Series.cell_types``), anything else
+  through :func:`_parse_cell` and Series list coercion.
+* **Pin** (:func:`_decode_pinned`).  A column whose kind a caller's
+  schema pins (a fitted plan's input kinds) decodes every block to that
+  kind, and admits a block exactly when the kind's floor and the block's
+  flags still name the kind.  An int or float block is tested by one
+  character-class match over its joined text and the decode's own
+  ``int``/``float`` call, which within that class accept exactly the
+  strict grammar; the classifier runs only for a block that fails it.
+  A cell the kind does not admit raises :class:`CsvKindError` naming
+  the file's first such row.  A column the schema does not name is kept
+  as its text, without parsing.
 * **Write** (:func:`to_csv`).  Each numeric or bool column block is
   formatted without a sort where the block shows one is not needed (an
   int block through a table of its value range, a float block of
@@ -51,10 +60,10 @@ provides the streaming primitives the sharded fit/serve paths build on:
 * :class:`Shard` — a bounded, contiguous row window of a larger table;
 * :func:`iter_frame_shards` / :func:`read_csv_shards` — shard streams over
   an in-memory frame (zero-copy views) or a CSV file (bounded buffers);
-* :func:`scan_csv_kinds` — a cheap schema pass naming each column's
+* :func:`scan_csv_kinds` — a schema pass naming each column's
   :func:`~repro.dataframe.kernels.coercion_kind`, so every CSV shard
   decodes to the whole-file dtypes (cell values bit-identical to
-  ``read_csv``);
+  ``read_csv``) when no fitted plan pins them;
 * :func:`concat_shards` — re-joins per-shard results under Series
   list-coercion semantics, the package-wide dtype authority, so a
   shard-wise pipeline lands on exactly the frame the in-memory path
@@ -90,6 +99,7 @@ from repro.dataframe.kernels import (
 from repro.dataframe.series import Series
 
 __all__ = [
+    "CsvKindError",
     "Shard",
     "concat_shards",
     "is_number_cell",
@@ -434,6 +444,8 @@ def _int_flags(cells: tuple[str, ...]) -> _Seen:
     too long for int64 is parsed, and one past ``_INT_MAX_DIGITS``
     digits is a string (:func:`_parse_int`)."""
     flags = _Seen.NUMBER
+    if max(map(len, cells)) <= _INT64_SAFE_LEN:
+        return flags
     for value in map(_parse_int, [text for text in cells if len(text) > _INT64_SAFE_LEN]):
         if type(value) is str:
             return _Seen.OBJECT
@@ -478,7 +490,8 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozen
     Equal to ``coerce_typed([_parse_cell(c) for c in cells], kind)``
     for every block the classifier gives *kind*.  A float column reads
     each cell through ``float(text)``, so an int text too long for a
-    float reads as ``±inf``, as ``"1e400"`` does.
+    float reads as ``±inf``, as ``"1e400"`` does.  The kind ``"text"``
+    keeps every cell as its text, an empty cell as ``None``.
     """
     if kind == "int":
         return _decode_numbers(cells, int, np.int64), None
@@ -492,7 +505,7 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozen
         return np.fromiter(map("True".__eq__, cells), bool, len(cells)), None
     if kind == "bool_missing":
         return np.array(list(map(_BOOL_CELLS.__getitem__, cells)), dtype=object), None
-    if _verbatim(cells):
+    if kind == "text" or _verbatim(cells):
         values = np.array(cells, dtype=object)
         if "" not in cells:
             return values, PLAIN_STR
@@ -511,6 +524,80 @@ def _decode_numbers(cells: tuple[str, ...], parse, dtype) -> np.ndarray:
         texts = map(_NUMBER_WORDS.get, cells, cells)
         parse = _parse_int if parse is int else parse
         return np.fromiter(map(parse, texts), dtype, len(cells))
+
+
+#: The fewest flags of each coercion kind (its floor): a column pinned to
+#: a kind admits a block exactly when the floor and the block's flags
+#: together still name that kind.
+_FLOOR = {
+    "int": _Seen.PRESENT | _Seen.NUMBER,
+    "float": _Seen.PRESENT | _Seen.NUMBER | _Seen.FLOAT,
+    "bool": _Seen.PRESENT,
+    "bool_missing": _Seen.PRESENT | _Seen.MISSING,
+    "empty": _Seen.NONE,
+    "object": _Seen.OBJECT,
+}
+#: The characters a pinned int or float block's joined text may hold for
+#: the decode's own ``int``/``float`` call to be its test: within them,
+#: the call accepts exactly the strict grammar (neither strips whitespace
+#: nor reads ``_``, ``nan`` or ``inf`` here).
+_NUMBER_CHARS = {
+    "int": re.compile(r"[0-9+\-\n]*\Z"),
+    "float": re.compile(r"[0-9+\-.eE\n]*\Z"),
+}
+
+
+class CsvKindError(ValueError):
+    """A CSV cell that its column's pinned kind does not admit: a blank
+    or ``1.5`` in an int column, text in a float column …  Names the
+    column, the kind and the 1-based data row (the header is row 0)."""
+
+    def __init__(self, path, column: str, kind: str, row: int, cell: str) -> None:
+        super().__init__(
+            f"{path}: column {column!r} is pinned {kind}, but data row {row} holds {cell!r}"
+        )
+        self.column, self.kind, self.row, self.cell = column, kind, row, cell
+
+
+def _decode_pinned(
+    cells: tuple[str, ...], kind: str
+) -> tuple[np.ndarray, frozenset | None] | None:
+    """One block of a column pinned to *kind* (a coercion kind, or
+    ``"text"``), decoded as :func:`_decode_block` does; ``None`` when a
+    cell breaks the kind.
+
+    An int or float block whose text holds only :data:`_NUMBER_CHARS`,
+    one cell per line, is tested by decoding it: the ``int``/``float``
+    parse accepts it exactly when the strict grammar does.  A block that
+    fails that test, or of another kind, is classified
+    (:func:`_block_flags`) and admitted when the kind's floor and its
+    flags name the kind; an object column admits every block.
+    """
+    chars = _NUMBER_CHARS.get(kind)
+    if chars is not None:
+        joined = "\n".join(cells)
+        # A cell past _INT_MAX_DIGITS is a string, however float reads it.
+        if (
+            chars.match(joined)
+            and joined.count("\n") == len(cells) - 1
+            and (kind == "int" or max(map(len, cells)) <= _INT_MAX_DIGITS)
+        ):
+            try:
+                return _decode_block(cells, kind)
+            except (ValueError, OverflowError):  # a blank int, "1.2.3", past int64
+                pass
+    if kind in ("text", "object") or _kind(_FLOOR[kind] | _block_flags(cells)) == kind:
+        return _decode_block(cells, kind)
+    return None
+
+
+def _first_break(cells: tuple[str, ...], kind: str) -> int:
+    """The offset of the first cell of a block that breaks its pinned
+    *kind* (each kind's floor is broken by a single cell's flags)."""
+    floor = _FLOOR[kind]
+    return next(
+        (i for i, cell in enumerate(cells) if _kind(floor | _block_flags((cell,))) != kind), 0
+    )
 
 
 def _column_blocks(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
@@ -544,7 +631,7 @@ def scan_csv_kinds(path: str | Path) -> dict[str, str]:
 def read_csv_shards(
     path: str | Path,
     chunk_rows: int,
-    schema: dict[str, str] | None = None,
+    schema: dict[str, str | None] | None = None,
 ) -> Iterator[Shard]:
     """Stream a headered CSV as :class:`Shard`\\ s of ≤ *chunk_rows* rows.
 
@@ -554,12 +641,18 @@ def read_csv_shards(
     block by its kind.  A short row's missing cells read as missing,
     extra cells are ignored, and a blank line is an all-missing row.
 
-    With *schema* (from :func:`scan_csv_kinds`) every shard decodes to
-    the whole-file dtypes, so each shard is bit-identical to the matching
-    row slice of ``read_csv(path)`` regardless of where the boundaries
-    fall.  Without a schema each shard classifies its own blocks —
-    cheaper (no scan pass), but downstream consumers must tolerate dtype
-    drift between shards (:func:`concat_shards` re-coerces).
+    Without a schema each shard classifies its own blocks, so
+    downstream consumers must tolerate dtype drift between shards
+    (:func:`concat_shards` re-coerces).  A *schema* pins each column it
+    names to a coercion kind, and every shard decodes to it wherever the
+    boundaries fall; a cell the kind does not admit raises
+    :class:`CsvKindError` naming the file's first such cell (the lowest
+    row, then the leftmost column), whatever the chunking.  A column the
+    schema maps to ``None`` classifies its own blocks per shard, and a
+    column it does not name is kept as text (``"text"``: a present cell
+    is its ``str``, an empty one ``None``).  The kinds of
+    :func:`scan_csv_kinds` admit every cell, so with them each shard is
+    bit-identical to the matching row slice of ``read_csv(path)``.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -574,31 +667,51 @@ def read_csv_shards(
             blocks.append(_column_blocks(rows, len(header)))
             filled += len(rows)
             if filled == chunk_rows:
-                yield Shard(_csv_shard_frame(header, blocks, schema), index, start)
+                yield Shard(_csv_shard_frame(path, header, blocks, schema, start), index, start)
                 start += filled
                 index += 1
                 filled = 0
                 blocks = []
         if filled:
-            yield Shard(_csv_shard_frame(header, blocks, schema), index, start)
+            yield Shard(_csv_shard_frame(path, header, blocks, schema, start), index, start)
 
 
 def _csv_shard_frame(
+    path: str | Path,
     header: list[str],
     blocks: list[list[tuple[str, ...]]],
-    schema: dict[str, str] | None,
+    schema: dict[str, str | None] | None,
+    start: int,
 ) -> DataFrame:
+    """One shard's columns, decoded block by block (see
+    :func:`read_csv_shards`); *start* is the shard's first data row."""
     out = DataFrame()
+    breaks = []  # (row, column index, cell) of each column's first break
     for i, name in enumerate(header):
         column = [block[i] for block in blocks]
-        if schema is None:
+        kind = None if schema is None else schema.get(name, "text")
+        if kind is None:
             kind = _kind(reduce(_see, column, _Seen.NONE))
+            decoded = [_decode_block(cells, kind) for cells in column]
         else:
-            kind = schema.get(name, "object")
-        arrays, types = zip(*(_decode_block(cells, kind) for cells in column))
+            decoded = []
+            for cells in column:
+                block = _decode_pinned(cells, kind)
+                if block is None:
+                    offset = start + sum(map(len, column[: len(decoded)]))
+                    at = _first_break(cells, kind)
+                    breaks.append((offset + at, i, cells[at]))
+                    break
+                decoded.append(block)
+            if breaks:  # the shard fails: later columns are decoded for their breaks
+                continue
+        arrays, types = zip(*decoded)
         values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         known = None if None in types else frozenset().union(*types)
         out._columns[name] = Series._from_array(values, name, known)
+    if breaks:
+        row, i, cell = min(breaks)
+        raise CsvKindError(path, header[i], schema[header[i]], row + 1, cell)
     return out
 
 

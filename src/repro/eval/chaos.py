@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.sandbox import TransformError
 from repro.dataframe.series import Series
+from repro.serve.plan import coarse_kind
 
 __all__ = ["CHAOS_MODES", "ChaosSchedule", "FaultInjector", "hostile_rows"]
 
@@ -114,7 +115,8 @@ def hostile_rows(
     """A seeded batch of row dicts laced with hostile values.
 
     Each cell is, with probability *hostility*, replaced by an attack
-    drawn from the column kind's repertoire: inf/NaN/numeric strings/
+    drawn from the repertoire of the column's coarse kind (see
+    :func:`~repro.serve.plan.coarse_kind`): inf/NaN/numeric strings/
     nested values for numerics, 0/1/None/strings for bools, oversized or
     surrogate (non-UTF-8-encodable) strings and nested values for
     objects.  Whole-row attacks (non-mapping rows, missing keys) are
@@ -147,7 +149,8 @@ def hostile_rows(
             rows.append("not a mapping at all")
             continue
         row: dict[str, Any] = {}
-        for name, kind in input_schema:
+        for name, pinned in input_schema:
+            kind = coarse_kind(pinned)
             if rng.random() < hostility / 4:
                 continue  # missing key
             if rng.random() < hostility:

@@ -5,10 +5,11 @@ declaration order (enums by value, tuples as lists, numpy scalars as
 Python scalars, nested records recursively), skipping fields declared
 with ``metadata=NOT_RECORDED``.  :func:`from_record` rebuilds an object
 from that data by its field annotations; :func:`assign_record` writes it
-onto an existing object in place.  :func:`write_json_atomic` is the one
-safe-write policy: a per-writer temp file in the target's directory, then
-``os.replace``, so a reader or a kill mid-write only ever sees a whole
-file (no ``fsync``: it guards against a dying process, not power loss).
+onto an existing object in place.  :func:`replaced_atomically` is the
+one safe-write policy (:func:`write_json_atomic` writes through it): a
+per-writer temp file in the target's directory, then ``os.replace``, so
+a reader or a kill mid-write only ever sees a whole file (no ``fsync``:
+it guards against a dying process, not power loss).
 Standard library and numpy only, so every layer can import it.
 """
 
@@ -21,11 +22,20 @@ import os
 import threading
 import types
 import typing
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["NOT_RECORDED", "assign_record", "from_record", "to_record", "write_json_atomic"]
+__all__ = [
+    "NOT_RECORDED",
+    "assign_record",
+    "from_record",
+    "replaced_atomically",
+    "to_record",
+    "write_json_atomic",
+]
 
 #: Dataclass field metadata marking a field that is not part of the record.
 NOT_RECORDED = {"record": False}
@@ -107,12 +117,21 @@ def assign_record(obj, data: dict) -> None:
 
 def write_json_atomic(path: str | os.PathLike, text: str) -> None:
     """Replace *path* with *text* atomically, creating parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with replaced_atomically(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+
+
+@contextmanager
+def replaced_atomically(path: str | os.PathLike) -> Iterator[Path]:
+    """A temporary path beside *path*, moved onto it when the block exits
+    cleanly and removed when it raises: *path* is never seen half
+    written, and an existing file stays as it was on failure."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # Unique per writer: concurrent writes to one path never share a temp.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -17,7 +17,9 @@ from repro.serve.plan import (
     PlanNotFoundError,
     PlanSchemaError,
     PlanVersionError,
+    coarse_kind,
     column_kind,
+    csv_kind,
     schema_fingerprint,
 )
 from repro.serve.registry import PlanRegistry
@@ -55,8 +57,10 @@ __all__ = [
     "ServeReport",
     "ServerStats",
     "ValidationLimits",
+    "coarse_kind",
     "column_kind",
     "compile_plan",
+    "csv_kind",
     "frames_identical",
     "schema_fingerprint",
     "series_identical",

@@ -6,7 +6,8 @@ Fit freezes and evaluates every accepted feature itself
 :func:`compile_plan` is assembly, not verification: it collects each
 feature's frozen expression into a spec, records the input schema, and
 omits a feature that has none or reads a column that is neither an
-input nor an earlier feature's output.
+input nor an earlier feature's output.  Each input column is pinned to
+its CSV kind (:func:`~repro.serve.plan.csv_kind`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.dataframe import kernels as _kernels
 from repro.dataframe.expr import expr_columns
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
-from repro.serve.plan import FeaturePlan, FeatureSpec, column_kind
+from repro.serve.plan import FeaturePlan, FeatureSpec, column_kind, csv_kind
 
 __all__ = ["compile_plan", "frames_identical", "series_identical"]
 
@@ -75,7 +76,7 @@ def compile_plan(
     """
     input_columns = frame.columns
     input_schema = [
-        (name, column_kind(frame[name])) for name in input_columns if name != target
+        (name, csv_kind(frame[name])) for name in input_columns if name != target
     ]
     available = set(input_columns)
     specs: list[FeatureSpec] = []

@@ -8,6 +8,16 @@ fingerprint and a schema version: loading validates both, so a plan can
 never be silently replayed against the wrong table shape or by a reader
 that does not understand its encoding.
 
+Input kinds: a v3 plan pins each input column to a CSV coercion kind
+(:data:`CSV_KINDS`; fit records ``int``, ``float``, ``bool`` or
+``object``, see :func:`csv_kind`).  ``plan apply`` decodes a CSV against
+those kinds in one pass (:meth:`FeaturePlan.csv_schema`), and a cell
+that breaks one fails naming its column and row.  An in-memory batch is
+checked only by each kind's coarse kind (:func:`coarse_kind`), so a
+float ``Age`` where fit saw int still serves.  A v2 plan recorded the
+coarse kinds alone; it loads as v2, and ``plan apply`` scans the CSV for
+its kinds as before.
+
 Replay cost: each plan instance also holds runtime-only column
 dictionaries (:class:`~repro.dataframe.dictionary.ColumnDictionaries`; not
 serialized, not fingerprinted, not compared).  A served batch looks each
@@ -31,12 +41,19 @@ from typing import Any
 import numpy as np
 
 from repro.dataframe.dictionary import ColumnDictionaries
-from repro.dataframe.expr import ExprError, evaluate_feature, group_tables, validate_expr
+from repro.dataframe.expr import (
+    ExprError,
+    evaluate_feature,
+    expr_columns,
+    group_tables,
+    validate_expr,
+)
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
 from repro.records import from_record, to_record, write_json_atomic
 
 __all__ = [
+    "CSV_KINDS",
     "PLAN_SCHEMA_VERSION",
     "FeaturePlan",
     "FeatureSpec",
@@ -44,13 +61,30 @@ __all__ = [
     "PlanNotFoundError",
     "PlanSchemaError",
     "PlanVersionError",
+    "coarse_kind",
     "column_kind",
+    "csv_kind",
     "schema_fingerprint",
 ]
 
 #: Current plan encoding version.  Bump when the serialized shape changes;
-#: readers migrate older versions explicitly and refuse newer ones.
-PLAN_SCHEMA_VERSION = 2
+#: readers migrate older versions explicitly and refuse newer ones.  v3
+#: pins each input column's CSV kind; a v2 plan, the same shape with
+#: coarse kinds, loads as itself.
+PLAN_SCHEMA_VERSION = 3
+
+#: Each input kind of a v3 plan (``kernels.coercion_kind``'s names) and
+#: the coarse kind an in-memory batch is checked against.
+CSV_KINDS = {
+    "int": "numeric",
+    "float": "numeric",
+    "bool": "bool",
+    "bool_missing": "object",
+    "empty": "object",
+    "object": "object",
+}
+#: The input kinds of a v2 plan: :func:`column_kind`'s.
+_COARSE_KINDS = ("numeric", "bool", "object")
 
 
 class PlanError(Exception):
@@ -82,6 +116,28 @@ def column_kind(series: Series) -> str:
     if kind == "b":
         return "bool"
     return "object"
+
+
+def csv_kind(series: Series) -> str:
+    """The CSV kind a v3 plan pins for an input column: the
+    ``coercion_kind`` name whose :data:`CSV_KINDS` coarse kind is the
+    column's :func:`column_kind`.  Every object column is ``object``: a
+    CSV column of kind ``bool_missing`` or ``empty`` decodes to the same
+    cells under ``object``, so telling them apart would cost a type pass
+    over the column and change no decoded value.
+    """
+    kind = series.dtype.kind
+    if kind == "i":
+        return "int"
+    if kind == "f":
+        return "float"
+    return "bool" if kind == "b" else "object"
+
+
+def coarse_kind(kind: str) -> str:
+    """The coarse kind (:func:`column_kind`'s) of a plan's input kind,
+    whatever the plan's version."""
+    return CSV_KINDS.get(kind, kind)
 
 
 def schema_fingerprint(input_schema: list[tuple[str, str]]) -> str:
@@ -181,7 +237,8 @@ class FeaturePlan:
         ``(column, expected kind, problem)`` — empty when the frame
         conforms (the target column is optional at serve time)."""
         problems = []
-        for name, kind in self.input_schema:
+        for name, pinned in self.input_schema:
+            kind = coarse_kind(pinned)
             if name not in frame:
                 problems.append(
                     (name, kind, f"missing column {name!r} (expected kind {kind})")
@@ -343,6 +400,24 @@ class FeaturePlan:
             working,
             lambda: evaluate_feature(spec.expr, working, self._dictionaries),
         )
+
+    def csv_schema(self) -> dict[str, str | None] | None:
+        """The kinds :func:`~repro.dataframe.io.read_csv_shards` decodes
+        a CSV by for this plan: each input column's pinned kind, ``None``
+        (its own cells' kind) for an unpinned column a feature reads (the
+        target), and text for every other column.  ``None`` for a v2
+        plan, whose kinds do not say int or float."""
+        if self.schema_version < 3:
+            return None
+        reads = {
+            name
+            for spec in self.features
+            if spec.status == "compiled"
+            for name in expr_columns(spec.expr)
+        }
+        schema: dict[str, str | None] = {c: None for c in self.input_columns if c in reads}
+        schema.update(self.input_schema)
+        return schema
 
     # ------------------------------------------------------------------
     # Out-of-core streaming
@@ -561,7 +636,7 @@ class FeaturePlan:
                 f"plan schema_version {version} is newer than the supported "
                 f"version {PLAN_SCHEMA_VERSION}; upgrade the reader"
             )
-        while version < PLAN_SCHEMA_VERSION:
+        while version not in _INPUT_KINDS:
             migrate = _MIGRATIONS.get(version)
             if migrate is None:
                 raise PlanVersionError(
@@ -577,12 +652,18 @@ class FeaturePlan:
                 target=data["target"],
                 features=[FeatureSpec.from_dict(f) for f in data["features"]],
                 drop_columns=list(data.get("drop_columns", [])),
-                schema_version=PLAN_SCHEMA_VERSION,
+                schema_version=version,
                 fingerprint="",
                 metadata=dict(data.get("metadata", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanSchemaError(f"malformed plan payload: {exc!r}") from exc
+        for name, kind in plan.input_schema:
+            if kind not in _INPUT_KINDS[version]:
+                raise PlanSchemaError(
+                    f"input column {name!r} has kind {kind!r}, which a v{version} "
+                    f"plan does not name (expected one of {_INPUT_KINDS[version]})"
+                )
         stored = data.get("fingerprint", "")
         if stored and stored != plan.fingerprint:
             raise PlanSchemaError(
@@ -664,3 +745,6 @@ def _migrate_v1(data: dict) -> dict:
 
 
 _MIGRATIONS = {1: _migrate_v1}
+#: The input kinds of each version read as it is: v2 and v3 share one
+#: shape, so a v2 plan keeps its version and its coarse kinds.
+_INPUT_KINDS = {2: _COARSE_KINDS, 3: tuple(CSV_KINDS)}

@@ -39,7 +39,7 @@ from repro.dataframe.frame import DataFrame
 from repro.dataframe.io import is_number_cell
 from repro.dataframe.series import Series
 from repro.records import to_record
-from repro.serve.plan import PlanError
+from repro.serve.plan import PlanError, coarse_kind
 
 __all__ = [
     "FAILURE_POLICIES",
@@ -349,7 +349,7 @@ def validate_rows(
     report = QuarantineReport(total_rows=len(rows))
     if not rows:
         raise BatchValidationError("empty batch: no rows to transform")
-    schema = plan.input_schema
+    schema = [(name, coarse_kind(kind)) for name, kind in plan.input_schema]
     kept: list[int] = []
     columns: dict[str, list] = {name: [] for name, _ in schema}
 

@@ -293,14 +293,21 @@ class TestOverlongIntCell:
         assert back["g"].tolist() == [float("inf"), 2.0]
         assert scan_csv_kinds(path) == {"i": "object", "n": "object", "m": "object", "g": "float"}
 
-    def test_a_float_column_pinned_by_schema_reads_inf(self, tmp_path):
+    def test_a_float_column_pinned_by_schema_refuses_it(self, tmp_path):
+        """Being a string cell, it breaks a pinned float kind, while an
+        int text of at most 4300 digits past a float's range reads as
+        ``±inf`` there, as ``read_csv`` reads it."""
+        wide = "1" * 400
         path = tmp_path / "t.csv"
-        path.write_text(f"f\n1.5\n{self.BIG}\n-{self.BIG}\n")
+        path.write_text(f"f\n1.5\n{wide}\n-{wide}\n")
+        big = tmp_path / "big.csv"
+        big.write_text(f"f\n1.5\n{wide}\n{self.BIG}\n")
         for chunk_rows in (1, 2, sys.maxsize):
-            shards = read_csv_shards(path, chunk_rows, {"f": "float"})
-            values = concat_shards(shards)["f"]
+            values = concat_shards(read_csv_shards(path, chunk_rows, {"f": "float"}))["f"]
             assert values.values.dtype == np.float64
             assert values.tolist() == [1.5, float("inf"), float("-inf")]
+            with pytest.raises(io.CsvKindError, match="'f' is pinned float, but data row 3"):
+                list(read_csv_shards(big, chunk_rows, {"f": "float"}))
 
     @pytest.fixture
     def mixed_path(self, tmp_path):

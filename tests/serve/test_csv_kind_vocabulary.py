@@ -1,63 +1,83 @@
-"""The CSV scan's kind vocabulary against the plan's input-schema kinds.
+"""The CSV scan's kind vocabulary against the plan's input kinds.
 
-``dataframe.io.scan_csv_kinds`` names six kinds; a FeaturePlan pins each
-input column to one of three coarse kinds (``serve.plan.column_kind``).
-Decoding a CSV against a plan's pinned schema needs the two to agree, so
-each scan kind is written as a one-column CSV, read back with the
-scanned kinds, and the decoded column's plan kind is pinned here.
+``dataframe.io.scan_csv_kinds`` names six kinds, and a v3 FeaturePlan
+pins each input column to one of the same six (``serve.plan.CSV_KINDS``),
+checking an in-memory batch only by the pinned kind's coarse kind
+(``serve.plan.coarse_kind``).  Each scan kind is written here as a
+one-column CSV and decoded pinned to that kind; the decoded column must
+equal ``read_csv``'s, carry the pinned kind's coarse kind (so a pinned
+decode always passes the plan's batch check), and be pinned back to the
+kind ``compile_plan`` records for it (``serve.plan.csv_kind``).
 
-Two kinds do not map onto the plan kind of the same name, and are pinned
-as named cases:
+Two kinds are not what ``compile_plan`` records for their decoded
+column, and are pinned as named cases:
 
 * ``bool_missing`` decodes to an object column (``True``/``None``/
-  ``False``), whose plan kind is ``object`` — a plan that pinned ``bool``
-  cannot take a batch with a missing boolean cell;
+  ``False``), which a plan pins as ``object``;
 * ``empty`` (no present value) decodes to an object column of ``None``,
-  so an all-missing chunk of a numeric column reads as ``object``.
+  pinned as ``object`` too.
+
+An ``object`` pin decodes either one's cells to the same values.
 """
 
 import pytest
 
 from repro.dataframe.io import concat_shards, read_csv, read_csv_shards, scan_csv_kinds
-from repro.serve.plan import column_kind
+from repro.serve import coarse_kind, column_kind, csv_kind, series_identical
+from repro.serve.plan import CSV_KINDS
 
-#: scan kind → (cells of a one-column CSV, plan kind of the decoded column)
+#: scan kind → (cells of a one-column CSV, kind a plan pins for the decoded column)
 AGREEING = {
     "bool": (["True", "False", "True"], "bool"),
-    "int": (["1", "-2", "3"], "numeric"),
-    "float": (["1.5", "2", ""], "numeric"),
+    "int": (["1", "-2", "3"], "int"),
+    "float": (["1.5", "2", ""], "float"),
     "object": (["a", "1", ""], "object"),
 }
 DISAGREEING = {
     "bool_missing": (["True", "", "False"], "object"),
     "empty": (["", "", ""], "object"),
 }
+CASES = {**AGREEING, **DISAGREEING}
 
 
-def _decode(tmp_path, cells):
+def _decode(tmp_path, cells, pinned):
     path = tmp_path / "one_column.csv"
     path.write_text("c\n" + "\n".join(cells) + "\n")
-    kinds = scan_csv_kinds(path)
-    column = concat_shards(read_csv_shards(path, 2, schema=kinds))["c"]
-    return kinds["c"], column, read_csv(path)["c"]
+    column = concat_shards(read_csv_shards(path, 2, schema={"c": pinned}))["c"]
+    return scan_csv_kinds(path)["c"], column, read_csv(path)["c"]
 
 
-@pytest.mark.parametrize("kind", sorted({**AGREEING, **DISAGREEING}))
-def test_scanned_kind_decodes_to_its_plan_kind(tmp_path, kind):
-    cells, plan_kind = {**AGREEING, **DISAGREEING}[kind]
-    scanned, column, whole_file = _decode(tmp_path, cells)
+def test_the_cases_cover_every_plan_kind():
+    assert set(CASES) == set(CSV_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_pinned_decode_keeps_the_kinds_coarse_kind(tmp_path, kind):
+    cells, recorded = CASES[kind]
+    scanned, column, whole_file = _decode(tmp_path, cells, kind)
     assert scanned == kind
-    assert column_kind(column) == plan_kind
-    assert column.dtype == whole_file.dtype
+    assert series_identical(column, whole_file)
+    assert column_kind(column) == coarse_kind(kind)
+    assert csv_kind(column) == recorded
+    assert coarse_kind(recorded) == coarse_kind(kind)
+
+
+@pytest.mark.parametrize("kind", sorted(DISAGREEING))
+def test_an_object_pin_decodes_the_cells_alike(tmp_path, kind):
+    cells, _ = DISAGREEING[kind]
+    _, pinned, _ = _decode(tmp_path, cells, kind)
+    _, as_object, _ = _decode(tmp_path, cells, "object")
+    assert as_object.dtype == pinned.dtype
+    assert as_object.tolist() == pinned.tolist()
 
 
 def test_bool_with_missing_cells_is_not_a_bool_column(tmp_path):
-    _, column, _ = _decode(tmp_path, DISAGREEING["bool_missing"][0])
+    _, column, _ = _decode(tmp_path, DISAGREEING["bool_missing"][0], "bool_missing")
     assert column.tolist() == [True, None, False]
     assert column_kind(column) != "bool"
 
 
 def test_all_missing_column_is_not_numeric(tmp_path):
-    _, column, _ = _decode(tmp_path, DISAGREEING["empty"][0])
+    _, column, _ = _decode(tmp_path, DISAGREEING["empty"][0], "empty")
     assert column.tolist() == [None, None, None]
     assert column_kind(column) != "numeric"

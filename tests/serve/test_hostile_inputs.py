@@ -17,6 +17,7 @@ from repro.serve import (
     FeatureServer,
     PlanError,
     ValidationLimits,
+    coarse_kind,
     compile_plan,
     validate_rows,
 )
@@ -72,7 +73,7 @@ class TestInconsistentKeySets:
         plan, frame = plan_and_frame
         complete = _good_row(frame, 0)
         partial = dict(complete)
-        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        numeric_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "numeric")
         del partial[numeric_col]
         out, report = degrade_server.transform_with_report([complete, partial])
         assert len(out) == 2  # both rows served
@@ -91,7 +92,7 @@ class TestHostileValues:
     def test_none_in_numeric_column_becomes_nan(self, plan_and_frame, degrade_server):
         plan, frame = plan_and_frame
         row = _good_row(frame, 0)
-        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        numeric_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "numeric")
         row[numeric_col] = None
         out, _report = degrade_server.transform_with_report([row])
         assert np.isnan(out[numeric_col].values[0])
@@ -109,7 +110,7 @@ class TestHostileValues:
     def test_inf_is_patched_to_nan_not_served(self, plan_and_frame, degrade_server):
         plan, frame = plan_and_frame
         row = _good_row(frame, 0)
-        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        numeric_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "numeric")
         row[numeric_col] = float("inf")
         out, report = degrade_server.transform_with_report([row])
         assert np.isnan(out[numeric_col].values[0])
@@ -120,7 +121,7 @@ class TestHostileValues:
     ):
         plan, frame = plan_and_frame
         row = _good_row(frame, 0)
-        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        numeric_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "numeric")
         row[numeric_col] = "definitely-not-a-number"
         with pytest.raises(BatchValidationError, match="no rows survived"):
             degrade_server.transform([row])
@@ -134,7 +135,7 @@ class TestHostileValues:
         plan, frame = plan_and_frame
         good = _good_row(frame, 0)
         bad = dict(good)
-        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        numeric_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "numeric")
         bad[numeric_col] = text
         out, report = degrade_server.transform_with_report([good, bad])
         assert len(out) == 1
@@ -146,7 +147,7 @@ class TestHostileValues:
     def test_numeric_string_is_patched(self, plan_and_frame, degrade_server, text, value):
         plan, frame = plan_and_frame
         row = _good_row(frame, 0)
-        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        numeric_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "numeric")
         row[numeric_col] = text
         out, report = degrade_server.transform_with_report([row])
         assert out[numeric_col].values[0] == value
@@ -156,7 +157,7 @@ class TestHostileValues:
         plan, frame = plan_and_frame
         good = _good_row(frame, 0)
         bad = dict(good)
-        object_col = next(n for n, k in plan.input_schema if k == "object")
+        object_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "object")
         bad[object_col] = "lone surrogate: \ud800"
         out, report = degrade_server.transform_with_report([good, bad])
         assert len(out) == 1
@@ -171,7 +172,7 @@ class TestHostileValues:
         )
         good = _good_row(frame, 0)
         bad = dict(good)
-        object_col = next(n for n, k in plan.input_schema if k == "object")
+        object_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "object")
         bad[object_col] = "x" * 65
         out, report = server.transform_with_report([good, bad])
         assert len(out) == 1
@@ -194,7 +195,7 @@ class TestHostileValues:
 class TestFloodAndDriftWarnings:
     def test_nan_flood_flagged_not_fatal(self, plan_and_frame, degrade_server):
         plan, frame = plan_and_frame
-        numeric_col = next(n for n, k in plan.input_schema if k == "numeric")
+        numeric_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "numeric")
         rows = []
         for i in range(10):
             row = _good_row(frame, i)

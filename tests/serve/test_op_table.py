@@ -3,7 +3,8 @@
 * Each source form's declared signature is the pandas-facade method's
   (names, order, defaults), so the lifter binds a call exactly as the
   sandbox and the CAAFE baseline run it.
-* A plan node missing a field its op declares, or holding something
+* A plan node missing a field its op declares, holding a name or list
+  field of another JSON kind than the op declares, or holding something
   other than an expression node in a child slot, fails at load with a
   :class:`PlanSchemaError` naming the feature, the op and the field —
   through ``from_json``, ``FeaturePlan.load`` and the registry alike.
@@ -158,6 +159,35 @@ def test_node_missing_a_declared_field_fails_at_load(op, field, loader, tmp_path
     assert repr(op) in message and repr(field) in message
 
 
+#: A value of the wrong JSON kind for each declared kind.
+WRONG_KIND = {str: ["a"], list: "05"}
+KIND_CASES = [
+    (op, field)
+    for op in sorted(DEMO_NODES)
+    for field, kind in OPS[op].fields.items()
+    if kind is not None
+]
+
+
+def test_every_name_and_list_field_declares_its_kind():
+    assert ("cut", "edges") in KIND_CASES and ("group_lookup", "keys") in KIND_CASES
+    for op in (spec for spec in OPS.values() if spec.kernel):  # what a plan holds
+        for field in set(op.reads) & set(op.fields):
+            assert op.fields[field] in (str, list), field
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("op, field", KIND_CASES)
+def test_a_field_of_the_wrong_kind_fails_at_load(op, field, loader, tmp_path):
+    plan = copy.deepcopy(DEMO_PLAN)
+    feature, node = _node_at(plan, op)
+    node[field] = WRONG_KIND[OPS[op].fields[field]]
+    with pytest.raises(PlanSchemaError) as excinfo:
+        LOADERS[loader](plan, tmp_path)
+    message = str(excinfo.value)
+    assert f"feature {feature!r}: {op!r} node's {field!r} field must be a" in message
+
+
 @pytest.mark.parametrize("loader", sorted(LOADERS))
 def test_child_slot_holding_a_scalar_fails_at_load(loader, tmp_path):
     plan = copy.deepcopy(DEMO_PLAN)
@@ -175,6 +205,13 @@ def test_child_slot_holding_a_scalar_fails_at_load(loader, tmp_path):
         ({"op": "clip", "lower": 0}, "'arg'"),
         ({"op": "dummies", "column": "c", "categories": ["x"]}, "'names'"),
         ({"op": "fillna", "arg": {"op": "col"}, "value": 0}, "'col' node lacks its 'name'"),
+        ({"op": "cut", "column": "c", "edges": "05"}, "'cut' node's 'edges' field must be a list"),
+        (
+            {"op": "group_lookup", "keys": "g", "agg": "mean", "table": [], "value_kind": "f8"},
+            "'group_lookup' node's 'keys' field must be a list",
+        ),
+        ({"op": "col", "name": 3}, "'col' node's 'name' field must be a string"),
+        ({"op": "split_parts", "column": "c", "sep": None, "outputs": []}, "'sep'"),
     ],
 )
 def test_validate_expr_names_the_op_and_field(node, reason):

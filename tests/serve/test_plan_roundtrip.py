@@ -20,8 +20,10 @@ from repro.serve import (
     PlanRegistry,
     PlanSchemaError,
     PlanVersionError,
+    coarse_kind,
     compile_plan,
     frames_identical,
+    schema_fingerprint,
     series_identical,
 )
 
@@ -84,16 +86,19 @@ class TestVersioning:
             FeaturePlan.from_dict(payload)
 
     def test_v1_payload_migrates(self):
-        """A simulated pre-release v1 plan (flat ``columns`` mapping, no
-        fingerprint) migrates to the current shape and replays."""
+        """A simulated pre-release v1 plan (flat ``columns`` mapping of
+        coarse kinds, no fingerprint) migrates to the current shape and
+        replays.  Its kinds stay coarse, so it is a v2 plan."""
         plan, result, frame = demo_plan()
         payload = plan.to_dict()
         payload["schema_version"] = 1
-        payload["columns"] = {name: kind for name, kind in payload.pop("input_schema")}
+        coarse = [(name, coarse_kind(kind)) for name, kind in payload.pop("input_schema")]
+        payload["columns"] = dict(coarse)
         payload.pop("fingerprint")
         migrated = FeaturePlan.from_dict(payload)
-        assert migrated.schema_version == PLAN_SCHEMA_VERSION
-        assert migrated.fingerprint == plan.fingerprint
+        assert migrated.schema_version == 2
+        assert migrated.input_schema == coarse
+        assert migrated.fingerprint == schema_fingerprint(coarse)
         identical, detail = frames_identical(migrated.apply(frame), result.frame)
         assert identical, detail
 
@@ -249,7 +254,9 @@ class TestPlansFromBeforeFallbackRemoval:
         fresh = _fresh_plan(frame)
         assert fresh.counts() == {"compiled": 2, "omitted": 0}
         loaded = _loader(route, OLD_V2_PLAN, tmp_path)()
-        assert loaded.schema_version == PLAN_SCHEMA_VERSION
+        # Its kinds are coarse: it stays a v2 plan and pins no CSV kinds.
+        assert loaded.schema_version == 2
+        assert loaded.csv_schema() is None
         assert loaded.to_dict()["features"] == fresh.to_dict()["features"]
         identical, detail = frames_identical(loaded.apply(frame), fresh.apply(frame))
         assert identical, detail

@@ -360,10 +360,10 @@ class TestPlanCommands:
 
     @pytest.mark.parametrize("chunk", [[], ["--chunk-rows", "7"]], ids=["whole", "chunked"])
     def test_apply_int_past_int64_exits_before_writing(self, tmp_path, chunk):
-        """An ``age`` cell outside int64 reads as an exact Python int, so
-        the column is object and fails the plan's schema check by name,
-        in both modes and before any ``--out`` byte is written (the
-        chunked scan sees the late cell before the first chunk)."""
+        """An ``age`` cell outside int64 breaks the column's pinned int
+        kind: the apply fails naming the column and the row, in both
+        modes, and no ``--out`` file is left (chunks are written to a
+        temporary file that only a whole apply moves into place)."""
         source = tmp_path / "data.csv"
         self._write_csv(source)
         plan_path = tmp_path / "plan.json"
@@ -374,7 +374,8 @@ class TestPlanCommands:
         wide.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out.csv"
         argv = ["plan", "apply", "--plan", str(plan_path), "--csv", str(wide)]
-        with pytest.raises(SystemExit, match="plan apply failed.*'age' has kind object"):
+        message = "plan apply failed: .*column 'age' is pinned int, but data row 60 holds"
+        with pytest.raises(SystemExit, match=message):
             main(argv + ["--out", str(out), *chunk])
         assert not out.exists()
 
