@@ -22,8 +22,10 @@ column of the smoke tables, the fit's generated features included.
 Each compared op runs both the retained loop reference and the vectorized
 path, asserts the outputs match (exact dtypes and missingness; float
 accumulations within a few ulp — summation order differs), and records
-the speedup of the medians of :data:`OP_REPEATS` cold timings per side
-(each on fresh Series, so no grouping or encoding is cached).  ``python benchmarks/bench_dataplane.py`` runs standalone
+the median of :data:`OP_REPEATS` per-pair speedups: each pair times the
+reference and then the vectorized path back to back on one set of fresh
+Series (so no grouping or encoding is cached), so a pair's ratio sees
+one speed phase of the machine.  ``python benchmarks/bench_dataplane.py`` runs standalone
 and writes ``BENCH_dataplane.json`` at the repo root;  ``--smoke`` runs a
 small row count and only the equivalence assertions (the CI regression
 gate).  The full run stamps ``cpu_count``, the Python and numpy versions
@@ -62,9 +64,10 @@ SMOKE_ROW_COUNTS = (2_000,)
 #: between runs, so the file records their median and spread.
 FIT_REPEATS = 5
 
-#: Cold timings per side of each compared op: one cold groupby at 1e5
-#: rows spreads 7-10 ms between runs, so the speedup (and its 10x gate)
-#: compares medians.
+#: Cold pairs of each compared op.  One cold groupby at 1e5 rows spreads
+#: 7-10 ms between runs, and the reference loop drifts with the machine's
+#: speed phases, so the speedup (and its 10x gate) is the median of the
+#: pairs' ratios, not a ratio of medians taken at different times.
 OP_REPEATS = 5
 
 
@@ -80,12 +83,18 @@ def _fresh(frame: DataFrame) -> DataFrame:
 
 
 def _median_cell(bench, frame: DataFrame) -> dict:
-    """Median reference and vectorized seconds of :data:`OP_REPEATS` cold runs."""
+    """Median reference and vectorized seconds of :data:`OP_REPEATS` cold
+    pairs, each pair's speedup, and the median of those speedups."""
     cells = [bench(_fresh(frame)) for _ in range(OP_REPEATS)]
+    ratios = [cell["reference_s"] / cell["vectorized_s"] for cell in cells]
     return {
-        side: statistics.median(cell[side] for cell in cells)
+        side: round(statistics.median(cell[side] for cell in cells), 4)
         for side in ("reference_s", "vectorized_s")
-    } | {"repeats": OP_REPEATS}
+    } | {
+        "repeats": OP_REPEATS,
+        "pair_speedups": [round(ratio, 2) for ratio in ratios],
+        "speedup": round(statistics.median(ratios), 2),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -235,9 +244,6 @@ def run(row_counts=ROW_COUNTS, fit_transform_rows=ROW_COUNTS, seed: int = 0) -> 
         frame = make_synthetic_frame(n_rows, seed=seed)
         for op, bench in COMPARED_OPS.items():
             cell = _median_cell(bench, frame)
-            cell["speedup"] = round(cell["reference_s"] / cell["vectorized_s"], 2)
-            cell["reference_s"] = round(cell["reference_s"], 4)
-            cell["vectorized_s"] = round(cell["vectorized_s"], 4)
             payload["ops"].setdefault(op, {})[str(n_rows)] = cell
             print(
                 f"{op:>20} @ {n_rows:>9,} rows: "

@@ -469,9 +469,13 @@ def _cmd_plan_apply(args) -> int:
     output.  The CSV is read once: every chunk decodes against the plan's
     pinned input kinds (``FeaturePlan.csv_schema``), the columns it does
     not read pass through as text, and a cell that breaks its kind fails
-    naming the file's first such row.  A v2 plan pins no CSV kinds, so
-    its chunked apply scans the file for them first
-    (``io.scan_csv_kinds``).  ``--out`` is written chunk by chunk (header
+    naming the file's first such row.  Every pinned input column keeps
+    the text it was read from, so ``--out`` writes each of its cells as
+    read (``1e400``, ``007`` and ``1.50`` stay as they are) and re-applies
+    under the same plan.  A v2 plan pins no CSV kinds, so its chunked
+    apply scans the file for them first (``io.scan_csv_kinds``) and, as
+    its unchunked apply, writes every column as decoded, byte for byte as
+    the v2 reader did.  ``--out`` is written chunk by chunk (header
     once) to a temporary file beside it, moved into place once every
     chunk is written: a failure leaves no partial file.  A feature's
     output dtype can still depend on the chunk (``str_len`` is int64
@@ -514,11 +518,14 @@ def _cmd_plan_apply(args) -> int:
             breaker_threshold=args.breaker_threshold,
         )
         plan = server.plan_for()
-        schema = plan.csv_schema()
-        if schema is None and args.chunk_rows:  # a v2 plan
+        schema, keep_text = plan.csv_schema(), True
+        if schema is None and args.chunk_rows:  # a v2 plan: written as decoded
             schema = _read_or_exit(io.scan_csv_kinds, args.csv)
+            keep_text = False
         shards = read_shards(
-            io.read_csv_shards(args.csv, args.chunk_rows or sys.maxsize, schema=schema)
+            io.read_csv_shards(
+                args.csv, args.chunk_rows or sys.maxsize, schema=schema, keep_text=keep_text
+            )
         )
         first = next(shards, None)
         if first is None:

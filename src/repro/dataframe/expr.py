@@ -73,7 +73,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Callable
 
 import numpy as np
@@ -735,6 +735,10 @@ def _unboxed(values: np.ndarray) -> list:
     return list(map(_unbox, cells)) if values.dtype == object else cells
 
 
+#: Key cell types that are never NaN and never need unboxing.
+_PLAIN_KEYS = frozenset({str, int, bool, type(None)})
+
+
 def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> list[bool]:
     """Replace a frozen ``group_lookup`` table in place from per-group values.
 
@@ -751,11 +755,18 @@ def refreeze_group_table(node: dict, labels: list, per: np.ndarray) -> list[bool
     node["value_kind"] = (
         "int64" if kind in "iu" else "float64" if kind == "f" else "object"
     )
-    parts = [[label] for label in labels] if len(node["keys"]) == 1 else labels
+    single = len(node["keys"]) == 1
+    values = _unboxed(per)
+    if set(map(type, labels if single else chain.from_iterable(labels))) <= _PLAIN_KEYS:
+        # No key can be NaN or needs unboxing: every group gets its row.
+        pairs = zip(labels, values)
+        node["table"] = list(map(list, pairs)) if single else [[*k, v] for k, v in pairs]
+        return [True] * len(labels)
+    parts = [[label] for label in labels] if single else labels
     kept = [not any(p != p and _kernels.is_missing_scalar(p) for p in key) for key in parts]
     node["table"] = [
         [*map(_unbox, key), value]
-        for key, value, keep in zip(parts, _unboxed(per), kept)
+        for key, value, keep in zip(parts, values, kept)
         if keep
     ]
     return kept

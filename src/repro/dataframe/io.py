@@ -39,8 +39,17 @@ per cell.
   strict grammar; the classifier runs only for a block that fails it.
   A cell the kind does not admit raises :class:`CsvKindError` naming
   the file's first such row.  A column the schema does not name is kept
-  as its text, without parsing.
-* **Write** (:func:`to_csv`).  Each numeric or bool column block is
+  as its text, without parsing.  A pinned int or float column also keeps
+  each block's joined text (the string the test matched, about a byte
+  per character, not a ``str`` per cell), and a pinned object column the
+  cells of each block that are not all strings, on the decoded Series
+  (``Series._csv_text``), so every pinned cell is written as it was read.
+* **Write** (:func:`to_csv`).  A column block that carries its read
+  text is written from it: a number block's joined text split at its
+  line breaks, with no ``repr`` round trip (``1e400`` stays ``1e400``,
+  not ``inf``).  A column whose known cell types are plain ``str`` (or
+  ``str`` and ``None``) is written from its cells with no per-cell type
+  test.  Each other numeric or bool column block is
   formatted without a sort where the block shows one is not needed (an
   int block through a table of its value range, a float block of
   distinct values cell by cell), else once per distinct value
@@ -247,26 +256,51 @@ def to_csv(
     Bytes are the excel dialect's, as ``csv.writer`` would write them
     (the header still goes through it): ``\\r\\n`` line ends and
     QUOTE_MINIMAL quoting.  The rows are formatted and joined here, one
-    block of ``_BLOCK_ROWS`` rows at a time (:func:`_csv_cells`), so a
-    write never holds more than one block's text.
+    block of ``_BLOCK_ROWS`` rows at a time (:func:`_block_cells`), so a
+    write never holds more than one block's text.  A column that still
+    carries the text a pinned decode read it from writes that text.
 
     ``append=True`` adds rows to an existing file; *header* defaults to
     ``not append`` so a shard stream writes the header exactly once
     (first shard ``append=False``, the rest ``append=True``).
     """
     write_header = (not append) if header is None else header
-    arrays = [frame[name].values for name in frame.columns]
+    columns = [frame[name] for name in frame.columns]
     mode = "a" if append else "w"
     with open(path, mode, newline="", encoding="utf-8") as handle:
         if write_header:
             csv.writer(handle).writerow(frame.columns)
-        for start in range(0, len(frame), _BLOCK_ROWS):
-            columns = [_csv_cells(values[start : start + _BLOCK_ROWS]) for values in arrays]
-            if len(columns) == 1:  # a lone empty field must not read as a blank line
-                rows = [cell or '""' for cell in columns[0]]
+        for block, start in enumerate(range(0, len(frame), _BLOCK_ROWS)):
+            cells = [_block_cells(series, block, start) for series in columns]
+            if len(cells) == 1:  # a lone empty field must not read as a blank line
+                rows = [cell or '""' for cell in cells[0]]
             else:
-                rows = map(",".join, zip(*columns))
+                rows = map(",".join, zip(*cells))
             handle.write("\r\n".join(rows) + "\r\n")
+
+
+def _block_cells(series: Series, block: int, start: int) -> list[str]:
+    """The CSV cells of block *block* (rows from *start*) of a column.
+
+    A block with its read text (``Series._csv_text``) is written from
+    it: a joined number block split at its line breaks, an object
+    block's cell texts quoted.  A column whose known cell types are
+    plain ``str``, or ``str`` and ``None``, is written from its cells
+    with no per-cell type test; any other block goes to :func:`_csv_cells`.
+    """
+    text = series._csv_text()
+    read = None if text is None else text[block]
+    if type(read) is str:
+        return read.split("\n")
+    if read is not None:
+        return _quoted(list(read))
+    cells = series.values[start : start + _BLOCK_ROWS]
+    types = series._known_types()
+    if types is not None and types <= STR_OR_NONE:
+        if types <= PLAIN_STR:
+            return _quoted(cells.tolist())
+        return _quoted(["" if cell is None else cell for cell in cells.tolist()])
+    return _csv_cells(cells)
 
 
 #: Leading cells of a float block that, all distinct, mark it as not
@@ -561,10 +595,10 @@ class CsvKindError(ValueError):
 
 def _decode_pinned(
     cells: tuple[str, ...], kind: str
-) -> tuple[np.ndarray, frozenset | None] | None:
+) -> tuple[np.ndarray, frozenset | None, str | tuple[str, ...] | None] | None:
     """One block of a column pinned to *kind* (a coercion kind, or
-    ``"text"``), decoded as :func:`_decode_block` does; ``None`` when a
-    cell breaks the kind.
+    ``"text"``), decoded as :func:`_decode_block` does, with the block's
+    text (see ``Series._csv_text``); ``None`` when a cell breaks the kind.
 
     An int or float block whose text holds only :data:`_NUMBER_CHARS`,
     one cell per line, is tested by decoding it: the ``int``/``float``
@@ -572,22 +606,31 @@ def _decode_pinned(
     fails that test, or of another kind, is classified
     (:func:`_block_flags`) and admitted when the kind's floor and its
     flags name the kind; an object column admits every block.
+
+    The text of an int or float block is the joined string the test
+    matched (an admitted number block has no cell holding a line break);
+    an object block whose cells are not all strings keeps its cells; any
+    other block's values are its text, and it keeps none.
     """
     chars = _NUMBER_CHARS.get(kind)
+    text = None
     if chars is not None:
-        joined = "\n".join(cells)
+        text = "\n".join(cells)
         # A cell past _INT_MAX_DIGITS is a string, however float reads it.
         if (
-            chars.match(joined)
-            and joined.count("\n") == len(cells) - 1
+            chars.match(text)
+            and text.count("\n") == len(cells) - 1
             and (kind == "int" or max(map(len, cells)) <= _INT_MAX_DIGITS)
         ):
             try:
-                return _decode_block(cells, kind)
+                return (*_decode_block(cells, kind), text)
             except (ValueError, OverflowError):  # a blank int, "1.2.3", past int64
                 pass
     if kind in ("text", "object") or _kind(_FLOOR[kind] | _block_flags(cells)) == kind:
-        return _decode_block(cells, kind)
+        values, types = _decode_block(cells, kind)
+        if kind == "object" and not (types is not None and types <= STR_OR_NONE):
+            text = cells
+        return values, types, text
     return None
 
 
@@ -632,6 +675,8 @@ def read_csv_shards(
     path: str | Path,
     chunk_rows: int,
     schema: dict[str, str | None] | None = None,
+    *,
+    keep_text: bool = True,
 ) -> Iterator[Shard]:
     """Stream a headered CSV as :class:`Shard`\\ s of ≤ *chunk_rows* rows.
 
@@ -653,6 +698,13 @@ def read_csv_shards(
     is its ``str``, an empty one ``None``).  The kinds of
     :func:`scan_csv_kinds` admit every cell, so with them each shard is
     bit-identical to the matching row slice of ``read_csv(path)``.
+
+    A pinned int or float column keeps each block's text, and a pinned
+    object column the text of each block whose cells are not all strings
+    (``Series._csv_text``), so :func:`to_csv` writes every pinned cell as
+    it was read: ``1e400`` stays ``1e400``, where its value writes
+    ``inf``, which the same pin refuses.  ``keep_text=False`` keeps none,
+    and a column then writes as its values do.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -667,13 +719,15 @@ def read_csv_shards(
             blocks.append(_column_blocks(rows, len(header)))
             filled += len(rows)
             if filled == chunk_rows:
-                yield Shard(_csv_shard_frame(path, header, blocks, schema, start), index, start)
+                frame = _csv_shard_frame(path, header, blocks, schema, start, keep_text)
+                yield Shard(frame, index, start)
                 start += filled
                 index += 1
                 filled = 0
                 blocks = []
         if filled:
-            yield Shard(_csv_shard_frame(path, header, blocks, schema, start), index, start)
+            frame = _csv_shard_frame(path, header, blocks, schema, start, keep_text)
+            yield Shard(frame, index, start)
 
 
 def _csv_shard_frame(
@@ -682,6 +736,7 @@ def _csv_shard_frame(
     blocks: list[list[tuple[str, ...]]],
     schema: dict[str, str | None] | None,
     start: int,
+    keep_text: bool,
 ) -> DataFrame:
     """One shard's columns, decoded block by block (see
     :func:`read_csv_shards`); *start* is the shard's first data row."""
@@ -692,7 +747,7 @@ def _csv_shard_frame(
         kind = None if schema is None else schema.get(name, "text")
         if kind is None:
             kind = _kind(reduce(_see, column, _Seen.NONE))
-            decoded = [_decode_block(cells, kind) for cells in column]
+            decoded = [(*_decode_block(cells, kind), None) for cells in column]
         else:
             decoded = []
             for cells in column:
@@ -705,10 +760,12 @@ def _csv_shard_frame(
                 decoded.append(block)
             if breaks:  # the shard fails: later columns are decoded for their breaks
                 continue
-        arrays, types = zip(*decoded)
+        arrays, types, texts = zip(*decoded)
         values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         known = None if None in types else frozenset().union(*types)
-        out._columns[name] = Series._from_array(values, name, known)
+        if not keep_text or texts.count(None) == len(texts):
+            texts = None
+        out._columns[name] = Series._from_array(values, name, known, texts)
     if breaks:
         row, i, cell = min(breaks)
         raise CsvKindError(path, header[i], schema[header[i]], row + 1, cell)

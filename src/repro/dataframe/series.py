@@ -10,11 +10,12 @@ Columns are copy-on-write.  :meth:`Series.rename`, :meth:`Series.copy`,
 copying it, and mark it read-only; the derived-data caches
 (:meth:`Series.encoding`, :meth:`Series.grouping`, the column-dictionary
 codes and the :meth:`Series.cell_types` summary) travel with it, and
-with a pickle.  A slice, a row selection and a frame shard keep a
-one-type summary, since their cells are of that type too.
-:meth:`Series.__setitem__` copies a read-only buffer before it writes,
-so a write through one owner never reaches another, and clears every
-cache.
+with a pickle, as does the text a CSV decoder read the cells from
+(:meth:`Series._csv_text`).  A slice, a row selection and a frame shard
+keep a one-type summary, since their cells are of that type too, and no
+text.  :meth:`Series.__setitem__` copies a read-only buffer before it
+writes, so a write through one owner never reaches another, and clears
+every cache.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ class Series:
         "_encoding_cache",
         "_dictionary_cache",
         "_types_cache",
+        "_text_cache",
     )
 
     def __init__(self, data: Any, name: str | None = None) -> None:
@@ -118,6 +120,7 @@ class Series:
             self._encoding_cache = data._encoding_cache
             self._dictionary_cache = data._dictionary_cache
             self._types_cache = data._types_cache
+            self._text_cache = data._text_cache
             return
         values, types = _coerce_values(data)
         self._values = values
@@ -127,6 +130,7 @@ class Series:
         #: :mod:`repro.dataframe.dictionary`; cleared like the caches above.
         self._dictionary_cache = None
         self._types_cache = None if types is None else (types, values)
+        self._text_cache = None
 
     def __setstate__(self, state: tuple) -> None:
         # A pickle written before a cache slot existed has no entry for it.
@@ -140,10 +144,16 @@ class Series:
     # ------------------------------------------------------------------
     @classmethod
     def _from_array(
-        cls, values: np.ndarray, name: str | None = None, types: frozenset | None = None
+        cls,
+        values: np.ndarray,
+        name: str | None = None,
+        types: frozenset | None = None,
+        text: tuple | None = None,
     ) -> "Series":
         """Build a Series without re-coercing *values* (internal fast path);
-        *types*, when known, cover its cells' types (see :meth:`cell_types`)."""
+        *types*, when known, cover its cells' types (see :meth:`cell_types`),
+        and *text* is the CSV text they were decoded from (see
+        :meth:`_csv_text`)."""
         out = cls.__new__(cls)
         out._values = values
         out.name = name
@@ -153,6 +163,7 @@ class Series:
         if types is not None and not len(values):
             types = frozenset()  # a subset with no cells: none to cover
         out._types_cache = None if types is None else (types, values)
+        out._text_cache = None if text is None else (text, values)
         return out
 
     @classmethod
@@ -219,10 +230,31 @@ class Series:
     def _subset_types(self) -> frozenset | None:
         """The :meth:`cell_types` any subset of this column's cells has:
         known when this column's summary is known and names one type."""
+        types = self._known_types()
+        return types if types is not None and len(types) <= 1 else None
+
+    def _known_types(self) -> frozenset | None:
+        """:meth:`cell_types` when it is known without a pass, else ``None``."""
         cache = self._types_cache
-        if cache is not None and cache[1] is self._values and len(cache[0]) <= 1:
-            return cache[0]
-        return None
+        return cache[0] if cache is not None and cache[1] is self._values else None
+
+    def _csv_text(self) -> tuple | None:
+        """The CSV text this column's cells were decoded from, or ``None``.
+
+        One entry per codec block of ``io._BLOCK_ROWS`` rows (the last
+        may be shorter): the block's cells joined with ``"\\n"`` (a
+        number block, whose cells hold no line break), the tuple of its
+        cell texts (an object block whose cells are not all strings), or
+        ``None`` (a block whose values write back as their text).
+        :func:`~repro.dataframe.io.to_csv` writes a block from its text,
+        so a pinned input column is written as it was read.  Keyed on the
+        backing array's identity like :meth:`cell_types`' summary, carried
+        by copy-on-write aliases and pickles, and dropped by
+        :meth:`__setitem__`, slices and row selections, whose cells no
+        longer line up with the blocks.
+        """
+        cache = self._text_cache
+        return cache[0] if cache is not None and cache[1] is self._values else None
 
     def copy(self) -> "Series":
         """An independent Series with the same name and values.
@@ -262,11 +294,12 @@ class Series:
         return value.item() if isinstance(value, np.generic) else value
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        # In-place mutation invalidates the cached grouping, encodings and types.
+        # In-place mutation invalidates the cached grouping, encodings, types and text.
         self._grouping_cache = None
         self._encoding_cache = None
         self._dictionary_cache = None
         self._types_cache = None
+        self._text_cache = None
         if isinstance(key, Series):
             key = key.to_numpy()
         if self._values.dtype.kind in "if" and isinstance(value, (int, float, np.number)):

@@ -169,6 +169,36 @@ def test_the_target_passes_through_as_its_text(tmp_path, applied, capsys):
         assert _column(out, "Target")[:4] == texts
 
 
+#: Cells each pinned number column admits whose value writes otherwise:
+#: ``1e400`` reads as inf, written ``inf``, which a float pin refuses.
+SPELLINGS = {
+    "Age": ["-0", "+3", "007", "-0", "+3", "007", "1"],
+    "Income": ["1e400", "-0", ".5", "1e3", "+3", "007", "1.50", ""],
+    "Balance": ["", "1.50", "-1e400", ".5", "", "1e3", "007", "+3"],
+}
+
+
+def test_pinned_number_cells_are_written_as_read(tmp_path, applied, capsys):
+    plan_path, csv_path = applied
+    edited = tmp_path / "edited.csv"
+    source = csv_path
+    for column, texts in SPELLINGS.items():
+        source = _edited(source, edited, column, dict(enumerate(texts, 1)))
+    for chunk in CHUNKS:
+        out = tmp_path / "out.csv"
+        assert _apply(plan_path, edited, "--out", str(out), *chunk) == 0
+        for column, texts in SPELLINGS.items():
+            assert _column(out, column) == _column(edited, column)
+            assert _column(out, column)[: len(texts)] == texts
+        # The output's pinned columns decode under the same plan (the
+        # columns the plan drops are missing, hence degrade).
+        again = tmp_path / "again.csv"
+        degrade = ("--failure-policy", "degrade")
+        assert _apply(plan_path, out, *degrade, "--out", str(again), *chunk) == 0
+        for column in SPELLINGS:
+            assert _column(again, column) == _column(edited, column)
+
+
 @pytest.mark.parametrize("bad", ["1.5", "", "x"])
 def test_the_first_broken_row_is_named_for_every_chunk_size(tmp_path, applied, bad):
     plan_path, csv_path = applied
