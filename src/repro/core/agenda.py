@@ -4,7 +4,8 @@ Section 3.1: SMARTFEAT's input is (1) the dataset feature description,
 (2) the prediction class, and (3) the downstream model.  Each accepted
 feature's name and description are appended, and the updated agenda seeds
 the next iteration's prompts.  :meth:`DataAgenda.describe` is the exact
-serialisation every prompt embeds (and the simulator parses).
+serialisation every prompt embeds (and the simulator parses); each entry
+renders its line once, when it is made, so a describe is a join.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.dataframe import DataFrame, Series
 from repro.dataframe.kernels import ColumnProfile, column_profile
-from repro.records import from_record, to_record
+from repro.records import NOT_RECORDED, from_record, to_record
 
 __all__ = ["AgendaEntry", "DataAgenda"]
 
@@ -22,18 +23,26 @@ __all__ = ["AgendaEntry", "DataAgenda"]
 MAX_LISTED_VALUES = 15
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgendaEntry:
-    """One feature's agenda line: name, kind, optional domain, description."""
+    """One feature's agenda line: name, kind, optional domain, description.
+
+    Immutable: :attr:`line`, the rendered agenda line, is fixed when the
+    entry is made.
+    """
 
     name: str
     kind: str  # "numeric" | "categorical" | "binary"
     description: str = ""
-    values: list[str] = field(default_factory=list)
+    values: tuple[str, ...] = ()
+    line: str = field(init=False, repr=False, compare=False, metadata=NOT_RECORDED)
 
-    def render(self) -> str:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
         values = f", values: {'|'.join(self.values)}" if self.values else ""
-        return f"- {self.name} ({self.kind}{values}): {self.description}"
+        object.__setattr__(
+            self, "line", f"- {self.name} ({self.kind}{values}): {self.description}"
+        )
 
 
 def column_kind(series: Series, profile: ColumnProfile) -> tuple[str, list[str]]:
@@ -117,7 +126,7 @@ class DataAgenda:
         """Register a newly generated feature (name + description, §3.1)."""
         if kind not in ("numeric", "categorical", "binary"):
             raise ValueError(f"invalid agenda kind: {kind!r}")
-        self.entries[name] = AgendaEntry(name, kind, description, list(values or []))
+        self.entries[name] = AgendaEntry(name, kind, description, tuple(values or ()))
 
     def remove(self, name: str) -> None:
         self.entries.pop(name, None)
@@ -138,12 +147,13 @@ class DataAgenda:
     # ------------------------------------------------------------------
     def describe(self) -> str:
         """Serialise the agenda into the prompt block every template embeds."""
-        lines = [f"Dataset description: {self.title or 'untitled dataset'}"]
-        lines.append("Features:")
-        for entry in self.entries.values():
-            lines.append(entry.render())
         target_desc = f" — {self.target_description}" if self.target_description else ""
-        lines.append(f"Prediction class: {self.target}{target_desc}")
+        lines = [
+            f"Dataset description: {self.title or 'untitled dataset'}",
+            "Features:",
+            *(entry.line for entry in self.entries.values()),
+            f"Prediction class: {self.target}{target_desc}",
+        ]
         if self.model:
             lines.append(f"Downstream model: {self.model}")
         return "\n".join(lines)
@@ -151,9 +161,9 @@ class DataAgenda:
     def subset(self, names) -> "DataAgenda":
         """A view of this agenda restricted to *names*, order preserved.
 
-        Entry objects are shared, not copied — the stage scheduler builds
-        one subset per sampling wave, so views must be cheap; treat them
-        as read-only.  Title, target, and model context are retained
+        Entry objects are shared, not copied (they are immutable) — the
+        stage scheduler builds one subset per sampling wave, so views must
+        be cheap.  Title, target, and model context are retained
         (every stage prompt needs them).
         """
         keep = set(names)

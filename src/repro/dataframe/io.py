@@ -46,10 +46,10 @@ per cell.
   (``Series._csv_text``), so every pinned cell is written as it was read.
 * **Write** (:func:`to_csv`).  A column block that carries its read
   text is written from it: a number block's joined text split at its
-  line breaks, with no ``repr`` round trip (``1e400`` stays ``1e400``,
-  not ``inf``).  A column whose known cell types are plain ``str`` (or
-  ``str`` and ``None``) is written from its cells with no per-cell type
-  test.  Each other numeric or bool column block is
+  line breaks, with no ``repr`` round trip (``1e999`` stays ``1e999``,
+  ``1.50`` stays ``1.50``).  A column whose known cell types are plain
+  ``str`` (or ``str`` and ``None``) is written from its cells with no
+  per-cell type test.  Each other numeric or bool column block is
   formatted without a sort where the block shows one is not needed (an
   int block through a table of its value range, a float block of
   distinct values cell by cell), else once per distinct value
@@ -255,9 +255,12 @@ def to_csv(
 
     Bytes are the excel dialect's, as ``csv.writer`` would write them
     (the header still goes through it): ``\\r\\n`` line ends and
-    QUOTE_MINIMAL quoting.  The rows are formatted and joined here, one
-    block of ``_BLOCK_ROWS`` rows at a time (:func:`_block_cells`), so a
-    write never holds more than one block's text.  A column that still
+    QUOTE_MINIMAL quoting.  The one difference is a float ±inf: written
+    ``1e400``/``-1e400``, which read back as ±inf, where ``csv.writer``
+    writes ``inf``, which the strict cell grammar reads as a string.
+    The rows are formatted and joined here, one block of
+    ``_BLOCK_ROWS`` rows at a time (:func:`_block_cells`), so a write
+    never holds more than one block's text.  A column that still
     carries the text a pinned decode read it from writes that text.
 
     ``append=True`` adds rows to an existing file; *header* defaults to
@@ -303,6 +306,11 @@ def _block_cells(series: Series, block: int, start: int) -> list[str]:
     return _csv_cells(cells)
 
 
+#: A non-finite float's cell, by its ``repr``: NaN is missing, and ±inf
+#: is written in a spelling the strict grammar reads back as ±inf (the
+#: grammar has no ``inf`` word: ``"inf"`` reads as a string).
+_NONFINITE_TEXT = {"nan": "", "inf": "1e400", "-inf": "-1e400"}
+
 #: Leading cells of a float block that, all distinct, mark it as not
 #: worth formatting per distinct value.
 _DISTINCT_PROBE = 64
@@ -312,15 +320,16 @@ def _csv_cells(values: np.ndarray) -> list[str]:
     """One column block's cells as CSV text: missing is ``""``.
 
     Numeric and bool cells are written as the C writer formats them
-    (``repr`` for floats, ``str`` else).  An int block whose values span
-    fewer ints than it has cells is formatted through a table of every
-    int in its range, gathered by offset; a float block whose first
-    :data:`_DISTINCT_PROBE` cells are distinct bit patterns is formatted
-    cell by cell, NaN blanked.  Any other numeric or bool block is
-    formatted once per distinct value — floats per distinct bit pattern,
-    so ``-0.0`` and ``0.0`` stay apart.  Each cell's text is a function
-    of its value alone, so the three give equal bytes.  Other columns go
-    cell by cell through :func:`_cell_text`.
+    (``repr`` for floats, ``str`` else), but for ±inf, written ``1e400``
+    and ``-1e400`` so that they read back as floats.  An int block whose
+    values span fewer ints than it has cells is formatted through a
+    table of every int in its range, gathered by offset; a float block
+    whose first :data:`_DISTINCT_PROBE` cells are distinct bit patterns
+    is formatted cell by cell, NaN blanked.  Any other numeric or bool
+    block is formatted once per distinct value — floats per distinct bit
+    pattern, so ``-0.0`` and ``0.0`` stay apart.  Each cell's text is a
+    function of its value alone, so the three give equal bytes.  Other
+    columns go cell by cell through :func:`_cell_text`.
     """
     kind = values.dtype.kind
     if kind in "iu" and len(values) and int(values.max()) - int(values.min()) < len(values):
@@ -340,8 +349,8 @@ def _csv_cells(values: np.ndarray) -> list[str]:
             uniques, codes = np.unique(bits, return_inverse=True)
             floats = uniques.view(values.dtype)
         texts = list(map(repr, floats.tolist()))
-        for i in np.flatnonzero(np.isnan(floats)).tolist():
-            texts[i] = ""
+        for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+            texts[i] = _NONFINITE_TEXT[texts[i]]
         if codes is None:
             return texts
     else:  # str and None, the common cells, skip the call
@@ -356,12 +365,14 @@ def _cell_text(value) -> str:
     """One non-``str`` cell as the C writer would write it: ``None`` and
     NaN as ``""``, a numpy scalar as its Python value (the writer formats
     a boxed ``np.float32(0.1)`` with ``str`` as ``0.1``, its value as
-    ``0.10000000149011612``)."""
+    ``0.10000000149011612``), except a float ±inf, written ``1e400`` and
+    ``-1e400`` as in a float column."""
     if isinstance(value, np.generic):
         value = value.item()
     if value is None or value != value:
         return ""
-    return str(value)
+    text = str(value)
+    return _NONFINITE_TEXT.get(text, text) if type(value) is float else text
 
 
 def _quoted(cells: list[str]) -> list[str]:
@@ -702,9 +713,9 @@ def read_csv_shards(
     A pinned int or float column keeps each block's text, and a pinned
     object column the text of each block whose cells are not all strings
     (``Series._csv_text``), so :func:`to_csv` writes every pinned cell as
-    it was read: ``1e400`` stays ``1e400``, where its value writes
-    ``inf``, which the same pin refuses.  ``keep_text=False`` keeps none,
-    and a column then writes as its values do.
+    it was read: ``1e400`` stays ``1e400`` and ``1e999`` stays
+    ``1e999``, where their value writes ``1e400``.  ``keep_text=False``
+    keeps none, and a column then writes as its values do.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")

@@ -55,8 +55,22 @@ class FMResponse:
     model: str = "simulated"
 
 
+class _LockedRecord:
+    """A record guarded by ``self._lock``.  A lock belongs to one
+    process, so a pickled copy carries the fields and gets a fresh one."""
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+
 @dataclass
-class Budget:
+class Budget(_LockedRecord):
     """Hard ceilings on FM spend, enforced as calls are recorded.
 
     ``None`` disables an axis.  The crossing call is *charged* (its cost
@@ -172,7 +186,7 @@ class Budget:
 
 
 @dataclass
-class CallLedger:
+class CallLedger(_LockedRecord):
     """Accumulates per-call accounting across a client's lifetime.
 
     The evaluation harness reads these totals to reproduce the paper's

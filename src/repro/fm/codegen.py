@@ -20,6 +20,9 @@ code compiles the same way.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
+
 from repro.fm.knowledge import KnowledgeStore
 
 __all__ = [
@@ -50,30 +53,43 @@ KNOWN_TAGS = frozenset(
 )
 
 
+#: Entries each tag memo keeps: fitting all nine evaluation datasets at
+#: two seeds reads 400 distinct descriptions.
+_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def derivation_tag(description: str) -> str:
     """The operator tag a generated feature's description starts with.
 
     Original data-card descriptions are natural language and yield ``""``;
     generated features carry tags like ``"binary"`` or ``"groupby"`` — the
-    FM reads these to avoid stacking operators nonsensically.
+    FM reads these to avoid stacking operators nonsensically.  Memoized
+    per description.
     """
-    tag, _ = parse_op_tag(description)
+    tag, _ = _op_tag(description)
     return tag if tag in KNOWN_TAGS else ""
 
 
 def parse_op_tag(description: str) -> tuple[str, list[str]]:
     """Split ``"op[arg1][arg2]: text"`` into ``("op", ["arg1", "arg2"])``.
 
-    Descriptions without a recognisable tag yield ``("", [])``.
+    Descriptions without a recognisable tag yield ``("", [])``.  The
+    split is memoized per description; each call returns a fresh list.
     """
+    op, args = _op_tag(description)
+    return op, list(args)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _op_tag(description: str) -> tuple[str, tuple[str, ...]]:
     head = description.split(":", 1)[0].strip()
     if not head or " " in head.split("[", 1)[0]:
-        return "", []
+        return "", ()
     if "[" in head:
         op = head[: head.index("[")]
-        args = [part.rstrip("]") for part in head[head.index("[") + 1 :].split("[")]
-        return op, args
-    return head, []
+        return op, tuple(part.rstrip("]") for part in head[head.index("[") + 1 :].split("["))
+    return head, ()
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +201,7 @@ def _groupby(args: list[str], columns: list[str]) -> str:
 
 
 def _knowledge_map(
-    topic: str, column: str, values: list[str], knowledge: KnowledgeStore
+    topic: str, column: str, values: Sequence[str], knowledge: KnowledgeStore
 ) -> str:
     mapping = knowledge.mapping_for(topic, values)
     default = knowledge.default_for(topic)
@@ -234,7 +250,7 @@ def generate_transform_source(
     columns: list[str],
     description: str,
     knowledge: KnowledgeStore,
-    column_values: dict[str, list[str]] | None = None,
+    column_values: dict[str, Sequence[str]] | None = None,
 ) -> str:
     """Emit ``def transform(df)`` source for one feature candidate.
 

@@ -9,6 +9,16 @@ dataframe — exactly like a real FM:
   and descriptions serialised into the prompt's data agenda (a role is
   resolved once per distinct column text per process, so a call costs
   O(prompt): parsing the agenda, never rescanning the lexicon);
+* each client memoizes what it reads off the agenda, keyed on text: the
+  parse of each agenda line with the facts the answers use (derivation
+  tag, stat polarity, base name, group/aggregate eligibility), the scored
+  binary options of each column pair and the weighted group-by combos of
+  each (group, aggregate, target).  Each memo is a pure function of its
+  key, bounded (:data:`_LINE_MEMO`, :data:`_PAIR_MEMO` entries, least
+  recently used out), and no part of the client's state: it is not
+  checkpointed and a pickled client starts without it.  A call therefore
+  pays only for the agenda lines it has not seen before, and an answer
+  is a function of the seed, the prompt and the reserved state only;
 * open-world answers come from :mod:`repro.fm.knowledge`;
 * executable code comes from :mod:`repro.fm.codegen`;
 * sampling-strategy diversity comes from a seeded generator keyed on the
@@ -23,11 +33,14 @@ paper's observation that FMs are "susceptible to unpredicted errors".
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,13 +62,116 @@ _MODEL_LINE = re.compile(r"^Downstream model: (?P<model>.+)$", re.MULTILINE)
 _TITLE_LINE = re.compile(r"^Dataset description: (?P<title>.+)$", re.MULTILINE)
 
 
-@dataclass
+#: Agenda lines each client's parse memo keeps.
+_LINE_MEMO = 4096
+#: Column pairs (and group-by combos) each client's scoring memos keep.
+_PAIR_MEMO = 16384
+
+#: Derivation tags usable as binary-operator inputs: original columns
+#: plus semantically meaningful derived quantities (group rates,
+#: knowledge lookups, composites).  Arithmetic on bucket codes, one-hot
+#: flags, z-scores, logs, or already-combined features is the kind of
+#: nonsense an FM's semantic understanding avoids.
+_BINARY_INPUT_TAGS = frozenset({"", "knowledge_map", "composite_index", "groupby"})
+#: Tags usable as group-by keys (bucketised / split columns partition well).
+_GROUP_COL_TAGS = frozenset({"", "bucketization", "split_parts"})
+#: Tags usable as aggregate columns (no nested group-bys, no arithmetic
+#: combinations — aggregate the interpretable quantities).
+_AGG_COL_TAGS = frozenset({"", "normalization", "log_transform", "knowledge_map"})
+#: Words two descriptions may share without naming the same quantity.
+_STOPWORDS = frozenset(
+    {"the", "of", "by", "for", "player", "1", "2", "number", "in", "a", "an",
+     "per", "total", "and", "to", "hit", "served"}
+)
+#: Words of a "chances" stat, a natural ratio denominator.
+_OPPORTUNITY_WORDS = frozenset(
+    {"created", "attempted", "attempts", "chances", "opportunities", "total"}
+)
+_OUTBREAK_WORDS = ("trap", "mosquito", "virus", "outbreak")
+
+
+@dataclass(frozen=True)
 class _FeatureInfo:
+    """One parsed agenda line and the facts the answers read off it.
+
+    Every field is a function of :attr:`line` (the text of one
+    ``_FEATURE_LINE`` match) alone, so a client shares one instance among
+    all the prompts that carry the line.
+    """
+
+    line: str
     name: str
     kind: str
-    values: list[str]
+    values: tuple[str, ...]
     description: str
-    role: ColumnRole = ColumnRole.UNKNOWN
+    role: ColumnRole = field(init=False)
+    #: The description's operator tag (:func:`derivation_tag`).
+    tag: str = field(init=False)
+    #: :func:`stat_polarity` of name and description.
+    polarity: int = field(init=False)
+    #: The underlying column a derived feature was built from: generated
+    #: names follow ``{tag}_{base}``; originals are their own base.
+    base: str = field(init=False)
+    #: A "chances" stat (created/attempted): a natural ratio denominator.
+    opportunity: bool = field(init=False)
+    #: Content words of the description (for shared-concept pairing).
+    concept_words: frozenset = field(init=False)
+    #: Word set of name and description (matched against the target).
+    words: frozenset = field(init=False)
+    #: Usable as a binary-operator input (a numeric column).
+    binary_input: bool = field(init=False)
+    #: Usable as a group-by key: a column that partitions rows into
+    #: subsets (categorical or binary, at most 20 listed values).
+    group_key: bool = field(init=False)
+    #: Usable as an aggregate: a numeric, or a binary indicator (whose
+    #: group mean is a rate — the paper's claim-probability-per-car-model
+    #: example).
+    aggregate: bool = field(init=False)
+    #: Name or description mentions an outbreak-surveillance word.
+    outbreak: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        name, description = self.name, self.description
+        tag = derivation_tag(description)
+        tokens = set(tokenize_identifier(name)) | set(tokenize_identifier(description))
+        text = f"{name} {description}".lower()
+        facts = {
+            "role": infer_role(name, description, self.kind),
+            "tag": tag,
+            "polarity": stat_polarity(name, description),
+            "base": name[len(tag) + 1 :] if tag and name.startswith(f"{tag}_") else name,
+            "opportunity": bool(tokens & _OPPORTUNITY_WORDS),
+            "concept_words": frozenset(tokenize_identifier(description)) - _STOPWORDS,
+            "words": frozenset(re.findall(r"\w+", text)),
+            "binary_input": self.kind == "numeric" and tag in _BINARY_INPUT_TAGS,
+            "group_key": self.kind in ("categorical", "binary")
+            and (not self.values or len(self.values) <= 20)
+            and tag in _GROUP_COL_TAGS,
+            "aggregate": self.kind in ("numeric", "binary") and tag in _AGG_COL_TAGS,
+            "outbreak": any(word in text for word in _OUTBREAK_WORDS),
+        }
+        for key, value in facts.items():
+            object.__setattr__(self, key, value)
+
+
+def _feature_info(match: re.Match) -> _FeatureInfo:
+    values = tuple(v.strip() for v in (match.group("values") or "").split("|") if v.strip())
+    return _FeatureInfo(
+        line=match.group(0),
+        name=match.group("name").strip(),
+        kind=match.group("kind"),
+        values=values,
+        description=match.group("desc").strip(),
+    )
+
+
+def _line_info(line: str) -> _FeatureInfo:
+    """The parse of *line*, one agenda line as a prompt carried it.
+
+    Matching the line alone gives the groups it had in its prompt: the
+    match ended at *line*'s end there, so no path the regex tries first
+    can differ inside it."""
+    return _feature_info(_FEATURE_LINE.match(line))
 
 
 @dataclass
@@ -76,51 +192,55 @@ class AgendaView:
     def categorical(self) -> list[_FeatureInfo]:
         return [f for f in self.features.values() if f.kind == "categorical"]
 
-    @property
-    def groupable(self) -> list[_FeatureInfo]:
-        """Columns that partition rows into subsets (categorical / binary)."""
-        return [f for f in self.features.values() if f.kind in ("categorical", "binary")]
-
-    @property
-    def aggregatable(self) -> list[_FeatureInfo]:
-        """Columns whose per-group aggregate is meaningful: numerics plus
-        binary indicators (whose group mean is a rate — the paper's
-        claim-probability-per-car-model example)."""
-        return [f for f in self.features.values() if f.kind in ("numeric", "binary")]
-
-    def column_values(self) -> dict[str, list[str]]:
+    def column_values(self) -> dict[str, tuple[str, ...]]:
         return {name: info.values for name, info in self.features.items() if info.values}
 
 
-def parse_agenda(prompt: str) -> AgendaView:
+def _line_search(pattern: re.Pattern, head: str, text: str) -> re.Match | None:
+    """``pattern.search(text)`` for a line pattern that starts ``^head``:
+    ``str.find`` jumps to each line that starts with *head*, where the
+    regex engine would try every position of the prompt."""
+    pos = text.find(head)
+    while pos >= 0:
+        if pos == 0 or text[pos - 1] == "\n":
+            match = pattern.match(text, pos)
+            if match:
+                return match
+        pos = text.find(head, pos + 1)
+    return None
+
+
+def parse_agenda(prompt: str, line_info=None) -> AgendaView:
     """Extract the serialised data agenda from a prompt.
 
-    Each feature line's role comes from the memoized :func:`infer_role`,
-    so a column is matched against the lexicon once per process, not
-    once per call.
+    *line_info*, when given, maps each feature line's text to its parse
+    (a client's memo of :func:`_line_info`); without it every line is
+    parsed afresh.  Either way each role comes from the memoized
+    :func:`infer_role`, so a column is matched against the lexicon once
+    per process, not once per call.
     """
     view = AgendaView()
-    title = _TITLE_LINE.search(prompt)
+    title = _line_search(_TITLE_LINE, "Dataset description: ", prompt)
     if title:
         view.title = title.group("title").strip()
     for match in _FEATURE_LINE.finditer(prompt):
-        values = [v.strip() for v in (match.group("values") or "").split("|") if v.strip()]
-        info = _FeatureInfo(
-            name=match.group("name").strip(),
-            kind=match.group("kind"),
-            values=values,
-            description=match.group("desc").strip(),
-        )
-        info.role = infer_role(info.name, info.description, info.kind)
+        info = _feature_info(match) if line_info is None else line_info(match.group(0))
         view.features[info.name] = info
-    target = _TARGET_LINE.search(prompt)
+    target = _line_search(_TARGET_LINE, "Prediction class: ", prompt)
     if target:
         view.target = target.group("name").strip()
         view.target_description = (target.group("desc") or "").strip()
-    model = _MODEL_LINE.search(prompt)
+    model = _line_search(_MODEL_LINE, "Downstream model: ", prompt)
     if model:
         view.model = model.group("model").strip().lower()
     return view
+
+
+def _weighted_pick(rng: np.random.Generator, items: list[tuple]) -> tuple:
+    """One of *items* drawn with probability proportional to its first
+    field (its score or weight)."""
+    weights = np.fromiter(map(itemgetter(0), items), dtype=float, count=len(items))
+    return items[int(rng.choice(len(items), p=weights / weights.sum()))]
 
 
 def _stable_hash(text: str) -> int:
@@ -161,6 +281,32 @@ class SimulatedFM(FMClient):
         self.error_rate = error_rate
         self._counter = 0
         self._counter_lock = threading.Lock()
+        self._clear_memos()
+
+    def _clear_memos(self) -> None:
+        """Fresh, empty memos of the pure functions of agenda text (they
+        hold no reference to the client)."""
+        line_info = functools.lru_cache(maxsize=_LINE_MEMO)(_line_info)
+        self._line_info = line_info
+        self._pair_options = functools.lru_cache(maxsize=_PAIR_MEMO)(
+            functools.partial(self._score_pair, line_info)
+        )
+        self._group_combos = functools.lru_cache(maxsize=_PAIR_MEMO)(
+            functools.partial(self._score_combos, line_info)
+        )
+
+    def __getstate__(self) -> dict:
+        # The memos are derived data and the lock is per process: a
+        # pickled client carries neither.
+        state = self.__dict__.copy()
+        for key in ("_counter_lock", "_line_info", "_pair_options", "_group_combos"):
+            del state[key]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._counter_lock = threading.Lock()
+        self._clear_memos()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -204,24 +350,37 @@ class SimulatedFM(FMClient):
             prompt, temperature, self._reserve_state(prompt, temperature)
         )
 
+    def _rng(self, prompt: str, temperature: float, state: object | None) -> np.random.Generator:
+        """The call's generator: keyed on the reserved state when
+        sampling, on the prompt text otherwise."""
+        entropy = state if temperature > 0 and state is not None else _stable_hash(prompt)
+        return np.random.default_rng([self.seed, int(entropy) % 2**32])
+
     def _complete_with_state(
         self, prompt: str, temperature: float, state: object | None
     ) -> str:
-        entropy = state if temperature > 0 and state is not None else _stable_hash(prompt)
-        rng = np.random.default_rng([self.seed, int(entropy) % 2**32])
-        if self.error_rate > 0 and rng.uniform() < self.error_rate:
-            return self._garbled(rng)
-        agenda = parse_agenda(prompt)
+        # The generator is built only for a call that draws from it; one
+        # that injects errors draws its error roll first, then its answer.
+        rng = None
+        if self.error_rate > 0:
+            rng = self._rng(prompt, temperature, state)
+            if rng.uniform() < self.error_rate:
+                return self._garbled(rng)
+        agenda = parse_agenda(prompt, self._line_info)
         if "Consider the unary operators on the attribute" in prompt:
             return self._answer_unary(prompt, agenda)
         if "List up to" in prompt and "binary arithmetic operator" in prompt:
             return self._answer_binary_proposal(prompt, agenda)
         if "binary arithmetic operator" in prompt:
-            return self._answer_binary(prompt, agenda, rng)
+            return self._answer_binary(prompt, agenda, rng or self._rng(prompt, temperature, state))
         if "Generate a groupby feature" in prompt:
-            return self._answer_high_order(prompt, agenda, rng)
+            return self._answer_high_order(
+                prompt, agenda, rng or self._rng(prompt, temperature, state)
+            )
         if "Propose ONE extractor feature" in prompt:
-            return self._answer_extractor(prompt, agenda, rng)
+            return self._answer_extractor(
+                prompt, agenda, rng or self._rng(prompt, temperature, state)
+            )
         if "Generate the optimal Python function" in prompt or "Generate a corrected" in prompt:
             return self._answer_function(prompt, agenda)
         if "Respond with the value only" in prompt:
@@ -231,7 +390,7 @@ class SimulatedFM(FMClient):
         if "should be removed before training" in prompt:
             return self._answer_feature_removal(agenda)
         if "You are an automated feature engineering assistant (CAAFE" in prompt:
-            return self._answer_caafe(prompt, agenda, rng)
+            return self._answer_caafe(prompt, agenda, rng or self._rng(prompt, temperature, state))
         return (
             "I am a language model. Please provide a data agenda and a task "
             "description so I can help with feature engineering."
@@ -365,94 +524,57 @@ class SimulatedFM(FMClient):
 
     _OP_WORD = {"+": "plus", "-": "minus", "*": "times", "/": "div"}
 
-    #: Derivation tags usable as binary-operator inputs: original columns
-    #: plus semantically meaningful derived quantities (group rates,
-    #: knowledge lookups, composites).  Arithmetic on bucket codes,
-    #: one-hot flags, z-scores, logs, or already-combined features is the
-    #: kind of nonsense an FM's semantic understanding avoids.
-    _BINARY_INPUT_TAGS = frozenset({"", "knowledge_map", "composite_index", "groupby"})
-    #: Tags usable as group-by keys (bucketised / split columns partition well).
-    _GROUP_COL_TAGS = frozenset({"", "bucketization", "split_parts"})
-    #: Tags usable as aggregate columns (no nested group-bys, no arithmetic
-    #: combinations — aggregate the interpretable quantities).
-    _AGG_COL_TAGS = frozenset({"", "normalization", "log_transform", "knowledge_map"})
-
-    _STOPWORDS = frozenset(
-        {"the", "of", "by", "for", "player", "1", "2", "number", "in", "a", "an",
-         "per", "total", "and", "to", "hit", "served"}
-    )
-
-    _OPPORTUNITY_WORDS = frozenset({"created", "attempted", "attempts", "chances", "opportunities", "total"})
-
     @classmethod
-    def _is_opportunity_stat(cls, info: _FeatureInfo) -> bool:
-        """True for "chances" stats (created/attempted) — natural ratio
-        denominators."""
-        tokens = set(tokenize_identifier(info.name)) | set(tokenize_identifier(info.description))
-        return bool(tokens & cls._OPPORTUNITY_WORDS)
+    def _score_pair(
+        cls, line_info, line_a: str, line_b: str
+    ) -> tuple[tuple[float, str, str, str, str], ...]:
+        """The scored binary options ``(score, op, left, right, name)`` of
+        the pair of agenda lines, in option order (``()`` for two views
+        of the same underlying column)."""
+        a, b = line_info(line_a), line_info(line_b)
+        if a.base == b.base:
+            return ()
+        options = cls._AFFINITY.get((a.role, b.role), cls._AFFINITY.get((b.role, a.role), ()))
+        if not options:
+            weak = 0.5 if ColumnRole.UNKNOWN in (a.role, b.role) else 1.0
+            options = (("-", weak),)
+        tokens = (a.name + " " + b.name).lower()
+        swap = False
+        if a.polarity * b.polarity == -1:
+            # Opposing stats (winners vs errors): the differential and the
+            # ratio are the analyst's first instincts — always oriented
+            # positive-over-negative.
+            options = (("-", 6.0), ("/", 5.0))
+            swap = a.polarity < 0
+        elif (
+            len(a.concept_words & b.concept_words) >= 2
+            and a.role == b.role == ColumnRole.COUNT
+        ):
+            # Same underlying concept measured twice ("break points won" /
+            # "break points created": ≥2 shared content words) -> a
+            # conversion ratio, oriented outcomes-over-opportunities.
+            options = (("/", 6.5),)
+            swap = a.opportunity and not b.opportunity
+        elif "glucose" in tokens and "insulin" in tokens:
+            # The glucose-to-insulin ratio is a textbook clinical index an
+            # FM recalls immediately.
+            options = (("/", 7.0),)
+            swap = "insulin" in a.name.lower()
+        left, right = (b.name, a.name) if swap else (a.name, b.name)
+        return tuple(
+            (score, op, left, right, f"{left}_{cls._OP_WORD[op]}_{right}")
+            for op, score in options
+        )
 
-    @classmethod
-    def _shared_concept(cls, a: _FeatureInfo, b: _FeatureInfo) -> bool:
-        """True when two columns describe the same underlying quantity
-        (≥2 shared content words in their descriptions)."""
-        words_a = set(tokenize_identifier(a.description)) - cls._STOPWORDS
-        words_b = set(tokenize_identifier(b.description)) - cls._STOPWORDS
-        return len(words_a & words_b) >= 2
-
-    @staticmethod
-    def _base_name(info: _FeatureInfo) -> str:
-        """The underlying column a derived feature was built from.
-
-        Generated names follow ``{tag}_{base}``; originals are their own
-        base."""
-        tag = derivation_tag(info.description)
-        if tag and info.name.startswith(f"{tag}_"):
-            return info.name[len(tag) + 1 :]
-        return info.name
-
-    def _binary_candidates(self, agenda: AgendaView) -> list[tuple[float, str, str, str]]:
-        numeric = [
-            f for f in agenda.numeric if derivation_tag(f.description) in self._BINARY_INPUT_TAGS
-        ]
-        existing = set(agenda.features)
-        out: list[tuple[float, str, str, str]] = []
-        for i, a in enumerate(numeric):
-            for b in numeric[i + 1 :]:
-                if self._base_name(a) == self._base_name(b):
-                    continue  # two views of the same underlying column
-                options = self._AFFINITY.get(
-                    (a.role, b.role), self._AFFINITY.get((b.role, a.role), ())
-                )
-                if not options:
-                    weak = 0.5 if ColumnRole.UNKNOWN in (a.role, b.role) else 1.0
-                    options = (("-", weak),)
-                pol_a = stat_polarity(a.name, a.description)
-                pol_b = stat_polarity(b.name, b.description)
-                tokens = (a.name + " " + b.name).lower()
-                swap = False
-                if pol_a * pol_b == -1:
-                    # Opposing stats (winners vs errors): the differential
-                    # and the ratio are the analyst's first instincts —
-                    # always oriented positive-over-negative.
-                    options = (("-", 6.0), ("/", 5.0))
-                    swap = pol_a < 0
-                elif self._shared_concept(a, b) and a.role == b.role == ColumnRole.COUNT:
-                    # Same underlying concept measured twice ("break points
-                    # won" / "break points created") -> a conversion ratio,
-                    # oriented outcomes-over-opportunities.
-                    options = (("/", 6.5),)
-                    swap = self._is_opportunity_stat(a) and not self._is_opportunity_stat(b)
-                elif "glucose" in tokens and "insulin" in tokens:
-                    # The glucose-to-insulin ratio is a textbook clinical
-                    # index an FM recalls immediately.
-                    options = (("/", 7.0),)
-                    swap = "insulin" in a.name.lower()
-                left, right = (b, a) if swap else (a, b)
-                for op, score in options:
-                    name = f"{left.name}_{self._OP_WORD[op]}_{right.name}"
-                    if name in existing:
-                        continue
-                    out.append((score, op, left.name, right.name))
+    def _binary_candidates(self, agenda: AgendaView) -> list[tuple[float, str, str, str, str]]:
+        """``(score, op, left, right, name)`` of every binary feature not
+        yet in the agenda, best first."""
+        numeric = [f.line for f in agenda.features.values() if f.binary_input]
+        existing = agenda.features
+        pairs = chain.from_iterable(
+            self._pair_options(a, b) for i, a in enumerate(numeric) for b in numeric[i + 1 :]
+        )
+        out = [option for option in pairs if option[4] not in existing]
         out.sort(key=lambda item: (-item[0], item[2], item[3]))
         return out
 
@@ -462,10 +584,7 @@ class SimulatedFM(FMClient):
             return json.dumps(
                 {"operator": None, "columns": [], "name": "", "description": "no suitable numeric pair"}
             )
-        weights = np.array([c[0] for c in candidates])
-        pick = candidates[int(rng.choice(len(candidates), p=weights / weights.sum()))]
-        _, op, a, b = pick
-        name = f"{a}_{self._OP_WORD[op]}_{b}"
+        _, op, a, b, name = _weighted_pick(rng, candidates)
         nature = {"+": "sum", "-": "difference", "*": "product", "/": "ratio"}[op]
         return json.dumps(
             {
@@ -481,15 +600,14 @@ class SimulatedFM(FMClient):
         match = re.search(r"List up to (\d+)", prompt)
         k = int(match.group(1)) if match else 5
         lines = []
-        for score, op, a, b in self._binary_candidates(agenda)[:k]:
-            del score
+        for _, op, a, b, name in self._binary_candidates(agenda)[:k]:
             nature = {"+": "sum", "-": "difference", "*": "product", "/": "ratio"}[op]
             lines.append(
                 json.dumps(
                     {
                         "operator": op,
                         "columns": [a, b],
-                        "name": f"{a}_{self._OP_WORD[op]}_{b}",
+                        "name": name,
                         "description": f"binary[{op}]: {nature} of {a} and {b}",
                     }
                 )
@@ -501,63 +619,56 @@ class SimulatedFM(FMClient):
     # ------------------------------------------------------------------
     # High-order sampling
     # ------------------------------------------------------------------
+    @staticmethod
+    def _score_combos(
+        line_info, group_line: str, agg_line: str, target: str
+    ) -> tuple[tuple[float, str, str, str, str], ...]:
+        """The weighted group-by combos ``(weight, group, agg, function,
+        name)`` of one (group, aggregate) pair of agenda lines for
+        *target*, in function order."""
+        g, a = line_info(group_line), line_info(agg_line)
+        if a.name == g.name:
+            return ()
+        weight = 1.0
+        if a.role in (ColumnRole.COUNT, ColumnRole.RATE, ColumnRole.BINARY):
+            weight += 2.0
+        if a.words & set(re.findall(r"\w+", target.lower())):
+            weight += 3.0  # aggregate the historical signal (claim-rate style)
+        if a.kind == "binary":
+            # Mean of a 0/1 column is a per-group rate (the paper's
+            # claim-probability-per-car-model feature); max/min/count of
+            # an indicator are uninformative.
+            functions = [("mean", 0.8), ("sum", 0.2)]
+        else:
+            functions = [("mean", 0.5), ("max", 0.15), ("min", 0.1), ("sum", 0.15), ("count", 0.1)]
+        return tuple(
+            (weight * fw, g.name, a.name, func, f"GroupBy_{g.name}_{func}_{a.name}")
+            for func, fw in functions
+        )
+
     def _answer_high_order(self, prompt: str, agenda: AgendaView, rng: np.random.Generator) -> str:
-        group_candidates = [
-            f
-            for f in agenda.groupable
-            if (not f.values or len(f.values) <= 20)
-            and derivation_tag(f.description) in self._GROUP_COL_TAGS
-        ]
-        agg_candidates = [
-            f
-            for f in agenda.aggregatable
-            if derivation_tag(f.description) in self._AGG_COL_TAGS
-        ]
-        if not group_candidates or not agg_candidates:
+        group_lines = [f.line for f in agenda.features.values() if f.group_key]
+        agg_lines = [f.line for f in agenda.features.values() if f.aggregate]
+        if not group_lines or not agg_lines:
             return json.dumps({"groupby_col": [], "agg_col": None, "function": None})
-        existing = set(agenda.features)
-        target_words = set(re.findall(r"\w+", agenda.target.lower()))
-
-        def agg_weight(info: _FeatureInfo) -> float:
-            weight = 1.0
-            if info.role in (ColumnRole.COUNT, ColumnRole.RATE, ColumnRole.BINARY):
-                weight += 2.0
-            words = set(re.findall(r"\w+", (info.name + " " + info.description).lower()))
-            if words & target_words:
-                weight += 3.0  # aggregate the historical signal (claim-rate style)
-            return weight
-
-        combos: list[tuple[float, str, str, str]] = []
-        for g in group_candidates:
-            for a in agg_candidates:
-                if a.name == g.name:
-                    continue
-                if a.kind == "binary":
-                    # Mean of a 0/1 column is a per-group rate (the paper's
-                    # claim-probability-per-car-model feature); max/min/count
-                    # of an indicator are uninformative.
-                    functions = [("mean", 0.8), ("sum", 0.2)]
-                else:
-                    functions = [
-                        ("mean", 0.5), ("max", 0.15), ("min", 0.1), ("sum", 0.15), ("count", 0.1),
-                    ]
-                for func, fw in functions:
-                    name = f"GroupBy_{g.name}_{func}_{a.name}"
-                    if name in existing:
-                        continue
-                    combos.append((agg_weight(a) * fw, g.name, a.name, func))
+        existing = agenda.features
+        combos = list(
+            chain.from_iterable(
+                self._group_combos(g, a, agenda.target) for g in group_lines for a in agg_lines
+            )
+        )
+        if any(name.startswith("GroupBy_") for name in existing):  # every combo's prefix
+            combos = [combo for combo in combos if combo[4] not in existing]
         if not combos:
             return json.dumps({"groupby_col": [], "agg_col": None, "function": None})
-        weights = np.array([c[0] for c in combos])
-        pick = combos[int(rng.choice(len(combos), p=weights / weights.sum()))]
-        _, gcol, acol, func = pick
+        _, gcol, acol, func, _ = _weighted_pick(rng, combos)
         return json.dumps({"groupby_col": [gcol], "agg_col": acol, "function": func})
 
     # ------------------------------------------------------------------
     # Extractor sampling
     # ------------------------------------------------------------------
     def _extractor_candidates(self, agenda: AgendaView) -> list[dict]:
-        existing = set(agenda.features)
+        existing = agenda.features
         out: list[dict] = []
         for info in agenda.features.values():
             if info.role == ColumnRole.CITY and info.kind == "categorical":
@@ -605,7 +716,7 @@ class SimulatedFM(FMClient):
             for f in agenda.numeric
             if f.role
             in (ColumnRole.SCORE, ColumnRole.MEASUREMENT, ColumnRole.RATE, ColumnRole.PERCENTAGE)
-            and derivation_tag(f.description) == ""
+            and f.tag == ""
         ]
         if len(score_cols) >= 3:
             chosen = score_cols[:3]
@@ -620,10 +731,7 @@ class SimulatedFM(FMClient):
                         "kind": "function",
                     }
                 )
-        haystack = " ".join(
-            f"{f.name} {f.description}" for f in agenda.features.values()
-        ).lower()
-        if any(word in haystack for word in ("trap", "mosquito", "virus", "outbreak")):
+        if any(f.outbreak for f in agenda.features.values()):
             if "historical_weather_conditions" not in existing:
                 out.append(
                     {
@@ -735,20 +843,15 @@ class SimulatedFM(FMClient):
         remove: list[str] = []
         monotone_by_base: dict[str, list[_FeatureInfo]] = {}
         for info in agenda.features.values():
-            tag = derivation_tag(info.description)
-            if tag in ("normalization", "log_transform", "squared"):
-                base = self._base_name(info)
-                if base != info.name:
-                    monotone_by_base.setdefault(base, []).append(info)
-            if tag and infer_role(self._base_name(info)) == ColumnRole.IDENTIFIER:
+            if info.tag in ("normalization", "log_transform", "squared") and info.base != info.name:
+                monotone_by_base.setdefault(info.base, []).append(info)
+            if info.tag and infer_role(info.base) == ColumnRole.IDENTIFIER:
                 remove.append(info.name)
         preference = {"log_transform": 0, "normalization": 1, "squared": 2}
-        for base, variants in monotone_by_base.items():
+        for variants in monotone_by_base.values():
             if len(variants) < 2:
                 continue
-            ordered = sorted(
-                variants, key=lambda v: preference.get(derivation_tag(v.description), 9)
-            )
+            ordered = sorted(variants, key=lambda v: preference.get(v.tag, 9))
             remove.extend(v.name for v in ordered[1:])
         return json.dumps({"remove": sorted(set(remove))})
 
@@ -768,9 +871,7 @@ class SimulatedFM(FMClient):
             return "```python\n# no further features\n```"
         # Weighted sampling over the ranked space, like the operator
         # selector's sampling strategy but without guards or budget logic.
-        weights = np.array([c[0] for c in combos])
-        _, op, a, b = combos[int(rng.choice(len(combos), p=weights / weights.sum()))]
-        name = f"{a}_{self._OP_WORD[op]}_{b}"
+        _, op, a, b, name = _weighted_pick(rng, combos)
         comment = {"/": "ratio", "*": "interaction", "-": "difference", "+": "sum"}[op]
         code = (
             f"# {comment} of {a} and {b}\n"

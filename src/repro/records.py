@@ -82,6 +82,8 @@ def _decode(hint, value):
         return _decode(next(a for a in args if a is not type(None)), value)
     if origin is list and args:
         return [_decode(args[0], item) for item in value]
+    if origin is tuple and args[-1:] == (Ellipsis,):
+        return tuple(_decode(args[0], item) for item in value)
     if origin is tuple and args:
         return tuple(_decode(a, item) for a, item in zip(args, value))
     if origin is dict and args:

@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.core.agenda`."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import DataAgenda
@@ -16,12 +18,12 @@ class TestFromDataframe:
         assert insurance_agenda.entries["Claim in last 6 months"].kind == "binary"
 
     def test_categorical_values_listed(self, insurance_agenda):
-        assert insurance_agenda.entries["City"].values == ["SF", "LA", "SEA"]
+        assert insurance_agenda.entries["City"].values == ("SF", "LA", "SEA")
 
     def test_high_cardinality_values_omitted(self):
         frame = DataFrame({"id": [f"u{i}" for i in range(50)], "y": [0, 1] * 25})
         agenda = DataAgenda.from_dataframe(frame, target="y")
-        assert agenda.entries["id"].values == []
+        assert agenda.entries["id"].values == ()
 
     def test_missing_target_raises(self, insurance_frame):
         with pytest.raises(KeyError):
@@ -73,9 +75,20 @@ class TestMutation:
     def test_copy_is_deep(self, insurance_agenda):
         copy = insurance_agenda.copy()
         copy.add("extra", "numeric", "d")
-        copy.entries["Age"].description = "changed"
+        copy.add("Age", "numeric", "changed")
         assert "extra" not in insurance_agenda
         assert insurance_agenda.entries["Age"].description != "changed"
+        assert copy.entries["City"] == insurance_agenda.entries["City"]
+        assert copy.entries["City"] is not insurance_agenda.entries["City"]
+
+    def test_entries_are_immutable_and_render_once(self, insurance_agenda):
+        entry = insurance_agenda.entries["City"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.description = "changed"
+        assert entry.line == "- City (categorical, values: SF|LA|SEA): " + entry.description
+        assert insurance_agenda.describe().splitlines()[2:-2] == [
+            e.line for e in insurance_agenda.entries.values()
+        ]
 
     def test_feature_name_helpers(self, insurance_agenda):
         assert "Age" in insurance_agenda.numeric_features()

@@ -328,4 +328,4 @@ class TestOneColumnClassifier:
         generated = ctx.agenda.entries["flag"]
         assert (generated.kind, generated.values) == (original.kind, original.values)
         assert original.kind == "categorical"
-        assert original.values == ["True", "False"]
+        assert original.values == ("True", "False")

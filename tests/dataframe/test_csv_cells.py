@@ -4,7 +4,8 @@
 a float block of distinct leading values cell by cell, and any other
 numeric or bool block once per distinct value.  Whatever the path, each
 cell must read exactly as the C writer writes its Python value, a NaN
-as an empty cell.
+as an empty cell and ±inf as ``1e400``/``-1e400`` (the strict grammar's
+spelling of ±inf).
 """
 
 import csv
@@ -30,8 +31,16 @@ def written(value) -> str:
     return buffer.getvalue()[:-1]
 
 
+_NONFINITE = {math.inf: "1e400", -math.inf: "-1e400"}
+
+
 def reference(values: np.ndarray) -> list[str]:
-    return ["" if isinstance(v, float) and v != v else written(v) for v in values.tolist()]
+    return [
+        "" if isinstance(v, float) and v != v
+        else _NONFINITE[v] if isinstance(v, float) and v in _NONFINITE
+        else written(v)
+        for v in values.tolist()
+    ]
 
 
 def check(values: np.ndarray) -> None:

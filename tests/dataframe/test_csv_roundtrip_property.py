@@ -6,7 +6,8 @@ re-implemented here on purpose — loosening it in ``io.py`` without
 updating this pin is a test failure, not a silent drift):
 
 * booleans round-trip as booleans (``True``/``False`` spellings);
-* ints and finite floats round-trip exactly (``repr`` round-trip);
+* ints and floats round-trip exactly (``repr`` round-trip; ±inf is
+  written ``1e400``/``-1e400``, which the grammar reads back as ±inf);
 * ``None``/NaN write as empty cells and read back as missing;
 * strings survive verbatim **unless** they spell a strict numeric
   literal or a bool literal — ``"007"``-style numeric-looking strings
@@ -50,6 +51,7 @@ _MODEL_INT = re.compile(r"[+-]?[0-9]+\Z")
 _MODEL_FLOAT = re.compile(
     r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z"
 )
+INF = float("inf")
 
 
 def model_cell(value):
@@ -59,7 +61,7 @@ def model_cell(value):
     if isinstance(value, bool):
         return value  # "True"/"False" spellings round-trip
     if isinstance(value, (int, float)):
-        return value  # repr round-trip is exact for finite numbers
+        return value  # repr round-trip is exact; ±inf writes as ±1e400
     text = str(value)
     if text == "":
         return None  # empty string is indistinguishable from missing
@@ -96,7 +98,7 @@ cell = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-10**12, 10**12),
-    st.floats(allow_nan=True, allow_infinity=False),
+    st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(HOSTILE_STRINGS),
     st.text(
         alphabet="abcXYZ019 _.,+-eE\"'",
@@ -158,16 +160,34 @@ def test_chunked_append_writes_identical_bytes(tmp_path_factory, columns, chunk)
     assert inc_path.read_bytes() == whole_path.read_bytes()
 
 
-def test_nonfinite_float_values_are_pinned_as_strings(tmp_path):
-    """``inf`` has no strict-grammar spelling: a non-finite (non-NaN)
-    float value writes as ``"inf"`` and reads back as the *string*
-    ``"inf"`` (forcing the column to object) rather than silently
-    re-becoming a float — the documented edge of the strict grammar."""
+def test_infinite_float_values_round_trip_as_floats(tmp_path):
+    """The strict grammar has no ``inf`` word, so ±inf is written
+    ``1e400``/``-1e400``, which read back as ±inf: a float column stays
+    float, and an object column keeps its float cells."""
     path = tmp_path / "t.csv"
-    to_csv(DataFrame({"f": Series([1.5, float("inf")])}), path)
+    frame = DataFrame(
+        {"f": Series([INF, -INF, 1.0]), "o": object_series([INF, "x", -INF])}
+    )
+    to_csv(frame, path)
+    assert path.read_text().splitlines() == ["f,o", "1e400,1e400", "-1e400,x", "1.0,-1e400"]
     back = read_csv(path)
-    assert back["f"].values.dtype == object
-    assert back["f"].tolist() == [1.5, "inf"]
+    assert back["f"].values.dtype == np.float64
+    assert back["f"].tolist() == [INF, -INF, 1.0]
+    assert back["o"].tolist() == [INF, "x", -INF]
+
+
+def test_read_then_write_keeps_an_overflowing_float_column_float(tmp_path):
+    """``read_csv`` → ``to_csv`` → ``read_csv`` of a float column holding
+    ``1e400`` (read as inf) reads the same floats back, not ``"inf"``."""
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    first.write_text("f,g\n1e400,1\n-1e999,2\n2.5,3\n")
+    read = read_csv(first)
+    to_csv(read, second)
+    back = read_csv(second)
+    assert back["f"].values.dtype == np.float64
+    assert back["f"].tolist() == read["f"].tolist() == [INF, -INF, 2.5]
+    identical, detail = frames_identical(back, read)
+    assert identical, detail
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +206,16 @@ def oracle_to_csv(frame: DataFrame, path, *, append: bool = False) -> None:
         if not append:
             writer.writerow(names)
         for row in zip(*columns):
-            writer.writerow(["" if v is None or v != v else v for v in row])
+            writer.writerow([oracle_cell(v) for v in row])
+
+
+def oracle_cell(value):
+    """``None`` and NaN as empty cells; ±inf in the grammar's spelling."""
+    if value is None or value != value:
+        return ""
+    if isinstance(value, float) and value in (INF, -INF):
+        return "1e400" if value > 0 else "-1e400"
+    return value
 
 
 def assert_writer_matches_oracle(base, frame: DataFrame) -> None:

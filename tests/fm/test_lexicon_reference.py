@@ -148,7 +148,9 @@ def test_fit_is_identical_under_the_reference(dataset, seed, monkeypatch):
 def test_matcher_runs_once_per_distinct_column_text(monkeypatch):
     """The uncached matcher runs at most once per distinct
     ``(name, description, kind)`` during a fit, however many FM calls
-    parse the same agenda lines."""
+    parse the same agenda lines: each client resolves a distinct line
+    once (its line memo), and the process-wide role memo matches a
+    column text both clients resolve once."""
     lexicon._cached_role.cache_clear()
     matched: Counter = Counter()
     resolved: Counter = Counter()
@@ -167,4 +169,5 @@ def test_matcher_runs_once_per_distinct_column_text(monkeypatch):
     _fit(make_synthetic_bundle(2000, seed=0), seed=0)
     assert matched and max(matched.values()) == 1
     assert set(matched) == set(resolved)
-    assert sum(resolved.values()) > 2 * len(matched)
+    assert max(resolved.values()) <= 2  # once per client
+    assert sum(resolved.values()) > len(matched)

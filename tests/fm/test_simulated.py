@@ -48,7 +48,7 @@ class TestAgendaParsing:
         assert view.target == "Safe"
         assert view.model == "random_forest"
         assert view.features["City"].kind == "categorical"
-        assert view.features["City"].values == ["SF", "LA", "SEA"]
+        assert view.features["City"].values == ("SF", "LA", "SEA")
         assert view.features["HasClaim"].kind == "binary"
 
     def test_roles_inferred(self, agenda):
