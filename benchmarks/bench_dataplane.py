@@ -67,8 +67,10 @@ FIT_REPEATS = 5
 #: Cold pairs of each compared op.  One cold groupby at 1e5 rows spreads
 #: 7-10 ms between runs, and the reference loop drifts with the machine's
 #: speed phases, so the speedup (and its 10x gate) is the median of the
-#: pairs' ratios, not a ratio of medians taken at different times.
-OP_REPEATS = 5
+#: pairs' ratios, not a ratio of medians taken at different times.  One
+#: groupby pair's ratio at 1e5 rows spreads from about 7x to 14x on a
+#: 2-core box, so the median is taken over nine pairs, not five.
+OP_REPEATS = 9
 
 
 def _timed(fn):

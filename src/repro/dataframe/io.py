@@ -6,17 +6,25 @@ per cell.
 
 * **Classify** (:func:`_block_flags`).  Tuple counts settle an
   all-empty or bool-or-empty block.  Otherwise the block's text cells
-  are joined with ``"\\n"`` and three anchored regexes run over the
-  joined string: every line is int-or-empty, every line is
-  number-or-empty, or no non-empty line is a number, ``True`` or
-  ``False`` (a verbatim string block, :func:`_verbatim`).  The first
-  two only run once a newline count has shown that no cell holds
-  ``"\\n"`` itself, so that a line is exactly one cell; a cell holding
-  one can only make the third see a typed line where there is none,
-  which costs the fallback but never a wrong answer.  A block none of
-  them settles (mixed, or cells holding newlines) falls back to
-  :func:`_parse_cell` per cell, so the strict grammar below stays the
-  one definition of a cell.  The flags feed
+  are joined with ``"\\n"`` and regexes run over the joined string:
+  every line is int-or-empty, every line is number-or-empty, or no
+  non-empty line is a number, ``True`` or ``False`` (a verbatim string
+  block, :func:`_verbatim`).  The verbatim test is a prescreen and a
+  search.  The prescreen looks for a line that starts with a sign, a
+  dot or a digit, or is a bool spelling; where it finds none, as on
+  most text blocks, no line can be typed and the block is verbatim.
+  Otherwise the search for a typed line runs from the first line the
+  prescreen found.  Its digit runs never give a digit back (a lookahead
+  captures the run and a back reference consumes it), so a line such
+  as ``2021-03-05`` fails after one read of each run, not after trying
+  every shorter run: every test is linear in the block's text.  The
+  int and number tests only run once a newline count has shown that no
+  cell holds ``"\\n"`` itself, so that a line is exactly one cell; a
+  cell holding one can only make the verbatim test see a typed line
+  where there is none, which costs the fallback but never a wrong
+  answer.  A block none of them settles (mixed, or cells holding
+  newlines) falls back to :func:`_parse_cell` per cell, so the strict
+  grammar below stays the one definition of a cell.  The flags feed
   :func:`~repro.dataframe.kernels.coercion_kind` unchanged, for the
   schema scan and for schema-less shards alike; it is the rule Series
   list coercion follows too, down to an int outside int64 making an int
@@ -49,13 +57,16 @@ per cell.
   line breaks, with no ``repr`` round trip (``1e999`` stays ``1e999``,
   ``1.50`` stays ``1.50``).  A column whose known cell types are plain
   ``str`` (or ``str`` and ``None``) is written from its cells with no
-  per-cell type test.  Each other numeric or bool column block is
-  formatted without a sort where the block shows one is not needed (an
-  int block through a table of its value range, a float block of
-  distinct values cell by cell), else once per distinct value
-  (:func:`_csv_cells`).  Rows are joined here, one row block at a time,
-  under the excel dialect's QUOTE_MINIMAL rule: a cell holding ``,``,
-  ``"``, ``\\r`` or ``\\n`` is quoted with its quotes doubled, and a
+  per-cell type test, and so is an object block that one C-level
+  ``frozenset(map(type, cells))`` shows to hold only such cells.  Each
+  other numeric or bool column block is formatted without a sort where
+  the block shows one is not needed (an int block through a table of
+  its value range, a float block of distinct values cell by cell), else
+  once per distinct value (:func:`_csv_cells`).  Rows are joined here,
+  one row block at a time, under the excel dialect's QUOTE_MINIMAL
+  rule: a cell holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted with
+  its quotes doubled (four substring tests, over the block's joined
+  text and then, only if one hits, per cell: :func:`_quoted`), and a
   row of one empty field is written ``""``.
 
 Files are UTF-8 whatever the locale: writes encode UTF-8 without a
@@ -134,14 +145,32 @@ _FLOAT_CELL = re.compile(_NUMBER + r"\Z")
 #: Every cell the strict grammar accepts starts with one of these, so a
 #: cell starting with anything else skips both regexes.
 _NUMBER_LEADS = "+-.0123456789"
+
+
+def _digits(group: int, quantifier: str = "+") -> str:
+    """A digit run that never gives a digit back: the lookahead captures
+    the longest run and the back reference consumes exactly it, the
+    atomic group Python 3.10's ``re`` has no syntax for."""
+    return rf"(?=([0-9]{quantifier}))\{group}"
+
+
 #: The block classifiers, over a block's cells joined with ``"\n"``:
 #: every line int-or-empty, every line number-or-empty, and (searched in
-#: ``"\n" + joined + "\n"``) some line a number or bool spelling.  A line
-#: has one parse, and only ``"\n"`` or the end may follow it, so a failed
-#: match backtracks through each line once: linear in the block's text.
+#: the joined text with a ``"\n"`` added at each end) some line that may
+#: be typed, by its first character or as a bool spelling
+#: (:data:`_TYPED_LEAD`), and some line a number or bool spelling
+#: (:data:`_TYPED_LINE`).  A line has one parse, and only ``"\n"`` or the
+#: end may follow it, so a failed match backtracks through each line
+#: once: linear in the block's text.  The typed-line search's digit runs
+#: never give a digit back, so each line it tries (every line of a date
+#: block) fails after one read of its runs.
 _INT_LINES = re.compile(rf"(?:{_INT})?(?:\n(?:{_INT})?)*\Z")
 _NUMBER_LINES = re.compile(rf"(?:{_NUMBER})?(?:\n(?:{_NUMBER})?)*\Z")
-_TYPED_LINE = re.compile(rf"\n(?:{_NUMBER}|True|False)\n")
+_TYPED_LEAD = re.compile(r"\n(?:[-+.0-9]|True\n|False\n)")
+_TYPED_LINE = re.compile(
+    rf"\n(?:[+-]?(?:{_digits(1)}(?:\.{_digits(2, '*')}|)|\.{_digits(3)})"
+    rf"(?:[eE][+-]?{_digits(4)}|)\n|True\n|False\n)"
+)
 #: Longest int text that always fits int64 (18 digits, or a sign and 17).
 _INT64_SAFE_LEN = 18
 #: Most digits an int cell holds: Python's default ``int`` string limit
@@ -155,8 +184,6 @@ _INT_SAFE_DIGITS = 640
 #: Most rows one codec block holds: the CSV decoder's row lists before
 #: each transpose, and the rows :func:`to_csv` joins per write.
 _BLOCK_ROWS = 4096
-#: A cell holding one of these is quoted on write (QUOTE_MINIMAL).
-_QUOTE_CHARS = re.compile(r'[,"\r\n]')
 #: Every CSV read decodes UTF-8 and drops one leading byte-order mark.
 _READ_ENCODING = "utf-8-sig"
 
@@ -300,9 +327,7 @@ def _block_cells(series: Series, block: int, start: int) -> list[str]:
     cells = series.values[start : start + _BLOCK_ROWS]
     types = series._known_types()
     if types is not None and types <= STR_OR_NONE:
-        if types <= PLAIN_STR:
-            return _quoted(cells.tolist())
-        return _quoted(["" if cell is None else cell for cell in cells.tolist()])
+        return _str_cells(cells.tolist(), types)
     return _csv_cells(cells)
 
 
@@ -328,8 +353,13 @@ def _csv_cells(values: np.ndarray) -> list[str]:
     is formatted cell by cell, NaN blanked.  Any other numeric or bool
     block is formatted once per distinct value — floats per distinct bit
     pattern, so ``-0.0`` and ``0.0`` stay apart.  Each cell's text is a
-    function of its value alone, so the three give equal bytes.  Other
-    columns go cell by cell through :func:`_cell_text`.
+    function of its value alone, so the three give equal bytes.  An
+    object block is typed first, by one C-level pass
+    (``frozenset(map(type, cells))``): a block of only ``str`` cells, or
+    ``str`` and ``None`` ones, is written as a column whose known cell
+    types say so is (:func:`_str_cells`), with no per-cell type test;
+    any other block goes cell by cell, through :func:`_cell_text` for
+    each cell that is neither.
     """
     kind = values.dtype.kind
     if kind in "iu" and len(values) and int(values.max()) - int(values.min()) < len(values):
@@ -353,10 +383,14 @@ def _csv_cells(values: np.ndarray) -> list[str]:
             texts[i] = _NONFINITE_TEXT[texts[i]]
         if codes is None:
             return texts
-    else:  # str and None, the common cells, skip the call
+    else:
+        cells = values.tolist()
+        types = frozenset(map(type, cells))
+        if types <= STR_OR_NONE:
+            return _str_cells(cells, types)
+        # str and None, the common cells, skip the call
         return _quoted([
-            v if type(v) is str else "" if v is None else _cell_text(v)
-            for v in values.tolist()
+            v if type(v) is str else "" if v is None else _cell_text(v) for v in cells
         ])
     return np.array(texts, dtype=object)[codes].tolist()
 
@@ -377,13 +411,28 @@ def _cell_text(value) -> str:
 
 def _quoted(cells: list[str]) -> list[str]:
     """*cells* under QUOTE_MINIMAL: a cell holding a delimiter, quote or
-    line break is wrapped in quotes, its own quotes doubled."""
-    if _QUOTE_CHARS.search("".join(cells)) is None:
+    line break is wrapped in quotes, its own quotes doubled.
+
+    Four substring tests over the block's joined text pass a block that
+    needs no quoting as it is; otherwise the same four tests run per
+    cell."""
+    text = "".join(cells)
+    if "," not in text and '"' not in text and "\n" not in text and "\r" not in text:
         return cells
     return [
-        '"' + cell.replace('"', '""') + '"' if _QUOTE_CHARS.search(cell) else cell
+        '"' + cell.replace('"', '""') + '"'
+        if "," in cell or '"' in cell or "\n" in cell or "\r" in cell
+        else cell
         for cell in cells
     ]
+
+
+def _str_cells(cells: list, types: frozenset) -> list[str]:
+    """A block of ``str`` cells, or ``str`` and ``None`` ones as its
+    *types* say, as CSV text: ``None`` is ``""``."""
+    if types <= PLAIN_STR:
+        return _quoted(cells)
+    return _quoted(["" if cell is None else cell for cell in cells])
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +511,7 @@ def _block_flags(cells: tuple[str, ...]) -> _Seen:
         # string, which only the per-cell path below tells apart.
         if _NUMBER_LINES.match(joined) and max(map(len, cells)) <= _INT_MAX_DIGITS:
             return seen | _Seen.NUMBER | _Seen.FLOAT
-    if _verbatim(cells):
+    if _verbatim(joined):
         return seen | _Seen.OBJECT
     number = floaty = wide = False  # a mixed block: plain flags per cell
     for cell in map(_parse_cell, cells):
@@ -499,11 +548,19 @@ def _int_flags(cells: tuple[str, ...]) -> _Seen:
     return flags
 
 
-def _verbatim(cells: tuple[str, ...]) -> bool:
-    """Whether no cell is a number, ``True`` or ``False``: every present
-    cell is a string kept verbatim (a cell holding ``"\\n"`` can only
-    make a typed line appear, never hide one)."""
-    return _TYPED_LINE.search("\n" + "\n".join(cells) + "\n") is None
+def _verbatim(joined: str) -> bool:
+    """Whether no cell of a block, its cells *joined* with ``"\\n"``, is
+    a number, ``True`` or ``False``: every present cell is a string kept
+    verbatim (a cell holding ``"\\n"`` can only make a typed line appear,
+    never hide one).
+
+    When no line starts with a sign, a dot or a digit, and none is a
+    bool spelling (:data:`_TYPED_LEAD`), no line can be typed; only
+    otherwise does :data:`_TYPED_LINE` search, from the first such line.
+    """
+    text = "\n%s\n" % joined
+    lead = _TYPED_LEAD.search(text)
+    return lead is None or _TYPED_LINE.search(text, lead.start()) is None
 
 
 def _see(seen: _Seen, cells: tuple[str, ...]) -> _Seen:
@@ -550,7 +607,7 @@ def _decode_block(cells: tuple[str, ...], kind: str) -> tuple[np.ndarray, frozen
         return np.fromiter(map("True".__eq__, cells), bool, len(cells)), None
     if kind == "bool_missing":
         return np.array(list(map(_BOOL_CELLS.__getitem__, cells)), dtype=object), None
-    if kind == "text" or _verbatim(cells):
+    if kind == "text" or _verbatim("\n".join(cells)):
         values = np.array(cells, dtype=object)
         if "" not in cells:
             return values, PLAIN_STR

@@ -363,7 +363,7 @@ def test_codec_regexes_compile_on_every_supported_python(capsys):
     """Possessive quantifiers and atomic groups compile only from Python
     3.11; the codec's regexes must parse on the oldest supported one."""
     for regex in (io._INT_CELL, io._FLOAT_CELL, io._INT_LINES, io._NUMBER_LINES,
-                  io._TYPED_LINE, io._QUOTE_CHARS):
+                  io._TYPED_LEAD, io._TYPED_LINE):
         re.compile(regex.pattern, regex.flags | re.DEBUG)
     dump = capsys.readouterr().out
     assert "POSSESSIVE" not in dump and "ATOMIC" not in dump
