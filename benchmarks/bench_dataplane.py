@@ -297,9 +297,10 @@ def main() -> int:
         return smoke()
     payload = run()
     at_100k = {op: payload["ops"][op]["100000"]["speedup"] for op in COMPARED_OPS}
-    write_bench_json(bench_json_path("dataplane", smoke=False), payload)
+    # Gate before writing: a failing run must not overwrite the committed file.
     for op in ("groupby_agg", "generated_transform"):
         assert at_100k[op] >= 10.0, f"{op} speedup below 10x at 1e5 rows: {at_100k[op]}"
+    write_bench_json(bench_json_path("dataplane", smoke=False), payload)
     return 0
 
 

@@ -1,24 +1,26 @@
-"""Resilience benchmark: degraded-mode correctness and isolation overhead.
+"""Resilience benchmark: total compiled ops, quarantine and isolation overhead.
 
 Three sections:
 
-* ``chaos`` — seeded fault schedules drive every injection mode (raise,
-  bad output) through ``failure_policy="degrade"`` with breakers,
-  asserting the blast-radius contract:
-  failing features NaN-fill, **healthy features stay bit-identical** to
-  a fault-free run, breakers trip and recover on their exact schedule,
-  and ``strict`` mode still fails loudly on the same schedule.
+* ``op_fuzz`` — seeded kind-valid batches
+  (:func:`~repro.eval.chaos.kind_valid_frame`: NaN, ±inf, ±1e300, −0.0,
+  empty, number-like and unparseable text, long strings, numbers in text
+  columns) through the plans of the 9 eval datasets at seeds 0 and 1,
+  the demo plan, and one hand-built plan per serve op none of them uses.
+  Every batch passes the plan's schema check, and every feature must
+  serve: the gate is **0 escapes** (features that raise) over ≥10⁶ rows
+  in full mode.
 * ``hostile`` — a seeded hostile row-dict batch through a degrade-mode
   :class:`~repro.serve.FeatureServer`: every surviving row serves, every
-  quarantined row carries a reason, and the strict server refuses the
-  same batch with a typed error.
-* ``overhead`` — degrade-mode ``apply_with_report`` with breakers vs a
-  strict ``plan.apply`` on the fault-free demo workload (both run the
-  one replay loop; this prices the breaker consultation and degrade
-  bookkeeping), gated at **≤5%** overhead at serving scale.  The
-  overhead is the median of interleaved (raw, degrade) per-pair time
-  ratios, alternating which side runs first, so one slow run or a
-  drifting machine cannot tip the gate.
+  quarantined row carries a reason, no feature fails on the survivors
+  (health ``ok``), and the strict server refuses the same batch with a
+  typed error.
+* ``overhead`` — degrade-mode ``apply_with_report`` vs a strict
+  ``plan.apply`` on the fault-free demo workload (both run the one
+  replay loop; this prices the degrade bookkeeping), gated at **≤5%**
+  overhead at serving scale.  The overhead is the median of interleaved
+  (raw, degrade) per-pair time ratios, alternating which side runs
+  first, so one slow run or a drifting machine cannot tip the gate.
 
 ``python benchmarks/bench_resilience.py`` writes ``BENCH_resilience.json``
 at the repo root; ``--smoke`` runs smaller row counts with the same
@@ -29,113 +31,89 @@ instead.
 import argparse
 import statistics
 import time
-
-import numpy as np
+from collections import Counter
 
 from conftest import bench_json_path, write_bench_json
-from repro.eval.chaos import CHAOS_MODES, ChaosSchedule, FaultInjector, hostile_rows
-from repro.eval.serving import build_demo_result
+from repro.dataframe.expr import OPS, _walk
+from repro.eval.chaos import hostile_rows, kind_valid_frame
+from repro.eval.serving import ALL_DATASETS, build_demo_result, fit_and_export
 from repro.serve import (
     BatchValidationError,
-    BreakerBoard,
     FeaturePlan,
     FeatureServer,
+    FeatureSpec,
     compile_plan,
     series_identical,
 )
 
 ISOLATION_OVERHEAD_CEILING = 1.05  # ≤5% vs raw plan.apply
 SERVE_ROWS = {"smoke": 100_000, "full": 1_000_000}
-CHAOS_ROWS = {"smoke": 400, "full": 2_000}
+HOSTILE_ROWS = {"smoke": 400, "full": 2_000}
+FUZZ_ROWS = {"smoke": 100_000, "full": 1_000_000}
+FUZZ_BATCH_ROWS = 5_000
 OVERHEAD_PAIRS = 21
 
+#: A node for each serve op that no fitted plan uses, over one float
+#: column ``x``.
+HAND_BUILT = {"qcut_collapsed": {"op": "qcut_collapsed", "column": "x"}}
+
 
 # ----------------------------------------------------------------------
-# Section 1: chaos gate
+# Section 1: compiled-op fuzz gate
 # ----------------------------------------------------------------------
-def chaos_section(n_rows: int) -> dict:
-    result, frame = build_demo_result(n_rows, seed=0)
-    plan = FeaturePlan.from_json(compile_plan(result, frame, "Target").to_json())
-    served = [s for s in plan.features if s.status != "omitted"]
-    clean = plan.apply(frame)
+def _one_op_plan(node: dict) -> FeaturePlan:
+    spec = FeatureSpec(node["op"], "unary", "", ["x"], [node["op"]], "compiled", expr=node)
+    return FeaturePlan(["x"], [("x", "float")], "y", [spec])
 
-    # Every injection mode, one victim at a time.
-    mode_outcomes = {}
-    for mode in CHAOS_MODES:
-        victim = served[0]
-        injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
-        out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", evaluator=injector
-        )
-        entry = next(r for r in report.reports if r.feature == victim.name)
-        assert entry.status == "failed", f"{mode}: fault not contained"
-        for name in victim.output_columns:
-            assert np.isnan(out[name].values).all(), f"{mode}: no NaN fill"
-        for name in clean.columns:
-            if name not in victim.output_columns:
-                assert series_identical(clean[name], out[name]), (
-                    f"{mode}: healthy column {name!r} not bit-identical"
-                )
-        mode_outcomes[mode] = entry.error
-        print(f"chaos mode={mode:10s} contained as {entry.error}")
 
-    # Breaker schedule: 3 failures trip, 2 refusals, probe recovers.
-    victim = served[0]
-    injector = FaultInjector(
-        ChaosSchedule({victim.name: {0: "raise", 1: "raise", 2: "raise"}})
+def fuzz_plans() -> list[tuple[str, FeaturePlan]]:
+    """The 19 fitted plans, then one hand-built plan per serve op none of
+    them uses; fails if a serve op has neither."""
+    plans = [
+        (f"{dataset}/seed{seed}", fit_and_export(dataset, 300, seed)[1].plan)
+        for seed in (0, 1)
+        for dataset in ALL_DATASETS
+    ]
+    result, frame = build_demo_result(600, seed=0)
+    plans.append(("demo", compile_plan(result, frame, "Target")))
+    used = {
+        node["op"]
+        for _name, plan in plans
+        for spec in plan.features
+        if spec.status == "compiled"
+        for node in _walk(spec.expr)
+    }
+    unused = {op for op, spec in OPS.items() if spec.kernel is not None} - used
+    assert unused <= set(HAND_BUILT), f"serve ops with no fuzz plan: {sorted(unused - set(HAND_BUILT))}"
+    return plans + [(f"hand_built/{op}", _one_op_plan(HAND_BUILT[op])) for op in sorted(unused)]
+
+
+def op_fuzz_section(n_rows: int) -> dict:
+    plans = fuzz_plans()
+    batches = -(-n_rows // (FUZZ_BATCH_ROWS * len(plans)))
+    escapes: Counter = Counter()
+    rows = 0
+    started = time.perf_counter()
+    for index, (name, plan) in enumerate(plans):
+        for batch in range(batches):
+            frame = kind_valid_frame(plan, FUZZ_BATCH_ROWS, seed=1000 * index + batch)
+            assert not plan.schema_problems(frame), (name, plan.schema_problems(frame))
+            _out, report = plan.apply_with_report(frame, failure_policy="degrade")
+            rows += len(frame)
+            for failure in report.failures():
+                escapes[f"{name} {failure.feature}: {failure.error}: {failure.reason}"] += 1
+    elapsed = time.perf_counter() - started
+    print(
+        f"op fuzz: {rows} rows over {len(plans)} plans in {elapsed:.1f}s, "
+        f"{sum(escapes.values())} escapes"
     )
-    board = BreakerBoard(failure_threshold=3, cooldown_calls=2)
-    timeline = []
-    for _ in range(7):
-        _out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", breakers=board, evaluator=injector
-        )
-        timeline.append(
-            next(r.status for r in report.reports if r.feature == victim.name)
-        )
-    expected = ["failed", "failed", "failed", "skipped", "skipped", "ok", "ok"]
-    assert timeline == expected, f"breaker timeline {timeline} != {expected}"
-    print(f"chaos breaker timeline: {' -> '.join(timeline)}")
-
-    # Strict mode fails loudly on the same schedule.
-    injector = FaultInjector(ChaosSchedule({victim.name: {0: "raise"}}))
-    try:
-        plan.apply_with_report(
-            frame, failure_policy="strict", evaluator=injector
-        )
-    except Exception as exc:
-        strict_error = type(exc).__name__
-    else:
-        raise AssertionError("strict policy served through an injected fault")
-    print(f"chaos strict policy raised {strict_error}")
-
-    # Seeded storm stays reproducible and never corrupts healthy outputs.
-    names = [s.name for s in served]
-    storm = FaultInjector(
-        ChaosSchedule.seeded(names, modes=("raise", "bad_output"), rate=0.25, n_calls=4, seed=13)
-    )
-    storm_board = BreakerBoard(failure_threshold=2, cooldown_calls=2)
-    degraded_fractions = []
-    for _ in range(4):
-        out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", breakers=storm_board, evaluator=storm
-        )
-        degraded_fractions.append(round(report.degraded_fraction, 4))
-        for entry in report.reports:
-            if entry.status != "ok":
-                continue
-            spec = next(s for s in plan.features if s.name == entry.feature)
-            for name in spec.output_columns:
-                assert series_identical(clean[name], out[name]), name
-    print(f"chaos storm degraded fractions per batch: {degraded_fractions}")
-
+    assert not escapes, f"compiled ops raised on kind-valid input: {escapes.most_common(5)}"
     return {
-        "n_rows": n_rows,
-        "modes": mode_outcomes,
-        "breaker_timeline": timeline,
-        "strict_error": strict_error,
-        "storm_injected_faults": len(storm.injected),
-        "storm_degraded_fractions": degraded_fractions,
+        "rows": rows,
+        "batch_rows": FUZZ_BATCH_ROWS,
+        "plans": [name for name, _plan in plans],
+        "escapes": sum(escapes.values()),
+        "seconds": round(elapsed, 2),
     }
 
 
@@ -162,6 +140,7 @@ def hostile_section(n_rows: int) -> dict:
         raise AssertionError("strict server accepted a hostile batch")
 
     health = server.health()
+    assert health["status"] == "ok", f"features failed on surviving rows: {health}"
     cell = {
         "batch_rows": len(batch),
         "served_rows": len(out),
@@ -186,15 +165,11 @@ def overhead_section(serve_rows: int) -> dict:
     result, frame = build_demo_result(serve_rows, seed=0)
     plan = FeaturePlan.from_json(compile_plan(result, frame, "Target").to_json())
 
-    board = BreakerBoard(failure_threshold=3, cooldown_calls=5)
-
     def raw():
         return plan.apply(frame)
 
     def degraded():
-        out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", breakers=board
-        )
+        out, report = plan.apply_with_report(frame, failure_policy="degrade")
         assert report.ok
         return out
 
@@ -246,8 +221,8 @@ def overhead_section(serve_rows: int) -> dict:
 def run(mode: str) -> dict:
     return {
         "mode": mode,
-        "chaos": chaos_section(CHAOS_ROWS[mode]),
-        "hostile": hostile_section(CHAOS_ROWS[mode]),
+        "op_fuzz": op_fuzz_section(FUZZ_ROWS[mode]),
+        "hostile": hostile_section(HOSTILE_ROWS[mode]),
         "overhead": overhead_section(SERVE_ROWS[mode]),
     }
 

@@ -179,15 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
             "degrade: failing features yield NaN columns and a health report"
         ),
     )
-    apply_.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=0,
-        help=(
-            "open a per-feature circuit breaker after this many consecutive "
-            "failures (0 disables breakers)"
-        ),
-    )
     return parser
 
 
@@ -515,7 +506,6 @@ def _cmd_plan_apply(args) -> int:
             name=args.name,
             version=args.version,
             failure_policy=args.failure_policy,
-            breaker_threshold=args.breaker_threshold,
         )
         plan = server.plan_for()
         schema, keep_text = plan.csv_schema(), True

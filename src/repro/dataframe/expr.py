@@ -82,7 +82,7 @@ from repro.dataframe import kernels as _kernels
 from repro.dataframe import reshape as _reshape
 from repro.dataframe import dictionary as _dictionary
 from repro.dataframe.dictionary import ColumnDictionaries
-from repro.dataframe.series import Series
+from repro.dataframe.series import Series, _parse_datetime
 
 __all__ = [
     "OPS",
@@ -560,14 +560,26 @@ def _eval_date_split(node: dict, frame, dictionaries: ColumnDictionaries | None)
                 name: Series._from_array(_gathered(parts[part], codes), name)
                 for part, name in outputs
             }
-    return _date_split_by_accessor(series, outputs)
+    return _date_split_by_accessor(series, outputs, dictionaries is not None)
 
 
-def _date_split_by_accessor(series: Series, outputs: list) -> dict[str, Series]:
-    """The per-row ``Series.dt`` path: raises for an invalid date, as the
-    fitted transform did."""
+def _date_split_by_accessor(
+    series: Series, outputs: list, serving: bool = False
+) -> dict[str, Series]:
+    """The per-row ``Series.dt`` path.  Without a plan's dictionaries
+    (fit) a cell that is not a date raises, as the fitted transform did;
+    a plan serves it as missing, as it serves an unseen group key."""
+    if serving:
+        series = Series([_date_or_none(v) for v in series.tolist()], series.name)
     accessor = series.dt
     return {name: getattr(accessor, part).rename(name) for part, name in outputs}
+
+
+def _date_or_none(value: Any):
+    try:
+        return _parse_datetime(value)
+    except ValueError:
+        return None
 
 
 def _eval_dummies(node: dict, frame, dictionaries: ColumnDictionaries | None) -> dict[str, Series]:

@@ -12,7 +12,7 @@
   the paper's tables.
 """
 
-from repro.eval.chaos import CHAOS_MODES, ChaosSchedule, FaultInjector, hostile_rows
+from repro.eval.chaos import hostile_rows
 from repro.eval.harness import evaluate_models, feature_matrix
 from repro.eval.runner import MethodOutcome, SweepConfig, SweepResult, run_sweep
 from repro.eval.importance import importance_table
@@ -31,9 +31,6 @@ from repro.eval.reporting import (
 )
 
 __all__ = [
-    "CHAOS_MODES",
-    "ChaosSchedule",
-    "FaultInjector",
     "MethodOutcome",
     "SweepConfig",
     "SweepResult",

@@ -1,108 +1,41 @@
-"""Deterministic chaos harness for the serve-path resilience layer.
+"""Seeded batches for the serve path: hostile rows and kind-valid frames.
 
-Seeded per-feature failure schedules and hostile-row generators, in the
-spirit of the transport layer's ``ScriptedTransport``: every fault is
-decided by an explicit schedule or a seeded RNG, so a chaos run is a
-reproducible *program* of failures, not noise.  The injector plugs into
-the ``evaluator`` seam of :meth:`FeaturePlan.apply_with_report` —
-``evaluator(spec, frame, default)`` — wrapping the normal evaluation
-without touching production code paths.
-
-Failure modes:
-
-* ``raise`` — the evaluation raises :class:`TransformError`, the shape
-  of a feature's evaluation blowing up.
-* ``bad_output`` — returns a wrong-row-count Series, the shape of a
-  transform that aggregated when it should have broadcast; the replay
-  loop's install step rejects it.
+* :func:`hostile_rows` builds a reproducible row-dict batch laced with
+  values a caller might POST (inf, numeric strings, nested values,
+  oversized or non-UTF-8 strings, non-mapping rows, missing keys), which
+  :func:`~repro.serve.resilience.validate_rows` must patch or quarantine
+  before any kernel runs.
+* :func:`kind_valid_frame` builds a frame that passes the plan's schema
+  check but holds the cells fit is least likely to have seen (NaN, ±inf,
+  ±1e300, −0.0, empty, number-like and unparseable text, long strings,
+  numbers in text columns).  The compiled ops are total on such input:
+  ``benchmarks/bench_resilience.py`` and ``tests/serve/test_op_fuzz.py``
+  count every feature that still fails on it, and require none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.core.sandbox import TransformError
+from repro.dataframe.frame import DataFrame
 from repro.dataframe.series import Series
 from repro.serve.plan import coarse_kind
+from repro.serve.resilience import plan_known_categories
 
-__all__ = ["CHAOS_MODES", "ChaosSchedule", "FaultInjector", "hostile_rows"]
+__all__ = ["hostile_rows", "kind_valid_frame"]
 
-CHAOS_MODES = ("raise", "bad_output")
-
-
-class ChaosSchedule:
-    """Which fault (if any) each feature suffers on each of its calls.
-
-    ``schedules`` maps feature name → {call index (0-based) → mode}.
-    Calls advance per feature as :meth:`fault_for` is consulted, so one
-    schedule instance narrates one serving timeline.
-    """
-
-    def __init__(self, schedules: Mapping[str, Mapping[int, str]]) -> None:
-        for feature, plan in schedules.items():
-            for call, mode in plan.items():
-                if mode not in CHAOS_MODES:
-                    raise ValueError(
-                        f"unknown chaos mode {mode!r} for {feature!r} call {call}"
-                    )
-        self._schedules = {
-            feature: dict(plan) for feature, plan in schedules.items()
-        }
-        self._calls: dict[str, int] = {}
-
-    @classmethod
-    def seeded(
-        cls,
-        features: Iterable[str],
-        *,
-        modes: Sequence[str] = ("raise",),
-        rate: float = 0.2,
-        n_calls: int = 50,
-        seed: int = 0,
-    ) -> "ChaosSchedule":
-        """A reproducible random schedule: each of *n_calls* calls per
-        feature fails with probability *rate*, mode drawn from *modes*."""
-        rng = np.random.default_rng(seed)
-        schedules: dict[str, dict[int, str]] = {}
-        for feature in features:
-            plan: dict[int, str] = {}
-            for call in range(n_calls):
-                if rng.random() < rate:
-                    plan[call] = modes[int(rng.integers(len(modes)))]
-            schedules[feature] = plan
-        return cls(schedules)
-
-    def fault_for(self, feature: str) -> str | None:
-        """The fault this feature suffers on its next call (advances it)."""
-        call = self._calls.get(feature, 0)
-        self._calls[feature] = call + 1
-        return self._schedules.get(feature, {}).get(call)
-
-    def reset(self) -> None:
-        """Rewind every feature to call 0 (replay the same timeline)."""
-        self._calls.clear()
-
-
-class FaultInjector:
-    """The ``evaluator`` seam implementation driven by a schedule."""
-
-    def __init__(self, schedule: ChaosSchedule) -> None:
-        self.schedule = schedule
-        self.injected: list[tuple[str, str]] = []
-
-    def __call__(self, spec, frame, default) -> Any:
-        mode = self.schedule.fault_for(spec.name)
-        if mode is None:
-            return default()
-        self.injected.append((spec.name, mode))
-        if mode == "raise":
-            raise TransformError(f"chaos: injected failure for {spec.name!r}")
-        # mode == "bad_output"
-        name = spec.output_columns[0] if spec.output_columns else spec.name
-        return Series._from_array(np.zeros(max(len(frame) - 1, 1)), name)
+#: The edge cells :func:`kind_valid_frame` draws from besides the values
+#: fit saw, per column kind (``_NUMBER_CELLS``: numbers in a text column).
+_FLOAT_CELLS = (np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0, 0.0, 1.0, -1.0)
+_INT_CELLS = (0, 1, -1, 2**62, -(2**62))
+_TEXT_CELLS = (
+    "", "nan", "NaN", "12", "-3.5", "2021-13-45", "2020-02-30", "2020/01/31",
+    "cat2", "N/A", "a,b,c", " spaced ", None,
+)
+_NUMBER_CELLS = (12, -3.5, 0.0, float("nan"), 2**62)
 
 
 def hostile_rows(
@@ -169,3 +102,44 @@ def hostile_rows(
                     row[name] = f"cat{int(rng.integers(4))}"
         rows.append(row)
     return rows
+
+
+def kind_valid_frame(plan, n_rows: int, *, seed: int = 0) -> DataFrame:
+    """A seeded batch that passes *plan*'s schema check, built of edge cells.
+
+    Each input column is of its pinned coarse kind: ``bool`` columns are
+    bool arrays; numeric columns are float64 or int64 arrays with a third
+    of the cells drawn from the values fit saw and from NaN, ±inf, ±1e300
+    and −0.0 (int64: ±2**62); object columns mix the values fit saw with
+    empty, number-like and unparseable text, a 300-character string and
+    ``None``, and in half the batches numbers too.  The same ``(plan,
+    n_rows, seed)`` always yields the same frame.
+    """
+    rng = np.random.default_rng(seed)
+    known = plan_known_categories(plan)
+    kinds = dict(plan.input_schema)
+    data = {}
+    for name in plan.input_columns:
+        kind = coarse_kind(kinds.get(name, "float"))
+        seen = [v for v in known.get(name, ()) if v is not None]
+        if kind == "bool":
+            values = rng.random(n_rows) < 0.5
+        elif kind == "numeric":
+            seen = [v for v in seen if isinstance(v, (int, float)) and not isinstance(v, bool)]
+            if rng.random() < 0.5:
+                values = rng.integers(-1000, 1000, n_rows)
+                pool = [int(v) for v in seen if float(v).is_integer() and abs(v) < 2**62]
+                pool += _INT_CELLS
+            else:
+                values = rng.normal(0.0, 10.0 ** int(rng.integers(0, 7)), n_rows)
+                pool = [*seen, *_FLOAT_CELLS]
+            hit = np.flatnonzero(rng.random(n_rows) < 0.35)
+            values[hit] = np.asarray(pool, dtype=values.dtype)[rng.integers(len(pool), size=len(hit))]
+        else:
+            pool = [*seen, *_TEXT_CELLS, "".join(rng.choice(list("xyz, -"), 300))]
+            if rng.random() < 0.5:
+                pool += _NUMBER_CELLS
+            values = np.empty(n_rows, dtype=object)
+            values[:] = [pool[i] for i in rng.integers(len(pool), size=n_rows)]
+        data[name] = Series._from_array(values, name)
+    return DataFrame(data)

@@ -27,8 +27,6 @@ from repro.serve.resilience import (
     FAILURE_POLICIES,
     ApplyReport,
     BatchValidationError,
-    BreakerBoard,
-    CircuitBreaker,
     FeatureReport,
     QuarantineReport,
     ServerStats,
@@ -42,8 +40,6 @@ __all__ = [
     "PLAN_SCHEMA_VERSION",
     "ApplyReport",
     "BatchValidationError",
-    "BreakerBoard",
-    "CircuitBreaker",
     "FeaturePlan",
     "FeatureReport",
     "FeatureServer",

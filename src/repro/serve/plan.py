@@ -267,8 +267,6 @@ class FeaturePlan:
         frame: DataFrame,
         *,
         failure_policy: str = "strict",
-        breakers=None,
-        evaluator=None,
     ) -> DataFrame:
         """Replay the plan against *frame* and return the featured frame.
 
@@ -279,17 +277,11 @@ class FeaturePlan:
         frame itself is never mutated.
 
         ``failure_policy="strict"`` (the default) fails the whole batch
-        on the first misbehaving feature.  ``"degrade"`` isolates
-        failures per feature (NaN-filled columns).  See
-        :meth:`apply_with_report` for *breakers* and the chaos
-        *evaluator* seam, and for the per-feature report.
+        on the first failing feature.  ``"degrade"`` isolates failures
+        per feature (NaN-filled columns); :meth:`apply_with_report` also
+        returns the per-feature report.
         """
-        out, _report = self.apply_with_report(
-            frame,
-            failure_policy=failure_policy,
-            breakers=breakers,
-            evaluator=evaluator,
-        )
+        out, _report = self.apply_with_report(frame, failure_policy=failure_policy)
         return out
 
     def apply_with_report(
@@ -297,25 +289,20 @@ class FeaturePlan:
         frame: DataFrame,
         *,
         failure_policy: str = "degrade",
-        breakers=None,
-        evaluator=None,
     ):
         """Replay with per-feature fault isolation: ``(frame, ApplyReport)``.
 
-        The one replay loop every serve path runs.  A failing feature
+        The one replay loop every serve path runs.  Compiled ops are
+        total on cells of the plan's input kinds (a cell a kernel cannot
+        read, such as a date that does not parse, serves as missing), so
+        a feature fails only on a bad batch: an unavailable input
+        column, or an in-memory cell no kernel takes.  A failing feature
         costs exactly its own output columns: under ``degrade`` they are
         NaN-filled and the failure is recorded in the returned
         :class:`~repro.serve.resilience.ApplyReport`; under ``strict``
-        the original exception propagates (after the breaker, if any,
-        counts it).  Healthy features evaluate identically under either
-        policy, so their outputs are bit-identical to a fault-free run.
-
-        *breakers* (a :class:`~repro.serve.resilience.BreakerBoard`)
-        skips features whose breaker is open.  *evaluator* is the chaos
-        seam: when given, every feature evaluation routes through
-        ``evaluator(spec, frame, default)`` where ``default()`` performs
-        the normal evaluation — fault injectors wrap it, production never
-        sets it.
+        the original exception propagates.  Healthy features evaluate
+        identically under either policy, so their outputs are
+        bit-identical to a fault-free run.
         """
         from repro.serve.resilience import FAILURE_POLICIES, ApplyReport, FeatureReport
 
@@ -355,24 +342,10 @@ class FeaturePlan:
                     )
                 )
                 continue
-            breaker = breakers.get(spec.name) if breakers is not None else None
-            if breaker is not None and not breaker.allow():
-                if not degrade:
-                    raise PlanError(f"circuit breaker open for feature {spec.name!r}")
-                _nan_fill(spec, working, n_rows)
-                report.reports.append(
-                    FeatureReport(
-                        spec.name, "skipped", error="CircuitOpen",
-                        reason="circuit breaker open",
-                    )
-                )
-                continue
             try:
-                out = self._evaluate(spec, working, evaluator)
+                out = evaluate_feature(spec.expr, working, self._dictionaries)
                 self._install(spec, out, working)
             except Exception as exc:  # noqa: BLE001 - isolation is the point
-                if breaker is not None:
-                    breaker.record_failure()
                 if not degrade:
                     raise
                 _nan_fill(spec, working, n_rows)
@@ -382,24 +355,12 @@ class FeaturePlan:
                     )
                 )
                 continue
-            if breaker is not None:
-                breaker.record_success()
             report.reports.append(FeatureReport(spec.name, "ok"))
 
         to_drop = [c for c in self.drop_columns if c in working]
         if to_drop:
             working.drop(columns=to_drop, inplace=True)
         return working, report
-
-    def _evaluate(self, spec: FeatureSpec, working: DataFrame, evaluator):
-        """One feature's output, routed through the chaos *evaluator* if set."""
-        if evaluator is None:
-            return evaluate_feature(spec.expr, working, self._dictionaries)
-        return evaluator(
-            spec,
-            working,
-            lambda: evaluate_feature(spec.expr, working, self._dictionaries),
-        )
 
     def csv_schema(self) -> dict[str, str | None] | None:
         """The kinds :func:`~repro.dataframe.io.read_csv_shards` decodes
@@ -428,8 +389,6 @@ class FeaturePlan:
         *,
         memory_budget_mb: float | None = None,
         failure_policy: str = "strict",
-        breakers=None,
-        evaluator=None,
     ):
         """Replay the plan shard-by-shard: a generator of featured frames.
 
@@ -450,8 +409,7 @@ class FeaturePlan:
 
         Fault isolation composes per shard: under
         ``failure_policy="degrade"`` a failing feature NaN-fills only the
-        shard it failed on, and a shared *breakers* board accumulates
-        across shards exactly as it does across batches.
+        shard it failed on.
         """
         from repro.dataframe.io import Shard, iter_frame_shards
 
@@ -465,12 +423,7 @@ class FeaturePlan:
                 max_rows = self.budget_rows(frame, memory_budget_mb)
                 subs = (s.frame for s in iter_frame_shards(frame, max_rows))
             for sub in subs:
-                yield self.apply(
-                    sub,
-                    failure_policy=failure_policy,
-                    breakers=breakers,
-                    evaluator=evaluator,
-                )
+                yield self.apply(sub, failure_policy=failure_policy)
 
     #: Estimated per-row bytes for an object-dtype cell (pointer plus a
     #: typical small payload) and the multiplier covering transient

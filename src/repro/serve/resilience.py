@@ -1,21 +1,18 @@
-"""Serve-path resilience: breakers, reports, quarantine.
+"""Serve-path resilience: reports, quarantine, stats.
 
 ``FeaturePlan.apply`` under the default ``strict`` policy fails the
-whole batch the moment one feature misbehaves, which is the right
-contract for offline replay and tests.  Production traffic needs the
-opposite: a misbehaving feature (an op that raises, a drifted column, a
-hostile row value) should cost exactly its own column, with the blast
-radius recorded, never the batch.  The replay loop itself
-lives in :meth:`FeaturePlan.apply_with_report
+whole batch the moment one feature raises, which is the right contract
+for offline replay and tests.  Production traffic can ask for the
+opposite: under ``degrade`` a failing feature (an unavailable input
+column, or an in-memory cell no kernel takes) costs exactly its own
+columns, with the outcome recorded, never the batch.  Compiled ops are
+total on input of the plan's kinds, so a failure comes from the batch,
+not from the op.  The replay loop itself lives in :meth:`FeaturePlan.apply_with_report
 <repro.serve.plan.FeaturePlan.apply_with_report>`; this module holds the
 pieces it and the server compose:
 
 * :class:`FeatureReport` / :class:`ApplyReport` — per-feature outcomes
-  of one replay (``ok``, ``failed``, ``skipped``, ``omitted``).
-* :class:`CircuitBreaker` / :class:`BreakerBoard` — per-feature
-  closed → open → half-open breakers with thread-safe, *call-count*
-  based state (no wall clock, so trips and recoveries are exactly
-  reproducible in tests).
+  of one replay (``ok``, ``failed``, ``omitted``).
 * :func:`validate_rows` — typed coercion of row-dict batches against the
   plan's schema fingerprint with per-cell patching and per-row
   quarantine, so hostile input surfaces as a reasoned
@@ -45,8 +42,6 @@ __all__ = [
     "FAILURE_POLICIES",
     "ApplyReport",
     "BatchValidationError",
-    "BreakerBoard",
-    "CircuitBreaker",
     "FeatureReport",
     "QuarantineReport",
     "ServerStats",
@@ -71,11 +66,11 @@ class BatchValidationError(PlanError):
 class FeatureReport:
     """One feature's outcome in one ``apply`` call.
 
-    ``status`` is ``ok`` (served normally), ``failed`` (evaluation raised
-    — NaN-filled under degrade), ``skipped`` (breaker open — NaN-filled
-    without burning evaluation time), or ``omitted`` (the plan itself
-    never compiled it).  ``error`` is the exception class name for
-    ``failed``; ``reason`` is human-readable in every non-ok case.
+    ``status`` is ``ok`` (served normally), ``failed`` (an input was
+    unavailable or evaluation raised — NaN-filled under degrade), or
+    ``omitted`` (the plan itself never compiled it).  ``error`` is the
+    exception class name for ``failed``; ``reason`` is human-readable in
+    every non-ok case.
     """
 
     feature: str
@@ -111,7 +106,7 @@ class ApplyReport:
         return bad / len(served)
 
     def failures(self) -> list[FeatureReport]:
-        return [r for r in self.reports if r.status in ("failed", "skipped")]
+        return [r for r in self.reports if r.status == "failed"]
 
     def to_dict(self) -> dict:
         return {
@@ -120,97 +115,6 @@ class ApplyReport:
             "by_status": self.by_status(),
             "features": to_record(self.reports),
         }
-
-
-# ----------------------------------------------------------------------
-# Circuit breakers
-# ----------------------------------------------------------------------
-class CircuitBreaker:
-    """Closed → open → half-open breaker with deterministic, counted state.
-
-    State advances on *calls*, never on wall-clock time: after
-    ``failure_threshold`` consecutive failures the breaker opens and the
-    next ``cooldown_calls`` calls are refused outright; the call after
-    that is admitted as the half-open probe, whose outcome closes or
-    re-opens the breaker.  Count-based cooldown keeps trip/recovery
-    schedules exactly reproducible under seeded fault injection, and the
-    single lock makes the counters safe under concurrent callers.
-    """
-
-    def __init__(self, failure_threshold: int = 3, cooldown_calls: int = 5) -> None:
-        if failure_threshold < 1 or cooldown_calls < 1:
-            raise ValueError("breaker thresholds must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.cooldown_calls = cooldown_calls
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._consecutive_failures = 0
-        self._cooldown_left = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def allow(self) -> bool:
-        """Admit or refuse one call (refusals count down the cooldown)."""
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if self._state == "open":
-                if self._cooldown_left > 0:
-                    self._cooldown_left -= 1
-                    return False
-                self._state = "half_open"
-                return True  # this call is the probe
-            return False  # half_open: a probe is already in flight
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._state = "closed"
-            self._consecutive_failures = 0
-            self._cooldown_left = 0
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._consecutive_failures += 1
-            if (
-                self._state == "half_open"
-                or self._consecutive_failures >= self.failure_threshold
-            ):
-                self._state = "open"
-                self._cooldown_left = self.cooldown_calls
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
-                "cooldown_left": self._cooldown_left,
-            }
-
-
-class BreakerBoard:
-    """Per-feature breakers sharing one configuration, created on demand."""
-
-    def __init__(self, failure_threshold: int = 3, cooldown_calls: int = 5) -> None:
-        self.failure_threshold = failure_threshold
-        self.cooldown_calls = cooldown_calls
-        self._lock = threading.Lock()
-        self._breakers: dict[str, CircuitBreaker] = {}
-
-    def get(self, feature: str) -> CircuitBreaker:
-        with self._lock:
-            breaker = self._breakers.get(feature)
-            if breaker is None:
-                breaker = CircuitBreaker(self.failure_threshold, self.cooldown_calls)
-                self._breakers[feature] = breaker
-            return breaker
-
-    def snapshot(self) -> dict[str, dict]:
-        with self._lock:
-            items = list(self._breakers.items())
-        return {name: breaker.snapshot() for name, breaker in items}
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +422,7 @@ class ServerStats:
                     if feature.status == "omitted":
                         continue
                     counts = self._features.setdefault(
-                        feature.feature, {"ok": 0, "failed": 0, "skipped": 0}
+                        feature.feature, {"ok": 0, "failed": 0}
                     )
                     counts[feature.status] = counts.get(feature.status, 0) + 1
 

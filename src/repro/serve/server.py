@@ -19,12 +19,13 @@ revalidates against :meth:`PlanRegistry.state_token` (two stat calls)
 instead of re-reading plan JSON on every batch, and no disk I/O ever
 happens while the server lock is held.
 
-Resilience is opt-in per server: ``failure_policy="degrade"`` NaN-fills
-failing features instead of failing the batch, per-feature circuit
-breakers stop evaluating persistently failing features, and row-dict
-batches are coerced/quarantined against the plan schema.
-:meth:`FeatureServer.health` and :meth:`FeatureServer.stats` expose the
-accumulated picture.
+Row-dict batches are coerced/quarantined against the plan schema, and
+``failure_policy="degrade"`` NaN-fills a failing feature (an input the
+batch does not carry) instead of failing the batch.  The compiled ops
+are total on input of the plan's kinds, so a feature that fails does so
+because of the batch it was given, and the next batch evaluates it
+afresh.  :meth:`FeatureServer.health` and :meth:`FeatureServer.stats`
+expose the accumulated picture.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.serve.registry import PlanRegistry
 from repro.serve.resilience import (
     FAILURE_POLICIES,
     ApplyReport,
-    BreakerBoard,
     QuarantineReport,
     ServerStats,
     ValidationLimits,
@@ -87,11 +87,6 @@ class FeatureServer:
         batch loudly, the historical contract) or ``"degrade"`` (failing
         features NaN-fill, hostile rows quarantine, everything is
         reported).
-    breaker_threshold, breaker_cooldown:
-        Per-feature circuit breakers: open after *breaker_threshold*
-        consecutive failures, admit a half-open probe after
-        *breaker_cooldown* refused calls.  ``breaker_threshold=0``
-        disables breakers.
     limits:
         :class:`~repro.serve.resilience.ValidationLimits` for row-dict
         batches (string size, NaN-flood threshold).
@@ -105,8 +100,6 @@ class FeatureServer:
         version: int | None = None,
         *,
         failure_policy: str = "strict",
-        breaker_threshold: int = 0,
-        breaker_cooldown: int = 5,
         limits: ValidationLimits | None = None,
     ) -> None:
         if plan is None and registry is None:
@@ -116,13 +109,6 @@ class FeatureServer:
                 f"unknown failure_policy {failure_policy!r}; "
                 f"expected one of {FAILURE_POLICIES}"
             )
-        if breaker_threshold < 0:
-            raise PlanError(
-                f"breaker_threshold must be >= 0 (0 disables breakers), "
-                f"got {breaker_threshold!r}"
-            )
-        if breaker_cooldown < 1:
-            raise PlanError(f"breaker_cooldown must be >= 1, got {breaker_cooldown!r}")
         self._plan = plan
         self._registry = registry
         self._default_name = name
@@ -130,11 +116,6 @@ class FeatureServer:
         self._lock = threading.Lock()
         self._plan_cache: dict[tuple[str, int | None], tuple[tuple | None, FeaturePlan]] = {}
         self.failure_policy = failure_policy
-        self.breakers = (
-            BreakerBoard(breaker_threshold, breaker_cooldown)
-            if breaker_threshold > 0
-            else None
-        )
         self.limits = limits or ValidationLimits()
         self.stats_board = ServerStats()
 
@@ -219,8 +200,8 @@ class FeatureServer:
         DataFrames, or row-dict batches; each goes through the identical
         validation/resilience path a :meth:`transform` batch does, so
         fault isolation applies per shard under ``degrade`` (a failing
-        feature NaN-fills only the shards it fails on) while breakers and
-        the stats board accumulate across the whole stream.  Never holds
+        feature NaN-fills only the shards it fails on) while the stats
+        board accumulates across the whole stream.  Never holds
         more than one shard plus its featured output.
         """
         from repro.dataframe.io import Shard
@@ -246,9 +227,7 @@ class FeatureServer:
                 plan, rows, self.limits, strict=self.failure_policy == "strict"
             )
         out, apply_report = plan.apply_with_report(
-            frame,
-            failure_policy=self.failure_policy,
-            breakers=self.breakers,
+            frame, failure_policy=self.failure_policy
         )
         self.stats_board.record(
             rows_in=quarantine.total_rows if quarantine else len(frame),
@@ -262,29 +241,20 @@ class FeatureServer:
     # Health / stats surface
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Cumulative counters: batches, rows, quarantines, per-feature
-        success/failure/skip counts, current breaker states."""
+        """Cumulative counters: batches, rows, quarantines and per-feature
+        success/failure counts."""
         out = self.stats_board.snapshot()
         out["failure_policy"] = self.failure_policy
-        out["breakers"] = self.breakers.snapshot() if self.breakers else {}
         return out
 
     def health(self) -> dict:
-        """Condensed liveness view: ``status`` is ``"ok"`` when nothing is
-        failing, ``"degraded"`` when any feature is failing or any
-        breaker is non-closed — the payload says which."""
+        """Condensed liveness view: ``status`` is ``"ok"`` when no feature
+        has failed, ``"degraded"`` when any has — the payload says which."""
         stats = self.stats()
         failing = sorted(
-            feature
-            for feature, counts in stats["features"].items()
-            if counts.get("failed", 0) or counts.get("skipped", 0)
+            feature for feature, counts in stats["features"].items() if counts["failed"]
         )
-        open_breakers = sorted(
-            feature
-            for feature, snap in stats["breakers"].items()
-            if snap["state"] != "closed"
-        )
-        status = "ok" if not failing and not open_breakers else "degraded"
+        status = "degraded" if failing else "ok"
         return {
             "status": status,
             "failure_policy": self.failure_policy,
@@ -292,5 +262,4 @@ class FeatureServer:
             "rows_served": stats["rows_served"],
             "rows_quarantined": stats["rows_quarantined"],
             "failing_features": failing,
-            "open_breakers": open_breakers,
         }

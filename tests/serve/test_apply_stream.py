@@ -20,7 +20,6 @@ from repro.dataframe import DataFrame, Series
 from repro.dataframe.io import Shard, concat_shards, iter_frame_shards
 from repro.eval.serving import build_demo_result, sharded_identity_report
 from repro.serve import (
-    BreakerBoard,
     FeaturePlan,
     FeatureServer,
     PlanError,
@@ -178,26 +177,22 @@ class TestServerStreaming:
 
 
 class TestPerShardFaultIsolation:
-    def _failing_on_second_shard(self, feature):
+    @staticmethod
+    def _fail_on_second_shard(plan, fail_feature):
+        """``Income_z`` raises on the second shard it is evaluated on."""
         calls = {"n": 0}
 
-        def evaluator(spec, frame, default):
-            if spec.name == feature:
-                calls["n"] += 1
-                if calls["n"] == 2:
-                    raise TransformError("injected: fails on shard 2 only")
-            return default()
+        def second(_frame):
+            calls["n"] += 1
+            return calls["n"] == 2
 
-        return evaluator
+        fail_feature(next(s for s in plan.features if s.name == "Income_z"), second)
 
-    def test_degrade_nan_fills_only_the_failing_shard(self, demo):
+    def test_degrade_nan_fills_only_the_failing_shard(self, demo, fail_feature):
         plan, frame, base = demo
+        self._fail_on_second_shard(plan, fail_feature)
         outs = list(
-            plan.apply_stream(
-                iter_frame_shards(frame, 200),
-                failure_policy="degrade",
-                evaluator=self._failing_on_second_shard("Income_z"),
-            )
+            plan.apply_stream(iter_frame_shards(frame, 200), failure_policy="degrade")
         )
         assert len(outs) == 3
         # shards 1 and 3 are bit-identical to the in-memory rows
@@ -216,39 +211,13 @@ class TestPerShardFaultIsolation:
                 equal_nan=outs[1][name].dtype.kind == "f",
             ), name
 
-    def test_strict_stream_fails_loudly_mid_stream(self, demo):
+    def test_strict_stream_fails_loudly_mid_stream(self, demo, fail_feature):
         plan, frame, _ = demo
-        stream = plan.apply_stream(
-            iter_frame_shards(frame, 200),
-            evaluator=self._failing_on_second_shard("Income_z"),
-        )
+        self._fail_on_second_shard(plan, fail_feature)
+        stream = plan.apply_stream(iter_frame_shards(frame, 200))
         next(stream)
         with pytest.raises(TransformError, match="injected"):
             list(stream)
-
-    def test_breakers_accumulate_across_shards(self, demo):
-        """A feature failing on every shard trips a shared breaker after
-        the threshold, then later shards skip it (NaN) without paying."""
-        plan, frame, _ = demo
-
-        def always_fail(spec, frame_, default):
-            if spec.name == "Income_z":
-                raise TransformError("injected: always fails")
-            return default()
-
-        breakers = BreakerBoard(failure_threshold=2, cooldown_calls=100)
-        outs = list(
-            plan.apply_stream(
-                iter_frame_shards(frame, 100),
-                failure_policy="degrade",
-                breakers=breakers,
-                evaluator=always_fail,
-            )
-        )
-        assert len(outs) == 6
-        assert breakers.snapshot()["Income_z"]["state"] == "open"
-        for out in outs:
-            assert np.isnan(out["Income_z"].values).all()
 
 
 class TestRefreshGroupTables:

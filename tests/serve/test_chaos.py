@@ -1,20 +1,25 @@
-"""Deterministic chaos gate over the serve-path resilience layer.
+"""Deterministic fault injection over the serve path's per-feature isolation.
 
-Seeded fault schedules drive every failure mode the resilience layer
-claims to contain — a raising evaluation, bad output, hostile rows,
-schema drift — and assert the blast-radius
-contract: under ``degrade`` every healthy feature's output is
-bit-identical to a fault-free run, breakers trip and recover exactly on
-schedule, and ``strict`` still fails loudly.
+Compiled ops are total on input of the plan's kinds, so faults here are
+injected by patching ``repro.serve.plan.evaluate_feature`` (the
+``fail_feature`` fixture), the one name the replay loop evaluates each
+feature through.  Each fault mode — a raising evaluation, bad output —
+and a seeded storm of both must keep the blast-radius contract: under
+``degrade`` every healthy feature's output is bit-identical to a
+fault-free run and the caller's frame is untouched, and ``strict``
+fails loudly and typed.  Seeded hostile row batches must quarantine
+with reasons and leave the server healthy.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.sandbox import TransformError
-from repro.eval.chaos import CHAOS_MODES, ChaosSchedule, FaultInjector, hostile_rows
+from repro.eval.chaos import hostile_rows
 from repro.eval.serving import build_demo_result
-from repro.serve import BreakerBoard, FeatureServer, compile_plan, series_identical
+from repro.serve import FeatureServer, compile_plan, series_identical
+
+#: The modes ``fail_feature`` injects.
+FAULT_MODES = ("raise", "bad_output")
 
 
 @pytest.fixture(scope="module")
@@ -27,82 +32,82 @@ def _served(plan):
     return [s for s in plan.features if s.status != "omitted"]
 
 
-class TestChaosSchedule:
-    def test_same_seed_same_schedule(self):
-        a = ChaosSchedule.seeded(["f", "g"], rate=0.5, n_calls=20, seed=7)
-        b = ChaosSchedule.seeded(["f", "g"], rate=0.5, n_calls=20, seed=7)
-        assert a._schedules == b._schedules
+class Storm:
+    """A seeded fault schedule: each served feature gets one fault mode
+    and fails on the call indices a seeded draw at *rate* picks."""
 
-    def test_different_seed_different_schedule(self):
-        a = ChaosSchedule.seeded(["f"], rate=0.5, n_calls=50, seed=1)
-        b = ChaosSchedule.seeded(["f"], rate=0.5, n_calls=50, seed=2)
-        assert a._schedules != b._schedules
+    def __init__(self, plan, *, rate, n_calls, seed, modes=FAULT_MODES):
+        rng = np.random.default_rng(seed)
+        self.specs = _served(plan)
+        self.modes = {}
+        self.faults = {}
+        for spec in self.specs:
+            self.modes[spec.name] = modes[int(rng.integers(len(modes)))]
+            self.faults[spec.name] = {
+                int(i) for i in np.flatnonzero(rng.random(n_calls) < rate)
+            }
+        self.reset()
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos mode"):
-            ChaosSchedule({"f": {0: "meteor"}})
+    def reset(self):
+        self.calls = dict.fromkeys(self.faults, 0)
+        self.injected = []
 
-    @pytest.mark.parametrize("mode", ["hang", "mutate"])
-    def test_retired_modes_rejected(self, mode):
-        # Schedules written when features could hang or mutate their
-        # input fail loudly rather than injecting nothing.
-        assert mode not in CHAOS_MODES
-        with pytest.raises(ValueError, match=f"unknown chaos mode '{mode}'"):
-            ChaosSchedule({"f": {0: mode}})
-        with pytest.raises(ValueError, match=f"unknown chaos mode '{mode}'"):
-            ChaosSchedule.seeded(["f"], modes=(mode,), rate=1.0, n_calls=1)
+    def inject(self, fail_feature):
+        for spec in self.specs:
+            fail_feature(
+                spec,
+                lambda _frame, name=spec.name: self._fires(name),
+                mode=self.modes[spec.name],
+            )
 
-    def test_calls_advance_and_reset(self):
-        schedule = ChaosSchedule({"f": {1: "raise"}})
-        assert schedule.fault_for("f") is None
-        assert schedule.fault_for("f") == "raise"
-        schedule.reset()
-        assert schedule.fault_for("f") is None
+    def _fires(self, name):
+        call = self.calls[name]
+        self.calls[name] += 1
+        if call in self.faults[name]:
+            self.injected.append((name, self.modes[name]))
+            return True
+        return False
 
 
 class TestEveryFailureMode:
-    """Each chaos mode lands as an isolated, reported failure."""
+    """Each fault mode lands as an isolated, reported failure."""
 
-    @pytest.mark.parametrize("mode", CHAOS_MODES)
-    def test_mode_is_contained_and_reported(self, plan_and_frame, mode):
+    @pytest.mark.parametrize("mode", FAULT_MODES)
+    def test_mode_is_contained_and_reported(self, plan_and_frame, fail_feature, mode):
         plan, frame = plan_and_frame
         victim = _served(plan)[0]
-        injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
-        out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", evaluator=injector
-        )
+        fail_feature(victim, mode=mode)
+        out, report = plan.apply_with_report(frame, failure_policy="degrade")
         entry = next(r for r in report.reports if r.feature == victim.name)
         assert entry.status == "failed"
-        assert entry.error in {"TransformError", "PlanError"}
+        assert entry.error == {"raise": "TransformError", "bad_output": "PlanError"}[mode]
+        assert [r.feature for r in report.failures()] == [victim.name]
         for name in victim.output_columns:
             assert np.isnan(out[name].values).all()
-        assert injector.injected == [(victim.name, mode)]
 
-    @pytest.mark.parametrize("mode", CHAOS_MODES)
+    @pytest.mark.parametrize("mode", FAULT_MODES)
     def test_healthy_features_bit_identical_under_each_mode(
-        self, plan_and_frame, mode
+        self, plan_and_frame, fail_feature, mode
     ):
         plan, frame = plan_and_frame
-        victim = _served(plan)[0]
-        injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
         clean = plan.apply(frame)
-        out, _report = plan.apply_with_report(
-            frame, failure_policy="degrade", evaluator=injector
-        )
+        victim = _served(plan)[0]
+        fail_feature(victim, mode=mode)
+        out, _report = plan.apply_with_report(frame, failure_policy="degrade")
+        assert out.columns == clean.columns
         for name in clean.columns:
             if name in victim.output_columns:
                 continue
             assert series_identical(clean[name], out[name]), name
 
-    def test_input_frame_survives_every_mode(self, plan_and_frame):
+    def test_input_frame_survives_every_mode(self, plan_and_frame, fail_feature):
         plan, frame = plan_and_frame
         victim = _served(plan)[0]
         before = {name: frame[name].values.copy() for name in frame.columns}
-        for mode in CHAOS_MODES:
-            injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
-            plan.apply_with_report(
-                frame, failure_policy="degrade", evaluator=injector
-            )
+        for mode in FAULT_MODES:
+            fail_feature(victim, mode=mode)
+            _out, report = plan.apply_with_report(frame, failure_policy="degrade")
+            assert [r.feature for r in report.failures()] == [victim.name]
         assert frame.columns == list(before)
         for name, values in before.items():
             got = frame[name].values
@@ -114,86 +119,26 @@ class TestEveryFailureMode:
 
 class TestStrictFailsLoudly:
     @pytest.mark.parametrize("mode", ["raise", "bad_output"])
-    def test_strict_raises_on_injected_fault(self, plan_and_frame, mode):
+    def test_strict_raises_on_injected_fault(self, plan_and_frame, fail_feature, mode):
         plan, frame = plan_and_frame
-        victim = _served(plan)[0]
-        injector = FaultInjector(ChaosSchedule({victim.name: {0: mode}}))
+        fail_feature(_served(plan)[0], mode=mode)
         with pytest.raises(Exception) as excinfo:
-            plan.apply_with_report(
-                frame, failure_policy="strict", evaluator=injector
-            )
+            plan.apply_with_report(frame, failure_policy="strict")
         # typed: the injected error or the install check's verdict, never
         # a bare KeyError/IndexError/ValueError from a kernel
         assert type(excinfo.value).__name__ in {"TransformError", "PlanError"}
 
 
-class TestBreakerSchedule:
-    def test_trip_and_recover_on_exact_schedule(self, plan_and_frame):
-        plan, frame = plan_and_frame
-        victim = _served(plan)[0]
-        # fail calls 0-2 (trips at threshold 3), healthy afterwards
-        injector = FaultInjector(
-            ChaosSchedule({victim.name: {0: "raise", 1: "raise", 2: "raise"}})
-        )
-        board = BreakerBoard(failure_threshold=3, cooldown_calls=2)
-        timeline = []
-        for _ in range(8):
-            _out, report = plan.apply_with_report(
-                frame, failure_policy="degrade", breakers=board, evaluator=injector
-            )
-            entry = next(r for r in report.reports if r.feature == victim.name)
-            timeline.append((entry.status, board.get(victim.name).state))
-        assert timeline == [
-            ("failed", "closed"),  # 1st failure
-            ("failed", "closed"),  # 2nd failure
-            ("failed", "open"),  # 3rd consecutive -> trips
-            ("skipped", "open"),  # cooldown refusal 1
-            ("skipped", "open"),  # cooldown refusal 2
-            ("ok", "closed"),  # half-open probe succeeds -> closes
-            ("ok", "closed"),
-            ("ok", "closed"),
-        ]
-
-    def test_probe_failure_reopens_on_schedule(self, plan_and_frame):
-        plan, frame = plan_and_frame
-        victim = _served(plan)[0]
-        # calls 0-1 fail (trip at threshold 2); call 2 is the probe after
-        # one refusal — it fails too, re-opening the breaker
-        injector = FaultInjector(
-            ChaosSchedule({victim.name: {0: "raise", 1: "raise", 2: "raise"}})
-        )
-        board = BreakerBoard(failure_threshold=2, cooldown_calls=1)
-        timeline = []
-        for _ in range(6):
-            _out, report = plan.apply_with_report(
-                frame, failure_policy="degrade", breakers=board, evaluator=injector
-            )
-            entry = next(r for r in report.reports if r.feature == victim.name)
-            timeline.append(entry.status)
-        assert timeline == [
-            "failed",  # trip builds
-            "failed",  # trips (threshold 2)
-            "skipped",  # cooldown refusal
-            "failed",  # probe runs injected call 2 -> fails -> reopen
-            "skipped",  # cooldown refusal again
-            "ok",  # next probe is healthy -> closes
-        ]
-
-
 class TestSeededSoak:
-    def test_seeded_storm_never_breaks_healthy_outputs(self, plan_and_frame):
+    def test_seeded_storm_never_breaks_healthy_outputs(
+        self, plan_and_frame, fail_feature
+    ):
         plan, frame = plan_and_frame
-        names = [s.name for s in _served(plan)]
-        schedule = ChaosSchedule.seeded(
-            names, modes=("raise", "bad_output"), rate=0.3, n_calls=6, seed=11
-        )
-        injector = FaultInjector(schedule)
-        board = BreakerBoard(failure_threshold=2, cooldown_calls=2)
         clean = plan.apply(frame)
+        storm = Storm(plan, rate=0.3, n_calls=6, seed=11)
+        storm.inject(fail_feature)
         for _ in range(6):
-            out, report = plan.apply_with_report(
-                frame, failure_policy="degrade", breakers=board, evaluator=injector
-            )
+            out, report = plan.apply_with_report(frame, failure_policy="degrade")
             assert out.columns == clean.columns
             for entry in report.reports:
                 if entry.status != "ok":
@@ -201,25 +146,27 @@ class TestSeededSoak:
                 spec = next(s for s in plan.features if s.name == entry.feature)
                 for name in spec.output_columns:
                     assert series_identical(clean[name], out[name]), name
-        assert injector.injected  # the storm actually injected faults
+        assert storm.injected  # the storm actually injected faults
+        assert {mode for _name, mode in storm.injected} == set(FAULT_MODES)
 
-    def test_soak_is_reproducible(self, plan_and_frame):
+    def test_soak_is_reproducible(self, plan_and_frame, fail_feature):
         plan, frame = plan_and_frame
-        names = [s.name for s in _served(plan)]
+        storm = Storm(plan, rate=0.4, n_calls=4, seed=3)
+        twin = Storm(plan, rate=0.4, n_calls=4, seed=3)
+        assert (storm.modes, storm.faults) == (twin.modes, twin.faults)
+        storm.inject(fail_feature)
 
         def run():
-            injector = FaultInjector(
-                ChaosSchedule.seeded(names, rate=0.4, n_calls=4, seed=3)
-            )
+            storm.reset()
             outcomes = []
             for _ in range(4):
-                _out, report = plan.apply_with_report(
-                    frame, failure_policy="degrade", evaluator=injector
-                )
+                _out, report = plan.apply_with_report(frame, failure_policy="degrade")
                 outcomes.append(tuple(r.status for r in report.reports))
-            return outcomes
+            return outcomes, list(storm.injected)
 
-        assert run() == run()
+        first = run()
+        assert first[1]  # the schedule injected something
+        assert first == run()
 
 
 class TestHostileRowsEndToEnd:
@@ -234,6 +181,8 @@ class TestHostileRowsEndToEnd:
             assert reason  # every quarantine is explained
         health = server.health()
         assert health["rows_quarantined"] == report.quarantine.quarantined_rows
+        # Every survivor is of the plan's kinds, and the ops are total on those.
+        assert health["status"] == "ok", health
 
     def test_hostile_generator_is_deterministic(self, plan_and_frame):
         plan, _frame = plan_and_frame

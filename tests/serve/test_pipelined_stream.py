@@ -4,9 +4,9 @@ The serve layer runs one shard at a time, but nothing stops a caller
 from transforming shards concurrently on its own thread pool (a request
 server does exactly that).  The contract: worker threads change *when*
 a shard is transformed, never *what* comes out — outputs collected in
-shard order are bit-identical to the sequential stream, the
-fault-isolation machinery (degrade NaN-fills, shared breakers, strict
-errors after the healthy prefix) composes with the threads unchanged,
+shard order are bit-identical to the sequential stream, per-feature
+fault isolation (degrade NaN-fills, strict errors after the healthy
+prefix) composes with the threads unchanged,
 and independent group-table refreshes running side by side agree with
 the sequential refresh for any chunking.
 """
@@ -21,7 +21,6 @@ from repro.core.sandbox import TransformError
 from repro.dataframe.io import concat_shards, iter_frame_shards
 from repro.eval.serving import build_demo_result
 from repro.serve import (
-    BreakerBoard,
     FeaturePlan,
     FeatureServer,
     compile_plan,
@@ -69,23 +68,18 @@ class TestFaultIsolationComposition:
     """Per-feature fault isolation under caller-side worker threads."""
 
     @staticmethod
-    def _fail_on_small_shard(feature):
-        """Deterministic under any worker timing: fails on the one shard
-        whose row count differs (the trailing partial shard)."""
+    def _fail_on_small_shard(plan, fail_feature):
+        """Deterministic under any worker timing: ``Income_z`` fails on the
+        one shard whose row count differs (the trailing partial shard)."""
+        victim = next(s for s in plan.features if s.name == "Income_z")
+        fail_feature(victim, lambda frame: len(frame) == 100)
 
-        def evaluator(spec, frame, default):
-            if spec.name == feature and len(frame) == 100:
-                raise TransformError("injected: fails on the partial shard")
-            return default()
-
-        return evaluator
-
-    def test_degrade_nan_fills_only_the_failing_shard(self, demo):
+    def test_degrade_nan_fills_only_the_failing_shard(self, demo, fail_feature):
         plan, frame, base = demo
-        evaluator = self._fail_on_small_shard("Income_z")
+        self._fail_on_small_shard(plan, fail_feature)
 
         def transform(shard):
-            return plan.apply(shard, failure_policy="degrade", evaluator=evaluator)
+            return plan.apply(shard, failure_policy="degrade")
 
         with ThreadPoolExecutor(max_workers=3) as pool:
             outs = list(pool.map(transform, _shard_frames(frame, 250)))
@@ -104,48 +98,18 @@ class TestFaultIsolationComposition:
                 equal_nan=outs[2][name].dtype.kind == "f",
             ), name
 
-    def test_strict_raises_after_healthy_prefix(self, demo):
+    def test_strict_raises_after_healthy_prefix(self, demo, fail_feature):
         """Results drained in shard order surface every healthy shard
         before the failing one re-raises on the caller's thread."""
         plan, frame, _ = demo
-        evaluator = self._fail_on_small_shard("Income_z")
-
-        def transform(shard):
-            return plan.apply(shard, evaluator=evaluator)
+        self._fail_on_small_shard(plan, fail_feature)
 
         got = []
         with ThreadPoolExecutor(max_workers=3) as pool:
             with pytest.raises(TransformError, match="injected"):
-                for out in pool.map(transform, _shard_frames(frame, 250)):
+                for out in pool.map(plan.apply, _shard_frames(frame, 250)):
                     got.append(len(out))
         assert got == [250, 250]
-
-    def test_breakers_trip_across_worker_threads(self, demo):
-        """One breaker board shared by four threads counts every failure
-        and opens, whichever thread trips it."""
-        plan, frame, _ = demo
-
-        def always_fail(spec, frame_, default):
-            if spec.name == "Income_z":
-                raise TransformError("injected: always fails")
-            return default()
-
-        breakers = BreakerBoard(failure_threshold=2, cooldown_calls=100)
-
-        def transform(shard):
-            return plan.apply(
-                shard,
-                failure_policy="degrade",
-                breakers=breakers,
-                evaluator=always_fail,
-            )
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            outs = list(pool.map(transform, _shard_frames(frame, 100)))
-        assert len(outs) == 6
-        assert breakers.snapshot()["Income_z"]["state"] == "open"
-        for out in outs:
-            assert np.isnan(out["Income_z"].values).all()
 
 
 class TestRefreshGroupTablesPipelined:

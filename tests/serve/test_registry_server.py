@@ -138,25 +138,10 @@ class TestServer:
         with pytest.raises(PlanError):
             FeatureServer()
 
-    @pytest.mark.parametrize(
-        "knob",
-        [
-            {"breaker_threshold": -2},
-            {"breaker_cooldown": 0},
-        ],
-    )
-    def test_resilience_knobs_are_validated_at_construction(self, plan_and_frame, knob):
+    def test_unknown_failure_policy_is_rejected_at_construction(self, plan_and_frame):
         plan, _, _ = plan_and_frame
-        (name,) = knob
-        with pytest.raises(PlanError, match=name):
-            FeatureServer(plan=plan, **knob)
-
-    def test_resilience_knob_edges_are_accepted(self, plan_and_frame):
-        plan, _, _ = plan_and_frame
-        server = FeatureServer(plan=plan, breaker_threshold=0, breaker_cooldown=1)
-        assert server.breakers is None
-        server = FeatureServer(plan=plan, breaker_threshold=1)
-        assert server.breakers is not None
+        with pytest.raises(PlanError, match="failure_policy"):
+            FeatureServer(plan=plan, failure_policy="yolo")
 
     def test_transform_dataframe(self, plan_and_frame):
         plan, result, frame = plan_and_frame

@@ -1,4 +1,10 @@
-"""Serve-path resilience: isolation, breakers, plan cache, health."""
+"""Serve-path resilience: isolation, plan cache, health.
+
+Faults are injected by patching ``repro.serve.plan.evaluate_feature``
+(the ``fail_feature`` fixture), the name the replay loop evaluates every
+feature through; ``test_chaos.py`` drives every fault mode and a seeded
+storm of them.
+"""
 
 import numpy as np
 import pytest
@@ -8,8 +14,6 @@ from repro.dataframe import DataFrame, Series
 from repro.dataframe.expr import ExprError
 from repro.eval.serving import build_demo_result
 from repro.serve import (
-    BreakerBoard,
-    CircuitBreaker,
     FeaturePlan,
     FeatureServer,
     FeatureSpec,
@@ -26,122 +30,44 @@ def plan_result_frame():
     return compile_plan(result, frame, "Target"), result, frame
 
 
-def _raise_for(names):
-    """A chaos evaluator that fails the named features, runs the rest."""
-
-    def evaluator(spec, frame, default):
-        if spec.name in names:
-            raise TransformError(f"injected failure for {spec.name!r}")
-        return default()
-
-    return evaluator
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_calls=2)
-        for _ in range(2):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_cooldown_refusals_then_half_open_probe(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_calls=2)
-        breaker.allow()
-        breaker.record_failure()
-        assert [breaker.allow() for _ in range(2)] == [False, False]
-        assert breaker.allow()  # the probe
-        assert breaker.state == "half_open"
-
-    def test_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_calls=1)
-        breaker.allow()
-        breaker.record_failure()
-        assert not breaker.allow()
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_probe_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_calls=1)
-        breaker.allow()
-        breaker.record_failure()
-        assert not breaker.allow()
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()  # cooldown restarted
-
-    def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_calls=1)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # never two consecutive
-
-    def test_thread_safety_under_concurrent_counting(self):
-        import threading
-
-        breaker = CircuitBreaker(failure_threshold=10_000, cooldown_calls=1)
-
-        def hammer():
-            for _ in range(1000):
-                breaker.allow()
-                breaker.record_failure()
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert breaker.snapshot()["consecutive_failures"] == 8000
-
-    def test_board_creates_and_snapshots(self):
-        board = BreakerBoard(failure_threshold=2, cooldown_calls=3)
-        assert board.get("f").state == "closed"
-        assert board.get("f") is board.get("f")
-        assert board.snapshot() == {
-            "f": {"state": "closed", "consecutive_failures": 0, "cooldown_left": 0}
-        }
-
-
 class TestDegradeIsolation:
-    def test_failing_feature_nan_fills_its_columns_only(self, plan_result_frame):
-        plan, result, frame = plan_result_frame
-        victim = next(s for s in plan.features if s.status != "omitted")
-        out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", evaluator=_raise_for({victim.name})
-        )
-        failed = [r for r in report.reports if r.status == "failed"]
-        assert [r.feature for r in failed] == [victim.name]
-        assert failed[0].error == "TransformError"
-        for name in victim.output_columns:
-            assert np.isnan(out[name].values).all()
-
-    def test_healthy_features_bit_identical_to_fault_free_run(
-        self, plan_result_frame
+    @pytest.mark.parametrize("position", [0, 6, -1])
+    def test_one_raising_feature_costs_only_its_columns(
+        self, plan_result_frame, fail_feature, position
     ):
-        plan, result, frame = plan_result_frame
-        victim = next(s for s in plan.features if s.status != "omitted")
+        """The degrade contract: the raising feature's columns NaN-fill,
+        every other column is bit-identical to a fault-free run, and
+        strict re-raises the original error."""
+        plan, _result, frame = plan_result_frame
         clean = plan.apply(frame)
-        out, _report = plan.apply_with_report(
-            frame, failure_policy="degrade", evaluator=_raise_for({victim.name})
-        )
+        victim = [s for s in plan.features if s.status != "omitted"][position]
+        fail_feature(victim)
+        out, report = plan.apply_with_report(frame, failure_policy="degrade")
+        failed = report.failures()
+        assert [(r.feature, r.error) for r in failed] == [(victim.name, "TransformError")]
+        assert out.columns == clean.columns
         for name in clean.columns:
             if name in victim.output_columns:
-                continue
-            assert series_identical(clean[name], out[name]), name
-
-    def test_strict_policy_reraises_original_error(self, plan_result_frame):
-        plan, _result, frame = plan_result_frame
-        victim = next(s for s in plan.features if s.status != "omitted")
+                assert np.isnan(out[name].values).all(), name
+            else:
+                assert series_identical(clean[name], out[name]), name
         with pytest.raises(TransformError, match="injected"):
-            plan.apply_with_report(
-                frame, failure_policy="strict", evaluator=_raise_for({victim.name})
-            )
+            plan.apply_with_report(frame, failure_policy="strict")
+
+    def test_wrong_row_count_is_rejected_by_the_install_check(
+        self, plan_result_frame, fail_feature
+    ):
+        plan, _result, frame = plan_result_frame
+        clean = plan.apply(frame)
+        victim = next(s for s in plan.features if s.status != "omitted")
+        fail_feature(victim, mode="bad_output")
+        out, report = plan.apply_with_report(frame, failure_policy="degrade")
+        assert [(r.feature, r.error) for r in report.failures()] == [(victim.name, "PlanError")]
+        for name in clean.columns:
+            if name not in victim.output_columns:
+                assert series_identical(clean[name], out[name]), name
+        with pytest.raises(PlanError, match="rows"):
+            plan.apply(frame)
 
     def test_schema_drift_degrades_only_dependent_features(self, plan_result_frame):
         plan, _result, frame = plan_result_frame
@@ -172,25 +98,6 @@ class TestDegradeIsolation:
         plan, _result, frame = plan_result_frame
         with pytest.raises(PlanError, match="failure_policy"):
             plan.apply_with_report(frame, failure_policy="yolo")
-
-    def test_breaker_skips_after_repeated_failures(self, plan_result_frame):
-        plan, _result, frame = plan_result_frame
-        victim = next(s for s in plan.features if s.status != "omitted")
-        board = BreakerBoard(failure_threshold=2, cooldown_calls=10)
-        evaluator = _raise_for({victim.name})
-        statuses = []
-        for _ in range(4):
-            _out, report = plan.apply_with_report(
-                frame,
-                failure_policy="degrade",
-                breakers=board,
-                evaluator=evaluator,
-            )
-            statuses.append(
-                next(r.status for r in report.reports if r.feature == victim.name)
-            )
-        assert statuses == ["failed", "failed", "skipped", "skipped"]
-        assert board.get(victim.name).state == "open"
 
 
 class TestServerPlanCache:
@@ -245,20 +152,18 @@ class TestHealthSurface:
         assert health["failing_features"] == []
         assert health["batches"] == 1
 
-    def test_health_degraded_reports_failing_features(self, plan_result_frame):
+    def test_health_degraded_reports_failing_features(
+        self, plan_result_frame, fail_feature
+    ):
         plan, _result, frame = plan_result_frame
         victim = next(s for s in plan.features if s.status != "omitted")
+        fail_feature(victim)
         server = FeatureServer(plan=plan, failure_policy="degrade")
-        out, report = plan.apply_with_report(
-            frame, failure_policy="degrade", evaluator=_raise_for({victim.name})
-        )
-        # route the report through the server's stats board as transform would
-        server.stats_board.record(
-            rows_in=len(frame), rows_served=len(out), apply_report=report
-        )
+        server.transform(frame)
         health = server.health()
         assert health["status"] == "degraded"
-        assert victim.name in health["failing_features"]
+        assert health["failing_features"] == [victim.name]
+        assert server.stats()["features"][victim.name] == {"ok": 0, "failed": 1}
 
     def test_stats_accumulate_per_feature_counts(self, plan_result_frame):
         plan, _result, frame = plan_result_frame
@@ -285,7 +190,7 @@ class TestHealthSurface:
         features = server.stats()["features"]
         for spec in plan.features:
             if spec.status != "omitted":
-                assert features[spec.name] == {"ok": 1, "failed": 0, "skipped": 0}
+                assert features[spec.name] == {"ok": 1, "failed": 0}
 
 
 def _target_reading_plan() -> FeaturePlan:
@@ -313,21 +218,14 @@ def _target_reading_plan() -> FeaturePlan:
     )
 
 
-@pytest.mark.parametrize(
-    "make_extras",
-    [dict, lambda: {"breakers": BreakerBoard()}],
-    ids=["no-extras", "breakers"],
-)
 @pytest.mark.parametrize("entry", ["apply", "apply_with_report", "apply_stream"])
-def test_strict_raises_on_missing_input_whatever_the_extras(entry, make_extras):
+def test_strict_raises_on_missing_input(entry):
     """Strict never NaN-fills: a feature whose input is absent at serve
-    time fails the batch with or without breakers, on every entry point."""
-    # A fresh board per case: a shared one would open after three cases.
-    extras = make_extras()
+    time fails the batch, on every entry point."""
     plan = _target_reading_plan()
     frame = DataFrame({"x": Series([1.0, 2.0, 3.0], "x")})
     with pytest.raises(ExprError, match="'y'"):
         if entry == "apply_stream":
-            list(plan.apply_stream([frame], failure_policy="strict", **extras))
+            list(plan.apply_stream([frame], failure_policy="strict"))
         else:
-            getattr(plan, entry)(frame, failure_policy="strict", **extras)
+            getattr(plan, entry)(frame, failure_policy="strict")

@@ -62,8 +62,9 @@ class TestParser:
         [
             ["run", "tennis", "--executor", "thread"],
             ["plan", "apply", "--plan", "p.json", "--csv", "r.csv", "--pipeline-workers", "2"],
+            ["plan", "apply", "--plan", "p.json", "--csv", "r.csv", "--breaker-threshold", "3"],
         ],
-        ids=["executor", "pipeline-workers"],
+        ids=["executor", "pipeline-workers", "breaker-threshold"],
     )
     def test_removed_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):
@@ -277,25 +278,6 @@ class TestPlanCommands:
         out = capsys.readouterr().out
         assert "Applied plan" in out and featured.exists()
 
-    @pytest.mark.parametrize(
-        "flags, knob",
-        [
-            (["--breaker-threshold", "-2"], "breaker_threshold"),
-        ],
-    )
-    def test_apply_rejects_bad_resilience_knobs_in_one_line(self, tmp_path, flags, knob):
-        from repro.eval.serving import build_demo_result
-        from repro.serve import compile_plan
-
-        result, frame = build_demo_result(60, seed=0)
-        plan_path = tmp_path / "plan.json"
-        compile_plan(result, frame, "Target").save(str(plan_path))
-        source = tmp_path / "rows.csv"
-        self._write_csv(source)
-        argv = ["plan", "apply", "--plan", str(plan_path), "--csv", str(source)]
-        with pytest.raises(SystemExit, match=f"plan apply failed: {knob} must be"):
-            main([*argv, *flags])
-
     def test_export_to_registry_and_apply(self, tmp_path, capsys):
         source = tmp_path / "data.csv"
         self._write_csv(source)
@@ -482,6 +464,37 @@ class TestPlanCommands:
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
         assert outputs[0].startswith(b"Age,")
+
+    @pytest.mark.parametrize("chunk", [[], ["--chunk-rows", "7"]], ids=["whole", "chunked"])
+    def test_apply_serves_an_unparseable_date_as_missing_parts(self, tmp_path, chunk):
+        """A date cell that does not parse is served like an unseen key:
+        strict exits 0, and that row's date parts are empty."""
+        import csv
+
+        from repro.dataframe import Series
+        from repro.dataframe.io import to_csv
+        from repro.eval.serving import build_demo_result, make_serving_frame
+        from repro.serve import compile_plan
+
+        result, frame = build_demo_result(200, seed=0)
+        plan_path = tmp_path / "plan.json"
+        compile_plan(result, frame, "Target").save(str(plan_path))
+        rows = make_serving_frame(30, seed=7)
+        dates = rows["SignupDate"].tolist()
+        bad = {3: "cat2", 11: "N/A", 12: "cat2"}
+        for i, text in bad.items():
+            dates[i] = text
+        rows["SignupDate"] = Series(dates, "SignupDate")
+        source, out = tmp_path / "rows.csv", tmp_path / "out.csv"
+        to_csv(rows, source)
+        argv = ["plan", "apply", "--plan", str(plan_path), "--csv", str(source)]
+        assert main(argv + ["--out", str(out), *chunk]) == 0
+        with open(out, newline="") as handle:
+            served = list(csv.DictReader(handle))
+        assert len(served) == 30
+        for i, row in enumerate(served):
+            parts = (row["SignupDate_month"], row["SignupDate_dayofweek"])
+            assert (parts == ("", "")) == (i in bad), (i, parts)
 
     def test_plan_apply_imports_only_the_serving_stack(self, tmp_path):
         """Serving needs no fitting stack: a fresh interpreter that runs
