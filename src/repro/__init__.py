@@ -29,10 +29,10 @@ Layers (bottom-up):
 Quickstart
 ----------
 >>> from repro.datasets import load_dataset
->>> from repro.fm import SimulatedFM
+>>> from repro.fm import simulated_pair
 >>> from repro.core import SmartFeat
 >>> bundle = load_dataset("tennis", n_rows=400)
->>> tool = SmartFeat(fm=SimulatedFM(seed=0), downstream_model="random_forest")
+>>> tool = SmartFeat(*simulated_pair(seed=0), downstream_model="random_forest")
 >>> result = tool.fit_transform(bundle.frame, target=bundle.target,
 ...                             descriptions=bundle.data_card())
 >>> sorted(result.new_features)  # doctest: +SKIP

@@ -29,9 +29,9 @@ from repro.fm import (
     FMCache,
     FMExecutor,
     HedgePolicy,
-    SimulatedFM,
     live_provider_configured,
     provider_from_env,
+    simulated_pair,
 )
 
 __all__ = ["build_parser", "main"]
@@ -284,10 +284,7 @@ def _make_clients(args) -> tuple:
             file=sys.stderr,
         )
         return fm, function_fm
-    return (
-        SimulatedFM(seed=args.seed, model="gpt-4"),
-        SimulatedFM(seed=args.seed + 1, model="gpt-3.5-turbo"),
-    )
+    return simulated_pair(args.seed)
 
 
 def _cmd_run(args) -> int:

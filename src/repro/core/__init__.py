@@ -3,8 +3,8 @@
 The public entry point is :class:`SmartFeat`:
 
 >>> from repro.core import SmartFeat
->>> from repro.fm import SimulatedFM
->>> tool = SmartFeat(fm=SimulatedFM(seed=0), downstream_model="random_forest")
+>>> from repro.fm import simulated_pair
+>>> tool = SmartFeat(*simulated_pair(seed=0), downstream_model="random_forest")
 >>> result = tool.fit_transform(df, target="Safe")       # doctest: +SKIP
 >>> result.frame.columns                                  # doctest: +SKIP
 

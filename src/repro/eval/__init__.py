@@ -1,5 +1,7 @@
 """Evaluation harness regenerating every table and figure of the paper.
 
+* :mod:`~repro.eval.methods` — :func:`fit_method`, the one runner that
+  fits any method on a dataset bundle with the seeded client pair.
 * :mod:`~repro.eval.harness` — feature matrices, per-model cross-validated
   AUC (the Table 4/5 metric).
 * :mod:`~repro.eval.runner` — the method × dataset × model sweep with
@@ -14,6 +16,7 @@
 
 from repro.eval.chaos import hostile_rows
 from repro.eval.harness import evaluate_models, feature_matrix
+from repro.eval.methods import MethodRun, fit_method
 from repro.eval.runner import MethodOutcome, SweepConfig, SweepResult, run_sweep
 from repro.eval.importance import importance_table
 from repro.eval.ablation import operator_ablation
@@ -32,11 +35,13 @@ from repro.eval.reporting import (
 
 __all__ = [
     "MethodOutcome",
+    "MethodRun",
     "SweepConfig",
     "SweepResult",
     "concurrency_speedup_report",
     "evaluate_models",
     "feature_matrix",
+    "fit_method",
     "hostile_rows",
     "importance_table",
     "interaction_cost_comparison",

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core import SmartFeat
 from repro.core.types import OperatorFamily
 from repro.datasets.schema import DatasetBundle
 from repro.eval.harness import evaluate_models
-from repro.fm import SimulatedFM
+from repro.eval.methods import fit_method
 from repro.ml.registry import MODEL_NAMES
 
 __all__ = ["AblationRow", "operator_ablation"]
@@ -67,27 +66,21 @@ def operator_ablation(
         )
     ]
     for label, families in _FAMILY_ROWS:
-        tool = SmartFeat(
-            fm=SimulatedFM(seed=seed, model="gpt-4"),
-            function_fm=SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo"),
-            downstream_model=downstream_model,
+        run = fit_method(
+            "smartfeat",
+            bundle,
+            seed=seed,
+            model=downstream_model,
             operator_families=families,
             drop_heuristic=False,  # keep originals so rows are comparable
-        )
-        result = tool.fit_transform(
-            bundle.frame,
-            target=bundle.target,
-            descriptions=bundle.descriptions,
-            title=bundle.title,
-            target_description=bundle.target_description,
         )
         rows.append(
             AblationRow(
                 label=label,
                 auc_by_model=evaluate_models(
-                    result.frame, bundle.target, models=models, n_splits=n_splits, seed=seed
+                    run.frame, bundle.target, models=models, n_splits=n_splits, seed=seed
                 ),
-                n_new_features=len(result.new_columns),
+                n_new_features=run.n_selected,
             )
         )
     return rows

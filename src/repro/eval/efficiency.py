@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 from repro.core import SmartFeat
 from repro.datasets.schema import DatasetBundle
+from repro.eval.methods import fit_method
 from repro.fm import (
     FMExecutor,
-    SimulatedFM,
     SimulatedHTTPTransport,
     TransportFMClient,
+    simulated_pair,
 )
 from repro.fm.cost import CostModel, estimate_tokens
 from repro.serve import frames_identical
@@ -72,34 +73,21 @@ def smartfeat_call_profile(
     ``critical_path_s`` is the modelled wall-clock under the given
     executor's concurrency — equal to the sum when running serially.
     """
-    fm = SimulatedFM(seed=seed, model="gpt-4")
-    function_fm = SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo")
-    tool = SmartFeat(
-        fm=fm,
-        function_fm=function_fm,
-        downstream_model="random_forest",
+    run = fit_method(
+        "smartfeat",
+        bundle,
+        seed=seed,
+        model="random_forest",
         executor=executor,
         wave_size=wave_size,
     )
-    result = tool.fit_transform(
-        bundle.frame,
-        target=bundle.target,
-        descriptions=bundle.descriptions,
-        title=bundle.title,
-        target_description=bundle.target_description,
-    )
     return {
-        "n_calls": fm.ledger.n_calls + function_fm.ledger.n_calls,
-        "tokens": (
-            fm.ledger.prompt_tokens
-            + fm.ledger.completion_tokens
-            + function_fm.ledger.prompt_tokens
-            + function_fm.ledger.completion_tokens
-        ),
-        "cost_usd": fm.ledger.cost_usd + function_fm.ledger.cost_usd,
-        "latency_s": fm.ledger.latency_s + function_fm.ledger.latency_s,
-        "critical_path_s": result.fm_usage["execution"]["critical_path_s"],
-        "n_features": len(result.new_features),
+        "n_calls": run.fm_calls,
+        "tokens": run.fm_tokens,
+        "cost_usd": run.fm_cost_usd,
+        "latency_s": run.fm_latency_s,
+        "critical_path_s": run.result.fm_usage["execution"]["critical_path_s"],
+        "n_features": len(run.result.new_features),
     }
 
 
@@ -179,40 +167,27 @@ def _instrumented_run(
     seed: int,
     stage_plan: str = "serial",
 ) -> dict:
-    fm = SimulatedFM(seed=seed, model="gpt-4")
-    function_fm = SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo")
-    tool = SmartFeat(
-        fm=fm,
-        function_fm=function_fm,
-        downstream_model="random_forest",
+    run = fit_method(
+        "smartfeat",
+        bundle,
+        seed=seed,
+        model="random_forest",
         executor=executor,
         wave_size=wave_size,
         stage_plan=stage_plan,
     )
-    result = tool.fit_transform(
-        bundle.frame,
-        target=bundle.target,
-        descriptions=bundle.descriptions,
-        title=bundle.title,
-        target_description=bundle.target_description,
-    )
     stats = executor.stats.snapshot()
     return {
-        "features": sorted(result.new_features),
-        "feature_order": list(result.new_features),
-        "result": result,
-        "ledgers": (fm.ledger.snapshot(), function_fm.ledger.snapshot()),
-        "n_calls": fm.ledger.n_calls + function_fm.ledger.n_calls,
-        "cache_hits": fm.ledger.cache_hits + function_fm.ledger.cache_hits,
-        "tokens": (
-            fm.ledger.prompt_tokens
-            + fm.ledger.completion_tokens
-            + function_fm.ledger.prompt_tokens
-            + function_fm.ledger.completion_tokens
-        ),
+        "features": sorted(run.result.new_features),
+        "feature_order": list(run.result.new_features),
+        "result": run.result,
+        "ledgers": tuple(client.ledger.snapshot() for client in run.clients),
+        "n_calls": run.fm_calls,
+        "cache_hits": run.fm_cache_hits,
+        "tokens": run.fm_tokens,
         "summed_latency_s": stats["summed_latency_s"],
         "critical_path_s": stats["critical_path_s"],
-        "schedule": result.fm_usage["execution"]["schedule"],
+        "schedule": run.schedule,
     }
 
 
@@ -284,29 +259,19 @@ def _transport_run(
     clients themselves are stateless and the overlap plan may physically
     fan independent stages out.  Latency is real: the transport sleeps.
     """
-    selector_server = SimulatedFM(seed=seed, model="gpt-4")
-    generator_server = SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo")
-    fm = TransportFMClient(
-        SimulatedHTTPTransport(
-            responder=lambda req: selector_server._complete_text(
-                req.prompt, req.temperature
+    fm, function_fm = (
+        TransportFMClient(
+            SimulatedHTTPTransport(
+                responder=lambda req, server=server: server._complete_text(
+                    req.prompt, req.temperature
+                ),
+                base_latency_s=base_latency_s,
+                jitter_s=0.0,
+                seed=server.seed,
             ),
-            base_latency_s=base_latency_s,
-            jitter_s=0.0,
-            seed=seed,
-        ),
-        model="gpt-4",
-    )
-    function_fm = TransportFMClient(
-        SimulatedHTTPTransport(
-            responder=lambda req: generator_server._complete_text(
-                req.prompt, req.temperature
-            ),
-            base_latency_s=base_latency_s,
-            jitter_s=0.0,
-            seed=seed + 1,
-        ),
-        model="gpt-3.5-turbo",
+            model=server.model,
+        )
+        for server in simulated_pair(seed)
     )
     with FMExecutor(concurrency) as executor:
         tool = SmartFeat(

@@ -3,16 +3,14 @@ feature-selection metrics (information gain, RFE, tree importance)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.baselines import AutoFeatLike, CAAFELike, FeaturetoolsDFS
-from repro.core import SmartFeat
 from repro.datasets.schema import DatasetBundle
 from repro.dataframe import DataFrame
 from repro.eval.harness import feature_matrix
-from repro.fm import SimulatedFM
+from repro.eval.methods import fit_method
 from repro.ml.feature_selection import (
     mutual_info_classif,
     rfe_ranking,
@@ -65,55 +63,34 @@ def importance_table(
     seed: int = 0,
     downstream_model: str = "random_forest",
 ) -> list[ImportanceRow]:
-    """Run each method on *bundle* and compute its Table 6 row."""
+    """Run each method on *bundle* and compute its Table 6 row.
+
+    SMARTFEAT's ``n_generated`` counts its rejected candidates too.  CAAFE
+    is fitted as this table always fitted it, unlike the sweep: validated
+    against its default ``"lr"``, with no target description.
+    """
     rows: list[ImportanceRow] = []
     for method in methods:
-        if method == "smartfeat":
-            tool = SmartFeat(
-                fm=SimulatedFM(seed=seed, model="gpt-4"),
-                function_fm=SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo"),
-                downstream_model=downstream_model,
+        if method == "caafe":
+            run = fit_method(
+                method, replace(bundle, target_description=""), seed=seed, model="lr"
             )
-            result = tool.fit_transform(
-                bundle.frame,
-                target=bundle.target,
-                descriptions=bundle.descriptions,
-                title=bundle.title,
-                target_description=bundle.target_description,
-            )
-            frame, new_columns = result.frame, result.new_columns
-            n_generated = len(new_columns) + len(result.rejections)
-            n_selected = len(new_columns)
-        elif method == "caafe":
-            caafe = CAAFELike(SimulatedFM(seed=seed, model="gpt-4"), seed=seed)
-            result = caafe.fit_transform(
-                bundle.frame,
-                bundle.target,
-                descriptions=bundle.descriptions,
-                title=bundle.title,
-            )
-            frame, new_columns = result.frame, result.new_columns
-            n_generated, n_selected = result.n_generated, result.n_selected
-        elif method == "featuretools":
-            result = FeaturetoolsDFS().fit_transform(bundle.frame, bundle.target)
-            frame, new_columns = result.frame, result.new_columns
-            n_generated, n_selected = result.n_generated, result.n_selected
-        elif method == "autofeat":
-            result = AutoFeatLike().fit_transform(bundle.frame, bundle.target)
-            frame, new_columns = result.frame, result.new_columns
-            n_generated, n_selected = result.n_generated, result.n_selected
         else:
-            raise ValueError(f"unknown method {method!r}")
-        ig, rfe, fi = top_k_new_fraction(frame, bundle.target, new_columns, k=k, seed=seed)
+            run = fit_method(
+                method, bundle, seed=seed, model=downstream_model, count_rejections=True
+            )
+        ig, rfe, fi = top_k_new_fraction(
+            run.frame, bundle.target, run.new_columns, k=k, seed=seed
+        )
         rows.append(
             ImportanceRow(
                 method=method,
-                n_generated=n_generated,
-                n_selected=n_selected,
+                n_generated=run.n_generated,
+                n_selected=run.n_selected,
                 ig_at_k=ig,
                 rfe_at_k=rfe,
                 fi_at_k=fi,
-                new_columns=list(new_columns),
+                new_columns=list(run.new_columns),
             )
         )
     return rows

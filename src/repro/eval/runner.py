@@ -2,7 +2,8 @@
 
 Protocol notes (Section 4.1/4.2 of the paper → this reproduction):
 
-* Each AFE method transforms the dataset, then the five downstream
+* Each AFE method transforms the dataset (one
+  :func:`~repro.eval.methods.fit_method` call), then the five downstream
   models are scored with stratified cross-validated AUC.
 * SMARTFEAT and CAAFE are *model-aware* (the downstream model appears in
   their prompts / validation), so they run once per (dataset, model).
@@ -41,26 +42,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from repro.baselines import (
-    AutoFeatLike,
-    BaselineTimeoutError,
-    CAAFELike,
-    Deadline,
-    FeaturetoolsDFS,
-)
-from repro.core import SmartFeat
+from repro.baselines import BaselineTimeoutError, Deadline
 from repro.datasets import load_dataset
 from repro.datasets.schema import DatasetBundle
 from repro.eval.harness import NonFiniteFeaturesError, evaluate_models
-from repro.fm import SimulatedFM
+from repro.eval.methods import METHOD_NAMES, fit_method
 from repro.fm.base import Budget
 from repro.fm.cost import critical_path_seconds
 from repro.fm.errors import FMBudgetExceededError
 from repro.ml.registry import MODEL_NAMES
 
 __all__ = ["MethodOutcome", "SweepConfig", "SweepResult", "run_sweep"]
-
-METHOD_NAMES: tuple[str, ...] = ("initial", "smartfeat", "caafe", "featuretools", "autofeat")
 
 #: Wall-time extrapolation exponents: expansion/selection methods scale
 #: superlinearly with rows (wide matrices, iterative selection).
@@ -252,66 +244,6 @@ class SweepResult:
         return counts
 
 
-def _transform_with_method(
-    method: str,
-    bundle: DatasetBundle,
-    model_name: str,
-    seed: int,
-    deadline: Deadline,
-    budget: Budget | None = None,
-    stage_plan: str = "serial",
-    plan_budget: bool = False,
-):
-    """Run one AFE method; returns (frame, n_generated, n_selected, fm,
-    schedule) — *schedule* is SMARTFEAT's stage-schedule report, None for
-    every other method."""
-    if method == "initial":
-        return bundle.frame, 0, 0, None, None
-    if method == "smartfeat":
-        fm = SimulatedFM(seed=seed, model="gpt-4")
-        function_fm = SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo")
-        tool = SmartFeat(
-            fm=fm,
-            function_fm=function_fm,
-            downstream_model=model_name,
-            budget=budget,
-            stage_plan=stage_plan,
-            plan_budget=plan_budget,
-        )
-        result = tool.fit_transform(
-            bundle.frame,
-            target=bundle.target,
-            descriptions=bundle.descriptions,
-            title=bundle.title,
-            target_description=bundle.target_description,
-        )
-        n_new = len(result.new_columns)
-        fm.ledger.latency_s += function_fm.ledger.latency_s
-        fm.ledger.cost_usd += function_fm.ledger.cost_usd
-        fm.ledger.n_calls += function_fm.ledger.n_calls
-        schedule = result.fm_usage["execution"]["schedule"]
-        return result.frame, n_new, n_new, fm, schedule
-    if method == "caafe":
-        fm = SimulatedFM(seed=seed, model="gpt-4", budget=budget)
-        caafe = CAAFELike(fm, validation_model=model_name, seed=seed)
-        result = caafe.fit_transform(
-            bundle.frame,
-            target=bundle.target,
-            descriptions=bundle.descriptions,
-            title=bundle.title,
-            target_description=bundle.target_description,
-            deadline=deadline,
-        )
-        return result.frame, result.n_generated, result.n_selected, fm, None
-    if method == "featuretools":
-        result = FeaturetoolsDFS().fit_transform(bundle.frame, bundle.target, deadline=deadline)
-        return result.frame, result.n_generated, result.n_selected, None, None
-    if method == "autofeat":
-        result = AutoFeatLike().fit_transform(bundle.frame, bundle.target, deadline=deadline)
-        return result.frame, result.n_generated, result.n_selected, None, None
-    raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-
-
 def _model_aware(method: str) -> bool:
     return method in ("smartfeat", "caafe")
 
@@ -358,9 +290,9 @@ def _run_model_aware(outcome, bundle, method, config, scale_base, budget) -> Non
     for model_name in config.models:
         started = time.monotonic()
         try:
-            frame, n_gen, n_sel, fm, schedule = _transform_with_method(
-                method, bundle, model_name, config.seed,
-                Deadline(seconds=config.deadline_seconds),
+            run = fit_method(
+                method, bundle, seed=config.seed, model=model_name,
+                deadline=Deadline(seconds=config.deadline_seconds),
                 budget=budget,
                 stage_plan=config.stage_plan,
                 plan_budget=config.plan_budget,
@@ -376,20 +308,17 @@ def _run_model_aware(outcome, bundle, method, config, scale_base, budget) -> Non
             continue
         wall = time.monotonic() - started
         outcome.wall_s += wall
-        fm_latency = 0.0
-        if fm is not None:
-            fm_latency = fm.ledger.latency_s
-            outcome.fm_cost_usd += fm.ledger.cost_usd
-            outcome.fm_calls += fm.ledger.n_calls
+        outcome.fm_cost_usd += run.fm_cost_usd
+        outcome.fm_calls += run.fm_calls
         calibration = (
             _VALIDATION_MODEL_CALIBRATION.get(model_name, 1.0) if method == "caafe" else 1.0
         )
-        modelled = wall * calibration * (scale_base**alpha) + fm_latency
-        if modelled >= outcome.modelled_s and schedule is not None:
-            outcome.schedule = schedule  # keep the slowest run's schedule
+        modelled = wall * calibration * (scale_base**alpha) + run.fm_latency_s
+        if modelled >= outcome.modelled_s and run.schedule is not None:
+            outcome.schedule = run.schedule  # keep the slowest run's schedule
         outcome.modelled_s = max(outcome.modelled_s, modelled)
-        outcome.n_generated = max(outcome.n_generated, n_gen)
-        outcome.n_selected = max(outcome.n_selected, n_sel)
+        outcome.n_generated = max(outcome.n_generated, run.n_generated)
+        outcome.n_selected = max(outcome.n_selected, run.n_selected)
         if config.time_limit_s and modelled > config.time_limit_s:
             outcome.model_status[model_name] = "dnf"
             outcome.detail = (
@@ -397,23 +326,23 @@ def _run_model_aware(outcome, bundle, method, config, scale_base, budget) -> Non
                 f"{config.time_limit_s:.0f}s"
             )
             continue
-        _evaluate_outcome_model(outcome, frame, bundle, model_name, config)
+        _evaluate_outcome_model(outcome, run.frame, bundle, model_name, config)
 
 
 def _run_model_agnostic(outcome, bundle, method, config, scale_base) -> None:
     """One transform shared across models; whole-cell DNF semantics."""
     started = time.monotonic()
     try:
-        frame, n_gen, n_sel, _, _ = _transform_with_method(
-            method, bundle, config.models[0], config.seed,
-            Deadline(seconds=config.deadline_seconds),
+        run = fit_method(
+            method, bundle, seed=config.seed, model=config.models[0],
+            deadline=Deadline(seconds=config.deadline_seconds),
         )
     except BaselineTimeoutError as exc:
         outcome.status = "dnf"
         outcome.detail = str(exc)
         return
     outcome.wall_s = time.monotonic() - started
-    outcome.n_generated, outcome.n_selected = n_gen, n_sel
+    outcome.n_generated, outcome.n_selected = run.n_generated, run.n_selected
     alpha = _TIME_SCALING_ALPHA[method]
     outcome.modelled_s = outcome.wall_s * (scale_base**alpha)
     if config.time_limit_s and outcome.modelled_s > config.time_limit_s:
@@ -424,7 +353,7 @@ def _run_model_agnostic(outcome, bundle, method, config, scale_base) -> None:
         )
         return
     for model_name in config.models:
-        _evaluate_outcome_model(outcome, frame, bundle, model_name, config)
+        _evaluate_outcome_model(outcome, run.frame, bundle, model_name, config)
     _summarise_status(outcome)
 
 

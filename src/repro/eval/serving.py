@@ -17,17 +17,19 @@ Two jobs:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.core.function_generator import realize_source
-from repro.core.pipeline import SmartFeat, SmartFeatResult
+from repro.core.pipeline import SmartFeatResult
 from repro.core.sandbox import run_transform
 from repro.core.types import GeneratedFeature, OperatorFamily
 from repro.dataframe import DataFrame
 from repro.dataframe.series import Series
 from repro.datasets import DATASET_NAMES, load_dataset
 from repro.datasets.synth import make_synthetic_bundle
-from repro.fm import SimulatedFM
+from repro.eval.methods import fit_method
 from repro.fm.codegen import generate_transform_source
 from repro.fm.knowledge import default_knowledge
 
@@ -69,18 +71,8 @@ def fit_and_export(dataset: str, n_rows: int = 300, seed: int = 0):
     original input frame replay should be checked against.
     """
     bundle = _load_bundle(dataset, n_rows, seed)
-    smartfeat = SmartFeat(
-        SimulatedFM(seed=seed, model="gpt-4"),
-        function_fm=SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo"),
-    )
-    result = smartfeat.fit_transform(
-        bundle["frame"],
-        bundle["target"],
-        descriptions=bundle["descriptions"],
-        title=bundle["title"],
-        target_description=bundle.get("target_description", ""),
-    )
-    return bundle, result
+    run = fit_method("smartfeat", SimpleNamespace(**bundle), seed=seed, model="random_forest")
+    return bundle, run.result
 
 
 def sandbox_replay(result: SmartFeatResult, frame: DataFrame) -> DataFrame:

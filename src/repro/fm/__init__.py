@@ -14,6 +14,7 @@ no network, so the substrate supplies:
     lexicon, consults an open-world knowledge store, and answers the
     operator-selector / function-generator / CAAFE prompt shapes with
     plausible natural-text responses, including executable Python.
+    :func:`simulated_pair` builds the paper's GPT-4 / GPT-3.5-turbo pair.
 :class:`ScriptedFM` / :class:`RecordingFM` / :class:`ReplayFM`
     Test doubles: canned responses, call recording, and replay.
 :class:`FMExecutor`
@@ -75,7 +76,7 @@ from repro.fm.providers import (
 )
 from repro.fm.lexicon import ColumnRole, infer_role
 from repro.fm.scripted import RecordingFM, ReplayFM, ScriptedFM
-from repro.fm.simulated import SimulatedFM
+from repro.fm.simulated import SimulatedFM, simulated_pair
 from repro.fm.transport import (
     ScriptedTransport,
     SimulatedHTTPTransport,
@@ -137,4 +138,5 @@ __all__ = [
     "infer_role",
     "live_provider_configured",
     "provider_from_env",
+    "simulated_pair",
 ]

@@ -50,7 +50,7 @@ from repro.fm.cost import CostModel
 from repro.fm.knowledge import KnowledgeStore, default_knowledge
 from repro.fm.lexicon import ColumnRole, infer_role, stat_polarity, tokenize_identifier
 
-__all__ = ["AgendaView", "SimulatedFM"]
+__all__ = ["AgendaView", "SimulatedFM", "simulated_pair"]
 
 _FEATURE_LINE = re.compile(
     r"^- (?P<name>.+?) \((?P<kind>numeric|categorical|binary)"
@@ -878,3 +878,15 @@ class SimulatedFM(FMClient):
             f"df[{name!r}] = df[{a!r}] {op} df[{b!r}]\n"
         )
         return f"```python\n{code}```"
+
+
+def simulated_pair(
+    seed: int = 0, budget: Budget | None = None
+) -> tuple[SimulatedFM, SimulatedFM]:
+    """The paper's two models as seeded simulators: the GPT-4 operator
+    selector (seed *seed*) and the GPT-3.5-turbo function generator
+    (seed *seed* + 1), both charging *budget* when one is given."""
+    return (
+        SimulatedFM(seed=seed, model="gpt-4", budget=budget),
+        SimulatedFM(seed=seed + 1, model="gpt-3.5-turbo", budget=budget),
+    )

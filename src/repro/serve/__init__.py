@@ -30,7 +30,6 @@ from repro.serve.resilience import (
     FeatureReport,
     QuarantineReport,
     ServerStats,
-    ValidationLimits,
     validate_rows,
 )
 from repro.serve.server import FeatureServer, ServeReport
@@ -52,7 +51,6 @@ __all__ = [
     "QuarantineReport",
     "ServeReport",
     "ServerStats",
-    "ValidationLimits",
     "coarse_kind",
     "column_kind",
     "compile_plan",

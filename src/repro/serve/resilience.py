@@ -45,7 +45,6 @@ __all__ = [
     "FeatureReport",
     "QuarantineReport",
     "ServerStats",
-    "ValidationLimits",
     "plan_known_categories",
     "validate_rows",
 ]
@@ -120,22 +119,16 @@ class ApplyReport:
 # ----------------------------------------------------------------------
 # Hostile-input validation / quarantine
 # ----------------------------------------------------------------------
-@dataclass
-class ValidationLimits:
-    """Knobs bounding what a row-dict batch may contain.
-
-    ``max_string_chars`` quarantines oversized strings before they reach
-    the object kernels; ``nan_flood_fraction`` is the per-column NaN
-    fraction above which the batch is flagged (a flood is a *warning* —
-    NaN is a legal value — but a sudden all-NaN column is usually an
-    upstream outage, and health checks want to see it).
-    ``max_patch_examples`` caps the per-cell patch examples kept in the
-    report so a hostile batch cannot balloon memory.
-    """
-
-    max_string_chars: int = 10_000
-    nan_flood_fraction: float = 0.5
-    max_patch_examples: int = 20
+#: Bounds on a row-dict batch.  A string longer than ``MAX_STRING_CHARS``
+#: quarantines its row before it reaches the object kernels; a numeric
+#: column whose NaN fraction exceeds ``NAN_FLOOD_FRACTION`` is flagged (a
+#: flood is a *warning* — NaN is a legal value — but a sudden all-NaN
+#: column is usually an upstream outage, and health checks want to see
+#: it); the report keeps at most ``MAX_PATCH_EXAMPLES`` per-cell patch
+#: examples, so a hostile batch cannot balloon memory.
+MAX_STRING_CHARS = 10_000
+NAN_FLOOD_FRACTION = 0.5
+MAX_PATCH_EXAMPLES = 20
 
 
 @dataclass
@@ -206,14 +199,14 @@ def _coerce_bool(value: Any):
     return None, f"value of type {type(value).__name__} in boolean column"
 
 
-def _coerce_object(value: Any, limits: ValidationLimits):
+def _coerce_object(value: Any):
     if value is _MISSING or value is None:
         return None, None
     if isinstance(value, str):
-        if len(value) > limits.max_string_chars:
+        if len(value) > MAX_STRING_CHARS:
             return None, (
                 f"string of {len(value)} chars exceeds "
-                f"max_string_chars={limits.max_string_chars}"
+                f"max_string_chars={MAX_STRING_CHARS}"
             )
         try:
             value.encode("utf-8")
@@ -228,7 +221,6 @@ def _coerce_object(value: Any, limits: ValidationLimits):
 def validate_rows(
     plan,
     rows: Sequence[Mapping],
-    limits: ValidationLimits | None = None,
     *,
     strict: bool = False,
 ) -> tuple[DataFrame, QuarantineReport]:
@@ -248,7 +240,6 @@ def validate_rows(
     repaired.  An empty batch, or a batch with no surviving rows, always
     raises.
     """
-    limits = limits or ValidationLimits()
     rows = list(rows)
     report = QuarantineReport(total_rows=len(rows))
     if not rows:
@@ -282,7 +273,7 @@ def validate_rows(
                     reason = f"column {name!r}: {note}"
                     break
             else:
-                coerced, note = _coerce_object(value, limits)
+                coerced, note = _coerce_object(value)
                 if note is not None:
                     reason = f"column {name!r}: {note}"
                     break
@@ -297,7 +288,7 @@ def validate_rows(
         kept.append(idx)
         for name, note in patches:
             report.patched_cells += 1
-            if len(report.patches) < limits.max_patch_examples:
+            if len(report.patches) < MAX_PATCH_EXAMPLES:
                 report.patches.append((idx, name, note))
         for name, _kind in schema:
             columns[name].append(staged[name])
@@ -349,10 +340,10 @@ def validate_rows(
             continue
         values = frame[name].values
         flood = float(np.isnan(values).mean()) if len(values) else 0.0
-        if flood > limits.nan_flood_fraction:
+        if flood > NAN_FLOOD_FRACTION:
             report.warnings.append(
                 f"column {name!r}: NaN fraction {flood:.2f} exceeds "
-                f"flood threshold {limits.nan_flood_fraction:.2f}"
+                f"flood threshold {NAN_FLOOD_FRACTION:.2f}"
             )
     known = plan_known_categories(plan)
     for name, categories in known.items():

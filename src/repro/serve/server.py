@@ -41,7 +41,6 @@ from repro.serve.resilience import (
     ApplyReport,
     QuarantineReport,
     ServerStats,
-    ValidationLimits,
     validate_rows,
 )
 
@@ -87,9 +86,6 @@ class FeatureServer:
         batch loudly, the historical contract) or ``"degrade"`` (failing
         features NaN-fill, hostile rows quarantine, everything is
         reported).
-    limits:
-        :class:`~repro.serve.resilience.ValidationLimits` for row-dict
-        batches (string size, NaN-flood threshold).
     """
 
     def __init__(
@@ -100,7 +96,6 @@ class FeatureServer:
         version: int | None = None,
         *,
         failure_policy: str = "strict",
-        limits: ValidationLimits | None = None,
     ) -> None:
         if plan is None and registry is None:
             raise PlanError("FeatureServer needs a plan or a registry")
@@ -116,7 +111,6 @@ class FeatureServer:
         self._lock = threading.Lock()
         self._plan_cache: dict[tuple[str, int | None], tuple[tuple | None, FeaturePlan]] = {}
         self.failure_policy = failure_policy
-        self.limits = limits or ValidationLimits()
         self.stats_board = ServerStats()
 
     # ------------------------------------------------------------------
@@ -224,7 +218,7 @@ class FeatureServer:
             frame = rows
         else:
             frame, quarantine = validate_rows(
-                plan, rows, self.limits, strict=self.failure_policy == "strict"
+                plan, rows, strict=self.failure_policy == "strict"
             )
         out, apply_report = plan.apply_with_report(
             frame, failure_policy=self.failure_policy

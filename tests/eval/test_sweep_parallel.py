@@ -10,7 +10,7 @@ budget must cost exactly the offending cell.
 
 import pytest
 
-import repro.eval.runner as runner_module
+import repro.eval.methods as methods_module
 from repro.eval import (
     SweepConfig,
     render_auc_table,
@@ -98,7 +98,7 @@ class TestFaultIsolation:
         def boom(self, frame, target, deadline=None):
             raise RuntimeError("featuretools exploded")
 
-        monkeypatch.setattr(runner_module.FeaturetoolsDFS, "fit_transform", boom)
+        monkeypatch.setattr(methods_module.FeaturetoolsDFS, "fit_transform", boom)
         result = run_sweep(matrix_config, sweep_concurrency=4)
         for (dataset, method), outcome in result.outcomes.items():
             if method == "featuretools":
@@ -115,7 +115,7 @@ class TestFaultIsolation:
         def boom(self, frame, target, deadline=None):
             raise ValueError("autofeat exploded")
 
-        monkeypatch.setattr(runner_module.AutoFeatLike, "fit_transform", boom)
+        monkeypatch.setattr(methods_module.AutoFeatLike, "fit_transform", boom)
         serial = run_sweep(matrix_config)
         parallel = run_sweep(matrix_config, sweep_concurrency=4)
         assert outcome_fingerprint(serial) == outcome_fingerprint(parallel)
@@ -125,7 +125,7 @@ class TestFaultIsolation:
         def boom(self, frame, target, deadline=None):
             raise RuntimeError("nope")
 
-        monkeypatch.setattr(runner_module.FeaturetoolsDFS, "fit_transform", boom)
+        monkeypatch.setattr(methods_module.FeaturetoolsDFS, "fit_transform", boom)
         result = run_sweep(matrix_config)
         table = render_auc_table(result)
         featuretools_row = next(

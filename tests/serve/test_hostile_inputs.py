@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from repro.eval.serving import build_demo_result
+from repro.serve.resilience import MAX_STRING_CHARS
 from repro.serve import (
     BatchValidationError,
     FeatureServer,
     PlanError,
-    ValidationLimits,
     coarse_kind,
     compile_plan,
     validate_rows,
@@ -163,20 +163,19 @@ class TestHostileValues:
         assert len(out) == 1
         assert "UTF-8" in report.quarantine.quarantined[0][1]
 
-    def test_oversized_string_quarantines(self, plan_and_frame):
+    def test_oversized_string_quarantines(self, plan_and_frame, degrade_server):
         plan, frame = plan_and_frame
-        server = FeatureServer(
-            plan=plan,
-            failure_policy="degrade",
-            limits=ValidationLimits(max_string_chars=64),
-        )
         good = _good_row(frame, 0)
-        bad = dict(good)
         object_col = next(n for n, k in plan.input_schema if coarse_kind(k) == "object")
-        bad[object_col] = "x" * 65
-        out, report = server.transform_with_report([good, bad])
-        assert len(out) == 1
-        assert "max_string_chars" in report.quarantine.quarantined[0][1]
+        longest = dict(good)
+        longest[object_col] = "x" * MAX_STRING_CHARS
+        bad = dict(good)
+        bad[object_col] = "x" * (MAX_STRING_CHARS + 1)
+        out, report = degrade_server.transform_with_report([good, longest, bad])
+        assert len(out) == 2
+        assert out[object_col].values[1] == "x" * MAX_STRING_CHARS
+        assert [idx for idx, _ in report.quarantine.quarantined] == [2]
+        assert f"max_string_chars={MAX_STRING_CHARS}" in report.quarantine.quarantined[0][1]
 
     def test_hostile_values_raise_typed_error_under_strict(
         self, plan_and_frame, strict_server
